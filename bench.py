@@ -9,7 +9,8 @@ default 32) and prints ONE JSON line:
    "crawl_pages_per_sec": X}
 
 The headline crawl runs over a cached synthetic bench corpus (generated
-once under /tmp, reused across runs — generation is NOT timed).
+once under /tmp and written as the (host, salt)-partitioned store the
+fetch stage reads, reused across runs — generation is NOT timed).
 
 --scaling: runs the crawl headline twice in fresh processes at
 num_cpus=8 and num_cpus=32 on the same corpus and reports both
@@ -148,17 +149,21 @@ def load_bench_corpus(scale: str):
 
 
 def load_bench_corpus_path(scale: str):
-    """Corpus stays on disk, HOST-PARTITIONED; path-mode workers load
-    only the partitions their blocks serve (the 10^10-doc layout)."""
+    """Corpus stays on disk, (host, salt)-partitioned; workers load only
+    the partitions their blocks serve (the 10^10-doc layout). A cached
+    store in any other layout (e.g. a pre-salt host-only one, which the
+    fetcher would read as empty) is rewritten."""
+    import shutil
+
     import pyarrow.parquet as pq
     from no_fasel_scrapers_ray.corpus.storage import (
-        is_host_partitioned, write_corpus)
+        corpus_path, is_host_partitioned, write_corpus)
     corpus, _ = load_bench_corpus(scale)  # ensure generated
     cache = _corpus_cache_dir(scale)
     store = os.path.join(cache, "store")
-    from no_fasel_scrapers_ray.corpus.storage import corpus_path
     path = corpus_path(store)
-    if not (os.path.isdir(path) and is_host_partitioned(path)):
+    if not is_host_partitioned(path):
+        shutil.rmtree(path, ignore_errors=True)
         path = write_corpus(corpus, store)
     return path, pq.read_table(os.path.join(cache, "seeds.parquet"))
 
@@ -167,10 +172,9 @@ def _restart_ray(num_cpus: int) -> None:
     """Fresh Ray session between pipeline phases. The crawl and the
     catalog assembly are separate jobs in the staged deployment (the
     per-round parquet + checkpoints make the crawl resumable and the
-    assembly re-runnable); keeping the crawl's broadcast corpus and 30
-    heap-heavy warm fetch workers alive starves the assembly shuffle
-    into object-store spilling (measured 534 s vs 71 s for the same
-    assemble at bench scale)."""
+    assembly re-runnable), so the assembly starts, as it would there,
+    from a clean object store and without the crawl's warm fetch
+    workers and the corpus partitions they hold."""
     import ray
     ray.shutdown()
     ext_addr = os.environ.get("BENCH_RAY_ADDRESS")
@@ -201,14 +205,9 @@ def run_crawl(corpus, seeds, num_cpus: int, run_dir: str,
     # fetch_concurrency sets SALT granularity (blocks per round ≈ 2×
     # this); 2×CPUs measured 30% faster than CPUs-2 at 16 CPUs purely
     # from shorter round-barrier tails (more, smaller blocks).
-    # BENCH_FETCH_CONC overrides for the multi-raylet granularity
-    # experiment (fewer, bigger blocks trade tail balance for less
-    # per-round cross-raylet dispatch latency).
-    fc = int(os.environ.get("BENCH_FETCH_CONC", "0")) or \
-        max(4, 2 * num_cpus)
     eng = CrawlEngine(corpus, seeds.to_pylist(), run_dir,
                       n_shards=max(4, num_cpus // 4),
-                      fetch_concurrency=fc)
+                      fetch_concurrency=max(4, 2 * num_cpus))
     n_warm = eng.warmup()
     setup_sec = time.perf_counter() - t_setup0
     import resource
@@ -233,7 +232,7 @@ def run_crawl(corpus, seeds, num_cpus: int, run_dir: str,
             entries, os.path.join(run_dir, "out"))
         n_entries = sum(counts.values())
     else:
-        eng.release()   # free shard actors + broadcast corpus so a
+        eng.release()   # free shard actors + crawl state so a
         t1 = time.perf_counter()   # following repeat starts clean
         n_entries = -1
     assemble_sec = time.perf_counter() - t1
@@ -298,15 +297,7 @@ def main() -> None:
     from no_fasel_scrapers_ray.ops.util import warm_workers
     warm_workers()  # untimed setup: pre-fault worker heaps
 
-    if os.environ.get("BENCH_FETCH_MODE", "path") == "path":
-        # DEFAULT: (host, salt)-partitioned on-disk corpus; workers load
-        # only the partitions their salt-aligned blocks touch — the
-        # 10^10-doc layout, measured at parity with broadcast mode
-        # (68.3k vs 67.8k pages/s) once blocks align with partitions.
-        # BENCH_FETCH_MODE=broadcast restores the ray.put whole-table mode.
-        corpus, seeds = load_bench_corpus_path(scale)
-    else:
-        corpus, seeds = load_bench_corpus(scale)
+    corpus, seeds = load_bench_corpus_path(scale)
     import tempfile
     # Best-of-N crawl (same variance shield as --scaling): the shared
     # sandbox host's per-thread speed swings >2× hour-to-hour, so a
@@ -436,61 +427,6 @@ def scaling() -> None:
         existing = {}
     existing.update(report)
     with open(path, "w") as fp:
-        json.dump(existing, fp, indent=2)
-    print(json.dumps(report))
-
-
-def scaling_nodes() -> None:
-    """The N→4N gate across REAL node boundaries, simulated with
-    multiple raylets on one box: 1 node × 4 CPUs vs 4 nodes × 4 CPUs
-    (each `ray start` process owns its own raylet + plasma store, so
-    broadcast and shuffle traffic crosses actual object-transfer
-    boundaries). Appends the measurement to BENCH_SCALING.json."""
-    import subprocess as sp
-    port = int(os.environ.get("BENCH_NODES_PORT", "6411"))
-    repeats = int(os.environ.get("BENCH_NODES_REPEATS", "2"))
-    results = {}
-    base_env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
-    for n_nodes in (1, 4):
-        best = None
-        for _ in range(repeats):
-            sp.run(["ray", "stop", "--force"], env=base_env,
-                   capture_output=True)
-            sp.run(["ray", "start", "--head", f"--port={port}",
-                    "--num-cpus=4", "--include-dashboard=false"],
-                   env=base_env, check=True, capture_output=True)
-            for _ in range(n_nodes - 1):
-                sp.run(["ray", "start", f"--address=127.0.0.1:{port}",
-                        "--num-cpus=4"],
-                       env=base_env, check=True, capture_output=True)
-            env = dict(base_env, BENCH_RAY_ADDRESS=f"127.0.0.1:{port}",
-                       BENCH_CRAWL_ONLY="1", BENCH_CRAWL_REPEATS="1",
-                       RAY_GRAFT_CPUS=str(4 * n_nodes))
-            out = sp.run([sys.executable, os.path.join(REPO, "bench.py")],
-                         env=env, capture_output=True, text=True,
-                         check=True).stdout
-            r = json.loads(out.strip().splitlines()[-1])
-            best = _best_run(best, r)
-            sp.run(["ray", "stop", "--force"], env=base_env,
-                   capture_output=True)
-        results[n_nodes] = best
-    thr_1 = results[1]["crawl_pages_per_sec"]
-    thr_4 = results[4]["crawl_pages_per_sec"]
-    report = {
-        "mode": "multi_raylet_nodes",
-        "pages_per_sec_1node_4cpu": thr_1,
-        "pages_per_sec_4node_16cpu": thr_4,
-        "speedup": round(thr_4 / thr_1, 3),
-        "scaling_efficiency": round(thr_4 / thr_1 / 4, 3),
-        "pages": results[4]["crawl_pages"],
-    }
-    try:
-        with open(os.path.join(REPO, "BENCH_SCALING.json")) as fp:
-            existing = json.load(fp)
-    except Exception:
-        existing = {}
-    existing["multi_node"] = report
-    with open(os.path.join(REPO, "BENCH_SCALING.json"), "w") as fp:
         json.dump(existing, fp, indent=2)
     print(json.dumps(report))
 
@@ -644,8 +580,6 @@ def scaling_fair() -> None:
 if __name__ == "__main__":
     if "--scaling-fair" in sys.argv:
         scaling_fair()
-    elif "--scaling-nodes" in sys.argv:
-        scaling_nodes()
     elif "--scaling" in sys.argv:
         scaling()
     else:

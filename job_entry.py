@@ -29,7 +29,7 @@ def main() -> None:
     # 1. crawl e2e on the tiny synthetic web
     from no_fasel_scrapers_ray.corpus.synth import generate, tiny_config
     from no_fasel_scrapers_ray.pipelines.assemble import (
-        assemble_records, write_catalogs_distributed)
+        assemble_records, write_catalogs_parallel)
     from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
     run_dir = tempfile.mkdtemp(prefix="job_crawl_")
     corpus, seeds = generate(tiny_config())
@@ -37,8 +37,7 @@ def main() -> None:
     eng = CrawlEngine(corpus, seeds.to_pylist(), run_dir, n_shards=2)
     stats = eng.run()
     entries = assemble_records(eng.records_dataset())
-    write_catalogs_distributed(entries,
-                               os.path.join(run_dir, "out"))
+    write_catalogs_parallel(entries, os.path.join(run_dir, "out"))
     out["crawl_pages"] = stats["popped"]
     out["crawl_records"] = stats["records"]
     out["crawl_sec"] = round(time.perf_counter() - t0, 2)

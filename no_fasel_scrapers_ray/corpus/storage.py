@@ -7,18 +7,20 @@ layer is format-gated: identical layout and API over Lance
 Parquet (``write_parquet`` / ``read_parquet``). Everything downstream
 sees a ``ray.data.Dataset`` of CORPUS_SCHEMA rows either way.
 
-Layout: one directory per corpus, data hive-partitioned by host
-(``host=<quoted-host>/part-*.parquet``) so the fetch stage loads ONLY
-the partitions its (host, salt) blocks touch — at 10^10 documents a
-worker's resident corpus state is proportional to the hosts it serves,
-not the corpus (Lance gets the same effect through filter pushdown on
-the host column). Files are capped at ``rows_per_file`` so a hot host
-splits into many row-groups and a partial read stays cheap.
+Layout: one directory per corpus, data hive-partitioned by host and
+url salt (``host=<quoted-host>/salt=<S>/part-*.parquet``) so the fetch
+stage loads ONLY the partitions its (host, salt) blocks touch — at
+10^10 documents a worker's resident corpus state is proportional to the
+partitions it serves, not the corpus (Lance gets the same effect through
+filter pushdown on the host and salt columns). Files are capped at
+``rows_per_file`` so a hot partition splits into many files and a
+partial read stays cheap.
 """
 
 from __future__ import annotations
 
 import os
+import uuid
 from urllib.parse import quote, unquote
 
 import pyarrow as pa
@@ -34,6 +36,21 @@ try:  # pragma: no cover - lance not installed in this sandbox
 except ImportError:
     lance = None
     HAVE_LANCE = False
+
+
+def atomic_write(path: str, write) -> None:
+    """All-or-nothing file write that stays safe when a retried Ray task
+    runs beside a still-live earlier attempt: ``write(tmp)`` fills a
+    temp name unique to this attempt (pid + uuid), then ``os.replace``
+    publishes it. Racing attempts each publish a complete file (last
+    rename wins) and never rename or truncate each other's temp."""
+    tmp = f"{path}.{os.getpid()}-{uuid.uuid4().hex}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def corpus_path(root: str) -> str:
@@ -66,8 +83,10 @@ def write_corpus(table: pa.Table, root: str,
     capped at ``rows_per_file`` rows."""
     path = corpus_path(root)
     os.makedirs(root, exist_ok=True)
+    salts = url_salts(table.column("doc_id").to_pylist())
     if HAVE_LANCE:  # pragma: no cover
-        lance.write_dataset(table, path, mode="overwrite")
+        lance.write_dataset(table.append_column("salt", pa.array(salts)),
+                            path, mode="overwrite")
         return path
     os.makedirs(path, exist_ok=True)
     import numpy as np
@@ -78,7 +97,6 @@ def write_corpus(table: pa.Table, root: str,
         enc = enc.chunk(0)
     dictionary = enc.dictionary
     code_np = enc.indices.to_numpy()
-    salts = url_salts(table.column("doc_id").to_pylist())
     for code, host in enumerate(dictionary.to_pylist()):
         hrows = code_np == code
         hdir = os.path.join(path, f"host={quote(host, safe='')}")
@@ -101,42 +119,30 @@ def corpus_hosts(path: str) -> list[str]:
                   for d in os.listdir(path) if d.startswith("host="))
 
 
-def host_partition_table(path: str, host: str,
-                         salt: int | None = None) -> pa.Table:
-    """ONE (host[, salt]) slice of the corpus — the partition-pruned
-    read the fetch stage uses (Lance: filtered scan; Parquet: hive
-    dirs). ``salt=None`` (or a pre-salt layout) reads the whole host."""
+def host_partition_table(path: str, host: str, salt: int) -> pa.Table:
+    """ONE (host, salt) slice of the corpus — the partition-pruned read
+    the fetch stage uses (Lance: filtered scan; Parquet: the hive dir
+    ``host=H/salt=S``). ``None`` when the store has no such partition."""
     if HAVE_LANCE and path.endswith(".lance"):  # pragma: no cover
-        flt = f"host == '{host}'"
-        if salt is not None:
-            flt += f" and salt == {salt}"
-        return lance.dataset(path).to_table(filter=flt)
-    hdir = os.path.join(path, f"host={quote(host, safe='')}")
-    if not os.path.isdir(hdir):
-        return None
-    if salt is not None:
-        sdir = os.path.join(hdir, f"salt={salt}")
-        if os.path.isdir(sdir):
-            return pq.read_table(sdir)
-        if has_salt_layout(path, host):
-            return None          # salted layout, empty partition
-    t = pq.read_table(hdir)
-    if "salt" in t.column_names:   # hive partition col, not corpus schema
-        t = t.drop_columns(["salt"])
-    return t
-
-
-def has_salt_layout(path: str, host: str) -> bool:
-    hdir = os.path.join(path, f"host={quote(host, safe='')}")
-    return os.path.isdir(hdir) and any(
-        d.startswith("salt=") for d in os.listdir(hdir))
+        return lance.dataset(path).to_table(
+            filter=f"host == '{host}' and salt == {salt}"
+        ).drop_columns(["salt"])
+    sdir = os.path.join(path, f"host={quote(host, safe='')}",
+                        f"salt={salt}")
+    return pq.read_table(sdir) if os.path.isdir(sdir) else None
 
 
 def is_host_partitioned(path: str) -> bool:
+    """True iff ``path`` holds ``write_corpus``'s layout: host=H dirs,
+    each split into salt=S dirs."""
     if HAVE_LANCE and path.endswith(".lance"):  # pragma: no cover
         return True   # pushdown-capable either way
-    return os.path.isdir(path) and any(
-        d.startswith("host=") for d in os.listdir(path))
+    if not os.path.isdir(path):
+        return False
+    hdirs = [os.path.join(path, d) for d in os.listdir(path)
+             if d.startswith("host=")]
+    return bool(hdirs) and all(
+        any(s.startswith("salt=") for s in os.listdir(h)) for h in hdirs)
 
 
 def read_corpus(path: str, columns=None):
@@ -181,20 +187,19 @@ def read_parquet_sized(path: str, columns=None):
 
 
 def read_corpus_table(path: str) -> pa.Table:
-    """Whole corpus as one Arrow table (fixtures / legacy single-file
-    layouts). Host columns materialized from hive dirs when needed."""
+    """Whole corpus store as one Arrow table (fixtures and tests). Host
+    columns are materialized from the hive dir names."""
     if HAVE_LANCE and path.endswith(".lance"):  # pragma: no cover
-        return lance.dataset(path).to_table()
-    if os.path.isdir(path) and is_host_partitioned(path):
-        tables = []
-        for host in corpus_hosts(path):
-            t = host_partition_table(path, host)
-            if "host" not in t.column_names:
-                t = t.append_column(
-                    "host", pa.array([host] * t.num_rows, pa.string()))
-            tables.append(t)
-        return pa.concat_tables(tables)
-    return pq.read_table(path)
+        return lance.dataset(path).to_table().drop_columns(["salt"])
+    tables = []
+    for host in corpus_hosts(path):
+        t = pq.read_table(os.path.join(path, f"host={quote(host, safe='')}"))
+        t = t.drop_columns(["salt"])   # hive partition col, not schema
+        if "host" not in t.column_names:
+            t = t.append_column(
+                "host", pa.array([host] * t.num_rows, pa.string()))
+        tables.append(t)
+    return pa.concat_tables(tables)
 
 
 def write_partitioned_resumable(ds, root: str, part_col: str,
@@ -247,9 +252,10 @@ def write_partitioned_resumable(ds, root: str, part_col: str,
         for i, lo in enumerate(range(0, len(t), rows_per_file)):
             pq.write_table(t.slice(lo, rows_per_file),
                            os.path.join(pdir, f"part-{i:05d}.parquet"))
-        with open(marker + ".tmp", "w") as fp:
-            fp.write(str(len(t)))
-        os.replace(marker + ".tmp", marker)
+        def write_marker(tmp: str) -> None:
+            with open(tmp, "w") as fp:
+                fp.write(str(len(t)))
+        atomic_write(marker, write_marker)
         return pd.DataFrame({"partition": [val], "rows": [len(t)],
                              "skipped": [False]})
 

@@ -15,14 +15,16 @@ side. The output is a Dataset of FINAL entries
     (catalog, key, rank0:int64, rank1:str, payload:json-str)
 
 where sorting by (rank0, rank1) inside a catalog reproduces the
-reference's dict insertion order exactly. Writers:
+reference's dict insertion order exactly. One sink, plus its
+small-scale reference:
 
-- ``write_entries``    — partitioned parquet, the 100-TB-posture sink;
-- ``write_catalogs_distributed`` — reference-shaped JSON files +
-  file-hashes.json, rendered per-entry in workers (the driver only
-  concatenates pre-rendered fragments in sorted order);
-- ``build_catalogs``   — small-scale dict materializer (tests, tiny
-  runs, the trending/postprocess inputs).
+- ``write_catalogs_parallel`` — the catalog sink: reference-shaped JSON
+  files + file-hashes.json, rendered per-entry in workers and written
+  by one worker task per catalog (the driver never touches payloads);
+- ``build_catalogs`` + ``write_catalogs`` — the small-scale dict
+  materializer and dict writer (tests, tiny runs, the trending/
+  postprocess inputs); ``write_catalogs`` is the byte reference the
+  sink is tested against.
 
 Old-catalog size contract: the previous run's catalogs are the
 reference's own output files (~15 MB committed snapshot) — dimension-
@@ -373,8 +375,8 @@ def build_catalogs(entries) -> dict[str, dict]:
     """Small-scale materializer: final entry rows → {catalog:
     dict-of-dicts} in the reference's key order. Driver-side by design —
     use only where a python dict is the consumer (tests, trending/
-    postprocess inputs, tiny runs); the scale sinks are
-    ``write_entries`` / ``write_catalogs_distributed``."""
+    postprocess inputs, tiny runs); the scale sink is
+    ``write_catalogs_parallel``."""
     if isinstance(entries, rd.Dataset):
         entries = entries.to_pandas()
     entries = entries.sort_values(["rank0", "rank1"], kind="stable")
@@ -386,16 +388,10 @@ def build_catalogs(entries) -> dict[str, dict]:
     return catalogs
 
 
-def write_entries(entries: rd.Dataset, out_dir: str) -> None:
-    """The 100-TB sink: final entries as parquet partitioned by catalog
-    (a failed downstream consumer re-reads per-catalog, not the world)."""
-    entries.write_parquet(out_dir, partition_cols=["catalog"])
-
-
 def _fragment_lists(cats, keys, payloads) -> tuple[list, list]:
-    """THE byte-critical fragment render, in exactly one place (both
-    writers call it — a drift between them would silently desync files
-    from manifests): the pretty fragment (indent=4, the reference file
+    """THE byte-critical fragment render, in exactly one place (a drift
+    between the file and md5 renders would silently desync files from
+    manifests): the pretty fragment (indent=4, the reference file
     body) and the compact fragment (default dumps, the md5_of_json
     stream). Dumping the single-entry dict and stripping the outer
     braces reproduces the whole-file json.dump byte-for-byte after a
@@ -410,92 +406,15 @@ def _fragment_lists(cats, keys, payloads) -> tuple[list, list]:
     return pretty, compact
 
 
-def _render_fragments(entries: rd.Dataset) -> rd.Dataset:
-    """Worker-side render of each entry's two serializations
-    (see `_fragment_lists`)."""
-
-    def render(df: pd.DataFrame) -> pd.DataFrame:
-        pretty, compact = _fragment_lists(df["catalog"], df["key"],
-                                          df["payload"])
-        return pd.DataFrame({
-            "catalog": df["catalog"], "rank0": df["rank0"],
-            "rank1": df["rank1"], "pretty": pretty, "compact": compact})
-
-    return entries.map_batches(render, batch_format="pandas")
-
-
-def write_catalogs_distributed(
-        entries: rd.Dataset, out_dir: str,
-        hashes: bool = True) -> tuple[dict[str, str], dict[str, int]]:
-    """Reference-shaped sinks from the entry Dataset: one pretty JSON
-    per catalog (S6) + the md5 manifest (S8, Postprocessing.py:98-110),
-    byte-identical to ``write_catalogs(build_catalogs(entries))``.
-    Fragments are rendered in workers; the driver streams the globally
-    sorted fragments straight into the files — no json.loads on the
-    driver, memory bounded by one batch. Returns (file md5s, per-catalog
-    entry counts)."""
-    import hashlib
-
-    os.makedirs(out_dir, exist_ok=True)
-    ordered = _render_fragments(entries).sort(["catalog", "rank0", "rank1"])
-    file_hashes: dict[str, str] = {}
-    counts: dict[str, int] = {}
-    cur = None
-    fp = None
-    md5 = None
-    first = True
-
-    def close_current():
-        nonlocal fp, md5
-        if fp is None:
-            return
-        fp.write(b"\n}")
-        fp.close()
-        md5.update(b"}")
-        file_hashes[cur] = md5.hexdigest()
-        fp = md5 = None
-
-    import numpy as np
-    for batch in ordered.iter_batches(batch_format="pyarrow",
-                                      batch_size=16384):
-        cats = np.asarray(batch.column("catalog").to_pylist())
-        pretty = batch.column("pretty").to_pylist()
-        compact = batch.column("compact").to_pylist()
-        # contiguous catalog runs → ONE write / md5 update per run, not
-        # per entry (the per-entry Python loop was the driver hot spot)
-        bounds = np.flatnonzero(cats[1:] != cats[:-1]) + 1
-        for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(cats)]):
-            cat = cats[lo]
-            if cat != cur:
-                close_current()
-                cur = cat
-                counts[cat] = 0
-                fp = open(os.path.join(out_dir, f"{cat}.json"), "wb")
-                md5 = hashlib.md5(b"{")
-                first = True
-            head = "{\n" if first else ",\n"
-            fp.write((head + ",\n".join(pretty[lo:hi])).encode("utf-8"))
-            md5.update(("" if first else ", ").encode("utf-8")
-                       + ", ".join(compact[lo:hi]).encode("utf-8"))
-            first = False
-            counts[cat] += int(hi - lo)
-    close_current()
-    if hashes:
-        with open(os.path.join(out_dir, "file-hashes.json"), "w") as f:
-            json.dump(file_hashes, f, indent=4)
-    return file_hashes, counts
-
-
 def write_catalogs_parallel(
         entries: rd.Dataset, out_dir: str, hashes: bool = True,
         chunk: int = 16384) -> tuple[dict[str, str], dict[str, int]]:
-    """Per-catalog parallel sink: fragments render 32-way
-    (``_render_fragments``), then ONE worker task per catalog sorts its
+    """The catalog sink: fragments render in one task per entry block
+    (``_fragment_lists``), then ONE worker task per catalog sorts its
     fragments, streams the JSON file and folds the md5 — the driver
-    never touches payload bytes (vs ``write_catalogs_distributed``,
-    which funnels every fragment through a single driver loop; the md5
-    byte stream is sequential per FILE, so per-catalog tasks are the
-    maximum parallelism the manifest format admits). Byte-identical
+    never touches payload bytes (the md5 byte stream is sequential per
+    FILE, so per-catalog tasks are the maximum parallelism the manifest
+    format admits). Byte-identical
     output to ``write_catalogs(build_catalogs(entries))``. On a
     multi-node cluster ``out_dir`` must be shared storage (the
     reference's sink is a working directory, ScrapeAll.py:5-39).
@@ -606,6 +525,7 @@ def write_catalogs_parallel(
         with open(os.path.join(out_dir, "file-hashes.json"), "w") as f:
             json.dump(file_hashes, f, indent=4)
     return file_hashes, counts
+
 
 def write_catalogs(catalogs: dict[str, dict], out_dir: str,
                    hashes: bool = True) -> dict[str, str]:

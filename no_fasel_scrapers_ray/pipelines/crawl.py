@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import uuid
 from collections import OrderedDict
 
 import numpy as np
@@ -43,7 +44,7 @@ import ray.data as rd
 
 from ..corpus.schema import FRONTIER_SCHEMA
 from ..corpus.spans import pages_from_arrow
-from ..corpus.storage import CORPUS_SALTS
+from ..corpus.storage import CORPUS_SALTS, write_corpus
 from ..functions.hashing import stable_hash64
 from ..functions.urls import canonicalize_url
 from ..state.frontier import (
@@ -66,12 +67,11 @@ DEAD_SCHEMA = pa.schema([
     ("category", pa.string()), ("depth", pa.int64()),
     ("reason", pa.string()), ("attempts", pa.int32())])
 
-# per-worker broadcasts (corpus + crawl state) — bounded LRU: a run
-# touches a handful of pinned refs, but warm workers outlive the run,
-# and an UNBOUNDED cache kept the multi-GB corpus plasma buffers pinned
-# after CrawlEngine.release() (zero-copy views pin the object), so the
-# memory release() exists to reclaim never actually happened on reused
-# workers
+# per-worker broadcast crawl state — bounded LRU: a run touches one
+# pinned state ref, but warm workers outlive the run, and an UNBOUNDED
+# cache would keep every past run's state (old-catalog digests, image
+# sources, fail plan) pinned in the object store after
+# CrawlEngine.release() (zero-copy views pin the object)
 _BCAST: "OrderedDict[str, object]" = OrderedDict()
 _BCAST_CAP = 4
 # round-scoped per-worker cache (per-round shard tables): bounded LRU so
@@ -110,10 +110,6 @@ def link_hashes(links: list[dict]) -> np.ndarray:
     return out
 
 
-def route_shard(url: str, n_shards: int) -> int:
-    return stable_hash64(canonicalize_url(url)) % n_shards
-
-
 def push_links(links: list[dict], shards, n_shards: int) -> None:
     """Route links to their shards by hash and push Arrow tables."""
     if not links:
@@ -129,7 +125,7 @@ def push_links(links: list[dict], shards, n_shards: int) -> None:
     ray.get(refs)
 
 
-def partition_blocks(codes: np.ndarray, h: np.ndarray | None,
+def partition_blocks(codes: np.ndarray, h: np.ndarray,
                      n_salts: int) -> list[np.ndarray]:
     """The groupby-host shuffle with hot-host salting, over the compact
     planning columns (int host codes + uint64 url hashes): one
@@ -138,23 +134,16 @@ def partition_blocks(codes: np.ndarray, h: np.ndarray | None,
 
     Salt ALIGNMENT: the primary split inside a host follows
     ``h % CORPUS_SALTS`` — the same url hash that partitioned the
-    on-disk corpus (corpus/storage.py::url_salts) — so in path mode a
-    block's worker reads exactly the corpus partitions its rows live
-    in. Oversized salt groups stripe-split WITHIN the salt (still one
-    partition); undersized groups of the same host coalesce (a merged
-    block touches the few partitions it carries — the fetcher prunes
-    per row-group either way). Broadcast mode is indifferent to block
-    composition, so one scheme serves both."""
+    on-disk corpus (corpus/storage.py::url_salts) — so a block's worker
+    reads exactly the corpus partitions its rows live in. Oversized salt
+    groups stripe-split WITHIN the salt (still one partition);
+    undersized groups of the same host coalesce (a merged block touches
+    the few partitions it carries, each loaded once per worker)."""
     n = len(codes)
     target = max(256, -(-n // (2 * n_salts)))
     out = []
     for code in np.unique(codes):
         rows = np.flatnonzero(codes == code)
-        if h is None:                       # no hash column: stripe only
-            splits = -(-len(rows) // target)
-            for s in range(splits):
-                out.append(rows[s::splits])
-            continue
         salts = (h[rows] % np.uint64(CORPUS_SALTS)).astype(np.int64)
         pending: list[np.ndarray] = []
         pend_n = 0
@@ -175,16 +164,6 @@ def partition_blocks(codes: np.ndarray, h: np.ndarray | None,
         if pending:
             out.append(np.concatenate(pending))
     return [ix for ix in out if len(ix)]
-
-
-def partition_by_host(table: pa.Table, n_salts: int) -> list[np.ndarray]:
-    """Table-input wrapper over :func:`partition_blocks`."""
-    import pyarrow.compute as pc
-    codes = pc.dictionary_encode(
-        table.column("host")).combine_chunks().indices.to_numpy()
-    h = (table.column("h").to_numpy()
-         if "h" in table.column_names else None)
-    return partition_blocks(np.asarray(codes), h, n_salts)
 
 
 def _fetch_with_retry(fetcher, batch: pa.Table, fail_plan: dict | None,
@@ -233,10 +212,10 @@ def _fetch_with_retry(fetcher, batch: pa.Table, fail_plan: dict | None,
     if not fetched_parts:
         return batch.slice(0, 0), dead
     fetched = pa.concat_tables(fetched_parts)
-    # UNCONDITIONAL: path-mode fetchers return rows regrouped by salt,
-    # so even the no-retry single-part case needs the original-order
-    # restore (the retry-only sort made row order depend on the
-    # retry schedule and fetch mode)
+    # UNCONDITIONAL: the fetcher returns rows regrouped by (host,
+    # salt) partition, so even the no-retry single-part case needs the
+    # original-order restore (the retry-only sort made row order
+    # depend on the retry schedule)
     fetched = fetched.sort_by([("_ix", "ascending")])
     return fetched.drop_columns(["_ix"]), dead
 
@@ -254,7 +233,7 @@ def _split_pop_table(refs: list, *locs):
     resolve measured as a visible per-round latency tax)."""
     # plain ray.get: the popped table is consumed once per round by
     # this split — caching it would evict genuinely reusable LRU
-    # entries (corpus partitions, broadcast state) on every round
+    # entries on every round
     t = ray.get(refs[0])
     out = [t.take(pa.array(loc)) for loc in locs]
     return out[0] if len(out) == 1 else tuple(out)
@@ -262,9 +241,9 @@ def _split_pop_table(refs: list, *locs):
 
 @ray.remote
 def _crawl_block(parts: list, refs: list, shards, n_shards: int,
-                 challenge_every: int, out_path: str, pages_path: str,
-                 dead_path: str, max_attempts: int,
-                 presplit: bool = False) -> tuple[int, int]:
+                 out_path: str, pages_path: str, dead_path: str,
+                 max_attempts: int,
+                 presplit: bool = False) -> tuple[int, int, int, int]:
     """One (host, salt) block of a crawl round: fetch+extract every
     row, write this block's records parquet part, push discovered
     links once. ``parts`` is a list of (shard-slot, row-index array)
@@ -280,10 +259,15 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
     prefixes: assembly reads only catalog rows (never the ~3× larger
     page-stat stream), page analytics read only pages/; dead-letter
     rows (bounded-retry exhaustion / permanent misses) to a third.
+
+    Returns (records + page rows written, dead-lettered rows, gather
+    bytes that crossed a raylet, gather bytes read locally); the byte
+    counts are measured in pre-split mode only (0 otherwise, -1 when
+    the instrument is unavailable).
     """
     # refs wrapped in a list so Ray does NOT auto-dereference them —
     # the workers resolve them once via the per-process caches
-    table_refs, corpus_ref, state_ref = refs
+    table_refs, corpus_path, state_ref = refs
     # mode is an EXPLICIT flag from the caller (ADVICE r04: the old
     # isinstance(parts[0], tuple) sniff would misroute exotic part
     # containers into the wrong gather branch)
@@ -294,7 +278,7 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
         # gather moves exactly this block's bytes, once
         # plain ray.get: each slice is consumed by exactly this
         # block — LRU-caching single-use tables would only evict
-        # reusable entries (corpus partitions, broadcast state)
+        # reusable entries
         #
         # BYTE ACCOUNTING (VERDICT r04 #3): each slice is consumed
         # exactly once, so its plasma location BEFORE the gather says
@@ -324,7 +308,7 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
         block = pa.concat_tables([
             _bget(table_refs[slot], pin=False).take(pa.array(loc))
             for slot, loc in parts])
-    fetcher = get_fetcher(corpus_ref, challenge_every)
+    fetcher = get_fetcher(corpus_path)
     state = _bget(state_ref)
     fail_plan = state.get("fail_plan")
     records: list[dict] = []
@@ -389,24 +373,24 @@ def _write_manifest(ckpt_dir: str, manifest: dict, *shard_ckpts) -> int:
 
 
 @ray.remote
-def _warm_worker(refs: list) -> int:
-    """Pre-builds per-worker fetch state (worker spawn + corpus index)
-    so the timed crawl measures steady-state throughput, not cluster
-    warmup. The 0.5 s hold forces Ray to fan tasks over distinct
-    workers instead of reusing one warm process."""
-    get_fetcher(refs[0])
+def _warm_worker(corpus_path: str) -> int:
+    """Spawns the fetch workers and registers each one's fetcher so
+    the timed crawl measures steady-state throughput, not cluster
+    warmup (corpus partitions still load on first contact). The 0.5 s
+    hold forces Ray to fan tasks over distinct workers instead of
+    reusing one warm process."""
+    get_fetcher(corpus_path)
     time.sleep(0.5)
     return os.getpid()
 
 
 class CrawlEngine:
-    def __init__(self, corpus_table: pa.Table, seeds: list[dict],
+    def __init__(self, corpus: pa.Table | str, seeds: list[dict],
                  run_dir: str, n_shards: int = 4,
                  politeness: PolitenessConfig | None = None,
                  old_catalogs: dict | None = None,
                  image_sources: dict | None = None,
                  fetch_concurrency: int = 4,
-                 challenge_every: int = 0,
                  max_pop_per_round: int = 1 << 30,
                  max_attempts: int = 3,
                  fail_plan: dict | None = None,
@@ -428,40 +412,37 @@ class CrawlEngine:
                     seen_buffer_cap=seen_buffer_cap)
             for i in range(n_shards)
         ]
-        # corpus: broadcast table (combined to single chunks so worker
-        # gathers are zero-copy-fast and workers never re-combine) or a
-        # storage path workers read themselves
-        self.corpus_ref = (corpus_table if isinstance(corpus_table, str)
-                           else ray.put(corpus_table.combine_chunks()))
+        # corpus: the (host, salt)-partitioned store workers read
+        # themselves. An in-memory table is written once under run_dir,
+        # in a directory unique to this engine: worker fetchers are
+        # cached by path, so a reused run_dir must never alias a store
+        # that another corpus was written to.
+        if not isinstance(corpus, str):
+            corpus = write_corpus(corpus, os.path.join(
+                run_dir, "corpus", uuid.uuid4().hex))
+        self.corpus_path = corpus
         self.state_ref = ray.put({
             "old": _old_digests(old_catalogs or {}),
             "images": image_sources or {},
             "fail_plan": fail_plan,
         })
         self.fetch_concurrency = fetch_concurrency
-        self.challenge_every = challenge_every
         # block→shard-node locality (VERDICT r03 #3): on multi-raylet
         # clusters, schedule each fetch block near the shard actor that
         # published the plurality of its rows — the popped-table gather
-        # (the block's only cross-raylet plasma input in path mode)
-        # becomes mostly-local. soft=True keeps work-stealing alive; on
-        # a single node every shard reports the same id and the
-        # strategy list stays empty (zero overhead). CRAWL_NODE_AFFINITY=0
-        # disables it for A/B measurement.
+        # (the block's only cross-raylet plasma input) becomes
+        # mostly-local. soft=True keeps work-stealing alive; on a
+        # single node every shard reports the same id and the strategy
+        # list stays empty (zero overhead).
         self._shard_nodes = ray.get([s.node_id.remote()
                                      for s in self.shards])
-        self._use_affinity = (
-            os.environ.get("CRAWL_NODE_AFFINITY", "1") != "0"
-            and len(set(self._shard_nodes)) > 1)
+        self._use_affinity = len(set(self._shard_nodes)) > 1
         # pre-split popped tables into per-block slices on their
-        # owning shard's node (each byte crosses a raylet once). On a
-        # single node the whole-table gather is already zero-copy
-        # plasma-shared, so the extra task wave buys nothing — default
-        # follows the multi-raylet detection; CRAWL_PRESPLIT forces
-        # either way (tests force =1 to pin single-node equivalence).
-        self._presplit = (os.environ.get(
-            "CRAWL_PRESPLIT",
-            "1" if self._use_affinity else "0") != "0")
+        # owning shard's node (each byte crosses a raylet once) — on
+        # multi-raylet clusters only. On a single node the whole-table
+        # gather is already zero-copy plasma-shared, and the extra task
+        # wave measured slower (BASELINE.md, pre-split section).
+        self._presplit = self._use_affinity
         self.max_pop = max_pop_per_round
         self.max_attempts = max_attempts
         self.metrics = {"rounds": 0, "popped": 0, "records": 0,
@@ -471,10 +452,10 @@ class CrawlEngine:
         self.round_idx = 0
 
     def warmup(self) -> int:
-        """Spawn ~one worker per CPU and build each worker's fetch
-        state. Optional; bench.py calls it so throughput timing starts
+        """Spawn ~one worker per CPU and register each worker's
+        fetcher. Optional; bench.py calls it so throughput timing starts
         from a warm cluster."""
-        refs = [_warm_worker.remote([self.corpus_ref])
+        refs = [_warm_worker.remote(self.corpus_path)
                 for _ in range(int(ray.cluster_resources().get("CPU", 4)))]
         return len(set(ray.get(refs)))
 
@@ -551,10 +532,10 @@ class CrawlEngine:
     def _execute_round(self, metas: list[dict]) -> tuple[int, int]:
         """One round: host-partition the ready set (with hot-host
         salting) and run one raw _crawl_block task per block — the
-        fused fetch+extract+sink+push transform. Fetch state (corpus
-        index, per-host sessions) is cached per worker process
-        (stages/fetch.py:get_fetcher) so warm workers carry it across
-        rounds with zero spin-up."""
+        fused fetch+extract+sink+push transform. Fetch state (loaded
+        corpus partitions and their URL indexes) is cached per worker
+        process (stages/fetch.py:get_fetcher) so warm workers carry it
+        across rounds with zero spin-up."""
         t0 = time.perf_counter()
         out_dir = os.path.join(self.run_dir, "records",
                                f"round={self.round_idx:04d}")
@@ -602,8 +583,8 @@ class CrawlEngine:
                         soft=True))
             refs.append(task.remote(
                 block_parts[k] if block_parts is not None else parts,
-                [table_refs, self.corpus_ref, self.state_ref],
-                self.shards, self.n_shards, self.challenge_every,
+                [table_refs, self.corpus_path, self.state_ref],
+                self.shards, self.n_shards,
                 os.path.join(out_dir, f"part-{k:05d}.parquet"),
                 os.path.join(pages_dir, f"part-{k:05d}.parquet"),
                 os.path.join(dead_dir, f"part-{k:05d}.parquet"),
@@ -744,18 +725,14 @@ class CrawlEngine:
 
     def release(self) -> None:
         """Free crawl-session cluster state once the crawl is done: the
-        frontier shard actors and the broadcast corpus/state objects.
-        Downstream stages (assembly reads parquet from run_dir) do not
-        need any of it, and a multi-GB corpus broadcast left pinned in
-        the object store starves the assembly shuffle into spilling
-        (measured 534 s vs 71 s for the same assemble at bench scale).
-        The engine is unusable for further rounds after release; resume
-        via a fresh engine + ``resume()``."""
+        frontier shard actors and the broadcast crawl-state object.
+        Downstream stages (assembly reads parquet from run_dir) need
+        neither. The engine is unusable for further rounds after
+        release; resume via a fresh engine + ``resume()``."""
         self._settle()
         for s in self.shards:
             ray.kill(s)
         self.shards = []
-        self.corpus_ref = None
         self.state_ref = None
 
 

@@ -42,6 +42,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
+from ..corpus.storage import atomic_write
+
 
 class MicroBatchIngest:
     """Incremental, resumable, exactly-once document ingest over
@@ -120,7 +122,8 @@ class MicroBatchIngest:
                     g = g[(m["_merge"] == "left_only").to_numpy()]
             # deterministic per-(batch, partition) file names: replay
             # after a crash OVERWRITES, never duplicates; writes go
-            # through tmp+rename so a torn file can never surface
+            # through a per-attempt temp + rename so neither a torn file
+            # nor a concurrent retry's temp can surface
             os.makedirs(pdir, exist_ok=True)
             cdir = os.path.join(corpus_dir, f"batch={batch_id}")
             os.makedirs(cdir, exist_ok=True)
@@ -134,9 +137,7 @@ class MicroBatchIngest:
                                      type=pa.string())}),
                  os.path.join(cdir, f"part-{part:04d}.parquet")),
             ):
-                tmp = path + ".tmp"
-                pq.write_table(table, tmp)
-                os.replace(tmp, path)
+                atomic_write(path, lambda tmp: pq.write_table(table, tmp))
             return pd.DataFrame({"part": [part],
                                  "new": [int(len(g))]})
 
@@ -212,11 +213,9 @@ class MicroBatchIngest:
                                  "fp2": np.asarray(t["fp2"])
                                  }).drop_duplicates()
             out = os.path.join(pdir, f"_compact-{seq}.parquet")
-            pq.write_table(
-                pa.table({"fp1": keys["fp1"].to_numpy(np.int64),
-                          "fp2": keys["fp2"].to_numpy(np.int64)}),
-                out + ".tmp")
-            os.replace(out + ".tmp", out)
+            compacted = pa.table({"fp1": keys["fp1"].to_numpy(np.int64),
+                                  "fp2": keys["fp2"].to_numpy(np.int64)})
+            atomic_write(out, lambda tmp: pq.write_table(compacted, tmp))
             for f in eligible:
                 if not f.startswith(f"_compact-{seq}"):
                     os.remove(os.path.join(pdir, f))

@@ -21,7 +21,7 @@ import ray.data as rd
 from ..corpus.spans import PageView
 from ..functions.text import (
     content_id_from_text, normalize_title, remove_arabic_chars, remove_year)
-from ..stages.fetch import get_fetcher
+from ..stages.fetch import Fetcher
 
 FASEL = "https://fasel.test"
 AKWAM = "https://akwam.test"
@@ -41,7 +41,7 @@ def _classify(link: str) -> str:
 def run_trending(corpus_table: pa.Table, catalogs: dict[str, dict]):
     """Returns (content_dict, featured_dict, visit_log)."""
     corpus_ref = ray.put(corpus_table)
-    fetcher = get_fetcher(corpus_ref)
+    fetcher = Fetcher(corpus_table)
     visit_log: list[tuple[str, str, str, int]] = []
 
     def fetch_one(url, site, cat, depth) -> PageView | None:
@@ -56,10 +56,10 @@ def run_trending(corpus_table: pa.Table, catalogs: dict[str, dict]):
     featured_links = [h for _, h in home.marked_links("h1mb1-mark")]
 
     # distributed content-page fetch+extract (stateless map_batches over
-    # the link set; order restored via idx)
+    # the link set — one homepage's links, a single small block; order
+    # restored via idx)
     def extract_titles(batch: pa.Table) -> pa.Table:
-        f = get_fetcher(corpus_ref)
-        fetched = f(batch)
+        fetched = Fetcher(ray.get(corpus_ref))(batch)
         raw_titles, ids = [], []
         for i in range(fetched.num_rows):
             page = PageView(fetched.column("spans")[i].as_py())

@@ -3,129 +3,74 @@
 In this sandbox a "fetch" is a hash lookup of the URL against the
 interleaved-document corpus (BASELINE.json: "in-sandbox fetch = join of
 frontier URLs against the Lance corpus") — the I/O-free proxy for the
-HTTP GET in ``get_website_safe`` (Common.py:107-138). Per-host session
-state (the cookie-jar / Cloudflare-challenge analogue, Common.py:82-104)
-lives on the Fetcher instance; a real deployment swaps the lookup body
-for an HTTP client without touching the pipeline.
+HTTP GET in ``get_website_safe`` (Common.py:107-138); a real deployment
+swaps the lookup body for an HTTP client without touching the pipeline.
 
-The corpus reaches workers either as a broadcast object-store table
-(``ray.put`` once, zero-copy per worker) or — the scale path — as a
-storage path each worker reads once (no driver-side broadcast of the
-whole corpus). The URL index is a pandas Index (C hash table: ~0.3 s to
-build for 500k URLs vs ~3 s for a python dict; lookups vectorized via
-``get_indexer``), built once per worker process.
+There is one fetch path: every crawl reads the (host, salt)-partitioned
+corpus store that ``corpus/storage.py::write_corpus`` writes, and each
+worker loads only the partitions its blocks touch
+(``PartitionedFetcher``). Each partition's URL index is a pandas Index
+(C hash table: ~0.3 s to build for 500k URLs vs ~3 s for a python dict;
+lookups vectorized via ``get_indexer``), built once per worker process.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import ray
+import pyarrow.compute as pc
 
 from ..corpus.schema import SPAN_TYPE
-from ..corpus.storage import (CORPUS_SALTS, has_salt_layout,
-                              host_partition_table, is_host_partitioned,
-                              read_corpus_table, url_salts)
-
-# hosts whose reference scrapers go through the Cloudflare cookie dance
-CHALLENGED_HOSTS = {"fasel.test", "cimanow.test", "hdw.test"}
+from ..corpus.storage import CORPUS_SALTS, host_partition_table
 
 
 class Fetcher:
-    def __init__(self, corpus_src, challenge_every: int = 0):
-        if isinstance(corpus_src, pa.Table):
-            table = corpus_src
-        elif isinstance(corpus_src, str):
-            table = read_corpus_table(corpus_src)
-        else:
-            table: pa.Table = ray.get(corpus_src)
+    """URL → spans lookup over one in-memory corpus table."""
+
+    def __init__(self, table: pa.Table):
         # ChunkedArray.take on nested types is ~300x slower than
-        # Array.take (measured 98 ms vs 0.33 ms per 256-row gather).
-        # The broadcast table is combined ONCE on the driver before
-        # ray.put (per-worker combine = per-worker full copy, which
-        # anti-scales); combining here is the fallback for path mode.
+        # Array.take (measured 98 ms vs 0.33 ms per 256-row gather); a
+        # partition read from several files or row groups arrives
+        # chunked, so combine it once here, not per batch.
         spans = table.column("spans")
         self.spans_col = (spans.chunk(0) if spans.num_chunks == 1
                           else spans.combine_chunks())
         self.index = pd.Index(table.column("doc_id").to_pandas())
         # force the lazy hash-table build once (not per batch)
         self.index.get_indexer(self.index[:1])
-        # per-host session state: re-established on first contact and
-        # every `challenge_every` fetches when simulating challenges
-        self.sessions: dict[str, int] = {}
-        self.challenge_every = challenge_every
-        self.n_challenges = 0
-        self.n_fetched = 0
-        self.n_missing = 0
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pandas()
-        # politeness/session bookkeeping per host (vectorized counts)
-        hosts = batch.column("host").to_pandas()
-        for h, cnt in hosts.value_counts().items():
-            prev = self.sessions.get(h)
-            if prev is None:
-                self.n_challenges += h in CHALLENGED_HOSTS
-                prev = 0
-            if self.challenge_every and h in CHALLENGED_HOSTS:
-                self.n_challenges += (prev + int(cnt)) // self.challenge_every \
-                    - prev // self.challenge_every
-            self.sessions[h] = prev + int(cnt)
-        idx = self.index.get_indexer(urls)
+        idx = self.index.get_indexer(batch.column("url").to_pandas())
         hit = idx >= 0
-        self.n_fetched += int(hit.sum())
-        self.n_missing += int((~hit).sum())
         sub = batch.filter(pa.array(hit))
         spans = self.spans_col.take(pa.array(idx[hit], type=pa.int64()))
         return sub.append_column("spans", spans)
 
 
-# Per-worker-process Fetcher cache. The Fetcher is logically an
-# actor-pool stage (stateful: corpus index + per-host sessions, built
-# once, used per batch). Because the crawl is a short LOOP of Dataset
-# executions (one per round), a literal map_batches(Fetcher,
-# concurrency=N) pool would be torn down and re-created every round —
-# measured at 30-40 s of pure actor start-up per round at 32 CPUs. Ray
-# worker PROCESSES persist across executions, so caching the instance
-# in the worker process gives identical once-per-worker state semantics
-# with zero per-round spin-up. (ops/ stages that run inside a single
-# long execution use literal actor pools.)
-_FETCHERS: dict = {}
-
-
 class PartitionedFetcher:
-    """Path-mode fetch against a (host, salt)-partitioned corpus: each
+    """Fetch against the (host, salt)-partitioned corpus store: each
     partition's slice (doc index + spans) is loaded lazily on FIRST
     contact and cached. The crawl salts its fetch blocks with the SAME
     url hash that partitioned the corpus (corpus/storage.py::url_salts),
     so a salt-aligned block touches exactly ONE corpus partition — a
     worker's resident corpus state is proportional to the partitions it
     serves: ~hosts×salts-touched/CORPUS_SALTS of the corpus, never the
-    whole thing (r01 path mode had every worker read all rows; r02
-    pre-salt had every worker read its full hosts). Session/challenge
-    accounting matches ``Fetcher`` (it IS a per-partition ``Fetcher``,
-    so per-host session counts split across salts — the challenge
-    TOTALS over a host still match the budget semantics)."""
+    whole thing. A (host, salt) with no partition on disk fetches no
+    rows (its URLs dead-letter as missing)."""
 
-    def __init__(self, path: str, challenge_every: int = 0):
+    def __init__(self, path: str):
         self.path = path
-        self.challenge_every = challenge_every
         self.parts: dict[tuple, Fetcher | None] = {}
-        self.salted: dict[str, bool] = {}
 
-    def _part_fetcher(self, host: str, salt: int | None) -> Fetcher | None:
+    def _part_fetcher(self, host: str, salt: int) -> Fetcher | None:
         key = (host, salt)
         if key not in self.parts:
             t = host_partition_table(self.path, host, salt)
-            self.parts[key] = (None if t is None
-                               else Fetcher(t, self.challenge_every))
+            self.parts[key] = None if t is None else Fetcher(t)
         return self.parts[key]
-
-    def _is_salted(self, host: str) -> bool:
-        if host not in self.salted:
-            self.salted[host] = has_salt_layout(self.path, host)
-        return self.salted[host]
 
     @property
     def hosts_loaded(self) -> list[str]:
@@ -136,39 +81,44 @@ class PartitionedFetcher:
         return sorted(self.parts)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        if "h" in batch.column_names:      # frontier blocks carry the hash
-            salts = (batch.column("h").to_numpy().astype(np.uint64)
-                     % np.uint64(CORPUS_SALTS)).astype(np.int64)
-        else:
-            salts = url_salts(batch.column("url").to_pylist())
+        # frontier blocks carry the url hash ``h`` the corpus was
+        # salted with
+        salts = (batch.column("h").to_numpy().astype(np.uint64)
+                 % np.uint64(CORPUS_SALTS)).astype(np.int64)
         hosts = batch.column("host")
         outs = []
         for host in pc.unique(hosts).to_pylist():
             hmask = pc.equal(hosts, host).to_numpy(zero_copy_only=False)
-            if not self._is_salted(host):
-                f = self._part_fetcher(host, None)
-                if f is not None:
-                    outs.append(f(batch.filter(pa.array(hmask))))
-                continue
             for salt in np.unique(salts[hmask]):
                 f = self._part_fetcher(host, int(salt))
-                if f is None:
-                    continue
-                outs.append(f(batch.filter(
-                    pa.array(hmask & (salts == salt)))))
+                if f is not None:
+                    outs.append(f(batch.filter(
+                        pa.array(hmask & (salts == salt)))))
         if not outs:
             return batch.slice(0, 0).append_column(
                 "spans", pa.array([], type=SPAN_TYPE))
         return pa.concat_tables(outs)
 
 
-def get_fetcher(corpus_src, challenge_every: int = 0):
-    key = (corpus_src if isinstance(corpus_src, str) else corpus_src.hex(),
-           challenge_every)
-    if key not in _FETCHERS:
-        if isinstance(corpus_src, str) and is_host_partitioned(corpus_src):
-            _FETCHERS[key] = PartitionedFetcher(corpus_src, challenge_every)
-        else:
-            _FETCHERS[key] = Fetcher(corpus_src, challenge_every)
-    return _FETCHERS[key]
+# Per-worker-process fetcher cache, keyed by corpus store path. The
+# fetcher is logically an actor-pool stage (stateful: loaded partitions,
+# built once, used per batch). Because the crawl is a short LOOP of
+# rounds, a literal map_batches(Fetcher, concurrency=N) pool would be
+# torn down and re-created every round — measured at 30-40 s of pure
+# actor start-up per round at 32 CPUs. Ray worker PROCESSES persist
+# across rounds, so caching the instance in the worker process gives
+# identical once-per-worker state semantics with zero per-round
+# spin-up. Bounded LRU: warm workers outlive a crawl, and each engine
+# built from an in-memory table writes its own store.
+_FETCHERS: "OrderedDict[str, PartitionedFetcher]" = OrderedDict()
+_FETCHERS_CAP = 4
+
+
+def get_fetcher(path: str) -> PartitionedFetcher:
+    if path in _FETCHERS:
+        _FETCHERS.move_to_end(path)
+    else:
+        _FETCHERS[path] = PartitionedFetcher(path)
+        while len(_FETCHERS) > _FETCHERS_CAP:
+            _FETCHERS.popitem(last=False)
+    return _FETCHERS[path]

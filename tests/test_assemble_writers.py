@@ -1,8 +1,8 @@
 """Catalog sink equivalence (S6/S8):
 
-- the distributed fragment writer (``write_catalogs_distributed``)
-  produces byte-identical JSON files and identical md5s to the dict
-  writer (``write_catalogs`` over ``build_catalogs``);
+- the catalog sink (``write_catalogs_parallel``) produces
+  byte-identical JSON files and identical md5s to the dict writer
+  (``write_catalogs`` over ``build_catalogs``);
 - file-hashes.json matches the reference checksum semantics
   ``md5(json.dumps(content))`` (Postprocessing.py:98-110) computed over
   the ORACLE's catalogs — the engine's file hash is the oracle's.
@@ -19,7 +19,7 @@ from no_fasel_scrapers_ray.functions.hashing import md5_of_json
 from no_fasel_scrapers_ray.oracle import Oracle
 from no_fasel_scrapers_ray.pipelines.assemble import (
     assemble_records, build_catalogs, write_catalogs,
-    write_catalogs_distributed, write_catalogs_parallel)
+    write_catalogs_parallel)
 from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
 
 
@@ -33,25 +33,6 @@ def entries_and_oracle(tmp_path_factory):
     o = Oracle(corpus)
     o.crawl_all(CIMANOW_ROUTES)
     return entries, o
-
-
-def test_distributed_writer_byte_equality(entries_and_oracle, tmp_path):
-    entries, _ = entries_and_oracle
-    dict_dir = str(tmp_path / "dict_out")
-    dist_dir = str(tmp_path / "dist_out")
-    dict_hashes = write_catalogs(build_catalogs(entries), dict_dir)
-    dist_hashes, counts = write_catalogs_distributed(entries, dist_dir)
-    assert dist_hashes == dict_hashes
-    files = sorted(os.listdir(dict_dir))
-    assert sorted(os.listdir(dist_dir)) == files
-    for name in files:
-        with open(os.path.join(dict_dir, name), "rb") as fa, \
-                open(os.path.join(dist_dir, name), "rb") as fb:
-            assert fa.read() == fb.read(), f"{name} differs"
-    for cat, n in counts.items():
-        with open(os.path.join(dist_dir, f"{cat}.json"),
-                  encoding="utf-8") as fp:
-            assert len(json.load(fp)) == n
 
 
 def test_parallel_writer_byte_equality(entries_and_oracle, tmp_path):
@@ -82,7 +63,7 @@ def test_file_hashes_match_oracle(entries_and_oracle, tmp_path):
     for every crawl catalog (Postprocessing.py:98-110 semantics)."""
     entries, oracle = entries_and_oracle
     out = str(tmp_path / "out")
-    got, _ = write_catalogs_distributed(entries, out)
+    got, _ = write_catalogs_parallel(entries, out)
     with open(os.path.join(out, "file-hashes.json")) as fp:
         manifest = json.load(fp)
     assert manifest == got

@@ -91,12 +91,10 @@ def test_span_sequence_invariant(tiny_corpus):
     the engine's parse of each fetched page is byte-identical to the
     corpus row the oracle reads (the parse stage is zero-copy decode —
     any divergence means the fetch/extract path corrupted spans)."""
-    import ray
     from no_fasel_scrapers_ray.stages.fetch import Fetcher
     from no_fasel_scrapers_ray.corpus.spans import PageView
     corpus, _ = tiny_corpus
-    ref = ray.put(corpus)
-    f = Fetcher(ref)
+    f = Fetcher(corpus)
     import pyarrow as pa
     sample = corpus.slice(0, 50)
     batch = pa.table({
@@ -112,15 +110,16 @@ def test_span_sequence_invariant(tiny_corpus):
 
 
 def test_presplit_gather_equivalence(tiny_corpus, engine_run,
-                                     tmp_path_factory, monkeypatch):
-    """The shard-local pre-split gather (CRAWL_PRESPLIT=1 — the
-    multi-raylet transfer optimization) must produce IDENTICAL
-    catalogs to the whole-table gather, on the same corpus."""
+                                     tmp_path_factory):
+    """The shard-local pre-split gather (the multi-raylet transfer
+    optimization, forced on here; a single node auto-selects the
+    whole-table gather) must produce IDENTICAL catalogs to the
+    whole-table gather, on the same corpus."""
     corpus, seeds = tiny_corpus
-    monkeypatch.setenv("CRAWL_PRESPLIT", "1")
     run_dir = str(tmp_path_factory.mktemp("crawl_presplit"))
     eng = CrawlEngine(corpus, seeds.to_pylist(), run_dir, n_shards=3)
-    assert eng._presplit
+    assert not eng._presplit
+    eng._presplit = True
     eng.run()
     got = build_catalogs(assemble_records(eng.records_dataset()))
     _, want = engine_run

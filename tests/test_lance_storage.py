@@ -45,10 +45,13 @@ def test_lance_corpus_roundtrip(tmp_path):
 def test_lance_host_partition_filter(tmp_path):
     table = _tiny_corpus()
     path = storage.write_corpus(table, str(tmp_path))
-    part = storage.host_partition_table(path, "h1.test", None)
-    assert part is not None
-    assert set(part.column("host").to_pylist()) == {"h1.test"}
-    assert part.num_rows == 5
+    parts = [storage.host_partition_table(path, "h1.test", s)
+             for s in range(storage.CORPUS_SALTS)]
+    rows = sum(p.num_rows for p in parts if p is not None)
+    hosts = {h for p in parts if p is not None
+             for h in p.column("host").to_pylist()}
+    assert hosts == {"h1.test"}
+    assert rows == 5
 
 
 def test_format_gate_consistent():
