@@ -19,6 +19,7 @@ partial read stays cheap.
 
 from __future__ import annotations
 
+import itertools
 import os
 import uuid
 from urllib.parse import quote, unquote
@@ -153,37 +154,67 @@ def read_corpus(path: str, columns=None):
     return rd.read_parquet(path, columns=columns)
 
 
-def read_parquet_sized(path: str, columns=None):
-    """read_parquet over a file/dir with data-proportional block count.
+def _read_slices(slices: list, columns) -> pa.Table:
+    """One block of ``read_parquet_sized``: the (file, offset, length)
+    row slices of consecutive files, concatenated in order."""
+    return pa.concat_tables([
+        pq.read_table(f, columns=columns).slice(lo, n)
+        for f, lo, n in slices])
 
-    A crawl run's records/ dir holds one small fragment per writer task
-    (hundreds of ~1 MB files at sf0.1); Ray's default one-block-per-file
-    read then makes every downstream all-to-all pay a blocks² fan-out
-    (measured: the assemble-phase Sort spends 18 s shuffling 40k
-    intermediate objects while actual compute is ~6 s). Size blocks by
-    DATA instead: ~32 MB of file bytes per block (Ray's own target) with
-    a floor of one block per ~2048 rows capped at 2×CPUs so small runs
-    still parallelize."""
+
+def read_parquet_sized(path: str, columns=None):
+    """Parquet file/dir → Dataset whose block count follows the data.
+
+    A crawl run's records/ dir holds one small fragment per crawl block
+    (41 files on the fresh_crawl benchmark, hundreds at the 2.4M-page
+    bench); one block per file would make every downstream exchange pay
+    a blocks² fan-out. Blocks are sized by DATA instead: ~32 MB of file
+    bytes per block (Ray's own target) with a floor of one block per
+    ~2048 rows capped at 2×CPUs, so small runs still parallelize.
+    ``assemble_records`` uses this count as its bucket count.
+
+    The files, in sorted path order, are cut into that many contiguous
+    runs of about equal row counts; each block is one plain Ray task
+    reading its run. Row order is file order. Hive partition columns
+    (the crawl's ``round=R`` dirs) are not added. ``rd.read_parquet``
+    was not used: past 24 files it launches a remote metadata-fetch task
+    wave (Ray's PARALLELIZE_META_FETCH_THRESHOLD), past 16 paths on a
+    non-local filesystem a file-size-fetch wave
+    (FILE_SIZE_FETCH_PARALLELIZATION_THRESHOLD), and it samples files
+    for an encoding ratio in remote tasks — all before a row is read,
+    and the cost of each wave is fixed while the data here is a few MB.
+    """
     import math
 
     import ray
     import ray.data as rd
-    try:
-        files = []
-        if os.path.isdir(path):
-            for base, _dirs, names in os.walk(path):
-                files += [os.path.join(base, n) for n in names
-                          if n.endswith(".parquet")]
-        else:
-            files = [path]
-        nbytes = sum(os.path.getsize(f) for f in files)
-        rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        nb = max(math.ceil(nbytes / (32 << 20)),
-                 min(2 * cpus, math.ceil(rows / 2048)), 1)
-    except Exception:
-        return rd.read_parquet(path, columns=columns)
-    return rd.read_parquet(path, columns=columns, override_num_blocks=nb)
+
+    if os.path.isdir(path):
+        files = sorted(os.path.join(base, n)
+                       for base, _dirs, names in os.walk(path)
+                       for n in names if n.endswith(".parquet"))
+    else:
+        files = [path]
+    if not files:
+        raise FileNotFoundError(f"no parquet files under {path}")
+    counts = [pq.ParquetFile(f).metadata.num_rows for f in files]
+    nbytes = sum(os.path.getsize(f) for f in files)
+    rows = sum(counts)
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    nb = max(math.ceil(nbytes / (32 << 20)),
+             min(2 * cpus, math.ceil(rows / 2048)), 1)
+
+    # block k holds rows [k*rows//nb, (k+1)*rows//nb) of the file-order
+    # concatenation; a block with no rows reads an empty slice of the
+    # first file so it still carries the schema
+    starts = list(itertools.accumulate(counts, initial=0))
+    bounds = [k * rows // nb for k in range(nb + 1)]
+    groups = [[(f, max(a, s) - s, min(b, s + n) - max(a, s))
+               for f, s, n in zip(files, starts, counts)
+               if s < b and s + n > a] or [(files[0], 0, 0)]
+              for a, b in zip(bounds, bounds[1:])]
+    read_r = ray.remote(_read_slices)
+    return rd.from_arrow_refs([read_r.remote(g, columns) for g in groups])
 
 
 def read_corpus_table(path: str) -> pa.Table:

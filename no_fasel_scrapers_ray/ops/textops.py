@@ -640,7 +640,19 @@ def _bigram_partial(batch) -> pd.DataFrame:
     the module's standing 64-bit hash contract (np.unique over mixed
     pair keys), and ONLY the distinct-pair representatives are taken
     back as strings — the old pandas partial materialized every token
-    as a PyObject and group-by'd object pairs."""
+    as a PyObject and group-by'd object pairs.
+
+    Collision budget: the pair key is 64 bits (two 64-bit token hashes
+    mixed by odd multipliers), not the strings. Two distinct pairs that
+    share a key merge: their counts add under one representative's
+    (w1, w2) and the other pair vanishes. Over n distinct pairs the
+    expected number of colliding key pairs is about n²/2^65: ~3e-8 at
+    10^6 pairs, ~3e-4 at 10^8, ~0.03 at 10^9, and one expected
+    collision near 6·10^9. Distinct tokens whose 64-bit hashes collide
+    have the same budget over the vocabulary. That is far below any
+    test or benchmark corpus, but it is a budget, not exactness; a web
+    corpus with more than ~10^9 distinct bigrams needs a 128-bit key
+    (as ``pipelines/ingest.py`` uses) or a string check per group."""
     import pyarrow as pa
 
     lens, flat = _flat_tokens_arrow(batch["text"])

@@ -26,6 +26,18 @@ small-scale reference:
   postprocess inputs); ``write_catalogs`` is the byte reference the
   sink is tested against.
 
+Sizing: the fan-out follows the input. The bucket count is the record
+block count, which ``corpus/storage.py::read_parquet_sized`` derives
+from bytes, rows and CPUs (4 on the 25k-page fresh_crawl benchmark, 64
+at the 2.4M-page bench on 32 CPUs), and the render fan-out is the
+resulting entry block count. From the crawl's part files to the catalog
+files every step — read, bucket split, per-bucket emit, catalog
+discovery, render split, per-catalog write — is a plain Ray task over
+object refs; no Ray Data executor runs. On fresh_crawl the tail moves
+24k record rows (5 MB) into 7.5k entries, about 0.7 s of work in one
+process on one core of a 4-vCPU VM, so fixed per-stage scheduling
+costs, not data, set its time.
+
 Old-catalog size contract: the previous run's catalogs are the
 reference's own output files (~15 MB committed snapshot) — dimension-
 sized. They are re-emitted as entry rows through the same shuffle, so
@@ -63,18 +75,25 @@ ENSURE_ASCII_CATALOGS = ("movies", "series", "tvshows", "asian-series",
 _NEST_TYPES = ("series_head", "season", "episode")
 
 
-def _distinct_catalogs(records: rd.Dataset) -> set[str]:
-    """Tiny pre-pass: which catalogs received records this run (decides
-    carry-forward vs merge for each old catalog). Column-pruned scan,
-    per-batch uniques — the driver sees only catalog names."""
+def _block_catalogs(tbl) -> list[str]:
+    """Distinct catalog names of one block. Blocks come from
+    ``to_arrow_refs`` verbatim: pandas-backed blocks arrive as
+    DataFrames, and EMPTY ones with no columns at all."""
     import pyarrow.compute as pc
+    if not len(tbl):
+        return []
+    col = tbl["catalog"]
+    return pc.unique(pa.array(col) if isinstance(tbl, pd.DataFrame)
+                     else col).to_pylist()
 
-    def uniq(t: pa.Table) -> pa.Table:
-        return pa.table({"catalog": pc.unique(t["catalog"])})
 
-    part = records.select_columns(["catalog"]).map_batches(
-        uniq, batch_format="pyarrow").to_pandas()
-    return set(part["catalog"].unique())
+def _catalogs_of(refs: list) -> list[str]:
+    """Sorted distinct catalog names over block refs: one plain task per
+    block, one gather — only catalog names reach the caller."""
+    import ray
+    block_r = ray.remote(_block_catalogs)
+    return sorted(set().union(*ray.get([block_r.remote(r)
+                                        for r in refs])))
 
 
 def _old_entry_table(old_catalogs: dict, new_cats: set[str]) -> pa.Table:
@@ -262,8 +281,8 @@ ENTRY_SCHEMA = pa.schema([
 ])
 
 
-def assemble_records(records: rd.Dataset, old_catalogs: dict | None = None,
-                     n_buckets: int = 64) -> rd.Dataset:
+def assemble_records(records: rd.Dataset,
+                     old_catalogs: dict | None = None) -> rd.Dataset:
     """Distributed end-to-end assembly. Returns the FINAL entry Dataset
     (catalog, key, rank0, rank1, payload) with nesting, deltas and merge
     precedence already applied; (rank0, rank1) sorts a catalog into the
@@ -273,16 +292,22 @@ def assemble_records(records: rd.Dataset, old_catalogs: dict | None = None,
     BSP trick, not a Dataset groupby all-to-all): each record block
     buckets and SPLITS itself (num_returns = n_buckets object refs),
     each bucket task concats exactly its parts and runs the nesting
-    pass — the per-bucket compute is ~0.5 s of spread wall-time while
-    the groupby shuffle machinery alone measured ~6 s at the
-    2.4M-page bench."""
+    pass. There is one bucket per input block (plus one for the old
+    catalogs), so the exchange is blocks² task returns sized by
+    ``read_parquet_sized``'s data-proportional block count: 4 blocks
+    on the 25k-page fresh_crawl benchmark at 2 CPUs, 64 at the
+    2.4M-page bench on 32 CPUs. Every bucket is a task and every
+    (block, bucket) pair an object, so on a small run a count not
+    tied to the input is paid in scheduling, not data."""
     import ray
 
+    refs = records.to_arrow_refs()
     if old_catalogs:
-        new_cats = _distinct_catalogs(records)
-        old_table = _old_entry_table(old_catalogs, new_cats)
+        old_table = _old_entry_table(old_catalogs,
+                                     set(_catalogs_of(refs)))
         if old_table.num_rows:
-            records = records.union(rd.from_arrow(old_table))
+            refs.append(ray.put(old_table))
+    n_buckets = max(len(refs), 1)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # defensive: page-stat rows live under pages/ since r2, but a
@@ -295,9 +320,9 @@ def assemble_records(records: rd.Dataset, old_catalogs: dict | None = None,
         # catalog alone measured as a single straggler group at sf0.1)
         unit = df["series_key"].where(df["series_key"] != "", df["key"])
         df["bucket"] = stable_bucket(df["catalog"] + "\x00" + unit, n_buckets)
-        # shuffle-column pruning: drop the hive 'round' partition column
-        # and do NOT carry 'unit' (recomputed per bucket from
-        # series_key/key) — every byte here crosses the all-to-all
+        # shuffle-column pruning: do NOT carry 'unit' (recomputed per
+        # bucket from series_key/key) — every byte here crosses the
+        # exchange
         return df[["catalog", "record_type", "key", "series_key",
                    "season_key", "order_key", "payload", "bucket"]]
 
@@ -359,7 +384,7 @@ def assemble_records(records: rd.Dataset, old_catalogs: dict | None = None,
     split_r = ray.remote(split_block)
     emit_r = ray.remote(emit_bucket)
     per_block = [split_r.options(num_returns=n_buckets).remote(
-        ref, n_buckets) for ref in records.to_arrow_refs()]
+        ref, n_buckets) for ref in refs]
     if n_buckets == 1:
         per_block = [[r] for r in per_block]
     return rd.from_arrow_refs(
@@ -428,13 +453,14 @@ def write_catalogs_parallel(
 
     The catalog exchange is a RAW-TASK ref pass, not a Dataset
     all-to-all (the triangle/BSP exchange trick): each entry block
-    renders its fragments 32-way and SPLITS them per catalog
+    renders its own fragments and SPLITS them per catalog
     (num_returns = n_catalogs object refs, zero extra copy); each
-    catalog's writer task then concats exactly its parts. A
-    render-inside-the-writer variant (shuffle raw payloads, render
-    per catalog) was measured SLOWER (13.3-17 s vs 9.9-13.8 s same
-    window): the biggest catalog's render serializes in one task —
-    32-way render beats the shuffle saving."""
+    catalog's writer task then concats exactly its parts. The render
+    fan-out is the entry block count (= ``assemble_records``' bucket
+    count, so it follows the input size). A render-inside-the-writer
+    variant (shuffle raw payloads, render per catalog) was measured
+    SLOWER (13.3-17 s vs 9.9-13.8 s same window at the 2.4M-page
+    bench): the biggest catalog's render serializes in one task."""
     import hashlib
 
     import ray
@@ -442,15 +468,13 @@ def write_catalogs_parallel(
     os.makedirs(out_dir, exist_ok=True)
 
     # ONE execution of the (possibly lazy) entry plan: the catalog
-    # discovery scan below and to_arrow_refs must see the SAME blocks
-    # — running the upstream plan twice doubles assembly cost and a
+    # discovery and the render wave below read the SAME block refs —
+    # running the upstream plan twice doubles assembly cost and a
     # nondeterministic upstream could desync `cats` from the blocks
-    # actually split (review-caught)
-    entries = entries.materialize()
-    cat_tbl = entries.map_batches(
-        lambda b: pd.DataFrame({"catalog": b["catalog"].unique()}),
-        batch_format="pandas").to_pandas()
-    cats = sorted(cat_tbl["catalog"].unique())
+    # actually split. Both are plain tasks over those refs, no Ray
+    # Data execution.
+    refs = entries.to_arrow_refs()
+    cats = _catalogs_of(refs)
     if not cats:
         if hashes:
             with open(os.path.join(out_dir, "file-hashes.json"),
@@ -508,7 +532,7 @@ def write_catalogs_parallel(
     split_r = ray.remote(render_split)
     write_r = ray.remote(write_catalog)
     per_block = [split_r.options(num_returns=len(cats)).remote(ref, cats)
-                 for ref in entries.to_arrow_refs()]
+                 for ref in refs]
     if len(cats) == 1:
         per_block = [[r] for r in per_block]
     outs = [write_r.remote(os.path.join(out_dir, f"{c}.json"), c, chunk,

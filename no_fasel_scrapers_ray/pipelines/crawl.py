@@ -718,11 +718,6 @@ class CrawlEngine:
         return (pa.concat_tables(tables) if tables
                 else PUSH_SCHEMA.empty_table())
 
-    def seen_urls(self) -> set[int]:
-        """TEST-ONLY: gathers every shard's exact key set (O(n))."""
-        hashes = ray.get([s.seen_hashes.remote() for s in self.shards])
-        return set(np.concatenate(hashes).tolist()) if hashes else set()
-
     def release(self) -> None:
         """Free crawl-session cluster state once the crawl is done: the
         frontier shard actors and the broadcast crawl-state object.

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 import ray
 
@@ -17,3 +18,10 @@ def ray_session():
 
 
 SF_SMOKE = os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")
+
+
+def seen_urls(eng) -> set[int]:
+    """A crawl engine's exact seen set: every frontier shard's key
+    hashes, gathered (O(n)); the shards must still be live."""
+    hashes = ray.get([s.seen_hashes.remote() for s in eng.shards])
+    return set(np.concatenate(hashes).tolist()) if hashes else set()

@@ -11,7 +11,11 @@
 import json
 import os
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+import ray
+import ray.data as rd
 
 from no_fasel_scrapers_ray.corpus.synth import (
     CIMANOW_ROUTES, generate, tiny_config)
@@ -24,27 +28,71 @@ from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
 
 
 @pytest.fixture(scope="module")
-def entries_and_oracle(tmp_path_factory):
+def crawl_and_oracle(tmp_path_factory):
     corpus, seeds = generate(tiny_config())
     run_dir = str(tmp_path_factory.mktemp("writer_run"))
     eng = CrawlEngine(corpus, seeds.to_pylist(), run_dir, n_shards=2)
     eng.run()
-    entries = assemble_records(eng.records_dataset()).materialize()
     o = Oracle(corpus)
     o.crawl_all(CIMANOW_ROUTES)
-    return entries, o
+    return eng, o
 
 
-def test_parallel_writer_byte_equality(entries_and_oracle, tmp_path):
+@pytest.fixture(scope="module")
+def entries_and_oracle(crawl_and_oracle):
+    eng, o = crawl_and_oracle
+    return assemble_records(eng.records_dataset()).materialize(), o
+
+
+def _records_table(eng) -> pa.Table:
+    return pa.concat_tables(ray.get(eng.records_dataset().to_arrow_refs()))
+
+
+def _one_block_one_catalog(eng):
+    # one record block -> one assembly bucket (split_block's
+    # num_returns=1 path); one catalog -> render_split's num_returns=1
+    t = _records_table(eng)
+    return rd.from_arrow(t.filter(pc.equal(t["catalog"], "movies")))
+
+
+def _several_blocks(eng):
+    # contiguous slices keep row order, so the catalogs must equal the
+    # one-block run's exactly
+    t = _records_table(eng)
+    step = -(-t.num_rows // 5)
+    return rd.from_arrow([t.slice(lo, step)
+                          for lo in range(0, t.num_rows, step)])
+
+
+FANOUTS = {
+    "one_block": lambda eng: eng.records_dataset(),
+    "one_block_one_catalog": _one_block_one_catalog,
+    "several_blocks": _several_blocks,
+}
+
+
+@pytest.mark.parametrize("fanout", sorted(FANOUTS))
+def test_parallel_writer_byte_equality(crawl_and_oracle, entries_and_oracle,
+                                       fanout, tmp_path):
     """The per-catalog worker sink (one task per catalog writes the
     file + folds its md5) is byte-identical to the dict writer, and
-    its chunked md5 stream reproduces md5(json.dumps(content))."""
-    entries, _ = entries_and_oracle
+    its chunked md5 stream reproduces md5(json.dumps(content)) — with
+    the assembly and render fan-outs at 1 and at several blocks."""
+    eng, _ = crawl_and_oracle
+    records = FANOUTS[fanout](eng)
+    n_blocks = len(records.to_arrow_refs())
+    assert (n_blocks == 1) == fanout.startswith("one_block")
+    entries = assemble_records(records).materialize()
+    if fanout == "several_blocks":
+        assert build_catalogs(entries) == \
+            build_catalogs(entries_and_oracle[0])
     dict_dir = str(tmp_path / "dict_out")
     par_dir = str(tmp_path / "par_out")
     dict_hashes = write_catalogs(build_catalogs(entries), dict_dir)
     # chunk=3 forces multi-chunk md5 folds + file appends per catalog
     par_hashes, counts = write_catalogs_parallel(entries, par_dir, chunk=3)
+    assert counts
+    assert (len(counts) == 1) == fanout.endswith("one_catalog")
     assert par_hashes == dict_hashes
     files = sorted(os.listdir(dict_dir))
     assert sorted(os.listdir(par_dir)) == files

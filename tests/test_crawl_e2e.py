@@ -20,6 +20,8 @@ from no_fasel_scrapers_ray.pipelines.assemble import (
     assemble_records, build_catalogs)
 from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
 
+from conftest import seen_urls
+
 
 @pytest.fixture(scope="module")
 def tiny_corpus():
@@ -83,7 +85,7 @@ def test_seen_set_equivalence(oracle_run, engine_run):
     eng, _ = engine_run
     oracle_hashes = {stable_hash64(canonicalize_url(u))
                      for u in oracle_run.seen_set()}
-    assert eng.seen_urls() == oracle_hashes
+    assert seen_urls(eng) == oracle_hashes
 
 
 def test_span_sequence_invariant(tiny_corpus):

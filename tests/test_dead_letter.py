@@ -17,7 +17,9 @@ import pytest
 from no_fasel_scrapers_ray.corpus.synth import generate, tiny_config
 from no_fasel_scrapers_ray.pipelines.assemble import (
     assemble_records, build_catalogs)
-from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
+from no_fasel_scrapers_ray.pipelines.crawl import DEAD_SCHEMA, CrawlEngine
+
+from conftest import seen_urls
 
 RECOVER_URL = "https://fasel.test/movies/m3"
 DEAD_URL = "https://fasel.test/movies/m5"
@@ -51,9 +53,18 @@ def test_transient_below_budget_recovers(corpus_seeds, tmp_path_factory,
     assert cat == cat0
     assert eng.frontier_log_table().to_pylist() == \
         eng0.frontier_log_table().to_pylist()
-    assert eng.seen_urls() == eng0.seen_urls()
+    assert seen_urls(eng) == seen_urls(eng0)
     assert eng.dead_letter_dataset().count() == 0
     assert eng.metrics["dead_lettered"] == 0
+
+
+def test_clean_crawl_dead_letter_is_empty(baseline):
+    """No failures: round dirs exist but hold no part files, and the
+    dataset is empty with exactly the DEAD_SCHEMA columns."""
+    eng0, _ = baseline
+    ds = eng0.dead_letter_dataset()
+    assert ds.count() == 0
+    assert ds.schema().names == DEAD_SCHEMA.names
 
 
 def test_exhausted_budget_dead_letters(corpus_seeds, tmp_path_factory,
@@ -62,6 +73,7 @@ def test_exhausted_budget_dead_letters(corpus_seeds, tmp_path_factory,
     eng, cat = _run(corpus_seeds, tmp_path_factory, "dl_dead",
                     max_attempts=3, fail_plan={DEAD_URL: 99})
     dead = eng.dead_letter_dataset().to_pandas()
+    assert list(dead.columns) == DEAD_SCHEMA.names   # no hive 'round'
     assert list(dead["url"]) == [DEAD_URL]
     assert list(dead["reason"]) == ["transient"]
     assert list(dead["attempts"]) == [3]
@@ -69,7 +81,7 @@ def test_exhausted_budget_dead_letters(corpus_seeds, tmp_path_factory,
     # pop log + seen set unchanged (the row was still admitted/popped)
     assert eng.frontier_log_table().to_pylist() == \
         eng0.frontier_log_table().to_pylist()
-    assert eng.seen_urls() == eng0.seen_urls()
+    assert seen_urls(eng) == seen_urls(eng0)
     # exactly the dead page's catalog entry is missing; all else equal
     assert set(cat) == set(cat0)
     for name in cat0:

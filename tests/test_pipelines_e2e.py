@@ -14,6 +14,8 @@ from no_fasel_scrapers_ray.pipelines.postprocess import (
     all_content_index, postprocess_catalogs)
 from no_fasel_scrapers_ray.pipelines.trending import run_trending
 
+from conftest import seen_urls
+
 
 @pytest.fixture(scope="module")
 def corpus_seeds():
@@ -133,7 +135,7 @@ def test_kill_and_resume(tmp_path_factory):
     eng_b.run(start_round=next_round)
 
     assert eng_b.frontier_log_table().to_pylist() == full_log
-    assert eng_b.seen_urls() == eng_full.seen_urls()
+    assert seen_urls(eng_b) == seen_urls(eng_full)
     resumed_catalogs = build_catalogs(
         assemble_records(eng_b.records_dataset()))
     assert resumed_catalogs == full_catalogs

@@ -1,0 +1,85 @@
+"""``read_parquet_sized``: the crawl-output reader behind
+``records_dataset``, ``pages_dataset`` and ``dead_letter_dataset``.
+
+A run dir with more part files than Ray's parallel metadata-fetch
+threshold (24), spread over several ``round=R`` hive dirs, must read
+back as exactly the per-file rows in sorted path order, with column
+pruning, no hive partition column, and the data-sized block count.
+"""
+
+import math
+import os
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
+import ray
+
+from no_fasel_scrapers_ray.corpus.storage import read_parquet_sized
+
+N_ROUNDS = 3
+FILES_PER_ROUND = 10
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sized_read") / "records"
+    for r in range(N_ROUNDS):
+        rdir = root / f"round={r:04d}"
+        os.makedirs(rdir)
+        # row counts vary; one file is empty
+        for k in range(FILES_PER_ROUND):
+            n = 0 if (r, k) == (1, 3) else 100 + 37 * ((r * 7 + k) % 11)
+            pq.write_table(pa.table({
+                "catalog": pa.array([f"c{r}"] * n, pa.string()),
+                "key": pa.array([f"r{r}-p{k}-{i}" for i in range(n)],
+                                pa.string()),
+                "payload": pa.array(["x" * (i % 13) for i in range(n)],
+                                    pa.string()),
+            }), rdir / f"part-{k}.parquet")
+    return str(root)
+
+
+def _files(root):
+    return sorted(os.path.join(b, n) for b, _, ns in os.walk(root)
+                  for n in ns if n.endswith(".parquet"))
+
+
+def test_rows_in_sorted_file_order(run_dir):
+    files = _files(run_dir)
+    assert len(files) >= 25
+    want = pa.concat_tables([pq.read_table(f) for f in files])
+    ds = read_parquet_sized(run_dir)
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.column_names == ["catalog", "key", "payload"]  # no 'round'
+    assert got.to_pylist() == want.to_pylist()
+
+
+def test_columns_prune(run_dir):
+    files = _files(run_dir)
+    ds = read_parquet_sized(run_dir, columns=["key"])
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.column_names == ["key"]
+    assert got["key"].to_pylist() == [
+        k for f in files for k in pq.read_table(f)["key"].to_pylist()]
+
+
+def test_block_count_follows_formula(run_dir):
+    files = _files(run_dir)
+    rows = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
+    nbytes = sum(os.path.getsize(f) for f in files)
+    cpus = int(ray.cluster_resources()["CPU"])
+    nb = max(math.ceil(nbytes / (32 << 20)),
+             min(2 * cpus, math.ceil(rows / 2048)), 1)
+    assert nb > 1     # the fixture spans several blocks
+    refs = read_parquet_sized(run_dir).to_arrow_refs()
+    assert len(refs) == nb
+    sizes = [t.num_rows for t in ray.get(refs)]
+    assert sum(sizes) == rows
+    assert max(sizes) - min(sizes) <= 1    # cut by rows, not by files
+
+
+def test_single_file(run_dir):
+    f = _files(run_dir)[0]
+    got = pa.concat_tables(ray.get(read_parquet_sized(f).to_arrow_refs()))
+    assert got.equals(pq.read_table(f))

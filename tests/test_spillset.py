@@ -12,6 +12,8 @@ from no_fasel_scrapers_ray.pipelines.crawl import link_hashes
 from no_fasel_scrapers_ray.state.frontier import FrontierShard, push_table
 from no_fasel_scrapers_ray.state.spillset import SpilledKeySet
 
+from conftest import seen_urls
+
 
 def _keys(seed, n):
     rng = np.random.RandomState(seed)
@@ -104,4 +106,4 @@ def test_crawl_with_spilling_seen_set(tmp_path_factory):
     b.run()
     assert b.frontier_log_table().to_pylist() == \
         a.frontier_log_table().to_pylist()
-    assert b.seen_urls() == a.seen_urls()
+    assert seen_urls(b) == seen_urls(a)

@@ -50,12 +50,14 @@ def main(sf_dir: str) -> None:
                 resource.RUSAGE_SELF).ru_maxrss
         t0 = time.perf_counter()
         res = qmap[name](sf_dir)
-        if hasattr(res, "to_pandas"):
-            res = res.to_pandas()
+        # Dataset.count() executes the plan without pulling the rows
+        # into this process (to_pandas here set the peak-RSS reading)
+        n = res.count() if isinstance(res, ray.data.Dataset) \
+            else len(res)
         dt = round(time.perf_counter() - t0, 3)
         out["queries"][name] = dt
-        out["rows"][name] = int(len(res))
-        print(f"{name}: {dt}s rows={len(res)}", flush=True)
+        out["rows"][name] = int(n)
+        print(f"{name}: {dt}s rows={n}", flush=True)
     rss_end = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     out["driver_peak_rss_mb"] = round(rss_end / 1024, 1)
     out["tier3_driver_rss_growth_mb"] = round(

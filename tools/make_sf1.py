@@ -53,7 +53,7 @@ def main(dst: str) -> None:
             cols = {}
             for name in base.column_names:
                 arr = base[name]
-                if name in strides and i > 0:
+                if name in strides:   # int64 in every copy, 0 too
                     a = arr.to_numpy(zero_copy_only=False).astype(
                         np.int64) + i * strides[name]
                     arr = pa.chunked_array([pa.array(a, pa.int64())])
