@@ -238,7 +238,7 @@ def run_crawl(corpus, seeds, num_cpus: int, run_dir: str,
     assemble_sec = time.perf_counter() - t1
     import shutil
     shutil.rmtree(run_dir, ignore_errors=True)  # bench runs are throwaway
-    return {
+    res = {
         "crawl_sec": round(crawl_sec, 3),
         "setup_sec": round(setup_sec, 3),
         "warm_workers": n_warm,
@@ -257,16 +257,17 @@ def run_crawl(corpus, seeds, num_cpus: int, run_dir: str,
         # funneled each round's rows through driver RAM here.)
         "driver_peak_rss_mb": round(rss_after / 1024, 1),
         "driver_rss_growth_mb": round((rss_after - rss_before) / 1024, 1),
-        # measured cross-raylet gather traffic (pre-split mode only;
-        # -1 sentinel rounds never reach the ledger) — the byte-level
-        # number behind the fair-scaling decomposition
-        "gather_cross_mb": (round(sum(
-            metrics["gather_cross_bytes"]) / 1048576, 2)
-            if metrics.get("gather_cross_bytes") else None),
-        "gather_local_mb": (round(sum(
-            metrics["gather_local_bytes"]) / 1048576, 2)
-            if metrics.get("gather_local_bytes") else None),
     }
+    # measured cross-raylet gather traffic (pre-split mode only; -1
+    # sentinel rounds never reach the ledger) — the byte-level number
+    # behind the fair-scaling decomposition. A single-node run measures
+    # nothing and reports neither key.
+    if metrics.get("gather_cross_bytes"):
+        res["gather_cross_mb"] = round(
+            sum(metrics["gather_cross_bytes"]) / 1048576, 2)
+        res["gather_local_mb"] = round(
+            sum(metrics["gather_local_bytes"]) / 1048576, 2)
+    return res
 
 
 def main() -> None:
@@ -365,12 +366,17 @@ def main() -> None:
         "catalog_entries": crawl["catalog_entries"],
         "driver_peak_rss_mb": crawl.get("driver_peak_rss_mb"),
         "driver_rss_growth_mb": crawl.get("driver_rss_growth_mb"),
-        "gather_cross_mb": crawl.get("gather_cross_mb"),
-        "gather_local_mb": crawl.get("gather_local_mb"),
+        **_gather_mb(crawl),
         "tier3_driver_rss_growth_mb": tier3_rss_growth,
     }
     ray.shutdown()
     print(json.dumps(out))
+
+
+def _gather_mb(r: dict) -> dict:
+    """The gather-byte keys of a crawl result, when it measured them."""
+    return {k: r[k] for k in ("gather_cross_mb", "gather_local_mb")
+            if k in r}
 
 
 def _best_run(best: dict | None, r: dict) -> dict:
@@ -543,8 +549,7 @@ def scaling_fair() -> None:
                 round(thr_coord / max(s_pre, s_post), 3),
                 round(thr_coord / min(s_pre, s_post), 3)],
             "pages": coord["crawl_pages"],
-            "gather_cross_mb": coord.get("gather_cross_mb"),
-            "gather_local_mb": coord.get("gather_local_mb"),
+            **_gather_mb(coord),
         })
 
     report = {

@@ -19,6 +19,7 @@ partial read stays cheap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import uuid
@@ -175,7 +176,11 @@ def read_parquet_sized(path: str, columns=None):
 
     The files, in sorted path order, are cut into that many contiguous
     runs of about equal row counts; each block is one plain Ray task
-    reading its run. Row order is file order. Hive partition columns
+    reading its run. The read tasks go out through
+    ``ops/util.py::submit_windowed``, no more in flight than the free
+    CPU slots (1 on fresh_crawl right after the crawl, 32 at bench.py's
+    fresh 32-CPU assembly session), and the call returns once every
+    block is read. Row order is file order. Hive partition columns
     (the crawl's ``round=R`` dirs) are not added. ``rd.read_parquet``
     was not used: past 24 files it launches a remote metadata-fetch task
     wave (Ray's PARALLELIZE_META_FETCH_THRESHOLD), past 16 paths on a
@@ -188,6 +193,8 @@ def read_parquet_sized(path: str, columns=None):
 
     import ray
     import ray.data as rd
+
+    from ..ops.util import submit_windowed
 
     if os.path.isdir(path):
         files = sorted(os.path.join(base, n)
@@ -214,7 +221,8 @@ def read_parquet_sized(path: str, columns=None):
                if s < b and s + n > a] or [(files[0], 0, 0)]
               for a, b in zip(bounds, bounds[1:])]
     read_r = ray.remote(_read_slices)
-    return rd.from_arrow_refs([read_r.remote(g, columns) for g in groups])
+    return rd.from_arrow_refs(submit_windowed(
+        functools.partial(read_r.remote, g, columns) for g in groups))
 
 
 def read_corpus_table(path: str) -> pa.Table:

@@ -33,10 +33,11 @@ at the 2.4M-page bench on 32 CPUs), and the render fan-out is the
 resulting entry block count. From the crawl's part files to the catalog
 files every step — read, bucket split, per-bucket emit, catalog
 discovery, render split, per-catalog write — is a plain Ray task over
-object refs; no Ray Data executor runs. On fresh_crawl the tail moves
-24k record rows (5 MB) into 7.5k entries, about 0.7 s of work in one
-process on one core of a 4-vCPU VM, so fixed per-stage scheduling
-costs, not data, set its time.
+object refs, each wave windowed to the free CPU slots
+(``ops/util.py::submit_windowed``); no Ray Data executor runs. On
+fresh_crawl the tail moves 24k record rows (5 MB) into 7.5k entries,
+about 0.7 s of work in one process on one core of a 4-vCPU VM, so
+fixed per-stage scheduling costs, not data, set its time.
 
 Old-catalog size contract: the previous run's catalogs are the
 reference's own output files (~15 MB committed snapshot) — dimension-
@@ -47,6 +48,7 @@ bucket pass, not a driver loop.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -55,7 +57,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..functions.hashing import md5_of_json
-from ..ops.util import stable_bucket
+from ..ops.util import stable_bucket, submit_windowed
 
 FLAT_CATALOGS = ("movies", "arabic-movies", "WeCima", "CimaNowMovies",
                  "hdwmovies")
@@ -92,8 +94,8 @@ def _catalogs_of(refs: list) -> list[str]:
     block, one gather — only catalog names reach the caller."""
     import ray
     block_r = ray.remote(_block_catalogs)
-    return sorted(set().union(*ray.get([block_r.remote(r)
-                                        for r in refs])))
+    return sorted(set().union(*ray.get(submit_windowed(
+        functools.partial(block_r.remote, r) for r in refs))))
 
 
 def _old_entry_table(old_catalogs: dict, new_cats: set[str]) -> pa.Table:
@@ -298,7 +300,11 @@ def assemble_records(records: rd.Dataset,
     on the 25k-page fresh_crawl benchmark at 2 CPUs, 64 at the
     2.4M-page bench on 32 CPUs. Every bucket is a task and every
     (block, bucket) pair an object, so on a small run a count not
-    tied to the input is paid in scheduling, not data."""
+    tied to the input is paid in scheduling, not data.
+
+    The split and emit waves each run through ``submit_windowed`` (2
+    wide on fresh_crawl's 2 CPUs, 32 at bench.py's 32-CPU assembly
+    session); the call returns after the emit wave has finished."""
     import ray
 
     refs = records.to_arrow_refs()
@@ -383,13 +389,14 @@ def assemble_records(records: rd.Dataset,
 
     split_r = ray.remote(split_block)
     emit_r = ray.remote(emit_bucket)
-    per_block = [split_r.options(num_returns=n_buckets).remote(
-        ref, n_buckets) for ref in refs]
+    split_n = split_r.options(num_returns=n_buckets)
+    per_block = submit_windowed(
+        functools.partial(split_n.remote, ref, n_buckets) for ref in refs)
     if n_buckets == 1:
         per_block = [[r] for r in per_block]
-    return rd.from_arrow_refs(
-        [emit_r.remote(*[blk[k] for blk in per_block])
-         for k in range(n_buckets)])
+    return rd.from_arrow_refs(submit_windowed(
+        functools.partial(emit_r.remote, *[blk[k] for blk in per_block])
+        for k in range(n_buckets)))
 
 
 # --------------------------------------------------------------------------
@@ -460,7 +467,12 @@ def write_catalogs_parallel(
     count, so it follows the input size). A render-inside-the-writer
     variant (shuffle raw payloads, render per catalog) was measured
     SLOWER (13.3-17 s vs 9.9-13.8 s same window at the 2.4M-page
-    bench): the biggest catalog's render serializes in one task."""
+    bench): the biggest catalog's render serializes in one task.
+
+    The three task waves — catalog discovery, render split and
+    per-catalog write — each run through ``submit_windowed``, no wider
+    than the free CPU slots (2 on fresh_crawl, 32 at bench.py's 32-CPU
+    assembly session), so none of them makes Ray prestart workers."""
     import hashlib
 
     import ray
@@ -531,14 +543,16 @@ def write_catalogs_parallel(
 
     split_r = ray.remote(render_split)
     write_r = ray.remote(write_catalog)
-    per_block = [split_r.options(num_returns=len(cats)).remote(ref, cats)
-                 for ref in refs]
+    split_n = split_r.options(num_returns=len(cats))
+    per_block = submit_windowed(
+        functools.partial(split_n.remote, ref, cats) for ref in refs)
     if len(cats) == 1:
         per_block = [[r] for r in per_block]
-    outs = [write_r.remote(os.path.join(out_dir, f"{c}.json"), c, chunk,
-                           *[blk[i] for blk in per_block])
-            for i, c in enumerate(cats)]
-    rows = ray.get(outs)
+    rows = ray.get(submit_windowed(
+        functools.partial(write_r.remote,
+                          os.path.join(out_dir, f"{c}.json"), c, chunk,
+                          *[blk[i] for blk in per_block])
+        for i, c in enumerate(cats)))
     res = pd.DataFrame({"catalog": [r[0] for r in rows],
                         "md5": [r[1] for r in rows],
                         "count": [r[2] for r in rows]})

@@ -28,6 +28,7 @@ The loop ends when every shard's heap is empty.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -47,6 +48,7 @@ from ..corpus.spans import pages_from_arrow
 from ..corpus.storage import CORPUS_SALTS, write_corpus
 from ..functions.hashing import stable_hash64
 from ..functions.urls import canonicalize_url
+from ..ops.util import submit_windowed
 from ..state.frontier import (
     _SORT_KEYS, PUSH_SCHEMA, FrontierShard, PolitenessConfig, push_table)
 from ..stages.adapters import extract_page, seed_rows
@@ -377,8 +379,11 @@ def _warm_worker(corpus_path: str) -> int:
     """Spawns the fetch workers and registers each one's fetcher so
     the timed crawl measures steady-state throughput, not cluster
     warmup (corpus partitions still load on first contact). The 0.5 s
-    hold forces Ray to fan tasks over distinct workers instead of
-    reusing one warm process."""
+    hold keeps every task of the warm-up wave busy at once, so Ray
+    leases one worker per task instead of reusing one warm process.
+    The crawl's own waves never start workers: they are windowed to
+    the free CPU slots (ops/util.py::submit_windowed), which these
+    workers already cover."""
     get_fetcher(corpus_path)
     time.sleep(0.5)
     return os.getpid()
@@ -454,7 +459,11 @@ class CrawlEngine:
     def warmup(self) -> int:
         """Spawn ~one worker per CPU and register each worker's
         fetcher. Optional; bench.py calls it so throughput timing starts
-        from a warm cluster."""
+        from a warm cluster. This is the only wave that starts workers
+        on purpose: it runs before the timed part and submits every
+        task at once. The round's block waves are at most the free CPU
+        slots wide (CPUs minus the 0.25 each frontier shard holds), so
+        they always find a warm worker."""
         refs = [_warm_worker.remote(self.corpus_path)
                 for _ in range(int(ray.cluster_resources().get("CPU", 4)))]
         return len(set(ray.get(refs)))
@@ -535,7 +544,18 @@ class CrawlEngine:
         fused fetch+extract+sink+push transform. Fetch state (loaded
         corpus partitions and their URL indexes) is cached per worker
         process (stages/fetch.py:get_fetcher) so warm workers carry it
-        across rounds with zero spin-up."""
+        across rounds with zero spin-up.
+
+        Blocks are submitted through ``submit_windowed``: no more in
+        flight than the CPU slots free when the round starts, the next
+        block going out as one finishes. Submitting the whole round at
+        once made the raylet prestart workers for the backlog: a
+        fresh_crawl run (2 Ray CPUs, 4 shards at 0.25) started 4 that
+        never ran a task, and its blocks alternated between two
+        workers' partition caches. The window there is 1 block wide
+        (2 CPUs - 1.0 held by the shards); at bench.py's 32-CPU shape
+        (8 shards) it is 30. ``driver_secs`` counts planning and
+        submit time only, not the window's waits."""
         t0 = time.perf_counter()
         out_dir = os.path.join(self.run_dir, "records",
                                f"round={self.round_idx:04d}")
@@ -572,8 +592,12 @@ class CrawlEngine:
                 for (k, _), r in zip(entries, slice_refs):
                     by_block[k][s] = r
             block_parts = [[d[s] for s in sorted(d)] for d in by_block]
-        refs = []
-        for k, parts in enumerate(parts_blocks):
+        plan_s = time.perf_counter() - t0
+        submit_s = 0.0
+
+        def submit(k: int, parts: list):
+            nonlocal submit_s
+            t = time.perf_counter()
             task = _crawl_block
             if self._use_affinity:
                 big = max(parts, key=lambda p: len(p[1]))[0]
@@ -581,7 +605,7 @@ class CrawlEngine:
                     scheduling_strategy=NodeAffinitySchedulingStrategy(
                         node_id=self._shard_nodes[live_idx[big]],
                         soft=True))
-            refs.append(task.remote(
+            ref = task.remote(
                 block_parts[k] if block_parts is not None else parts,
                 [table_refs, self.corpus_path, self.state_ref],
                 self.shards, self.n_shards,
@@ -589,9 +613,14 @@ class CrawlEngine:
                 os.path.join(pages_dir, f"part-{k:05d}.parquet"),
                 os.path.join(dead_dir, f"part-{k:05d}.parquet"),
                 self.max_attempts,
-                presplit=block_parts is not None))
-        self.metrics["driver_secs"].append(
-            round(time.perf_counter() - t0, 3))
+                presplit=block_parts is not None)
+            submit_s += time.perf_counter() - t
+            return ref
+
+        refs = submit_windowed(functools.partial(submit, k, parts)
+                               for k, parts in enumerate(parts_blocks))
+        # planning + submit only: the window's waits are block run time
+        self.metrics["driver_secs"].append(round(plan_s + submit_s, 3))
         results = ray.get(refs)
         # per-round gather-byte ledger (pre-split mode only, where a
         # slice's pre-get plasma location is an exact transfer oracle)
