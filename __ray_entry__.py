@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 
 import no_fasel_scrapers_ray
+from no_fasel_scrapers_ray.ops.util import key_shuffle
 
 # Workers must run this package's closures even though the driver
 # ray.init()s before /root/repo is on any worker's import path.
@@ -164,7 +165,7 @@ def q_nested_rollup(sf_dir: str):
         batch_format="pandas")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
-    joined = bucketed_join(orders, per_order, on="o_orderkey", n_buckets=16)
+    joined = bucketed_join(orders, per_order, on="o_orderkey")
     out = preagg_sum_count(joined, ["o_custkey"],
                            {"n_items": "n_items", "order_qty": "total_qty"},
                            count_alias="n_orders")
@@ -276,8 +277,7 @@ def q_distinct_suppliers(sf_dir: str):
                rows_per_block=65536)
 
     def partial(batch: pd.DataFrame) -> pa.Table:
-        d = batch.drop_duplicates(["l_partkey", "l_suppkey"]).copy()
-        d["__bucket"] = (d["l_partkey"] % 64).astype("int64")
+        d = batch.drop_duplicates(["l_partkey", "l_suppkey"])
         return pa.Table.from_pandas(d, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -286,8 +286,8 @@ def q_distinct_suppliers(sf_dir: str):
             columns={"size": "n_suppliers"})
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (li.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(li.map_batches(partial, batch_format="pandas"),
+                       final, ["l_partkey"], batch_format="pandas")
 
 
 # --------------------------------------------------------------------------
@@ -1300,7 +1300,6 @@ def _part_cooccurrence_edges(sf_dir: str):
     import pyarrow as pa
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
                rows_per_block=65536)
-    B = 64
     HALF = np.int64(1 << 31)
 
     def tag(b: pa.Table) -> pa.Table:
@@ -1311,8 +1310,10 @@ def _part_cooccurrence_edges(sf_dir: str):
         if len(k) and (int(k.max()) >= 1 << 32 or int(p.max()) >= HALF):
             raise ValueError("edge key packing needs orderkey < 2^32 "
                              "and partkey < 2^31; compact ids first")
-        kp = np.unique(k * HALF + p)
-        return pa.table({"kp": kp, "__bucket": (kp // HALF) & (B - 1)})
+        return pa.table({"kp": np.unique(k * HALF + p)})
+
+    def order_of(b) -> np.ndarray:
+        return np.asarray(b["kp"].to_numpy()) // HALF
 
     def gen_pairs(g: "pd.DataFrame") -> pa.Table:
         kp = np.unique(g["kp"].to_numpy(np.int64))  # cross-batch dedup
@@ -1327,22 +1328,19 @@ def _part_cooccurrence_edges(sf_dir: str):
             bl.append(p[j:][same])
             j += 1
         if not al:
-            return pa.table({"ab": np.array([], dtype=np.int64),
-                             "__bucket": np.array([], dtype=np.int64)})
+            return pa.table({"ab": np.array([], dtype=np.int64)})
         x = np.concatenate(al)
         y = np.concatenate(bl)
-        ab = np.unique(np.minimum(x, y) * HALF + np.maximum(x, y))
-        return pa.table({"ab": ab, "__bucket": ab & (B - 1)})
+        return pa.table({"ab": np.unique(np.minimum(x, y) * HALF
+                                         + np.maximum(x, y))})
 
     def dedup(g: "pd.DataFrame") -> pa.Table:
         ab = np.unique(g["ab"].to_numpy(np.int64))
         return pa.table({"a": ab // HALF, "b": ab & (HALF - 1)})
 
-    return (li.map_batches(tag, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(gen_pairs,
-                                            batch_format="pandas")
-            .groupby("__bucket").map_groups(dedup,
-                                            batch_format="pandas"))
+    pairs = key_shuffle(li.map_batches(tag, batch_format="pyarrow"),
+                        gen_pairs, order_of, batch_format="pandas")
+    return key_shuffle(pairs, dedup, ["ab"], batch_format="pandas")
 
 
 def q_triangle_parts(sf_dir: str, tier3: bool = False):
@@ -1787,7 +1785,6 @@ def q_inverted_index(sf_dir: str):
     postings in doc_id order. Oracle: string_agg(... ORDER BY) with
     HAVING on the same distinct pairs."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import stable_bucket_cols
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -1798,11 +1795,10 @@ def q_inverted_index(sf_dir: str):
             "term": flat.to_numpy(),
             "doc_id": b["doc_id"].to_numpy()[
                 flat.index.to_numpy()]}).drop_duplicates()
-        d = d.reset_index(drop=True)
-        return d.assign(__bucket=stable_bucket_cols(d, ["term"], 64))
+        return d.reset_index(drop=True)
 
     def build(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns="__bucket").drop_duplicates()
+        g = (g.drop_duplicates()
              .sort_values(["term", "doc_id"], kind="stable"))
         g["doc_s"] = g["doc_id"].astype(str)
         r = g.groupby("term", sort=False).agg(
@@ -1813,8 +1809,8 @@ def q_inverted_index(sf_dir: str):
     def pairs_reset(b: pd.DataFrame) -> pd.DataFrame:
         return pairs(b.reset_index(drop=True))
 
-    return (docs.map_batches(pairs_reset, batch_format="pandas")
-            .groupby("__bucket").map_groups(build, batch_format="pandas"))
+    return key_shuffle(docs.map_batches(pairs_reset, batch_format="pandas"),
+                       build, ["term"], batch_format="pandas")
 
 
 def q_approx_price_quartiles(sf_dir: str):
@@ -2233,7 +2229,7 @@ def q_late_sole_supplier(sf_dir: str):
     formulations check each other."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_reduce, stable_bucket_cols)
+        bucketed_join, preagg_reduce)
     LATE_US = 45 * 86400 * 1_000_000
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"],
                    rows_per_block=65536).map_batches(
@@ -2253,10 +2249,6 @@ def q_late_sole_supplier(sf_dir: str):
         batch_format="pandas")
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(__bucket=stable_bucket_cols(
-            b, ["o_orderkey"], 64))
-
     def per_order(g: pd.DataFrame) -> pd.DataFrame:
         n_supp = g.groupby("o_orderkey")["l_suppkey"].nunique()
         late = g[g["ship_us"].to_numpy()
@@ -2268,9 +2260,8 @@ def q_late_sole_supplier(sf_dir: str):
         ok = (n_late == 1) & (n_supp.reindex(n_late.index) >= 2)
         return pd.DataFrame({"s_suppkey": sole[ok].to_numpy(np.int64)})
 
-    charged = (j.map_batches(tag, batch_format="pandas")
-               .groupby("__bucket")
-               .map_groups(per_order, batch_format="pandas"))
+    charged = key_shuffle(j, per_order, ["o_orderkey"],
+                          batch_format="pandas")
     return preagg_reduce(charged, ["s_suppkey"], "numwait", "count")
 
 
@@ -2349,7 +2340,7 @@ def q_pack_token_windows(sf_dir: str):
     boundaries — the GPT-style packer. The global token offset is a
     distributed ordered PREFIX SUM (`ops/relational.py::
     ordered_prefix_sum` — range partitions, per-range sums to the
-    driver, broadcast base offsets; driver state is n_buckets ints).
+    driver, broadcast base offsets; driver state is one int per range).
     Token counts are zero-copy Arrow (count_substring), single-space
     split to mirror SQL's string_split exactly."""
     import pyarrow as pa
@@ -2389,7 +2380,6 @@ def _fulfillment_edges(sf_dir: str, qty_eq: int | None = None):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import bucketed_join
     HALF = np.int64(1 << 31)
-    B = 64
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li_cols = ["l_orderkey", "l_suppkey"] + (
@@ -2414,17 +2404,14 @@ def _fulfillment_edges(sf_dir: str, qty_eq: int | None = None):
         if len(c) and (int(c.max()) >= HALF or int(s.max()) >= HALF):
             raise ValueError("edge key packing needs ids < 2^31; "
                              "compact ids first")
-        cs = np.unique(c * HALF + s)
-        return pa.table({"cs": cs, "__bucket": cs & (B - 1)})
+        return pa.table({"cs": np.unique(c * HALF + s)})
 
     def dedup(g: "pd.DataFrame") -> pa.Table:
         cs = np.unique(g["cs"].to_numpy(np.int64))
         return pa.table({"c": cs // HALF, "s": cs & (HALF - 1)})
 
-    return (j.map_batches(pack, batch_format="pandas")
-            .groupby("__bucket").map_groups(dedup,
-                                            batch_format="pandas")
-            .materialize())
+    return key_shuffle(j.map_batches(pack, batch_format="pandas"), dedup,
+                       ["cs"], batch_format="pandas").materialize()
 
 
 def q_graph_walks(sf_dir: str):
@@ -2519,16 +2506,11 @@ def q_user_event_entropy(sf_dir: str):
     and rounded to 6 dp on both engines (the pagerank float contract —
     ln is correctly rounded on both, residue is ~1e-16)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        preagg_reduce, stable_bucket_cols)
+    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
     ev = _read(sf_dir, "events", ["user_id", "event_type"],
                rows_per_block=65536)
     counts = preagg_reduce(ev, ["user_id", "event_type"], "n_i",
                            "count")
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(__bucket=stable_bucket_cols(
-            b, ["user_id"], 64))
 
     def entropy(g: pd.DataFrame) -> pd.DataFrame:
         n_i = g["n_i"].to_numpy(np.int64).astype(np.float64)
@@ -2544,9 +2526,7 @@ def q_user_event_entropy(sf_dir: str):
             "user_id": s["user_id"].to_numpy(),
             "entropy": np.round(np.log(n) - s["t"].to_numpy() / n, 6)})
 
-    return (counts.map_batches(tag, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(entropy, batch_format="pandas"))
+    return key_shuffle(counts, entropy, ["user_id"], batch_format="pandas")
 
 
 def q_top_suppliers_per_nation(sf_dir: str):
@@ -3096,12 +3076,9 @@ def q_copurchase_pairs(sf_dir: str):
     combine) and the global top-25 runs on per-block top-25 survivors
     under the deterministic (count desc, p1, p2) total order."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        _bucket_tagger, preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
                rows_per_block=65536)
-    tagged = li.map_batches(_bucket_tagger(["l_orderkey"], 64),
-                            batch_format="pandas")
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         items = g[["l_orderkey", "l_partkey"]].drop_duplicates()
@@ -3110,8 +3087,7 @@ def q_copurchase_pairs(sf_dir: str):
         return pd.DataFrame({"p1": m["l_partkey_a"].to_numpy(),
                              "p2": m["l_partkey_b"].to_numpy()})
 
-    pair_ds = tagged.groupby("__bucket").map_groups(
-        pairs, batch_format="pandas")
+    pair_ds = key_shuffle(li, pairs, ["l_orderkey"], batch_format="pandas")
     counts = preagg_reduce(pair_ds, ["p1", "p2"], "n_orders", "count")
 
     def block_topk(b: pd.DataFrame) -> pd.DataFrame:
@@ -3137,11 +3113,9 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
     GROUP BY HAVING."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
-        _bucket_tagger, broadcast_get, preagg_reduce)
+        broadcast_get, preagg_reduce)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
-               rows_per_block=65536)
-    tagged = li.map_batches(_bucket_tagger(["l_orderkey"], 64),
-                            batch_format="pandas").materialize()
+               rows_per_block=65536).materialize()
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         items = g[["l_orderkey", "l_partkey"]].drop_duplicates()
@@ -3151,8 +3125,7 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
                              "p2": m["l_partkey_b"].to_numpy()})
 
     pair_counts = preagg_reduce(
-        tagged.groupby("__bucket").map_groups(
-            pairs, batch_format="pandas"),
+        key_shuffle(li, pairs, ["l_orderkey"], batch_format="pandas"),
         ["p1", "p2"], "n", "count")
     freq = pair_counts.map_batches(
         lambda b: b[b["n"] >= minsup][["p1", "p2"]],
@@ -3179,8 +3152,7 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
         return t.merge(c, on=["i", "j", "k"], how="inner")
 
     sup = preagg_reduce(
-        tagged.groupby("__bucket").map_groups(
-            triples, batch_format="pandas"),
+        key_shuffle(li, triples, ["l_orderkey"], batch_format="pandas"),
         ["i", "j", "k"], "support", "count")
     return sup.map_batches(
         lambda b: b[b["support"] >= minsup],
@@ -3199,7 +3171,6 @@ def q_ewma_user_spend(sf_dir: str):
     sum is order-independent and bit-identical to the oracle's, with
     ONE mirrored float division at the end."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import _bucket_tagger
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"],
                rows_per_block=65536)
@@ -3212,10 +3183,6 @@ def q_ewma_user_spend(sf_dir: str):
             "ts_us": b["ts"].astype("datetime64[us]")
                      .astype("int64").to_numpy(),
             "value": b["value"].to_numpy()})
-
-    tagged = ev.map_batches(proj, batch_format="pandas") \
-        .map_batches(_bucket_tagger(["user_id"], 64),
-                     batch_format="pandas")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -3237,8 +3204,8 @@ def q_ewma_user_spend(sf_dir: str):
         return pd.DataFrame({"user_id": s["user_id"].to_numpy(),
                              "ewma_spend": s["u"].to_numpy() / 1e6})
 
-    return tagged.groupby("__bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return key_shuffle(ev.map_batches(proj, batch_format="pandas"),
+                       per_bucket, ["user_id"], batch_format="pandas")
 
 
 def q_lpa_communities(sf_dir: str, tier3: bool = False):
@@ -3258,7 +3225,7 @@ def q_lpa_communities(sf_dir: str, tier3: bool = False):
             "c": b["c"].to_numpy(np.int64),
             "s": b["s"].to_numpy(np.int64) + OFF}),
         batch_format="pandas")
-    kw = dict(small_threshold=0, n_buckets=8) if tier3 else {}
+    kw = dict(small_threshold=0) if tier3 else {}
     return label_propagation(edges, "c", "s", rounds=3, **kw)
 
 
@@ -3379,7 +3346,6 @@ def q_corpus_mix_sample(sf_dir: str, budget: int = 3_000):
     (the running_total contract: a source's docs meet in one group).
     Oracle: window SUM over the same hash order."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import _bucket_tagger
     docs = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
     MIX = np.uint64(2654435761)
     M32 = np.uint64(0xFFFFFFFF)
@@ -3390,10 +3356,6 @@ def q_corpus_mix_sample(sf_dir: str, budget: int = 3_000):
                    * MIX) & M32).astype(np.int64)
         return b
 
-    add_bucket = _bucket_tagger(["source"], 16,
-                                cols=["doc_id", "source",
-                                      "n_chars", "h"])
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "h", "doc_id"], kind="stable")
         cum = g.groupby("source", sort=False)["n_chars"].cumsum()
@@ -3401,10 +3363,8 @@ def q_corpus_mix_sample(sf_dir: str, budget: int = 3_000):
         out["cum_chars"] = cum[cum <= budget]
         return out[["doc_id", "source", "cum_chars"]]
 
-    return (docs.map_batches(tag, batch_format="pandas")
-            .map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return key_shuffle(docs.map_batches(tag, batch_format="pandas"),
+                       per_bucket, ["source"], batch_format="pandas")
 
 
 def q_twa_user_value(sf_dir: str):
@@ -3416,11 +3376,7 @@ def q_twa_user_value(sf_dir: str):
     µs-gaps, bounded by max_cents × time range < 2^63). Oracle: lead()
     window + the mirrored float division."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import _bucket_tagger
     p = _purchase_events(sf_dir, with_cents=True)
-    add_bucket = _bucket_tagger(["user_id"], 64,
-                                cols=["user_id", "event_id",
-                                      "ts_us", "cents"])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -3441,9 +3397,9 @@ def q_twa_user_value(sf_dir: str):
                 agg["numer"].to_numpy(np.float64)
                 / (agg["hi"] - agg["lo"]).to_numpy(np.float64), 6)})
 
-    return (p.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return key_shuffle(
+        p.select_columns(["user_id", "event_id", "ts_us", "cents"]),
+        per_bucket, ["user_id"], batch_format="pandas")
 
 
 def q_embedding_stats(sf_dir: str):
@@ -3666,7 +3622,7 @@ def q_bfs_fulfillment(sf_dir: str, tier3: bool = False):
                  lambda b: b[b["c_nationkey"].to_numpy() == 0]
                  [["c_custkey"]], batch_format="pandas")
              .to_pandas()["c_custkey"].to_numpy(np.int64))
-    kw = dict(small_threshold=0, n_buckets=8) if tier3 else {}
+    kw = dict(small_threshold=0) if tier3 else {}
     return bfs_hops(edges, "c", "s", seeds, max_hops=4, **kw)
 
 
@@ -4152,7 +4108,6 @@ def q_dominant_part_suppliers(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, preagg_sum_count)
-    from no_fasel_scrapers_ray.ops.util import stable_bucket_cols
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
     want = np.sort(part.loc[part["p_type"] == "LARGE", "p_partkey"]
@@ -4183,9 +4138,6 @@ def q_dominant_part_suppliers(sf_dir: str):
     ps = preagg_sum_count(li.map_batches(prep, batch_format="pandas"),
                           ["l_partkey", "l_suppkey"], {"qty": "qty"})
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(__b2=stable_bucket_cols(b, ["l_partkey"], 64))
-
     def dominant(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby("l_partkey")["qty"]
         tot = grp.transform("sum").to_numpy()
@@ -4201,8 +4153,7 @@ def q_dominant_part_suppliers(sf_dir: str):
             "qty": qty[keep],
             "part_total": tot[keep]})
 
-    return (ps.map_batches(tag, batch_format="pandas")
-            .groupby("__b2").map_groups(dominant, batch_format="pandas"))
+    return key_shuffle(ps, dominant, ["l_partkey"], batch_format="pandas")
 
 
 def q_event_transitions(sf_dir: str):
@@ -4286,7 +4237,7 @@ def q_theil_customer_spend(sf_dir: str):
 
     spend = preagg_reduce(orders.map_batches(prep,
                                              batch_format="pandas"),
-                          ["u"], "x", "sum", n_buckets=16)
+                          ["u"], "x", "sum")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = b["x"].to_numpy(np.int64)
@@ -4931,7 +4882,7 @@ def _event_user_counts(sf_dir: str, et: str, alias: str):
             "user_id": b["user_id"].to_numpy(np.int64)[
                 b["event_type"].to_numpy() == et]}),
         batch_format="pandas")
-    return preagg_reduce(s, ["user_id"], alias, "count", n_buckets=16)
+    return preagg_reduce(s, ["user_id"], alias, "count")
 
 
 def q_intersect_all_users(sf_dir: str):
@@ -4946,7 +4897,7 @@ def q_intersect_all_users(sf_dir: str):
 
     j = bucketed_join(_event_user_counts(sf_dir, "click", "nl"),
                       _event_user_counts(sf_dir, "purchase", "nr"),
-                      on="user_id", how="inner", n_buckets=16)
+                      on="user_id", how="inner")
 
     def expand(b: pd.DataFrame) -> pd.DataFrame:
         u = b["user_id"].to_numpy(np.int64)
@@ -4970,7 +4921,7 @@ def q_except_all_clicks(sf_dir: str):
 
     j = bucketed_join(_event_user_counts(sf_dir, "click", "nl"),
                       _event_user_counts(sf_dir, "purchase", "nr"),
-                      on="user_id", how="left", n_buckets=16)
+                      on="user_id", how="left")
 
     def expand(b: pd.DataFrame) -> pd.DataFrame:
         u = b["user_id"].to_numpy(np.int64)
@@ -5050,8 +5001,7 @@ def q_nation_priority_kl(sf_dir: str):
                              "pr": b["o_orderpriority"].to_numpy()})
 
     counts = preagg_reduce(orders.map_batches(tag, batch_format="pandas"),
-                           ["nation", "pr"], "n", "count",
-                           n_buckets=8).to_pandas()
+                           ["nation", "pr"], "n", "count").to_pandas()
     tn = counts.groupby("nation")["n"].transform("sum").to_numpy(
         np.float64)
     gn = counts.groupby("pr")["n"].transform("sum").to_numpy(np.float64)
@@ -5089,8 +5039,7 @@ def q_grouping_sets_orders(sf_dir: str):
     pairs = preagg_sum_count(orders.map_batches(prep,
                                                 batch_format="pandas"),
                              ["pr", "st"], {"cents": "total_cents"},
-                             count_alias="n_orders",
-                             n_buckets=4).to_pandas()
+                             count_alias="n_orders").to_pandas()
     by_pr = pairs.groupby("pr", as_index=False).agg(
         n_orders=("n_orders", "sum"), total_cents=("total_cents", "sum"))
     by_pr["st"] = "ALL"
@@ -5180,7 +5129,7 @@ def q_msf_fulfillment(sf_dir: str, force_distributed: bool = False,
         return pd.DataFrame({"u": c + (1 << 40), "v": s, "w": w})
 
     edges = cs.map_batches(weight, batch_format="pandas")
-    kw = ({"small_threshold": 0, "tier3_threshold": 0, "n_buckets": 8}
+    kw = ({"small_threshold": 0, "tier3_threshold": 0}
           if tier3 else
           {"small_threshold": (0 if force_distributed else 1 << 18)})
     return minimum_spanning_forest(edges, **kw)
@@ -5197,8 +5146,7 @@ def q_top_session_paths(sf_dir: str):
     tiny global sort (the top_terms shape). Oracle: window
     sessionization + ordered string_agg."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (_bucket_tagger,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
                                   "ts"], rows_per_block=65536)
     GAP_US = 30 * 60 * 1000000
@@ -5210,9 +5158,6 @@ def q_top_session_paths(sf_dir: str):
             "event_type": b["event_type"].to_numpy(),
             "ts_us": b["ts"].to_numpy().astype("datetime64[us]")
             .astype(np.int64)})
-
-    tagged = ev.map_batches(prep, batch_format="pandas").map_batches(
-        _bucket_tagger(["user_id"], 32), batch_format="pandas")
 
     def paths(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -5234,10 +5179,9 @@ def q_top_session_paths(sf_dir: str):
         return pd.DataFrame({"path": vc.index.to_numpy(object),
                              "n": vc.to_numpy(np.int64)})
 
-    partials = tagged.groupby("__bucket").map_groups(
-        paths, batch_format="pandas")
-    counts = preagg_reduce(partials, ["path"], "n", "sum",
-                           n_buckets=8)
+    partials = key_shuffle(ev.map_batches(prep, batch_format="pandas"),
+                           paths, ["user_id"], batch_format="pandas")
+    counts = preagg_reduce(partials, ["path"], "n", "sum")
 
     def block_top(b: pd.DataFrame) -> pd.DataFrame:
         return b.sort_values(["n", "path"],
@@ -5278,9 +5222,8 @@ def q_interpolate_hourly(sf_dir: str):
 
     hourly = grouped_multi_agg(
         ev.map_batches(prep, batch_format="pandas"), ["hr_us"],
-        {"sum_cents": ("cents", "sum"), "n": ("cents", "count")},
-        n_buckets=8).to_pandas().sort_values("hr_us",
-                                             ignore_index=True)
+        {"sum_cents": ("cents", "sum"), "n": ("cents", "count")}
+    ).to_pandas().sort_values("hr_us", ignore_index=True)
     hrs = hourly["hr_us"].to_numpy(np.int64)
     v = (hourly["sum_cents"].to_numpy(np.int64).astype(np.float64)
          / hourly["n"].to_numpy(np.int64) / 100.0)
@@ -5401,7 +5344,7 @@ def q_sssp_nations(sf_dir: str, force_bsp: bool = False):
                              "v": np.concatenate([v, u])})
 
     dn = preagg_reduce(cs.map_batches(to_nations, batch_format="pandas"),
-                       ["u", "v"], "__n", "count", n_buckets=4)
+                       ["u", "v"], "__n", "count")
 
     def weight(b: pd.DataFrame) -> pd.DataFrame:
         u = b["u"].to_numpy(np.int64)
@@ -5409,7 +5352,7 @@ def q_sssp_nations(sf_dir: str, force_bsp: bool = False):
         return pd.DataFrame({"u": u, "v": v, "w": (u + v) % 5 + 1})
 
     edges = dn.map_batches(weight, batch_format="pandas")
-    out = weighted_sssp(edges, source=0, n_buckets=4,
+    out = weighted_sssp(edges, source=0,
                         small_threshold=(0 if force_bsp else 1 << 18))
 
     def render(b: pd.DataFrame) -> pd.DataFrame:
@@ -5449,7 +5392,7 @@ def q_rfm_segments(sf_dir: str):
     prof = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"), ["o_custkey"],
         {"last_us": ("od_us", "max"), "freq": ("od_us", "count"),
-         "mon_cents": ("cents", "sum")}, n_buckets=16).materialize()
+         "mon_cents": ("cents", "sum")}).materialize()
     gmax = int(prof.max("last_us"))
 
     def add_rec(b: pd.DataFrame) -> pd.DataFrame:
@@ -5461,9 +5404,9 @@ def q_rfm_segments(sf_dir: str):
         global_ntile(
             global_ntile(
                 prof.map_batches(add_rec, batch_format="pandas"),
-                "rec_days", ["o_custkey"], 5, "r_score", n_buckets=16),
-            "freq", ["o_custkey"], 5, "f_score", n_buckets=16),
-        "mon_cents", ["o_custkey"], 5, "m_score", n_buckets=16)
+                "rec_days", ["o_custkey"], 5, "r_score"),
+            "freq", ["o_custkey"], 5, "f_score"),
+        "mon_cents", ["o_custkey"], 5, "m_score")
 
     def render(b: pd.DataFrame) -> pd.DataFrame:
         r = b["r_score"].to_numpy(np.int64)
@@ -5518,11 +5461,11 @@ def q_gini_nation_spend(sf_dir: str):
 
     spend = grouped_multi_agg(
         orders.map_batches(tag, batch_format="pandas"),
-        ["nation", "cust"], {"cents": ("cents", "sum")}, n_buckets=16)
+        ["nation", "cust"], {"cents": ("cents", "sum")})
     vals = preagg_reduce(
         spend.map_batches(
             lambda b: b[["nation", "cents"]], batch_format="pandas"),
-        ["nation", "cents"], "k", "count", n_buckets=8)
+        ["nation", "cents"], "k", "count")
 
     def gini(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("cents", ignore_index=True)
@@ -5572,7 +5515,7 @@ def q_acf_daily_revenue(sf_dir: str):
 
     daily = grouped_multi_agg(
         ev.map_batches(prep, batch_format="pandas"), ["day_us"],
-        {"cents": ("cents", "sum")}, n_buckets=8).to_pandas()
+        {"cents": ("cents", "sum")}).to_pandas()
     daily = daily.sort_values("day_us", ignore_index=True)
     x = daily["cents"].to_numpy(np.int64)
     n = len(x)
@@ -5758,8 +5701,7 @@ def q_ztest_urgent_nation(sf_dir: str):
     a = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"),
         ["c_nationkey"], {"n_orders": ("one", "sum"),
-                          "n_urgent": ("urgent", "sum")},
-        n_buckets=8).to_pandas()
+                          "n_urgent": ("urgent", "sum")}).to_pandas()
     N = float(int(a["n_orders"].sum()))
     X = float(int(a["n_urgent"].sum()))
     n = a["n_orders"].to_numpy(np.int64).astype(np.float64)
@@ -5798,7 +5740,7 @@ def q_cusum_daily_revenue(sf_dir: str):
 
     daily = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"), ["day_us"],
-        {"r": ("cents", "sum")}, n_buckets=8).to_pandas()
+        {"r": ("cents", "sum")}).to_pandas()
     daily = daily.sort_values("day_us", ignore_index=True)
     r = daily["r"].to_numpy(np.int64)
     nf = float(len(r))
@@ -5861,9 +5803,8 @@ def _discount_rank_stats(sf_dir: str) -> tuple[float, float, float,
 
     counts = grouped_multi_agg(
         li.map_batches(prep, batch_format="pandas"), ["v"],
-        {"cnt": ("one", "sum"), "cnt_a": ("f", "sum")}, n_buckets=16)
-    ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum",
-                                n_buckets=16)
+        {"cnt": ("one", "sum"), "cnt_a": ("f", "sum")})
+    ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
     cols = ("s2ra", "tie", "na", "n")
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -5987,18 +5928,15 @@ def q_ks_urgent_price(sf_dir: str):
 
     counts = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"), ["v"],
-        {"cnt": ("one", "sum"), "ca": ("f", "sum")},
-        n_buckets=16).materialize()
+        {"cnt": ("one", "sum"), "ca": ("f", "sum")}).materialize()
     n = int(counts.sum("cnt") or 0)
     n1 = int(counts.sum("ca") or 0)
     n0 = n - n1
     if n1 * n0 >= 1 << 53:
         raise ValueError("ks_urgent_price: n1*n0 exceeds 2^53 — the "
                          "exact double division needs a wider type")
-    ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum",
-                                n_buckets=16)
-    ranked = ordered_prefix_sum(ranked, "v", "ca", "__cuma",
-                                n_buckets=16)
+    ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
+    ranked = ordered_prefix_sum(ranked, "v", "ca", "__cuma")
 
     def block_max(b: pd.DataFrame) -> pd.DataFrame:
         s1 = b["__cuma"].to_numpy(np.int64) + b["ca"].to_numpy(np.int64)
@@ -6048,10 +5986,8 @@ def q_kruskal_wallis_price(sf_dir: str):
     counts = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"), ["v"],
         dict({"cnt": ("one", "sum")},
-             **{f"c{j}": (f"g{j}", "sum") for j in range(1, K + 1)}),
-        n_buckets=16)
-    ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum",
-                                n_buckets=16)
+             **{f"c{j}": (f"g{j}", "sum") for j in range(1, K + 1)}))
+    ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
     cols = [f"s{j}" for j in range(1, K + 1)] +            [f"n{j}" for j in range(1, K + 1)] + ["tie", "n"]
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -6125,7 +6061,7 @@ def q_cramers_v_nation_priority(sf_dir: str):
 
     a = preagg_reduce(orders.map_batches(prep, batch_format="pandas"),
                       ["c_nationkey", "o_orderpriority"], "n",
-                      "count", n_buckets=8).to_pandas()
+                      "count").to_pandas()
     rn = a.groupby("c_nationkey")["n"].transform("sum")         .to_numpy(np.int64).astype(np.float64)
     cnn = a.groupby("o_orderpriority")["n"].transform("sum")         .to_numpy(np.int64).astype(np.float64)
     tot = float(int(a["n"].sum()))
@@ -6180,8 +6116,7 @@ def q_jsd_region_priority(sf_dir: str):
                 b["o_orderpriority"].to_numpy()[keep]})
 
     a = preagg_reduce(orders.map_batches(prep, batch_format="pandas"),
-                      ["reg", "o_orderpriority"], "n", "count",
-                      n_buckets=8).to_pandas()
+                      ["reg", "o_orderpriority"], "n", "count").to_pandas()
     piv = a.pivot_table(index="o_orderpriority", columns="reg",
                         values="n", aggfunc="sum",
                         fill_value=0)
@@ -6316,7 +6251,7 @@ def q_chisq_nation_priority(sf_dir: str):
 
     a = preagg_reduce(orders.map_batches(prep, batch_format="pandas"),
                       ["c_nationkey", "o_orderpriority"], "n",
-                      "count", n_buckets=8).to_pandas()
+                      "count").to_pandas()
     rn = a.groupby("c_nationkey")["n"].transform("sum") \
         .to_numpy(np.int64).astype(np.float64)
     cnn = a.groupby("o_orderpriority")["n"].transform("sum") \
@@ -6342,7 +6277,7 @@ def q_mutual_info_priority_status(sf_dir: str):
                    ["o_orderpriority", "o_orderstatus"],
                    rows_per_block=65536)
     a = preagg_reduce(orders, ["o_orderpriority", "o_orderstatus"],
-                      "n", "count", n_buckets=8).to_pandas()
+                      "n", "count").to_pandas()
     npp = a.groupby("o_orderpriority")["n"].transform("sum") \
         .to_numpy(np.int64).astype(np.float64)
     ns = a.groupby("o_orderstatus")["n"].transform("sum") \
@@ -6521,8 +6456,8 @@ def q_psi_order_value_drift(sf_dir: str):
 
     a = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"), ["bin"],
-        {"n_ref": ("ref", "sum"), "n_cur": ("cur", "sum")},
-        n_buckets=8).to_pandas().sort_values("bin", ignore_index=True)
+        {"n_ref": ("ref", "sum"), "n_cur": ("cur", "sum")}
+    ).to_pandas().sort_values("bin", ignore_index=True)
     if (a["n_ref"].to_numpy() == 0).any() or \
             (a["n_cur"].to_numpy() == 0).any():
         raise ValueError("psi: a bin has support in only one window; "
@@ -6678,8 +6613,7 @@ def q_lift_table_urgent(sf_dir: str):
 
     cust = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"), ["c"],
-        {"spend": ("cents", "sum"), "pos": ("urgent", "max")},
-        n_buckets=16)
+        {"spend": ("cents", "sum"), "pos": ("urgent", "max")})
 
     def neg_spend(b: pd.DataFrame) -> pd.DataFrame:
         # descending deciles via ascending ntile on the negated spend
@@ -6692,9 +6626,8 @@ def q_lift_table_urgent(sf_dir: str):
                          "neg", ["c"], 10, "decile")
     agg = grouped_multi_agg(
         tiled, ["decile"],
-        {"n_cust": ("pos", "count"), "n_pos": ("pos", "sum")},
-        n_buckets=4).to_pandas().sort_values("decile",
-                                             ignore_index=True)
+        {"n_cust": ("pos", "count"), "n_pos": ("pos", "sum")}
+    ).to_pandas().sort_values("decile", ignore_index=True)
     n_tot = float(int(agg["n_cust"].sum()))
     pos_tot = float(int(agg["n_pos"].sum()))
     nc = agg["n_cust"].to_numpy(np.int64).astype(np.float64)
@@ -6753,8 +6686,8 @@ def _ship_delay_day_counts(sf_dir: str,
     if with_group:
         specs.update({"d1": ("d1", "sum"), "l1": ("l1", "sum")})
     return grouped_multi_agg(
-        j.map_batches(delay, batch_format="pandas"), ["t"], specs,
-        n_buckets=8).to_pandas().sort_values("t", ignore_index=True)
+        j.map_batches(delay, batch_format="pandas"), ["t"], specs
+    ).to_pandas().sort_values("t", ignore_index=True)
 
 
 def q_km_return_survival(sf_dir: str):

@@ -39,7 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .util import cached_instance, stable_bucket
+from .util import cached_instance, key_shuffle
 
 # MinHash parameters: 64 permutations in 8 bands of 8 rows.
 N_PERM = 64
@@ -131,14 +131,13 @@ def _batch_token_hashes(texts, shingle: int, counts: bool = False):
     return out
 
 
-def exact_dedup_key(docs: rd.Dataset, key_expr: str = "full",
-                    n_buckets: int = 64) -> rd.Dataset:
+def exact_dedup_key(docs: rd.Dataset, key_expr: str = "full") -> rd.Dataset:
     """Exact dedup groups: md5(text) (or a 20-char-prefix key) →
     representative = min(doc_id), group size.
 
     Two-stage bucketed hash aggregate (the scale-safe groupby shape
     from ops.relational): per-batch partials (one row per hash per
-    batch), then a 64-bucket shuffle with the final combine per bucket
+    batch), then one key shuffle with the final combine per bucket
     — Ray's sort-based aggregate on this max-cardinality key measured
     221 s at sf0.1 for the same answer. md5 itself must stay md5: the
     hex digest IS the output column the DuckDB oracle compares.
@@ -153,7 +152,6 @@ def exact_dedup_key(docs: rd.Dataset, key_expr: str = "full",
         g = (pd.DataFrame({"content_hash": keys, "doc_id": batch["doc_id"]})
              .groupby("content_hash", as_index=False)
              .agg(rep_doc_id=("doc_id", "min"), n_docs=("doc_id", "size")))
-        g["__bucket"] = stable_bucket(g["content_hash"], n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -161,8 +159,8 @@ def exact_dedup_key(docs: rd.Dataset, key_expr: str = "full",
              .agg(rep_doc_id=("rep_doc_id", "min"), n_docs=("n_docs", "sum")))
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (docs.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(docs.map_batches(partial, batch_format="pandas"),
+                       final, ["content_hash"], batch_format="pandas")
 
 
 class MinHasher:
@@ -212,9 +210,6 @@ class MinHasher:
             "doc_id": doc_ids,
             "band_id": np.tile(np.arange(N_BANDS, dtype=np.int8), n),
             "band_hash": bh_flat.astype(np.int64),
-            # shuffle key: many (band_id, band_hash) groups per bucket —
-            # the pair emitter de-singletons each bucket vectorized
-            "__bucket": (bh_flat % np.uint64(64)).astype(np.int64),
         })
 
 
@@ -237,8 +232,7 @@ class TokenSetter:
 
 
 def _attach_sets(pairs: rd.Dataset, pair_cols: list[str],
-                 doc_sets: rd.Dataset, side: str,
-                 n_buckets: int) -> rd.Dataset:
+                 doc_sets: rd.Dataset, side: str) -> rd.Dataset:
     """Bucketed join: attach ``hset_<side>`` for pair column ``side``
     (doc_a / doc_b). Both sides are hash-partitioned on the doc id —
     the pair stream and only the NEEDED portion of the set stream meet
@@ -257,7 +251,6 @@ def _attach_sets(pairs: rd.Dataset, pair_cols: list[str],
             c: (np.array([], dtype=object) if c.startswith("hset")
                 else np.array([], dtype=np.int64))
             for c in all_cols})
-        out["__bucket"] = np.array([], dtype=np.int64)
         out["__side"] = np.array([], dtype=object)
         return out
 
@@ -266,7 +259,6 @@ def _attach_sets(pairs: rd.Dataset, pair_cols: list[str],
             return _typed_empty()
         out = df[pair_cols].copy()
         out[hcol] = b""
-        out["__bucket"] = (out[side] % n_buckets).astype(np.int64)
         out["__side"] = "p"
         return out
 
@@ -279,20 +271,18 @@ def _attach_sets(pairs: rd.Dataset, pair_cols: list[str],
                 # bytes (hset_*) pads are b""; numeric pads are -1
                 out[c] = b"" if c.startswith("hset") else np.int64(-1)
         out = out[all_cols]
-        out["__bucket"] = (out[side] % n_buckets).astype(np.int64)
         out["__side"] = "s"
         return out
 
-    tagged = pairs.map_batches(tag_pairs, batch_format="pandas").union(
-        doc_sets.map_batches(tag_sets, batch_format="pandas"))
+    sides = [pairs.map_batches(tag_pairs, batch_format="pandas"),
+             doc_sets.map_batches(tag_sets, batch_format="pandas")]
 
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         p = g[g["__side"] == "p"][pair_cols]
         s = g[g["__side"] == "s"][[side, hcol]]
         return p.merge(s, on=side, how="inner")
 
-    return tagged.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pandas")
+    return key_shuffle(sides, join_bucket, [side], batch_format="pandas")
 
 
 _EMPTY_DOC_PAIRS = pd.DataFrame(
@@ -302,7 +292,7 @@ _EMPTY_DOC_PAIRS = pd.DataFrame(
 
 def _emit_dup_pairs_bucketed(ds: rd.Dataset, key_cols: list[str]) -> rd.Dataset:
     """Candidate (doc_a, doc_b) pairs from rows sharing a key, shuffled
-    by the pre-computed ``__bucket`` column (many key-groups per bucket).
+    by the key columns (many key-groups per bucket).
     A per-key-group map_groups measured 21 s remote wall at sf0.1 (~40 k
     groups, almost all singletons → pure per-group pandas overhead);
     here singletons are dropped with one vectorized duplicated() pass
@@ -332,13 +322,12 @@ def _emit_dup_pairs_bucketed(ds: rd.Dataset, key_cols: list[str]) -> rd.Dataset:
         return pd.DataFrame({"doc_a": np.concatenate(outs_a),
                              "doc_b": np.concatenate(outs_b)})
 
-    return ds.groupby("__bucket").map_groups(
-        emit_bucket, batch_format="pandas")
+    return key_shuffle(ds, emit_bucket, key_cols, batch_format="pandas")
 
 
 def _jaccard_verify(uniq_pairs: rd.Dataset, extra_cols: list[str],
                     docs: rd.Dataset, tokenset_batch,
-                    jaccard_threshold: float, n_buckets: int) -> rd.Dataset:
+                    jaccard_threshold: float) -> rd.Dataset:
     """Exact n-gram Jaccard for candidate pairs: the shingle sets of
     exactly the docs each pair needs are attached via two bucketed joins
     (partitioned on doc_a then doc_b) — never a driver materialization
@@ -346,9 +335,9 @@ def _jaccard_verify(uniq_pairs: rd.Dataset, extra_cols: list[str],
     threshold filter (the SQL oracle mirrors this order)."""
     doc_sets = docs.map_batches(tokenset_batch, batch_format="pandas")
     base = ["doc_a", "doc_b"] + extra_cols
-    with_a = _attach_sets(uniq_pairs, base, doc_sets, "doc_a", n_buckets)
+    with_a = _attach_sets(uniq_pairs, base, doc_sets, "doc_a")
     with_ab = _attach_sets(with_a, base + ["hset_doc_a"],
-                           doc_sets, "doc_b", n_buckets)
+                           doc_sets, "doc_b")
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         jac = np.empty(len(batch), dtype=np.float64)
@@ -401,14 +390,12 @@ def _emit_cross_pairs_bucketed(ds: rd.Dataset,
         return pd.DataFrame({"doc_a": np.concatenate(outs_a),
                              "doc_b": np.concatenate(outs_b)})
 
-    return ds.groupby("__bucket").map_groups(
-        emit_bucket, batch_format="pandas")
+    return key_shuffle(ds, emit_bucket, key_cols, batch_format="pandas")
 
 
 def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
                         shingle: int = 3,
                         jaccard_threshold: float = 0.5,
-                        n_buckets: int = 32,
                         dup_group_cutover: int = 8) -> rd.Dataset:
     """EXACT cross-set n-gram Jaccard near-dup join (R-S, not self):
     pairs (doc_a from side 0, doc_b from side 1) with J ≥ t — NEAR-DUP
@@ -454,7 +441,7 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
 
     tc = preagg_reduce(
         docs.map_batches(text_counts, batch_format="pandas"),
-        ["tk"], "gsz", "sum", n_buckets=n_buckets).materialize()
+        ["tk"], "gsz", "sum").materialize()
     collapse = int(tc.max("gsz") or 0) >= dup_group_cutover
 
     if collapse:
@@ -476,15 +463,13 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
                 "gkey": b["gkey"].to_numpy(np.int64),
                 "rep": b["doc_id"].to_numpy(np.int64)}),
                 batch_format="pandas"),
-            ["gkey"], "rep", "min", n_buckets=n_buckets)
-        members = bucketed_join(sig, reps, on="gkey",
-                                n_buckets=n_buckets).materialize()
+            ["gkey"], "rep", "min")
+        members = bucketed_join(sig, reps, on="gkey").materialize()
         rep_rows = members.map_batches(
             lambda b: b[b["doc_id"].to_numpy(np.int64)
                         == b["rep"].to_numpy(np.int64)][["doc_id"]],
             batch_format="pandas")
-        rdocs = bucketed_join(docs, rep_rows, on="doc_id",
-                              n_buckets=n_buckets).materialize()
+        rdocs = bucketed_join(docs, rep_rows, on="doc_id").materialize()
 
         def _norm_docs(b: pd.DataFrame) -> pa.Table:
             if not len(b) or "doc_id" not in b.columns:
@@ -511,8 +496,7 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
             return pd.DataFrame({
                 "doc_id": np.zeros(0, np.int64),
                 "side": np.zeros(0, np.int64),
-                "shingle": np.zeros(0, np.int64),
-                "__bucket": np.zeros(0, np.int64)})
+                "shingle": np.zeros(0, np.int64)})
         sets = _batch_token_hashes(batch["text"], shingle)
         sets = [np.sort(s) if len(s) else np.zeros(1, np.uint64)
                 for s in sets]
@@ -528,19 +512,17 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
         return pd.DataFrame({
             "doc_id": np.concatenate(doc_cols),
             "side": np.concatenate(side_cols),
-            "shingle": sh.view(np.int64),
-            "__bucket": (sh % np.uint64(64)).astype(np.int64),
+            "shingle": sh.view(np.int64)
         })
 
     pref = rdocs.map_batches(prefix_batch, batch_format="pandas")
     pairs = _emit_cross_pairs_bucketed(pref, ["shingle"])
     uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
     rep_pairs = _jaccard_verify(uniq, ["n_shared"], rdocs,
-                                tokenset_batch, jaccard_threshold,
-                                n_buckets)
+                                tokenset_batch, jaccard_threshold)
     if not collapse:
         return rep_pairs
-    return _member_expand(rep_pairs, members, "jaccard", n_buckets,
+    return _member_expand(rep_pairs, members, "jaccard",
                           directed=True, a_side=0, b_side=1,
                           emit_intra=False)
 
@@ -580,8 +562,7 @@ def _hot_shingle_array(docs: rd.Dataset, shingle: int,
 
 
 
-def _exact_set_collapse(docs, tokenset_batch, n_buckets: int,
-                        dup_group_cutover: int):
+def _exact_set_collapse(docs, tokenset_batch, dup_group_cutover: int):
     """Shared exact-set collapse front end for the set-based pair
     families (see ngram_jaccard_pairs docstring): returns
     ``(collapse, rdocs, members)``. When the max identical-set group
@@ -619,7 +600,7 @@ def _exact_set_collapse(docs, tokenset_batch, n_buckets: int,
 
     tc = preagg_reduce(
         docs.map_batches(text_counts, batch_format="pandas"),
-        ["tk"], "gsz", "sum", n_buckets=n_buckets).materialize()
+        ["tk"], "gsz", "sum").materialize()
     max_group = int(tc.max("gsz") or 0)
     if max_group < dup_group_cutover:
         return False, docs, None
@@ -631,15 +612,13 @@ def _exact_set_collapse(docs, tokenset_batch, n_buckets: int,
             "setkey": b["setkey"].to_numpy(np.int64),
             "rep": b["doc_id"].to_numpy(np.int64)}),
             batch_format="pandas"),
-        ["setkey"], "rep", "min", n_buckets=n_buckets)
-    members = bucketed_join(sig, reps, on="setkey",
-                            n_buckets=n_buckets).materialize()
+        ["setkey"], "rep", "min")
+    members = bucketed_join(sig, reps, on="setkey").materialize()
     rep_rows = members.map_batches(
         lambda b: b[b["doc_id"].to_numpy(np.int64)
                     == b["rep"].to_numpy(np.int64)][["doc_id"]],
         batch_format="pandas")
-    rdocs = bucketed_join(docs, rep_rows, on="doc_id",
-                          n_buckets=n_buckets).materialize()
+    rdocs = bucketed_join(docs, rep_rows, on="doc_id").materialize()
     rdocs = rdocs.map_batches(
         lambda b: pa.table({
             "doc_id": pa.array(np.asarray(b["doc_id"], np.int64)),
@@ -650,8 +629,8 @@ def _exact_set_collapse(docs, tokenset_batch, n_buckets: int,
     return True, rdocs, members
 
 
-def _member_expand(rep_pairs, members, score_col: str, n_buckets: int,
-                   directed: bool, a_side: int | None = None,
+def _member_expand(rep_pairs, members, score_col: str, directed: bool,
+                   a_side: int | None = None,
                    b_side: int | None = None, emit_intra: bool = True):
     """Expansion back to member pairs (output-bounded): each
     qualifying representative pair expands to its member cross
@@ -660,7 +639,7 @@ def _member_expand(rep_pairs, members, score_col: str, n_buckets: int,
     score 0.0 under the verify guards). ``directed=False``
     canonicalizes doc_a < doc_b; ``directed=True`` keeps orientation
     and emits intra-group pairs in both directions."""
-    from .relational import _bucket_tagger, bucketed_join
+    from .relational import bucketed_join
 
     def _norm_pairs(b: pd.DataFrame) -> pa.Table:
         # schema-less EMPTY blocks (Ray's empty sort partitions) DO
@@ -692,9 +671,8 @@ def _member_expand(rep_pairs, members, score_col: str, n_buckets: int,
                                 batch_format="pandas").repartition(8)
     mem_b = members.map_batches(_mem_side("doc_b", "m_b", b_side),
                                 batch_format="pandas").repartition(8)
-    e1 = bucketed_join(rep_pairs, mem_a, on="doc_a",
-                       n_buckets=n_buckets)
-    e2 = bucketed_join(e1, mem_b, on="doc_b", n_buckets=n_buckets)
+    e1 = bucketed_join(rep_pairs, mem_a, on="doc_a")
+    e2 = bucketed_join(e1, mem_b, on="doc_b")
 
     def out_pairs(b: pd.DataFrame) -> pd.DataFrame:
         a = b["m_a"].to_numpy(np.int64)
@@ -711,9 +689,6 @@ def _member_expand(rep_pairs, members, score_col: str, n_buckets: int,
     if not emit_intra:
         # cross-corpus semantics: same-side identical docs never pair
         return cross
-
-    tagged_m = members.map_batches(_bucket_tagger(["setkey"], 64),
-                                   batch_format="pandas")
 
     def intra(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"doc_a": np.zeros(0, np.int64),
@@ -746,14 +721,13 @@ def _member_expand(rep_pairs, members, score_col: str, n_buckets: int,
                              "doc_b": np.concatenate(outs_b),
                              score_col: np.full(len(aa), 1.0)})
 
-    intra_ds = tagged_m.groupby("__bucket").map_groups(
-        intra, batch_format="pandas")
+    intra_ds = key_shuffle(members, intra, ["setkey"],
+                           batch_format="pandas")
     return cross.union(intra_ds)
 
 
 def ngram_jaccard_pairs(docs: rd.Dataset, shingle: int = 3,
                         jaccard_threshold: float = 0.5,
-                        n_buckets: int = 32,
                         hot_df_threshold: int | None = 1024,
                         hot_k: int = 128,
                         dup_group_cutover: int = 8) -> rd.Dataset:
@@ -805,7 +779,7 @@ def ngram_jaccard_pairs(docs: rd.Dataset, shingle: int = 3,
                                lambda: TokenSetter(shingle))(batch)
 
     collapse, rdocs, members = _exact_set_collapse(
-        docs, tokenset_batch, n_buckets, dup_group_cutover)
+        docs, tokenset_batch, dup_group_cutover)
 
     hot_ref = ray.put(_hot_shingle_array(rdocs, shingle,
                                          hot_df_threshold, hot_k))
@@ -814,8 +788,7 @@ def ngram_jaccard_pairs(docs: rd.Dataset, shingle: int = 3,
         if not len(batch):   # empty block (upstream filter/repartition)
             return pd.DataFrame({
                 "doc_id": np.zeros(0, np.int64),
-                "shingle": np.zeros(0, np.int64),
-                "__bucket": np.zeros(0, np.int64)})
+                "shingle": np.zeros(0, np.int64)})
         hotset = broadcast_get(hot_ref)
         sets = _batch_token_hashes(batch["text"], shingle)
         sets = [s if len(s) else np.zeros(1, np.uint64) for s in sets]
@@ -841,26 +814,23 @@ def ngram_jaccard_pairs(docs: rd.Dataset, shingle: int = 3,
         sh = np.concatenate(sh_cols)
         return pd.DataFrame({
             "doc_id": np.concatenate(doc_cols),
-            "shingle": sh.view(np.int64),
-            "__bucket": (sh % np.uint64(64)).astype(np.int64),
+            "shingle": sh.view(np.int64)
         })
 
     pref = rdocs.map_batches(prefix_batch, batch_format="pandas")
     pairs = _emit_dup_pairs_bucketed(pref, ["shingle"])
     uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
     rep_pairs = _jaccard_verify(uniq, ["n_shared"], rdocs,
-                                tokenset_batch, jaccard_threshold,
-                                n_buckets)
+                                tokenset_batch, jaccard_threshold)
     if not collapse:
         return rep_pairs
-    return _member_expand(rep_pairs, members, "jaccard", n_buckets,
+    return _member_expand(rep_pairs, members, "jaccard",
                           directed=False)
 
 
 def minhash_lsh_pairs(docs: rd.Dataset, shingle: int = 3,
                       jaccard_threshold: float = 0.5,
-                      concurrency: int = 4,
-                      n_buckets: int = 32) -> rd.Dataset:
+                      concurrency: int = 4) -> rd.Dataset:
     """MinHash+LSH near-duplicate pairs with exact n-gram Jaccard verify.
 
     signature → band explode → groupby(band_id, band_hash) emits
@@ -889,7 +859,7 @@ def minhash_lsh_pairs(docs: rd.Dataset, shingle: int = 3,
     from .relational import preagg_reduce
     uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_bands", "count")
     return _jaccard_verify(uniq, ["n_bands"], docs, tokenset_batch,
-                           jaccard_threshold, n_buckets)
+                           jaccard_threshold)
 
 
 class SimHasher:
@@ -1088,7 +1058,7 @@ def _token_windows(texts: "pd.Series", k: int):
             pd.util.hash_array(grams.astype(object)))
 
 
-def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
+def dup_spans(docs: rd.Dataset, k: int = 6,
               max_candidates: int = 50_000_000) -> rd.Dataset:
     """Substring-level exact dedup (§ LLM training-data prep; the
     suffix-array-style duplicated-span family — e.g. Lee et al. 2022,
@@ -1127,23 +1097,19 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
     def cand_partial(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):
             return pd.DataFrame({"h": np.array([], dtype=np.uint64),
-                                 "doc_id": np.array([], dtype=np.int64),
-                                 "__bucket": np.array([], dtype=np.int64)})
+                                 "doc_id": np.array([], dtype=np.int64)})
         di, _, _, h = _token_windows(b["text"], k)
-        d = pd.DataFrame({"h": h,
-                          "doc_id": b["doc_id"].to_numpy()[di]}
-                         ).drop_duplicates()
-        d["__bucket"] = (d["h"] % np.uint64(n_buckets)).astype(np.int64)
-        return d
+        return pd.DataFrame({"h": h, "doc_id": b["doc_id"].to_numpy()[di]}
+                            ).drop_duplicates()
 
     def cand_final(g: pd.DataFrame) -> pd.DataFrame:
         nd = g.groupby("h")["doc_id"].nunique()
         return pd.DataFrame({"h": nd.index.to_numpy()[nd.to_numpy() > 1]})
 
-    cand_ds = (docs.map_batches(cand_partial, batch_format="pandas")
-               .groupby("__bucket").map_groups(cand_final,
-                                               batch_format="pandas")
-               .materialize())
+    cand_ds = key_shuffle(docs.map_batches(cand_partial,
+                                           batch_format="pandas"),
+                          cand_final, ["h"],
+                          batch_format="pandas").materialize()
     # count DISTRIBUTED, before any driver pull — the tier choice must
     # be made before the collection it guards against, not after (a
     # 2B-hash candidate set would OOM the driver inside to_pandas)
@@ -1153,7 +1119,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
         return pd.DataFrame({"gram": np.array([], dtype=object),
                              "doc_id": np.array([], dtype=np.int64),
                              "off": np.array([], dtype=np.int64),
-                             "__bucket": np.array([], dtype=np.int64)})
+                             "h": np.array([], dtype=np.uint64)})
 
     if n_cand <= max_candidates:
         # ---- broadcast tier: candidate hashes ride once as a sorted
@@ -1174,12 +1140,9 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
             hit = ch[pos] == h
             if not np.any(hit):
                 return _gram_empty()
-            out = pd.DataFrame({"gram": grams[hit],
-                                "doc_id": b["doc_id"].to_numpy()[di[hit]],
-                                "off": off[hit]})
-            out["__bucket"] = (h[hit]
-                               % np.uint64(n_buckets)).astype(np.int64)
-            return out
+            return pd.DataFrame({"gram": grams[hit],
+                                 "doc_id": b["doc_id"].to_numpy()[di[hit]],
+                                 "off": off[hit], "h": h[hit]})
 
         gram_rows = docs.map_batches(probe, batch_format="pandas")
     else:
@@ -1198,22 +1161,19 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
                 return pd.DataFrame({
                     "h": np.array([], dtype=np.uint64),
                     "doc_id": np.array([], dtype=np.int64),
-                    "off": np.array([], dtype=np.int64),
-                    "__bucket": np.array([], dtype=np.int64)})
+                    "off": np.array([], dtype=np.int64)})
             di, off, _, h = _token_windows(b["text"], k)
             return pd.DataFrame({
                 "h": h,
                 "doc_id": b["doc_id"].to_numpy()[di].astype(np.int64),
-                "off": off,
-                "__bucket": (h % np.uint64(n_buckets)).astype(np.int64)})
+                "off": off})
 
         def cand_rows(b: pd.DataFrame) -> pd.DataFrame:
             h = b["h"].to_numpy(dtype=np.uint64)
             return pd.DataFrame({
                 "h": h,
                 "doc_id": np.full(len(h), -1, dtype=np.int64),
-                "off": np.full(len(h), -1, dtype=np.int64),
-                "__bucket": (h % np.uint64(n_buckets)).astype(np.int64)})
+                "off": np.full(len(h), -1, dtype=np.int64)})
 
         def semi(g: pd.DataFrame) -> pd.DataFrame:
             side = g["doc_id"].to_numpy(np.int64)
@@ -1222,23 +1182,17 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
             if not len(ch) or not len(w):
                 return pd.DataFrame({
                     "doc_id": np.array([], dtype=np.int64),
-                    "off": np.array([], dtype=np.int64),
-                    "__dbucket": np.array([], dtype=np.int64)})
+                    "off": np.array([], dtype=np.int64)})
             h = w["h"].to_numpy(np.uint64)
             pos = np.searchsorted(ch, h)
             np.clip(pos, 0, len(ch) - 1, out=pos)
             hit = ch[pos] == h
-            out = w[hit][["doc_id", "off"]].copy()
-            out["__dbucket"] = (out["doc_id"].to_numpy(np.uint64)
-                                % np.uint64(n_buckets)).astype(np.int64)
-            return out
+            return w[hit][["doc_id", "off"]]
 
-        surv = (docs.map_batches(win_rows, batch_format="pandas")
-                .union(cand_ds.map_batches(cand_rows,
-                                           batch_format="pandas"))
-                .groupby("__bucket").map_groups(semi,
-                                                batch_format="pandas")
-                .materialize())
+        surv = key_shuffle(
+            [docs.map_batches(win_rows, batch_format="pandas"),
+             cand_ds.map_batches(cand_rows, batch_format="pandas")],
+            semi, ["h"], batch_format="pandas").materialize()
 
         # prune the Round-B text shuffle to docs that still matter,
         # when that doc-id set is broadcastable under the same cap
@@ -1268,16 +1222,13 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
             return pd.DataFrame({
                 "doc_id": d,
                 "text": b["text"].to_numpy(dtype=object),
-                "off": np.full(len(d), -1, dtype=np.int64),
-                "__dbucket": (d.astype(np.uint64)
-                              % np.uint64(n_buckets)).astype(np.int64)})
+                "off": np.full(len(d), -1, dtype=np.int64)})
 
         def off_rows(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
                 "doc_id": b["doc_id"].to_numpy(np.int64),
                 "text": np.full(len(b), "", dtype=object),
-                "off": b["off"].to_numpy(np.int64),
-                "__dbucket": b["__dbucket"].to_numpy(np.int64)})
+                "off": b["off"].to_numpy(np.int64)})
 
         def regram(g: pd.DataFrame) -> pd.DataFrame:
             offm = g["off"].to_numpy(np.int64)
@@ -1306,26 +1257,18 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
             hit = known & (sk[pos] == wk)
             if not np.any(hit):
                 return _gram_empty()
-            out = pd.DataFrame({"gram": grams[hit],
-                                "doc_id": dids[hit],
-                                "off": off[hit]})
-            out["__bucket"] = (h[hit]
-                               % np.uint64(n_buckets)).astype(np.int64)
-            return out
+            return pd.DataFrame({"gram": grams[hit], "doc_id": dids[hit],
+                                 "off": off[hit], "h": h[hit]})
 
-        gram_rows = (docs_b.map_batches(doc_rows, batch_format="pandas")
-                     .union(surv.map_batches(off_rows,
-                                             batch_format="pandas"))
-                     .groupby("__dbucket").map_groups(
-                         regram, batch_format="pandas"))
+        gram_rows = key_shuffle(
+            [docs_b.map_batches(doc_rows, batch_format="pandas"),
+             surv.map_batches(off_rows, batch_format="pandas")],
+            regram, ["doc_id"], batch_format="pandas")
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         nd = g.groupby("gram")["doc_id"].transform("nunique")
         keep = g[nd.to_numpy() > 1]
-        out = keep[["doc_id", "off"]].drop_duplicates().copy()
-        out["__dbucket"] = (out["doc_id"].to_numpy(np.uint64)
-                            % np.uint64(n_buckets)).astype(np.int64)
-        return out
+        return keep[["doc_id", "off"]].drop_duplicates()
 
     def islands(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "off"], ignore_index=True)
@@ -1341,10 +1284,9 @@ def dup_spans(docs: rd.Dataset, k: int = 6, n_buckets: int = 32,
         return agg[["doc_id", "span_start", "span_end"]].reset_index(
             drop=True)
 
-    return (gram_rows
-            .groupby("__bucket").map_groups(verify, batch_format="pandas")
-            .groupby("__dbucket").map_groups(islands,
-                                             batch_format="pandas"))
+    return key_shuffle(key_shuffle(gram_rows, verify, ["h"],
+                                   batch_format="pandas"),
+                       islands, ["doc_id"], batch_format="pandas")
 
 
 def _levenshtein_pairs(a_codes: np.ndarray,
@@ -1515,7 +1457,6 @@ def _int_cos_block_pairs_impl(blk_a: pd.DataFrame, blk_b: pd.DataFrame,
 
 
 def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
-                       n_buckets: int = 32,
                        dense_cutover: int = 2048,
                        block_rows: int = 4096) -> rd.Dataset:
     """EXACT all-pairs TF-IDF cosine similarity join (the APSS family,
@@ -1661,13 +1602,12 @@ def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
             doc_cols.append(np.full(p, did, dtype=np.int64))
         if not doc_cols:
             return pd.DataFrame({"doc_id": np.zeros(0, np.int64),
-                                 "term": np.zeros(0, np.int64),
-                                 "__bucket": np.zeros(0, np.int64)})
+                                 "term": np.zeros(0, np.int64)})
         sh = np.concatenate(term_cols)
         return pd.DataFrame({
             "doc_id": np.concatenate(doc_cols),
-            "term": sh.view(np.int64),
-            "__bucket": (sh % np.uint64(n_buckets)).astype(np.int64)})
+            "term": sh.view(np.int64)
+})
 
     def vec_batch(batch: pd.DataFrame) -> pd.DataFrame:
         H, I, D = broadcast_get(ref)
@@ -1691,9 +1631,9 @@ def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
     uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
     doc_vecs = docs.map_batches(vec_batch, batch_format="pandas")
     base = ["doc_a", "doc_b", "n_shared"]
-    with_a = _attach_sets(uniq, base, doc_vecs, "doc_a", n_buckets)
+    with_a = _attach_sets(uniq, base, doc_vecs, "doc_a")
     with_ab = _attach_sets(with_a, base + ["hset_doc_a"],
-                           doc_vecs, "doc_b", n_buckets)
+                           doc_vecs, "doc_b")
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         sims = np.empty(len(batch), dtype=np.float64)
@@ -1726,7 +1666,7 @@ _EMPTY_DIRECTED = pd.DataFrame(
 def _emit_directed_pairs_bucketed(ds: rd.Dataset) -> rd.Dataset:
     """Directed candidate pairs (a from the prefix side, b from the
     full-postings side) for rows sharing a shingle, shuffled by the
-    pre-computed ``__bucket``. Same collide-groups-only walk as
+    shingle. Same collide-groups-only walk as
     `_emit_dup_pairs_bucketed`, but sides cross instead of triangling:
     the pair (a, b) means "a's prefix met b's postings" — direction
     matters because containment is asymmetric."""
@@ -1759,13 +1699,11 @@ def _emit_directed_pairs_bucketed(ds: rd.Dataset) -> rd.Dataset:
         return pd.DataFrame({"doc_a": np.concatenate(outs_a),
                              "doc_b": np.concatenate(outs_b)})
 
-    return ds.groupby("__bucket").map_groups(
-        emit_bucket, batch_format="pandas")
+    return key_shuffle(ds, emit_bucket, ["shingle"], batch_format="pandas")
 
 
 def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
                             threshold: float = 0.8,
-                            n_buckets: int = 32,
                             hot_df_threshold: int | None = 1024,
                             hot_k: int = 128,
                             dup_group_cutover: int = 8) -> rd.Dataset:
@@ -1808,7 +1746,7 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
                                lambda: TokenSetter(shingle))(batch)
 
     collapse, rdocs, members = _exact_set_collapse(
-        docs, tokenset_batch, n_buckets, dup_group_cutover)
+        docs, tokenset_batch, dup_group_cutover)
 
     hot_ref = ray.put(_hot_shingle_array(rdocs, shingle,
                                          hot_df_threshold, hot_k))
@@ -1818,8 +1756,7 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
             return pd.DataFrame({
                 "doc_id": np.zeros(0, np.int64),
                 "shingle": np.zeros(0, np.int64),
-                "__side": np.zeros(0, np.int8),
-                "__bucket": np.zeros(0, np.int64)})
+                "__side": np.zeros(0, np.int8)})
         hotset = broadcast_get(hot_ref)
         sets = _batch_token_hashes(batch["text"], shingle)
         sets = [s if len(s) else np.zeros(1, np.uint64) for s in sets]
@@ -1847,8 +1784,7 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
         return pd.DataFrame({
             "doc_id": np.concatenate(doc_cols),
             "shingle": sh.view(np.int64),
-            "__side": np.concatenate(side_cols),
-            "__bucket": (sh % np.uint64(64)).astype(np.int64),
+            "__side": np.concatenate(side_cols)
         })
 
     rows = rdocs.map_batches(emit_batch, batch_format="pandas")
@@ -1856,9 +1792,9 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
     uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
     base = ["doc_a", "doc_b", "n_shared"]
     doc_sets = rdocs.map_batches(tokenset_batch, batch_format="pandas")
-    with_a = _attach_sets(uniq, base, doc_sets, "doc_a", n_buckets)
+    with_a = _attach_sets(uniq, base, doc_sets, "doc_a")
     with_ab = _attach_sets(with_a, base + ["hset_doc_a"],
-                           doc_sets, "doc_b", n_buckets)
+                           doc_sets, "doc_b")
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
         c = np.empty(len(batch), dtype=np.float64)
@@ -1875,7 +1811,7 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
     rep_pairs = with_ab.map_batches(verify, batch_format="pandas")
     if not collapse:
         return rep_pairs
-    return _member_expand(rep_pairs, members, "containment", n_buckets,
+    return _member_expand(rep_pairs, members, "containment",
                           directed=True)
 
 
@@ -1902,7 +1838,7 @@ def _popcount_rows(a: np.ndarray) -> np.ndarray:
 
 
 def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
-                        n_buckets: int = 64, hot_k: int = 256,
+                        hot_k: int = 256,
                         out_names: tuple = ("u", "similar_u", "jaccard")
                         ) -> rd.Dataset:
     """Top-1 most-Jaccard-similar user per user over DISTINCT
@@ -1965,7 +1901,6 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
                              detect_hot_keys, preagg_reduce)
 
     HALF = np.int64(1 << 31)
-    N_UB = 64
     BPW = 63                      # bits per int64 word (sum == OR, no
                                   # sign-bit overflow in pandas int64)
 
@@ -2012,8 +1947,6 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
 
     # ---- cold stream: per-item bucket pair emission (standing path,
     # now over cold items only)
-    from .relational import _bucket_tagger
-
     def drop_hot(b: pd.DataFrame) -> pd.DataFrame:
         hs = broadcast_get(hot_ref)
         if not len(hs):
@@ -2023,9 +1956,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
         np.clip(pos, 0, len(hs) - 1, out=pos)
         return b[hs[pos] != it]
 
-    tagged = (ui.map_batches(drop_hot, batch_format="pandas")
-              .map_batches(_bucket_tagger(["item"], 64),
-                           batch_format="pandas"))
+    cold = ui.map_batches(drop_hot, batch_format="pandas")
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         it = g[["item", "u"]]
@@ -2038,11 +1969,9 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
             raise ValueError(
                 "set_similarity_top1 packing needs ids < 2^31")
         return pd.DataFrame({"pk": a * HALF + b,
-                             "jac": np.full(len(a), -1.0),
-                             "__ub": (a % N_UB).astype(np.int64)})
+                             "jac": np.full(len(a), -1.0)})
 
-    cold_ds = tagged.groupby("__bucket").map_groups(
-        pairs, batch_format="pandas")
+    cold_ds = key_shuffle(cold, pairs, ["item"], batch_format="pandas")
 
     # ---- hot-only stream: signature reduction + blocked popcount scan
     streams = [cold_ds]
@@ -2117,15 +2046,11 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
                 raise ValueError(
                     "set_similarity_top1 packing needs ids < 2^31")
             return pd.DataFrame({"pk": ou * HALF + best_o,
-                                 "jac": best_j,
-                                 "__ub": (ou % N_UB).astype(np.int64)})
+                                 "jac": best_j})
 
         hot_ds = rd.from_pandas(owners).map_batches(
             hot_scan, batch_format="pandas", batch_size=4096)
         streams.append(hot_ds)
-
-    cand_ds = streams[0] if len(streams) == 1 else \
-        streams[0].union(*streams[1:])
 
     def score_top1(g: pd.DataFrame) -> pd.DataFrame:
         jc = g["jac"].to_numpy(np.float64)
@@ -2178,5 +2103,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
                              out_names[1]: d["other"].to_numpy(np.int64),
                              out_names[2]: d["jac"].to_numpy(np.float64)})
 
-    return cand_ds.groupby("__ub").map_groups(score_top1,
-                                              batch_format="pandas")
+    def owner(b) -> np.ndarray:
+        return np.asarray(b["pk"].to_numpy()) // HALF
+
+    return key_shuffle(streams, score_top1, owner, batch_format="pandas")

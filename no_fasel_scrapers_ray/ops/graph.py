@@ -29,7 +29,10 @@ import shutil
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 import ray.data as rd
+
+from .util import key_shuffle, shuffle_buckets
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +143,6 @@ def _driver_union_find(a: np.ndarray, c: np.ndarray) -> pa.Table:
 
 
 def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
-                         n_buckets: int = 64,
                          max_iters: int = 50,
                          small_threshold: int = 1 << 18,
                          checkpoint_dir: str | None = None) -> rd.Dataset:
@@ -222,10 +224,7 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     if n_nodes == 0:
         return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
                                        "cluster_id": pa.array([], pa.int64())}))
-    # Buckets scale with the graph: every iteration pays 2 all-to-alls,
-    # and a 64-way shuffle of a 100-node label set is pure task-launch
-    # overhead (measured ~5 s/iteration at sf0.01 for <100 edges).
-    n_buckets = int(min(n_buckets, max(2, n_nodes // 4096)))
+    n = _graph_buckets(n_nodes)
 
     # ---- BSP label propagation (same kernel shape as tier-3
     # pagerank, see the block above): star edges hash-split by node
@@ -235,60 +234,46 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     # (label_u → u) rows keyed by the label's bucket, so convergence
     # stays O(log cross-block diameter) and the static edges never
     # cross the wire again.
-    import ray
-    split_r = ray.remote(_pr_split_block)
     prep_e = ray.remote(_cc_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
-    dyn_r = ray.remote(_cc_pointer_edges)
-    off_r = ray.remote(_cc_offers)
     red_r = ray.remote(_cc_reduce)
     lbl_tbl_r = ray.remote(_cc_label_table)
     out_tbl_r = ray.remote(_cc_out_table)
 
-    def _bucketize(ds: rd.Dataset, cols: list[str]):
-        per_block = [
-            split_r.options(num_returns=n_buckets).remote(
-                ref, cols, n_buckets)
-            for ref in ds.to_arrow_refs()]
-        if n_buckets == 1:
-            per_block = [[r] for r in per_block]
-        return [[blk[k] for blk in per_block] for k in range(n_buckets)]
-
     edges_k = [prep_e.remote(*f)
-               for f in _bucketize(edges, ["node", "nbr"])]
+               for f in _split_blocks(edges, ["node", "nbr"], n)]
 
     prev_sum = None
     converged = False
+    # no bucket count in the fingerprint: the checkpoint is a labels
+    # TABLE re-split on resume, and min-label propagation does not
+    # depend on the partitioning, so a resume on a cluster with another
+    # CPU count (another derived count) is sound
     start_iter, ck_path = _ckpt_resume(
         checkpoint_dir, "cc",
-        {"op": "cc", "n_edge_rows": n_edge_rows, "n_nodes": n_nodes,
-         "n_buckets": n_buckets}, max_iters=max_iters)
+        {"op": "cc", "n_edge_rows": n_edge_rows, "n_nodes": n_nodes},
+        max_iters=max_iters)
     if ck_path and start_iter > 0:
         # resume: labels are the ONLY loop state; the monotone label
         # sum doubles as the convergence cursor, so it restores from
         # the checkpoint itself
         state = rd.read_parquet(ck_path).materialize()
         lab_k = [prep_l.remote(*f)
-                 for f in _bucketize(state, ["node", "label"])]
+                 for f in _split_blocks(state, ["node", "label"], n)]
         prev_sum = int(state.sum("label"))
     else:
         lab_k = [prep_l.remote(*f)
-                 for f in _bucketize(labels, ["node", "label"])]
+                 for f in _split_blocks(labels, ["node", "label"], n)]
 
     for _it in range(start_iter, max_iters):
-        dparts = [dyn_r.options(num_returns=n_buckets).remote(
-            lab_k[j], n_buckets) for j in range(n_buckets)]
-        if n_buckets == 1:
-            dparts = [[d] for d in dparts]
-        oparts = [off_r.options(num_returns=n_buckets).remote(
-            edges_k[k], lab_k[k], n_buckets,
-            *[dparts[j][k] for j in range(n_buckets)])
-            for k in range(n_buckets)]
-        if n_buckets == 1:
-            oparts = [[o] for o in oparts]
+        dparts = [_fanout(_cc_pointer_edges, n, lab_k[j], n)
+                  for j in range(n)]
+        oparts = [_fanout(_cc_offers, n, edges_k[k], lab_k[k], n,
+                          *[dparts[j][k] for j in range(n)])
+                  for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
-            lab_k[j], *[oparts[k][j] for k in range(n_buckets)])
-            for j in range(n_buckets)]
+            lab_k[j], *[oparts[k][j] for k in range(n)])
+            for j in range(n)]
         lab_k = [o[0] for o in outs]
         cur_sum = int(sum(ray.get([o[1] for o in outs])))
         if checkpoint_dir:
@@ -359,8 +344,7 @@ def _driver_triangle_count(a: np.ndarray, b: np.ndarray) -> int:
     return total
 
 
-def triangle_count(edges: rd.Dataset, n_buckets: int = 64,
-                   small_threshold: int = 1 << 18,
+def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
                    broadcast_edge_threshold: int = 1 << 25) -> int:
     """Global triangle count of the undirected graph given as a
     DISTINCT canonical edge list (columns ``a`` < ``b``).
@@ -378,15 +362,7 @@ def triangle_count(edges: rd.Dataset, n_buckets: int = 64,
     pass (wedges never materialize or shuffle; 43 s → 8 s at 1.2M
     edges / 19M wedges). Beyond, materialized wedge keys go through a
     bucketed closing join — the all-distributed path."""
-    import ray
-    # The bucket assignment below masks with (n_buckets - 1); a
-    # non-power-of-two count would still partition but with skewed,
-    # partly-empty buckets — keep the parameter honest.
-    if n_buckets & (n_buckets - 1):
-        raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
-
-    from .relational import (broadcast_get, bucketed_join, preagg_reduce,
-                             stable_bucket_cols)
+    from .relational import broadcast_get, preagg_reduce
 
     edges = edges.materialize()
     n_input_edges = edges.count()
@@ -408,7 +384,7 @@ def triangle_count(edges: rd.Dataset, n_buckets: int = 64,
             {"node": np.concatenate([b["a"].to_numpy(),
                                      b["b"].to_numpy()])}),
             batch_format="pandas"),
-        ["node"], "deg", "count", n_buckets=n_buckets).to_pandas() \
+        ["node"], "deg", "count").to_pandas() \
         .sort_values("node", ignore_index=True)
     deg_ref = ray.put((deg_df["node"].to_numpy(dtype=np.int64),
                        deg_df["deg"].to_numpy(dtype=np.int64)))
@@ -447,13 +423,6 @@ def triangle_count(edges: rd.Dataset, n_buckets: int = 64,
         u, v = ek["u"].to_numpy(), ek["v"].to_numpy()
         keys_ref = ray.put(np.sort(np.where(u < v, u * n_nodes + v,
                                             v * n_nodes + u)))
-
-        def tag(b: pd.DataFrame) -> pd.DataFrame:
-            # u is a COMPACTED dense index (searchsorted into the
-            # distinct-node array), so low bits partition uniformly —
-            # no content hash needed
-            return b.assign(
-                __bucket=b["u"].to_numpy(np.int64) & (n_buckets - 1))
 
         def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
             # run-based wedge generation + fused membership count
@@ -495,10 +464,10 @@ def triangle_count(edges: rd.Dataset, n_buckets: int = 64,
                 total += flush(wl, wr)
             return pd.DataFrame({"n": np.array([total], dtype=np.int64)})
 
-        return int(directed.map_batches(tag, batch_format="pandas")
-                   .groupby("__bucket")
-                   .map_groups(count_bucket, batch_format="pandas")
-                   .sum("n"))
+        # u is a COMPACTED dense index (searchsorted into the
+        # distinct-node array), so its low bits partition uniformly
+        return int(key_shuffle(directed, count_bucket, ["u"],
+                               batch_format="pandas").sum("n"))
 
     # fully distributed closing pass as a ONE-SHOT BSP exchange (see
     # the _tri_* kernel block above): the old shape shuffled the edge
@@ -507,32 +476,30 @@ def triangle_count(edges: rd.Dataset, n_buckets: int = 64,
     # exactly once as raw-task returns, membership is a per-key-bucket
     # searchsorted against sorted edge-key arrays (14.5 s → ~4 s at
     # sf0.1 forced-tier-3)
-    split_r = ray.remote(_pr_split_block)
-    ksplit_r = ray.remote(_tri_split_edge_keys)
+    count_r = ray.remote(_tri_count)
+    n = shuffle_buckets()
+    edges_k, keys_k = _tri_split(directed, n_nodes, n)
+    wparts = [_fanout(_tri_wedges, n, edges_k[k], n_nodes, n)
+              for k in range(n)]
+    return int(sum(ray.get([count_r.remote(
+        keys_k[j], *[wparts[k][j] for k in range(n)])
+        for j in range(n)])))
+
+
+def _tri_split(directed: rd.Dataset, n_nodes: int, n: int):
+    """The closing exchange's one split of the oriented edges, shared
+    by ``triangle_count`` and ``local_clustering``: per bucket, the
+    u-sorted edges (wedge side) and the sorted packed edge keys
+    (membership side)."""
     prep_e_r = ray.remote(_tri_prep_edges)
     prep_k_r = ray.remote(_tri_prep_keys)
-    wedge_r = ray.remote(_tri_wedges)
-    count_r = ray.remote(_tri_count)
-
     refs = directed.to_arrow_refs()
-    eparts = [split_r.options(num_returns=n_buckets).remote(
-        r, ["u", "v"], n_buckets) for r in refs]
-    kparts = [ksplit_r.options(num_returns=n_buckets).remote(
-        r, n_nodes, n_buckets) for r in refs]
-    if n_buckets == 1:
-        eparts = [[e] for e in eparts]
-        kparts = [[k] for k in kparts]
-    edges_k = [prep_e_r.remote(*[e[k] for e in eparts])
-               for k in range(n_buckets)]
-    keys_k = [prep_k_r.remote(*[p[k] for p in kparts])
-              for k in range(n_buckets)]
-    wparts = [wedge_r.options(num_returns=n_buckets).remote(
-        edges_k[k], n_nodes, n_buckets) for k in range(n_buckets)]
-    if n_buckets == 1:
-        wparts = [[w] for w in wparts]
-    return int(sum(ray.get([count_r.remote(
-        keys_k[j], *[wparts[k][j] for k in range(n_buckets)])
-        for j in range(n_buckets)])))
+    eparts = [_fanout(_pr_split_block, n, r, ["u", "v"], n) for r in refs]
+    kparts = [_fanout(_tri_split_edge_keys, n, r, n_nodes, n)
+              for r in refs]
+    edges_k = [prep_e_r.remote(*[e[k] for e in eparts]) for k in range(n)]
+    keys_k = [prep_k_r.remote(*[p[k] for p in kparts]) for k in range(n)]
+    return edges_k, keys_k
 
 
 def _restart_vector(ids: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -579,8 +546,7 @@ def _driver_pagerank(src: np.ndarray, dst: np.ndarray, damping: float,
 
 
 def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
-                        damping: float, iters: int, n_buckets: int,
-                        broadcast_get,
+                        damping: float, iters: int, broadcast_get,
                         checkpoint_dir: str | None = None,
                         seeds: np.ndarray | None = None) -> rd.Dataset:
     """Tier-2 PageRank: node state (ids / deg / rank, ~24 B per node)
@@ -594,8 +560,6 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
     restart vector is node-sized state exactly like rank, so the
     topology is unchanged); without, the uniform expressions are kept
     verbatim for bitwise stability of global pagerank."""
-    import ray
-
     from .relational import preagg_reduce
 
     ids = np.sort(node_ds.to_pandas()["node"].to_numpy(dtype=np.int64))
@@ -607,7 +571,7 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
     deg_df = preagg_reduce(
         edges.map_batches(lambda b: pd.DataFrame({"node": b["src"]}),
                           batch_format="pandas"),
-        ["node"], "deg", "count", n_buckets=n_buckets).to_pandas()
+        ["node"], "deg", "count").to_pandas()
     deg = np.zeros(n, dtype=np.int64)
     deg[np.searchsorted(ids, deg_df["node"].to_numpy(dtype=np.int64))] = \
         deg_df["deg"].to_numpy(dtype=np.int64)
@@ -647,7 +611,7 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
 
         agg = preagg_reduce(
             edges.map_batches(contrib_batch, batch_format="pandas"),
-            ["node"], "contrib", "sum", n_buckets=n_buckets).to_pandas()
+            ["node"], "contrib", "sum").to_pandas()
         contrib = np.zeros(n)
         contrib[np.searchsorted(
             ids, agg["node"].to_numpy(dtype=np.int64))] = \
@@ -682,6 +646,41 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
 # Everything is order-deterministic (nodes sorted within buckets,
 # partials combined in bucket-index order), so checkpoint-resume
 # reproduces the uninterrupted run bit-for-bit.
+
+
+def _graph_buckets(n_nodes: int) -> int:
+    """Bucket count of the node-bucket BSP kernels: the shared shuffle
+    count, capped at one bucket per ~4096 nodes — every iteration pays
+    two exchanges, and a wide exchange of a 100-node label set is pure
+    task-launch overhead (measured ~5 s/iteration at sf0.01)."""
+    return int(min(shuffle_buckets(), max(2, n_nodes // 4096)))
+
+
+def _fan(fn, n: int, *args):
+    # num_returns=1 stores the WHOLE return value under its one ref, so
+    # the 1-tuple must be unwrapped or the consumer gets it double-wrapped
+    parts = fn(*args)
+    return parts if n > 1 else parts[0]
+
+
+_fan_task = ray.remote(_fan)
+
+
+def _fanout(fn, n: int, *args) -> list:
+    """Run the bucket-splitting kernel ``fn(*args)`` — which returns a
+    tuple of ``n`` parts, one per bucket — as one task with a return
+    per part. Always a list of ``n`` refs: this is the one place that
+    normalizes Ray's bare ref at ``num_returns=1``."""
+    refs = _fan_task.options(num_returns=n).remote(fn, n, *args)
+    return refs if isinstance(refs, list) else [refs]
+
+
+def _split_blocks(ds: rd.Dataset, cols: list[str], n: int) -> list:
+    """Hash-split every block of ``ds`` by ``cols[0]``: per bucket, the
+    refs of its fragments (one per block)."""
+    per_block = [_fanout(_pr_split_block, n, ref, cols, n)
+                 for ref in ds.to_arrow_refs()]
+    return [[blk[k] for blk in per_block] for k in range(n)]
 
 
 def _pr_bucket_of(v: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -721,16 +720,11 @@ def _pr_split_block(tbl, cols: list[str], n_buckets: int):
         empty = pa.table({c: pa.array(
             [], pa.float64() if c == "rank" else pa.int64())
             for c in cols})
-        # num_returns=1 hands the caller the WHOLE return value, so a
-        # 1-tuple would double-wrap — return the bare part (mirrors
-        # _tri_wedges; the n_buckets==1 path is exercised in tests)
-        return (tuple(empty for _ in range(n_buckets))
-                if n_buckets > 1 else empty)
+        return (empty,) * n_buckets
     arrs = [tbl.column(c).to_numpy(zero_copy_only=False)
             for c in cols]
     parts = _pr_split_arrays(arrs, arrs[0].astype(np.int64), n_buckets)
-    out = tuple(pa.table(dict(zip(cols, p))) for p in parts)
-    return out if n_buckets > 1 else out[0]
+    return tuple(pa.table(dict(zip(cols, p))) for p in parts)
 
 
 def _pr_prep_edges(*parts):
@@ -773,15 +767,13 @@ def _pr_contrib(eb, base, rank, n_buckets: int):
     node, deg = base
     if len(src) == 0:
         z = np.array([], dtype=np.int64), np.array([], dtype=np.float64)
-        return (tuple(z for _ in range(n_buckets))
-                if n_buckets > 1 else z)
+        return (z,) * n_buckets
     idx = np.searchsorted(node, src)
     share = rank[idx] / deg[idx]
     ud, inv = np.unique(dst, return_inverse=True)
     c = np.zeros(len(ud), dtype=np.float64)
     np.add.at(c, inv, share)
-    out = tuple(_pr_split_arrays([ud, c], ud, n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return tuple(_pr_split_arrays([ud, c], ud, n_buckets))
 
 
 def _pr_renew(base, dang: float, n_nodes: int, damping: float, *cparts):
@@ -832,9 +824,8 @@ def _cc_pointer_edges(lab, n_buckets: int):
     bucket so the offer pass can look the label's label up locally."""
     node, label = lab
     m = label != node
-    out = tuple(_pr_split_arrays([label[m], node[m]], label[m],
-                                 n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return tuple(_pr_split_arrays([label[m], node[m]], label[m],
+                                  n_buckets))
 
 
 def _cc_offers(eb, lab, n_buckets: int, *dyn_parts):
@@ -852,14 +843,12 @@ def _cc_offers(eb, lab, n_buckets: int, *dyn_parts):
     dst = np.concatenate(dsts)
     if len(src) == 0:
         z = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        return (tuple(z for _ in range(n_buckets))
-                if n_buckets > 1 else z)
+        return (z,) * n_buckets
     off = labels[np.searchsorted(nodes, src)]
     u, inv = np.unique(dst, return_inverse=True)
     m = np.full(len(u), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(m, inv, off)
-    out = tuple(_pr_split_arrays([u, m], u, n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return tuple(_pr_split_arrays([u, m], u, n_buckets))
 
 
 def _cc_reduce(lab, *offer_parts):
@@ -905,7 +894,7 @@ def _tri_prep_edges(*parts):
 def _tri_split_edge_keys(tbl: pa.Table, n_nodes: int, n_buckets: int):
     """Returns a tuple of ObjectRefs (ray.put per part), NOT raw
     arrays: a task return under ~100 KB is stored in the OWNER's
-    in-process memory, and an n_blocks × n_buckets exchange of small
+    in-process memory, and an n_blocks × buckets exchange of small
     parts routes the whole key set through the DRIVER (measured
     +1.1 GB driver RSS at sf0.1 forced-tier-3). Explicit ray.put keeps
     part payloads in the worker-side object store; only refs flow
@@ -919,20 +908,16 @@ def _tri_split_edge_keys(tbl: pa.Table, n_nodes: int, n_buckets: int):
     (triangle_count) is a pure function of its input Dataset, so the
     recovery story is rerun-the-op, same as the round-level
     crash-resume posture."""
-    import ray
     if tbl.num_rows == 0:
-        z = ray.put(np.array([], dtype=np.int64))
-        return tuple(z for _ in range(n_buckets)) if n_buckets > 1 else z
+        return (ray.put(np.array([], dtype=np.int64)),) * n_buckets
     u = tbl.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
     v = tbl.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
     key = np.where(u < v, u * n_nodes + v, v * n_nodes + u)
     parts = _pr_split_arrays([key], key, n_buckets)
-    refs = tuple(ray.put(p[0]) for p in parts)
-    return refs if n_buckets > 1 else refs[0]
+    return tuple(ray.put(p[0]) for p in parts)
 
 
 def _tri_prep_keys(*parts):
-    import ray
     parts = [ray.get(p) for p in parts]
     return np.sort(np.concatenate(parts)) if parts else \
         np.array([], dtype=np.int64)
@@ -941,13 +926,12 @@ def _tri_prep_keys(*parts):
 def _tri_wedges(eb, n_nodes: int, n_buckets: int):
     """Run-based wedge keys for one u-bucket — the keys-only
     projection of the shared ``_wedge_parts`` kernel. Wedge volume
-    per bucket is bounded by m·sqrt(2m)/n_buckets under the degree
+    per bucket is bounded by m·sqrt(2m)/buckets under the degree
     orientation."""
     return _wedge_parts(eb, n_nodes, n_buckets, with_center=False)
 
 
 def _tri_count(keys_sorted: np.ndarray, *wedge_parts) -> int:
-    import ray
     if len(keys_sorted) == 0:
         return 0
     total = 0
@@ -961,7 +945,6 @@ def _tri_count(keys_sorted: np.ndarray, *wedge_parts) -> int:
 
 
 def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
-             n_buckets: int = 64,
              small_threshold: int = 1 << 18,
              broadcast_nodes: int = 1 << 23,
              checkpoint_dir: str | None = None) -> rd.Dataset:
@@ -1018,12 +1001,12 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
 
     node_ds = preagg_reduce(
         edges.map_batches(_nodes_of, batch_format="pandas"),
-        ["node"], "one", "min", n_buckets=n_buckets).materialize()
+        ["node"], "one", "min").materialize()
     n_nodes = node_ds.count()
 
     if n_nodes <= broadcast_nodes:
         return _broadcast_pagerank(edges, node_ds, damping, iters,
-                                   n_buckets, broadcast_get,
+                                   broadcast_get,
                                    checkpoint_dir=checkpoint_dir)
 
     # static: out-degree per src, and the distinct node universe.
@@ -1034,11 +1017,10 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     deg = preagg_reduce(
         edges.map_batches(lambda b: pd.DataFrame({"node": b["src"]}),
                           batch_format="pandas"),
-        ["node"], "deg", "count", n_buckets=n_buckets).materialize()
+        ["node"], "deg", "count").materialize()
 
     base = bucketed_join(node_ds.drop_columns(["one"]).materialize(),
-                         deg, on="node",
-                         n_buckets=n_buckets, how="left")
+                         deg, on="node", how="left")
 
     def init(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1057,67 +1039,52 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     # edges hash-split by src ONCE into per-bucket plasma tables;
     # per-bucket (node, deg) arrays sorted by node are the canonical
     # order every iteration (and every checkpoint/resume) reuses.
-    import ray
-    split_r = ray.remote(_pr_split_block)
     prep_edges_r = ray.remote(_pr_prep_edges)
     prep_base_r = ray.remote(_pr_prep_base)
     dang_r = ray.remote(_pr_dang)
-    contrib_r = ray.remote(_pr_contrib)
     renew_r = ray.remote(_pr_renew)
     state_tbl_r = ray.remote(_pr_state_table)
     out_tbl_r = ray.remote(_pr_out_table)
-
-    def _bucketize(ds: rd.Dataset, cols: list[str]):
-        per_block = [
-            split_r.options(num_returns=n_buckets).remote(
-                ref, cols, n_buckets)
-            for ref in ds.to_arrow_refs()]
-        if n_buckets == 1:   # num_returns=1 yields a bare ref
-            per_block = [[r] for r in per_block]
-        return [[blk[k] for blk in per_block] for k in range(n_buckets)]
+    n = shuffle_buckets()
 
     edges_k = [prep_edges_r.remote(*frags)
-               for frags in _bucketize(edges, ["src", "dst"])]
+               for frags in _split_blocks(edges, ["src", "dst"], n)]
 
     if ck_path and start_iter > 0:
         state = rd.read_parquet(ck_path).materialize()
         pairs = [prep_base_r.options(num_returns=2).remote(*frags)
-                 for frags in _bucketize(state, ["node", "deg", "rank"])]
+                 for frags in _split_blocks(
+                     state, ["node", "deg", "rank"], n)]
         base_k = [p[0] for p in pairs]
         rank_k = [p[1] for p in pairs]
     else:
         base_k = [prep_base_r.remote(*frags)
-                  for frags in _bucketize(base, ["node", "deg"])]
+                  for frags in _split_blocks(base, ["node", "deg"], n)]
         init_r = ray.remote(
             lambda b, inv: np.full(len(b[0]), inv, dtype=np.float64))
         rank_k = [init_r.remote(b, 1.0 / n_nodes) for b in base_k]
 
     for _it in range(start_iter, iters):
         dang = float(sum(ray.get(
-            [dang_r.remote(base_k[j], rank_k[j])
-             for j in range(n_buckets)])))
-        cparts = [contrib_r.options(num_returns=n_buckets).remote(
-            edges_k[k], base_k[k], rank_k[k], n_buckets)
-            for k in range(n_buckets)]
-        if n_buckets == 1:
-            cparts = [[c] for c in cparts]
+            [dang_r.remote(base_k[j], rank_k[j]) for j in range(n)])))
+        cparts = [_fanout(_pr_contrib, n, edges_k[k], base_k[k],
+                          rank_k[k], n)
+                  for k in range(n)]
         rank_k = [renew_r.remote(base_k[j], dang, n_nodes, damping,
-                                 *[cparts[k][j]
-                                   for k in range(n_buckets)])
-                  for j in range(n_buckets)]
+                                 *[cparts[k][j] for k in range(n)])
+                  for j in range(n)]
         if checkpoint_dir:
             state_ds = rd.from_arrow_refs(
                 [state_tbl_r.remote(base_k[j], rank_k[j])
-                 for j in range(n_buckets)])
+                 for j in range(n)])
             _ckpt_write_ds(checkpoint_dir, "pagerank3", _it + 1,
                            state_ds)
 
     return rd.from_arrow_refs([out_tbl_r.remote(base_k[j], rank_k[j])
-                               for j in range(n_buckets)])
+                               for j in range(n)])
 
 
-def kcore_nodes(edges: rd.Dataset, k: int, rounds: int,
-                n_buckets: int = 64) -> rd.Dataset:
+def kcore_nodes(edges: rd.Dataset, k: int, rounds: int) -> rd.Dataset:
     """Iterative k-core peeling over a canonical undirected edge list
     (columns ``a`` < ``b``): each round computes node degrees over the
     SURVIVING edges and deletes every node with degree < k together
@@ -1147,8 +1114,7 @@ def kcore_nodes(edges: rd.Dataset, k: int, rounds: int,
                 "node": np.concatenate([b["a"].to_numpy(np.int64),
                                         b["b"].to_numpy(np.int64)])}),
             batch_format="pandas")
-        return preagg_reduce(both, ["node"], "deg", "count",
-                             n_buckets=n_buckets)
+        return preagg_reduce(both, ["node"], "deg", "count")
 
     cur = edges.materialize()
     deg = degrees(cur).materialize()
@@ -1162,7 +1128,6 @@ def kcore_nodes(edges: rd.Dataset, k: int, rounds: int,
         if len(dropped) == 0:
             break
         drop_sorted = np.sort(dropped)
-        import ray
         drop_ref = ray.put(drop_sorted)
 
         def keep_edges(b: pd.DataFrame) -> pd.DataFrame:
@@ -1194,8 +1159,7 @@ _WALK_BASE = 2147483648       # 2^31: packing base (hash << 31 | node)
 
 
 def deterministic_walks(adjs: list[rd.Dataset],
-                        starts: rd.Dataset | None,
-                        n_buckets: int = 16) -> rd.Dataset:
+                        starts: rd.Dataset | None) -> rd.Dataset:
     """Deterministic pseudo-random walks: one walk per start node,
     hop ``h`` moving from the current node to the out-neighbor
     minimizing ``hash(neighbor, h)`` — graph sampling (node2vec-style
@@ -1245,8 +1209,7 @@ def deterministic_walks(adjs: list[rd.Dataset],
 
         reduced = grouped_multi_agg(
             adj.map_batches(pack, batch_format="pandas"), ["src"],
-            {f"pk{st}": (f"pk{st}", "min") for st in steps},
-            n_buckets=n_buckets).materialize()
+            {f"pk{st}": (f"pk{st}", "min") for st in steps}).materialize()
         for st in steps:
             best[st] = reduced.map_batches(
                 lambda b, st=st: pd.DataFrame({
@@ -1274,8 +1237,7 @@ def deterministic_walks(adjs: list[rd.Dataset],
                                     "src": b["node"].to_numpy(np.int64)}),
             batch_format="pandas")
     for st in range(first, n_hops + 1):
-        state = bucketed_join(state, best[st], on="src", how="inner",
-                              n_buckets=n_buckets)
+        state = bucketed_join(state, best[st], on="src", how="inner")
         keep = ["walk"] + [f"hop{i}" for i in range(1, st + 1)]
         if st < n_hops:
             state = state.map_batches(
@@ -1313,14 +1275,12 @@ def _bfs_offers(eb, lab, n_buckets: int):
     nodes, labels = lab
     if len(node_e) == 0:
         z = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        return (tuple(z for _ in range(n_buckets))
-                if n_buckets > 1 else z)
+        return (z,) * n_buckets
     off = labels[np.searchsorted(nodes, node_e)] + 1
     u, inv = np.unique(nbr_e, return_inverse=True)
     m = np.full(len(u), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(m, inv, off)
-    out = tuple(_pr_split_arrays([u, m], u, n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return tuple(_pr_split_arrays([u, m], u, n_buckets))
 
 
 def _bfs_out_table(lab, max_hops: int) -> pa.Table:
@@ -1363,7 +1323,6 @@ def _driver_bfs(a: np.ndarray, b: np.ndarray, seeds: np.ndarray,
 
 def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
              seeds: np.ndarray, max_hops: int = 4,
-             n_buckets: int = 64,
              small_threshold: int = 1 << 18) -> rd.Dataset:
     """(node_id, hops) for every node within ``max_hops`` edges of the
     seed set over the undirected pair graph; seeds themselves report
@@ -1374,8 +1333,6 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
     node-sized (neighbor, offer) arrays move per round, and the loop
     runs ≤ max_hops rounds with the monotone dist-sum stall as the
     early exit."""
-    import ray
-
     from .relational import broadcast_get
 
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
@@ -1427,40 +1384,27 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
     n_nodes = edges.map_batches(
         lambda b: pd.DataFrame({"node": b["node"].unique()}),
         batch_format="pandas").count()
-    n_buckets = int(min(n_buckets, max(2, n_nodes // 4096)))
+    n = _graph_buckets(n_nodes)
 
-    split_r = ray.remote(_pr_split_block)
     prep_e = ray.remote(_cc_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
-    off_r = ray.remote(_bfs_offers)
     red_r = ray.remote(_cc_reduce)
     out_tbl_r = ray.remote(_bfs_out_table)
 
-    def _bucketize(ds: rd.Dataset, cols: list[str]):
-        per_block = [
-            split_r.options(num_returns=n_buckets).remote(
-                ref, cols, n_buckets)
-            for ref in ds.to_arrow_refs()]
-        if n_buckets == 1:
-            per_block = [[r] for r in per_block]
-        return [[blk[k] for blk in per_block] for k in range(n_buckets)]
-
     edges_k = [prep_e.remote(*f)
-               for f in _bucketize(edges, ["node", "nbr"])]
+               for f in _split_blocks(edges, ["node", "nbr"], n)]
     lab_k = [prep_l.remote(*f)
-             for f in _bucketize(labels, ["node", "label"])]
+             for f in _split_blocks(labels, ["node", "label"], n)]
 
     # Seeds that are NOT graph nodes never enter edges_k's universes —
     # they ride through in lab_k (the union above) and surface at 0.
     prev_sum = None
     for _ in range(max_hops):
-        oparts = [off_r.options(num_returns=n_buckets).remote(
-            edges_k[k], lab_k[k], n_buckets) for k in range(n_buckets)]
-        if n_buckets == 1:
-            oparts = [[o] for o in oparts]
+        oparts = [_fanout(_bfs_offers, n, edges_k[k], lab_k[k], n)
+                  for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
-            lab_k[j], *[oparts[k][j] for k in range(n_buckets)])
-            for j in range(n_buckets)]
+            lab_k[j], *[oparts[k][j] for k in range(n)])
+            for j in range(n)]
         lab_k = [o[0] for o in outs]
         cur_sum = int(sum(ray.get([o[1] for o in outs])))
         if cur_sum == prev_sum:
@@ -1512,15 +1456,13 @@ def _lpa_count_partial(eb, lab, n_buckets: int):
     nodes, labels = lab
     if len(node_e) == 0:
         z = (np.array([], dtype=np.int64),) * 3
-        return (tuple(z for _ in range(n_buckets))
-                if n_buckets > 1 else z)
+        return (z,) * n_buckets
     lb = labels[np.searchsorted(nodes, node_e)]
     u, inv = np.unique(
         np.stack([nbr_e, lb], axis=1), axis=0, return_inverse=True)
     cnt = np.bincount(inv).astype(np.int64)
-    out = tuple(_pr_split_arrays([u[:, 0], u[:, 1], cnt],
-                                 u[:, 0], n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return tuple(_pr_split_arrays([u[:, 0], u[:, 1], cnt],
+                                  u[:, 0], n_buckets))
 
 
 def _lpa_reduce(lab, *count_parts):
@@ -1551,7 +1493,7 @@ def _lpa_reduce(lab, *count_parts):
 
 
 def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
-                      rounds: int = 5, n_buckets: int = 64,
+                      rounds: int = 5,
                       small_threshold: int = 1 << 18) -> rd.Dataset:
     """(node_id, community) after ``rounds`` synchronous LPA rounds.
     Standing two-tier cutover: driver CSR under small_threshold edge
@@ -1563,8 +1505,6 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
     pair acts as a double-weight vote in the mode (both tiers agree on
     that semantics, but it is usually not what callers mean; the
     fulfillment builders dedup upstream)."""
-    import ray
-
     def mirror(b: pa.Table) -> pa.Table:
         a = b[col_a].to_numpy(zero_copy_only=False).astype(np.int64)
         c = b[col_b].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1595,37 +1535,23 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
 
     labels = edges.map_batches(init_labels,
                                batch_format="pyarrow").materialize()
-    n_nodes = labels.count()
-    n_buckets = int(min(n_buckets, max(2, n_nodes // 4096)))
+    n = _graph_buckets(labels.count())
 
-    split_r = ray.remote(_pr_split_block)
     prep_e = ray.remote(_cc_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
-    cnt_r = ray.remote(_lpa_count_partial)
     red_r = ray.remote(_lpa_reduce)
 
-    def _bucketize(ds: rd.Dataset, cols: list[str]):
-        per_block = [
-            split_r.options(num_returns=n_buckets).remote(
-                ref, cols, n_buckets)
-            for ref in ds.to_arrow_refs()]
-        if n_buckets == 1:
-            per_block = [[r] for r in per_block]
-        return [[blk[k] for blk in per_block] for k in range(n_buckets)]
-
     edges_k = [prep_e.remote(*f)
-               for f in _bucketize(edges, ["node", "nbr"])]
+               for f in _split_blocks(edges, ["node", "nbr"], n)]
     lab_k = [prep_l.remote(*f)
-             for f in _bucketize(labels, ["node", "label"])]
+             for f in _split_blocks(labels, ["node", "label"], n)]
 
     for _ in range(rounds):
-        cparts = [cnt_r.options(num_returns=n_buckets).remote(
-            edges_k[k], lab_k[k], n_buckets) for k in range(n_buckets)]
-        if n_buckets == 1:
-            cparts = [[c] for c in cparts]
+        cparts = [_fanout(_lpa_count_partial, n, edges_k[k], lab_k[k], n)
+                  for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
-            lab_k[j], *[cparts[k][j] for k in range(n_buckets)])
-            for j in range(n_buckets)]
+            lab_k[j], *[cparts[k][j] for k in range(n)])
+            for j in range(n)]
         lab_k = [o[0] for o in outs]
         ray.get([o[1] for o in outs])   # round barrier (BSP)
 
@@ -1682,23 +1608,19 @@ def _sssp_offers(eb, lab, n_buckets: int):
     split by the target's bucket."""
     node_e, nbr_e, w_e = eb
     nodes, labels = lab
+    z = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
     if len(node_e) == 0:
-        z = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        return (tuple(z for _ in range(n_buckets))
-                if n_buckets > 1 else z)
+        return (z,) * n_buckets
     d = labels[np.searchsorted(nodes, node_e)]
     live = d < _BFS_INF
     if not live.any():
-        z = np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        return (tuple(z for _ in range(n_buckets))
-                if n_buckets > 1 else z)
+        return (z,) * n_buckets
     off = d[live] + w_e[live]
     tgt = nbr_e[live]
     uq, inv = np.unique(tgt, return_inverse=True)
     m = np.full(len(uq), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(m, inv, off)
-    out = tuple(_pr_split_arrays([uq, m], uq, n_buckets))
-    return out if n_buckets > 1 else out[0]
+    return tuple(_pr_split_arrays([uq, m], uq, n_buckets))
 
 
 def _sssp_out_table(lab) -> pa.Table:
@@ -1708,7 +1630,7 @@ def _sssp_out_table(lab) -> pa.Table:
 
 
 def weighted_sssp(edges: rd.Dataset, source: int,
-                  max_rounds: int = 4096, n_buckets: int = 64,
+                  max_rounds: int = 4096,
                   small_threshold: int = 1 << 18) -> rd.Dataset:
     """(node_id, dist) shortest weighted distance from ``source`` over
     the DIRECTED edge dataset (columns u, v, w; integer non-negative
@@ -1724,8 +1646,6 @@ def weighted_sssp(edges: rd.Dataset, source: int,
     (a runaway backstop, not a result parameter) is exhausted before
     the stall, instead of silently reporting under-relaxed distances
     (review-caught)."""
-    import ray
-
     def mirror(b: pa.Table) -> pa.Table:
         w = b["w"].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(w) and int(w.min()) < 0:
@@ -1762,47 +1682,34 @@ def weighted_sssp(edges: rd.Dataset, source: int,
             "node": np.array([source], np.int64),
             "label": np.zeros(1, np.int64)}))).materialize()
 
-    # the bfs_hops sizing contract: clamp bucket count to the node
-    # count and coarsen edge blocks, so a just-over-cutover graph
-    # doesn't pay 64×64 tiny-task exchanges per round (review-caught)
+    # the bfs_hops sizing contract: buckets by node count
+    # (_graph_buckets) and coarse edge blocks, so a just-over-cutover
+    # graph doesn't pay a wide tiny-task exchange per round
     n_nodes = labels.map_batches(
         lambda b: pd.DataFrame({"node": b["node"].unique()}),
         batch_format="pandas").count()
-    n_buckets = int(min(n_buckets, max(2, n_nodes // 4096)))
+    n = _graph_buckets(n_nodes)
     target_blocks = int(max(1, min(64, n_edge_rows // 65536 + 1)))
     if e.num_blocks() > 2 * target_blocks:
         e = e.repartition(target_blocks).materialize()
 
-    split_r = ray.remote(_pr_split_block)
     prep_e = ray.remote(_sssp_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
-    off_r = ray.remote(_sssp_offers)
     red_r = ray.remote(_cc_reduce)
     out_tbl_r = ray.remote(_sssp_out_table)
 
-    def _bucketize(ds: rd.Dataset, cols: list[str]):
-        per_block = [
-            split_r.options(num_returns=n_buckets).remote(
-                ref, cols, n_buckets)
-            for ref in ds.to_arrow_refs()]
-        if n_buckets == 1:
-            per_block = [[r] for r in per_block]
-        return [[blk[k] for blk in per_block] for k in range(n_buckets)]
-
     edges_k = [prep_e.remote(*f)
-               for f in _bucketize(e, ["node", "nbr", "w"])]
+               for f in _split_blocks(e, ["node", "nbr", "w"], n)]
     lab_k = [prep_l.remote(*f)
-             for f in _bucketize(labels, ["node", "label"])]
+             for f in _split_blocks(labels, ["node", "label"], n)]
 
     prev_sum = None
     for _ in range(max_rounds):
-        oparts = [off_r.options(num_returns=n_buckets).remote(
-            edges_k[k], lab_k[k], n_buckets) for k in range(n_buckets)]
-        if n_buckets == 1:
-            oparts = [[o] for o in oparts]
+        oparts = [_fanout(_sssp_offers, n, edges_k[k], lab_k[k], n)
+                  for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
-            lab_k[j], *[oparts[k][j] for k in range(n_buckets)])
-            for j in range(n_buckets)]
+            lab_k[j], *[oparts[k][j] for k in range(n)])
+            for j in range(n)]
         lab_k = [o[0] for o in outs]
         cur_sum = int(sum(ray.get([o[1] for o in outs])))
         if cur_sum == prev_sum:
@@ -1866,8 +1773,7 @@ def _msf_edge_table(b: pd.DataFrame) -> pa.Table:
                      for c in ("u", "v", "w", "cu", "cv")})
 
 
-def _msf_tier3(live: rd.Dataset, n_buckets: int,
-               max_rounds: int) -> rd.Dataset:
+def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
     """Fully distributed Borůvka (VERDICT r04 #5: the union-find is
     off the driver). Loop state is a bucketed ``(node, comp)`` label
     dataset; per round the chosen per-component minimum edges form a
@@ -1892,7 +1798,7 @@ def _msf_tier3(live: rd.Dataset, n_buckets: int,
 
     labels = preagg_reduce(
         live.map_batches(init_labels, batch_format="pandas"),
-        ["node"], "comp", "min", n_buckets=n_buckets)
+        ["node"], "comp", "min")
     labels = labels.map_batches(
         lambda b: pa.table({"node": b["node"].to_numpy(np.int64),
                             "comp": b["comp"].to_numpy(np.int64)}),
@@ -1911,8 +1817,8 @@ def _msf_tier3(live: rd.Dataset, n_buckets: int,
             lambda b: pd.DataFrame({"v": b["node"].to_numpy(np.int64),
                                     "cv": b["comp"].to_numpy(np.int64)}),
             batch_format="pandas")
-        e = bucketed_join(live, lu, on="u", n_buckets=n_buckets)
-        e = bucketed_join(e, lv, on="v", n_buckets=n_buckets)
+        e = bucketed_join(live, lu, on="u")
+        e = bucketed_join(e, lv, on="v")
         # intra-component edges leave the live set PERMANENTLY.
         # BLOCK HYGIENE (the dedup-collapse lesson, found by the sf1
         # smoke): join outputs carry Ray's schema-less empty-partition
@@ -1942,24 +1848,20 @@ def _msf_tier3(live: rd.Dataset, n_buckets: int,
         chosen = topk_per_group(e.map_batches(emit,
                                               batch_format="pandas"),
                                 ["comp"], "w", k=1, ascending=True,
-                                tie_cols=["u", "v"],
-                                n_buckets=n_buckets)
+                                tie_cols=["u", "v"])
         # distinct edge rows (a 2-cycle is both components choosing
         # the same edge → identical (u,v,w,cu,cv) rows collapse)
         chd = preagg_reduce(chosen, ["u", "v", "w", "cu", "cv"],
-                            "__c", "count",
-                            n_buckets=n_buckets).materialize()
+                            "__c", "count").materialize()
         forest_parts.append(chd.map_batches(
             lambda b: b[["u", "v", "w"]], batch_format="pandas"))
 
-        ccm = connected_components(chd, "cu", "cv",
-                                   n_buckets=n_buckets).map_batches(
+        ccm = connected_components(chd, "cu", "cv").map_batches(
             lambda b: pd.DataFrame({
                 "comp": b["doc_id"].to_numpy(np.int64),
                 "newc": b["cluster_id"].to_numpy(np.int64)}),
             batch_format="pandas")
-        joined = bucketed_join(labels, ccm, on="comp", how="left",
-                               n_buckets=n_buckets)
+        joined = bucketed_join(labels, ccm, on="comp", how="left")
 
         def update(b: pd.DataFrame) -> pd.DataFrame:
             comp = b["comp"].to_numpy(np.int64)
@@ -1996,7 +1898,6 @@ def _msf_tier3(live: rd.Dataset, n_buckets: int,
 
 
 def minimum_spanning_forest(edges: rd.Dataset,
-                            n_buckets: int = 64,
                             small_threshold: int = 1 << 18,
                             max_rounds: int = 40,
                             tier3_threshold: int = 1 << 26) -> rd.Dataset:
@@ -2024,8 +1925,6 @@ def minimum_spanning_forest(edges: rd.Dataset,
     dataset, per-round components come from the CC kernel over the
     chosen component graph, and the driver holds nothing
     node-sized."""
-    import ray
-
     from .relational import topk_per_group
 
     def canon(b: pa.Table) -> pa.Table:
@@ -2056,7 +1955,7 @@ def minimum_spanning_forest(edges: rd.Dataset,
         return rd.from_arrow(pa.table({"u": fu, "v": fv, "w": fw}))
 
     if n_edges > tier3_threshold:
-        return _msf_tier3(live, n_buckets, max_rounds)
+        return _msf_tier3(live, max_rounds)
 
     uf = _UnionFind()
     forest: list[tuple[int, int, int]] = []
@@ -2110,8 +2009,8 @@ def minimum_spanning_forest(edges: rd.Dataset,
                 "w": np.tile(b["w"].to_numpy(np.int64), 2)}),
             batch_format="pandas")
         chosen = topk_per_group(both, ["comp"], "w", k=1,
-                                ascending=True, tie_cols=["u", "v"],
-                                n_buckets=n_buckets).to_pandas()
+                                ascending=True,
+                                tie_cols=["u", "v"]).to_pandas()
         # deterministic union ORDER: under weight ties the set of safe
         # edges admitted in a round depends on processing order —
         # (w, u, v) makes it run-independent (block arrival order from
@@ -2182,8 +2081,7 @@ def _tri_participation(u: np.ndarray, v: np.ndarray,
     return counts
 
 
-def local_clustering(edges: rd.Dataset, n_buckets: int = 64,
-                     small_threshold: int = 1 << 18,
+def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
                      broadcast_edge_threshold: int = 1 << 25
                      ) -> pd.DataFrame:
     """Per-node triangle count and local clustering coefficient
@@ -2204,12 +2102,7 @@ def local_clustering(edges: rd.Dataset, n_buckets: int = 64,
     only node-BOUNDED sparse partials do). Node-sized driver state is
     INHERENT to this output (one row per node). Output: driver
     DataFrame (node, deg, n_tri int64, lcc float64)."""
-    import ray
-
     from .relational import broadcast_get, preagg_reduce
-
-    if n_buckets & (n_buckets - 1):
-        raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
 
     edges = edges.materialize()
     n_edges = edges.count()
@@ -2260,7 +2153,7 @@ def local_clustering(edges: rd.Dataset, n_buckets: int = 64,
             {"node": np.concatenate([b["a"].to_numpy(),
                                      b["b"].to_numpy()])}),
             batch_format="pandas"),
-        ["node"], "deg", "count", n_buckets=n_buckets).to_pandas() \
+        ["node"], "deg", "count").to_pandas() \
         .sort_values("node", ignore_index=True)
     ids_arr = deg_df["node"].to_numpy(np.int64)
     deg_arr = deg_df["deg"].to_numpy(np.int64)
@@ -2290,16 +2183,12 @@ def local_clustering(edges: rd.Dataset, n_buckets: int = 64,
     # sparse partials do (node-sized final state is inherent to this
     # per-node output)
     if n_edges > broadcast_edge_threshold:
-        tri = _lcc_tier3_counts(directed, n_nodes, n_buckets)
+        tri = _lcc_tier3_counts(directed, n_nodes)
         return _finish(ids_arr, deg_arr, tri)
     ek = directed.to_pandas()
     du, dv = ek["u"].to_numpy(), ek["v"].to_numpy()
     keys_ref = ray.put(np.sort(np.where(
         du < dv, du * n_nodes + dv, dv * n_nodes + du)))
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return b.assign(
-            __bucket=b["u"].to_numpy(np.int64) & (n_buckets - 1))
 
     def bucket_partial(g: pd.DataFrame) -> pd.DataFrame:
         u = g["u"].to_numpy(np.int64)
@@ -2310,10 +2199,8 @@ def local_clustering(edges: rd.Dataset, n_buckets: int = 64,
         nz = np.nonzero(tri)[0]
         return pd.DataFrame({"idx": nz, "t": tri[nz]})
 
-    parts = (directed.map_batches(tag, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(bucket_partial, batch_format="pandas")
-             .to_pandas())
+    parts = key_shuffle(directed, bucket_partial, ["u"],
+                        batch_format="pandas").to_pandas()
     tri = np.zeros(n_nodes, dtype=np.int64)
     if len(parts):
         np.add.at(tri, parts["idx"].to_numpy(np.int64),
@@ -2323,7 +2210,6 @@ def local_clustering(edges: rd.Dataset, n_buckets: int = 64,
 
 def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
                           damping: float = 0.85, iters: int = 3,
-                          n_buckets: int = 64,
                           small_threshold: int = 1 << 18,
                           checkpoint_dir: str | None = None
                           ) -> rd.Dataset:
@@ -2370,9 +2256,9 @@ def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
 
     node_ds = preagg_reduce(
         edges.map_batches(_nodes_of, batch_format="pandas"),
-        ["node"], "one", "min", n_buckets=n_buckets)
+        ["node"], "one", "min")
     return _broadcast_pagerank(edges, node_ds, damping, iters,
-                               n_buckets, broadcast_get,
+                               broadcast_get,
                                checkpoint_dir=checkpoint_dir,
                                seeds=seeds_arr)
 
@@ -2387,7 +2273,6 @@ def _wedge_parts(eb, n_nodes: int, n_buckets: int,
     the per-corner crediting needs and which is unrecoverable from
     the key). Returns refs (see ``_tri_split_edge_keys`` for why
     refs, not raw returns)."""
-    import ray
     u, v = eb
     out_k = [[] for _ in range(n_buckets)]
     out_c = [[] for _ in range(n_buckets)]
@@ -2418,7 +2303,7 @@ def _wedge_parts(eb, n_nodes: int, n_buckets: int,
     else:
         parts = tuple(ray.put(np.concatenate(k) if k else empty)
                       for k in out_k)
-    return parts if n_buckets > 1 else parts[0]
+    return parts
 
 
 def _lcc_wedges(eb, n_nodes: int, n_buckets: int):
@@ -2431,7 +2316,6 @@ def _lcc_count(keys_sorted: np.ndarray, n_nodes: int, *wedge_parts):
     (node, count) arrays — per-task compression to ≤ n_nodes entries
     so the exchange back to the driver is node-bounded, not
     triangle-bounded."""
-    import ray
     acc_nodes, acc_cnts = [], []
     for ref in wedge_parts:
         wk, ctr = ray.get(ref)
@@ -2460,42 +2344,22 @@ def _lcc_count(keys_sorted: np.ndarray, n_nodes: int, *wedge_parts):
     return ray.put((uniq, sums.astype(np.int64)))
 
 
-def _lcc_tier3_counts(directed: rd.Dataset, n_nodes: int,
-                      n_buckets: int) -> np.ndarray:
+def _lcc_tier3_counts(directed: rd.Dataset, n_nodes: int) -> np.ndarray:
     """Fully distributed per-node triangle participation — the
     triangle_count tier-3 BSP exchange extended with per-corner
     crediting: edges split ONCE by u (wedge side) and by packed key
     (membership side), wedge (key, center) pairs move exactly once,
     each key-bucket's closing task returns a node-BOUNDED sparse
-    partial, and the driver scatters the ≤ n_buckets sparse parts
+    partial, and the driver scatters the one sparse part per bucket
     into the node-sized dense array this output inherently is."""
-    import ray
-    split_r = ray.remote(_pr_split_block)
-    ksplit_r = ray.remote(_tri_split_edge_keys)
-    prep_e_r = ray.remote(_tri_prep_edges)
-    prep_k_r = ray.remote(_tri_prep_keys)
-    wedge_r = ray.remote(_lcc_wedges)
     count_r = ray.remote(_lcc_count)
-
-    refs = directed.to_arrow_refs()
-    eparts = [split_r.options(num_returns=n_buckets).remote(
-        r, ["u", "v"], n_buckets) for r in refs]
-    kparts = [ksplit_r.options(num_returns=n_buckets).remote(
-        r, n_nodes, n_buckets) for r in refs]
-    if n_buckets == 1:
-        eparts = [[e] for e in eparts]
-        kparts = [[k] for k in kparts]
-    edges_k = [prep_e_r.remote(*[e[k] for e in eparts])
-               for k in range(n_buckets)]
-    keys_k = [prep_k_r.remote(*[p[k] for p in kparts])
-              for k in range(n_buckets)]
-    wparts = [wedge_r.options(num_returns=n_buckets).remote(
-        edges_k[k], n_nodes, n_buckets) for k in range(n_buckets)]
-    if n_buckets == 1:
-        wparts = [[w] for w in wparts]
+    n = shuffle_buckets()
+    edges_k, keys_k = _tri_split(directed, n_nodes, n)
+    wparts = [_fanout(_lcc_wedges, n, edges_k[k], n_nodes, n)
+              for k in range(n)]
     sparse_refs = ray.get([count_r.remote(
-        keys_k[j], n_nodes, *[wparts[k][j] for k in range(n_buckets)])
-        for j in range(n_buckets)])
+        keys_k[j], n_nodes, *[wparts[k][j] for k in range(n)])
+        for j in range(n)])
     tri = np.zeros(n_nodes, dtype=np.int64)
     for nodes, cnts in ray.get(sparse_refs):
         if len(nodes):

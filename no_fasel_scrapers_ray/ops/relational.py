@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .util import stable_bucket, stable_bucket_cols
+from .util import key_shuffle, shuffle_buckets
 
 
 # --------------------------------------------------------------------------
@@ -130,8 +130,7 @@ def _bloom_hashes(keys: np.ndarray, m_bits: int, k_hashes: int):
 
 
 def bloom_semi_join(big: rd.Dataset, keys_ds: rd.Dataset, column: str,
-                    m_bits: int = 1 << 20, k_hashes: int = 4,
-                    n_buckets: int = 16) -> rd.Dataset:
+                    m_bits: int = 1 << 20, k_hashes: int = 4) -> rd.Dataset:
     """EXACT semi-join of ``big`` against the (distinct) key set in
     ``keys_ds[column]``, Bloom-prefiltered:
 
@@ -181,8 +180,7 @@ def bloom_semi_join(big: rd.Dataset, keys_ds: rd.Dataset, column: str,
     survivors = big.map_batches(probe, batch_format="pyarrow")
     keys_only = keys_ds.map_batches(
         lambda t: t.select([column]), batch_format="pyarrow")
-    return bucketed_join(survivors, keys_only, on=column,
-                         n_buckets=n_buckets, how="inner")
+    return bucketed_join(survivors, keys_only, on=column, how="inner")
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def _resolve_fields(ds: rd.Dataset) -> dict:
 
 
 def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
-                  n_buckets: int = 16, how: str = "inner") -> rd.Dataset:
+                  how: str = "inner") -> rd.Dataset:
     """Hash-partitioned join: ONE shuffle per side (the groupby), then a
     per-bucket pandas merge. Rows from the two sides are tagged and
     unioned so a single groupby co-locates matching buckets. Both sides
@@ -232,8 +230,6 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
     all_fields = dict(left_fields)
     for name, typ in right_fields.items():
         all_fields.setdefault(name, typ)
-
-    key_is_int = pa.types.is_integer(all_fields[on])
 
     def _pad(n: int, typ: pa.DataType) -> pa.Array:
         # Structural padding for the side that lacks a column — never
@@ -252,30 +248,18 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
 
     def tag(side: str):
         def _tag(batch: pa.Table) -> pa.Table:
-            key = batch[on]
-            if key_is_int:
-                bucket = pc.bit_wise_and(
-                    pc.cast(key, pa.int64()),
-                    pa.scalar(n_buckets - 1, pa.int64()))
-            else:
-                # string/other keys: pandas' deterministic content hash
-                # (fixed default hash_key → identical buckets on every
-                # worker for both sides)
-                hv = pd.util.hash_array(
-                    key.to_numpy(zero_copy_only=False).astype(object))
-                bucket = pa.array(
-                    (hv % np.uint64(n_buckets)).astype(np.int64))
             cols = {}
             for name, typ in all_fields.items():
                 cols[name] = (batch[name] if name in batch.column_names
                               else _pad(len(batch), typ))
-            cols["__bucket"] = bucket
+            # both sides' keys in ONE type, so equal keys hash alike
+            cols[on] = cols[on].cast(all_fields[on])
             cols["__side"] = pa.array([side] * len(batch))
             return pa.table(cols)
         return _tag
 
-    tagged = left.map_batches(tag("l"), batch_format="pyarrow").union(
-        right.map_batches(tag("r"), batch_format="pyarrow"))
+    sides = [left.map_batches(tag("l"), batch_format="pyarrow"),
+             right.map_batches(tag("r"), batch_format="pyarrow")]
 
     # Columns that are integer in the INPUT schemas: the null padding in
     # ``tag`` makes pandas upcast them to float64 inside the bucket merge
@@ -326,12 +310,10 @@ def bucketed_join(left: rd.Dataset, right: rd.Dataset, on: str,
                     out[c] = out[c].astype("int64")
         return out
 
-    return tagged.groupby("__bucket").map_groups(join_bucket,
-                                                 batch_format="pyarrow")
+    return key_shuffle(sides, join_bucket, [on], batch_format="pyarrow")
 
 
 def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
-              n_buckets: int = 64,
               left_fields: dict | None = None,
               right_fields: dict | None = None) -> rd.Dataset:
     """As-of join: each left row matched to the LAST right row of the
@@ -343,9 +325,8 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
     common schema and bucketed on ``hash(by)`` so ONE shuffle co-locates
     each key's rows from both sides, then the per-bucket merge is
     pandas ``merge_asof`` (vectorized C, handles many keys per bucket).
-    Skew note: a hot ``by`` key concentrates in one bucket — raise
-    ``n_buckets`` for key salting only if the PER-KEY row count stays
-    bounded; asof semantics require a key's rows to meet in one group.
+    Skew note: a hot ``by`` key concentrates in one bucket; asof
+    semantics require a key's rows to meet in one group.
 
     Right payload columns must not collide with left's (rename before
     the call); ``by``/``on`` are shared. Right payload must be non-null
@@ -379,19 +360,15 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
 
     def tag(side: str):
         def _tag(batch: pa.Table) -> pa.Table:
-            bucket = pc.bit_wise_and(
-                pc.cast(batch[by], pa.int64()),
-                pa.scalar(n_buckets - 1, pa.int64()))
             cols = {name: (batch[name] if name in batch.column_names
                            else pa.nulls(len(batch), typ))
                     for name, typ in all_fields.items()}
-            cols["__bucket"] = bucket
             cols["__side"] = pa.array([side] * len(batch))
             return pa.table(cols)
         return _tag
 
-    tagged = left.map_batches(tag("l"), batch_format="pyarrow").union(
-        right.map_batches(tag("r"), batch_format="pyarrow"))
+    sides = [left.map_batches(tag("l"), batch_format="pyarrow"),
+             right.map_batches(tag("r"), batch_format="pyarrow")]
     out_cols = left_cols + payload
     int_cols = [c for c in out_cols
                 if pa.types.is_integer(all_fields[c])]
@@ -432,13 +409,11 @@ def asof_join(left: rd.Dataset, right: rd.Dataset, by: str, on: str,
                 out[c] = out[c].astype("int64")
         return out[out_cols]
 
-    return tagged.groupby("__bucket").map_groups(
-        merge_bucket, batch_format="pyarrow")
+    return key_shuffle(sides, merge_bucket, [by], batch_format="pyarrow")
 
 
 def range_count_join(left: rd.Dataset, right: rd.Dataset, by: str,
                      on: str, window: int, out_col: str = "n_in_window",
-                     n_buckets: int = 64,
                      left_fields: dict | None = None) -> rd.Dataset:
     """Range join as a windowed count: for every left row, the number of
     right rows of the same ``by`` key with ``on`` in
@@ -464,9 +439,6 @@ def range_count_join(left: rd.Dataset, right: rd.Dataset, by: str,
     def tag(side: str, keep: list[str]):
         def _tag(batch: pa.Table) -> pa.Table:
             cols = {c: batch[c] for c in keep}
-            cols["__bucket"] = pc.bit_wise_and(
-                pc.cast(batch[by], pa.int64()),
-                pa.scalar(n_buckets - 1, pa.int64()))
             cols["__side"] = pa.array([side] * len(batch))
             return pa.table(cols)
         return _tag
@@ -478,16 +450,12 @@ def range_count_join(left: rd.Dataset, right: rd.Dataset, by: str,
         for c, t in left_fields.items():
             cols[c] = (batch[c] if c in (by, on)
                        else pa.nulls(len(batch), t))
-        cols["__bucket"] = pc.bit_wise_and(
-            pc.cast(batch[by], pa.int64()),
-            pa.scalar(n_buckets - 1, pa.int64()))
         cols["__side"] = pa.array(["r"] * len(batch))
         return pa.table(cols)
 
-    tagged = left.map_batches(tag("l", left_cols),
-                              batch_format="pyarrow").union(
-        right.select_columns([by, on]).map_batches(
-            tag_right, batch_format="pyarrow"))
+    sides = [left.map_batches(tag("l", left_cols), batch_format="pyarrow"),
+             right.select_columns([by, on]).map_batches(
+                 tag_right, batch_format="pyarrow")]
 
     def count_bucket(g: pa.Table) -> pd.DataFrame:
         # Arrow-side split before pandas conversion (the bucketed_join
@@ -529,8 +497,7 @@ def range_count_join(left: rd.Dataset, right: rd.Dataset, by: str,
         lrows[out_col] = (hi - lo).astype(np.int64)
         return lrows
 
-    return tagged.groupby("__bucket").map_groups(
-        count_bucket, batch_format="pyarrow")
+    return key_shuffle(sides, count_bucket, [by], batch_format="pyarrow")
 
 
 # --------------------------------------------------------------------------
@@ -566,12 +533,10 @@ def merge_with_precedence(new: rd.Dataset, old: rd.Dataset, key: str,
 
 def preagg_sum_count(ds: rd.Dataset, keys: list[str], sums: dict[str, str],
                      count_alias: str | None = None,
-                     batch_size: int = 65536,
-                     n_buckets: int = 64) -> rd.Dataset:
+                     batch_size: int = 65536) -> rd.Dataset:
     """groupby(keys) with SUM/COUNT as a two-stage bucketed hash
     aggregate: per-batch pandas partials (one row per key per batch),
-    then a shuffle on ``hash(keys) % n_buckets`` — 64 groups regardless
-    of key cardinality — with the final combine per bucket.
+    then one key shuffle with the final combine per bucket.
 
     Why not ``Dataset.groupby(keys).aggregate(...)`` on the partials:
     Ray's sort-based Aggregate degrades badly at high key cardinality
@@ -592,7 +557,6 @@ def preagg_sum_count(ds: rd.Dataset, keys: list[str], sums: dict[str, str],
         if count_alias is not None:
             cnt = batch.groupby(keys, as_index=False, sort=False).size()
             g[count_alias] = cnt["size"].to_numpy()
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -601,14 +565,12 @@ def preagg_sum_count(ds: rd.Dataset, keys: list[str], sums: dict[str, str],
 
     partials = ds.map_batches(partial, batch_format="pandas",
                               batch_size=batch_size)
-    return partials.groupby("__bucket").map_groups(
-        final, batch_format="pandas")
+    return key_shuffle(partials, final, keys, batch_format="pandas")
 
 
 def grouped_multi_agg(ds: rd.Dataset, keys: list[str],
                       specs: dict[str, tuple[str, str]],
-                      batch_size: int = 65536,
-                      n_buckets: int = 64) -> rd.Dataset:
+                      batch_size: int = 65536) -> rd.Dataset:
     """MANY aggregates per group in ONE pass (the batched-aggregate
     fusion shape, cf. LMFAO VLDB'20): ``specs`` maps output alias →
     (input column, fn) with fn ∈ sum|min|max|count. Per-batch named-agg
@@ -625,7 +587,6 @@ def grouped_multi_agg(ds: rd.Dataset, keys: list[str],
                                              else fn))
                  for alias, (col, fn) in specs.items()}
         g = batch.groupby(keys, as_index=False, sort=False).agg(**named)
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -634,13 +595,13 @@ def grouped_multi_agg(ds: rd.Dataset, keys: list[str],
         r = g.groupby(keys, as_index=False, sort=False).agg(**named)
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pandas",
-                           batch_size=batch_size)
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas",
+                                      batch_size=batch_size),
+                       final, keys, batch_format="pandas")
 
 
-def preagg_reduce(ds: rd.Dataset, keys: list[str], col: str, how: str,
-                  n_buckets: int = 64) -> rd.Dataset:
+def preagg_reduce(ds: rd.Dataset, keys: list[str], col: str,
+                  how: str) -> rd.Dataset:
     """groupby(keys).agg(how(col)) as a two-stage bucketed hash
     aggregate (per-batch partials → bucket shuffle → per-bucket final).
     ``how``: 'min' | 'max' | 'sum' | 'count' ('count' counts rows per
@@ -656,7 +617,6 @@ def preagg_reduce(ds: rd.Dataset, keys: list[str], col: str, how: str,
                 columns={"size": col})
         else:
             g = batch.groupby(keys, as_index=False).agg({col: how})
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     combine = "sum" if how == "count" else how
@@ -665,13 +625,13 @@ def preagg_reduce(ds: rd.Dataset, keys: list[str], col: str, how: str,
         r = g.groupby(keys, as_index=False).agg({col: combine})
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                       final, keys, batch_format="pandas")
 
 
 def topk_per_group(ds: rd.Dataset, keys: list[str], order_col: str, k: int,
-                   ascending: bool = False, tie_cols: list[str] | None = None,
-                   n_buckets: int = 64) -> rd.Dataset:
+                   ascending: bool = False,
+                   tie_cols: list[str] | None = None) -> rd.Dataset:
     """Per-key top-k rows (keep the k best docs per domain, the k
     largest orders per customer, ...). Scale shape: a batch's per-key
     top-k is a SUPERSET filter for the global per-key top-k, so the
@@ -688,36 +648,18 @@ def topk_per_group(ds: rd.Dataset, keys: list[str], order_col: str, k: int,
         return df.groupby(keys, sort=False).head(k)
 
     def partial(batch: pd.DataFrame) -> pa.Table:
-        g = select(batch)
-        g = g.assign(__bucket=stable_bucket_cols(g, keys, n_buckets))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pa.Table.from_pandas(select(batch), preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
-        out = select(g.drop(columns="__bucket"))
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(select(g), preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
-
-
-def _bucket_tagger(keys: list[str], n_buckets: int,
-                   cols: list[str] | None = None):
-    """The shared map-side stage of every windowed operator: project
-    (optionally) to ``cols`` and tag each row with the content-hash
-    bucket of ``keys``. One definition so bucketing fixes apply
-    everywhere at once."""
-    def add_bucket(df: pd.DataFrame) -> pa.Table:
-        if cols is not None:
-            df = df[cols]
-        df = df.assign(__bucket=stable_bucket_cols(df, keys, n_buckets))
-        return pa.Table.from_pandas(df, preserve_index=False)
-    return add_bucket
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                       final, keys, batch_format="pandas")
 
 
 def running_total(ds: rd.Dataset, keys: list[str], order_col: str,
                   val_col: str, alias: str,
-                  tie_cols: list[str] | None = None,
-                  n_buckets: int = 64) -> rd.Dataset:
+                  tie_cols: list[str] | None = None) -> rd.Dataset:
     """Windowed cumulative aggregate:
     ``SUM(val) OVER (PARTITION BY keys ORDER BY order_col, tie_cols)``.
 
@@ -730,22 +672,17 @@ def running_total(ds: rd.Dataset, keys: list[str], order_col: str,
     depend on the engine's summation tree."""
     tie = tie_cols or []
 
-    add_bucket = _bucket_tagger(keys, n_buckets)
-
     def cumulate(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col] + tie, kind="stable"))
+        g = g.sort_values(keys + [order_col] + tie, kind="stable")
         g[alias] = g.groupby(keys, sort=False)[val_col].cumsum()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(cumulate, batch_format="pandas"))
+    return key_shuffle(ds, cumulate, keys, batch_format="pandas")
 
 
 def rolling_sum(ds: rd.Dataset, keys: list[str], order_col: str,
                 val_col: str, alias: str, preceding: int,
-                tie_cols: list[str] | None = None,
-                n_buckets: int = 64) -> rd.Dataset:
+                tie_cols: list[str] | None = None) -> rd.Dataset:
     """Window-frame aggregate: ``SUM(val) OVER (PARTITION BY keys ORDER
     BY order_col, tie_cols ROWS BETWEEN preceding PRECEDING AND CURRENT
     ROW)``. Same single key-bucket shuffle as ``running_total``; the
@@ -756,24 +693,19 @@ def rolling_sum(ds: rd.Dataset, keys: list[str], order_col: str,
     tie = tie_cols or []
     win = preceding + 1
 
-    add_bucket = _bucket_tagger(keys, n_buckets)
-
     def slide(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col] + tie, kind="stable"))
+        g = g.sort_values(keys + [order_col] + tie, kind="stable")
         grp = g.groupby(keys, sort=False)
         cs = grp[val_col].cumsum()
         lag = cs.groupby([g[k] for k in keys], sort=False).shift(win)
         g[alias] = cs - lag.fillna(0).astype(cs.dtype)
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(slide, batch_format="pandas"))
+    return key_shuffle(ds, slide, keys, batch_format="pandas")
 
 
 def rolling_time_sum(ds: rd.Dataset, keys: list[str], order_col: str,
-                     val_col: str, window: int, alias: str,
-                     n_buckets: int = 64) -> rd.Dataset:
+                     val_col: str, window: int, alias: str) -> rd.Dataset:
     """Time-based sliding-window aggregate — SQL RANGE BETWEEN
     ``window`` PRECEDING AND CURRENT ROW (the trailing-1-hour-spend
     shape): for each row, the sum of ``val_col`` over the group's rows
@@ -786,11 +718,8 @@ def rolling_time_sum(ds: rd.Dataset, keys: list[str], order_col: str,
     plus two vectorized ``searchsorted`` bounds per group. Use integer
     values (cents) for bit-exact sums."""
 
-    add_bucket = _bucket_tagger(keys, n_buckets)
-
     def per_bucket(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col], kind="stable"))
+        g = g.sort_values(keys + [order_col], kind="stable")
         t = g[order_col].to_numpy()
         v = g[val_col].to_numpy()
         out = np.empty(len(g), dtype=v.dtype)  # never truncate floats
@@ -806,16 +735,13 @@ def rolling_time_sum(ds: rd.Dataset, keys: list[str], order_col: str,
         g[alias] = out
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return key_shuffle(ds, per_bucket, keys, batch_format="pandas")
 
 
 def windowed_lag(ds: rd.Dataset, keys: list[str], order_col: str,
                  val_col: str, alias: str,
                  tie_cols: list[str] | None = None,
-                 default=None, periods: int = 1,
-                 n_buckets: int = 64) -> rd.Dataset:
+                 default=None, periods: int = 1) -> rd.Dataset:
     """``LAG(val, periods) OVER (PARTITION BY keys ORDER BY order_col,
     tie_cols)``. Same single key-bucket shuffle + vectorized per-bucket
     pass as ``running_total``: each key's full history meets in one
@@ -825,29 +751,24 @@ def windowed_lag(ds: rd.Dataset, keys: list[str], order_col: str,
     (matching a SQL LAG without COALESCE)."""
     tie = tie_cols or []
 
-    add_bucket = _bucket_tagger(keys, n_buckets)
-
     def lag(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col] + tie, kind="stable"))
+        g = g.sort_values(keys + [order_col] + tie, kind="stable")
         shifted = g.groupby(keys, sort=False)[val_col].shift(periods)
         if default is not None:
             shifted = shifted.fillna(default).astype(g[val_col].dtype)
         g[alias] = shifted
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(lag, batch_format="pandas"))
+    return key_shuffle(ds, lag, keys, batch_format="pandas")
 
 
 def pivot_counts(ds: rd.Dataset, keys: list[str], pivot_col: str,
                  values: list[str], aliases: list[str] | None = None,
-                 batch_size: int = 65536,
-                 n_buckets: int = 64) -> rd.Dataset:
+                 batch_size: int = 65536) -> rd.Dataset:
     """Pivot a categorical column into per-key count columns:
     ``COUNT(*) FILTER (WHERE pivot_col = v)`` for each ``v`` in
     ``values``. Fully decomposable — per-batch one-hot partial counts
-    (one row per key per batch), then the standard 64-bucket shuffle
+    (one row per key per batch), then one key shuffle
     with a final sum per key — so the shuffle moves partials, never
     rows, no matter the table size. ``values`` must be the closed
     category list (unlisted values are ignored, as FILTER does)."""
@@ -860,20 +781,19 @@ def pivot_counts(ds: rd.Dataset, keys: list[str], pivot_col: str,
         for k in keys:
             onehot[k] = batch[k].to_numpy()
         g = onehot.groupby(keys, as_index=False, sort=False)[out_cols].sum()
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
         r = g.groupby(keys, as_index=False, sort=False)[out_cols].sum()
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pandas",
-                           batch_size=batch_size)
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas",
+                                      batch_size=batch_size),
+                       final, keys, batch_format="pandas")
 
 
-def rollup_counts(ds: rd.Dataset, coarse: str, fine: str, alias: str,
-                  n_buckets: int = 64) -> rd.Dataset:
+def rollup_counts(ds: rd.Dataset, coarse: str, fine: str,
+                  alias: str) -> rd.Dataset:
     """``COUNT(*) GROUP BY ROLLUP (coarse, fine)``: counts at
     (coarse, fine), (coarse, NULL) and the (NULL, NULL) grand total.
 
@@ -887,7 +807,6 @@ def rollup_counts(ds: rd.Dataset, coarse: str, fine: str, alias: str,
     def partial(batch: pd.DataFrame) -> pa.Table:
         g = (batch.groupby([coarse, fine], as_index=False, sort=False)
              .size().rename(columns={"size": alias}))
-        g["__bucket"] = stable_bucket(g[coarse], n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def levels(g: pd.DataFrame) -> pa.Table:
@@ -907,15 +826,15 @@ def rollup_counts(ds: rd.Dataset, coarse: str, fine: str, alias: str,
         coarse: pa.array([None], type=ftypes.get(coarse, pa.string())),
         fine: pa.array([None], type=ftypes.get(fine, pa.string())),
         alias: pa.array([total], type=pa.int64())}))
-    leveled = (ds.map_batches(partial, batch_format="pandas")
-               .groupby("__bucket").map_groups(levels, batch_format="pandas"))
+    leveled = key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                          levels, [coarse], batch_format="pandas")
     return leveled.union(grand)
 
 
 def windowed_rank(ds: rd.Dataset, keys: list[str], order_col: str,
                   alias: str, method: str = "dense",
-                  ascending: bool = True, tie_cols: list[str] | None = None,
-                  n_buckets: int = 64) -> rd.Dataset:
+                  ascending: bool = True,
+                  tie_cols: list[str] | None = None) -> rd.Dataset:
     """``DENSE_RANK() / RANK() / ROW_NUMBER() OVER (PARTITION BY keys
     ORDER BY order_col [, tie_cols])`` — the same single key-bucket
     shuffle as ``running_total``, then pandas ``groupby().rank`` /
@@ -924,14 +843,11 @@ def windowed_rank(ds: rd.Dataset, keys: list[str], order_col: str,
     has duplicates). Ranks are int64 on both engines."""
     tie = tie_cols or []
 
-    add_bucket = _bucket_tagger(keys, n_buckets)
-
     def rank(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col] + tie,
+        g = g.sort_values(keys + [order_col] + tie,
                           ascending=[True] * len(keys)
                           + [ascending] + [True] * len(tie),
-                          kind="stable"))
+                          kind="stable")
         grp = g.groupby(keys, sort=False)
         if method == "row_number":
             g[alias] = grp.cumcount().to_numpy() + 1
@@ -941,14 +857,12 @@ def windowed_rank(ds: rd.Dataset, keys: list[str], order_col: str,
                         .astype(np.int64).to_numpy())
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(rank, batch_format="pandas"))
+    return key_shuffle(ds, rank, keys, batch_format="pandas")
 
 
 def grouped_ntile(ds: rd.Dataset, keys: list[str], order_col: str,
                   n_tiles: int, alias: str,
-                  tie_cols: list[str] | None = None,
-                  n_buckets: int = 64) -> rd.Dataset:
+                  tie_cols: list[str] | None = None) -> rd.Dataset:
     """``NTILE(n) OVER (PARTITION BY keys ORDER BY order_col,
     tie_cols)`` with the exact SQL sizing rule: with group size n and
     k tiles, the first ``n % k`` tiles get ``n // k + 1`` rows. One
@@ -957,11 +871,8 @@ def grouped_ntile(ds: rd.Dataset, keys: list[str], order_col: str,
     assignment at a tie boundary is otherwise engine-dependent."""
     tie = tie_cols or []
 
-    add_bucket = _bucket_tagger(keys, n_buckets)
-
     def tile(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col] + tie, kind="stable"))
+        g = g.sort_values(keys + [order_col] + tie, kind="stable")
         grp = g.groupby(keys, sort=False)
         n = grp[order_col].transform("size").to_numpy(dtype=np.int64)
         p = grp.cumcount().to_numpy(dtype=np.int64)
@@ -973,15 +884,13 @@ def grouped_ntile(ds: rd.Dataset, keys: list[str], order_col: str,
         g[alias] = t.astype(np.int64) + 1
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(tile, batch_format="pandas"))
+    return key_shuffle(ds, tile, keys, batch_format="pandas")
 
 
 def windowed_lead(ds: rd.Dataset, keys: list[str], order_col: str,
                   val_col: str, alias: str,
                   tie_cols: list[str] | None = None,
-                  default=None, periods: int = 1,
-                  n_buckets: int = 64) -> rd.Dataset:
+                  default=None, periods: int = 1) -> rd.Dataset:
     """``LEAD(val, periods) OVER (PARTITION BY keys ORDER BY order_col,
     tie_cols)`` — the forward twin of ``windowed_lag``: the same single
     key-bucket shuffle, with the per-bucket shift negated. ``default``
@@ -989,12 +898,11 @@ def windowed_lead(ds: rd.Dataset, keys: list[str], order_col: str,
     each partition)."""
     return windowed_lag(ds, keys, order_col, val_col, alias,
                         tie_cols=tie_cols, default=default,
-                        periods=-periods, n_buckets=n_buckets)
+                        periods=-periods)
 
 
 def windowed_rank_stats(ds: rd.Dataset, keys: list[str], order_col: str,
-                        pct_alias: str, cume_alias: str,
-                        n_buckets: int = 64) -> rd.Dataset:
+                        pct_alias: str, cume_alias: str) -> rd.Dataset:
     """``PERCENT_RANK()`` and ``CUME_DIST()`` over the same window in
     ONE pass: one key-bucket shuffle (same topology as
     ``windowed_rank``), then both statistics from a single per-bucket
@@ -1005,11 +913,9 @@ def windowed_rank_stats(ds: rd.Dataset, keys: list[str], order_col: str,
     definition, so these floats survive an exact value-hash check.
     Ties share rank by value of ``order_col`` alone (SQL peer rows):
     no tie_cols by design."""
-    add_bucket = _bucket_tagger(keys, n_buckets)
 
     def stats(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [order_col], kind="stable"))
+        g = g.sort_values(keys + [order_col], kind="stable")
         grp = g.groupby(keys, sort=False)
         n = grp[order_col].transform("size").to_numpy(dtype=np.float64)
         rmin = grp[order_col].rank(method="min").to_numpy(dtype=np.float64)
@@ -1018,15 +924,13 @@ def windowed_rank_stats(ds: rd.Dataset, keys: list[str], order_col: str,
         g[cume_alias] = rmax / n
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(stats, batch_format="pandas"))
+    return key_shuffle(ds, stats, keys, batch_format="pandas")
 
 
 def grouped_first_last(ds: rd.Dataset, keys: list[str], order_col: str,
                        val_col: str, first_alias: str, last_alias: str,
                        tie_cols: list[str] | None = None,
-                       batch_size: int = 65536,
-                       n_buckets: int = 64) -> rd.Dataset:
+                       batch_size: int = 65536) -> rd.Dataset:
     """FIRST_VALUE / LAST_VALUE of ``val_col`` over each key's WHOLE
     partition ordered by ``(order_col, tie_cols)``, as a fully
     DECOMPOSABLE aggregate: each batch contributes one partial row per
@@ -1053,7 +957,6 @@ def grouped_first_last(ds: rd.Dataset, keys: list[str], order_col: str,
             out[lc] = l[c].to_numpy()
         out["__fv"] = f[val_col].to_numpy()
         out["__lv"] = l[val_col].to_numpy()
-        out["__bucket"] = stable_bucket_cols(out, keys, n_buckets)
         return pa.Table.from_pandas(out, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -1068,14 +971,13 @@ def grouped_first_last(ds: rd.Dataset, keys: list[str], order_col: str,
             on=keys)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pandas",
-                           batch_size=batch_size)
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas",
+                                      batch_size=batch_size),
+                       final, keys, batch_format="pandas")
 
 
 def grouped_corr(ds: rd.Dataset, keys: list[str], xcol: str, ycol: str,
-                 alias: str, batch_size: int = 65536,
-                 n_buckets: int = 64) -> rd.Dataset:
+                 alias: str, batch_size: int = 65536) -> rd.Dataset:
     """Per-group Pearson correlation of two INTEGER columns, exact to
     the bit against a SQL oracle that evaluates the same closed form.
 
@@ -1098,7 +1000,6 @@ def grouped_corr(ds: rd.Dataset, keys: list[str], xcol: str, ycol: str,
         t["__sx"], t["__sy"] = x, y
         t["__sxy"], t["__sxx"], t["__syy"] = x * y, x * x, y * y
         g = t.groupby(keys, as_index=False, sort=False).sum()
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     moment_cols = ["__n", "__sx", "__sy", "__sxy", "__sxx", "__syy"]
@@ -1117,14 +1018,12 @@ def grouped_corr(ds: rd.Dataset, keys: list[str], xcol: str, ycol: str,
 
     partials = ds.map_batches(partial, batch_format="pandas",
                               batch_size=batch_size)
-    return partials.groupby("__bucket").map_groups(
-        final, batch_format="pandas")
+    return key_shuffle(partials, final, keys, batch_format="pandas")
 
 
 def grouped_moments(ds: rd.Dataset, keys: list[str], xcol: str,
                     skew_alias: str, kurt_alias: str,
-                    batch_size: int = 65536,
-                    n_buckets: int = 64) -> rd.Dataset:
+                    batch_size: int = 65536) -> rd.Dataset:
     """Per-group skewness and excess kurtosis of an INTEGER column from
     exact raw-moment sums (n, Σx, Σx², Σx³, Σx⁴) — the same
     decomposable-moments shape as ``grouped_corr``: int64 per-batch
@@ -1150,7 +1049,6 @@ def grouped_moments(ds: rd.Dataset, keys: list[str], xcol: str,
         t["__s1"], t["__s2"] = x, x2
         t["__s3"], t["__s4"] = x2 * x, x2 * x2
         g = t.groupby(keys, as_index=False, sort=False).sum()
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     moment_cols = ["__n", "__s1", "__s2", "__s3", "__s4"]
@@ -1173,12 +1071,11 @@ def grouped_moments(ds: rd.Dataset, keys: list[str], xcol: str,
 
     partials = ds.map_batches(partial, batch_format="pandas",
                               batch_size=batch_size)
-    return partials.groupby("__bucket").map_groups(
-        final, batch_format="pandas")
+    return key_shuffle(partials, final, keys, batch_format="pandas")
 
 
-def cube_counts(ds: rd.Dataset, coarse: str, fine: str, alias: str,
-                n_buckets: int = 64) -> rd.Dataset:
+def cube_counts(ds: rd.Dataset, coarse: str, fine: str,
+                alias: str) -> rd.Dataset:
     """``COUNT(*) GROUP BY CUBE (coarse, fine)`` = the ROLLUP levels
     plus the (NULL, fine) marginal. The marginal reuses the same
     partial-counts shape bucketed on ``fine``; the rollup side comes
@@ -1188,7 +1085,6 @@ def cube_counts(ds: rd.Dataset, coarse: str, fine: str, alias: str,
     def partial(batch: pd.DataFrame) -> pa.Table:
         g = (batch.groupby(fine, as_index=False, sort=False)
              .size().rename(columns={"size": alias}))
-        g["__bucket"] = stable_bucket(g[fine], n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     ctype = _resolve_fields(ds).get(coarse, pa.string())
@@ -1205,16 +1101,14 @@ def cube_counts(ds: rd.Dataset, coarse: str, fine: str, alias: str,
             alias: pa.array(r[alias], type=pa.int64()),
         })
 
-    fine_marginal = (ds.map_batches(partial, batch_format="pandas")
-                     .groupby("__bucket")
-                     .map_groups(marginal, batch_format="pandas"))
-    return rollup_counts(ds, coarse, fine, alias,
-                         n_buckets=n_buckets).union(fine_marginal)
+    fine_marginal = key_shuffle(
+        ds.map_batches(partial, batch_format="pandas"), marginal, [fine],
+        batch_format="pandas")
+    return rollup_counts(ds, coarse, fine, alias).union(fine_marginal)
 
 
 def grouped_quantile_disc(ds: rd.Dataset, keys: list[str], col: str,
-                          q: float, alias: str,
-                          n_buckets: int = 64) -> rd.Dataset:
+                          q: float, alias: str) -> rd.Dataset:
     """Discrete per-group quantile: the element at 1-indexed position
     ``ceil(q*n)`` of each key's sorted values — DuckDB's
     ``quantile_disc`` rule, implemented directly so results are
@@ -1225,11 +1119,8 @@ def grouped_quantile_disc(ds: rd.Dataset, keys: list[str], col: str,
     (same no-salting contract as ``running_total``); the per-bucket
     pass is one sort + vectorized cumcount select."""
 
-    add_bucket = _bucket_tagger(keys, n_buckets, cols=keys + [col])
-
     def pick(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [col], kind="stable"))
+        g = g.sort_values(keys + [col], kind="stable")
         grp = g.groupby(keys, sort=False)
         sizes = grp[col].transform("size").to_numpy()
         pos = grp.cumcount().to_numpy()
@@ -1239,13 +1130,12 @@ def grouped_quantile_disc(ds: rd.Dataset, keys: list[str], col: str,
         out = g[pos == target].rename(columns={col: alias})
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(pick, batch_format="pandas"))
+    return key_shuffle(ds.select_columns(keys + [col]), pick, keys,
+                       batch_format="pandas")
 
 
 def grouped_quantile_cont(ds: rd.Dataset, keys: list[str], col: str,
-                          q: float, alias: str,
-                          n_buckets: int = 64) -> rd.Dataset:
+                          q: float, alias: str) -> rd.Dataset:
     """INTERPOLATED per-group quantile — SQL ``quantile_cont``:
     0-indexed position ``q*(n-1)``, result ``lo + (hi-lo)*frac`` —
     bit-identical to DuckDB over integer inputs (same two order
@@ -1255,11 +1145,8 @@ def grouped_quantile_cont(ds: rd.Dataset, keys: list[str], col: str,
     selects, so only the group sizes (not the quantile math) bound the
     per-bucket memory."""
 
-    add_bucket = _bucket_tagger(keys, n_buckets, cols=keys + [col])
-
     def pick(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + [col], kind="stable"))
+        g = g.sort_values(keys + [col], kind="stable")
         grp = g.groupby(keys, sort=False)
         sizes = grp[col].transform("size").to_numpy()
         pos = grp.cumcount().to_numpy()
@@ -1282,8 +1169,8 @@ def grouped_quantile_cont(ds: rd.Dataset, keys: list[str], col: str,
         lo_rows = lo_rows.drop(columns=[col])
         return pa.Table.from_pandas(lo_rows, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(pick, batch_format="pandas"))
+    return key_shuffle(ds.select_columns(keys + [col]), pick, keys,
+                       batch_format="pandas")
 
 
 KNUTH_HASH = 2654435761  # floor(2^32 / golden ratio), Knuth 6.4
@@ -1291,8 +1178,7 @@ KNUTH_HASH = 2654435761  # floor(2^32 / golden ratio), Knuth 6.4
 
 def grouped_string_agg(ds: rd.Dataset, keys: list[str], col: str,
                        alias: str, sep: str = ",",
-                       order_cols: list[str] | None = None,
-                       n_buckets: int = 64) -> rd.Dataset:
+                       order_cols: list[str] | None = None) -> rd.Dataset:
     """``string_agg(col, sep ORDER BY order_cols)`` per group. One
     key-bucket shuffle; the per-bucket pass sorts once then joins each
     group's values (the join is the actual output payload, not
@@ -1300,19 +1186,16 @@ def grouped_string_agg(ds: rd.Dataset, keys: list[str], col: str,
     deterministic — pass the value column itself or a unique tie."""
     order = order_cols or [col]
 
-    add_bucket = _bucket_tagger(
-        keys, n_buckets, cols=keys + list(dict.fromkeys(order + [col])))
-
     def agg(g: pd.DataFrame) -> pa.Table:
-        g = (g.drop(columns="__bucket")
-             .sort_values(keys + order, kind="stable"))
+        g = g.sort_values(keys + order, kind="stable")
         g = g[g[col].notna()]   # SQL string_agg skips NULLs
         r = (g.groupby(keys, sort=False)[col]
              .agg(sep.join).reset_index().rename(columns={col: alias}))
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(agg, batch_format="pandas"))
+    cols = keys + list(dict.fromkeys(order + [col]))
+    return key_shuffle(ds.select_columns(cols), agg, keys,
+                       batch_format="pandas")
 
 
 def _select_order_stats(ds: rd.Dataset, col: str, ranks_fn,
@@ -1516,25 +1399,22 @@ def stratified_hash_sample(ds: rd.Dataset, id_column: str,
     return ds.map_batches(pick, batch_format="pandas")
 
 
-def _side_keys(ds: rd.Dataset, column: str, side: str,
-               n_buckets: int) -> rd.Dataset:
+def _side_keys(ds: rd.Dataset, column: str, side: str) -> rd.Dataset:
     def partial(batch: pd.DataFrame) -> pa.Table:
         u = batch[[column]].drop_duplicates()
         u["__side"] = side
-        u["__bucket"] = stable_bucket_cols(u, [column], n_buckets)
         return pa.Table.from_pandas(u, preserve_index=False)
     return ds.map_batches(partial, batch_format="pandas")
 
 
-def _set_op(a: rd.Dataset, b: rd.Dataset, column: str, keep_both: bool,
-            n_buckets: int) -> rd.Dataset:
+def _set_op(a: rd.Dataset, b: rd.Dataset, column: str,
+            keep_both: bool) -> rd.Dataset:
     """Shared body of intersect/except over DISTINCT keys: per-batch
     distinct partials (tiny vs the table), ONE bucket shuffle
     co-locating each key's sightings from both sides, then a vectorized
     per-bucket min/max-side test. Scale shape: the shuffle moves
     distinct keys only, never payload rows."""
-    tagged = (_side_keys(a, column, "a", n_buckets)
-              .union(_side_keys(b, column, "b", n_buckets)))
+    sides = [_side_keys(a, column, "a"), _side_keys(b, column, "b")]
 
     def final(g: pd.DataFrame) -> pa.Table:
         s = (g.drop_duplicates([column, "__side"])
@@ -1545,26 +1425,22 @@ def _set_op(a: rd.Dataset, b: rd.Dataset, column: str, keep_both: bool,
             keys = s.index[(s["min"] == "a") & (s["max"] == "a")]
         return pa.table({column: pa.array(keys.to_numpy())})
 
-    return tagged.groupby("__bucket").map_groups(
-        final, batch_format="pandas")
+    return key_shuffle(sides, final, [column], batch_format="pandas")
 
 
-def intersect_keys(a: rd.Dataset, b: rd.Dataset, column: str,
-                   n_buckets: int = 64) -> rd.Dataset:
+def intersect_keys(a: rd.Dataset, b: rd.Dataset, column: str) -> rd.Dataset:
     """SQL INTERSECT over one key column (distinct keys in BOTH)."""
-    return _set_op(a, b, column, keep_both=True, n_buckets=n_buckets)
+    return _set_op(a, b, column, keep_both=True)
 
 
-def except_keys(a: rd.Dataset, b: rd.Dataset, column: str,
-                n_buckets: int = 64) -> rd.Dataset:
+def except_keys(a: rd.Dataset, b: rd.Dataset, column: str) -> rd.Dataset:
     """SQL EXCEPT over one key column (distinct keys of ``a`` not in
     ``b``)."""
-    return _set_op(a, b, column, keep_both=False, n_buckets=n_buckets)
+    return _set_op(a, b, column, keep_both=False)
 
 
 def grouped_count_distinct(ds: rd.Dataset, keys: list[str], col: str,
-                           alias: str,
-                           n_buckets: int = 64) -> rd.Dataset:
+                           alias: str) -> rd.Dataset:
     """COUNT(DISTINCT col) GROUP BY keys as a two-stage bucketed
     aggregate: per-batch (keys, col) dedup shrinks the shuffle to
     distinct pairs, the bucket shuffle co-locates each key group, and
@@ -1576,7 +1452,6 @@ def grouped_count_distinct(ds: rd.Dataset, keys: list[str], col: str,
         # SQL semantics: COUNT(DISTINCT col) excludes NULL — pandas
         # drop_duplicates would keep one NaN row and count it
         u = batch[keys + [col]].dropna(subset=[col]).drop_duplicates()
-        u["__bucket"] = stable_bucket_cols(u, keys, n_buckets)
         return pa.Table.from_pandas(u, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pa.Table:
@@ -1585,8 +1460,8 @@ def grouped_count_distinct(ds: rd.Dataset, keys: list[str], col: str,
              .rename(columns={"size": alias}))
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final, batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                       final, keys, batch_format="pandas")
 
 
 def round_columns(ds: rd.Dataset, decimals: dict[str, int]) -> rd.Dataset:
@@ -1645,7 +1520,7 @@ def detect_hot_keys(ds: rd.Dataset, on: str, hot_threshold: int,
 
 
 def skew_aware_join(left: rd.Dataset, right: rd.Dataset, on: str,
-                    how: str = "inner", n_buckets: int = 16,
+                    how: str = "inner",
                     hot_k: int = 64,
                     skew_factor: int = 4) -> rd.Dataset:
     """``bucketed_join`` with hot-key isolation — the standard skew
@@ -1661,11 +1536,10 @@ def skew_aware_join(left: rd.Dataset, right: rd.Dataset, on: str,
     rows)."""
     n_left = left.count()
     hot = detect_hot_keys(
-        left, on, max(1, (n_left * skew_factor) // max(1, n_buckets)),
+        left, on, max(1, (n_left * skew_factor) // shuffle_buckets()),
         hot_k=hot_k)
     if len(hot) == 0:
-        return bucketed_join(left, right, on=on,
-                             n_buckets=n_buckets, how=how)
+        return bucketed_join(left, right, on=on, how=how)
     right_fields = _resolve_fields(right)
     right_hot = semi_join(right, hot, on).to_pandas()
     if right_hot.empty:
@@ -1696,16 +1570,14 @@ def skew_aware_join(left: rd.Dataset, right: rd.Dataset, on: str,
     hot_part = semi_join(left, hot, on).map_batches(
         merge_hot, batch_format="pandas")
     cold = bucketed_join(anti_join(left, hot, on),
-                         anti_join(right, hot, on), on=on,
-                         n_buckets=n_buckets, how=how)
+                         anti_join(right, hot, on), on=on, how=how)
     return hot_part.union(cold)
 
 
 def interval_join(left: rd.Dataset, right: rd.Dataset, by: str,
                   l_id: str, l_start: str, l_end: str,
                   r_id: str, r_start: str, r_end: str,
-                  bin_width: int, l_alias: str, r_alias: str,
-                  n_buckets: int = 64) -> rd.Dataset:
+                  bin_width: int, l_alias: str, r_alias: str) -> rd.Dataset:
     """Interval-OVERLAP join (the theta-join family ``asof_join`` and
     ``range_count_join`` don't cover): emit one ``(l_id, r_id)`` pair
     for every left/right row sharing ``by`` whose CLOSED intervals
@@ -1739,15 +1611,13 @@ def interval_join(left: rd.Dataset, right: rd.Dataset, by: str,
                 "__s": s[idx], "__e": e[idx],
                 "__side": side,
             })
-            out["__bucket"] = stable_bucket_cols(out, [by, "__bin"],
-                                                 n_buckets)
             return out
         return rep
 
-    tagged = (left.map_batches(replicate(l_id, l_start, l_end, "l"),
-                               batch_format="pandas")
-              .union(right.map_batches(replicate(r_id, r_start, r_end, "r"),
-                                       batch_format="pandas")))
+    sides = [left.map_batches(replicate(l_id, l_start, l_end, "l"),
+                              batch_format="pandas"),
+             right.map_batches(replicate(r_id, r_start, r_end, "r"),
+                               batch_format="pandas")]
 
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         l = g[g["__side"] == "l"]
@@ -1763,12 +1633,12 @@ def interval_join(left: rd.Dataset, right: rd.Dataset, by: str,
         return pd.DataFrame({l_alias: out["__id_l"].to_numpy(),
                              r_alias: out["__id_r"].to_numpy()})
 
-    return (tagged.groupby("__bucket")
-            .map_groups(join_bucket, batch_format="pandas"))
+    return key_shuffle(sides, join_bucket, [by, "__bin"],
+                       batch_format="pandas")
 
 
 def ordered_prefix_sum(ds: rd.Dataset, order_col: str, val_col: str,
-                       alias: str, n_buckets: int = 64) -> rd.Dataset:
+                       alias: str) -> rd.Dataset:
     """GLOBAL exclusive prefix sum: ``SUM(val) OVER (ORDER BY order_col
     ROWS UNBOUNDED PRECEDING AND 1 PRECEDING)`` with COALESCE(..., 0) —
     the distributed SCAN primitive (token-offset assignment in a
@@ -1778,10 +1648,10 @@ def ordered_prefix_sum(ds: rd.Dataset, order_col: str, val_col: str,
     bucket), so it range-partitions instead — the classic two-phase
     scan:
 
-    1. one tiny min/max pass over ``order_col`` fixes ``n_buckets``
+    1. a stride sample of ``order_col`` fixes ``shuffle_buckets()``
        CONTIGUOUS key ranges (range id is monotone in the key, so the
        ranges ARE the global order);
-    2. per-range sums (``n_buckets`` rows — independent of row count)
+    2. per-range sums (one row per range — independent of row count)
        come to the driver, which exclusive-cumsums them into per-range
        base offsets and broadcasts the tiny array back;
     3. ONE range shuffle; each range sorts locally and emits
@@ -1793,50 +1663,62 @@ def ordered_prefix_sum(ds: rd.Dataset, order_col: str, val_col: str,
     domain still spreads across buckets — the boundaries affect only
     parallelism, never the result, because any monotone partition of
     the key space yields the same global order."""
-    import ray
+    ds = ds.materialize()
+    range_of = _range_partition(ds, order_col)
 
+    def range_sums(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"r": range_of(b),
+                             "s": b[val_col].to_numpy(np.int64)}) \
+            .groupby("r", as_index=False)["s"].sum()
+
+    base = _range_bases(ds.map_batches(range_sums, batch_format="pandas")
+                        .to_pandas())
+    base_ref = ray.put(base)
+
+    def scan(g: pd.DataFrame) -> pa.Table:
+        g = g.sort_values(order_col, kind="stable")
+        v = g[val_col].to_numpy(np.int64)
+        b = int(range_of(g[:1])[0])
+        g[alias] = broadcast_get(base_ref)[b] + np.cumsum(v) - v
+        return pa.Table.from_pandas(g, preserve_index=False)
+
+    return key_shuffle(ds, scan, range_of, batch_format="pandas")
+
+
+def _range_partition(ds: rd.Dataset, order_col: str):
+    """A batch → range-id function over ``shuffle_buckets()`` contiguous
+    value ranges of the int64 ``order_col``, cut at quantiles of a
+    deterministic per-batch stride sample. Range ids are monotone in
+    the key and below the bucket count, so as a derived ``key_shuffle``
+    key each range is exactly one bucket."""
     samp = ds.map_batches(
         lambda b: pd.DataFrame({"k": np.sort(
             b[order_col].to_numpy(np.int64))[::max(1, len(b) // 64)]}),
         batch_format="pandas").to_pandas()["k"].to_numpy(np.int64)
-    qs = np.linspace(0.0, 1.0, n_buckets + 1)[1:-1]
-    bounds = np.unique(np.quantile(samp, qs).astype(np.int64))         if len(samp) else np.array([], dtype=np.int64)
+    n = shuffle_buckets()
+    qs = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    bounds = np.unique(np.quantile(samp, qs).astype(np.int64)) \
+        if len(samp) else np.array([], dtype=np.int64)
     bounds_ref = ray.put(bounds)
 
-    def tag(b: pd.DataFrame) -> pa.Table:
-        k = b[order_col].to_numpy(np.int64)
-        bd = broadcast_get(bounds_ref)
-        return pa.Table.from_pandas(
-            b.assign(__bucket=np.searchsorted(bd, k, side="right")),
-            preserve_index=False)
+    def range_of(b) -> np.ndarray:
+        k = np.asarray(b[order_col].to_numpy()).astype(np.int64)
+        return np.searchsorted(broadcast_get(bounds_ref), k, side="right")
+    return range_of
 
-    tagged = ds.map_batches(tag, batch_format="pandas").materialize()
 
-    partials = tagged.map_batches(
-        lambda b: b.groupby("__bucket", as_index=False)[val_col].sum(),
-        batch_format="pandas").to_pandas()
-    per_range = partials.groupby("__bucket")[val_col].sum()
-    base = np.zeros(len(bounds) + 2, dtype=np.int64)
-    np.add.at(base, per_range.index.to_numpy(np.int64) + 1,
-              per_range.to_numpy(np.int64))
-    base = np.cumsum(base)
-    base_ref = ray.put(base)
-
-    def scan(g: pd.DataFrame) -> pa.Table:
-        b = int(g["__bucket"].iloc[0])
-        g = g.drop(columns="__bucket").sort_values(order_col,
-                                                   kind="stable")
-        v = g[val_col].to_numpy(np.int64)
-        g[alias] = broadcast_get(base_ref)[b] + np.cumsum(v) - v
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return tagged.groupby("__bucket").map_groups(scan,
-                                                 batch_format="pandas")
+def _range_bases(partials: pd.DataFrame) -> np.ndarray:
+    """Exclusive prefix sums of per-range partial totals (columns
+    ``r``, ``s``): ``base[r]`` is the total of every range before r."""
+    base = np.zeros(shuffle_buckets() + 1, dtype=np.int64)
+    if len(partials):
+        np.add.at(base, partials["r"].to_numpy(np.int64) + 1,
+                  partials["s"].to_numpy(np.int64))
+    return np.cumsum(base)
 
 
 def global_ntile(ds: rd.Dataset, order_col: str, tie_cols: list[str],
-                 n_tiles: int, alias: str,
-                 n_buckets: int = 64) -> rd.Dataset:
+                 n_tiles: int, alias: str) -> rd.Dataset:
     """``NTILE(n) OVER (ORDER BY order_col, tie_cols)`` — the GLOBAL
     (un-partitioned) twin of ``grouped_ntile``, for scoring shapes like
     RFM quintiles where every row competes in one ranking. A global
@@ -1844,11 +1726,11 @@ def global_ntile(ds: rd.Dataset, order_col: str, tie_cols: list[str],
     order column (the ``ordered_prefix_sum`` scan topology — a hash
     bucket cannot carry order):
 
-    1. a stride sample of ``order_col`` fixes ``n_buckets`` contiguous
-       value ranges (all ties of one value land in ONE range, so the
-       per-range tie-break sort is globally correct);
-    2. per-range row counts (``n_buckets`` ints) come to the driver,
-       which exclusive-cumsums them into per-range base ranks;
+    1. a stride sample of ``order_col`` fixes contiguous value ranges
+       (all ties of one value land in ONE range, so the per-range
+       tie-break sort is globally correct);
+    2. per-range row counts come to the driver, which exclusive-cumsums
+       them into per-range base ranks;
     3. ONE range shuffle; each range sorts by (order_col, tie_cols)
        locally and emits SQL's exact uneven-tile assignment from
        ``base[range] + local position`` — with N rows and k tiles the
@@ -1857,49 +1739,24 @@ def global_ntile(ds: rd.Dataset, order_col: str, tie_cols: list[str],
     ``order_col`` must be int64; ``tie_cols`` must make the total order
     unique or the boundary assignment is engine-dependent. Range
     boundaries affect parallelism only, never the result."""
-    import ray
+    ds = ds.materialize()
+    range_of = _range_partition(ds, order_col)
 
-    samp = ds.map_batches(
-        lambda b: pd.DataFrame({"k": np.sort(
-            b[order_col].to_numpy(np.int64))[::max(1, len(b) // 64)]}),
-        batch_format="pandas").to_pandas()["k"].to_numpy(np.int64)
-    qs = np.linspace(0.0, 1.0, n_buckets + 1)[1:-1]
-    bounds = np.unique(np.quantile(samp, qs).astype(np.int64)) \
-        if len(samp) else np.array([], dtype=np.int64)
-    bounds_ref = ray.put(bounds)
+    def range_counts(b: pd.DataFrame) -> pd.DataFrame:
+        r, n = np.unique(range_of(b), return_counts=True)
+        return pd.DataFrame({"r": r.astype(np.int64),
+                             "s": n.astype(np.int64)})
 
-    def tag(b: pd.DataFrame) -> pa.Table:
-        k = b[order_col].to_numpy(np.int64)
-        bd = broadcast_get(bounds_ref)
-        return pa.Table.from_pandas(
-            b.assign(__bucket=np.searchsorted(bd, k, side="right")),
-            preserve_index=False)
-
-    tagged = ds.map_batches(tag, batch_format="pandas").materialize()
-
-    def cnt(b: pd.DataFrame) -> pd.DataFrame:
-        if not len(b):
-            return pd.DataFrame({
-                "__bucket": pd.Series([], dtype=np.int64),
-                "n": pd.Series([], dtype=np.int64)})
-        g = b.groupby("__bucket", as_index=False).size()
-        return g.rename(columns={"size": "n"})
-
-    partials = tagged.map_batches(cnt, batch_format="pandas").to_pandas()
-    per_range = partials.groupby("__bucket")["n"].sum()
-    total = int(per_range.sum())
-    base = np.zeros(len(bounds) + 2, dtype=np.int64)
-    np.add.at(base, per_range.index.to_numpy(np.int64) + 1,
-              per_range.to_numpy(np.int64))
-    base = np.cumsum(base)
+    base = _range_bases(ds.map_batches(range_counts, batch_format="pandas")
+                        .to_pandas())
     base_ref = ray.put(base)
+    total = int(base[-1])
     size, rem = total // n_tiles, total % n_tiles
     big_span = rem * (size + 1)
 
     def assign(g: pd.DataFrame) -> pa.Table:
-        b = int(g["__bucket"].iloc[0])
-        g = g.drop(columns="__bucket").sort_values(
-            [order_col] + tie_cols, kind="stable")
+        g = g.sort_values([order_col] + tie_cols, kind="stable")
+        b = int(range_of(g[:1])[0])
         p = broadcast_get(base_ref)[b] + np.arange(len(g),
                                                    dtype=np.int64)
         t = np.where(p < big_span, p // max(size + 1, 1),
@@ -1907,8 +1764,7 @@ def global_ntile(ds: rd.Dataset, order_col: str, tie_cols: list[str],
         g[alias] = t.astype(np.int64) + 1
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    return tagged.groupby("__bucket").map_groups(assign,
-                                                 batch_format="pandas")
+    return key_shuffle(ds, assign, range_of, batch_format="pandas")
 
 
 def global_order_page(ds: rd.Dataset, col: str, tie_col: str,
@@ -1968,8 +1824,7 @@ def global_order_page(ds: rd.Dataset, col: str, tie_col: str,
 
 def grouped_regression(ds: rd.Dataset, keys: list[str], xcol: str,
                        ycol: str, slope_alias: str, icept_alias: str,
-                       batch_size: int = 32768,
-                       n_buckets: int = 64) -> rd.Dataset:
+                       batch_size: int = 32768) -> rd.Dataset:
     """Per-group ordinary-least-squares line y = slope·x + intercept of
     two INTEGER columns — the same decomposable-moments shape as
     ``grouped_corr`` (which see for the exactness argument): int64
@@ -1989,7 +1844,6 @@ def grouped_regression(ds: rd.Dataset, keys: list[str], xcol: str,
         t["__sx"], t["__sy"] = x, y
         t["__sxy"], t["__sxx"] = x * y, x * x
         g = t.groupby(keys, as_index=False, sort=False).sum()
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     moment_cols = ["__n", "__sx", "__sy", "__sxy", "__sxx"]
@@ -2010,8 +1864,7 @@ def grouped_regression(ds: rd.Dataset, keys: list[str], xcol: str,
 
     partials = ds.map_batches(partial, batch_format="pandas",
                               batch_size=batch_size)
-    return partials.groupby("__bucket").map_groups(
-        final, batch_format="pandas")
+    return key_shuffle(partials, final, keys, batch_format="pandas")
 
 
 def _skyline_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -2063,8 +1916,7 @@ def skyline_2d(ds: rd.Dataset, min_col: str, max_col: str) -> rd.Dataset:
 
 
 def keyed_snapshot_diff(old: rd.Dataset, new: rd.Dataset, key: str,
-                        val_cols: list[str], missing: int = -1,
-                        n_buckets: int = 64) -> rd.Dataset:
+                        val_cols: list[str], missing: int = -1) -> rd.Dataset:
     """CDC-style keyed snapshot diff: rows present only in ``old`` →
     'removed', only in ``new`` → 'added', in both with any ``val_cols``
     value differing → 'changed'; identical rows are dropped. The change
@@ -2093,12 +1945,11 @@ def keyed_snapshot_diff(old: rd.Dataset, new: rd.Dataset, key: str,
                         f"keyed_snapshot_diff: |{c}| >= 2^53 would lose "
                         "precision through the outer-merge float path")
             out["__side"] = side
-            out["__bucket"] = stable_bucket_cols(out, [key], n_buckets)
             return out
         return _t
 
-    tagged = old.map_batches(tag("o"), batch_format="pandas").union(
-        new.map_batches(tag("n"), batch_format="pandas"))
+    sides = [old.map_batches(tag("o"), batch_format="pandas"),
+             new.map_batches(tag("n"), batch_format="pandas")]
 
     def diff_bucket(g: pd.DataFrame) -> pd.DataFrame:
         lm = g["__side"].to_numpy() == "o"
@@ -2126,12 +1977,10 @@ def keyed_snapshot_diff(old: rd.Dataset, new: rd.Dataset, key: str,
         keep = (mg != "both") | changed
         return pd.DataFrame(out)[keep]
 
-    return tagged.groupby("__bucket").map_groups(diff_bucket,
-                                                 batch_format="pandas")
+    return key_shuffle(sides, diff_bucket, [key], batch_format="pandas")
 
 
-def profile_numeric_columns(ds: rd.Dataset, cols: list[str],
-                            n_buckets: int = 16) -> pd.DataFrame:
+def profile_numeric_columns(ds: rd.Dataset, cols: list[str]) -> pd.DataFrame:
     """One-scan data profiler over numeric columns: per column row
     count, null count, EXACT distinct count, min and max — the
     ingest-audit pass a pipeline runs before trusting a new drop of
@@ -2158,15 +2007,13 @@ def profile_numeric_columns(ds: rd.Dataset, cols: list[str],
     stats = grouped_multi_agg(
         melted, ["col_name"],
         {"n_rows": ("v", "count"), "n_null": ("isnull", "sum"),
-         "min_val": ("v", "min"), "max_val": ("v", "max")},
-        n_buckets=n_buckets).to_pandas()
+         "min_val": ("v", "min"), "max_val": ("v", "max")}).to_pandas()
     nn = melted.map_batches(
         lambda b: b[b["isnull"].to_numpy() == 0][["col_name", "v"]],
         batch_format="pandas")
-    dpairs = preagg_reduce(nn, ["col_name", "v"], "__n", "count",
-                           n_buckets=n_buckets)
-    ndist = preagg_reduce(dpairs, ["col_name"], "n_distinct", "count",
-                          n_buckets=n_buckets).to_pandas()
+    dpairs = preagg_reduce(nn, ["col_name", "v"], "__n", "count")
+    ndist = preagg_reduce(dpairs, ["col_name"], "n_distinct",
+                          "count").to_pandas()
     out = stats.merge(ndist, on="col_name", how="left")
     out["n_distinct"] = out["n_distinct"].fillna(0).astype(np.int64)
     out["n_rows"] = out["n_rows"].astype(np.int64)
@@ -2176,8 +2023,7 @@ def profile_numeric_columns(ds: rd.Dataset, cols: list[str],
         "col_name", ignore_index=True)
 
 
-def consecutive_islands(ds: rd.Dataset, key: str, seq_col: str,
-                        n_buckets: int = 64) -> rd.Dataset:
+def consecutive_islands(ds: rd.Dataset, key: str, seq_col: str) -> rd.Dataset:
     """Gaps-and-islands: per key, maximal runs of CONSECUTIVE integer
     ``seq_col`` values (daily-activity streaks, contiguous id ranges).
     Returns one row per key: ``n_islands``, ``longest`` run length,
@@ -2187,11 +2033,7 @@ def consecutive_islands(ds: rd.Dataset, key: str, seq_col: str,
     sequence; runs are found with shifted-array compares (no Python
     per-key loop) — the same shifted-column trick as doc_repetition's
     gram build."""
-    distinct = preagg_reduce(ds, [key, seq_col], "__n", "count",
-                             n_buckets=n_buckets)
-    tagged = distinct.map_batches(_bucket_tagger([key], n_buckets),
-                                  batch_format="pandas")
-
+    distinct = preagg_reduce(ds, [key, seq_col], "__n", "count")
     def runs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, seq_col], ignore_index=True)
         k = g[key].to_numpy(np.int64)
@@ -2212,13 +2054,11 @@ def consecutive_islands(ds: rd.Dataset, key: str, seq_col: str,
         return r.astype({c: np.int64 for c in
                          ("n_islands", "longest", "n_vals")})
 
-    return tagged.groupby("__bucket").map_groups(runs,
-                                                 batch_format="pandas")
+    return key_shuffle(distinct, runs, [key], batch_format="pandas")
 
 
 def grouped_weighted_median(ds: rd.Dataset, keys: list[str], val_col: str,
-                            weight_col: str,
-                            n_buckets: int = 16) -> rd.Dataset:
+                            weight_col: str) -> rd.Dataset:
     """Exact per-group WEIGHTED (lower) median: smallest value whose
     cumulative weight reaches half the group's total. Weighted
     quantiles are the data-mixture tool (median doc length weighted by
@@ -2228,11 +2068,7 @@ def grouped_weighted_median(ds: rd.Dataset, keys: list[str], val_col: str,
     quantization (the robust_zscore / median_cents discipline), never
     by row count; the cumulative scan runs per key inside its bucket.
     Values and weights must be integer (cents / rounded units)."""
-    hist = preagg_reduce(ds, keys + [val_col], weight_col, "sum",
-                         n_buckets=n_buckets)
-    tagged = hist.map_batches(_bucket_tagger(keys, n_buckets),
-                              batch_format="pandas")
-
+    hist = preagg_reduce(ds, keys + [val_col], weight_col, "sum")
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(keys + [val_col], ignore_index=True)
         grp = g.groupby(keys, sort=False)
@@ -2242,14 +2078,12 @@ def grouped_weighted_median(ds: rd.Dataset, keys: list[str], val_col: str,
         sel = g[ok].groupby(keys, as_index=False, sort=False).first()
         return sel[keys + [val_col]]
 
-    return tagged.groupby("__bucket").map_groups(med,
-                                                 batch_format="pandas")
+    return key_shuffle(hist, med, keys, batch_format="pandas")
 
 
 def trailing_distinct_count(ds: rd.Dataset, bucket_col: str,
                             entity_col: str, width: int, step: int,
-                            out_col: str = "n_distinct",
-                            n_buckets: int = 64) -> rd.Dataset:
+                            out_col: str = "n_distinct") -> rd.Dataset:
     """EXACT distinct entities per time bucket over a trailing window
     of ``width`` buckets (step = bucket size in the column's units) —
     'distinct users in the last 3 hours, per hour'. Sliding-window
@@ -2263,10 +2097,9 @@ def trailing_distinct_count(ds: rd.Dataset, bucket_col: str,
     Buckets absent from the input emit no row (present-bucket filter
     broadcast as a sorted array; bucket cardinality = time range /
     step, small by nature)."""
-    pairs = preagg_reduce(ds, [bucket_col, entity_col], "__n", "count",
-                          n_buckets=n_buckets).materialize()
-    present = preagg_reduce(pairs, [bucket_col], "__n", "count",
-                            n_buckets=n_buckets).to_pandas()
+    pairs = preagg_reduce(ds, [bucket_col, entity_col], "__n",
+                          "count").materialize()
+    present = preagg_reduce(pairs, [bucket_col], "__n", "count").to_pandas()
     pset = np.sort(present[bucket_col].to_numpy(np.int64))
     pref = ray.put(pset)
 
@@ -2285,14 +2118,13 @@ def trailing_distinct_count(ds: rd.Dataset, bucket_col: str,
 
     expanded = pairs.map_batches(expand, batch_format="pandas")
     dpairs = preagg_reduce(expanded, [bucket_col, entity_col], "__n",
-                           "count", n_buckets=n_buckets)
-    return preagg_reduce(dpairs, [bucket_col], out_col, "count",
-                         n_buckets=n_buckets)
+                           "count")
+    return preagg_reduce(dpairs, [bucket_col], out_col, "count")
 
 
 def clamped_running_balance(ds: rd.Dataset, key: str,
-                            order_cols: list[str], delta_col: str,
-                            n_buckets: int = 64) -> rd.Dataset:
+                            order_cols: list[str],
+                            delta_col: str) -> rd.Dataset:
     """Per-key FINAL and PEAK of the zero-clamped running balance
     (stock levels, account balances with no overdraft): the recurrence
     B_i = max(B_{i−1} + d_i, 0) looks inherently sequential, but the
@@ -2302,8 +2134,6 @@ def clamped_running_balance(ds: rd.Dataset, key: str,
     it with no Python recurrence loop (the identity the SQL oracle
     mirrors as window SUM + window MIN). Deltas must be integer.
     Output: (key, final_balance, peak_balance), int64."""
-    add_bucket = _bucket_tagger([key], n_buckets)
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + order_cols, kind="stable",
                           ignore_index=True)
@@ -2320,9 +2150,7 @@ def clamped_running_balance(ds: rd.Dataset, key: str,
         return agg.astype({"final_balance": np.int64,
                            "peak_balance": np.int64})
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return key_shuffle(ds, per_bucket, [key], batch_format="pandas")
 
 
 # --------------------------------------------------------------------------
@@ -2334,7 +2162,7 @@ def clamped_running_balance(ds: rd.Dataset, key: str,
 # --------------------------------------------------------------------------
 
 def _rank2_map(counts: rd.Dataset, col: str, cnt_col: str,
-               rank_alias: str, n_buckets: int = 64) -> rd.Dataset:
+               rank_alias: str) -> rd.Dataset:
     """Tied-average-rank assignment over a DISTINCT-VALUE count table:
     for each distinct value v with count c and ``cum`` rows strictly
     below it, the average 1-indexed rank of v's rows is
@@ -2347,8 +2175,7 @@ def _rank2_map(counts: rd.Dataset, col: str, cnt_col: str,
     100-TB path for rank statistics over near-distinct columns, where
     a broadcast value→rank array would not fit. ``col`` must be
     int64-valued (use cents)."""
-    ranked = ordered_prefix_sum(counts, col, cnt_col, "__cum",
-                                n_buckets=n_buckets)
+    ranked = ordered_prefix_sum(counts, col, cnt_col, "__cum")
 
     def to_rank2(b: pd.DataFrame) -> pd.DataFrame:
         r2 = (2 * b["__cum"].to_numpy(np.int64)
@@ -2421,7 +2248,6 @@ def _weighted_moment_rows(c: np.ndarray, rx: np.ndarray,
 
 
 def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
-                  n_buckets: int = 16,
                   broadcast_cutover: int = 1 << 22) -> pd.DataFrame:
     """GLOBAL Spearman rank correlation of two INTEGER columns, exact
     against a SQL oracle that evaluates the same closed form on the
@@ -2457,8 +2283,7 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
     ≤ millions distinct) rides the broadcast tier — 6.9 s → ~1 s at
     sf0.1 — while the near-distinct 100-TB case keeps the honest
     all-distributed path."""
-    pairs = preagg_reduce(ds, [xcol, ycol], "__cnt", "count",
-                          n_buckets=n_buckets).materialize()
+    pairs = preagg_reduce(ds, [xcol, ycol], "__cnt", "count").materialize()
 
     rank_refs: dict[str, object] = {}
     for col, ralias in ((xcol, "__rx2"), (ycol, "__ry2")):
@@ -2466,8 +2291,7 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
             lambda b, c=col: pd.DataFrame(
                 {c: b[c].to_numpy(np.int64),
                  "__c": b["__cnt"].to_numpy(np.int64)}),
-            batch_format="pandas"), [col], "__c", "sum",
-            n_buckets=n_buckets).materialize()
+            batch_format="pandas"), [col], "__c", "sum").materialize()
         if counts.count() <= broadcast_cutover:
             cdf = counts.to_pandas().sort_values(col,
                                                  ignore_index=True)
@@ -2476,10 +2300,8 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
             cum = np.cumsum(cnt) - cnt
             rank_refs[col] = ray.put((vals, 2 * cum + cnt + 1))
         else:
-            ranks = _rank2_map(counts, col, "__c", ralias,
-                               n_buckets=n_buckets)
-            pairs = bucketed_join(pairs, ranks, on=col,
-                                  n_buckets=n_buckets).materialize()
+            ranks = _rank2_map(counts, col, "__c", ralias)
+            pairs = bucketed_join(pairs, ranks, on=col).materialize()
 
     if rank_refs:
         refs = {c: r for c, r in rank_refs.items()}
@@ -2527,7 +2349,7 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
 
 
 def percent_rank_in_group(ds: rd.Dataset, key: str, val_col: str,
-                          alias: str, n_buckets: int = 64) -> rd.Dataset:
+                          alias: str) -> rd.Dataset:
     """``PERCENT_RANK() OVER (PARTITION BY key ORDER BY val_col)`` —
     the per-row grouped rank score, without ever holding a whole
     group's ROWS in one worker: the rank of a row depends only on its
@@ -2541,8 +2363,7 @@ def percent_rank_in_group(ds: rd.Dataset, key: str, val_col: str,
     # the input feeds BOTH the counts branch and the stitch union —
     # pin it so the caller's upstream lineage runs once, not twice
     ds = ds.materialize()
-    counts = preagg_reduce(ds, [key, val_col], "__cnt", "count",
-                           n_buckets=n_buckets)
+    counts = preagg_reduce(ds, [key, val_col], "__cnt", "count")
 
     def per_key(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, val_col], kind="stable",
@@ -2556,10 +2377,7 @@ def percent_rank_in_group(ds: rd.Dataset, key: str, val_col: str,
         return pd.DataFrame({key: g[key], val_col: g[val_col],
                              "__pr": pr})
 
-    pr_tbl = (counts.map_batches(_bucket_tagger([key], n_buckets),
-                                 batch_format="pandas")
-              .groupby("__bucket").map_groups(per_key,
-                                              batch_format="pandas"))
+    pr_tbl = key_shuffle(counts, per_key, [key], batch_format="pandas")
 
     # stitch back: tag both sides with the SAME key bucket, merge per
     # bucket on (key, value) — supports the composite key without
@@ -2577,15 +2395,13 @@ def percent_rank_in_group(ds: rd.Dataset, key: str, val_col: str,
         return pd.Series([""] * n)
 
     def tag_fact(b: pd.DataFrame) -> pa.Table:
-        b = b.assign(__pr=np.nan,
-                     __bucket=stable_bucket_cols(b, [key], n_buckets))
+        b = b.assign(__pr=np.nan)
         return pa.Table.from_pandas(b, preserve_index=False)
 
     def tag_pr(b: pd.DataFrame) -> pa.Table:
         out = {c: (b[c] if c in b.columns else
                    _pad(len(b), fact_fields[c])) for c in fact_cols}
         out["__pr"] = b["__pr"]
-        out["__bucket"] = stable_bucket_cols(b, [key], n_buckets)
         return pa.Table.from_pandas(pd.DataFrame(out),
                                     preserve_index=False)
 
@@ -2596,24 +2412,21 @@ def percent_rank_in_group(ds: rd.Dataset, key: str, val_col: str,
         out = facts.merge(prs, on=[key, val_col], how="left")
         return out.rename(columns={"__pr": alias})
 
-    tagged = ds.map_batches(tag_fact, batch_format="pandas").union(
-        pr_tbl.map_batches(tag_pr, batch_format="pandas"))
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
+    sides = [ds.map_batches(tag_fact, batch_format="pandas"),
+             pr_tbl.map_batches(tag_pr, batch_format="pandas")]
+    return key_shuffle(sides, merge_bucket, [key], batch_format="pandas")
 
 
-def fd_violations(ds: rd.Dataset, lhs: str, rhs: str, alias: str,
-                  n_buckets: int = 64) -> rd.Dataset:
+def fd_violations(ds: rd.Dataset, lhs: str, rhs: str,
+                  alias: str) -> rd.Dataset:
     """Functional-dependency profiling (the data-quality audit shape):
     every ``lhs`` value that maps to MORE than one distinct ``rhs``
     value, with its distinct-rhs count — ``lhs → rhs`` holds iff the
     result is empty. Two bucketed pre-aggregated reduces (distinct
     pairs, then pair counts per lhs); the fact table streams once and
     only distinct pairs shuffle. Output: (lhs, alias int64)."""
-    pairs = preagg_reduce(ds, [lhs, rhs], "__cnt", "count",
-                          n_buckets=n_buckets)
-    per_lhs = preagg_reduce(pairs, [lhs], alias, "count",
-                            n_buckets=n_buckets)
+    pairs = preagg_reduce(ds, [lhs, rhs], "__cnt", "count")
+    per_lhs = preagg_reduce(pairs, [lhs], alias, "count")
     return per_lhs.map_batches(
         lambda b: b[b[alias].to_numpy() > 1],
         batch_format="pandas")
@@ -2621,8 +2434,7 @@ def fd_violations(ds: rd.Dataset, lhs: str, rhs: str, alias: str,
 
 def theil_sen_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                       alias: str, min_points: int = 3,
-                      max_points: int = 10_000,
-                      n_buckets: int = 64) -> rd.Dataset:
+                      max_points: int = 10_000) -> rd.Dataset:
     """Per-group Theil–Sen robust slope: the MEDIAN of all pairwise
     slopes (y_j − y_i)/(x_j − x_i), x_i ≠ x_j — the outlier-immune
     trend estimator (breakdown point 29%). Inherently O(k²) per group,
@@ -2634,9 +2446,6 @@ def theil_sen_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     fewer than ``min_points`` points or no x-distinct pair are
     dropped. x/y int64 (days, cents); slopes float64; median = mean of
     the two middle order statistics, matching SQL MEDIAN."""
-    add_bucket = _bucket_tagger([key], n_buckets,
-                                cols=[key, xcol, ycol])
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keys_out, slopes_out = [], []
         for kv, gg in g.groupby(key, sort=False):
@@ -2662,9 +2471,8 @@ def theil_sen_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                              alias: np.array(slopes_out,
                                              dtype=np.float64)})
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return key_shuffle(ds.select_columns([key, xcol, ycol]), per_bucket,
+                       [key], batch_format="pandas")
 
 
 def benford_digits(ds: rd.Dataset, col: str) -> pd.DataFrame:
@@ -2709,7 +2517,7 @@ def benford_digits(ds: rd.Dataset, col: str) -> pd.DataFrame:
 
 
 def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
-                     alias: str, n_buckets: int = 64,
+                     alias: str,
                      broadcast_cutover: int = 1 << 22) -> rd.Dataset:
     """PER-GROUP Spearman rank correlation — the partitioned twin of
     ``spearman_corr`` (which see for the doubled-tied-rank integer
@@ -2727,8 +2535,8 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     broadcast as a per-key arrays dict and attached map-side (no pair
     shuffle); beyond, the rank table stays a Dataset and stitches via
     the key-bucketed union merge."""
-    pairs = preagg_reduce(ds, [key, xcol, ycol], "__cnt", "count",
-                          n_buckets=n_buckets).materialize()
+    pairs = preagg_reduce(ds, [key, xcol, ycol], "__cnt",
+                          "count").materialize()
 
     def _attach_rank(pairs: rd.Dataset, col: str,
                      ralias: str) -> rd.Dataset:
@@ -2736,8 +2544,7 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
             lambda b, c=col: pd.DataFrame(
                 {key: b[key], c: b[c].to_numpy(np.int64),
                  "__c": b["__cnt"].to_numpy(np.int64)}),
-            batch_format="pandas"), [key, col], "__c", "sum",
-            n_buckets=n_buckets).materialize()
+            batch_format="pandas"), [key, col], "__c", "sum").materialize()
 
         if counts.count() <= broadcast_cutover:
             cdf = counts.to_pandas().sort_values(
@@ -2775,10 +2582,7 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                                  col: g[col].to_numpy(np.int64),
                                  ralias: 2 * cum + c + 1})
 
-        ranks = (counts.map_batches(_bucket_tagger([key], n_buckets),
-                                    batch_format="pandas")
-                 .groupby("__bucket").map_groups(
-                     per_key, batch_format="pandas"))
+        ranks = key_shuffle(counts, per_key, [key], batch_format="pandas")
 
         # stitch: both sides tagged with the SAME key bucket; typed
         # zero pads (never read — the merge splits sides first)
@@ -2787,7 +2591,6 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
 
         def tag_pairs(b: pd.DataFrame) -> pa.Table:
             b = b.assign(**{ralias: np.int64(-1)})
-            b["__bucket"] = stable_bucket_cols(b, [key], n_buckets)
             return pa.Table.from_pandas(b, preserve_index=False)
 
         def tag_ranks(b: pd.DataFrame) -> pa.Table:
@@ -2795,7 +2598,6 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                        np.zeros(len(b), dtype=np.int64))
                    for c in pair_cols}
             out[ralias] = b[ralias]
-            out["__bucket"] = stable_bucket_cols(b, [key], n_buckets)
             return pa.Table.from_pandas(pd.DataFrame(out),
                                         preserve_index=False)
 
@@ -2805,11 +2607,10 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
             ranks_ = g[is_rank][[key, col, ralias]]
             return facts.merge(ranks_, on=[key, col], how="left")
 
-        tagged = pairs.map_batches(tag_pairs,
-                                   batch_format="pandas").union(
-            ranks.map_batches(tag_ranks, batch_format="pandas"))
-        return tagged.groupby("__bucket").map_groups(
-            merge_bucket, batch_format="pandas").materialize()
+        sides = [pairs.map_batches(tag_pairs, batch_format="pandas"),
+                 ranks.map_batches(tag_ranks, batch_format="pandas")]
+        return key_shuffle(sides, merge_bucket, [key],
+                           batch_format="pandas").materialize()
 
     pairs = _attach_rank(pairs, xcol, "__rx2")
     pairs = _attach_rank(pairs, ycol, "__ry2")
@@ -2862,7 +2663,6 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                            **{m: np.array([], dtype=np.int64)
                               for m in ("__n", "__sx", "__sy",
                                         "__sxy", "__sxx", "__syy")}}))
-        g["__bucket"] = stable_bucket_cols(g, [key], n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
@@ -2885,15 +2685,13 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
         out[alias] = num / den
         return out
 
-    return (pairs.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final,
-                                            batch_format="pandas"))
+    return key_shuffle(pairs.map_batches(partial, batch_format="pandas"),
+                       final, [key], batch_format="pandas")
 
 
 def kendall_tau_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                         alias: str, min_points: int = 3,
-                        max_points: int = 10_000,
-                        n_buckets: int = 64) -> rd.Dataset:
+                        max_points: int = 10_000) -> rd.Dataset:
     """Per-group Kendall τ-b rank correlation — the concordance twin
     of ``theil_sen_grouped`` (same many-small-groups O(k²) shape, same
     loud group-size bound): over all unordered row pairs, concordant
@@ -2901,9 +2699,6 @@ def kendall_tau_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     τ-b = (C − D)/√((n₀ − tx)(n₀ − ty)) with n₀ = k(k−1)/2. All
     counts exact int64; ONE mirrored float expression. Groups smaller
     than ``min_points`` or with a constant side are dropped."""
-    add_bucket = _bucket_tagger([key], n_buckets,
-                                cols=[key, xcol, ycol])
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keys_out, taus = [], []
         for kv, gg in g.groupby(key, sort=False):
@@ -2936,9 +2731,8 @@ def kendall_tau_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
         return pd.DataFrame({key: keys_out,
                              alias: np.array(taus, dtype=np.float64)})
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(per_bucket,
-                                            batch_format="pandas"))
+    return key_shuffle(ds.select_columns([key, xcol, ycol]), per_bucket,
+                       [key], batch_format="pandas")
 
 
 def rank_sum_rows(cnt: np.ndarray, cnt_a: np.ndarray,

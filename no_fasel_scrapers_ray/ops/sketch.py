@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .util import stable_bucket_cols
+from .util import key_shuffle
 
 
 def _clz_rho(w: np.ndarray, width: int) -> np.ndarray:
@@ -81,7 +81,7 @@ def hll_estimate(regs: np.ndarray) -> float:
     return float(est)
 
 
-def _hll_partial_fn(keys: list[str], col: str, p: int, n_buckets: int):
+def _hll_partial_fn(keys: list[str], col: str, p: int):
     """Per-batch grouped HLL register partial: ONE np.maximum.at over
     a (n_keys × m) register matrix — no per-key Python loop: rows are
     flattened to key_code*m + idx. use_na_sentinel=False keeps NULL
@@ -111,9 +111,7 @@ def _hll_partial_fn(keys: list[str], col: str, p: int, n_buckets: int):
             columns=keys)
         t = {k: pa.array(kf[k]) for k in keys}
         t["__regs"] = pa.array([r.tobytes() for r in regs], pa.binary())
-        tbl = pa.table(t)
-        bucket = stable_bucket_cols(kf, keys, n_buckets)
-        return tbl.append_column("__bucket", pa.array(bucket))
+        return pa.table(t)
 
     return partial
 
@@ -121,8 +119,7 @@ def _hll_partial_fn(keys: list[str], col: str, p: int, n_buckets: int):
 def rolling_approx_distinct(ds: rd.Dataset, bucket_col: str, col: str,
                             width: int, step: int,
                             out_col: str = "n_approx",
-                            p: int = 12,
-                            n_buckets: int = 64) -> pd.DataFrame:
+                            p: int = 12) -> pd.DataFrame:
     """APPROXIMATE sliding-window COUNT DISTINCT — the sketch twin of
     `relational.trailing_distinct_count`, and the composition that
     shows WHY mergeable sketches matter for streaming windows: exact
@@ -132,14 +129,14 @@ def rolling_approx_distinct(ds: rd.Dataset, bucket_col: str, col: str,
     is a register max over ``width`` blobs — no expansion, shuffle
     volume = buckets × 2^p bytes regardless of raw rows or entity
     cardinality. Per-bucket merge runs in the bucketed combine; the
-    window slide runs on the driver over the (n_buckets_time × m)
+    window slide runs on the driver over the (time buckets × m)
     register matrix (time-bucket count is bounded by range/step —
     hours of a year ≈ 8.8k → 36 MB at p=12). Returns a driver frame
     (bucket, estimate), windows restricted to PRESENT buckets like
     the exact twin. ±envelope vs the exact twin pinned in
     tests/test_sketch.py."""
     m = 1 << p
-    partial = _hll_partial_fn([bucket_col], col, p, n_buckets)
+    partial = _hll_partial_fn([bucket_col], col, p)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         rows, blobs = [], []
@@ -153,10 +150,9 @@ def rolling_approx_distinct(ds: rd.Dataset, bucket_col: str, col: str,
         return pd.DataFrame({bucket_col: rows,
                              "__regs": pd.array(blobs, dtype=object)})
 
-    per_bucket = (ds.map_batches(partial, batch_format="pandas")
-                  .groupby("__bucket")
-                  .map_groups(combine, batch_format="pandas")
-                  .to_pandas())
+    per_bucket = key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                             combine, [bucket_col],
+                             batch_format="pandas").to_pandas()
     per_bucket = per_bucket.sort_values(bucket_col, ignore_index=True)
     tb = per_bucket[bucket_col].to_numpy(np.int64)
     mat = np.stack([np.frombuffer(b, dtype=np.uint8)
@@ -172,8 +168,8 @@ def rolling_approx_distinct(ds: rd.Dataset, bucket_col: str, col: str,
 
 
 def grouped_approx_count_distinct(ds: rd.Dataset, keys: list[str],
-                                  col: str, alias: str, p: int = 10,
-                                  n_buckets: int = 64) -> rd.Dataset:
+                                  col: str, alias: str,
+                                  p: int = 10) -> rd.Dataset:
     """Per-group approximate COUNT(DISTINCT col): one 2^p-byte register
     blob per key per batch moves through the key-bucket shuffle instead
     of one row per DISTINCT VALUE — the trade that keeps shuffle volume
@@ -182,7 +178,7 @@ def grouped_approx_count_distinct(ds: rd.Dataset, keys: list[str],
     sigma ≈ 1.04/sqrt(1024) ≈ 3.3%. Registers ride as Arrow ``binary``
     (ragged numeric sets in object columns trip Ray's TensorArray)."""
     m = 1 << p
-    partial = _hll_partial_fn(keys, col, p, n_buckets)
+    partial = _hll_partial_fn(keys, col, p)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         rows_keys: dict[str, list] = {k: [] for k in keys}
@@ -202,8 +198,8 @@ def grouped_approx_count_distinct(ds: rd.Dataset, keys: list[str],
         out[alias] = np.asarray(ests, dtype=np.float64)
         return out
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(combine, batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                       combine, keys, batch_format="pandas")
 
 
 def approx_count_distinct(ds: rd.Dataset, col: str, p: int = 14) -> float:
@@ -243,8 +239,7 @@ def _mg_trim(counts: pd.Series, k: int) -> pd.Series:
 
 
 def heavy_hitter_terms(docs: rd.Dataset, topn: int = 20,
-                       k_counters: int = 4096,
-                       n_buckets: int = 64) -> rd.Dataset:
+                       k_counters: int = 4096) -> rd.Dataset:
     """Top-``topn`` corpus terms via a Misra-Gries candidate sketch plus
     one exact recount pass — the heavy-hitter shape for vocabularies too
     large to shuffle (``top_terms`` moves one partial row per DISTINCT
@@ -289,7 +284,7 @@ def heavy_hitter_terms(docs: rd.Dataset, topn: int = 20,
 
     exact = preagg_sum_count(
         docs.map_batches(recount, batch_format="pandas"),
-        ["term"], {"n": "n"}, n_buckets=n_buckets)
+        ["term"], {"n": "n"})
     return exact.sort(["n", "term"], descending=[True, False]).limit(topn)
 
 
@@ -328,25 +323,26 @@ def _compress_centroids(vals: np.ndarray, wts: np.ndarray,
 
 
 def approx_quantiles(ds: rd.Dataset, col: str, qs: list[float],
-                     k: int = 256, n_buckets: int = 32) -> list[float]:
+                     k: int = 256) -> list[float]:
     """Approximate quantiles of ``ds[col]`` from one streaming pass.
 
     Shape: per-batch sort+compress to <= k centroids (map side), a
     bucketed merge-compress of the partials (ONE shuffle of digest
     rows, volume = batches x k rows regardless of data size), and a
-    driver-side final merge of <= n_buckets digests. Rank error is
+    driver-side final merge of one digest per bucket. Rank error is
     O(W/k) per merge level — the envelope is pinned against the exact
     selection-based quantiles in tests/test_sketch.py."""
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         v = np.sort(b[col].to_numpy(dtype=np.float64))
         cv, cw = _compress_centroids(v, np.ones(len(v)), k)
+        return pd.DataFrame({"v": cv, "w": cw})
+
+    def digest_key(b) -> np.ndarray:
         # deterministic partial->bucket spread (content-hashed, so the
         # tree shape is reproducible across runs and worker layouts)
-        tag = int(pd.util.hash_array(cv).sum() % n_buckets)
-        return pd.DataFrame({
-            "v": cv, "w": cw,
-            "__bucket": np.full(len(cv), tag, dtype=np.int64)})
+        h = pd.util.hash_array(np.asarray(b["v"].to_numpy())).sum()
+        return np.full(len(b), h, dtype=np.uint64)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         order = np.argsort(g["v"].to_numpy(), kind="stable")
@@ -354,9 +350,8 @@ def approx_quantiles(ds: rd.Dataset, col: str, qs: list[float],
                                      g["w"].to_numpy()[order], k)
         return pd.DataFrame({"v": cv, "w": cw})
 
-    parts = (ds.map_batches(partial, batch_format="pandas")
-             .groupby("__bucket").map_groups(merge, batch_format="pandas")
-             .to_pandas())
+    parts = key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                        merge, digest_key, batch_format="pandas").to_pandas()
     if parts.empty:
         return [float("nan")] * len(qs)
     order = np.argsort(parts["v"].to_numpy(), kind="stable")
@@ -443,8 +438,7 @@ def cms_query(matrix: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def grouped_approx_quantiles(ds: rd.Dataset, keys: list[str], col: str,
-                             qs: list[float], k: int = 128,
-                             n_buckets: int = 32) -> rd.Dataset:
+                             qs: list[float], k: int = 128) -> rd.Dataset:
     """PER-GROUP approximate quantiles from mergeable digests — the
     grouped twin of ``approx_quantiles`` and the scale path next to the
     exact ``grouped_quantile_disc/cont``: per-key state is ≤ k
@@ -467,7 +461,6 @@ def grouped_approx_quantiles(ds: rd.Dataset, keys: list[str], col: str,
             empty = {kc: np.array([], dtype=object) for kc in keys}
             empty["v"] = np.array([], dtype=np.float64)
             empty["w"] = np.array([], dtype=np.float64)
-            empty["__bucket"] = np.array([], dtype=np.int64)
             return pd.DataFrame(empty)
         out_k, out_v, out_w = {kc: [] for kc in keys}, [], []
         for kv, g in b.groupby(keys, sort=False):
@@ -482,7 +475,6 @@ def grouped_approx_quantiles(ds: rd.Dataset, keys: list[str], col: str,
         cols["v"] = np.concatenate(out_v)
         cols["w"] = np.concatenate(out_w)
         g = pd.DataFrame(cols)
-        g["__bucket"] = stable_bucket_cols(g, keys, n_buckets)
         return g
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
@@ -504,9 +496,8 @@ def grouped_approx_quantiles(ds: rd.Dataset, keys: list[str], col: str,
         out.update(q_cols)
         return pd.DataFrame(out)
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("__bucket").map_groups(final,
-                                            batch_format="pandas"))
+    return key_shuffle(ds.map_batches(partial, batch_format="pandas"),
+                       final, keys, batch_format="pandas")
 
 
 def hll_set_ops(ds: rd.Dataset, col: str, label_col: str,
@@ -552,8 +543,7 @@ def hll_set_ops(ds: rd.Dataset, col: str, label_col: str,
 
 def grouped_heavy_hitters(ds: rd.Dataset, group_col: str,
                           item_col: str, topn: int = 3,
-                          k_counters: int = 1024,
-                          n_buckets: int = 64) -> pd.DataFrame:
+                          k_counters: int = 1024) -> pd.DataFrame:
     """Per-GROUP top-``topn`` items — heavy_hitter_terms' grouped twin,
     completing the sketch matrix (count-distinct, quantiles and heavy
     hitters each in global + grouped form). Per-batch per-group
@@ -613,8 +603,7 @@ def grouped_heavy_hitters(ds: rd.Dataset, group_col: str,
 
     exact = preagg_sum_count(
         ds.map_batches(recount, batch_format="pandas"),
-        [group_col, item_col], {"n": "n"},
-        n_buckets=n_buckets).to_pandas()   # ≤ groups × k rows
+        [group_col, item_col], {"n": "n"}).to_pandas()   # ≤ groups × k rows
     exact = exact.sort_values([group_col, "n", item_col],
                               ascending=[True, False, True],
                               kind="stable")

@@ -121,25 +121,23 @@ def lang_score(docs: rd.Dataset) -> rd.Dataset:
     return docs.map_batches(score, batch_format="pyarrow")
 
 
-def top_terms(docs: rd.Dataset, k: int = 50,
-              n_buckets: int = 64) -> rd.Dataset:
+def top_terms(docs: rd.Dataset, k: int = 50) -> rd.Dataset:
     """Corpus-wide top-k terms by occurrence — the canonical wordcount
     as a decomposable pipeline: per-batch ``value_counts`` partials
     (one row per DISTINCT term per batch, so the shuffle never moves
     exploded tokens), a term-bucket shuffle with a final sum + local
     top-k per bucket, then a global sort/limit over the tiny
-    ``n_buckets × k`` survivor set. Ties break (count DESC, term ASC)
+    buckets × k survivor set. Ties break (count DESC, term ASC)
     — mirrored in the oracle's ORDER BY so the k-boundary is
     deterministic on both engines."""
     import pyarrow as pa
 
-    from .util import stable_bucket
+    from .util import key_shuffle
 
     def partial(batch: pd.DataFrame) -> pa.Table:
         vc = batch["text"].str.split(" ").explode().value_counts()
         g = pd.DataFrame({"term": vc.index.to_numpy(dtype=object),
                           "n": vc.to_numpy(dtype=np.int64)})
-        g["__bucket"] = stable_bucket(g["term"], n_buckets)
         return pa.Table.from_pandas(g, preserve_index=False)
 
     def local_topk(g: pd.DataFrame) -> pa.Table:
@@ -147,13 +145,12 @@ def top_terms(docs: rd.Dataset, k: int = 50,
         r = r.sort_values(["n", "term"], ascending=[False, True]).head(k)
         return pa.Table.from_pandas(r, preserve_index=False)
 
-    survivors = (docs.map_batches(partial, batch_format="pandas")
-                 .groupby("__bucket").map_groups(local_topk,
-                                                 batch_format="pandas"))
+    survivors = key_shuffle(docs.map_batches(partial, batch_format="pandas"),
+                            local_topk, ["term"], batch_format="pandas")
     return survivors.sort(["n", "term"], descending=[True, False]).limit(k)
 
 
-def _df_dataset(docs: rd.Dataset, n_buckets: int) -> rd.Dataset:
+def _df_dataset(docs: rd.Dataset) -> rd.Dataset:
     """Corpus document frequencies as a DATASET: per-batch per-doc-
     DISTINCT term partials → one bucketed sum. The shuffle moves
     (term, df) partials only, never exploded tokens. Shared by
@@ -172,7 +169,7 @@ def _df_dataset(docs: rd.Dataset, n_buckets: int) -> rd.Dataset:
 
     return preagg_sum_count(
         docs.map_batches(df_partial, batch_format="pandas"),
-        ["term"], {"df": "df"}, n_buckets=n_buckets)
+        ["term"], {"df": "df"})
 
 
 def _tf_dataset(docs: rd.Dataset) -> rd.Dataset:
@@ -228,7 +225,6 @@ def quality_keep_mask(text: pd.Series,
 
 
 def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
-                    n_buckets: int = 64,
                     broadcast_vocab_limit: int = 1 << 22) -> rd.Dataset:
     """Per-document top-``topn`` TF-IDF terms — the keyword-extraction
     stage of a curation pipeline. Document frequencies come from ONE
@@ -254,10 +250,10 @@ def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
 
     from .relational import (_check_broadcast_size, broadcast_get,
                              bucketed_join)
-    from .util import stable_bucket_cols
+    from .util import key_shuffle
 
     n_docs = docs.count()
-    df_ds = _df_dataset(docs, n_buckets).materialize()
+    df_ds = _df_dataset(docs).materialize()
     n_terms = df_ds.count()
 
     if n_terms <= broadcast_vocab_limit:
@@ -288,8 +284,7 @@ def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
 
         return docs.map_batches(score, batch_format="pandas")
 
-    joined = bucketed_join(_tf_dataset(docs), df_ds, on="term",
-                           n_buckets=n_buckets, how="inner")
+    joined = bucketed_join(_tf_dataset(docs), df_ds, on="term", how="inner")
 
     def score_rows(b: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({
@@ -297,7 +292,6 @@ def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
             "term": b["term"].to_numpy(dtype=object),
             "score": (b["tf"].to_numpy(dtype=np.int64) * n_docs)
             // b["df"].to_numpy(dtype=np.int64)})
-        out["__bucket"] = stable_bucket_cols(out, ["doc_id"], n_buckets)
         return out
 
     def topn_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -309,13 +303,11 @@ def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
             "term": out["term"].to_numpy(dtype=object),
             "score": out["score"].to_numpy(dtype=np.int64)})
 
-    return (joined.map_batches(score_rows, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(topn_bucket, batch_format="pandas"))
+    return key_shuffle(joined.map_batches(score_rows, batch_format="pandas"),
+                       topn_bucket, ["doc_id"], batch_format="pandas")
 
 
 def rare_term_permille(docs: rd.Dataset, max_df: int = 2,
-                       n_buckets: int = 64,
                        broadcast_vocab_limit: int = 1 << 22) -> rd.Dataset:
     """Per-document OOV/rarity signal: the permille of a doc's tokens
     whose corpus document frequency is ≤ ``max_df`` — the standard
@@ -337,7 +329,7 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2,
     from .relational import (_check_broadcast_size, broadcast_get,
                              bucketed_join, preagg_sum_count)
 
-    rare_ds = _df_dataset(docs, n_buckets).filter(
+    rare_ds = _df_dataset(docs).filter(
         expr=f"df <= {int(max_df)}").materialize()
     n_rare = rare_ds.count()
 
@@ -369,16 +361,15 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2,
 
     rare_tf = bucketed_join(_tf_dataset(docs),
                             rare_ds.drop_columns(["df"]), on="term",
-                            n_buckets=n_buckets, how="inner")
+                            how="inner")
     hits_ds = preagg_sum_count(
         rare_tf.map_batches(
             lambda b: pd.DataFrame({"doc_id": b["doc_id"],
                                     "hits": b["tf"]}),
             batch_format="pandas"),
-        ["doc_id"], {"hits": "hits"}, n_buckets=n_buckets).materialize()
+        ["doc_id"], {"hits": "hits"}).materialize()
     joined = bucketed_join(docs.map_batches(base, batch_format="pandas"),
-                           hits_ds, on="doc_id",
-                           n_buckets=n_buckets, how="left")
+                           hits_ds, on="doc_id", how="left")
 
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         hits = b["hits"].fillna(0).to_numpy(dtype=np.int64)
@@ -606,7 +597,7 @@ def bm25_term_scores(docs: rd.Dataset, terms: tuple[str, ...],
             .map_batches(score, batch_format="pyarrow"))
 
 
-def _unigram_counts(docs: rd.Dataset, n_buckets: int) -> rd.Dataset:
+def _unigram_counts(docs: rd.Dataset) -> rd.Dataset:
     """Corpus unigram counts (term, c) — per-batch ``value_counts``
     partials, one term-bucket shuffle; exploded tokens never move.
     Arrow-native (r5): split + value_counts run as C++ kernels on the
@@ -629,7 +620,7 @@ def _unigram_counts(docs: rd.Dataset, n_buckets: int) -> rd.Dataset:
 
     return preagg_sum_count(
         docs.map_batches(partial, batch_format="pyarrow"),
-        ["term"], {"c": "c"}, n_buckets=n_buckets)
+        ["term"], {"c": "c"})
 
 
 def _bigram_partial(batch) -> pd.DataFrame:
@@ -678,17 +669,16 @@ def _bigram_partial(batch) -> pd.DataFrame:
                          "c_xy": cnts.astype(np.int64)})
 
 
-def _bigram_counts(docs: rd.Dataset, n_buckets: int) -> rd.Dataset:
+def _bigram_counts(docs: rd.Dataset) -> rd.Dataset:
     """Corpus bigram counts (w1, w2, c_xy) — per-batch shifted-column
     partials, one (w1,w2)-bucket shuffle."""
     from .relational import preagg_sum_count
     return preagg_sum_count(
         docs.map_batches(_bigram_partial, batch_format="pyarrow"),
-        ["w1", "w2"], {"c_xy": "c_xy"}, n_buckets=n_buckets)
+        ["w1", "w2"], {"c_xy": "c_xy"})
 
 
-def bigram_pmi(docs: rd.Dataset, min_count: int = 1,
-               n_buckets: int = 64) -> rd.Dataset:
+def bigram_pmi(docs: rd.Dataset, min_count: int = 1) -> rd.Dataset:
     """Collocation mining (brief: "Text analysis"): pointwise mutual
     information of every adjacent token pair across the corpus —
     PMI(x,y) = ln(P(xy) / (P(x)·P(y))) with P(xy) = c_xy/M (bigram
@@ -704,8 +694,8 @@ def bigram_pmi(docs: rd.Dataset, min_count: int = 1,
     transcendental — the bm25 contract)."""
     from .relational import bucketed_join
 
-    bg = _bigram_counts(docs, n_buckets)
-    uni = _unigram_counts(docs, n_buckets).materialize()
+    bg = _bigram_counts(docs)
+    uni = _unigram_counts(docs).materialize()
 
     # exact int totals: constant-size reductions over the count sets
     # (Dataset.sum returns None on empty input — empty corpus guard)
@@ -725,12 +715,12 @@ def bigram_pmi(docs: rd.Dataset, min_count: int = 1,
         bgm, uni.map_batches(
             lambda b: b.rename(columns={"term": "w1", "c": "c_x"}),
             batch_format="pandas"),
-        on="w1", n_buckets=n_buckets, how="inner")
+        on="w1", how="inner")
     j2 = bucketed_join(
         j1, uni.map_batches(
             lambda b: b.rename(columns={"term": "w2", "c": "c_y"}),
             batch_format="pandas"),
-        on="w2", n_buckets=n_buckets, how="inner")
+        on="w2", how="inner")
 
     nf, mf = float(n_tokens), float(m_bigrams)
 
@@ -748,8 +738,7 @@ def bigram_pmi(docs: rd.Dataset, min_count: int = 1,
     return j2.map_batches(score, batch_format="pandas")
 
 
-def zipf_slope(docs: rd.Dataset, topn: int = 1000,
-               n_buckets: int = 64) -> pd.DataFrame:
+def zipf_slope(docs: rd.Dataset, topn: int = 1000) -> pd.DataFrame:
     """Zipf's-law fit (brief: "Text analysis" — corpus health check):
     OLS slope/intercept of ln(count) on ln(rank) over the top-``topn``
     terms. The term counts are the distributed unigram preagg; the
@@ -758,7 +747,7 @@ def zipf_slope(docs: rd.Dataset, topn: int = 1000,
     ASC) so the boundary is deterministic. ln sums are transcendental
     → round-6 contract, with the identical closed-form expression
     mirrored in the oracle."""
-    uni = _unigram_counts(docs, n_buckets)
+    uni = _unigram_counts(docs)
     top = (uni.sort(["c", "term"], descending=[True, False])
            .limit(topn).to_pandas())
     if len(top) < 2:   # a slope needs two points — empty/1-term
@@ -816,7 +805,7 @@ _BG_M0 = np.uint64(0x9E3779B97F4A7C15)
 _BG_M1 = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def doc_perplexity(docs: rd.Dataset, n_buckets: int = 64) -> rd.Dataset:
+def doc_perplexity(docs: rd.Dataset) -> rd.Dataset:
     """Bigram-LM negative log-likelihood per document (brief: "Text
     analysis" — the CCNet/Gopher-style LM-quality signal: docs with
     high perplexity under a corpus-trained LM are noise candidates).
@@ -889,17 +878,15 @@ def doc_perplexity(docs: rd.Dataset, n_buckets: int = 64) -> rd.Dataset:
 
     uni = preagg_sum_count(
         docs.map_batches(uni_partial, batch_format="pyarrow"),
-        ["w1"], {"c_x": "c_x"}, n_buckets=n_buckets).materialize()
+        ["w1"], {"c_x": "c_x"}).materialize()
     vocab = float(uni.count())
     bg = preagg_sum_count(
         docs.map_batches(bg_partial, batch_format="pyarrow"),
-        ["bkey"], {"c_xy": "c_xy"}, n_buckets=n_buckets)
+        ["bkey"], {"c_xy": "c_xy"})
 
     dbg = docs.map_batches(doc_bigrams, batch_format="pyarrow")
-    j1 = bucketed_join(dbg, bg, on="bkey",
-                       n_buckets=n_buckets, how="inner")
-    j2 = bucketed_join(j1, uni, on="w1",
-                       n_buckets=n_buckets, how="inner")
+    j1 = bucketed_join(dbg, bg, on="bkey", how="inner")
+    j2 = bucketed_join(j1, uni, on="w1", how="inner")
 
     def micro_nll(b: pd.DataFrame) -> pd.DataFrame:
         cxy = b["c_xy"].to_numpy(np.float64)
@@ -913,7 +900,7 @@ def doc_perplexity(docs: rd.Dataset, n_buckets: int = 64) -> rd.Dataset:
 
     sums = preagg_sum_count(
         j2.map_batches(micro_nll, batch_format="pandas"),
-        ["doc_id"], {"s": "s", "n": "n"}, n_buckets=n_buckets)
+        ["doc_id"], {"s": "s", "n": "n"})
 
     def final(b: pd.DataFrame) -> pd.DataFrame:
         s = b["s"].to_numpy(np.float64)
@@ -957,7 +944,6 @@ def regex_scrub(docs: rd.Dataset, pattern: str,
 
 def train_bpe_merges(docs: rd.Dataset, n_merges: int,
                      text_col: str = "text", min_count: int = 2,
-                     n_buckets: int = 16,
                      driver_threshold: int = 1 << 17) -> pd.DataFrame:
     """Distributed byte-pair-encoding merge training (Sennrich et al.
     2016 — the tokenizer-training stage of an LLM data pipeline).
@@ -1004,8 +990,7 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
 
     vocab_wc = preagg_reduce(docs.map_batches(word_counts,
                                               batch_format="pandas"),
-                             ["word"], "count", "sum",
-                             n_buckets=n_buckets)
+                             ["word"], "count", "sum")
 
     def init_syms(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1104,7 +1089,7 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
         for rank in range(1, n_merges + 1):
             pc_ds = preagg_reduce(
                 vocab.map_batches(count_pairs, batch_format="pandas"),
-                ["left", "right"], "freq", "sum", n_buckets=n_buckets)
+                ["left", "right"], "freq", "sum")
             survivors = pc_ds.map_batches(
                 lambda b: b.sort_values(["freq", "left", "right"],
                                         ascending=[False, True, True]

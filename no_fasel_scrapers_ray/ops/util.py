@@ -1,4 +1,5 @@
-"""Shared sizing helpers for Ray Data stages and raw-task waves."""
+"""Shared sizing helpers for Ray Data stages and raw-task waves, and
+the one key shuffle."""
 
 from __future__ import annotations
 
@@ -7,45 +8,94 @@ import time
 import ray
 
 
-def stable_bucket(series, n_buckets: int):
-    """Content-only bucket hash for a pandas Series.
+def stable_bucket(series, n: int):
+    """``bucket_of`` for one pandas Series (the catalog tail's split,
+    which sizes its own count by its input blocks)."""
+    return bucket_of(series.to_frame("k"), ["k"], n)
 
-    NOT ``pd.util.hash_pandas_object``: its row hashes depend on row
-    POSITION within the series (measured: the same key string hashed to
-    bucket 48 in one batch slice and 60 in another), which silently
-    splits one key across shuffle buckets. Integer keys use a plain
-    modulo; everything else goes through ``pd.util.hash_array`` —
-    vectorized SipHash of the VALUES only (fixed default key, position-
-    independent, deterministic across processes — the same primitive the
-    shingle hashing relies on).
-    """
+
+def shuffle_buckets() -> int:
+    """The bucket count of every key shuffle: the next power of two
+    ≥ 2 × the cluster's CPUs (64 at 32 CPUs, 8 at 4, 4 at 2).
+
+    Why derived, not a per-operator option: each bucket is one
+    ``map_groups`` task, so the count sets a shuffle's parallelism and
+    its fixed task cost, and the right value is a property of the
+    cluster, not of the operator. Two buckets per CPU keep every CPU
+    busy when bucket sizes are uneven; more buckets only add tasks (a
+    fixed 64 made ``top3_orders_per_cust`` 3.5× slower than 4 in a
+    2-CPU session). A power of two keeps the integer-key hash a mask
+    of the low bits. Results never depend on the count: every bucket
+    holds whole keys (``tests/test_bucket_invariance.py``)."""
+    cpus = float(ray.cluster_resources().get("CPU", 1))
+    n = 1
+    while n < 2 * cpus:
+        n *= 2
+    return n
+
+
+def bucket_of(batch, keys, n: int):
+    """Content-only bucket ids (int64 in ``[0, n)``) of a pandas or
+    Arrow batch. ``keys`` is a list of key column names or a function
+    of the batch returning one integer key per row.
+
+    A single integer key (or a derived key) buckets by its low bits —
+    ``x mod n``, position-independent and skew-free for dense ids.
+    Other columns go through ``pd.util.hash_array`` (SipHash of the
+    VALUES with a fixed key, identical on every worker; NOT
+    ``hash_pandas_object``, whose row hashes depend on row position).
+    Several keys fold with an odd multiplier, order-sensitive so
+    (a, b) and (b, a) differ."""
     import numpy as np
     import pandas as pd
 
-    if pd.api.types.is_integer_dtype(series.dtype):
-        return (series.to_numpy(dtype=np.int64) % n_buckets).astype(np.int64)
-    vals = series.to_numpy(dtype=object)
-    return (pd.util.hash_array(vals) % np.uint64(n_buckets)).astype(np.int64)
-
-
-def stable_bucket_cols(df, keys: list, n_buckets: int):
-    """Content-only bucket hash over MULTIPLE key columns, vectorized:
-    per-column ``hash_array`` folded with odd-multiplier mixing (order-
-    sensitive so (a, b) and (b, a) differ). Replaces the per-row
-    ``astype(str).agg("\\x00".join)`` string build, which measured ~10 s
-    per million rows on pair-key aggregates."""
-    import numpy as np
-    import pandas as pd
-
-    h = np.zeros(len(df), dtype=np.uint64)
-    for i, k in enumerate(keys):
-        col = df[k]
-        if pd.api.types.is_integer_dtype(col.dtype):
-            ch = col.to_numpy().astype(np.uint64, copy=False)
+    if len(batch) == 0:
+        return np.zeros(0, dtype=np.int64)
+    cols = [keys(batch)] if callable(keys) else [
+        np.asarray(batch[k].to_numpy()) for k in keys]
+    if len(cols) == 1 and cols[0].dtype.kind in "iub":
+        return cols[0].astype(np.int64) % n
+    h = None
+    for v in cols:
+        if v.dtype.kind in "iub":
+            ch = v.astype(np.uint64)
+        elif v.dtype.kind in "fmM":
+            ch = pd.util.hash_array(v)
         else:
-            ch = pd.util.hash_array(col.to_numpy(dtype=object))
-        h = h * np.uint64(0x9E3779B97F4A7C15) + ch + np.uint64(i + 1)
-    return (h % np.uint64(n_buckets)).astype(np.int64)
+            ch = pd.util.hash_array(v.astype(object))
+        h = ch if h is None else h * np.uint64(0x9E3779B97F4A7C15) + ch
+    return (h % np.uint64(n)).astype(np.int64)
+
+
+def key_shuffle(ds, fn, keys, **map_groups_kw):
+    """THE key shuffle: co-locate every row of one key in one group and
+    run ``fn`` over each group (``map_groups_kw`` go to ``map_groups``).
+    ``ds`` may be a list of datasets (join sides), tagged side by side
+    and unioned. Each block is tagged with ``bucket_of(keys)`` at the
+    count ``shuffle_buckets()``, in its own format and fused into the
+    upstream map; the group pass is Ray Data's sort-based
+    ``groupby("__bucket").map_groups``. A group holds whole keys — one
+    bucket, many keys — and ``fn`` sees it without the tag column."""
+    import pandas as pd
+    import pyarrow as pa
+
+    n = shuffle_buckets()
+
+    def tag(batch):
+        b = bucket_of(batch, keys, n)
+        if isinstance(batch, pd.DataFrame):
+            return batch.assign(__bucket=b)
+        return batch.append_column("__bucket", pa.array(b, pa.int64()))
+
+    def untagged(g):
+        if isinstance(g, pd.DataFrame):
+            return fn(g.drop(columns="__bucket"))
+        return fn(g.drop_columns("__bucket"))
+
+    sides = [s.map_batches(tag, batch_format=None)
+             for s in (ds if isinstance(ds, list) else [ds])]
+    tagged = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
+    return tagged.groupby("__bucket").map_groups(untagged, **map_groups_kw)
 
 
 # Per-worker-process instance cache for task-based stateful stages.

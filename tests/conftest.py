@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,3 +26,20 @@ def seen_urls(eng) -> set[int]:
     hashes, gathered (O(n)); the shards must still be live."""
     hashes = ray.get([s.seen_hashes.remote() for s in eng.shards])
     return set(np.concatenate(hashes).tolist()) if hashes else set()
+
+
+@pytest.fixture
+def set_buckets(monkeypatch):
+    """Pin the derived key-shuffle bucket count: ``set_buckets(n)``
+    makes ``ops.util.shuffle_buckets()`` return ``n`` in every module
+    that imported it (the count is read on the driver and shipped to
+    workers, so patching the driver is enough)."""
+    from no_fasel_scrapers_ray.ops import util
+
+    mods = [m for m in list(sys.modules.values())
+            if getattr(m, "shuffle_buckets", None) is util.shuffle_buckets]
+
+    def pin(n: int) -> None:
+        for mod in mods:
+            monkeypatch.setattr(mod, "shuffle_buckets", lambda: n)
+    return pin

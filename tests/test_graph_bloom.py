@@ -87,8 +87,7 @@ def test_bloom_semi_join_exact_despite_false_positives():
                                        "v": np.arange(2000, dtype=np.int64)}))
     keys = rd.from_pandas(pd.DataFrame(
         {"k": np.array([3, 700, 1999], dtype=np.int64)}))
-    out = bloom_semi_join(big, keys, "k", m_bits=64, k_hashes=2,
-                          n_buckets=4).to_pandas()
+    out = bloom_semi_join(big, keys, "k", m_bits=64, k_hashes=2).to_pandas()
     assert sorted(out["k"].tolist()) == [3, 700, 1999]
     assert out["v"].dtype == np.int64
 
@@ -97,7 +96,7 @@ def test_bloom_semi_join_no_matches():
     big = rd.from_pandas(pd.DataFrame({"k": np.arange(100, dtype=np.int64)}))
     keys = rd.from_pandas(pd.DataFrame(
         {"k": np.array([5000], dtype=np.int64)}))
-    out = bloom_semi_join(big, keys, "k", n_buckets=4).to_pandas()
+    out = bloom_semi_join(big, keys, "k").to_pandas()
     assert len(out) == 0
 
 
@@ -155,9 +154,8 @@ def test_pagerank_paths_agree_and_handle_dangling():
     # the three size tiers: driver power iteration, broadcast-ranks
     # (edges streamed, one shuffle/iter), fully-joined distributed
     for kw in ({},
-               {"small_threshold": 0, "n_buckets": 4},
-               {"small_threshold": 0, "broadcast_nodes": 0,
-                "n_buckets": 4}):
+               {"small_threshold": 0},
+               {"small_threshold": 0, "broadcast_nodes": 0}):
         got = pagerank(ds, 0.85, 5, **kw).to_pandas().sort_values(
             "node", ignore_index=True)
         assert got["node"].tolist() == ref["node"].tolist()
@@ -181,11 +179,11 @@ def test_triangle_count_tiers_agree():
     edges = pd.DataFrame(k4 + extra, columns=["a", "b"])
     ds = rd.from_pandas(edges).repartition(3)
     # tier 1: driver compact-forward (default cutover)
-    assert triangle_count(ds, n_buckets=4) == 4
+    assert triangle_count(ds) == 4
     # tier 2: distributed, broadcast-membership closing pass
-    assert triangle_count(ds, n_buckets=4, small_threshold=0) == 4
+    assert triangle_count(ds, small_threshold=0) == 4
     # tier 3: distributed, bucketed wedge⋈edge closing join
-    assert triangle_count(ds, n_buckets=4, small_threshold=0,
+    assert triangle_count(ds, small_threshold=0,
                           broadcast_edge_threshold=0) == 4
 
 
@@ -201,9 +199,8 @@ def test_pagerank_checkpoint_resume(tmp_path):
                           "dst": rng.randint(0, 80, 300)}).drop_duplicates()
     ds = rd.from_pandas(edges).repartition(3)
     for tier_kw, pref in (
-            ({"small_threshold": 0, "n_buckets": 4}, "pagerank"),
-            ({"small_threshold": 0, "broadcast_nodes": 0,
-              "n_buckets": 4}, "pagerank3")):
+            ({"small_threshold": 0}, "pagerank"),
+            ({"small_threshold": 0, "broadcast_nodes": 0}, "pagerank3")):
         full = pagerank(ds, 0.85, 3, **tier_kw).to_pandas() \
             .sort_values("node", ignore_index=True)
         ck = tmp_path / f"ck_{pref}"
@@ -250,6 +247,41 @@ def test_cc_checkpoint_resume(tmp_path):
     assert a == b
 
 
+def test_cc_checkpoint_resumes_at_another_bucket_count(tmp_path,
+                                                     set_buckets):
+    """The bucket count is derived from the cluster's CPUs, so a resume
+    may run at another count than the run that checkpointed. The
+    checkpoint is a labels table, re-split on resume, and min-label
+    propagation does not depend on the split: a run interrupted after
+    one iteration at 4 buckets resumes at 2 to the uninterrupted
+    labeling."""
+    import os
+    from no_fasel_scrapers_ray.ops.graph import connected_components
+    # one long path (20k nodes ≥ 4 × 4096, so the BSP tier really runs
+    # 4 buckets), its edges scattered across blocks so convergence
+    # needs several iterations
+    n = 20_000
+    rng = np.random.default_rng(2)
+    order = rng.permutation(n - 1)
+    ds = rd.from_pandas(pd.DataFrame({
+        "a": order.astype(np.int64), "b": order.astype(np.int64) + 1})) \
+        .repartition(40).materialize()
+    full = connected_components(ds, "a", "b", small_threshold=0)
+    ck = str(tmp_path / "cc_ck")
+    set_buckets(4)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        connected_components(ds, "a", "b", small_threshold=0,
+                             checkpoint_dir=ck, max_iters=1)
+    assert [m for m in os.listdir(ck) if "_iter_1" in m]
+    set_buckets(2)
+    resumed = connected_components(ds, "a", "b", small_threshold=0,
+                                   checkpoint_dir=ck).to_pandas()
+    full = full.to_pandas()
+    assert len(resumed) == n
+    assert dict(zip(full["doc_id"], full["cluster_id"])) == \
+        dict(zip(resumed["doc_id"], resumed["cluster_id"]))
+
+
 def test_triangle_count_large_node_ids():
     """Node ids ≥ 2^32 must count exactly in every tier: the key
     packing compacts ids first (raw (u<<32)|v packing silently
@@ -260,9 +292,9 @@ def test_triangle_count_large_node_ids():
     k4 = [(nodes[a], nodes[b]) for a in range(4) for b in range(a + 1, 4)]
     extra = [(nodes[3], 5), (5, 6)]                   # pendant + wedge
     ds = rd.from_pandas(pd.DataFrame(k4 + extra, columns=["a", "b"]))
-    assert triangle_count(ds, n_buckets=4) == 4
-    assert triangle_count(ds, n_buckets=4, small_threshold=0) == 4
-    assert triangle_count(ds, n_buckets=4, small_threshold=0,
+    assert triangle_count(ds) == 4
+    assert triangle_count(ds, small_threshold=0) == 4
+    assert triangle_count(ds, small_threshold=0,
                           broadcast_edge_threshold=0) == 4
 
 
@@ -276,7 +308,7 @@ def test_ckpt_manifest_rejects_foreign_state(tmp_path):
         {"src": rng.randint(0, n, 200),
          "dst": rng.randint(0, n, 200)}).drop_duplicates())
     ck = str(tmp_path / "ck")
-    kw = {"small_threshold": 0, "n_buckets": 4, "checkpoint_dir": ck}
+    kw = {"small_threshold": 0, "checkpoint_dir": ck}
     pagerank(mk(40), 0.85, 2, **kw).to_pandas()
     with pytest.raises(ValueError, match="different input"):
         pagerank(mk(70), 0.85, 2, **kw)

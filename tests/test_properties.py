@@ -37,8 +37,7 @@ def id_val_arrays(draw, max_n=300):
 def test_prefix_sum_matches_sequential_cumsum(arrs):
     ids, vals = arrs
     ds = rd.from_pandas(pd.DataFrame({"k": ids, "v": vals}))
-    out = ordered_prefix_sum(ds, "k", "v", "off",
-                             n_buckets=8).to_pandas()
+    out = ordered_prefix_sum(ds, "k", "v", "off").to_pandas()
     got = dict(zip(out["k"], out["off"]))
     order = np.argsort(ids, kind="stable")
     cs = np.cumsum(vals[order])

@@ -148,7 +148,7 @@ def test_msf_tiers_agree_on_random_tie_graphs(df):
         return out.sort_values(["u", "v", "w"], ignore_index=True)
 
     kruskal = run()
-    t3 = run(small_threshold=0, tier3_threshold=0, n_buckets=2)
+    t3 = run(small_threshold=0, tier3_threshold=0)
     if kruskal.empty:
         assert len(t3) == 0
         return

@@ -37,21 +37,23 @@ def test_prefix_sum_shuffled_input_matches_sorted_cumsum():
     assert scan_dict(ids, vals) == ref_scan(ids, vals)
 
 
-def test_prefix_sum_sparse_skewed_id_domain():
+def test_prefix_sum_sparse_skewed_id_domain(set_buckets):
     # ids cluster at the bottom of a huge domain: most ranges are
     # EMPTY (np.add.at must not assume contiguous bucket ids), and one
     # range holds nearly everything
     ids = np.concatenate([np.arange(50, dtype=np.int64),
                           np.array([10**12, 10**12 + 7], dtype=np.int64)])
     vals = np.arange(52, dtype=np.int64) + 1
-    assert scan_dict(ids, vals, n_buckets=16) == ref_scan(ids, vals)
+    set_buckets(16)
+    assert scan_dict(ids, vals) == ref_scan(ids, vals)
 
 
-def test_prefix_sum_single_row_and_single_bucket():
+def test_prefix_sum_single_row_and_single_bucket(set_buckets):
     assert scan_dict(np.array([5]), np.array([9])) == {5: 0}
     ids = np.arange(10, dtype=np.int64)
     vals = np.full(10, 3, dtype=np.int64)
-    assert scan_dict(ids, vals, n_buckets=1) == ref_scan(ids, vals)
+    set_buckets(1)
+    assert scan_dict(ids, vals) == ref_scan(ids, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +220,6 @@ def test_order_page_caps_tie_mass():
     # under the cap the heavy-tie page still works
     page = global_order_page(ds, "cents", "id", 0, 3, max_collect=1000)
     assert page["id"].tolist() == [0, 1, 2]
-
-
-def test_triangle_count_rejects_non_power_of_two_buckets():
-    from no_fasel_scrapers_ray.ops.graph import triangle_count
-    edges = pd.DataFrame({"a": [0, 0, 1], "b": [1, 2, 2]})
-    with pytest.raises(ValueError, match="power of two"):
-        triangle_count(rd.from_pandas(edges), n_buckets=5)
 
 
 def test_grouped_approx_quantiles_survives_empty_blocks():

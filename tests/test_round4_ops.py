@@ -256,7 +256,7 @@ _BFS_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 10), (20, 21)]
 def test_bfs_hops_levels_and_cap(forced_tier):
     from no_fasel_scrapers_ray.ops.graph import bfs_hops
     kw = {} if forced_tier == "driver" else \
-        {"small_threshold": 0, "n_buckets": 4}
+        {"small_threshold": 0}
     out = bfs_hops(_bfs_edges(_BFS_PAIRS), "a", "b",
                    np.array([0]), max_hops=3, **kw).to_pandas()
     got = dict(zip(out["node_id"], out["hops"]))
@@ -268,7 +268,7 @@ def test_bfs_hops_levels_and_cap(forced_tier):
 def test_bfs_hops_multi_source_and_isolated_seed(forced_tier):
     from no_fasel_scrapers_ray.ops.graph import bfs_hops
     kw = {} if forced_tier == "driver" else \
-        {"small_threshold": 0, "n_buckets": 4}
+        {"small_threshold": 0}
     # seed 5 (far end) + seed 99 (not in the graph at all)
     out = bfs_hops(_bfs_edges(_BFS_PAIRS), "a", "b",
                    np.array([0, 5, 99]), max_hops=2, **kw).to_pandas()
@@ -444,7 +444,7 @@ def test_lpa_two_clusters_match_reference(forced_tier):
     c2 = [(a, b) for a in range(10, 15) for b in range(a + 1, 15)]
     pairs = c1 + c2 + [(4, 10)]
     kw = {} if forced_tier == "driver" else \
-        {"small_threshold": 0, "n_buckets": 4}
+        {"small_threshold": 0}
     out = label_propagation(_bfs_edges(pairs), "a", "b",
                             rounds=4, **kw).to_pandas()
     got = dict(zip(out["node_id"], out["community"]))
@@ -496,36 +496,3 @@ def test_semantic_prune_chunked_equals_unchunked():
          .sort_values("vec_id", ignore_index=True))
     pd.testing.assert_frame_equal(a, b)
     assert a["kept"].sum() < len(a)   # the planted dups got pruned
-
-
-def test_bsp_kernels_single_bucket():
-    """n_buckets=1 exercises the num_returns=1 path — Ray hands the
-    caller the WHOLE return value, so producers must return the bare
-    part, not a 1-tuple (review-caught in all four shared kernels)."""
-    from no_fasel_scrapers_ray.ops.graph import (bfs_hops,
-                                                 connected_components,
-                                                 label_propagation,
-                                                 pagerank,
-                                                 triangle_count)
-    pairs = _bfs_edges(_BFS_PAIRS)
-    cc = connected_components(pairs, "a", "b", n_buckets=1,
-                              small_threshold=0).to_pandas()
-    assert set(cc[cc["doc_id"].isin([20, 21])]["cluster_id"]) == {20}
-    bf = bfs_hops(pairs, "a", "b", np.array([0]), max_hops=3,
-                  n_buckets=1, small_threshold=0).to_pandas()
-    assert dict(zip(bf["node_id"], bf["hops"]))[3] == 3
-    lp = label_propagation(pairs, "a", "b", rounds=2, n_buckets=1,
-                           small_threshold=0).to_pandas()
-    assert dict(zip(lp["node_id"], lp["community"])) == \
-        _lpa_ref(_BFS_PAIRS, 2)
-    pr = pagerank(rd.from_pandas(pd.DataFrame(
-        {"src": np.array([0, 1, 2], dtype=np.int64),
-         "dst": np.array([1, 2, 0], dtype=np.int64)})),
-        n_buckets=1, small_threshold=0,
-        broadcast_nodes=0).to_pandas()
-    assert len(pr) == 3 and abs(pr["rank"].sum() - 1.0) < 1e-9
-    tri = triangle_count(rd.from_pandas(pd.DataFrame(
-        {"a": np.array([0, 0, 1, 2], dtype=np.int64),
-         "b": np.array([1, 2, 2, 3], dtype=np.int64)})),
-        n_buckets=1, small_threshold=0, broadcast_edge_threshold=0)
-    assert tri == 1

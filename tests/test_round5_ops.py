@@ -91,8 +91,7 @@ def test_weighted_sssp_driver_tier():
 
 def test_weighted_sssp_tier_equality():
     a = weighted_sssp(_sssp_edges(), source=0).to_pandas()
-    b = weighted_sssp(_sssp_edges(), source=0, small_threshold=0,
-                      n_buckets=2).to_pandas()
+    b = weighted_sssp(_sssp_edges(), source=0, small_threshold=0).to_pandas()
     a = a.sort_values("node_id", ignore_index=True)
     b = b.sort_values("node_id", ignore_index=True)
     pd.testing.assert_frame_equal(a, b)
@@ -283,8 +282,7 @@ def test_msf_tier_equality_unique_weights():
     df = pd.DataFrame({"u": u, "v": v, "w": w})
     t1 = _msf_out(minimum_spanning_forest(_ds(df, parts=3)))
     t2 = _msf_out(minimum_spanning_forest(_ds(df, parts=3),
-                                          small_threshold=0,
-                                          n_buckets=4))
+                                          small_threshold=0))
     ref = _kruskal_ref(list(zip(u, v, w)))
     assert t1 == ref
     assert t2 == ref
@@ -333,7 +331,7 @@ def test_weighted_sssp_long_chain_converges():
     got = dict(zip(out["node_id"], out["dist"]))
     assert got[n] == n and len(got) == n + 1
     out2 = weighted_sssp(_ds(df, parts=3), source=0,
-                         small_threshold=0, n_buckets=2).to_pandas()
+                         small_threshold=0).to_pandas()
     got2 = dict(zip(out2["node_id"], out2["dist"]))
     assert got2 == got
 
@@ -343,8 +341,7 @@ def test_weighted_sssp_bsp_backstop_raises():
     df = pd.DataFrame({"u": [0, 1, 2], "v": [1, 2, 3],
                        "w": [1, 1, 1]})
     with pytest.raises(RuntimeError, match="max_rounds"):
-        weighted_sssp(_ds(df), source=0, small_threshold=0,
-                      n_buckets=2, max_rounds=2)
+        weighted_sssp(_ds(df), source=0, small_threshold=0, max_rounds=2)
 
 
 def test_clamped_running_balance_matches_recurrence():

@@ -215,8 +215,8 @@ def test_msf_three_tier_equality_under_ties():
     ds = _edge_graph()
     kruskal = _msf_sorted(ds)                         # driver Kruskal
     mid = _msf_sorted(ds, small_threshold=0)          # driver-UF Borůvka
-    t3 = _msf_sorted(ds, small_threshold=0, tier3_threshold=0,
-                     n_buckets=4)                     # no driver state
+    t3 = _msf_sorted(ds, small_threshold=0,
+                     tier3_threshold=0)               # no driver state
     pd.testing.assert_frame_equal(mid, kruskal, check_dtype=True)
     pd.testing.assert_frame_equal(t3, kruskal, check_dtype=True)
     # forest spans every non-isolated node: |forest| = n - #components
@@ -229,8 +229,7 @@ def test_msf_tier3_disconnected_and_self_loops():
                        "v": [2, 3, 1, 8, 8, 9],
                        "w": [4, 1, 9, 2, 2, 5]})
     ds = rd.from_pandas(df).repartition(2)
-    t3 = _msf_sorted(ds, small_threshold=0, tier3_threshold=0,
-                     n_buckets=2)
+    t3 = _msf_sorted(ds, small_threshold=0, tier3_threshold=0)
     got = list(t3.itertuples(index=False, name=None))
     # 1-2(4), 2-3(1), 7-8(2, the (w,u,v)-smallest duplicate);
     # self-loops 1-1 and 9-9 never span

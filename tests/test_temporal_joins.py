@@ -31,7 +31,7 @@ def test_asof_join_edges():
         {"user_id": 1, "ts_us": 200, "click_id": 901},
         {"user_id": 2, "ts_us": 100, "click_id": 902},
     ])
-    got = (asof_join(left, right, by="user_id", on="ts_us", n_buckets=4)
+    got = (asof_join(left, right, by="user_id", on="ts_us")
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     assert got["event_id"].tolist() == [10, 11, 13]
     assert got["click_id"].tolist() == [900, 901, 902]
@@ -51,7 +51,7 @@ def test_range_count_join_edges():
         {"user_id": 2, "ts_us": 99},    # before window
     ])
     got = (range_count_join(left, right, by="user_id", on="ts_us",
-                            window=50, out_col="n", n_buckets=4)
+                            window=50, out_col="n")
            .to_pandas().sort_values("event_id").reset_index(drop=True))
     assert got["event_id"].tolist() == [10, 11]
     assert got["n"].tolist() == [2, 0]
@@ -82,8 +82,7 @@ def test_interval_join_bin_boundaries_exactly_once():
         rd.from_pandas(left).repartition(2),
         rd.from_pandas(right).repartition(2),
         "k", "lid", "s", "e", "rid", "s", "e",
-        bin_width=100, l_alias="lid", r_alias="rid",
-        n_buckets=4).to_pandas()
+        bin_width=100, l_alias="lid", r_alias="rid").to_pandas()
     got = set(zip(out["lid"], out["rid"]))
     # lid=10 [0,120]: touches rid=20 [120,360] at 120 (closed → pair),
     #                 overlaps rid=21 [0,5]

@@ -103,9 +103,9 @@ def test_tfidf_tiers_identical(tmp_path):
         {"doc_id": np.arange(300, dtype=np.int64),
          "text": texts})).repartition(6)
     cols = ["doc_id", "term", "score"]
-    a = (tfidf_top_terms(docs, topn=3, n_buckets=8).to_pandas()[cols]
+    a = (tfidf_top_terms(docs, topn=3).to_pandas()[cols]
          .sort_values(cols, ignore_index=True))
-    b = (tfidf_top_terms(docs, topn=3, n_buckets=8,
+    b = (tfidf_top_terms(docs, topn=3,
                          broadcast_vocab_limit=0).to_pandas()[cols]
          .sort_values(cols, ignore_index=True))
     pd.testing.assert_frame_equal(a, b)
@@ -122,9 +122,9 @@ def test_rare_term_tiers_identical(tmp_path):
         {"doc_id": np.arange(len(texts), dtype=np.int64),
          "text": texts})).repartition(5)
     cols = ["doc_id", "n_tokens", "rare_permille"]
-    a = (rare_term_permille(docs, max_df=2, n_buckets=8)
+    a = (rare_term_permille(docs, max_df=2)
          .to_pandas()[cols].sort_values("doc_id", ignore_index=True))
-    b = (rare_term_permille(docs, max_df=2, n_buckets=8,
+    b = (rare_term_permille(docs, max_df=2,
                             broadcast_vocab_limit=0)
          .to_pandas()[cols].sort_values("doc_id", ignore_index=True))
     pd.testing.assert_frame_equal(a, b)

@@ -37,7 +37,7 @@ def test_running_total_tie_break_and_split_blocks():
         "v": [100, 10, 1, 7, 1000],
     })
     out = (running_total(_ds(df), ["k"], "ts", "v", alias="cum",
-                         tie_cols=["tie"], n_buckets=4)
+                         tie_cols=["tie"])
            .to_pandas().sort_values(["k", "ts", "tie"], ignore_index=True))
     assert out["cum"].tolist() == [1, 11, 111, 1111, 7]
 
@@ -50,7 +50,7 @@ def test_rolling_sum_frame_boundaries():
         "v": [1, 10, 100, 1000, 10000, 7],
     })
     out = (rolling_sum(_ds(df), ["k"], "ts", "v", alias="w",
-                       preceding=2, n_buckets=4)
+                       preceding=2)
            .to_pandas().sort_values(["k", "ts"], ignore_index=True))
     # window of 3 rows: rows before the frame fills, then values roll OUT
     assert out["w"].tolist() == [1, 11, 111, 1110, 11100, 7]
@@ -60,7 +60,7 @@ def test_rolling_sum_frame_boundaries():
 def test_windowed_lag_default_fill_keeps_dtype():
     df = pd.DataFrame({"k": [1, 1, 2], "ts": [1, 2, 1], "v": [5, 6, 7]})
     out = (windowed_lag(_ds(df, 2), ["k"], "ts", "v", alias="prev",
-                        default=-1, n_buckets=2)
+                        default=-1)
            .to_pandas().sort_values(["k", "ts"], ignore_index=True))
     assert out["prev"].tolist() == [-1, 5, -1]
     assert out["prev"].dtype == np.int64
@@ -71,20 +71,19 @@ def test_quantile_disc_element_rule_not_pandas_interpolation():
     # pandas quantile(interpolation='lower') would pick element 2.
     df = pd.DataFrame({"k": [1, 1, 1], "v": [10.0, 20.0, 30.0]})
     out = grouped_quantile_disc(_ds(df, 2), ["k"], "v", q=0.9,
-                                alias="q90", n_buckets=2).to_pandas()
+                                alias="q90").to_pandas()
     assert out["q90"].tolist() == [30.0]
     # q=0.5, even n → lower-middle element (ceil(0.5*4)=2), never a mean
     df2 = pd.DataFrame({"k": [1] * 4, "v": [1.0, 2.0, 3.0, 4.0]})
     out2 = grouped_quantile_disc(_ds(df2, 2), ["k"], "v", q=0.5,
-                                 alias="med", n_buckets=2).to_pandas()
+                                 alias="med").to_pandas()
     assert out2["med"].tolist() == [2.0]
 
 
 def test_pivot_counts_ignores_unlisted_values():
     df = pd.DataFrame({"k": [1, 1, 2, 2, 2],
                        "t": ["a", "b", "a", "zzz", "a"]})
-    out = (pivot_counts(_ds(df, 2), ["k"], "t", values=["a", "b"],
-                        n_buckets=2)
+    out = (pivot_counts(_ds(df, 2), ["k"], "t", values=["a", "b"])
            .to_pandas().sort_values("k", ignore_index=True))
     assert out["n_a"].tolist() == [1, 2]
     assert out["n_b"].tolist() == [1, 0]
@@ -92,8 +91,7 @@ def test_pivot_counts_ignores_unlisted_values():
 
 def test_rollup_counts_levels_and_grand_total():
     df = pd.DataFrame({"c": ["x", "x", "y"], "f": ["p", "q", "p"]})
-    out = rollup_counts(_ds(df, 2), "c", "f", alias="n",
-                        n_buckets=2).to_pandas()
+    out = rollup_counts(_ds(df, 2), "c", "f", alias="n").to_pandas()
     total = out[out["c"].isna() & out["f"].isna()]
     assert total["n"].tolist() == [3]
     sub_x = out[(out["c"] == "x") & out["f"].isna()]
@@ -111,7 +109,7 @@ def test_grouped_corr_matches_numpy_and_survives_big_sums():
     x = (y // 10 ** 5 + rng.randint(0, 500, size=2000)).astype(np.int64)
     df = pd.DataFrame({"k": np.repeat([1, 2], 1000), "x": x, "y": y})
     out = (grouped_corr(_ds(df, 4), ["k"], "x", "y", alias="r",
-                        batch_size=100, n_buckets=2)
+                        batch_size=100)
            .to_pandas().sort_values("k", ignore_index=True))
     for i, k in enumerate([1, 2]):
         g = df[df["k"] == k]
@@ -138,7 +136,7 @@ def test_quantile_q_zero_returns_min():
     from no_fasel_scrapers_ray.ops.relational import global_quantile_disc
     df = pd.DataFrame({"k": [1, 1, 1], "v": [30.0, 10.0, 20.0]})
     out = grouped_quantile_disc(_ds(df, 2), ["k"], "v", q=0.0,
-                                alias="q0", n_buckets=2).to_pandas()
+                                alias="q0").to_pandas()
     assert out["q0"].tolist() == [10.0]
     assert global_quantile_disc(_ds(df, 2), "v", q=0.0, n_ranges=4) == 10.0
 
@@ -146,8 +144,7 @@ def test_quantile_q_zero_returns_min():
 def test_string_agg_skips_nulls_like_sql():
     from no_fasel_scrapers_ray.ops.relational import grouped_string_agg
     df = pd.DataFrame({"k": [1, 1, 1, 2], "s": ["b", None, "a", None]})
-    out = (grouped_string_agg(_ds(df, 2), ["k"], "s", alias="j",
-                              n_buckets=2)
+    out = (grouped_string_agg(_ds(df, 2), ["k"], "s", alias="j")
            .to_pandas().sort_values("k", ignore_index=True))
     # NULL-only group collapses to empty string (DuckDB returns NULL
     # for it — callers on nullable columns should pre-filter); mixed
@@ -158,7 +155,7 @@ def test_string_agg_skips_nulls_like_sql():
 def test_cube_counts_schema_unifies():
     from no_fasel_scrapers_ray.ops.relational import cube_counts
     df = pd.DataFrame({"c": ["x", "y"], "f": ["p", "p"]})
-    ds = cube_counts(_ds(df, 2), "c", "f", alias="n", n_buckets=2)
+    ds = cube_counts(_ds(df, 2), "c", "f", alias="n")
     schema = ds.schema()          # Arrow-level unification must not fail
     assert set(schema.names) == {"c", "f", "n"}
     assert str(schema.types[schema.names.index("c")]) == "string"
@@ -183,7 +180,7 @@ def test_grouped_hll_null_key_does_not_corrupt_neighbors():
 def test_top_terms_tie_break_at_k_boundary():
     docs = pd.DataFrame({"text": ["b c", "c b", "a a", "d"]})
     # counts: a=2, b=2, c=2, d=1 → k=2 keeps (a, b) by term ASC tie-break
-    out = (top_terms(_ds(docs, 2), k=2, n_buckets=4)
+    out = (top_terms(_ds(docs, 2), k=2)
            .to_pandas().sort_values("term", ignore_index=True))
     assert out["term"].tolist() == ["a", "b"]
     assert out["n"].tolist() == [2, 2]
@@ -205,7 +202,7 @@ def test_rolling_time_sum_inclusive_boundary_and_tie_peers():
     })
     out = rolling_time_sum(rd.from_pandas(df).repartition(2),
                            ["uid"], "ts", "v", window=100,
-                           alias="trail", n_buckets=2).to_pandas()
+                           alias="trail").to_pandas()
     got = dict(zip(zip(out["ts"], out["v"]), out["trail"]))
     assert got[(0, 1)] == 1
     # both ts=100 rows: frame [0,100] = 1+10+100 (tie peer included)
@@ -225,7 +222,7 @@ def test_windowed_lead_trailing_default_and_single_row_group():
         "v": [10, 20, 30, 7],
     })
     out = (windowed_lead(_ds(df), ["k"], "ts", "v", alias="nxt",
-                         default=-1, n_buckets=4)
+                         default=-1)
            .to_pandas().sort_values(["k", "ts"], ignore_index=True))
     # last row of each partition gets the default; dtype stays int64
     assert out["nxt"].tolist() == [20, 30, -1, -1]
@@ -241,8 +238,7 @@ def test_windowed_rank_stats_ties_and_singleton():
         "v": [5, 5, 7, 9, 3],
     })
     out = (windowed_rank_stats(_ds(df), ["k"], "v",
-                               pct_alias="pr", cume_alias="cd",
-                               n_buckets=4)
+                               pct_alias="pr", cume_alias="cd")
            .to_pandas().sort_values(["k", "v"], ignore_index=True))
     # k=1: values 5,5,7,9 → rank_min 1,1,3,4; pr = (r-1)/3
     assert out["pr"].tolist() == [0.0, 0.0, 2 / 3, 1.0, 0.0]
@@ -262,8 +258,7 @@ def test_grouped_first_last_combines_partials_across_batches():
     })
     out = (grouped_first_last(_ds(df, blocks=5), ["k"], "ts", "v",
                               first_alias="f", last_alias="l",
-                              tie_cols=["tie"], batch_size=1,
-                              n_buckets=4)
+                              tie_cols=["tie"], batch_size=1)
            .to_pandas().sort_values("k", ignore_index=True))
     # k=1: first by (ts,tie) is (5,9)→222; last is (10,1)→333
     assert out["f"].tolist() == [222, 7]
@@ -290,10 +285,8 @@ def test_skew_aware_join_hot_path_exact():
     hot = detect_hot_keys(lds, "k", hot_threshold=2500)
     assert hot.tolist() == [0]
     for how in ("inner", "left"):
-        got = skew_aware_join(lds, rds, on="k", how=how,
-                              n_buckets=4).to_pandas()
-        ref = bucketed_join(lds, rds, on="k", how=how,
-                            n_buckets=4).to_pandas()
+        got = skew_aware_join(lds, rds, on="k", how=how).to_pandas()
+        ref = bucketed_join(lds, rds, on="k", how=how).to_pandas()
         cols = sorted(got.columns)
         assert cols == sorted(ref.columns)
         a = got[cols].sort_values(cols, ignore_index=True)
@@ -322,10 +315,8 @@ def test_skew_aware_join_hot_key_absent_from_right():
     lds = rd.from_pandas(left).repartition(8)
     rds = rd.from_pandas(right).repartition(2)
     for how in ("left", "inner"):
-        got = skew_aware_join(lds, rds, on="k", how=how,
-                              n_buckets=4).to_pandas()
-        ref = bucketed_join(lds, rds, on="k", how=how,
-                            n_buckets=4).to_pandas()
+        got = skew_aware_join(lds, rds, on="k", how=how).to_pandas()
+        ref = bucketed_join(lds, rds, on="k", how=how).to_pandas()
         cols = sorted(ref.columns)
         assert sorted(got.columns) == cols
         a = got[cols].sort_values(cols, ignore_index=True)
@@ -345,7 +336,7 @@ def test_grouped_moments_multibatch_bigint_combine():
     df = pd.DataFrame({"k": np.repeat(["a", "b"], 1000), "x": x})
     out = (grouped_moments(_ds(df, 6), ["k"], "x",
                            skew_alias="sk", kurt_alias="ku",
-                           batch_size=10, n_buckets=2)
+                           batch_size=10)
            .to_pandas().sort_values("k", ignore_index=True))
     for i, k in enumerate(["a", "b"]):
         g = df.loc[df["k"] == k, "x"].to_numpy(np.float64)
