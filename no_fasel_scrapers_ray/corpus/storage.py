@@ -155,6 +155,43 @@ def read_corpus(path: str, columns=None):
     return rd.read_parquet(path, columns=columns)
 
 
+class BlockRefs:
+    """Arrow table blocks held as Ray object refs, in order: what
+    ``read_parquet_sized``, ``assemble_records`` and the catalog sink
+    pass between them in place of a ``ray.data.Dataset``.
+
+    Every block is already computed when a handle is made, so no Ray
+    Data executor, plan or singleton actor is involved (a Dataset over
+    the same refs starts Ray Data's stats actor when it is built and
+    its autoscaling-requester actor on ``to_arrow_refs()``, and
+    ``ray.data.from_arrow_refs`` runs a metadata task per ref).
+    A caller that needs Dataset operators builds one itself:
+    ``ray.data.from_arrow_refs(h.to_arrow_refs())``.
+
+    ``catalogs``, when set, is the sorted list of distinct ``catalog``
+    values the blocks can hold (``assemble_records`` fills it from its
+    split wave; the catalog sink sizes its writer wave by it)."""
+
+    def __init__(self, refs: list, catalogs: list[str] | None = None):
+        self._refs = list(refs)
+        self.catalogs = catalogs
+
+    def to_arrow_refs(self) -> list:
+        return list(self._refs)
+
+    def materialize(self) -> "BlockRefs":
+        """The blocks are already computed: returns the handle itself."""
+        return self
+
+    def count(self) -> int:
+        import ray
+        return sum(t.num_rows for t in ray.get(self._refs))
+
+    def to_pandas(self):
+        import ray
+        return pa.concat_tables(ray.get(self._refs)).to_pandas()
+
+
 def _read_slices(slices: list, columns) -> pa.Table:
     """One block of ``read_parquet_sized``: the (file, offset, length)
     row slices of consecutive files, concatenated in order."""
@@ -163,28 +200,65 @@ def _read_slices(slices: list, columns) -> pa.Table:
         for f, lo, n in slices])
 
 
-def read_parquet_sized(path: str, columns=None):
-    """Parquet file/dir → Dataset whose block count follows the data.
+# Row floor of one block: a block is split off only once it carries at
+# least this many rows (derivation in read_parquet_sized's docstring).
+ROWS_PER_BLOCK = 1 << 15
+
+
+def read_parquet_sized(path: str, columns=None) -> BlockRefs:
+    """Parquet file/dir → ``BlockRefs`` whose block count follows the
+    data.
 
     A crawl run's records/ dir holds one small fragment per crawl block
     (41 files on the fresh_crawl benchmark, hundreds at the 2.4M-page
     bench); one block per file would make every downstream exchange pay
     a blocks² fan-out. Blocks are sized by DATA instead: ~32 MB of file
-    bytes per block (Ray's own target) with a floor of one block per
-    ~2048 rows capped at 2×CPUs, so small runs still parallelize.
-    ``assemble_records`` uses this count as its bucket count.
+    bytes per block (Ray's own target), and by rows one block per
+    ``ROWS_PER_BLOCK`` rows capped at 2×CPUs. ``assemble_records`` uses
+    this count as its bucket count, and the catalog sink its writer
+    count as ``min(buckets, catalogs)``.
+
+    The row floor is where a block's row work pays for what the block
+    adds. Two costs, both measured on one pinned core of a 4-vCPU VM
+    with Ray ``num_cpus=2``:
+
+    - per row, the tail (read, assemble, render, write) costs ~29 µs:
+      0.71 s for fresh_crawl's 24,255 record rows in one process;
+    - per block, the tail gains one task in each of its five waves
+      (read, bucket split, bucket emit, render split, write while
+      writers < catalogs), ~15 ms each with warm workers (a 4-block
+      tail ran 15 more tasks in +0.23 s in a probe run that started
+      no process), and its waves become two wide, which can start one
+      more worker process: 0.6-2.2 s of CPU in the same probe runs,
+      ~0.8 s typical.
+
+    So a block should carry (5 × 0.015 s + 0.8 s) / 29 µs ≈ 30k rows of
+    work that another CPU can take; ``ROWS_PER_BLOCK`` is the power of
+    two above that, 32,768. fresh_crawl's 24,255 rows at 2 CPUs read as
+    ONE block, so its tail runs one task per wave, while the 2×CPU cap
+    still binds at bench.py's 2.4M-page, 32-CPU assembly session (64
+    blocks).
+
+    This floor is fitted to that one shape. The ~0.8 s worker start,
+    which dominates the sum, is what a two-wide wave costs on ONE
+    saturated pinned core; on a host with more free cores and warm
+    workers it is absent and a much lower floor may pay. The floor sets
+    the block and bucket count for every input between ~33k and ~2M
+    rows at any CPU count (200k rows at 8 CPUs: 7 blocks, where the
+    earlier 2,048-row floor gave 16), and neither benchmarked shape
+    falls in that range (fresh_crawl is below it, bench.py at the 2×CPU
+    cap), so the constant is not shown to be a good choice there.
 
     The files, in sorted path order, are cut into that many contiguous
     runs of about equal row counts; each block is one plain Ray task
     reading its run. The read tasks go out through
     ``ops/util.py::submit_windowed``, no more in flight than the free
-    CPU slots (1 on fresh_crawl right after the crawl, 32 at bench.py's
-    fresh 32-CPU assembly session), and the call returns once every
-    block is read. Row order is file order. Hive partition columns
-    (the crawl's ``round=R`` dirs) are not added. ``rd.read_parquet``
-    was not used: past 24 files it launches a remote metadata-fetch task
-    wave (Ray's PARALLELIZE_META_FETCH_THRESHOLD), past 16 paths on a
-    non-local filesystem a file-size-fetch wave
+    CPU slots, and the call returns once every block is read. Row order
+    is file order. Hive partition columns (the crawl's ``round=R`` dirs)
+    are not added. ``rd.read_parquet`` was not used: past 24 files it
+    launches a remote metadata-fetch task wave (Ray's
+    PARALLELIZE_META_FETCH_THRESHOLD), past 16 paths on a non-local
+    filesystem a file-size-fetch wave
     (FILE_SIZE_FETCH_PARALLELIZATION_THRESHOLD), and it samples files
     for an encoding ratio in remote tasks — all before a row is read,
     and the cost of each wave is fixed while the data here is a few MB.
@@ -192,7 +266,6 @@ def read_parquet_sized(path: str, columns=None):
     import math
 
     import ray
-    import ray.data as rd
 
     from ..ops.util import submit_windowed
 
@@ -209,7 +282,7 @@ def read_parquet_sized(path: str, columns=None):
     rows = sum(counts)
     cpus = int(ray.cluster_resources().get("CPU", 8))
     nb = max(math.ceil(nbytes / (32 << 20)),
-             min(2 * cpus, math.ceil(rows / 2048)), 1)
+             min(2 * cpus, math.ceil(rows / ROWS_PER_BLOCK)), 1)
 
     # block k holds rows [k*rows//nb, (k+1)*rows//nb) of the file-order
     # concatenation; a block with no rows reads an empty slice of the
@@ -221,7 +294,7 @@ def read_parquet_sized(path: str, columns=None):
                if s < b and s + n > a] or [(files[0], 0, 0)]
               for a, b in zip(bounds, bounds[1:])]
     read_r = ray.remote(_read_slices)
-    return rd.from_arrow_refs(submit_windowed(
+    return BlockRefs(submit_windowed(
         functools.partial(read_r.remote, g, columns) for g in groups))
 
 

@@ -32,7 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .util import key_shuffle, shuffle_buckets
+from .util import fanout, key_shuffle, shuffle_buckets
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
                  for f in _split_blocks(labels, ["node", "label"], n)]
 
     for _it in range(start_iter, max_iters):
-        dparts = [_fanout(_cc_pointer_edges, n, lab_k[j], n)
+        dparts = [fanout(_cc_pointer_edges, n, lab_k[j], n)
                   for j in range(n)]
-        oparts = [_fanout(_cc_offers, n, edges_k[k], lab_k[k], n,
+        oparts = [fanout(_cc_offers, n, edges_k[k], lab_k[k], n,
                           *[dparts[j][k] for j in range(n)])
                   for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
@@ -479,7 +479,7 @@ def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
     count_r = ray.remote(_tri_count)
     n = shuffle_buckets()
     edges_k, keys_k = _tri_split(directed, n_nodes, n)
-    wparts = [_fanout(_tri_wedges, n, edges_k[k], n_nodes, n)
+    wparts = [fanout(_tri_wedges, n, edges_k[k], n_nodes, n)
               for k in range(n)]
     return int(sum(ray.get([count_r.remote(
         keys_k[j], *[wparts[k][j] for k in range(n)])
@@ -494,8 +494,8 @@ def _tri_split(directed: rd.Dataset, n_nodes: int, n: int):
     prep_e_r = ray.remote(_tri_prep_edges)
     prep_k_r = ray.remote(_tri_prep_keys)
     refs = directed.to_arrow_refs()
-    eparts = [_fanout(_pr_split_block, n, r, ["u", "v"], n) for r in refs]
-    kparts = [_fanout(_tri_split_edge_keys, n, r, n_nodes, n)
+    eparts = [fanout(_pr_split_block, n, r, ["u", "v"], n) for r in refs]
+    kparts = [fanout(_tri_split_edge_keys, n, r, n_nodes, n)
               for r in refs]
     edges_k = [prep_e_r.remote(*[e[k] for e in eparts]) for k in range(n)]
     keys_k = [prep_k_r.remote(*[p[k] for p in kparts]) for k in range(n)]
@@ -656,29 +656,10 @@ def _graph_buckets(n_nodes: int) -> int:
     return int(min(shuffle_buckets(), max(2, n_nodes // 4096)))
 
 
-def _fan(fn, n: int, *args):
-    # num_returns=1 stores the WHOLE return value under its one ref, so
-    # the 1-tuple must be unwrapped or the consumer gets it double-wrapped
-    parts = fn(*args)
-    return parts if n > 1 else parts[0]
-
-
-_fan_task = ray.remote(_fan)
-
-
-def _fanout(fn, n: int, *args) -> list:
-    """Run the bucket-splitting kernel ``fn(*args)`` — which returns a
-    tuple of ``n`` parts, one per bucket — as one task with a return
-    per part. Always a list of ``n`` refs: this is the one place that
-    normalizes Ray's bare ref at ``num_returns=1``."""
-    refs = _fan_task.options(num_returns=n).remote(fn, n, *args)
-    return refs if isinstance(refs, list) else [refs]
-
-
 def _split_blocks(ds: rd.Dataset, cols: list[str], n: int) -> list:
     """Hash-split every block of ``ds`` by ``cols[0]``: per bucket, the
     refs of its fragments (one per block)."""
-    per_block = [_fanout(_pr_split_block, n, ref, cols, n)
+    per_block = [fanout(_pr_split_block, n, ref, cols, n)
                  for ref in ds.to_arrow_refs()]
     return [[blk[k] for blk in per_block] for k in range(n)]
 
@@ -1067,7 +1048,7 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     for _it in range(start_iter, iters):
         dang = float(sum(ray.get(
             [dang_r.remote(base_k[j], rank_k[j]) for j in range(n)])))
-        cparts = [_fanout(_pr_contrib, n, edges_k[k], base_k[k],
+        cparts = [fanout(_pr_contrib, n, edges_k[k], base_k[k],
                           rank_k[k], n)
                   for k in range(n)]
         rank_k = [renew_r.remote(base_k[j], dang, n_nodes, damping,
@@ -1400,7 +1381,7 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
     # they ride through in lab_k (the union above) and surface at 0.
     prev_sum = None
     for _ in range(max_hops):
-        oparts = [_fanout(_bfs_offers, n, edges_k[k], lab_k[k], n)
+        oparts = [fanout(_bfs_offers, n, edges_k[k], lab_k[k], n)
                   for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
             lab_k[j], *[oparts[k][j] for k in range(n)])
@@ -1547,7 +1528,7 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
              for f in _split_blocks(labels, ["node", "label"], n)]
 
     for _ in range(rounds):
-        cparts = [_fanout(_lpa_count_partial, n, edges_k[k], lab_k[k], n)
+        cparts = [fanout(_lpa_count_partial, n, edges_k[k], lab_k[k], n)
                   for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
             lab_k[j], *[cparts[k][j] for k in range(n)])
@@ -1705,7 +1686,7 @@ def weighted_sssp(edges: rd.Dataset, source: int,
 
     prev_sum = None
     for _ in range(max_rounds):
-        oparts = [_fanout(_sssp_offers, n, edges_k[k], lab_k[k], n)
+        oparts = [fanout(_sssp_offers, n, edges_k[k], lab_k[k], n)
                   for k in range(n)]
         outs = [red_r.options(num_returns=2).remote(
             lab_k[j], *[oparts[k][j] for k in range(n)])
@@ -2355,7 +2336,7 @@ def _lcc_tier3_counts(directed: rd.Dataset, n_nodes: int) -> np.ndarray:
     count_r = ray.remote(_lcc_count)
     n = shuffle_buckets()
     edges_k, keys_k = _tri_split(directed, n_nodes, n)
-    wparts = [_fanout(_lcc_wedges, n, edges_k[k], n_nodes, n)
+    wparts = [fanout(_lcc_wedges, n, edges_k[k], n_nodes, n)
               for k in range(n)]
     sparse_refs = ray.get([count_r.remote(
         keys_k[j], n_nodes, *[wparts[k][j] for k in range(n)])

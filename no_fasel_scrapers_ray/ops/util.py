@@ -167,6 +167,25 @@ def submit_windowed(thunks) -> list:
     return out
 
 
+def _fan(fn, n: int, *args):
+    # num_returns=1 stores the WHOLE return value under its one ref, so
+    # the 1-tuple must be unwrapped or the consumer gets it double-wrapped
+    parts = fn(*args)
+    return parts if n > 1 else parts[0]
+
+
+_fan_task = ray.remote(_fan)
+
+
+def fanout(fn, n: int, *args) -> list:
+    """Run the splitting kernel ``fn(*args)`` — which returns a
+    sequence of ``n`` parts — as one task with a return per part.
+    Always a list of ``n`` refs: this is the one place that normalizes
+    Ray's bare ref at ``num_returns=1``."""
+    refs = _fan_task.options(num_returns=n).remote(fn, n, *args)
+    return refs if isinstance(refs, list) else [refs]
+
+
 @ray.remote(num_cpus=1)
 def _touch_pages(mb: int) -> int:
     """Fault ``mb`` MiB of heap into this worker process and free it.

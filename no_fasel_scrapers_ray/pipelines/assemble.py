@@ -10,7 +10,7 @@ same shuffle as rows (previous position = order rank), so per-catalog
 merge precedence (old-wins `new | old` FaselSeriesScraper.py:217 vs
 new-wins `old.update(new)` FaselMoviesScraper.py:100-101) and the D2
 episode/season deltas are applied inside the per-bucket pass, worker-
-side. The output is a Dataset of FINAL entries
+side. The output is FINAL entries
 
     (catalog, key, rank0:int64, rank1:str, payload:json-str)
 
@@ -20,24 +20,35 @@ small-scale reference:
 
 - ``write_catalogs_parallel`` — the catalog sink: reference-shaped JSON
   files + file-hashes.json, rendered per-entry in workers and written
-  by one worker task per catalog (the driver never touches payloads);
+  by worker tasks that each own a sorted run of whole catalogs (the
+  driver never touches payloads);
 - ``build_catalogs`` + ``write_catalogs`` — the small-scale dict
   materializer and dict writer (tests, tiny runs, the trending/
   postprocess inputs); ``write_catalogs`` is the byte reference the
   sink is tested against.
 
+Shape of the tail: from the crawl's part files to the catalog files no
+``ray.data.Dataset`` exists. The reader, the assembly and the sink hand
+each other a ``corpus/storage.py::BlockRefs`` — the block object refs
+plus, after assembly, the entries' catalog names — and every step
+(read, bucket split, per-bucket emit, render split, write) is a plain
+Ray task wave over those refs, windowed to the free CPU slots
+(``ops/util.py::submit_windowed``). A Dataset over the same refs
+starts Ray Data's stats actor when it is built and its
+autoscaling-requester actor on ``to_arrow_refs()``, and
+``ray.data.from_arrow_refs`` runs a metadata task per block; on the
+benchmark's one pinned core that cost more than the tail's own work.
+The catalog names ride along with the bucket split, so no separate
+discovery wave reads the blocks.
+
 Sizing: the fan-out follows the input. The bucket count is the record
 block count, which ``corpus/storage.py::read_parquet_sized`` derives
-from bytes, rows and CPUs (4 on the 25k-page fresh_crawl benchmark, 64
-at the 2.4M-page bench on 32 CPUs), and the render fan-out is the
-resulting entry block count. From the crawl's part files to the catalog
-files every step — read, bucket split, per-bucket emit, catalog
-discovery, render split, per-catalog write — is a plain Ray task over
-object refs, each wave windowed to the free CPU slots
-(``ops/util.py::submit_windowed``); no Ray Data executor runs. On
+from bytes, rows and CPUs (1 on the 25k-page fresh_crawl benchmark, 64
+at the 2.4M-page bench on 32 CPUs); the render fan-out is the entry
+block count and the writer count ``min(entry blocks, catalogs)``. On
 fresh_crawl the tail moves 24k record rows (5 MB) into 7.5k entries,
-about 0.7 s of work in one process on one core of a 4-vCPU VM, so
-fixed per-stage scheduling costs, not data, set its time.
+about 0.7 s of work in one process on one core of a 4-vCPU VM, and
+runs as five tasks: read, split, emit, render, write.
 
 Old-catalog size contract: the previous run's catalogs are the
 reference's own output files (~15 MB committed snapshot) — dimension-
@@ -54,10 +65,10 @@ import os
 
 import pandas as pd
 import pyarrow as pa
-import ray.data as rd
 
+from ..corpus.storage import BlockRefs
 from ..functions.hashing import md5_of_json
-from ..ops.util import stable_bucket, submit_windowed
+from ..ops.util import fanout, stable_bucket, submit_windowed
 
 FLAT_CATALOGS = ("movies", "arabic-movies", "WeCima", "CimaNowMovies",
                  "hdwmovies")
@@ -75,27 +86,6 @@ ENSURE_ASCII_CATALOGS = ("movies", "series", "tvshows", "asian-series",
                          "anime")
 
 _NEST_TYPES = ("series_head", "season", "episode")
-
-
-def _block_catalogs(tbl) -> list[str]:
-    """Distinct catalog names of one block. Blocks come from
-    ``to_arrow_refs`` verbatim: pandas-backed blocks arrive as
-    DataFrames, and EMPTY ones with no columns at all."""
-    import pyarrow.compute as pc
-    if not len(tbl):
-        return []
-    col = tbl["catalog"]
-    return pc.unique(pa.array(col) if isinstance(tbl, pd.DataFrame)
-                     else col).to_pylist()
-
-
-def _catalogs_of(refs: list) -> list[str]:
-    """Sorted distinct catalog names over block refs: one plain task per
-    block, one gather — only catalog names reach the caller."""
-    import ray
-    block_r = ray.remote(_block_catalogs)
-    return sorted(set().union(*ray.get(submit_windowed(
-        functools.partial(block_r.remote, r) for r in refs))))
 
 
 def _old_entry_table(old_catalogs: dict, new_cats: set[str]) -> pa.Table:
@@ -283,37 +273,39 @@ ENTRY_SCHEMA = pa.schema([
 ])
 
 
-def assemble_records(records: rd.Dataset,
-                     old_catalogs: dict | None = None) -> rd.Dataset:
-    """Distributed end-to-end assembly. Returns the FINAL entry Dataset
-    (catalog, key, rank0, rank1, payload) with nesting, deltas and merge
-    precedence already applied; (rank0, rank1) sorts a catalog into the
-    reference's exact key order.
+def assemble_records(records,
+                     old_catalogs: dict | None = None) -> BlockRefs:
+    """Distributed end-to-end assembly. ``records`` is a ``BlockRefs``
+    (``records_dataset()``) or a ``ray.data.Dataset``; only its
+    ``to_arrow_refs()`` is read. Returns the FINAL entries (catalog,
+    key, rank0, rank1, payload) as a ``BlockRefs`` carrying their
+    catalog names, with nesting, deltas and merge precedence already
+    applied; (rank0, rank1) sorts a catalog into the reference's exact
+    key order.
 
     The unit exchange is a RAW-TASK ref pass (the writer's / triangle
     BSP trick, not a Dataset groupby all-to-all): each record block
-    buckets and SPLITS itself (num_returns = n_buckets object refs),
-    each bucket task concats exactly its parts and runs the nesting
-    pass. There is one bucket per input block (plus one for the old
+    buckets and SPLITS itself (num_returns = n_buckets object refs,
+    plus one small return: the block's distinct catalog names), each
+    bucket task concats exactly its parts and runs the nesting pass.
+    There is one bucket per input block (plus one for the old
     catalogs), so the exchange is blocks² task returns sized by
-    ``read_parquet_sized``'s data-proportional block count: 4 blocks
-    on the 25k-page fresh_crawl benchmark at 2 CPUs, 64 at the
-    2.4M-page bench on 32 CPUs. Every bucket is a task and every
-    (block, bucket) pair an object, so on a small run a count not
-    tied to the input is paid in scheduling, not data.
+    ``read_parquet_sized``'s data-proportional block count: 1 block on
+    the 25k-page fresh_crawl benchmark at 2 CPUs, 64 at the 2.4M-page
+    bench on 32 CPUs. Every bucket is a task and every (block, bucket)
+    pair an object, so on a small run a count not tied to the input is
+    paid in scheduling, not data.
 
-    The split and emit waves each run through ``submit_windowed`` (2
-    wide on fresh_crawl's 2 CPUs, 32 at bench.py's 32-CPU assembly
-    session); the call returns after the emit wave has finished."""
+    The split and emit waves each run through ``submit_windowed`` (no
+    wider than the free CPU slots); the catalog names are read once the
+    split wave has finished, and the call returns after the emit wave
+    has finished. With ``old_catalogs``, the old entry rows are split
+    after the record blocks, because whether an old catalog merges or
+    is carried depends on the catalogs the records hold."""
     import ray
 
     refs = records.to_arrow_refs()
-    if old_catalogs:
-        old_table = _old_entry_table(old_catalogs,
-                                     set(_catalogs_of(refs)))
-        if old_table.num_rows:
-            refs.append(ray.put(old_table))
-    n_buckets = max(len(refs), 1)
+    n_buckets = max(len(refs) + bool(old_catalogs), 1)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         # defensive: page-stat rows live under pages/ since r2, but a
@@ -364,21 +356,23 @@ def assemble_records(records: rd.Dataset,
     SHUFFLE_COLS = ["catalog", "record_type", "key", "series_key",
                     "season_key", "order_key", "payload"]
 
-    def split_block(tbl, nb: int):
+    def split_block(tbl, nb: int) -> list:
         import numpy as np
+        # a Dataset's to_arrow_refs hands back blocks as stored: pandas-
+        # backed ones as DataFrames, EMPTY ones with no columns at all
         df = tbl if isinstance(tbl, pd.DataFrame) else tbl.to_pandas()
         if not len(df):
             empty = pa.table({c: pa.array([], pa.string())
                               for c in SHUFFLE_COLS})
-            return [empty] * nb if nb > 1 else empty
+            return [empty] * nb + [[]]
         df = add_bucket(df)
         b = df["bucket"].to_numpy(np.int64)
         order = np.argsort(b, kind="stable")
         cuts = np.searchsorted(b[order], np.arange(nb + 1))
         t = pa.Table.from_pandas(df[SHUFFLE_COLS],
                                  preserve_index=False)
-        parts = [t.take(order[cuts[k]:cuts[k + 1]]) for k in range(nb)]
-        return parts if nb > 1 else parts[0]
+        return ([t.take(order[cuts[k]:cuts[k + 1]]) for k in range(nb)]
+                + [df["catalog"].unique().tolist()])
 
     def emit_bucket(*parts) -> pa.Table:
         g = pa.concat_tables(
@@ -387,16 +381,25 @@ def assemble_records(records: rd.Dataset,
             pd.DataFrame({c: [] for c in SHUFFLE_COLS})
         return per_bucket(g)
 
-    split_r = ray.remote(split_block)
+    split_n = ray.remote(split_block).options(num_returns=n_buckets + 1)
     emit_r = ray.remote(emit_bucket)
-    split_n = split_r.options(num_returns=n_buckets)
-    per_block = submit_windowed(
-        functools.partial(split_n.remote, ref, n_buckets) for ref in refs)
-    if n_buckets == 1:
-        per_block = [[r] for r in per_block]
-    return rd.from_arrow_refs(submit_windowed(
+
+    def split_wave(blocks: list) -> tuple[list, set[str]]:
+        per_block = submit_windowed(
+            functools.partial(split_n.remote, blk, n_buckets)
+            for blk in blocks)
+        return per_block, set().union(
+            *ray.get([parts[-1] for parts in per_block]))
+
+    per_block, cats = split_wave(refs)
+    if old_catalogs:
+        old_parts, old_cats = split_wave(
+            [_old_entry_table(old_catalogs, cats)])
+        per_block += old_parts
+        cats |= old_cats
+    return BlockRefs(submit_windowed(
         functools.partial(emit_r.remote, *[blk[k] for blk in per_block])
-        for k in range(n_buckets)))
+        for k in range(n_buckets)), sorted(cats))
 
 
 # --------------------------------------------------------------------------
@@ -409,7 +412,7 @@ def build_catalogs(entries) -> dict[str, dict]:
     use only where a python dict is the consumer (tests, trending/
     postprocess inputs, tiny runs); the scale sink is
     ``write_catalogs_parallel``."""
-    if isinstance(entries, rd.Dataset):
+    if not isinstance(entries, pd.DataFrame):
         entries = entries.to_pandas()
     entries = entries.sort_values(["rank0", "rank1"], kind="stable")
     catalogs: dict[str, dict] = {}
@@ -439,17 +442,27 @@ def _fragment_lists(cats, keys, payloads) -> tuple[list, list]:
 
 
 def write_catalogs_parallel(
-        entries: rd.Dataset, out_dir: str, hashes: bool = True,
+        entries: BlockRefs, out_dir: str, hashes: bool = True,
         chunk: int = 16384) -> tuple[dict[str, str], dict[str, int]]:
-    """The catalog sink: fragments render in one task per entry block
-    (``_fragment_lists``), then ONE worker task per catalog sorts its
-    fragments, streams the JSON file and folds the md5 — the driver
-    never touches payload bytes (the md5 byte stream is sequential per
-    FILE, so per-catalog tasks are the maximum parallelism the manifest
-    format admits). Byte-identical
-    output to ``write_catalogs(build_catalogs(entries))``. On a
-    multi-node cluster ``out_dir`` must be shared storage (the
-    reference's sink is a working directory, ScrapeAll.py:5-39).
+    """The catalog sink for ``assemble_records``' entries — only those:
+    the sink needs the catalog names that handle carries
+    (``entries.catalogs``), and any other input raises. Fragments
+    render in one task per entry block (``_fragment_lists``), then each
+    WRITER task takes a sorted run of whole catalogs and, per catalog,
+    sorts its fragments, streams the JSON file and folds the md5 — the
+    driver never touches payload bytes (the md5 byte stream is
+    sequential per FILE, so one catalog never spans writers). Byte-
+    identical output to ``write_catalogs(build_catalogs(entries))``; a
+    catalog name with no entry rows writes no file. On a multi-node
+    cluster ``out_dir`` must be shared storage (the reference's sink is
+    a working directory, ScrapeAll.py:5-39).
+
+    Sizing follows the data: the render fan-out is the entry block
+    count (= ``assemble_records``' bucket count) and the writer count
+    is ``min(entry blocks, catalogs)`` — one writer on fresh_crawl's
+    single block, one per catalog at the 2.4M-page bench's 64 blocks.
+    The catalog names come with the entries (``BlockRefs.catalogs``,
+    gathered in the assembly's split wave), so no discovery wave runs.
 
     A spill-rendered-parts-to-shared-storage variant (each entry task
     writes per-catalog parquet parts, one merge task per catalog; no
@@ -460,66 +473,43 @@ def write_catalogs_parallel(
 
     The catalog exchange is a RAW-TASK ref pass, not a Dataset
     all-to-all (the triangle/BSP exchange trick): each entry block
-    renders its own fragments and SPLITS them per catalog
-    (num_returns = n_catalogs object refs, zero extra copy); each
-    catalog's writer task then concats exactly its parts. The render
-    fan-out is the entry block count (= ``assemble_records``' bucket
-    count, so it follows the input size). A render-inside-the-writer
-    variant (shuffle raw payloads, render per catalog) was measured
-    SLOWER (13.3-17 s vs 9.9-13.8 s same window at the 2.4M-page
-    bench): the biggest catalog's render serializes in one task.
+    renders its own fragments and SPLITS them per writer
+    (num_returns = n_writers object refs); each writer task then
+    concats exactly its parts. A render-inside-the-writer variant
+    (shuffle raw payloads, render per catalog) was measured SLOWER
+    (13.3-17 s vs 9.9-13.8 s same window at the 2.4M-page bench): the
+    biggest catalog's render serializes in one task.
 
-    The three task waves — catalog discovery, render split and
-    per-catalog write — each run through ``submit_windowed``, no wider
-    than the free CPU slots (2 on fresh_crawl, 32 at bench.py's 32-CPU
-    assembly session), so none of them makes Ray prestart workers."""
+    Both task waves — render split (through ``ops/util.py::fanout``)
+    and write — run through ``submit_windowed``, no wider than the free
+    CPU slots, so neither makes Ray prestart workers."""
     import hashlib
 
+    import pyarrow.compute as pc
     import ray
 
+    cats = getattr(entries, "catalogs", None)
+    if cats is None:
+        raise TypeError("write_catalogs_parallel needs assemble_records' "
+                        "entries (a BlockRefs carrying catalog names)")
     os.makedirs(out_dir, exist_ok=True)
-
-    # ONE execution of the (possibly lazy) entry plan: the catalog
-    # discovery and the render wave below read the SAME block refs —
-    # running the upstream plan twice doubles assembly cost and a
-    # nondeterministic upstream could desync `cats` from the blocks
-    # actually split. Both are plain tasks over those refs, no Ray
-    # Data execution.
     refs = entries.to_arrow_refs()
-    cats = _catalogs_of(refs)
-    if not cats:
-        if hashes:
-            with open(os.path.join(out_dir, "file-hashes.json"),
-                      "w") as f:
-                json.dump({}, f, indent=4)
-        return {}, {}
+    n_writers = min(len(refs), len(cats))
+    runs = [cats[k * len(cats) // n_writers:(k + 1) * len(cats) // n_writers]
+            for k in range(n_writers)]
 
-    def render_split(tbl, cats: list[str]):
-        import pyarrow.compute as pc
-        # to_arrow_refs hands back the block verbatim — pandas-backed
-        # blocks arrive as DataFrames; EMPTY blocks arrive with no
-        # columns at all (the documented empty-pandas schema loss)
-        df = tbl if isinstance(tbl, pd.DataFrame) else tbl.to_pandas()
-        if not len(df):
-            empty = pa.table({"catalog": pa.array([], pa.string()),
-                              "rank0": pa.array([], pa.int64()),
-                              "rank1": pa.array([], pa.string()),
-                              "pretty": pa.array([], pa.string()),
-                              "compact": pa.array([], pa.string())})
-            return [empty] * len(cats) if len(cats) > 1 else empty
-        pretty, compact = _fragment_lists(df["catalog"], df["key"],
-                                          df["payload"])
-        out = pa.table({"catalog": pa.array(df["catalog"]),
-                        "rank0": pa.array(df["rank0"].to_numpy()),
-                        "rank1": pa.array(df["rank1"]),
-                        "pretty": pa.array(pretty),
-                        "compact": pa.array(compact)})
-        parts = [out.filter(pc.equal(out["catalog"], c)) for c in cats]
-        return parts if len(cats) > 1 else parts[0]
+    def render_split(tbl: pa.Table, runs: list[list[str]]):
+        pretty, compact = _fragment_lists(tbl["catalog"].to_pylist(),
+                                          tbl["key"].to_pylist(),
+                                          tbl["payload"].to_pylist())
+        out = pa.table({"catalog": tbl["catalog"], "rank0": tbl["rank0"],
+                        "rank1": tbl["rank1"],
+                        "pretty": pa.array(pretty, pa.string()),
+                        "compact": pa.array(compact, pa.string())})
+        return [out.filter(pc.is_in(out["catalog"], pa.array(run)))
+                for run in runs]
 
-    def write_catalog(out_path: str, cat: str, chunk: int, *parts):
-        t = pa.concat_tables([p for p in parts if p.num_rows])
-        g = t.select(["rank0", "rank1", "pretty", "compact"]).to_pandas()
+    def write_catalog(out_path: str, g: pd.DataFrame, chunk: int) -> str:
         g = g.sort_values(["rank0", "rank1"], kind="stable")
         pretty = g["pretty"].tolist()
         compact = g["compact"].tolist()
@@ -539,26 +529,28 @@ def write_catalogs_parallel(
                            + ", ".join(compact[lo:hi]).encode("utf-8"))
             fp.write(b"\n}")
         md5.update(b"}")
-        return cat, md5.hexdigest(), len(pretty)
+        return md5.hexdigest()
 
-    split_r = ray.remote(render_split)
-    write_r = ray.remote(write_catalog)
-    split_n = split_r.options(num_returns=len(cats))
-    per_block = submit_windowed(
-        functools.partial(split_n.remote, ref, cats) for ref in refs)
-    if len(cats) == 1:
-        per_block = [[r] for r in per_block]
-    rows = ray.get(submit_windowed(
-        functools.partial(write_r.remote,
-                          os.path.join(out_dir, f"{c}.json"), c, chunk,
-                          *[blk[i] for blk in per_block])
-        for i, c in enumerate(cats)))
-    res = pd.DataFrame({"catalog": [r[0] for r in rows],
-                        "md5": [r[1] for r in rows],
-                        "count": [r[2] for r in rows]})
-    res = res.sort_values("catalog")  # manifest key order = catalog order
-    file_hashes = dict(zip(res["catalog"], res["md5"]))
-    counts = {c: int(n) for c, n in zip(res["catalog"], res["count"])}
+    def write_run(out_dir: str, chunk: int, *parts):
+        df = pa.concat_tables(parts).to_pandas()
+        return [(cat, write_catalog(os.path.join(out_dir, f"{cat}.json"),
+                                    g, chunk), len(g))
+                for cat, g in df.groupby("catalog", sort=True)]
+
+    rows = []
+    if n_writers:
+        write_r = ray.remote(write_run)
+        per_block = submit_windowed(
+            functools.partial(fanout, render_split, n_writers, ref, runs)
+            for ref in refs)
+        for run_rows in ray.get(submit_windowed(
+                functools.partial(write_r.remote, out_dir, chunk,
+                                  *[blk[i] for blk in per_block])
+                for i in range(n_writers))):
+            rows += run_rows
+    rows.sort()   # manifest key order = catalog order
+    file_hashes = {cat: md5 for cat, md5, _ in rows}
+    counts = {cat: n for cat, _, n in rows}
     if hashes:
         with open(os.path.join(out_dir, "file-hashes.json"), "w") as f:
             json.dump(file_hashes, f, indent=4)

@@ -41,11 +41,11 @@ import pyarrow.parquet as pq
 import ray
 from ray.util.scheduling_strategies import (
     NodeAffinitySchedulingStrategy)
-import ray.data as rd
 
 from ..corpus.schema import FRONTIER_SCHEMA
 from ..corpus.spans import pages_from_arrow
-from ..corpus.storage import CORPUS_SALTS, write_corpus
+from ..corpus.storage import (CORPUS_SALTS, BlockRefs,
+                               read_parquet_sized, write_corpus)
 from ..functions.hashing import stable_hash64
 from ..functions.urls import canonicalize_url
 from ..ops.util import submit_windowed
@@ -689,28 +689,27 @@ class CrawlEngine:
 
     # -- outputs -----------------------------------------------------------
 
-    def records_dataset(self) -> rd.Dataset:
-        """Catalog record rows only (page stats live under pages/)."""
-        from ..corpus.storage import read_parquet_sized
+    def records_dataset(self) -> BlockRefs:
+        """Catalog record rows only (page stats live under pages/), as
+        the block-ref handle ``read_parquet_sized`` returns."""
         return read_parquet_sized(os.path.join(self.run_dir, "records"))
 
-    def pages_dataset(self) -> rd.Dataset:
+    def pages_dataset(self) -> BlockRefs:
         """Per-page parse artifacts: span-sequence fingerprint + text
         stats for every fetched page (stages/parse.py)."""
-        from ..corpus.storage import read_parquet_sized
         return read_parquet_sized(os.path.join(self.run_dir, "pages"))
 
-    def dead_letter_dataset(self) -> rd.Dataset:
+    def dead_letter_dataset(self) -> BlockRefs:
         """Bounded-retry exhaustions + permanent fetch misses, with the
         frontier row, reason and attempt count (SURVEY §4.1; replaces
-        the reference's infinite retry, Common.py:110-136)."""
-        from ..corpus.storage import read_parquet_sized
+        the reference's infinite retry, Common.py:110-136). With none,
+        one empty block of DEAD_SCHEMA."""
         root = os.path.join(self.run_dir, "dead_letter")
         has_rows = os.path.isdir(root) and any(
             f.endswith(".parquet")
             for _, _, fs in os.walk(root) for f in fs)
         if not has_rows:
-            return rd.from_arrow(DEAD_SCHEMA.empty_table())
+            return BlockRefs([ray.put(DEAD_SCHEMA.empty_table())])
         return read_parquet_sized(root)
 
     def frontier_log_table(self) -> pa.Table:

@@ -28,6 +28,16 @@ def seen_urls(eng) -> set[int]:
     return set(np.concatenate(hashes).tolist()) if hashes else set()
 
 
+def read_dir(path: str) -> dict[str, bytes]:
+    """Every file directly under ``path``: name → bytes (catalog
+    outputs are compared byte for byte, manifest included)."""
+    out = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fp:
+            out[name] = fp.read()
+    return out
+
+
 @pytest.fixture
 def set_buckets(monkeypatch):
     """Pin the derived key-shuffle bucket count: ``set_buckets(n)``

@@ -5,7 +5,9 @@
   (``write_catalogs`` over ``build_catalogs``);
 - file-hashes.json matches the reference checksum semantics
   ``md5(json.dumps(content))`` (Postprocessing.py:98-110) computed over
-  the ORACLE's catalogs — the engine's file hash is the oracle's.
+  the ORACLE's catalogs — the engine's file hash is the oracle's;
+- the crawl-to-catalog tail (``records_dataset()`` → ``assemble_records``
+  → ``write_catalogs_parallel``) constructs no ``ray.data.Dataset``.
 """
 
 import json
@@ -25,6 +27,8 @@ from no_fasel_scrapers_ray.pipelines.assemble import (
     assemble_records, build_catalogs, write_catalogs,
     write_catalogs_parallel)
 from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
+
+from conftest import read_dir
 
 
 @pytest.fixture(scope="module")
@@ -49,41 +53,53 @@ def _records_table(eng) -> pa.Table:
 
 
 def _one_block_one_catalog(eng):
-    # one record block -> one assembly bucket (split_block's
-    # num_returns=1 path); one catalog -> render_split's num_returns=1
+    # one record block -> one assembly bucket; one catalog -> one
+    # writer, so the render split runs fanout's num_returns=1 path
     t = _records_table(eng)
     return rd.from_arrow(t.filter(pc.equal(t["catalog"], "movies")))
 
 
-def _several_blocks(eng):
+def _blocks(eng, n: int):
     # contiguous slices keep row order, so the catalogs must equal the
     # one-block run's exactly
     t = _records_table(eng)
-    step = -(-t.num_rows // 5)
+    step = -(-t.num_rows // n)
     return rd.from_arrow([t.slice(lo, step)
                           for lo in range(0, t.num_rows, step)])
 
 
+# record blocks -> assembly buckets -> entry blocks; the sink runs
+# min(entry blocks, catalogs) writers, each over a sorted run of whole
+# catalogs: one writer for everything, several writers with several
+# catalogs each (5 blocks), or one writer per catalog (32 blocks)
 FANOUTS = {
     "one_block": lambda eng: eng.records_dataset(),
     "one_block_one_catalog": _one_block_one_catalog,
-    "several_blocks": _several_blocks,
+    "several_blocks": lambda eng: _blocks(eng, 5),
+    "writer_per_catalog": lambda eng: _blocks(eng, 32),
 }
 
 
 @pytest.mark.parametrize("fanout", sorted(FANOUTS))
 def test_parallel_writer_byte_equality(crawl_and_oracle, entries_and_oracle,
                                        fanout, tmp_path):
-    """The per-catalog worker sink (one task per catalog writes the
-    file + folds its md5) is byte-identical to the dict writer, and
-    its chunked md5 stream reproduces md5(json.dumps(content)) — with
-    the assembly and render fan-outs at 1 and at several blocks."""
+    """The catalog sink (writer tasks over sorted runs of whole
+    catalogs write the files + fold their md5s) is byte-identical to
+    the dict writer, and its chunked md5 stream reproduces
+    md5(json.dumps(content)) — with the assembly and render fan-outs
+    at 1 and at several blocks, and the writer count at 1, between 1
+    and the catalog count, and at the catalog count."""
     eng, _ = crawl_and_oracle
     records = FANOUTS[fanout](eng)
     n_blocks = len(records.to_arrow_refs())
     assert (n_blocks == 1) == fanout.startswith("one_block")
     entries = assemble_records(records).materialize()
+    n_writers = min(len(entries.to_arrow_refs()), len(entries.catalogs))
     if fanout == "several_blocks":
+        assert 1 < n_writers < len(entries.catalogs)
+    if fanout == "writer_per_catalog":
+        assert n_writers == len(entries.catalogs) > 1
+    if not fanout.startswith("one_block"):
         assert build_catalogs(entries) == \
             build_catalogs(entries_and_oracle[0])
     dict_dir = str(tmp_path / "dict_out")
@@ -94,12 +110,7 @@ def test_parallel_writer_byte_equality(crawl_and_oracle, entries_and_oracle,
     assert counts
     assert (len(counts) == 1) == fanout.endswith("one_catalog")
     assert par_hashes == dict_hashes
-    files = sorted(os.listdir(dict_dir))
-    assert sorted(os.listdir(par_dir)) == files
-    for name in files:
-        with open(os.path.join(dict_dir, name), "rb") as fa, \
-                open(os.path.join(par_dir, name), "rb") as fb:
-            assert fa.read() == fb.read(), f"{name} differs"
+    assert read_dir(par_dir) == read_dir(dict_dir)
     for cat, n in counts.items():
         with open(os.path.join(par_dir, f"{cat}.json"),
                   encoding="utf-8") as fp:
@@ -117,3 +128,32 @@ def test_file_hashes_match_oracle(entries_and_oracle, tmp_path):
     assert manifest == got
     for name, data in oracle.catalogs.items():
         assert got[name] == md5_of_json(data), name
+
+
+def test_sink_rejects_entries_without_catalog_names(crawl_and_oracle,
+                                                    tmp_path):
+    """The sink sizes its writers by the catalog names only
+    ``assemble_records``' handle carries; any other input fails with a
+    clear error, not deep inside the writer wave."""
+    eng, _ = crawl_and_oracle
+    for records in (eng.records_dataset(), _blocks(eng, 2)):
+        with pytest.raises(TypeError, match="assemble_records"):
+            write_catalogs_parallel(records, str(tmp_path / "out"))
+
+
+def test_tail_builds_no_dataset(crawl_and_oracle, monkeypatch, tmp_path):
+    """The crawl-to-catalog tail passes block refs, never a Ray Data
+    Dataset (whose first construction starts Ray Data's actors), and
+    still writes the dict writer's bytes."""
+    eng, _ = crawl_and_oracle
+
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("ray.data.Dataset built on the catalog tail")
+
+    sink, ref = str(tmp_path / "sink"), str(tmp_path / "dict")
+    with monkeypatch.context() as m:
+        m.setattr(rd.Dataset, "__init__", no_dataset)
+        entries = assemble_records(eng.records_dataset())
+        write_catalogs_parallel(entries, sink)
+        write_catalogs(build_catalogs(entries), ref)
+    assert read_dir(sink) == read_dir(ref)

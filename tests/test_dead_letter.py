@@ -14,6 +14,7 @@ Common.py:110-136).
 
 import pytest
 
+from no_fasel_scrapers_ray.corpus.storage import BlockRefs
 from no_fasel_scrapers_ray.corpus.synth import generate, tiny_config
 from no_fasel_scrapers_ray.pipelines.assemble import (
     assemble_records, build_catalogs)
@@ -60,11 +61,13 @@ def test_transient_below_budget_recovers(corpus_seeds, tmp_path_factory,
 
 def test_clean_crawl_dead_letter_is_empty(baseline):
     """No failures: round dirs exist but hold no part files, and the
-    dataset is empty with exactly the DEAD_SCHEMA columns."""
+    dead letter is empty with exactly the DEAD_SCHEMA columns, in the
+    same block-ref handle as a non-empty read."""
     eng0, _ = baseline
     ds = eng0.dead_letter_dataset()
+    assert type(ds) is BlockRefs
     assert ds.count() == 0
-    assert ds.schema().names == DEAD_SCHEMA.names
+    assert list(ds.to_pandas().columns) == DEAD_SCHEMA.names
 
 
 def test_exhausted_budget_dead_letters(corpus_seeds, tmp_path_factory,

@@ -3,18 +3,20 @@ all-content), the incremental crawl (D1/D2 deltas across generator
 epochs) and kill-and-resume."""
 
 import pytest
+import ray
 
 from no_fasel_scrapers_ray.corpus.synth import (
     CIMANOW_ROUTES, generate, tiny_config)
 from no_fasel_scrapers_ray.oracle import Oracle
 from no_fasel_scrapers_ray.pipelines.assemble import (
-    assemble_records, build_catalogs)
+    assemble_records, build_catalogs, write_catalogs,
+    write_catalogs_parallel)
 from no_fasel_scrapers_ray.pipelines.crawl import CrawlEngine
 from no_fasel_scrapers_ray.pipelines.postprocess import (
     all_content_index, postprocess_catalogs)
 from no_fasel_scrapers_ray.pipelines.trending import run_trending
 
-from conftest import seen_urls
+from conftest import read_dir, seen_urls
 
 
 @pytest.fixture(scope="module")
@@ -115,19 +117,24 @@ def test_incremental_crawl(tmp_path_factory):
 
 
 def test_kill_and_resume(tmp_path_factory):
-    """Crash after round 2, resume from checkpoint → identical records,
-    frontier log, and seen set as the uninterrupted run."""
+    """Crash after round 2 — the crawl's frontier shard processes die
+    with it — then resume from checkpoint in fresh shards → identical
+    records, frontier log, seen set and written catalogs as the
+    uninterrupted run."""
     corpus, seeds = generate(tiny_config())
     full_dir = str(tmp_path_factory.mktemp("full_run"))
     eng_full = CrawlEngine(corpus, seeds.to_pylist(), full_dir, n_shards=2)
     eng_full.run()
     full_log = eng_full.frontier_log_table().to_pylist()
-    full_catalogs = build_catalogs(
-        assemble_records(eng_full.records_dataset()))
+    full_entries = assemble_records(eng_full.records_dataset())
+    full_out = str(tmp_path_factory.mktemp("full_out"))
+    write_catalogs_parallel(full_entries, full_out)
 
     crash_dir = str(tmp_path_factory.mktemp("crash_run"))
     eng_a = CrawlEngine(corpus, seeds.to_pylist(), crash_dir, n_shards=2)
     eng_a.run(max_rounds=2)  # simulated crash, no finalize
+    for shard in eng_a.shards:
+        ray.kill(shard)
 
     eng_b = CrawlEngine(corpus, [], crash_dir, n_shards=2)
     next_round = eng_b.resume()
@@ -136,9 +143,11 @@ def test_kill_and_resume(tmp_path_factory):
 
     assert eng_b.frontier_log_table().to_pylist() == full_log
     assert seen_urls(eng_b) == seen_urls(eng_full)
-    resumed_catalogs = build_catalogs(
-        assemble_records(eng_b.records_dataset()))
-    assert resumed_catalogs == full_catalogs
+    resumed_entries = assemble_records(eng_b.records_dataset())
+    assert build_catalogs(resumed_entries) == build_catalogs(full_entries)
+    resumed_out = str(tmp_path_factory.mktemp("resumed_out"))
+    write_catalogs_parallel(resumed_entries, resumed_out)
+    assert read_dir(resumed_out) == read_dir(full_out)
 
 
 def test_incremental_recrawl_golden(tmp_path_factory):
@@ -150,10 +159,6 @@ def test_incremental_recrawl_golden(tmp_path_factory):
     the incremental oracle's visit set) and the WRITTEN merged
     catalogs are byte-equal — files AND md5 manifest — to the
     incremental oracle's."""
-    import os
-
-    from no_fasel_scrapers_ray.pipelines.assemble import write_catalogs
-
     # day 0: crawl the epoch-0 web with the ENGINE; its own catalogs
     # are the prior state for day 1 (no oracle hand-off)
     corpus0, seeds0 = generate(tiny_config(epoch=0))
@@ -186,9 +191,12 @@ def test_incremental_recrawl_golden(tmp_path_factory):
     assert inc_urls < full_urls
     assert inc_urls == {u for (u, _s, _c, _d) in o1.visits}
 
-    # byte-equal merged catalogs + md5 manifest vs the oracle's
-    got = build_catalogs(assemble_records(engi.records_dataset(),
-                                          old_catalogs=old))
+    # byte-equal merged catalogs + md5 manifest vs the oracle's; the
+    # merge appends keys of one side after the other's (rank0 = 1)
+    records = engi.records_dataset()
+    entries = assemble_records(records, old_catalogs=old)
+    assert (entries.to_pandas()["rank0"] == 1).any()
+    got = build_catalogs(entries)
     out_got = str(tmp_path_factory.mktemp("incr_out_got"))
     out_exp = str(tmp_path_factory.mktemp("incr_out_exp"))
     # catalog-map iteration order differs (engine build order vs oracle
@@ -197,9 +205,19 @@ def test_incremental_recrawl_golden(tmp_path_factory):
     # manifest is byte-comparable too
     write_catalogs(dict(sorted(got.items())), out_got)
     write_catalogs(dict(sorted(o1.catalogs.items())), out_exp)
-    files = sorted(os.listdir(out_exp))
-    assert sorted(os.listdir(out_got)) == files
-    for name in files:
-        with open(os.path.join(out_got, name), "rb") as fg, \
-                open(os.path.join(out_exp, name), "rb") as fe:
-            assert fg.read() == fe.read(), name
+    want = read_dir(out_exp)
+    assert read_dir(out_got) == want
+    # the same old-catalog merge through the catalog sink
+    out_sink = str(tmp_path_factory.mktemp("incr_out_sink"))
+    write_catalogs_parallel(entries, out_sink)
+    assert read_dir(out_sink) == want
+
+    # an old catalog that got no new records is carried verbatim, in
+    # its old key order, through the sink as through the dict writer
+    legacy = {"legacy": old["movies"]}
+    carried = assemble_records(records, old_catalogs={**old, **legacy})
+    out_carry = str(tmp_path_factory.mktemp("incr_out_carry"))
+    out_carry_exp = str(tmp_path_factory.mktemp("incr_out_carry_exp"))
+    write_catalogs_parallel(carried, out_carry)
+    write_catalogs(dict(sorted({**got, **legacy}.items())), out_carry_exp)
+    assert read_dir(out_carry) == read_dir(out_carry_exp)

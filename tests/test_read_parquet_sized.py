@@ -4,7 +4,9 @@
 A run dir with more part files than Ray's parallel metadata-fetch
 threshold (24), spread over several ``round=R`` hive dirs, must read
 back as exactly the per-file rows in sorted path order, with column
-pruning, no hive partition column, and the data-sized block count.
+pruning, no hive partition column, and the data-sized block count. The
+fixture holds a few ``ROWS_PER_BLOCK`` of rows, so it reads as several
+blocks.
 """
 
 import math
@@ -15,7 +17,8 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
-from no_fasel_scrapers_ray.corpus.storage import read_parquet_sized
+from no_fasel_scrapers_ray.corpus.storage import (
+    ROWS_PER_BLOCK, read_parquet_sized)
 
 N_ROUNDS = 3
 FILES_PER_ROUND = 10
@@ -29,7 +32,7 @@ def run_dir(tmp_path_factory):
         os.makedirs(rdir)
         # row counts vary; one file is empty
         for k in range(FILES_PER_ROUND):
-            n = 0 if (r, k) == (1, 3) else 100 + 37 * ((r * 7 + k) % 11)
+            n = 0 if (r, k) == (1, 3) else 1000 + 370 * ((r * 7 + k) % 11)
             pq.write_table(pa.table({
                 "catalog": pa.array([f"c{r}"] * n, pa.string()),
                 "key": pa.array([f"r{r}-p{k}-{i}" for i in range(n)],
@@ -70,7 +73,7 @@ def test_block_count_follows_formula(run_dir):
     nbytes = sum(os.path.getsize(f) for f in files)
     cpus = int(ray.cluster_resources()["CPU"])
     nb = max(math.ceil(nbytes / (32 << 20)),
-             min(2 * cpus, math.ceil(rows / 2048)), 1)
+             min(2 * cpus, math.ceil(rows / ROWS_PER_BLOCK)), 1)
     assert nb > 1     # the fixture spans several blocks
     refs = read_parquet_sized(run_dir).to_arrow_refs()
     assert len(refs) == nb

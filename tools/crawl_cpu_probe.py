@@ -16,8 +16,11 @@ for each of two phases, ``run()`` and the catalog tail (``release()``
 
 A worker started during ``run()`` that never shows a task name in its
 title is the prestart waste ``ops/util.py::submit_windowed`` exists to
-avoid. Nothing under ``perfbench/`` is changed; its modules are only
-imported.
+avoid. After the report the probe prints a ``check:`` line and exits 1
+if any ``ray::`` process started in either phase (a prestarted worker,
+or an actor Ray Data starts once a ``ray.data.Dataset`` exists) or if
+the catalogs differ from the oracle's. Nothing under ``perfbench/`` is
+changed; its modules are only imported.
 """
 
 from __future__ import annotations
@@ -197,8 +200,15 @@ def main() -> int:
                   file=sys.stderr)
             return 1
         with open(a["out"]) as fp:
-            show(json.load(fp))
-        return 0
+            report = json.load(fp)
+        show(report)
+        problems = [f"{len(p['ray_started'])} ray:: processes started in "
+                    f"{p['phase']}" for p in report["phases"]
+                    if p["ray_started"]]
+        if not report["catalogs_equal_oracle"]:
+            problems.append("catalogs differ from the oracle")
+        print("check: " + ("; ".join(problems) or "ok"))
+        return 1 if problems else 0
     finally:
         shutil.rmtree(work, ignore_errors=True)
         if ray_tmp != os.path.join(work, "ray"):
