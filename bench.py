@@ -232,7 +232,7 @@ def run_crawl(corpus, seeds, num_cpus: int, run_dir: str,
             entries, os.path.join(run_dir, "out"))
         n_entries = sum(counts.values())
     else:
-        eng.release()   # free shard actors + crawl state so a
+        eng.release()   # free frontier hosts + crawl state so a
         t1 = time.perf_counter()   # following repeat starts clean
         n_entries = -1
     assemble_sec = time.perf_counter() - t1

@@ -11,8 +11,8 @@ Layout:
   corpus/     span schema, Lance-or-Parquet storage, synthetic-web generator
   functions/  pure scalar/vector functions (reference string quirks, hashing,
               URL canonicalization, text analysis)
-  state/      cuckoo filter, frontier shard actors (seen-set, politeness,
-              priority heap), checkpointing
+  state/      cuckoo filter, frontier shards in host actors (seen-set,
+              politeness, priority heap), checkpointing
   stages/     fetch (actor pool) and extract (stateless) map_batches stages,
               per-site adapters
   ops/        generic Ray Data operators (joins, aggregation, dedup, ANN,

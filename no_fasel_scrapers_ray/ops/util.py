@@ -135,13 +135,24 @@ _VIEW_LAG_S = 0.5
 _last_wave = {"width": 0, "end": float("-inf")}
 
 
+def window_width() -> int:
+    """The CPU slots free for the next raw-task wave, at least 1. Within
+    ``_VIEW_LAG_S`` of the previous wave's end, that wave's width
+    stands in for the slots Ray's view still counts as taken."""
+    width = int(ray.available_resources().get("CPU", 0))
+    if time.monotonic() - _last_wave["end"] < _VIEW_LAG_S:
+        width = max(width, _last_wave["width"])
+    return max(1, width)
+
+
 def submit_windowed(thunks) -> list:
     """Run a wave of raw tasks with no more in flight than the CPU slots
-    free when the wave starts (at least 1). Each thunk submits one task
-    and returns its ObjectRef, or the ref list of a ``num_returns > 1``
-    task; a finished task (its first ref ready) frees a slot for the
-    next thunk. Returns the thunks' results in submission order once
-    every task has finished; errors surface at the caller's ``ray.get``.
+    free when the wave starts (``window_width``). Each thunk submits
+    one task and returns its ObjectRef, or the ref list of a
+    ``num_returns > 1`` task; a finished task (its first ref ready)
+    frees a slot for the next thunk. Returns the thunks' results in
+    submission order once every task has finished; errors surface at
+    the caller's ``ray.get``.
 
     Why not submit the whole wave at once: the owner then reports the
     queued tasks as a lease backlog, and the raylet prestarts worker
@@ -150,10 +161,7 @@ def submit_windowed(thunks) -> list:
     with 2 Ray CPUs: a 41-block fresh_crawl started 4 such workers,
     ~0.7 s of CPU each, and none of them ran a task. With the window
     the backlog stays empty and no worker starts."""
-    width = int(ray.available_resources().get("CPU", 0))
-    if time.monotonic() - _last_wave["end"] < _VIEW_LAG_S:
-        width = max(width, _last_wave["width"])
-    width = max(1, width)
+    width = window_width()
     out, pending = [], []
     for thunk in thunks:
         if len(pending) >= width:

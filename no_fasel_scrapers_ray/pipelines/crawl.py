@@ -3,12 +3,13 @@ fetch actor pool → stateless extract → records sink + links back to the
 frontier (SURVEY.md §7.0 stage layout).
 
 Each round:
-1. every shard pops its ready frontier rows (one politeness tick) and
-   publishes the table straight to the object store; only compact
-   planning columns — dictionary-encoded hosts + uint64 url hashes —
-   and the ObjectRefs return to the driver (the full rows never transit
-   driver memory; the merged (site, depth, order_key)-ordered pop log
-   is materialized per round by the checkpoint task, not the driver);
+1. every frontier shard pops its ready rows (one politeness tick) and
+   its host actor publishes the table straight to the object store;
+   only compact planning columns — dictionary-encoded hosts + uint64
+   url hashes — and the ObjectRefs return to the driver, one RPC per
+   host (the full rows never transit driver memory; the merged
+   (site, depth, order_key)-ordered pop log is materialized per round
+   by the checkpoint task, not the driver);
 2. rows are partitioned by (host, salt) — the groupby-host shuffle with
    explicit hot-host salting: a host holding more than ``1/hot_frac``
    of the round is split into ⌈share×salts⌉ sub-buckets so one hot site
@@ -18,9 +19,10 @@ Each round:
    Common.py:110-136; the engine caps at ``max_attempts`` and routes
    exhausted/missing rows to a per-round dead-letter parquet sink);
 4. a stateless extract runs the site adapters; links are pushed to the
-   frontier shards from INSIDE the tasks (batched per shard — no driver
-   round-trip for discoveries), records stream to a per-round parquet
-   partition (resumable layout);
+   frontier from INSIDE the tasks (one push RPC per frontier host, which
+   routes the rows to its shards — no driver round-trip for
+   discoveries), records stream to a per-round parquet partition
+   (resumable layout);
 5. the shards checkpoint (heap + spilled exact seen set) → exact resume.
 
 The loop ends when every shard's heap is empty.
@@ -48,9 +50,10 @@ from ..corpus.storage import (CORPUS_SALTS, BlockRefs,
                                read_parquet_sized, write_corpus)
 from ..functions.hashing import stable_hash64
 from ..functions.urls import canonicalize_url
-from ..ops.util import submit_windowed
+from ..ops.util import submit_windowed, window_width
 from ..state.frontier import (
-    _SORT_KEYS, PUSH_SCHEMA, FrontierShard, PolitenessConfig, push_table)
+    _SORT_KEYS, PUSH_SCHEMA, SHARD_CPUS, FrontierHost, PolitenessConfig,
+    host_of, hosted_shards, n_frontier_hosts, push_table, rows_where)
 from ..stages.adapters import extract_page, seed_rows
 # top-level (not inside the remote fns): workers resolve these through
 # the by-value-pickled module globals — a runtime relative import inside
@@ -105,25 +108,27 @@ def _bget(ref, pin: bool = True):
 
 def link_hashes(links: list[dict]) -> np.ndarray:
     """Canonical-URL hashes, computed ONCE in the (parallel) extract
-    task and shipped with the push — the shard actors never re-hash."""
+    task and shipped with the push — the frontier actors never re-hash."""
     out = np.empty(len(links), dtype=np.uint64)
     for i, lk in enumerate(links):
         out[i] = stable_hash64(canonicalize_url(lk["url"]))
     return out
 
 
-def push_links(links: list[dict], shards, n_shards: int) -> None:
-    """Route links to their shards by hash and push Arrow tables."""
+def push_links(links: list[dict], hosts, n_shards: int) -> None:
+    """Route links by hash to the hosts of their shards
+    (``state/frontier.py::host_of``): one push RPC per host, which
+    splits its table among its shards."""
     if not links:
         return
     hashes = link_hashes(links)
     table = push_table(links, hashes)
-    owners = (hashes % np.uint64(n_shards)).astype(np.int64)
+    dest = host_of(hashes, n_shards, len(hosts))
     refs = []
-    for s in range(n_shards):
-        idx = np.flatnonzero(owners == s)
-        if len(idx):
-            refs.append(shards[s].push.remote(table.take(pa.array(idx))))
+    for k, host in enumerate(hosts):
+        mine = dest == k
+        if mine.any():
+            refs.append(host.push.remote(rows_where(table, mine)))
     ray.get(refs)
 
 
@@ -224,8 +229,8 @@ def _fetch_with_retry(fetcher, batch: pa.Table, fail_plan: dict | None,
 
 @ray.remote
 def _split_pop_table(refs: list, *locs):
-    """Slice one shard's popped table into per-block parts ON THE
-    SHARD'S OWN NODE (scheduled with its node affinity): each block
+    """Slice one shard's popped table into per-block parts ON ITS
+    HOST'S NODE (scheduled with that node affinity): each block
     then gathers only its own slices, so every popped byte crosses a
     raylet boundary at most ONCE — without the pre-split, every node
     pulls every shard's WHOLE table (≈3× the bytes on a 4-node
@@ -242,7 +247,7 @@ def _split_pop_table(refs: list, *locs):
 
 
 @ray.remote
-def _crawl_block(parts: list, refs: list, shards, n_shards: int,
+def _crawl_block(parts: list, refs: list, hosts, n_shards: int,
                  out_path: str, pages_path: str, dead_path: str,
                  max_attempts: int,
                  presplit: bool = False) -> tuple[int, int, int, int]:
@@ -250,7 +255,7 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
     row, write this block's records parquet part, push discovered
     links once. ``parts`` is a list of (shard-slot, row-index array)
     pairs into the per-shard popped tables — the block gathers its rows
-    worker-side from the shard-published objects (no driver funnel).
+    worker-side from the host-published objects (no driver funnel).
     Runs as a raw Ray task: a crawl round is a small, latency-sensitive
     barrier over shared mutable frontier state — the case the design
     brief reserves for raw tasks. Per-round Dataset executions measured
@@ -276,7 +281,7 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
     cross_bytes = local_bytes = 0
     if presplit and parts:
         # pre-split mode (multi-raylet): parts are refs to this
-        # block's OWN slices, already cut on each shard's node —
+        # block's OWN slices, already cut on each shard's host node —
         # gather moves exactly this block's bytes, once
         # plain ray.get: each slice is consumed by exactly this
         # block — LRU-caching single-use tables would only evict
@@ -338,7 +343,7 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
             records.extend(recs)
             links.extend(lks)
             pages.append(page_stats_record(row, page))
-    push_links(links, shards, n_shards)
+    push_links(links, hosts, n_shards)
     for rows, path in ((records, out_path), (pages, pages_path)):
         arrays = {c: pa.array([r[c] for r in rows], type=pa.string())
                   for c in RECORD_COLS}
@@ -354,7 +359,7 @@ def _crawl_block(parts: list, refs: list, shards, n_shards: int,
 def _write_popped(table: pa.Table, path: str) -> int:
     """One shard's popped slice of the round (already priority-sorted
     by pop_ready) → parquet. Runs as a plain task over the
-    shard-published object — parallel across shards and OFF the shard
+    host-published object — parallel across shards and OFF the host
     actors, whose next pop would otherwise queue behind the write."""
     pq.write_table(table, path)
     return table.num_rows
@@ -375,17 +380,14 @@ def _write_manifest(ckpt_dir: str, manifest: dict, *shard_ckpts) -> int:
 
 
 @ray.remote
-def _warm_worker(corpus_path: str) -> int:
-    """Spawns the fetch workers and registers each one's fetcher so
-    the timed crawl measures steady-state throughput, not cluster
-    warmup (corpus partitions still load on first contact). The 0.5 s
-    hold keeps every task of the warm-up wave busy at once, so Ray
-    leases one worker per task instead of reusing one warm process.
-    The crawl's own waves never start workers: they are windowed to
-    the free CPU slots (ops/util.py::submit_windowed), which these
-    workers already cover."""
+def _warm_worker(corpus_path: str, hold_s: float) -> int:
+    """Registers one worker's fetcher so the timed crawl measures
+    steady-state throughput, not cluster warmup (corpus partitions
+    still load on first contact). ``hold_s`` keeps the tasks of a wave
+    of two or more busy at once, so each lands on its own worker
+    instead of queueing behind one warm process."""
     get_fetcher(corpus_path)
-    time.sleep(0.5)
+    time.sleep(hold_s)
     return os.getpid()
 
 
@@ -404,18 +406,29 @@ class CrawlEngine:
         os.makedirs(os.path.join(run_dir, "records"), exist_ok=True)
         os.makedirs(os.path.join(run_dir, "ckpt"), exist_ok=True)
         self.n_shards = n_shards
-        # SPREAD the shard actors across nodes: Ray's default actor
-        # placement packs them onto the submitting node, which in
-        # multi-node runs funnels every hash-routed push/pop RPC and
-        # its plasma traffic through ONE raylet (no-op on one node).
-        # Each shard spills its exact seen-set runs under the run dir
-        # (shared storage in a real deployment, like the records sink).
-        self.shards = [
-            FrontierShard.options(scheduling_strategy="SPREAD")
-            .remote(i, n_shards, politeness,
-                    spill_dir=os.path.join(run_dir, "state", f"shard-{i}"),
+        # the logical shards live in as few host actors as the cluster
+        # shape allows (state/frontier.py::n_frontier_hosts: one per CPU
+        # node and per 4 CPUs, each reserving at most one CPU); host k
+        # carries shards i ≡ k (mod n_hosts). SPREAD the hosts across
+        # nodes: Ray's default actor placement packs them onto the
+        # submitting node, which in multi-node runs funnels every
+        # hash-routed push/pop RPC and its plasma traffic through ONE
+        # raylet (no-op on one node). Each shard spills its exact
+        # seen-set runs under the run dir (shared storage in a real
+        # deployment, like the records sink).
+        node_cpus = [nd["Resources"].get("CPU", 0) for nd in ray.nodes()
+                     if nd["Alive"]]
+        n_hosts = n_frontier_hosts(sum(c > 0 for c in node_cpus),
+                                   int(sum(node_cpus)), n_shards)
+        self._host_shards = [hosted_shards(k, n_hosts, n_shards)
+                             for k in range(n_hosts)]
+        self.hosts = [
+            FrontierHost.options(num_cpus=SHARD_CPUS * len(ids),
+                                 scheduling_strategy="SPREAD")
+            .remote(ids, n_shards, politeness,
+                    spill_root=os.path.join(run_dir, "state"),
                     seen_buffer_cap=seen_buffer_cap)
-            for i in range(n_shards)
+            for ids in self._host_shards
         ]
         # corpus: the (host, salt)-partitioned store workers read
         # themselves. An in-memory table is written once under run_dir,
@@ -433,17 +446,19 @@ class CrawlEngine:
         })
         self.fetch_concurrency = fetch_concurrency
         # block→shard-node locality (VERDICT r03 #3): on multi-raylet
-        # clusters, schedule each fetch block near the shard actor that
+        # clusters, schedule each fetch block near the host actor that
         # published the plurality of its rows — the popped-table gather
         # (the block's only cross-raylet plasma input) becomes
         # mostly-local. soft=True keeps work-stealing alive; on a
-        # single node every shard reports the same id and the strategy
+        # single node every host reports the same id and the strategy
         # list stays empty (zero overhead).
-        self._shard_nodes = ray.get([s.node_id.remote()
-                                     for s in self.shards])
+        self._shard_nodes = self._by_shard(
+            [[nd] * len(ids) for nd, ids in zip(
+                ray.get([h.node_id.remote() for h in self.hosts]),
+                self._host_shards)])
         self._use_affinity = len(set(self._shard_nodes)) > 1
         # pre-split popped tables into per-block slices on their
-        # owning shard's node (each byte crosses a raylet once) — on
+        # owning shard's host node (each byte crosses a raylet once) — on
         # multi-raylet clusters only. On a single node the whole-table
         # gather is already zero-copy plasma-shared, and the extra task
         # wave measured slower (BASELINE.md, pre-split section).
@@ -457,21 +472,36 @@ class CrawlEngine:
         self.round_idx = 0
 
     def warmup(self) -> int:
-        """Spawn ~one worker per CPU and register each worker's
-        fetcher. Optional; bench.py calls it so throughput timing starts
-        from a warm cluster. This is the only wave that starts workers
-        on purpose: it runs before the timed part and submits every
-        task at once. The round's block waves are at most the free CPU
-        slots wide (CPUs minus the 0.25 each frontier shard holds), so
-        they always find a warm worker."""
-        refs = [_warm_worker.remote(self.corpus_path)
-                for _ in range(int(ray.cluster_resources().get("CPU", 4)))]
+        """Register a fetcher on one worker per free CPU slot (at least
+        one) and return how many distinct workers ran the wave.
+        Optional; bench.py calls it so throughput timing starts from a
+        warm cluster. The wave is as wide as the round's block waves
+        (ops/util.py::window_width: CPUs minus the frontier hosts'
+        reservation) and goes through the same ``submit_windowed``, so
+        it never queues and Ray starts no worker for it: the workers
+        ``warm_workers`` left idle take it. A wider wave queues, the
+        raylet may start a worker for the backlog, and the queued holds
+        run one after the other."""
+        n = window_width()
+        hold_s = 0.5 if n > 1 else 0.0
+        refs = submit_windowed(
+            lambda: _warm_worker.remote(self.corpus_path, hold_s)
+            for _ in range(n))
         return len(set(ray.get(refs)))
 
     # -- frontier I/O ------------------------------------------------------
 
     def _push_rows(self, rows: list[dict]):
-        push_links(rows, self.shards, self.n_shards)
+        push_links(rows, self.hosts, self.n_shards)
+
+    def _by_shard(self, per_host: list[list]) -> list:
+        """Per-host lists (in each host's shard order) → one list in
+        logical shard order."""
+        out = [None] * self.n_shards
+        for ids, vals in zip(self._host_shards, per_host):
+            for i, v in zip(ids, vals):
+                out[i] = v
+        return out
 
     # -- the round ---------------------------------------------------------
 
@@ -488,8 +518,9 @@ class CrawlEngine:
                     ray.get(self._ckpt_refs)
                 return self.metrics
             t0 = time.perf_counter()
-            metas = ray.get([s.pop_ready_meta.remote(self.max_pop)
-                             for s in self.shards])
+            metas = self._by_shard(ray.get(
+                [h.pop_ready_meta.remote(self.max_pop)
+                 for h in self.hosts]))
             popped = sum(m["rows"] for m in metas)
             if popped == 0:
                 break
@@ -553,9 +584,9 @@ class CrawlEngine:
         fresh_crawl run (2 Ray CPUs, 4 shards at 0.25) started 4 that
         never ran a task, and its blocks alternated between two
         workers' partition caches. The window there is 1 block wide
-        (2 CPUs - 1.0 held by the shards); at bench.py's 32-CPU shape
-        (8 shards) it is 30. ``driver_secs`` counts planning and
-        submit time only, not the window's waits."""
+        (2 CPUs - 1.0 held by the frontier host); at bench.py's 32-CPU
+        shape (8 shards on 8 hosts) it is 30. ``driver_secs`` counts
+        planning and submit time only, not the window's waits."""
         t0 = time.perf_counter()
         out_dir = os.path.join(self.run_dir, "records",
                                f"round={self.round_idx:04d}")
@@ -608,7 +639,7 @@ class CrawlEngine:
             ref = task.remote(
                 block_parts[k] if block_parts is not None else parts,
                 [table_refs, self.corpus_path, self.state_ref],
-                self.shards, self.n_shards,
+                self.hosts, self.n_shards,
                 os.path.join(out_dir, f"part-{k:05d}.parquet"),
                 os.path.join(pages_dir, f"part-{k:05d}.parquet"),
                 os.path.join(dead_dir, f"part-{k:05d}.parquet"),
@@ -641,7 +672,7 @@ class CrawlEngine:
         # of stalling this round on shard serialization
         if getattr(self, "_ckpt_refs", None):
             ray.get(self._ckpt_refs)
-        ck_refs = [s.checkpoint.remote(ckpt) for s in self.shards]
+        ck_refs = [h.checkpoint.remote(ckpt) for h in self.hosts]
         ck_refs += [
             _write_popped.remote(
                 m["ref"][0],
@@ -669,7 +700,7 @@ class CrawlEngine:
         if not rounds:
             return 0
         last = os.path.join(ckpt_root, rounds[-1])
-        ray.get([s.restore.remote(last) for s in self.shards])
+        ray.get([h.restore.remote(last) for h in self.hosts])
         with open(os.path.join(last, "MANIFEST.json")) as fp:
             manifest = json.load(fp)
         self.metrics = manifest["metrics"]
@@ -682,8 +713,8 @@ class CrawlEngine:
 
     def _finalize(self):
         self._settle()
-        stats = ray.get([s.stats.remote() for s in self.shards])
-        self.metrics["shards"] = stats
+        self.metrics["shards"] = self._by_shard(
+            ray.get([h.stats.remote() for h in self.hosts]))
         with open(os.path.join(self.run_dir, "metrics.json"), "w") as fp:
             json.dump(self.metrics, fp, indent=2)
 
@@ -748,14 +779,14 @@ class CrawlEngine:
 
     def release(self) -> None:
         """Free crawl-session cluster state once the crawl is done: the
-        frontier shard actors and the broadcast crawl-state object.
+        frontier host actors and the broadcast crawl-state object.
         Downstream stages (assembly reads parquet from run_dir) need
         neither. The engine is unusable for further rounds after
         release; resume via a fresh engine + ``resume()``."""
         self._settle()
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        for h in self.hosts:
+            ray.kill(h)
+        self.hosts = []
         self.state_ref = None
 
 

@@ -5,13 +5,15 @@ canonicalized+hashed URLs").
 numpy-backed: ``buckets`` is an (n_buckets, bucket_size) uint16 array of
 fingerprints (0 = empty). Guarantees: no false negatives; false-positive
 rate ~ 2*bucket_size/2^16 at reasonable load. Deletion supported (needed
-for shard rebalancing). Each FrontierShard actor owns one filter plus
-the exact key set (the spillable truth — cuckoo FPs fall back to it, so
-the *observable* seen-set is exact; SURVEY.md §7.3).
+for shard rebalancing). Each logical frontier shard (state/frontier.py::
+FrontierShard, carried with up to three others by one FrontierHost
+actor) owns one filter plus the exact key set (the spillable truth —
+cuckoo FPs fall back to it, so the *observable* seen-set is exact;
+SURVEY.md §7.3).
 
 Design notes for 10^10 URLs: 16-bit fingerprints at 4 slots/bucket ≈
-2.2 bytes/key at 95% load → one shard actor comfortably holds 10^8 keys
-in ~250 MB; 10^10 keys = ~100 shards across the cluster, exact sets
+2.2 bytes/key at 95% load → one shard comfortably holds 10^8 keys in
+~250 MB; 10^10 keys = ~100 shards across the cluster, exact sets
 spilled to Lance/Parquet and only the filter kept hot.
 """
 
@@ -75,7 +77,7 @@ class CuckooFilter:
 
         Hot path is a tight python loop over plain int lists (faster
         per-op than numpy slot scans at single-insert granularity — the
-        shard actors serialize inserts, so per-insert cost is the
+        frontier host actors serialize inserts, so per-insert cost is the
         frontier's throughput ceiling)."""
         n = 0
         h = np.asarray(hashes, dtype=np.uint64)

@@ -1,8 +1,13 @@
 """Sharded URL frontier: priority ordering + cuckoo/exact seen-set +
 per-host politeness token buckets + robots gating (north_rule).
 
-One ``FrontierShard`` actor owns the slice of URL-hash space
-``url_hash64(url) % n_shards == shard_id``. State per shard:
+One logical ``FrontierShard`` owns the slice of URL-hash space
+``url_hash64(url) % n_shards == shard_id``. A shard is plain state, not
+a process: ``FrontierHost`` actors each hold the shards
+``i ≡ k (mod n_hosts)`` and serialize them (one actor call at a time),
+so the racy seen-sets of the reference become per-shard state behind
+an actor without one OS process per shard. ``n_frontier_hosts`` sizes
+the pool from the cluster. State per shard:
 
 - **seen**: a CuckooFilter (vectorized fast path — one
   ``contains_many`` per push batch) + the exact uint64 key set (the
@@ -21,10 +26,10 @@ One ``FrontierShard`` actor owns the slice of URL-hash space
 
 Everything is Arrow/numpy-vectorized — no per-row Python in push/pop
 hot paths (per-row loops at 100k links/round serialized through the
-shard actors measured as the crawl bottleneck). Pushes arrive with a
+frontier actors measured as the crawl bottleneck). Pushes arrive with a
 precomputed canonical-URL hash column ``h`` (computed in the parallel
 extract tasks). Checkpoint/restore dump pending + exact seen set to
-parquet for exact resume.
+parquet per logical shard for exact resume.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -42,6 +48,11 @@ from .cuckoo import CuckooFilter
 from .spillset import SpilledKeySet
 
 FRONTIER_COLS = [f.name for f in FRONTIER_SCHEMA]
+
+# CPU each logical shard reserves on its host actor
+SHARD_CPUS = 0.25
+# cluster CPUs per frontier host (n_frontier_hosts)
+CPUS_PER_HOST = 4
 
 # push/pop table schema = frontier rows + the canonical-URL hash
 PUSH_SCHEMA = pa.schema(list(FRONTIER_SCHEMA) + [("h", pa.uint64())])
@@ -58,6 +69,12 @@ def frontier_table(rows: list[dict]) -> pa.Table:
 def push_table(rows: list[dict], hashes: np.ndarray) -> pa.Table:
     t = frontier_table(rows)
     return t.append_column("h", pa.array(hashes, type=pa.uint64()))
+
+
+def rows_where(table: pa.Table, mask: np.ndarray) -> pa.Table:
+    """``table``'s rows where ``mask`` holds, in order; the table itself
+    (no copy) when every row does."""
+    return table if mask.all() else table.take(pa.array(np.flatnonzero(mask)))
 
 
 class PolitenessConfig:
@@ -91,8 +108,45 @@ class PolitenessConfig:
         return True
 
 
-@ray.remote(num_cpus=0.25)
+def n_frontier_hosts(n_nodes: int, n_cpus: int, n_shards: int) -> int:
+    """How many ``FrontierHost`` actors carry ``n_shards`` shards on a
+    cluster of ``n_nodes`` CPU nodes and ``n_cpus`` CPUs, never more
+    than one per shard. At least:
+
+    - one per node, so SPREAD placement, block affinity and the
+      pre-split still see a frontier actor on every raylet;
+    - enough to keep each host's reservation (``SHARD_CPUS`` per shard)
+      within one CPU;
+    - one per ``CPUS_PER_HOST`` CPUs. A host serves the pushes of the
+      blocks in flight, and the block window is about as wide as the
+      free CPUs. One host against a 3-wide window at 4 CPUs measured
+      no slower than one process per shard (BASELINE.md §frontier
+      hosts); wider windows per host are unmeasured, so larger
+      clusters keep more hosts, up to one per shard.
+
+    A process start costs ~1 s of CPU whatever the actor holds, and one
+    host carrying four shards starts about as fast as one shard alone,
+    so small clusters save most of their setup here."""
+    per_host = int(round(1 / SHARD_CPUS))
+    return max(1, min(n_shards, max(n_nodes, -(-n_shards // per_host),
+                                    -(-n_cpus // CPUS_PER_HOST))))
+
+
+def hosted_shards(host: int, n_hosts: int, n_shards: int) -> list[int]:
+    """The logical shards host ``host`` of ``n_hosts`` carries: those
+    ``≡ host (mod n_hosts)``, the inverse of ``host_of``."""
+    return list(range(host, n_shards, n_hosts))
+
+
+def host_of(h: np.ndarray, n_shards: int, n_hosts: int) -> np.ndarray:
+    """The host carrying each url hash's shard (``h % n_shards``)."""
+    return h % np.uint64(n_shards) % np.uint64(n_hosts)
+
+
 class FrontierShard:
+    """One logical shard's state; a ``FrontierHost`` actor serializes
+    every call to it."""
+
     def __init__(self, shard_id: int, n_shards: int,
                  politeness: PolitenessConfig | None = None,
                  capacity: int = 1 << 23,
@@ -198,13 +252,13 @@ class FrontierShard:
 
     def pop_ready_meta(self, max_rows: int = 1 << 30) -> dict:
         """Pop + publish: the ready table goes straight to the object
-        store (owned by this shard actor); only the compact planning
+        store (owned by the calling process, the shard's host actor in
+        a crawl); only the compact planning
         columns — dictionary-encoded hosts + the uint64 url hashes —
         and the ObjectRef return to the driver, so the round's full
         rows never transit driver memory (the r02 whole-round driver
         funnel). The ref is wrapped in a list so Ray does not inline
         the table into the reply."""
-        import pyarrow.compute as pc
         t = self.pop_ready(max_rows)
         if t.num_rows == 0:
             return {"rows": 0}
@@ -223,13 +277,6 @@ class FrontierShard:
     def seen_hashes(self) -> np.ndarray:
         """TEST-ONLY: materializes the full exact set (O(n))."""
         return self.exact.to_array()
-
-    def node_id(self) -> str:
-        """The raylet this shard lives on — the crawl schedules each
-        block near the shard holding the plurality of its rows
-        (NodeAffinity locality; no-op on one node)."""
-        import ray
-        return ray.get_runtime_context().get_node_id()
 
     def stats(self) -> dict:
         return {
@@ -251,7 +298,9 @@ class FrontierShard:
         materializes the full key set. The shard's popped slice of the
         round is written by a SEPARATE task from the shard-published
         object (pipelines/crawl.py::_write_popped) so this actor-serial
-        call stays off the next pop's critical path."""
+        call stays off the next pop's critical path. A host carrying
+        several shards still runs all their checkpoints before its next
+        pop."""
         os.makedirs(ckpt_dir, exist_ok=True)
         t = (pa.concat_tables(self.pending).sort_by(_SORT_KEYS)
              if self.pending else PUSH_SCHEMA.empty_table())
@@ -283,3 +332,63 @@ class FrontierShard:
         self.pending = [heap_t] if heap_t.num_rows else []
         self.n_pending = heap_t.num_rows
         return self.n_pending
+
+
+@ray.remote(num_cpus=SHARD_CPUS)
+class FrontierHost:
+    """The actor process carrying the logical shards ``shard_ids``. Its
+    calls run one at a time, which is what serializes each shard; the
+    crawl reserves ``SHARD_CPUS`` per hosted shard on it. Per-shard
+    results come back as lists in ``shard_ids`` order, and checkpoint
+    files stay per logical shard (``heap-{i}.parquet``, seen runs
+    tagged ``i``), so a checkpoint restores under any host layout of
+    the same ``n_shards``."""
+
+    def __init__(self, shard_ids: list[int], n_shards: int,
+                 politeness: PolitenessConfig | None = None,
+                 capacity: int = 1 << 23,
+                 spill_root: str | None = None,
+                 seen_buffer_cap: int = 1 << 20):
+        self.n_shards = n_shards
+        self.shards = [
+            FrontierShard(i, n_shards, politeness, capacity,
+                          spill_dir=(os.path.join(spill_root, f"shard-{i}")
+                                     if spill_root else None),
+                          seen_buffer_cap=seen_buffer_cap)
+            for i in shard_ids]
+
+    def push(self, table: pa.Table) -> int:
+        """Route rows to the hosted shards by ``h % n_shards``; each
+        shard gets its rows in table order, so what a shard holds does
+        not depend on the host layout. Returns the rows accepted."""
+        owners = table.column("h").to_numpy() % np.uint64(self.n_shards)
+        accepted = 0
+        for s in self.shards:
+            mine = owners == s.shard_id
+            if mine.any():
+                accepted += s.push(rows_where(table, mine))
+        return accepted
+
+    def pop_ready_meta(self, max_rows: int = 1 << 30) -> list[dict]:
+        return [s.pop_ready_meta(max_rows) for s in self.shards]
+
+    def stats(self) -> list[dict]:
+        return [s.stats() for s in self.shards]
+
+    def seen_hashes(self) -> np.ndarray:
+        """TEST-ONLY: every hosted shard's exact set (O(n))."""
+        return np.concatenate([s.seen_hashes() for s in self.shards])
+
+    def checkpoint(self, ckpt_dir: str) -> str:
+        for s in self.shards:
+            s.checkpoint(ckpt_dir)
+        return ckpt_dir
+
+    def restore(self, ckpt_dir: str) -> int:
+        return sum(s.restore(ckpt_dir) for s in self.shards)
+
+    def node_id(self) -> str:
+        """The raylet this host lives on — the crawl schedules each
+        block near the host of the shard holding the plurality of its
+        rows (NodeAffinity locality; no-op on one node)."""
+        return ray.get_runtime_context().get_node_id()

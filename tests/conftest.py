@@ -23,8 +23,9 @@ SF_SMOKE = os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")
 
 def seen_urls(eng) -> set[int]:
     """A crawl engine's exact seen set: every frontier shard's key
-    hashes, gathered (O(n)); the shards must still be live."""
-    hashes = ray.get([s.seen_hashes.remote() for s in eng.shards])
+    hashes, gathered from their host actors (O(n)); the hosts must
+    still be live."""
+    hashes = ray.get([h.seen_hashes.remote() for h in eng.hosts])
     return set(np.concatenate(hashes).tolist()) if hashes else set()
 
 

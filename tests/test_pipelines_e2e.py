@@ -117,13 +117,14 @@ def test_incremental_crawl(tmp_path_factory):
 
 
 def test_kill_and_resume(tmp_path_factory):
-    """Crash after round 2 — the crawl's frontier shard processes die
-    with it — then resume from checkpoint in fresh shards → identical
+    """Crash after round 2 — the crawl's frontier host processes die
+    with it — then resume from checkpoint in fresh hosts → identical
     records, frontier log, seen set and written catalogs as the
-    uninterrupted run."""
+    uninterrupted run. Five shards on one node make two hosts carrying
+    three and two shards, so every host restores several shards."""
     corpus, seeds = generate(tiny_config())
     full_dir = str(tmp_path_factory.mktemp("full_run"))
-    eng_full = CrawlEngine(corpus, seeds.to_pylist(), full_dir, n_shards=2)
+    eng_full = CrawlEngine(corpus, seeds.to_pylist(), full_dir, n_shards=5)
     eng_full.run()
     full_log = eng_full.frontier_log_table().to_pylist()
     full_entries = assemble_records(eng_full.records_dataset())
@@ -131,12 +132,13 @@ def test_kill_and_resume(tmp_path_factory):
     write_catalogs_parallel(full_entries, full_out)
 
     crash_dir = str(tmp_path_factory.mktemp("crash_run"))
-    eng_a = CrawlEngine(corpus, seeds.to_pylist(), crash_dir, n_shards=2)
+    eng_a = CrawlEngine(corpus, seeds.to_pylist(), crash_dir, n_shards=5)
+    assert eng_a._host_shards == [[0, 2, 4], [1, 3]]
     eng_a.run(max_rounds=2)  # simulated crash, no finalize
-    for shard in eng_a.shards:
-        ray.kill(shard)
+    for host in eng_a.hosts:
+        ray.kill(host)
 
-    eng_b = CrawlEngine(corpus, [], crash_dir, n_shards=2)
+    eng_b = CrawlEngine(corpus, [], crash_dir, n_shards=5)
     next_round = eng_b.resume()
     assert next_round == 2
     eng_b.run(start_round=next_round)

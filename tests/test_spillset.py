@@ -6,7 +6,6 @@ push spills) matching the in-memory-equivalent behavior."""
 import os
 
 import numpy as np
-import ray
 
 from no_fasel_scrapers_ray.pipelines.crawl import link_hashes
 from no_fasel_scrapers_ray.state.frontier import FrontierShard, push_table
@@ -70,25 +69,25 @@ def test_shard_with_tiny_buffer_spills_and_dedups(tmp_path):
     """A shard whose seen buffer spills every ~16 keys must dedup and
     checkpoint/restore exactly like the default: membership is exact
     even when every probe goes through the mmap'd runs."""
-    s = FrontierShard.remote(0, 1, spill_dir=str(tmp_path / "sh0"),
-                             seen_buffer_cap=16)
+    s = FrontierShard(0, 1, spill_dir=str(tmp_path / "sh0"),
+                      seen_buffer_cap=16)
     rows = [_row(f"https://h.test/p{i}") for i in range(200)]
     t = push_table(rows, link_hashes(rows))
-    assert ray.get(s.push.remote(t)) == 200
+    assert s.push(t) == 200
     # re-push: every key must be recognized through the spilled runs
-    assert ray.get(s.push.remote(t)) == 0
+    assert s.push(t) == 0
     # spill files actually exist on disk
     runs = [f for f in os.listdir(tmp_path / "sh0") if f.endswith(".npy")]
     assert runs, "tiny buffer must have spilled runs to disk"
     ck = str(tmp_path / "ck")
-    ray.get(s.checkpoint.remote(ck))
-    s2 = FrontierShard.remote(0, 1, spill_dir=str(tmp_path / "sh0b"),
-                              seen_buffer_cap=16)
-    ray.get(s2.restore.remote(ck))
-    assert ray.get(s2.push.remote(t)) == 0          # seen set survived
+    s.checkpoint(ck)
+    s2 = FrontierShard(0, 1, spill_dir=str(tmp_path / "sh0b"),
+                       seen_buffer_cap=16)
+    s2.restore(ck)
+    assert s2.push(t) == 0          # seen set survived
     more = [_row(f"https://h.test/q{i}") for i in range(50)]
     t2 = push_table(more, link_hashes(more))
-    assert ray.get(s2.push.remote(t2)) == 50        # fresh keys still pass
+    assert s2.push(t2) == 50        # fresh keys still pass
 
 
 def test_crawl_with_spilling_seen_set(tmp_path_factory):

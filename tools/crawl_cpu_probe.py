@@ -6,8 +6,9 @@ Run from the root of a checkout. Prepares (or reuses) the perfbench
 fresh_crawl inputs with ``perfbench/prep.py``, then runs one repetition
 the way ``perfbench/rep.py`` does (same ``ray_start``, engine settings
 and pinned core) in a child process with its own session, and prints
-for each of two phases, ``run()`` and the catalog tail (``release()``
-+ ``assemble_records`` + ``write_catalogs_parallel``):
+for each of three phases, setup (``CrawlEngine()`` + ``warmup()``),
+``run()`` and the catalog tail (``release()`` + ``assemble_records`` +
+``write_catalogs_parallel``):
 
 - the CPU seconds of every process of the session during the phase
   (a process that exits inside the phase is missing from it);
@@ -17,8 +18,11 @@ for each of two phases, ``run()`` and the catalog tail (``release()``
 A worker started during ``run()`` that never shows a task name in its
 title is the prestart waste ``ops/util.py::submit_windowed`` exists to
 avoid. After the report the probe prints a ``check:`` line and exits 1
-if any ``ray::`` process started in either phase (a prestarted worker,
-or an actor Ray Data starts once a ``ray.data.Dataset`` exists) or if
+if any ``ray::`` process started in ``run()`` or the tail (a
+prestarted worker, or an actor Ray Data starts once a
+``ray.data.Dataset`` exists), if setup started more than the frontier
+host actors (a task worker started for the warm-up wave), if
+fresh_crawl's four shards on one node did not share one host, or if
 the catalogs differ from the oracle's. Nothing under ``perfbench/`` is
 changed; its modules are only imported.
 """
@@ -107,15 +111,17 @@ def child(a: dict) -> None:
     with open(os.path.join(prep, "fail_plan.json")) as fp:
         fail_plan = json.load(fp)
     rep.ray_start(a["ray_tmp"])
-    eng = CrawlEngine(corpus_path(os.path.join(prep, "store")), seeds,
-                      os.path.join(work, "run"), n_shards=rep.N_SHARDS,
-                      fetch_concurrency=rep.FETCH_CONCURRENCY,
-                      max_attempts=rep.MAX_ATTEMPTS, fail_plan=fail_plan)
-    eng.warmup()
 
     def snap():
         return session_procs(sid), core_times(a["cpu"]), time.perf_counter()
 
+    s_setup = snap()
+    eng = CrawlEngine(corpus_path(os.path.join(prep, "store")), seeds,
+                      os.path.join(work, "run"), n_shards=rep.N_SHARDS,
+                      fetch_concurrency=rep.FETCH_CONCURRENCY,
+                      max_attempts=rep.MAX_ATTEMPTS, fail_plan=fail_plan)
+    n_hosts = len(eng.hosts)
+    eng.warmup()
     s0 = snap()
     m = eng.run()
     s1 = snap()
@@ -133,8 +139,10 @@ def child(a: dict) -> None:
               "ray_cpus": ray.cluster_resources().get("CPU"),
               "pages": m["popped"], "rounds": m["rounds"],
               "driver_s": round(sum(m["driver_secs"]), 3),
+              "frontier_hosts": n_hosts,
               "catalogs_equal_oracle": same,
-              "phases": [phase("run", s0, s1), phase("tail", s1, s2)]}
+              "phases": [phase("setup", s_setup, s0), phase("run", s0, s1),
+                         phase("tail", s1, s2)]}
     with open(a["out"], "w") as fp:
         json.dump(report, fp)
     os._exit(0)
@@ -143,8 +151,9 @@ def child(a: dict) -> None:
 def show(r: dict) -> None:
     print(f"fresh_crawl seed {r['seed']}: {r['pages']} pages, "
           f"{r['rounds']} rounds, Ray CPUs {r['ray_cpus']}, pinned core "
-          f"{r['cpu']}, driver_secs {r['driver_s']} s, catalogs equal "
-          f"oracle: {r['catalogs_equal_oracle']}")
+          f"{r['cpu']}, driver_secs {r['driver_s']} s, frontier hosts "
+          f"{r['frontier_hosts']}, catalogs equal oracle: "
+          f"{r['catalogs_equal_oracle']}")
     for p in r["phases"]:
         print(f"\n== {p['phase']}: wall {p['wall_s']} s, core busy "
               f"{p['core_busy_s']} s ({100 * p['core_busy_share']:.1f}%), "
@@ -202,9 +211,17 @@ def main() -> int:
         with open(a["out"]) as fp:
             report = json.load(fp)
         show(report)
+        # setup may start the frontier host actors and nothing else;
+        # run() and the tail may start nothing
+        hosts = report["frontier_hosts"]
+        allowed = {"setup": hosts}
         problems = [f"{len(p['ray_started'])} ray:: processes started in "
-                    f"{p['phase']}" for p in report["phases"]
-                    if p["ray_started"]]
+                    f"{p['phase']} (allowed: {allowed.get(p['phase'], 0)})"
+                    for p in report["phases"]
+                    if len(p["ray_started"]) > allowed.get(p["phase"], 0)]
+        if hosts != 1:
+            problems.append(f"{hosts} frontier hosts for fresh_crawl's "
+                            "shards on one node (want 1)")
         if not report["catalogs_equal_oracle"]:
             problems.append("catalogs differ from the oracle")
         print("check: " + ("; ".join(problems) or "ok"))
