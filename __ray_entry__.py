@@ -966,7 +966,7 @@ def q_corr_qty_price(sf_dir: str):
     go to CENTS: ×100 of a 2-decimal value is integral, so rounding
     never lands on a .5 boundary (whole DOLLARS do — and pandas
     rounds half-to-even while DuckDB rounds half-away, which skewed
-    the sums). batch_size=32768 keeps the Σ(cents²) partial < 2^63."""
+    the sums)."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_corr
     li = _read(sf_dir, "lineitem",
@@ -983,7 +983,7 @@ def q_corr_qty_price(sf_dir: str):
 
     return grouped_corr(li.map_batches(prep, batch_format="pandas"),
                         ["l_returnflag"], "qty", "cents",
-                        alias="corr_qty_price", batch_size=32768)
+                        alias="corr_qty_price")
 
 
 def q_asof_clicks(sf_dir: str):
@@ -1930,8 +1930,8 @@ def q_priority_late_orders(sf_dir: str):
 
 def q_price_moments(sf_dir: str):
     """Distributed skewness + excess kurtosis (§ statistical
-    aggregates) of lineitem quantity per return flag, from exact int64
-    raw-moment partials (grouped_moments) — the closed form evaluated
+    aggregates) of lineitem quantity per return flag, from exact
+    raw-moment sums (grouped_moments) — the closed form evaluated
     once in float64, bit-identical to the oracle's mirrored
     expression."""
     from no_fasel_scrapers_ray.ops.relational import grouped_moments
@@ -1955,12 +1955,13 @@ def q_promo_revenue_ratio(sf_dir: str):
     part dimension collapses to a dense partkey→is_promo BITMAP
     broadcast once (O(#parts) bytes — 100 MB even at 10^8 parts, vs
     shuffling the fact table); lineitem streams through one map_batches
-    computing exact int64 revenue (cents × (100−disc_pct)) partials;
-    the driver combines the per-batch sums in PYTHON-INT space (exact,
-    unbounded) and evaluates ONE mirrored float64 expression."""
+    computing revenue as cents × (100−disc_pct); the two revenue sums
+    are exact (``exact_sums``) and feed ONE mirrored float64
+    expression."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import broadcast_get
+    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
+                                                      exact_sums)
     parts = _read(sf_dir, "part", ["p_partkey", "p_type"],
                   rows_per_block=65536).to_pandas()
     bitmap = np.zeros(int(parts["p_partkey"].max()) + 1, dtype=bool)
@@ -1972,21 +1973,21 @@ def q_promo_revenue_ratio(sf_dir: str):
                ["l_partkey", "l_extendedprice", "l_discount"],
                rows_per_block=65536)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def prep(b: pd.DataFrame) -> pd.DataFrame:
         bm = broadcast_get(bm_ref)
-        cents = (b["l_extendedprice"] * 100).round().astype("int64") \
-            .to_numpy()
         pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
-        v = cents * (100 - pct)
-        promo = bm[b["l_partkey"].to_numpy()]
-        return pd.DataFrame({"promo_v": [int(v[promo].sum())],
-                             "total_v": [int(v.sum())]})
+        return pd.DataFrame({
+            "cents": (b["l_extendedprice"] * 100).round().astype("int64")
+            .to_numpy(),
+            "keep": 100 - pct,
+            "promo": bm[b["l_partkey"].to_numpy()].astype(np.int64)})
 
-    sums = li.map_batches(partial, batch_format="pandas").to_pandas()
-    promo_v = int(sums["promo_v"].astype(object).sum())
-    total_v = int(sums["total_v"].astype(object).sum())
+    s = exact_sums(li.map_batches(prep, batch_format="pandas"), [],
+                   {"promo_v": ("cents", "keep", "promo"),
+                    "total_v": ("cents", "keep")}).iloc[0]
     return pd.DataFrame(
-        {"promo_ratio": [100.0 * float(promo_v) / float(total_v)]})
+        {"promo_ratio": [100.0 * float(s["promo_v"])
+                         / float(s["total_v"])]})
 
 
 def q_weighted_avg_discount(sf_dir: str):
@@ -2027,9 +2028,9 @@ def q_user_spend_zscore(sf_dir: str):
     Agg-then-join-back shape: per-user exact int64 moment sums (n, Σx,
     Σx²) via bucketed partial agg, big-big bucketed join back onto the
     streaming events, then z = (n·x − s) / √(n·ssq − s²) — one float64
-    expression mirrored in the oracle, so bits match (same contract as
-    grouped_corr: values go to cents; n·ssq must fit int64). Zero-
-    variance users are excluded on both sides."""
+    expression mirrored in the oracle, so bits match (values go to
+    cents; n·ssq must fit int64). Zero-variance users are excluded on
+    both sides."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_sum_count)
@@ -2169,11 +2170,11 @@ def q_small_qty_revenue(sf_dir: str):
     The threshold compare is kept in exact integers —
     ``5·qty·cnt < Σqty`` is algebraically ``qty < 0.2·avg`` with no
     division — so no float rounding rule can diverge between engines;
-    the revenue total combines per-batch int64 cent partials in
-    Python-int space (the promo_revenue_ratio contract)."""
+    the revenue total is an exact sum (``exact_sums``)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import broadcast_get
+    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
+                                                      exact_sums)
     parts = _read(sf_dir, "part", ["p_partkey", "p_brand"],
                   rows_per_block=65536).to_pandas()
     brand_keys = np.sort(parts.loc[parts["p_brand"] == "Brand#1",
@@ -2201,7 +2202,7 @@ def q_small_qty_revenue(sf_dir: str):
                          per_part["sum_qty"].to_numpy(np.int64),
                          per_part["cnt"].to_numpy(np.int64)))
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def small_cents(b: pd.DataFrame) -> pd.DataFrame:
         ks, sums, cnts = broadcast_get(stats_ref)
         pk = b["l_partkey"].to_numpy(np.int64)
         pos = np.searchsorted(ks, pk)
@@ -2211,10 +2212,10 @@ def q_small_qty_revenue(sf_dir: str):
         small = hit & (5 * qty * cnts[pos] < sums[pos])
         cents = (b["l_extendedprice"] * 100).round().astype("int64") \
             .to_numpy()[small]
-        return pd.DataFrame({"c": [int(cents.sum())]})
+        return pd.DataFrame({"c": cents})
 
-    parts_sum = li.map_batches(partial, batch_format="pandas").to_pandas()
-    total = int(parts_sum["c"].astype(object).sum())
+    total = exact_sums(li.map_batches(small_cents, batch_format="pandas"),
+                       [], {"c": ("c",)})["c"][0]
     return pd.DataFrame({"revenue_cents": np.array([total], np.int64)})
 
 
@@ -2276,7 +2277,8 @@ def q_stock_value_parts(sf_dir: str):
     against the broadcast scalars. All compares in exact integer cents
     (``value·n·10 > 11·total`` ⇔ value > 1.1·avg, no division)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
+    from no_fasel_scrapers_ray.ops.relational import (exact_sums,
+                                                      preagg_sum_count)
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"],
                rows_per_block=65536)
 
@@ -2290,12 +2292,8 @@ def q_stock_value_parts(sf_dir: str):
                                                batch_format="pandas"),
                                 ["l_partkey"], {"v": "value_cents"}) \
         .materialize()
-    partials = per_part.map_batches(
-        lambda b: pd.DataFrame({"s": [int(b["value_cents"].sum())],
-                                "n": [len(b)]}),
-        batch_format="pandas").to_pandas()
-    total = int(partials["s"].astype(object).sum())
-    n_parts = int(partials["n"].sum())
+    s = exact_sums(per_part, [], {"s": ("value_cents",), "n": ()}).iloc[0]
+    total, n_parts = s["s"], s["n"]
     return per_part.map_batches(
         lambda b: b[b["value_cents"].to_numpy(np.int64) * n_parts * 10
                     > 11 * total],
@@ -2631,7 +2629,7 @@ def q_idle_rich_customers(sf_dir: str):
     broadcast-key-set anti-join — swap for `bloom_semi_join`'s
     bit-array when the key set outgrows a broadcast."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import anti_join
+    from no_fasel_scrapers_ray.ops.relational import anti_join, exact_sums
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"],
                  rows_per_block=65536).map_batches(
         lambda b: pd.DataFrame({
@@ -2641,12 +2639,8 @@ def q_idle_rich_customers(sf_dir: str):
         batch_format="pandas").map_batches(
         lambda b: b[b["cents"].to_numpy() > 0],
         batch_format="pandas").materialize()
-    partials = cust.map_batches(
-        lambda b: pd.DataFrame({"s": [int(b["cents"].sum())],
-                                "n": [len(b)]}),
-        batch_format="pandas").to_pandas()
-    total, n = int(partials["s"].astype(object).sum()), \
-        int(partials["n"].sum())
+    s = exact_sums(cust, [], {"s": ("cents",), "n": ()}).iloc[0]
+    total, n = s["s"], s["n"]
     rich = cust.map_batches(
         lambda b: b[b["cents"].to_numpy(np.int64) * n > total],
         batch_format="pandas")
@@ -2986,13 +2980,13 @@ def q_revenue_delta(sf_dir: str):
     filter + global-sum query — 1996 shipments at a 5–7% discount in
     small quantities; how much revenue would dropping the discount
     have added. The date range is pruned at the read; discount /
-    quantity predicates and the product run as one vectorized pass;
-    per-batch partials are exact int64 cents×pct units combined
-    driver-side in python-int space, with ONE mirrored float division
-    at the end (the promo_revenue_ratio contract)."""
+    quantity predicates run as one vectorized pass; Σ cents×pct is
+    an exact sum (``exact_sums``), with ONE mirrored float division at
+    the end."""
     import pandas as pd
     import pyarrow.dataset as pads
     import ray.data as rd
+    from no_fasel_scrapers_ray.ops.relational import exact_sums
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_extendedprice", "l_discount", "l_quantity",
@@ -3002,16 +2996,16 @@ def q_revenue_delta(sf_dir: str):
         & (pads.field("l_shipdate")
            < pd.Timestamp("1997-01-01").to_pydatetime()))
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def prep(b: pd.DataFrame) -> pd.DataFrame:
         cents = (b["l_extendedprice"] * 100).round().astype("int64") \
             .to_numpy()
         pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
         qty = b["l_quantity"].round().astype("int64").to_numpy()
         mask = (pct >= 5) & (pct <= 7) & (qty < 24)
-        return pd.DataFrame({"v": [int((cents[mask] * pct[mask]).sum())]})
+        return pd.DataFrame({"cents": cents[mask], "pct": pct[mask]})
 
-    sums = li.map_batches(partial, batch_format="pandas").to_pandas()
-    units = int(sums["v"].astype(object).sum())
+    units = exact_sums(li.map_batches(prep, batch_format="pandas"), [],
+                       {"v": ("cents", "pct")})["v"][0]
     return pd.DataFrame({"revenue_delta": [float(units) / 10000.0]})
 
 
@@ -3779,7 +3773,7 @@ def q_price_qty_regression(sf_dir: str):
     return grouped_regression(
         li.map_batches(prep, batch_format="pandas"),
         ["l_returnflag"], "qty", "cents",
-        slope_alias="slope", icept_alias="icept", batch_size=32768)
+        slope_alias="slope", icept_alias="icept")
 
 
 def q_pareto_parts(sf_dir: str):
@@ -4219,13 +4213,12 @@ def q_theil_customer_spend(sf_dir: str):
     statistical aggregates — the decomposable inequality measure next
     to Gini): T = (1/(N·μ))·Σ x·ln x − ln μ. Fully distributed exact
     shape: ONE customer-bucket spend preagg (exact cents), then
-    per-block INTEGER partials x·micro(ln x) (the doc_perplexity
-    micro-nat discipline — ln rounded to 6, scaled 1e6, int64
-    products with a python-int fallback when a float estimate says
-    the block sum would wrap) combined in python-int space; the final
-    expression is ONE mirrored float chain (round-6)."""
+    exact sums of x and x·micro(ln x) (the doc_perplexity micro-nat
+    discipline — ln rounded to 6, scaled 1e6; ``exact_sums``); the
+    final expression is ONE mirrored float chain (round-6)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import (exact_sums,
+                                                      preagg_reduce)
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
                    rows_per_block=65536)
 
@@ -4239,23 +4232,15 @@ def q_theil_customer_spend(sf_dir: str):
                                              batch_format="pandas"),
                           ["u"], "x", "sum")
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def micro_ln(b: pd.DataFrame) -> pd.DataFrame:
         x = b["x"].to_numpy(np.int64)
         mi = np.round(np.round(np.log(x.astype(np.float64)), 6)
                       * 1e6).astype(np.int64)
-        est = float((x.astype(np.float64)
-                     * mi.astype(np.float64)).sum())
-        if est >= 2.0 ** 62:
-            xs = sum(int(a) * int(m) for a, m in zip(x, mi))
-        else:
-            xs = int((x * mi).sum())
-        return pd.DataFrame({"s": [int(x.sum())], "xs": [xs],
-                             "cnt": [len(x)]})
+        return pd.DataFrame({"x": x, "mi": mi})
 
-    p = spend.map_batches(partial, batch_format="pandas").to_pandas()
-    S = int(sum(int(v) for v in p["s"]))
-    XS = int(sum(int(v) for v in p["xs"]))
-    N = int(sum(int(v) for v in p["cnt"]))
+    S, XS, N = exact_sums(
+        spend.map_batches(micro_ln, batch_format="pandas"), [],
+        {"s": ("x",), "xs": ("x", "mi"), "cnt": ()}).iloc[0]
     mu = float(S) / N
     t = (float(XS) / 1e6) / (float(N) * mu) - float(np.log(mu))
     return pd.DataFrame({
@@ -4497,13 +4482,14 @@ def q_special_deal_revenue(sf_dir: str):
     branch. Scale shape: each branch's part-side predicate collapses
     to a dense partkey-indexed boolean broadcast once; lineitem
     streams through ONE map_batches evaluating all branches
-    vectorized and emitting three exact-int64 revenue partials per
-    batch; the driver combines partials in python-int space. Revenue
-    is the house exact-cents contract (cents × (100−disc_pct) →
-    BIGINT `revenue_e4`), so the result is bit-exact vs the oracle."""
+    vectorized into per-branch 0/1 columns, and the three revenue sums
+    are exact (``exact_sums``). Revenue is the house exact-cents
+    contract (cents × (100−disc_pct) → BIGINT `revenue_e4`), so the
+    result is bit-exact vs the oracle."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import broadcast_get
+    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
+                                                      exact_sums)
     parts = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"],
                   rows_per_block=65536).to_pandas()
     npart = int(parts["p_partkey"].max()) + 1
@@ -4520,27 +4506,25 @@ def q_special_deal_revenue(sf_dir: str):
                ["l_partkey", "l_quantity", "l_extendedprice",
                 "l_discount"], rows_per_block=65536)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def prep(b: pd.DataFrame) -> pd.DataFrame:
         ms, qlo, qhi = broadcast_get(dims_ref)
         pk = b["l_partkey"].to_numpy(np.int64)
         qty = b["l_quantity"].round().astype("int64").to_numpy()
-        cents = (b["l_extendedprice"] * 100).round().astype("int64") \
-            .to_numpy()
         pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
-        v = cents * (100 - pct)
-        out = {}
+        out = {"cents": (b["l_extendedprice"] * 100).round()
+               .astype("int64").to_numpy(),
+               "keep": 100 - pct}
         for i, (name, *_rest) in enumerate(Q19_BRANCHES):
-            m = ms[i][pk] & (qty >= qlo[i]) & (qty <= qhi[i])
-            out[name] = [int(v[m].sum())]
+            out[name] = (ms[i][pk] & (qty >= qlo[i])
+                         & (qty <= qhi[i])).astype(np.int64)
         return pd.DataFrame(out)
 
-    sums = li.map_batches(partial, batch_format="pandas").to_pandas()
     names = [b[0] for b in Q19_BRANCHES]
+    s = exact_sums(li.map_batches(prep, batch_format="pandas"), [],
+                   {n: ("cents", "keep", n) for n in names}).iloc[0]
     return pd.DataFrame({
         "branch": names,
-        "revenue_e4": np.array(
-            [int(sums[n].astype(object).sum()) for n in names],
-            dtype=np.int64)})
+        "revenue_e4": np.array([s[n] for n in names], dtype=np.int64)})
 
 
 def q_doc_perplexity(sf_dir: str):
@@ -5777,19 +5761,24 @@ def q_local_clustering(sf_dir: str, tier3: bool = False):
     return local_clustering(edges, **kw)
 
 
+def _with_rank2(b):
+    """Adds the doubled tied rank ``r2 = 2·cum + cnt + 1`` of each
+    distinct value to an ``ordered_prefix_sum`` count block."""
+    return b.assign(r2=2 * b["__cum"].to_numpy(np.int64)
+                    + b["cnt"].to_numpy(np.int64) + 1)
+
+
 def _discount_rank_stats(sf_dir: str) -> tuple[float, float, float,
                                                float]:
     """Shared rank machinery for the Mann–Whitney / AUC twins (they
     are the same statistic up to the final expression — AUC =
     U/(nA·nB)): distinct-cents counts with per-value discounted
     share, doubled tied ranks via the range-partitioned scan, then
-    overflow-PROOF partials (`ops/relational.py::rank_sum_rows` —
-    chunked int64 rows with hot-value splitting, the
-    _weighted_moment_rows discipline) combined in Python-int space.
-    Returns exact (Σ cnt_a·rank2, Σ t³−t, n_A, n) as floats."""
+    exact rank sums (`ops/relational.py::exact_sums`). Returns exact
+    (Σ cnt_a·rank2, Σ t³−t, n_A, n) as floats."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
-        grouped_multi_agg, ordered_prefix_sum, rank_sum_rows)
+        exact_sums, grouped_multi_agg, ordered_prefix_sum)
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
                rows_per_block=65536)
 
@@ -5805,20 +5794,11 @@ def _discount_rank_stats(sf_dir: str) -> tuple[float, float, float,
         li.map_batches(prep, batch_format="pandas"), ["v"],
         {"cnt": ("one", "sum"), "cnt_a": ("f", "sum")})
     ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
-    cols = ("s2ra", "tie", "na", "n")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt = b["cnt"].to_numpy(np.int64)
-        ca = b["cnt_a"].to_numpy(np.int64)
-        r2 = 2 * b["__cum"].to_numpy(np.int64) + cnt + 1
-        rows = rank_sum_rows(cnt, ca, r2)
-        if not rows:
-            return pd.DataFrame({k: np.array([], dtype=np.int64)
-                                 for k in cols})
-        return pd.DataFrame(rows, columns=cols)
-
-    p = ranked.map_batches(partial, batch_format="pandas").to_pandas()
-    return tuple(float(sum(int(v) for v in p[c])) for c in cols)
+    s = exact_sums(ranked.map_batches(_with_rank2, batch_format="pandas"),
+                   [], {"s2ra": ("cnt_a", "r2"), "t3": ("cnt",) * 3,
+                        "na": ("cnt_a",), "n": ("cnt",)}).iloc[0]
+    return (float(s["s2ra"]), float(s["t3"] - s["n"]), float(s["na"]),
+            float(s["n"]))
 
 
 def q_mannwhitney_discount(sf_dir: str):
@@ -5960,13 +5940,12 @@ def q_kruskal_wallis_price(sf_dir: str):
     k-group generalization of the Mann–Whitney screen). Same
     distributed rank machinery: distinct-cents per-group counts, ONE
     range-partitioned ordered scan for doubled tied ranks
-    (r2 = 2·cum + cnt + 1), per-block int64 partials (per-group
-    Σ c_j·r2, tie mass Σ t³−t) combined in PYTHON-int space (the
-    _weighted_moment_rows discipline), then ONE mirrored float
-    expression (round-6: the five-term group sum reassociates)."""
+    (r2 = 2·cum + cnt + 1), exact sums (per-group Σ c_j·r2, tie mass
+    Σ t³−t; ``exact_sums``), then ONE mirrored float expression
+    (round-6: the five-term group sum reassociates)."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
-        grouped_multi_agg, ordered_prefix_sum)
+        exact_sums, grouped_multi_agg, ordered_prefix_sum)
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
                    rows_per_block=65536)
@@ -5988,36 +5967,13 @@ def q_kruskal_wallis_price(sf_dir: str):
         dict({"cnt": ("one", "sum")},
              **{f"c{j}": (f"g{j}", "sum") for j in range(1, K + 1)}))
     ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
-    cols = [f"s{j}" for j in range(1, K + 1)] +            [f"n{j}" for j in range(1, K + 1)] + ["tie", "n"]
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cnt = b["cnt"].to_numpy(np.int64)
-        r2 = 2 * b["__cum"].to_numpy(np.int64) + cnt + 1
-        row = []
-        for j in range(1, K + 1):
-            cj = b[f"c{j}"].to_numpy(np.int64)
-            est = float((cj.astype(np.float64)
-                         * r2.astype(np.float64)).sum())
-            if est >= 2.0 ** 62:   # same overflow discipline as ties
-                row.append(sum(int(a) * int(r)
-                               for a, r in zip(cj, r2) if a))
-            else:
-                row.append(int((cj * r2).sum()))
-        for j in range(1, K + 1):
-            row.append(int(b[f"c{j}"].to_numpy(np.int64).sum()))
-        # tie mass Σ t³−t: int64 wraps past t ≈ 2^21 or block sums
-        # past 2^63 — take the python-int path when the float
-        # estimate says the vectorized sum could overflow
-        # (review-caught; the _weighted_moment_rows discipline)
-        if len(cnt) and (float(cnt.max()) ** 3 * len(cnt)) >= 2.0 ** 62:
-            row.append(sum(int(t) ** 3 - int(t) for t in cnt))
-        else:
-            row.append(int((cnt ** 3 - cnt).sum()))
-        row.append(int(cnt.sum()))
-        return pd.DataFrame([row], columns=cols)
-
-    p = ranked.map_batches(partial, batch_format="pandas").to_pandas()
-    tot = {c: int(sum(int(v) for v in p[c])) for c in cols}
+    terms = {"t3": ("cnt",) * 3, "n": ("cnt",)}
+    for j in range(1, K + 1):
+        terms[f"s{j}"] = (f"c{j}", "r2")
+        terms[f"n{j}"] = (f"c{j}",)
+    tot = exact_sums(ranked.map_batches(_with_rank2,
+                                        batch_format="pandas"),
+                     [], terms).iloc[0]
     n = tot["n"]
     # S_j are DOUBLED rank sums: H = 3/(N(N+1))·Σ S_j²/n_j − 3(N+1)
     acc = 0.0
@@ -6026,7 +5982,7 @@ def q_kruskal_wallis_price(sf_dir: str):
             sj = float(tot[f"s{j}"])
             acc += sj * sj / float(tot[f"n{j}"])
     h = 3.0 / (float(n) * (n + 1)) * acc - 3.0 * (n + 1)
-    corr = 1.0 - float(tot["tie"]) / (float(n) ** 3 - float(n))
+    corr = 1.0 - float(tot["t3"] - n) / (float(n) ** 3 - float(n))
     return pd.DataFrame({
         "kw_h": [np.round(h / corr, 6)],
         "n": np.array([n], dtype=np.int64)})
@@ -6143,15 +6099,13 @@ def q_brown_forsythe_price(sf_dir: str):
     aggregates — the robust variance-homogeneity screen). Distributed
     shape: per-group EXACT interpolated medians
     (`grouped_quantile_cont` — bit-identical to DuckDB's median),
-    doubled so |2x − med2| stays INTEGER; per-block int64-safe moment
-    partials (chunked before a block sum can overflow, the
-    _weighted_moment_rows discipline) combined in python-int space;
-    then ONE mirrored float expression
+    doubled so |2x − med2| stays INTEGER; per-group exact sums of
+    z and z² (``exact_sums``); then ONE mirrored float expression
     F = (SSB/(k−1))/(SSW/(N−k)) from the exact sums (round-6)."""
     import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, grouped_quantile_cont)
+        broadcast_get, exact_sums, grouped_quantile_cont)
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
                    rows_per_block=65536)
@@ -6172,43 +6126,16 @@ def q_brown_forsythe_price(sf_dir: str):
     m2 = ray.put(np.round(med["med"].to_numpy(np.float64)
                           * 2).astype(np.int64))
 
-    LIM = np.int64(1) << 62
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def spread(b: pd.DataFrame) -> pd.DataFrame:
         g = b["g"].to_numpy(np.int64)
-        v = b["v"].to_numpy(np.int64)
         med2 = broadcast_get(m2)[
             np.searchsorted(broadcast_get(gk), g)]
-        z = np.abs(2 * v - med2)
-        rows = []
-        for j in np.unique(g):
-            zz = z[g == j]
-            sq_f = zz.astype(np.float64) ** 2
-            cum = np.cumsum(sq_f)
-            if cum[-1] < float(LIM) / 2:    # common case: one row
-                rows.append((int(j), int(len(zz)), int(zz.sum()),
-                             int((zz ** 2).sum())))
-                continue
-            # chunk so each int64 squared-sum partial stays < 2^61
-            n_chunks = int(cum[-1] // (float(LIM) / 4)) + 1
-            cut = np.searchsorted(
-                cum, np.arange(1, n_chunks) * (float(LIM) / 4))
-            bounds = np.unique(np.r_[0, cut, len(zz)]).astype(int)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                part = zz[lo:hi]
-                if not len(part):
-                    continue
-                rows.append((int(j), int(len(part)), int(part.sum()),
-                             int((part ** 2).sum())))
-        return pd.DataFrame(rows, columns=["g", "cnt", "s1", "s2"])
+        return pd.DataFrame({
+            "g": g, "z": np.abs(2 * b["v"].to_numpy(np.int64) - med2)})
 
-    p = gv.map_batches(partial, batch_format="pandas").to_pandas()
-    agg = {}
-    for j, cnt, s1, s2 in p.itertuples(index=False, name=None):
-        a = agg.setdefault(int(j), [0, 0, 0])
-        a[0] += int(cnt)
-        a[1] += int(s1)
-        a[2] += int(s2)
+    p = exact_sums(gv.map_batches(spread, batch_format="pandas"), ["g"],
+                   {"cnt": (), "s1": ("z",), "s2": ("z", "z")})
+    agg = {int(j): row for j, *row in p.itertuples(index=False)}
     ks = sorted(agg)
     k = len(ks)
     n = sum(agg[j][0] for j in ks)
@@ -6321,18 +6248,14 @@ def q_anova_nation_spend(sf_dir: str):
     """One-way ANOVA of order totals across nations (§ statistical
     aggregates — the k-sample generalization of the two-proportion
     z-test): F = (SSB/(k−1)) / (SSW/(n−k)) from exact per-nation
-    moment sums (n, Σx, Σx²) in integer cents: per-batch int64
-    partials at a batch size bounded so batch·max(x²) fits int64
-    (2048 rows requires elements ≤ ~6.7·10⁷ cents — TPC-H order
-    totals top out near 6·10⁷), combined on the driver in
-    Python-int (object) space — the grouped_corr overflow discipline;
-    a GROUP total Σx² exceeds int64 from sf≈0.3, so the group combine
-    must never run in int64. One streaming pass with the broadcast
-    customer→nation dim; one tiny partial row per nation per batch
-    crosses the wire."""
+    moment sums (n, Σx, Σx²) in integer cents (``exact_sums``: a
+    GROUP total Σx² exceeds int64 from sf≈0.3). One streaming pass
+    with the broadcast customer→nation dim; a few tiny partial rows
+    per nation per block cross the wire."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import broadcast_get
+    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
+                                                      exact_sums)
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -6341,28 +6264,22 @@ def q_anova_nation_spend(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
                    rows_per_block=65536)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
+    def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
-        cents = np.round(b["o_totalprice"].to_numpy(np.float64)
-                         * 100).astype(np.int64)
-        t = pd.DataFrame({
+        return pd.DataFrame({
             "c_nationkey": broadcast_get(cn)[
                 np.searchsorted(broadcast_get(ck), c)],
-            "n": np.ones(len(b), dtype=np.int64),
-            "sx": cents, "sxx": cents * cents})
-        return t.groupby("c_nationkey", as_index=False).sum()
+            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
+                              * 100).astype(np.int64)})
 
-    a = (orders.map_batches(partial, batch_format="pandas",
-                            batch_size=2048).to_pandas()
-         .astype({"n": object, "sx": object, "sxx": object})
-         .groupby("c_nationkey", as_index=False)[["n", "sx", "sxx"]]
-         .sum())
+    a = exact_sums(orders.map_batches(prep, batch_format="pandas"),
+                   ["c_nationkey"], {"n": (), "sx": ("cents",),
+                                     "sxx": ("cents", "cents")})
     k = float(len(a))
-    n_tot = float(sum(int(v) for v in a["n"]))
-    sx_tot = float(sum(int(v) for v in a["sx"]))
-    ni = a["n"].to_numpy(np.int64).astype(np.float64)
-    sxi = a["sx"].to_numpy(np.int64).astype(np.float64)
-    sxxi = np.array([float(int(v)) for v in a["sxx"]])
+    n_tot = float(a["n"].sum())
+    sx_tot = float(a["sx"].sum())
+    ni, sxi, sxxi = (a[c].astype(np.float64).to_numpy()
+                     for c in ("n", "sx", "sxx"))
     # expression order mirrored in the SQL oracle — keep in sync
     grand = sx_tot / n_tot
     ssb = float(np.sum(ni * (sxi / ni - grand) * (sxi / ni - grand)))
@@ -6476,36 +6393,26 @@ def q_welch_ttest_discount(sf_dir: str):
     of discounted (l_discount ≥ 0.05) vs barely-discounted line items
     (§ statistical aggregates — the parametric twin of the
     Mann–Whitney screen): per-side integer moment sums (n, Σx, Σx²)
-    from per-batch int64 partials at an overflow-safe batch size
-    (2048 rows requires elements ≤ ~6.7·10⁷ cents; extended prices
-    top out near 10⁷), combined on the driver in Python-int
-    (object) space — a SIDE total Σx² passes int64 already near
-    sf≈0.3, so the side combine must never run in int64 (the
-    grouped_corr discipline). Sample variance
-    s² = (Σx² − (Σx)²/n)/(n−1), ONE mirrored float t and
-    Welch–Satterthwaite df."""
+    in cents (``exact_sums``: a SIDE total Σx² passes int64 already
+    near sf≈0.3). Sample variance s² = (Σx² − (Σx)²/n)/(n−1), ONE
+    mirrored float t and Welch–Satterthwaite df."""
     import pandas as pd
+    from no_fasel_scrapers_ray.ops.relational import exact_sums
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
                rows_per_block=65536)
 
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        cents = np.round(b["l_extendedprice"].to_numpy(np.float64)
-                         * 100).astype(np.int64)
-        t = pd.DataFrame({
+    def prep(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
             "side": (b["l_discount"].to_numpy(np.float64) >= 0.05)
             .astype(np.int64),
-            "n": np.ones(len(b), dtype=np.int64),
-            "sx": cents, "sxx": cents * cents})
-        return t.groupby("side", as_index=False).sum()
+            "cents": np.round(b["l_extendedprice"].to_numpy(np.float64)
+                              * 100).astype(np.int64)})
 
-    a = (li.map_batches(partial, batch_format="pandas",
-                        batch_size=2048).to_pandas()
-         .astype({"n": object, "sx": object, "sxx": object})
-         .groupby("side", as_index=False)[["n", "sx", "sxx"]].sum()
-         .sort_values("side", ignore_index=True))
-    n0, n1 = (float(int(v)) for v in a["n"])
-    sx0, sx1 = (float(int(v)) for v in a["sx"])
-    ss0, ss1 = (float(int(v)) for v in a["sxx"])
+    a = exact_sums(li.map_batches(prep, batch_format="pandas"), ["side"],
+                   {"n": (), "sx": ("cents",), "sxx": ("cents", "cents")})
+    n0, n1 = (float(v) for v in a["n"])
+    sx0, sx1 = (float(v) for v in a["sx"])
+    ss0, ss1 = (float(v) for v in a["sxx"])
     # expression order mirrored in the SQL oracle — keep in sync
     m0, m1 = sx0 / n0, sx1 / n1
     v0 = (ss0 - sx0 * sx0 / n0) / (n0 - 1.0)

@@ -976,38 +976,141 @@ def grouped_first_last(ds: rd.Dataset, keys: list[str], order_col: str,
                        final, keys, batch_format="pandas")
 
 
+# --------------------------------------------------------------------------
+# Exact integer sums: the one overflow discipline of the statistics
+# family. A term is a product of int64 columns; its per-group Σ is exact
+# at any magnitude (DuckDB's BIGINT SUM widens to HUGEINT the same way).
+# --------------------------------------------------------------------------
+
+_LIMB = 31
+_LIMB_MASK = (1 << _LIMB) - 1
+_WRAP_BOUND = 2.0 ** 62   # a row product whose float bound is below fits
+
+
+def _sum_partial(keys: list[str], terms: dict[str, tuple]):
+    """The map side of the exact sums: per block and group of ``keys``,
+    Σ of each term's product of int64 columns (``()`` counts rows).
+
+    A row product whose float bound stays below 2⁶² is formed in int64
+    and split into a 31-bit low limb and a signed high limb, and each
+    limb sums in int64 (exact for any block under 2³¹ rows). Rows whose
+    bound says the product may wrap are multiplied in Python ints; their
+    per-group sum is written as base-2³¹ digits. An output row is
+    (keys, ``__shift``, one int64 cell per term) and stands for
+    cell·2^(31·__shift), so the schema is fixed per term and every cell
+    is Arrow int64."""
+    names = list(terms)
+    by = keys or ["__all"]
+
+    def partial(b: pd.DataFrame) -> pa.Table:
+        cols = {c: b[c].to_numpy(np.int64)
+                for fs in terms.values() for c in fs}
+        t = pd.DataFrame({k: b[k].to_numpy() for k in keys} if keys
+                         else {"__all": np.zeros(len(b), np.int64)})
+        wide = {}
+        for name, fs in terms.items():
+            p = np.ones(len(b), dtype=np.int64)
+            bound = np.ones(len(b))
+            for c in fs:
+                p = p * cols[c]
+                bound = bound * np.abs(cols[c].astype(np.float64))
+            w = bound >= _WRAP_BOUND
+            if w.any():
+                prod = np.ones(int(w.sum()), dtype=object)
+                for c in fs:
+                    prod = prod * cols[c][w].astype(object)
+                wide[name] = (w, prod)
+                p[w] = 0
+            t[name], t[name + "__hi"] = p & _LIMB_MASK, p >> _LIMB
+        g = t.groupby(by, as_index=False, sort=False).sum()
+        parts = [g[by + names].assign(__shift=0),
+                 g[by].assign(__shift=1,
+                              **{m: g[m + "__hi"] for m in names})]
+        for name, (w, prod) in wide.items():
+            s = (t.loc[w, by].assign(__v=prod)
+                 .groupby(by, as_index=False, sort=False)["__v"].sum())
+            v, j = s["__v"].to_numpy(dtype=object), 0
+            while True:
+                top = all(-_LIMB_MASK <= x <= _LIMB_MASK for x in v)
+                d = (v if top else v & _LIMB_MASK).astype(np.int64)
+                parts.append(s[by].assign(
+                    __shift=j, **{m: d if m == name else 0
+                                  for m in names}))
+                if top:
+                    break
+                v, j = v >> _LIMB, j + 1
+        out = pd.concat(parts, ignore_index=True)
+        return pa.Table.from_pandas(out[keys + ["__shift"] + names],
+                                    preserve_index=False)
+
+    return partial
+
+
+def _sum_combine(p: pd.DataFrame, keys: list[str],
+                 names: list[str]) -> pd.DataFrame:
+    """Reassemble ``_sum_partial`` rows into exact Python-int sums: one
+    row per group of ``keys`` (sorted), or one row when ``keys`` is
+    empty. Term columns are object dtype."""
+    if len(p) == 0:      # an empty Dataset's to_pandas() has no columns
+        p = pd.DataFrame({c: np.zeros(0, np.int64)
+                          for c in keys + ["__shift"] + names})
+    shift = p["__shift"].to_numpy(np.int64)
+    scale = np.array([1 << (_LIMB * j)
+                      for j in range(int(shift.max(initial=0)) + 1)],
+                     dtype=object)[shift]
+    v = pd.DataFrame({m: p[m].to_numpy().astype(object) * scale
+                      for m in names})
+    if not keys:
+        return pd.DataFrame({m: [int(v[m].sum())] for m in names},
+                            dtype=object)
+    for k in keys:
+        v[k] = p[k].to_numpy()
+    return v.groupby(keys, as_index=False)[names].sum()
+
+
+def exact_sums(ds: rd.Dataset, keys: list[str],
+               terms: dict[str, tuple]) -> pd.DataFrame:
+    """Exact per-group sums of products of int64 columns, on the driver:
+    ``terms`` maps a name to its factor columns, e.g. ``{"n": (),
+    "sx": ("x",), "sxy": ("x", "y")}``. One partial per block (see
+    ``_sum_partial``), combined in Python-int space; returns the key
+    columns (sorted) plus one Python-int column per term — one row
+    when ``keys`` is empty. For global or few-key sums; many keys go
+    through ``grouped_exact_sums``."""
+    p = ds.map_batches(_sum_partial(keys, terms),
+                       batch_format="pandas").to_pandas()
+    return _sum_combine(p, keys, list(terms))
+
+
+def grouped_exact_sums(ds: rd.Dataset, keys: list[str],
+                       terms: dict[str, tuple], finish) -> rd.Dataset:
+    """``exact_sums`` through the key shuffle: the same partial per
+    block, the same combine per bucket, then ``finish`` maps the
+    bucket's exact sums (keys plus one Python-int column per term) to
+    its output rows."""
+    names = list(terms)
+    return key_shuffle(
+        ds.map_batches(_sum_partial(keys, terms), batch_format="pandas"),
+        lambda g: finish(_sum_combine(g, keys, names)), keys,
+        batch_format="pandas")
+
+
 def grouped_corr(ds: rd.Dataset, keys: list[str], xcol: str, ycol: str,
-                 alias: str, batch_size: int = 65536) -> rd.Dataset:
+                 alias: str) -> rd.Dataset:
     """Per-group Pearson correlation of two INTEGER columns, exact to
     the bit against a SQL oracle that evaluates the same closed form.
 
-    Decomposes into the six moment sums (n, Σx, Σy, Σxy, Σx², Σy²):
-    per-batch int64 partials, bucket shuffle, then a final combine in
-    PYTHON-INT (object) space — arbitrary precision, so Σy² never
-    overflows int64 no matter how many rows a group has (DuckDB's
-    BIGINT SUM widens to HUGEINT the same way). Only the final
+    Decomposes into the six moment sums (n, Σx, Σy, Σxy, Σx², Σy²),
+    exact at any magnitude (``grouped_exact_sums``). Only the final
     float64 formula leaves integer space; an oracle that casts its
     exact sums to DOUBLE and applies the identical expression gets
     identical bits (IEEE ops are deterministic given the operands).
-    Caller must pass integer x/y (e.g. prices as whole cents/dollars):
-    batch_size × max(x², y²) must fit int64."""
-
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        x = batch[xcol].to_numpy(dtype=np.int64)
-        y = batch[ycol].to_numpy(dtype=np.int64)
-        t = pd.DataFrame({k: batch[k].to_numpy() for k in keys})
-        t["__n"] = np.int64(1)
-        t["__sx"], t["__sy"] = x, y
-        t["__sxy"], t["__sxx"], t["__syy"] = x * y, x * x, y * y
-        g = t.groupby(keys, as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
+    Caller must pass integer x/y (e.g. prices as whole cents)."""
     moment_cols = ["__n", "__sx", "__sy", "__sxy", "__sxx", "__syy"]
+    terms = dict(zip(moment_cols, [(), (xcol,), (ycol,), (xcol, ycol),
+                                   (xcol, xcol), (ycol, ycol)]))
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = pd.concat(  # object dtype → exact big-int accumulation
-            [g[keys], g[moment_cols].astype(object)], axis=1)
-        r = g.groupby(keys, as_index=False, sort=False)[moment_cols].sum()
+    def final(r: pd.DataFrame) -> pd.DataFrame:
         nf, sx, sy, sxy, sxx, syy = (
             r[c].astype(np.float64).to_numpy() for c in moment_cols)
         num = nf * sxy - sx * sy
@@ -1016,47 +1119,25 @@ def grouped_corr(ds: rd.Dataset, keys: list[str], xcol: str, ycol: str,
         out[alias] = num / den
         return out
 
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
-    return key_shuffle(partials, final, keys, batch_format="pandas")
+    return grouped_exact_sums(ds, keys, terms, final)
 
 
 def grouped_moments(ds: rd.Dataset, keys: list[str], xcol: str,
-                    skew_alias: str, kurt_alias: str,
-                    batch_size: int = 65536) -> rd.Dataset:
+                    skew_alias: str, kurt_alias: str) -> rd.Dataset:
     """Per-group skewness and excess kurtosis of an INTEGER column from
     exact raw-moment sums (n, Σx, Σx², Σx³, Σx⁴) — the same
-    decomposable-moments shape as ``grouped_corr``: int64 per-batch
-    partials, bucket shuffle of one partial row per key per batch, a
-    final combine in Python-int (object) space so Σx⁴ never overflows,
-    then ONE float64 closed-form evaluation whose expression order is
-    mirrored verbatim in the SQL oracle (IEEE ops are deterministic
-    given the operands, so the bits match).
+    decomposable-moments shape as ``grouped_corr``, exact at any
+    magnitude (``grouped_exact_sums``), then ONE float64 closed-form
+    evaluation whose expression order is mirrored verbatim in the SQL
+    oracle (IEEE ops are deterministic given the operands, so the bits
+    match).
 
     skew = √n · M3 / M2^1.5 ; kurt = n · M4 / M2² − 3  (population
-    central moments M_k from the raw sums). Caller must pass small
-    integers: the PER-BATCH partial sums in int64, so
-    batch_size × max(x⁴) must stay below 2⁶³ — x ≤ 3400 at the
-    default batch size, x ≤ 50 is comfortable at any batch size
-    (quantities, counts, ratings). GROUP totals may exceed int64
-    freely: the final combine runs in object/big-int space."""
-
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        x = batch[xcol].to_numpy(dtype=np.int64)
-        t = pd.DataFrame({k: batch[k].to_numpy() for k in keys})
-        x2 = x * x
-        t["__n"] = np.int64(1)
-        t["__s1"], t["__s2"] = x, x2
-        t["__s3"], t["__s4"] = x2 * x, x2 * x2
-        g = t.groupby(keys, as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
+    central moments M_k from the raw sums)."""
     moment_cols = ["__n", "__s1", "__s2", "__s3", "__s4"]
+    terms = {m: (xcol,) * i for i, m in enumerate(moment_cols)}
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = pd.concat(  # object dtype → exact big-int accumulation
-            [g[keys], g[moment_cols].astype(object)], axis=1)
-        r = g.groupby(keys, as_index=False, sort=False)[moment_cols].sum()
+    def final(r: pd.DataFrame) -> pd.DataFrame:
         nf, s1, s2, s3, s4 = (
             r[c].astype(np.float64).to_numpy() for c in moment_cols)
         # expression order mirrored in the oracle SQL — keep in sync
@@ -1069,9 +1150,7 @@ def grouped_moments(ds: rd.Dataset, keys: list[str], xcol: str,
         out[kurt_alias] = nf * m4 / (m2 * m2) - 3.0
         return out
 
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
-    return key_shuffle(partials, final, keys, batch_format="pandas")
+    return grouped_exact_sums(ds, keys, terms, final)
 
 
 def cube_counts(ds: rd.Dataset, coarse: str, fine: str,
@@ -1823,35 +1902,21 @@ def global_order_page(ds: rd.Dataset, col: str, tie_col: str,
 
 
 def grouped_regression(ds: rd.Dataset, keys: list[str], xcol: str,
-                       ycol: str, slope_alias: str, icept_alias: str,
-                       batch_size: int = 32768) -> rd.Dataset:
+                       ycol: str, slope_alias: str,
+                       icept_alias: str) -> rd.Dataset:
     """Per-group ordinary-least-squares line y = slope·x + intercept of
     two INTEGER columns — the same decomposable-moments shape as
-    ``grouped_corr`` (which see for the exactness argument): int64
-    per-batch partials of (n, Σx, Σy, Σxy, Σx²), one bucket shuffle
-    of a partial row per key per batch, final combine in Python-int
-    (object) space, then ONE float64 closed form mirrored verbatim in
-    the SQL oracle so the bits match. The 100-TB posture is identical
-    to grouped_corr: the shuffle carries ≤ n_keys×n_batches tiny rows,
-    never the fact table. Caller passes integer x/y (cents, counts);
-    batch_size × max(x², x·y) must fit int64."""
-
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        x = batch[xcol].to_numpy(dtype=np.int64)
-        y = batch[ycol].to_numpy(dtype=np.int64)
-        t = pd.DataFrame({k: batch[k].to_numpy() for k in keys})
-        t["__n"] = np.int64(1)
-        t["__sx"], t["__sy"] = x, y
-        t["__sxy"], t["__sxx"] = x * y, x * x
-        g = t.groupby(keys, as_index=False, sort=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
+    ``grouped_corr`` (which see for the exactness argument): exact
+    sums of (n, Σx, Σy, Σxy, Σx²) through ``grouped_exact_sums``, then
+    ONE float64 closed form mirrored verbatim in the SQL oracle so the
+    bits match. The shuffle carries ≤ n_keys×n_blocks tiny partial
+    rows, never the fact table. Caller passes integer x/y (cents,
+    counts)."""
     moment_cols = ["__n", "__sx", "__sy", "__sxy", "__sxx"]
+    terms = dict(zip(moment_cols, [(), (xcol,), (ycol,), (xcol, ycol),
+                                   (xcol, xcol)]))
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = pd.concat(  # object dtype → exact big-int accumulation
-            [g[keys], g[moment_cols].astype(object)], axis=1)
-        r = g.groupby(keys, as_index=False, sort=False)[moment_cols].sum()
+    def final(r: pd.DataFrame) -> pd.DataFrame:
         nf, sx, sy, sxy, sxx = (
             r[c].astype(np.float64).to_numpy() for c in moment_cols)
         # expression order mirrored in the oracle SQL — keep in sync
@@ -1862,9 +1927,7 @@ def grouped_regression(ds: rd.Dataset, keys: list[str], xcol: str,
         out[icept_alias] = icept
         return out
 
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
-    return key_shuffle(partials, final, keys, batch_format="pandas")
+    return grouped_exact_sums(ds, keys, terms, final)
 
 
 def _skyline_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -2186,65 +2249,13 @@ def _rank2_map(counts: rd.Dataset, col: str, cnt_col: str,
     return ranked.map_batches(to_rank2, batch_format="pandas")
 
 
-_MOMENT_INT64_LIM = 4.0e18   # half the int64 range: estimate slack
-
-
-def _moment_chunk_bounds(c: np.ndarray, rx: np.ndarray,
-                         ry: np.ndarray):
-    """Split batch rows into contiguous chunks whose weighted moment
-    sums (Σ c·rx·ry, Σ c·rx², Σ c·ry² — all positive) provably fit
-    int64: per-row float estimates of the LARGEST moment are
-    cumulative-summed and cut at multiples of ``_MOMENT_INT64_LIM``,
-    so each chunk total stays below 2·LIM < 2⁶³ and no single in-chunk
-    addend wraps elementwise. Rows whose single addend alone clears
-    the limit are returned separately for exact Python-int math.
-    Returns (solo_indices, [(start, end), ...])."""
-    cf = c.astype(np.float64)
-    big = np.maximum(cf * rx * ry,
-                     np.maximum(cf * rx * rx, cf * ry * ry))
-    solo = big >= _MOMENT_INT64_LIM
-    keep_idx = np.flatnonzero(~solo)
-    bounds = []
-    if len(keep_idx):
-        b2 = big[keep_idx]
-        cuts = np.flatnonzero(np.diff(np.floor(
-            np.cumsum(b2) / _MOMENT_INT64_LIM)))
-        starts = np.concatenate([[0], cuts + 1])
-        ends = np.concatenate([cuts + 1, [len(keep_idx)]])
-        bounds = list(zip(starts, ends))
-    return np.flatnonzero(solo), keep_idx, bounds
-
-
-def _weighted_moment_rows(c: np.ndarray, rx: np.ndarray,
-                          ry: np.ndarray) -> list[tuple]:
-    """Exact weighted moment partials (n, Σc·rx, Σc·ry, Σc·rx·ry,
-    Σc·rx², Σc·ry²) as a LIST of int64-safe rows — the overflow-proof
-    twin of a single int64 reduction (see ``_moment_chunk_bounds``)."""
-    solo, keep_idx, bounds = _moment_chunk_bounds(c, rx, ry)
-    out = []
-    for i in solo:     # hot pair: split its count into safe sub-rows
-        ci, xi, yi = int(c[i]), int(rx[i]), int(ry[i])
-        unit = float(max(xi * yi, xi * xi, yi * yi))
-        if unit >= _MOMENT_INT64_LIM:
-            raise ValueError(
-                "weighted moment partial: a single rank² product "
-                f"exceeds int64 (rx2={xi}, ry2={yi}); the rank domain "
-                "is too large for int64 partials — shard the input")
-        step = max(1, int(_MOMENT_INT64_LIM // unit))
-        left = ci
-        while left > 0:
-            k = min(step, left)
-            out.append((k, k * xi, k * yi, k * xi * yi,
-                        k * xi * xi, k * yi * yi))
-            left -= k
-    for s, e in bounds:
-        idx = keep_idx[s:e]
-        cc, xx, yy = c[idx], rx[idx], ry[idx]
-        out.append((int(cc.sum()), int((cc * xx).sum()),
-                    int((cc * yy).sum()), int((cc * xx * yy).sum()),
-                    int((cc * xx * xx).sum()),
-                    int((cc * yy * yy).sum())))
-    return out
+# The Spearman twins' six moment sums over the distinct-pair table:
+# doubled ranks (rx2, ry2) weighted by the pair count.
+_RANK_MOMENTS = {"n": ("__cnt",), "sx": ("__cnt", "__rx2"),
+                 "sy": ("__cnt", "__ry2"),
+                 "sxy": ("__cnt", "__rx2", "__ry2"),
+                 "sxx": ("__cnt", "__rx2", "__rx2"),
+                 "syy": ("__cnt", "__ry2", "__ry2")}
 
 
 def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
@@ -2262,18 +2273,12 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
        scan (``_rank2_map`` — no broadcast of the value domain);
     3. two bucketed joins stitch rank2_x / rank2_y back onto the pair
        table (3-int rows, never the fact rows);
-    4. exact int64 per-batch moment partials weighted by the pair
-       count, combined on the driver in Python-int space, then ONE
-       float64 closed form mirrored verbatim in the oracle.
+    4. the six moment sums weighted by the pair count, exact at any
+       magnitude (``exact_sums`` — a hot pair's cnt·rx2·ry2 ≈ 4N³
+       passes 2⁶³ from N ≈ 1.3·10⁶), then ONE float64 closed form
+       mirrored verbatim in the oracle.
 
-    Overflow discipline: each weighted moment sum is estimated in
-    float first; batches whose estimate clears 4·10¹⁸ (half the int64
-    range — ample slack for the estimate's own rounding) recompute in
-    exact Python-int space instead of the vectorized int64 fast path,
-    so a single hot pair (cnt·rx2·ry2 ≈ 4N³ wraps from N ≈ 1.3·10⁶)
-    can never silently corrupt the sums. The driver combine is always
-    arbitrary precision. Returns a 1-row driver DataFrame
-    {alias: float64}.
+    Returns a 1-row driver DataFrame {alias: float64}.
 
     Tiered like ``tfidf_top_terms``: a column whose distinct-value
     table fits ``broadcast_cutover`` gets its value→rank2 map
@@ -2326,22 +2331,8 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
 
         pairs = pairs.map_batches(attach, batch_format="pandas")
 
-    cols = ("n", "sx", "sy", "sxy", "sxx", "syy")
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        rows = _weighted_moment_rows(b["__cnt"].to_numpy(np.int64),
-                                     b["__rx2"].to_numpy(np.int64),
-                                     b["__ry2"].to_numpy(np.int64))
-        if not rows:
-            return pd.DataFrame({k: np.array([], dtype=np.int64)
-                                 for k in cols})
-        return pd.DataFrame(rows, columns=cols)
-
-    p = pairs.map_batches(partial, batch_format="pandas").to_pandas()
-    # driver combine in Python-int (object) space — exact at any scale
-    n, sx, sy, sxy, sxx, syy = (
-        float(sum(int(v) for v in p[c])) for c in
-        ("n", "sx", "sy", "sxy", "sxx", "syy"))
+    s = exact_sums(pairs, [], _RANK_MOMENTS)
+    n, sx, sy, sxy, sxx, syy = (float(v) for v in s.iloc[0])
     # expression order mirrored in the SQL oracle — keep in sync
     rho = (n * sxy - sx * sy) / np.sqrt(
         (n * sxx - sx * sx) * (n * syy - sy * sy))
@@ -2526,7 +2517,7 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     a per-key exclusive cumsum over the sorted distinct-value table
     (a hot group costs its distinct values, never its rows), two
     key-bucketed stitch merges, then per-group exact integer moment
-    sums combined in Python-int space and ONE mirrored float closed
+    sums (``grouped_exact_sums``) and ONE mirrored float closed
     form. Output: (key, alias float64), one row per group with ≥ 2
     distinct ranks on each side.
 
@@ -2615,63 +2606,9 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     pairs = _attach_rank(pairs, xcol, "__rx2")
     pairs = _attach_rank(pairs, ycol, "__ry2")
 
-    moment_cols = ["__n", "__sx", "__sy", "__sxy", "__sxx", "__syy"]
-
-    def partial(b: pd.DataFrame) -> pa.Table:
-        c = b["__cnt"].to_numpy(np.int64)
-        rx = b["__rx2"].to_numpy(np.int64)
-        ry = b["__ry2"].to_numpy(np.int64)
-        # overflow-proof: process the batch in chunks whose int64
-        # moment sums provably cannot wrap (per-key sums ≤ chunk
-        # totals); keys repeating across chunks just emit extra
-        # partial rows for the object-space final combine
-        solo, keep_idx, bounds = _moment_chunk_bounds(c, rx, ry)
-        parts = []
-        for i in solo:   # hot pair: split its count into safe sub-rows
-            ci, xi, yi = int(c[i]), int(rx[i]), int(ry[i])
-            unit = float(max(xi * yi, xi * xi, yi * yi))
-            if unit >= _MOMENT_INT64_LIM:
-                raise ValueError(
-                    "grouped_spearman: a single rank² product exceeds "
-                    "int64; the rank domain is too large — shard the "
-                    "hot group first")
-            step = max(1, int(_MOMENT_INT64_LIM // unit))
-            ks = []
-            left = ci
-            while left > 0:
-                ks.append(min(step, left))
-                left -= ks[-1]
-            ka = np.array(ks, dtype=np.int64)
-            t = pd.DataFrame({key: [b[key].iloc[i]] * len(ka)})
-            t["__n"] = ka
-            t["__sx"], t["__sy"] = ka * xi, ka * yi
-            t["__sxy"] = ka * (xi * yi)
-            t["__sxx"], t["__syy"] = ka * (xi * xi), ka * (yi * yi)
-            parts.append(t)
-        for s, e in bounds:
-            idx = keep_idx[s:e]
-            cc, xx, yy = c[idx], rx[idx], ry[idx]
-            t = pd.DataFrame({key: b[key].iloc[idx].to_numpy()})
-            t["__n"] = cc
-            t["__sx"], t["__sy"] = cc * xx, cc * yy
-            t["__sxy"] = cc * xx * yy
-            t["__sxx"], t["__syy"] = cc * xx * xx, cc * yy * yy
-            parts.append(t.groupby([key], as_index=False,
-                                   sort=False).sum())
-        g = (pd.concat(parts, ignore_index=True) if parts else
-             pd.DataFrame({key: b[key].iloc[:0],
-                           **{m: np.array([], dtype=np.int64)
-                              for m in ("__n", "__sx", "__sy",
-                                        "__sxy", "__sxx", "__syy")}}))
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = pd.concat(  # object dtype → exact big-int accumulation
-            [g[[key]], g[moment_cols].astype(object)], axis=1)
-        r = g.groupby([key], as_index=False, sort=False)[
-            moment_cols].sum()
+    def final(r: pd.DataFrame) -> pd.DataFrame:
         nf, sx, sy, sxy, sxx, syy = (
-            r[c].astype(np.float64).to_numpy() for c in moment_cols)
+            r[c].astype(np.float64).to_numpy() for c in _RANK_MOMENTS)
         # constant side → zero rank variance → undefined: drop BEFORE
         # the division (the oracle mirrors the drop with a WHERE on
         # the same variance terms, so row counts agree on any input)
@@ -2685,8 +2622,7 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
         out[alias] = num / den
         return out
 
-    return key_shuffle(pairs.map_batches(partial, batch_format="pandas"),
-                       final, [key], batch_format="pandas")
+    return grouped_exact_sums(pairs, [key], _RANK_MOMENTS, final)
 
 
 def kendall_tau_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
@@ -2733,49 +2669,3 @@ def kendall_tau_grouped(ds: rd.Dataset, key: str, xcol: str, ycol: str,
 
     return key_shuffle(ds.select_columns([key, xcol, ycol]), per_bucket,
                        [key], batch_format="pandas")
-
-
-def rank_sum_rows(cnt: np.ndarray, cnt_a: np.ndarray,
-                  r2: np.ndarray) -> list[tuple]:
-    """Exact rank-sum partials for the Mann–Whitney / AUC family over
-    a distinct-value batch: rows of int64-safe
-    (Σ cnt_a·rank2, Σ cnt³−cnt, Σ cnt_a, Σ cnt). Same overflow
-    discipline as ``_weighted_moment_rows``: per-element float
-    estimates pick chunk cuts below half the int64 range, and any
-    single oversized addend (a hot value's cnt_a·rank2 or cnt³) is
-    computed in Python-int and SPLIT across filler rows ≤ the limit —
-    the column sums are what matters, so value-splitting preserves
-    exactness while keeping every emitted cell Arrow-int64-safe."""
-    cf = cnt.astype(np.float64)
-    f1 = cnt_a.astype(np.float64) * r2
-    f2 = cf * cf * cf
-    big = np.maximum(f1, f2)
-    solo = big >= _MOMENT_INT64_LIM
-    out = []
-    LIM = int(_MOMENT_INT64_LIM)
-    for i in np.flatnonzero(solo):
-        t1 = int(cnt_a[i]) * int(r2[i])
-        c_i = int(cnt[i])
-        t2 = c_i * c_i * c_i - c_i
-        na_i, n_i = int(cnt_a[i]), c_i
-        while t1 > 0 or t2 > 0 or n_i > 0:
-            out.append((min(t1, LIM), min(t2, LIM), na_i, n_i))
-            t1 = max(0, t1 - LIM)
-            t2 = max(0, t2 - LIM)
-            na_i = n_i = 0
-    keep_idx = np.flatnonzero(~solo)
-    if len(keep_idx):
-        b2 = big[keep_idx]
-        cuts = np.flatnonzero(np.diff(np.floor(
-            np.cumsum(b2) / _MOMENT_INT64_LIM)))
-        starts = np.concatenate([[0], cuts + 1])
-        ends = np.concatenate([cuts + 1, [len(keep_idx)]])
-        for s, e in zip(starts, ends):
-            idx = keep_idx[s:e]
-            c = cnt[idx]
-            ca = cnt_a[idx]
-            rr = r2[idx]
-            out.append((int((ca * rr).sum()),
-                        int((c * c * c - c).sum()),
-                        int(ca.sum()), int(c.sum())))
-    return out

@@ -308,10 +308,6 @@ def assemble_records(records,
     n_buckets = max(len(refs) + bool(old_catalogs), 1)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # defensive: page-stat rows live under pages/ since r2, but a
-        # pre-split run dir may still interleave them
-        if (df["catalog"] == "__pages__").any():
-            df = df[df["catalog"] != "__pages__"].copy()
         # unit: series for nested rows (co-locates a series' episodes,
         # seasons, deltas and old record), the entry key for flat rows
         # (spreads a flat catalog over every bucket — keying flats by

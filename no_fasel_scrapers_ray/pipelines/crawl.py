@@ -86,23 +86,17 @@ _BCAST_LRU_CAP = 16
 
 
 def _bget(ref, pin: bool = True):
+    """``ray.get`` through the crawl-state (``pin``) or the round-scoped
+    per-worker LRU cache."""
+    cache, cap = (_BCAST, _BCAST_CAP) if pin else (_BCAST_LRU,
+                                                   _BCAST_LRU_CAP)
     key = ref.hex()
-    if pin:
-        if key in _BCAST:
-            _BCAST.move_to_end(key)
-            return _BCAST[key]
-        val = ray.get(ref)
-        _BCAST[key] = val
-        while len(_BCAST) > _BCAST_CAP:
-            _BCAST.popitem(last=False)
-        return val
-    if key in _BCAST_LRU:
-        _BCAST_LRU.move_to_end(key)
-        return _BCAST_LRU[key]
-    val = ray.get(ref)
-    _BCAST_LRU[key] = val
-    while len(_BCAST_LRU) > _BCAST_LRU_CAP:
-        _BCAST_LRU.popitem(last=False)
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    val = cache[key] = ray.get(ref)
+    while len(cache) > cap:
+        cache.popitem(last=False)
     return val
 
 
@@ -465,6 +459,7 @@ class CrawlEngine:
         self._presplit = self._use_affinity
         self.max_pop = max_pop_per_round
         self.max_attempts = max_attempts
+        self._ckpt_refs = []    # the last round's checkpoint writes
         self.metrics = {"rounds": 0, "popped": 0, "records": 0,
                         "dead_lettered": 0,
                         "round_secs": [], "driver_secs": []}
@@ -514,8 +509,7 @@ class CrawlEngine:
                     self.round_idx - start_round >= max_rounds:
                 # simulated crash AFTER the round's checkpoint settled
                 # (no finalize) — the scenario kill-and-resume models
-                if getattr(self, "_ckpt_refs", None):
-                    ray.get(self._ckpt_refs)
+                self._settle()
                 return self.metrics
             t0 = time.perf_counter()
             metas = self._by_shard(ray.get(
@@ -670,8 +664,7 @@ class CrawlEngine:
         os.makedirs(ckpt, exist_ok=True)
         # non-blocking: settle the previous round's checkpoint instead
         # of stalling this round on shard serialization
-        if getattr(self, "_ckpt_refs", None):
-            ray.get(self._ckpt_refs)
+        self._settle()
         ck_refs = [h.checkpoint.remote(ckpt) for h in self.hosts]
         ck_refs += [
             _write_popped.remote(
@@ -689,27 +682,29 @@ class CrawlEngine:
         """Restore frontier state from the latest complete checkpoint;
         returns the next round index. Records of completed rounds are
         already on disk (per-round partitions are skipped, not redone)."""
-        ckpt_root = os.path.join(self.run_dir, "ckpt")
-        # NUMERIC sort: lexicographic breaks at round 10000
-        # ("round-10000" < "round-9999")
-        rounds = sorted(
-            (d for d in os.listdir(ckpt_root)
-             if os.path.exists(os.path.join(ckpt_root, d,
-                                            "MANIFEST.json"))),
-            key=lambda d: int(d.rsplit("-", 1)[-1]))
+        rounds = self._complete_rounds()
         if not rounds:
             return 0
-        last = os.path.join(ckpt_root, rounds[-1])
+        last = rounds[-1]
         ray.get([h.restore.remote(last) for h in self.hosts])
         with open(os.path.join(last, "MANIFEST.json")) as fp:
             manifest = json.load(fp)
         self.metrics = manifest["metrics"]
         return manifest["round"] + 1
 
+    def _complete_rounds(self) -> list[str]:
+        """The checkpoint round dirs whose manifest was written, in
+        round order. NUMERIC sort: lexicographic breaks at round 10000
+        ("round-10000" < "round-9999")."""
+        root = os.path.join(self.run_dir, "ckpt")
+        done = [d for d in os.listdir(root)
+                if os.path.exists(os.path.join(root, d, "MANIFEST.json"))]
+        return [os.path.join(root, d) for d in
+                sorted(done, key=lambda d: int(d.rsplit("-", 1)[-1]))]
+
     def _settle(self):
-        if getattr(self, "_ckpt_refs", None):
-            ray.get(self._ckpt_refs)
-            self._ckpt_refs = []
+        ray.get(self._ckpt_refs)
+        self._ckpt_refs = []
 
     def _finalize(self):
         self._settle()
@@ -756,24 +751,14 @@ class CrawlEngine:
         Test/driver-gate API: materializes O(total popped) in the
         CALLER; at scale consume the popped slices as a Dataset."""
         self._settle()
-        ckpt_root = os.path.join(self.run_dir, "ckpt")
         tables = []
-        if os.path.isdir(ckpt_root):
-            for r in sorted(os.listdir(ckpt_root),
-                            key=lambda d: int(d.rsplit("-", 1)[-1])
-                            if d.rsplit("-", 1)[-1].isdigit() else -1):
-                mf = os.path.join(ckpt_root, r, "MANIFEST.json")
-                if not os.path.exists(mf):
-                    continue
-                slices = sorted(
-                    f for f in os.listdir(os.path.join(ckpt_root, r))
-                    if f.startswith("popped-"))
-                parts = [pq.read_table(os.path.join(ckpt_root, r, f))
-                         for f in slices]
-                parts = [t for t in parts if t.num_rows]
-                if parts:
-                    tables.append(
-                        pa.concat_tables(parts).sort_by(_SORT_KEYS))
+        for r in self._complete_rounds():
+            parts = [pq.read_table(os.path.join(r, f))
+                     for f in sorted(os.listdir(r))
+                     if f.startswith("popped-")]
+            parts = [t for t in parts if t.num_rows]
+            if parts:
+                tables.append(pa.concat_tables(parts).sort_by(_SORT_KEYS))
         return (pa.concat_tables(tables) if tables
                 else PUSH_SCHEMA.empty_table())
 

@@ -102,14 +102,13 @@ def test_rollup_counts_levels_and_grand_total():
 
 def test_grouped_corr_matches_numpy_and_survives_big_sums():
     rng = np.random.RandomState(7)
-    # y ≈ 2e8 → per-batch Σy² partial ≈ 4e18 (fits int64) but the
-    # GROUP total ≈ 8e19 overflows int64: only the object/big-int
-    # final combine gets this right
+    # y ≈ 2e8 → a 100-row block's Σy² ≈ 4e18 (fits int64) but the
+    # GROUP total ≈ 8e19 overflows int64: only the big-int combine
+    # of the 20 block partials gets this right
     y = rng.randint(10 ** 8, 3 * 10 ** 8, size=2000).astype(np.int64)
     x = (y // 10 ** 5 + rng.randint(0, 500, size=2000)).astype(np.int64)
     df = pd.DataFrame({"k": np.repeat([1, 2], 1000), "x": x, "y": y})
-    out = (grouped_corr(_ds(df, 4), ["k"], "x", "y", alias="r",
-                        batch_size=100)
+    out = (grouped_corr(_ds(df, 20), ["k"], "x", "y", alias="r")
            .to_pandas().sort_values("k", ignore_index=True))
     for i, k in enumerate([1, 2]):
         g = df[df["k"] == k]
@@ -327,16 +326,15 @@ def test_skew_aware_join_hot_key_absent_from_right():
 def test_grouped_moments_multibatch_bigint_combine():
     from no_fasel_scrapers_ray.ops.relational import grouped_moments
     rng = np.random.RandomState(11)
-    # x ≈ 9e3 → per-batch Σx⁴ partial ≈ 6.6e16 at batch_size=10 (fits
-    # int64), but the GROUP total ≈ 1.3e19 overflows int64: only the
-    # object/big-int final combine across MANY partials gets the
-    # closed form right (the sf0.001/0.01 oracle runs are single-
-    # block, so this path is otherwise unexercised)
+    # x ≈ 9e3 → a 40-row block's Σx⁴ ≈ 2.6e17 (fits int64), but the
+    # GROUP total ≈ 1.3e19 overflows int64: only the big-int combine
+    # across MANY block partials gets the closed form right (the
+    # sf0.001/0.01 oracle runs are single-block, so this path is
+    # otherwise unexercised)
     x = rng.randint(8 * 10 ** 3, 10 ** 4, size=2000).astype(np.int64)
     df = pd.DataFrame({"k": np.repeat(["a", "b"], 1000), "x": x})
-    out = (grouped_moments(_ds(df, 6), ["k"], "x",
-                           skew_alias="sk", kurt_alias="ku",
-                           batch_size=10)
+    out = (grouped_moments(_ds(df, 50), ["k"], "x",
+                           skew_alias="sk", kurt_alias="ku")
            .to_pandas().sort_values("k", ignore_index=True))
     for i, k in enumerate(["a", "b"]):
         g = df.loc[df["k"] == k, "x"].to_numpy(np.float64)
