@@ -2114,15 +2114,12 @@ def q_doc_dup_spans(sf_dir: str):
     Three narrow shuffles over window hashes / (doc, off) rows; below
     the candidate-broadcast cap the document text never shuffles, and
     above it the op degrades to the distributed candidate tier
-    (ops/dedup.py::dup_spans; NFS_DUPSPANS_CAP forces the tier for
-    oracle runs). Oracle: UNNEST(range) windows + HAVING
-    count(DISTINCT doc_id) > 1 + gaps-and-islands merge."""
-    import os
-
+    (ops/dedup.py::dup_spans, candidate cap 50,000,000). Oracle:
+    UNNEST(range) windows + HAVING count(DISTINCT doc_id) > 1 +
+    gaps-and-islands merge."""
     from no_fasel_scrapers_ray.ops.dedup import dup_spans
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    cap = int(os.environ.get("NFS_DUPSPANS_CAP", str(50_000_000)))
-    return dup_spans(docs, k=6, max_candidates=cap)
+    return dup_spans(docs, k=6, max_candidates=50_000_000)
 
 
 def q_doc_chunks(sf_dir: str):
@@ -4678,17 +4675,14 @@ def q_user_similarity(sf_dir: str):
     n-gram Jaccard dedup). Scale shape (`ops/dedup.py::
     set_similarity_top1`): ONE orders⋈lineitem bucketed join →
     distinct (user, part) preagg → hot/cold item split. Cold items
-    (fan-out < NFS_USERSIM_HOT_T, default 8192) take the per-item
-    bucket pair emission (volume Σ|users(item)|², now BOUNDED by the
-    threshold × nnz); hot items never self-merge — their co-membership
+    (fan-out < 8192) take the per-item bucket pair emission (volume
+    Σ|users(item)|², now BOUNDED by the threshold × nnz); hot items never self-merge — their co-membership
     rides as per-user bit signatures added exactly at scoring time,
     and hot-only pairs come from a signature-reduction popcount scan
     (the r04 'weak' docstring promise, now implemented + tier-equality
     tested). One owner-bucket shuffle finishes: max-per-pair, then
     top-1 (jaccard DESC, other ASC). Jaccard is ONE double division of
     exact int64s — bit-identical to the oracle's expression."""
-    import os
-
     import pandas as pd
     from no_fasel_scrapers_ray.ops.dedup import set_similarity_top1
     from no_fasel_scrapers_ray.ops.relational import (bucketed_join,
@@ -4709,8 +4703,7 @@ def q_user_similarity(sf_dir: str):
             batch_format="pandas"),
         ["u", "item"], "__n", "count")
     return set_similarity_top1(
-        ui, hot_threshold=int(os.environ.get("NFS_USERSIM_HOT_T",
-                                             "8192")),
+        ui, hot_threshold=8192,
         out_names=("o_custkey", "similar_cust", "jaccard"))
 
 

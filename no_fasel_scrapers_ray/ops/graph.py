@@ -234,7 +234,7 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     # (label_u → u) rows keyed by the label's bucket, so convergence
     # stays O(log cross-block diameter) and the static edges never
     # cross the wire again.
-    prep_e = ray.remote(_cc_prep_edges)
+    prep_e = ray.remote(_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
     red_r = ray.remote(_cc_reduce)
     lbl_tbl_r = ray.remote(_cc_label_table)
@@ -295,53 +295,117 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     return rd.from_arrow_refs([out_tbl_r.remote(l) for l in lab_k])
 
 
-def _driver_triangle_count(a: np.ndarray, b: np.ndarray) -> int:
-    """Vectorized compact-forward on the driver: orient by (degree,
-    id), generate all out-neighbor pairs via repeat/concatenate, count
-    closures with one searchsorted membership test. Memory is
-    O(edges + wedges); wedges ≤ m·sqrt(2m) under the orientation."""
+# ---------------------------------------------------------------------------
+# The wedge kernel shared by every triangle tier
+# ---------------------------------------------------------------------------
+# Compact-forward: orient every edge low → high in (degree, id) order,
+# so out-degree is bounded by ~sqrt(2m) and the wedges (out-neighbor
+# pairs) number at most m·sqrt(2m); a wedge (c; x, y) closes iff
+# (x, y) is an edge, and each triangle closes exactly once, at its
+# orientation-minimal corner. The driver tier, the broadcast tier's
+# per-bucket pass and the tier-3 wedge split all draw their wedges
+# from ``_wedge_slices``, so each holds O(edges + WEDGE_SLICE) at once.
+
+WEDGE_SLICE = 1 << 16
+"""Wedges per slice of ``_wedge_slices``. A slice's working set is
+about eight int64 arrays of this length (edge index, partner offset,
+center, x, y, packed key, search position, closed mask), ~4 MiB at
+1 << 16; smaller slices only add per-slice numpy calls (~15 each).
+On the perfbench sf0.01 part co-occurrence graph (116,338 edges,
+3.89 M wedges, one core) the driver tier's tracemalloc peak reads
+10.9 MiB at every slice from 1 << 12 to 1 << 16, where the O(edges)
+arrays dominate, then 22.6 MiB at 1 << 18, 74.2 MiB at 1 << 20 and
+247 MiB with every wedge in one slice; its time reads 0.31-0.32 s up
+to 1 << 16 and 0.36-0.40 s above. 1 << 16 is the largest slice that
+the edge arrays still dominate."""
+
+
+def _wedge_slices(u: np.ndarray, v: np.ndarray):
+    """Yield the out-neighbor pairs of an oriented edge list as
+    ``(center, x, y)`` int64 slices of ``WEDGE_SLICE`` wedges (the
+    last one shorter). ``(u, v)`` must be lexsorted and distinct, so
+    each u-run lists its out-neighbors ascending and every wedge has
+    x < y. Edge i pairs with the edges after it in its u-run; the
+    wedges are numbered edge by edge, and a slice maps its wedge
+    numbers back to (edge, partner) by offset arithmetic — no Python
+    loop over nodes, and no array longer than the edges or a slice."""
+    m = len(u)
+    if m < 2:
+        return
+    starts = np.flatnonzero(np.concatenate(([True], u[1:] != u[:-1])))
+    ends = np.append(starts[1:], m)
+    partners = np.repeat(ends, ends - starts) - np.arange(m) - 1
+    last = np.cumsum(partners)        # one past each edge's last wedge
+    first = last - partners
+    for s in range(0, int(last[-1]), WEDGE_SLICE):
+        e = min(s + WEDGE_SLICE, int(last[-1]))
+        lo = int(np.searchsorted(last, s, side="right"))
+        hi = int(np.searchsorted(last, e - 1, side="right")) + 1
+        cnt = np.minimum(last[lo:hi], e) - np.maximum(first[lo:hi], s)
+        edge = np.repeat(np.arange(lo, hi), cnt)
+        other = np.arange(s, e) + np.repeat(
+            np.arange(lo + 1, hi + 1) - first[lo:hi], cnt)
+        yield u[edge], v[edge], v[other]
+
+
+def _is_edge(keys: np.ndarray, wk: np.ndarray) -> np.ndarray:
+    """Membership of packed keys ``wk`` in the SORTED packed edge keys."""
+    if not len(keys):
+        return np.zeros(len(wk), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, wk), len(keys) - 1)
+    return keys[pos] == wk
+
+
+def _closed_wedges(u: np.ndarray, v: np.ndarray, keys: np.ndarray,
+                   n_nodes: int):
+    """The triangles of an oriented edge list, slice by slice, as
+    ``(center, x, y)``: ``_wedge_slices`` filtered by ``_is_edge``
+    against ``keys``, the sorted packed edge keys x·n + y (x < y)."""
+    for c, x, y in _wedge_slices(u, v):
+        hit = _is_edge(keys, x * n_nodes + y)
+        yield c[hit], x[hit], y[hit]
+
+
+def _count_closed(u, v, keys, n_nodes: int) -> int:
+    return sum(len(x) for _c, x, _y in _closed_wedges(u, v, keys, n_nodes))
+
+
+def _tri_participation(u, v, keys, n_nodes: int) -> np.ndarray:
+    """Per-node triangle participation: every closed wedge credits all
+    THREE corners, and each triangle closes once, so the totals are
+    exact. A dense int64 array of length ``n_nodes`` (node-sized, the
+    same budget as the degree array the tiers already hold)."""
+    counts = np.zeros(n_nodes, dtype=np.int64)
+    for c, x, y in _closed_wedges(u, v, keys, n_nodes):
+        # per-slice work stays slice-sized: no n_nodes-wide bincount
+        nodes, k = np.unique(np.concatenate([c, x, y]), return_counts=True)
+        counts[nodes] += k
+    return counts
+
+
+def _driver_orient(a: np.ndarray, b: np.ndarray):
+    """Orient an edge list on the driver: compact ids, degrees, each
+    edge directed low → high (degree, id), lexsorted. Returns ``(ids,
+    deg, u, v, keys)`` with ``u``/``v`` compact indices and ``keys``
+    the sorted packed edge keys min·n + max."""
     ids, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    n = len(ids)
     ia, ib = inv[:len(a)], inv[len(a):]
-    deg = np.zeros(len(ids), dtype=np.int64)
-    np.add.at(deg, ia, 1)
-    np.add.at(deg, ib, 1)
-    key = deg * (len(ids) + 1) + np.arange(len(ids))   # (deg, id) order
-    a_first = key[ia] < key[ib]
+    deg = np.bincount(inv, minlength=n).astype(np.int64)
+    rank = deg * (n + 1) + np.arange(n)
+    a_first = rank[ia] < rank[ib]
     u = np.where(a_first, ia, ib)
     v = np.where(a_first, ib, ia)
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
-    ekey = np.sort(np.where(u < v, u * len(ids) + v, v * len(ids) + u))
-    # out-neighbor pair generation: for each u-run of length c,
-    # all c*(c-1)/2 pairs (vectorized over the whole edge list)
-    uniq, starts, counts = np.unique(u, return_index=True,
-                                     return_counts=True)
-    total = 0
-    # process in u-chunks to bound the wedge array
-    CHUNK = 1 << 22
-    wl, wr = [], []
-    budget = 0
-    for s, c in zip(starts, counts):
-        if c < 2:
-            continue
-        nb = v[s:s + c]
-        iu, iv_ = np.triu_indices(c, k=1)
-        wl.append(nb[iu]); wr.append(nb[iv_])
-        budget += len(iu)
-        if budget >= CHUNK:
-            x, y = np.concatenate(wl), np.concatenate(wr)
-            wk = np.where(x < y, x * len(ids) + y, y * len(ids) + x)
-            pos = np.searchsorted(ekey, wk)
-            pos[pos >= len(ekey)] = len(ekey) - 1
-            total += int((ekey[pos] == wk).sum())
-            wl, wr, budget = [], [], 0
-    if wl:
-        x, y = np.concatenate(wl), np.concatenate(wr)
-        wk = np.where(x < y, x * len(ids) + y, y * len(ids) + x)
-        pos = np.searchsorted(ekey, wk)
-        pos[pos >= len(ekey)] = len(ekey) - 1
-        total += int((ekey[pos] == wk).sum())
-    return total
+    keys = np.sort(np.where(u < v, u * n + v, v * n + u))
+    return ids, deg, u, v, keys
+
+
+def _driver_triangle_count(a: np.ndarray, b: np.ndarray) -> int:
+    """Triangle count of a small edge list on the driver."""
+    ids, _deg, u, v, keys = _driver_orient(a, b)
+    return _count_closed(u, v, keys, len(ids))
 
 
 def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
@@ -361,20 +425,51 @@ def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
     wedge-generation + membership-count fuse into ONE per-u-bucket
     pass (wedges never materialize or shuffle; 43 s → 8 s at 1.2M
     edges / 19M wedges). Beyond, materialized wedge keys go through a
-    bucketed closing join — the all-distributed path."""
-    from .relational import broadcast_get, preagg_reduce
+    bucketed closing join — the all-distributed path. Every tier draws
+    its wedges from ``_wedge_slices`` in fixed-size slices."""
+    from .relational import broadcast_get
 
     edges = edges.materialize()
-    n_input_edges = edges.count()
-    if n_input_edges == 0:
+    n_edges = edges.count()
+    if n_edges == 0:
         return 0
-    if n_input_edges <= small_threshold:
+    if n_edges <= small_threshold:
         # driver compact-forward — same size cutover as CC/pagerank:
         # a few MB of int64 pairs, shuffling them is pure task-launch
         # overhead
         df = edges.to_pandas()
         return _driver_triangle_count(df["a"].to_numpy(np.int64),
                                       df["b"].to_numpy(np.int64))
+
+    ids, _deg, directed = _orient_edges(edges, "triangle_count")
+    n_nodes = len(ids)
+    if n_edges <= broadcast_edge_threshold:
+        keys_ref = _broadcast_keys(directed, n_nodes)
+
+        def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
+            # the driver tier's kernel over one u-bucket's out-edges
+            # (a u-run never spans buckets), closed against the
+            # broadcast keys — wedges never materialize or shuffle
+            u, v = _lexsorted(g)
+            n = _count_closed(u, v, broadcast_get(keys_ref), n_nodes)
+            return pd.DataFrame({"n": np.array([n], dtype=np.int64)})
+
+        # u is a COMPACTED dense index (searchsorted into the
+        # distinct-node array), so its low bits partition uniformly
+        return int(key_shuffle(directed, count_bucket, ["u"],
+                               batch_format="pandas").sum("n"))
+
+    return _tri_close(directed, n_nodes, per_node=False)
+
+
+def _orient_edges(edges: rd.Dataset, op: str):
+    """The broadcast and tier-3 orientation: degrees by one
+    node-sized reduce, broadcast to a map that directs each edge
+    low → high (degree, id) as COMPACT indices ``u``/``v``. Compact
+    ids (searchsorted into the sorted distinct nodes) make the packed
+    keys x·n + y exact for any id domain up to ~3e9 DISTINCT nodes;
+    raw ids ≥ 2^32 would collide. Returns ``(ids, deg, directed)``."""
+    from .relational import broadcast_get, preagg_reduce
 
     # degree lookup is node-sized (one int64 per distinct node) — the
     # broadcast-small-side pattern; swap for two bucketed deg joins
@@ -386,20 +481,13 @@ def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
             batch_format="pandas"),
         ["node"], "deg", "count").to_pandas() \
         .sort_values("node", ignore_index=True)
-    deg_ref = ray.put((deg_df["node"].to_numpy(dtype=np.int64),
-                       deg_df["deg"].to_numpy(dtype=np.int64)))
-    # COMPACT node ids before any key packing: the wedge/edge keys
-    # below pack two ids into one int64, which silently collides for
-    # raw ids ≥ 2^32 (and overflows signed for ≥ 2^31). Compacted
-    # indices (searchsorted into the sorted distinct-node array, which
-    # this tier already broadcasts for degrees) make the packing exact
-    # for any id domain up to ~3e9 DISTINCT nodes — same approach as
-    # _driver_triangle_count.
-    n_nodes = len(deg_df)
-    if n_nodes * n_nodes >= 1 << 63:
+    ids = deg_df["node"].to_numpy(np.int64)
+    deg = deg_df["deg"].to_numpy(np.int64)
+    if len(ids) * len(ids) >= 1 << 63:
         raise ValueError(
-            f"triangle_count key packing supports < 2^31.5 distinct "
-            f"nodes (got {n_nodes}); shard the graph first")
+            f"{op} key packing supports < 2^31.5 distinct nodes "
+            f"(got {len(ids)}); shard the graph first")
+    deg_ref = ray.put((ids, deg))
 
     def orient(b: pd.DataFrame) -> pd.DataFrame:
         ids, dg = broadcast_get(deg_ref)
@@ -413,93 +501,25 @@ def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
         return pd.DataFrame({"u": np.where(a_first, ia, ib),
                              "v": np.where(a_first, ib, ia)})
 
-    directed = edges.map_batches(orient, batch_format="pandas").materialize()
-
-    n_edge_rows = directed.count()
-    if n_edge_rows == 0:
-        return 0
-    if n_edge_rows <= broadcast_edge_threshold:
-        ek = directed.to_pandas()
-        u, v = ek["u"].to_numpy(), ek["v"].to_numpy()
-        keys_ref = ray.put(np.sort(np.where(u < v, u * n_nodes + v,
-                                            v * n_nodes + u)))
-
-        def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            # run-based wedge generation + fused membership count
-            # (the _driver_triangle_count shape, per bucket): sort by
-            # (u, v), each u's out-neighbors form a contiguous
-            # ascending run, triu pairs per run in bounded chunks —
-            # replaces a pandas self-merge that materialized 2× the
-            # wedge rows before filtering v < w
-            keys = broadcast_get(keys_ref)
-            u = g["u"].to_numpy(np.int64)
-            v = g["v"].to_numpy(np.int64)
-            order = np.lexsort((v, u))
-            u, v = u[order], v[order]
-            _, starts, counts = np.unique(u, return_index=True,
-                                          return_counts=True)
-            CHUNK = 1 << 22
-            total = 0
-            wl, wr, budget = [], [], 0
-
-            def flush(wl, wr):
-                x, y = np.concatenate(wl), np.concatenate(wr)
-                wk = x * n_nodes + y
-                pos = np.searchsorted(keys, wk)
-                pos[pos >= len(keys)] = len(keys) - 1
-                return int((keys[pos] == wk).sum()) if len(keys) else 0
-
-            for st, c in zip(starts, counts):
-                if c < 2:
-                    continue
-                nb = v[st:st + c]
-                iu, iv_ = np.triu_indices(c, k=1)
-                wl.append(nb[iu])
-                wr.append(nb[iv_])
-                budget += len(iu)
-                if budget >= CHUNK:
-                    total += flush(wl, wr)
-                    wl, wr, budget = [], [], 0
-            if wl:
-                total += flush(wl, wr)
-            return pd.DataFrame({"n": np.array([total], dtype=np.int64)})
-
-        # u is a COMPACTED dense index (searchsorted into the
-        # distinct-node array), so its low bits partition uniformly
-        return int(key_shuffle(directed, count_bucket, ["u"],
-                               batch_format="pandas").sum("n"))
-
-    # fully distributed closing pass as a ONE-SHOT BSP exchange (see
-    # the _tri_* kernel block above): the old shape shuffled the edge
-    # table twice (wedge self-join) and the whole wedge-key set through
-    # a Dataset all-to-all; now edges split once by u, wedge keys move
-    # exactly once as raw-task returns, membership is a per-key-bucket
-    # searchsorted against sorted edge-key arrays (14.5 s → ~4 s at
-    # sf0.1 forced-tier-3)
-    count_r = ray.remote(_tri_count)
-    n = shuffle_buckets()
-    edges_k, keys_k = _tri_split(directed, n_nodes, n)
-    wparts = [fanout(_tri_wedges, n, edges_k[k], n_nodes, n)
-              for k in range(n)]
-    return int(sum(ray.get([count_r.remote(
-        keys_k[j], *[wparts[k][j] for k in range(n)])
-        for j in range(n)])))
+    return ids, deg, edges.map_batches(
+        orient, batch_format="pandas").materialize()
 
 
-def _tri_split(directed: rd.Dataset, n_nodes: int, n: int):
-    """The closing exchange's one split of the oriented edges, shared
-    by ``triangle_count`` and ``local_clustering``: per bucket, the
-    u-sorted edges (wedge side) and the sorted packed edge keys
-    (membership side)."""
-    prep_e_r = ray.remote(_tri_prep_edges)
-    prep_k_r = ray.remote(_tri_prep_keys)
-    refs = directed.to_arrow_refs()
-    eparts = [fanout(_pr_split_block, n, r, ["u", "v"], n) for r in refs]
-    kparts = [fanout(_tri_split_edge_keys, n, r, n_nodes, n)
-              for r in refs]
-    edges_k = [prep_e_r.remote(*[e[k] for e in eparts]) for k in range(n)]
-    keys_k = [prep_k_r.remote(*[p[k] for p in kparts]) for k in range(n)]
-    return edges_k, keys_k
+def _broadcast_keys(directed: rd.Dataset, n_nodes: int):
+    """The broadcast tier's closing set: the sorted packed keys of the
+    oriented edges (8 B/edge), ``ray.put`` once."""
+    ek = directed.to_pandas()
+    u, v = ek["u"].to_numpy(), ek["v"].to_numpy()
+    return ray.put(np.sort(np.where(u < v, u * n_nodes + v,
+                                    v * n_nodes + u)))
+
+
+def _lexsorted(g):
+    """``(u, v)`` of a pandas or Arrow edge table, lexsorted."""
+    u = np.asarray(g["u"], dtype=np.int64)
+    v = np.asarray(g["v"], dtype=np.int64)
+    order = np.lexsort((v, u))
+    return u[order], v[order]
 
 
 def _restart_vector(ids: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -708,14 +728,15 @@ def _pr_split_block(tbl, cols: list[str], n_buckets: int):
     return tuple(pa.table(dict(zip(cols, p))) for p in parts)
 
 
-def _pr_prep_edges(*parts):
-    """Concat a bucket's edge fragments, sorted by src — built once,
-    read every iteration from plasma."""
+def _prep_edges(*parts):
+    """Concat a bucket's edge fragments (``_split_blocks`` parts) into
+    int64 column arrays, stably sorted by the split column — built
+    once, read every iteration from plasma."""
     t = pa.concat_tables(parts)
-    src = t.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = t.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(src, kind="stable")
-    return (src[order], dst[order])
+    arrs = [c.to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in t.columns]
+    order = np.argsort(arrs[0], kind="stable")
+    return tuple(a[order] for a in arrs)
 
 
 def _pr_prep_base(*parts):
@@ -779,14 +800,6 @@ def _pr_out_table(base, rank) -> pa.Table:
 
 # ---- the same kernel shape for connected components: star edges are
 # split by node ONCE; per iteration only (node, label) offers move.
-
-def _cc_prep_edges(*parts):
-    t = pa.concat_tables(parts)
-    node = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-    nbr = t.column("nbr").to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(node, kind="stable")
-    return (node[order], nbr[order])
-
 
 def _cc_prep_labels(*parts):
     """Distinct sorted node universe with the min label per node
@@ -860,16 +873,12 @@ def _cc_out_table(lab) -> pa.Table:
 
 
 # ---- one-shot BSP exchange for the tier-3 triangle closing pass:
-# oriented edges split by u ONCE, wedges generated run-based per
+# oriented edges split by u ONCE, wedges generated slice by slice per
 # u-bucket and exchanged as raw-task returns keyed by the canonical
 # edge-key bucket — no Dataset all-to-all ever carries the wedge set.
 
 def _tri_prep_edges(*parts):
-    t = pa.concat_tables(parts)
-    u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-    v = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.lexsort((v, u))
-    return (u[order], v[order])
+    return _lexsorted(pa.concat_tables(parts))
 
 
 def _tri_split_edge_keys(tbl: pa.Table, n_nodes: int, n_buckets: int):
@@ -904,25 +913,88 @@ def _tri_prep_keys(*parts):
         np.array([], dtype=np.int64)
 
 
-def _tri_wedges(eb, n_nodes: int, n_buckets: int):
-    """Run-based wedge keys for one u-bucket — the keys-only
-    projection of the shared ``_wedge_parts`` kernel. Wedge volume
-    per bucket is bounded by m·sqrt(2m)/buckets under the degree
-    orientation."""
-    return _wedge_parts(eb, n_nodes, n_buckets, with_center=False)
+def _wedge_parts(eb, n_nodes: int, n_buckets: int,
+                 with_center: bool):
+    """One u-bucket's wedges for the tier-3 closing exchange, split by
+    packed-key bucket slice by slice: keys only for the global count,
+    or (keys, centers) for the per-node count, which needs the center
+    and cannot recover it from the key. Returns refs (see
+    ``_tri_split_edge_keys`` for why refs, not raw returns)."""
+    u, v = eb
+    out = [[] for _ in range(n_buckets)]
+    for c, x, y in _wedge_slices(u, v):
+        wk = x * n_nodes + y
+        cols = [wk, c] if with_center else [wk]
+        for k, part in enumerate(_pr_split_arrays(cols, wk, n_buckets)):
+            out[k].append(part)
+
+    def cat(parts, i):
+        return (np.concatenate([p[i] for p in parts]) if parts
+                else np.array([], dtype=np.int64))
+    if with_center:
+        return tuple(ray.put((cat(p, 0), cat(p, 1))) for p in out)
+    return tuple(ray.put(cat(p, 0)) for p in out)
 
 
-def _tri_count(keys_sorted: np.ndarray, *wedge_parts) -> int:
-    if len(keys_sorted) == 0:
-        return 0
-    total = 0
+def _tri_count(keys_sorted: np.ndarray, _n_nodes: int,
+               *wedge_parts) -> int:
+    return sum(int(_is_edge(keys_sorted, ray.get(ref)).sum())
+               for ref in wedge_parts)
+
+
+def _lcc_count(keys_sorted: np.ndarray, n_nodes: int, *wedge_parts):
+    """Closing check for one key-bucket, crediting all THREE corners
+    of each closed wedge. Returns a ray.put ref of sparse
+    (node, count) arrays — per-task compression to ≤ n_nodes entries
+    so the exchange back to the driver is node-bounded, not
+    triangle-bounded."""
+    z = np.array([], dtype=np.int64)
+    nodes, cnts = [z], [z]
     for ref in wedge_parts:
-        wk = ray.get(ref)
-        if len(wk):
-            pos = np.searchsorted(keys_sorted, wk)
-            pos[pos >= len(keys_sorted)] = len(keys_sorted) - 1
-            total += int((keys_sorted[pos] == wk).sum())
-    return total
+        wk, ctr = ray.get(ref)
+        hit = _is_edge(keys_sorted, wk)
+        wk = wk[hit]
+        u, c = np.unique(np.concatenate([ctr[hit], wk // n_nodes,
+                                         wk % n_nodes]), return_counts=True)
+        nodes.append(u)
+        cnts.append(c)
+    uniq, inv = np.unique(np.concatenate(nodes), return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inv, np.concatenate(cnts))
+    return ray.put((uniq, sums))
+
+
+def _tri_close(directed: rd.Dataset, n_nodes: int, per_node: bool):
+    """The tier-3 closing pass of ``triangle_count`` and
+    ``local_clustering``, one BSP exchange: the oriented edges split
+    ONCE by u (wedge side) and by packed key (membership side); each
+    u-bucket's wedge keys, with their centers when ``per_node``, move
+    exactly once as raw-task returns to their key bucket, which
+    closes them against its sorted edge keys (14.5 s → ~4 s at sf0.1
+    forced-tier-3 against the old wedge self-join). Returns the
+    triangle count, or with ``per_node`` the dense per-node
+    participation, scattered from one node-BOUNDED sparse partial per
+    key bucket — edge keys never collect on the driver."""
+    n = shuffle_buckets()
+    prep_e_r = ray.remote(_tri_prep_edges)
+    prep_k_r = ray.remote(_tri_prep_keys)
+    close_r = ray.remote(_lcc_count if per_node else _tri_count)
+    refs = directed.to_arrow_refs()
+    eparts = [fanout(_pr_split_block, n, r, ["u", "v"], n) for r in refs]
+    kparts = [fanout(_tri_split_edge_keys, n, r, n_nodes, n)
+              for r in refs]
+    wparts = [fanout(_wedge_parts, n,
+                     prep_e_r.remote(*[e[k] for e in eparts]),
+                     n_nodes, n, per_node) for k in range(n)]
+    out = ray.get([close_r.remote(prep_k_r.remote(*[p[j] for p in kparts]),
+                                  n_nodes, *[w[j] for w in wparts])
+                   for j in range(n)])
+    if not per_node:
+        return int(sum(out))
+    tri = np.zeros(n_nodes, dtype=np.int64)
+    for nodes, cnts in ray.get(out):
+        np.add.at(tri, nodes, cnts)
+    return tri
 
 
 def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
@@ -1020,7 +1092,7 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     # edges hash-split by src ONCE into per-bucket plasma tables;
     # per-bucket (node, deg) arrays sorted by node are the canonical
     # order every iteration (and every checkpoint/resume) reuses.
-    prep_edges_r = ray.remote(_pr_prep_edges)
+    prep_edges_r = ray.remote(_prep_edges)
     prep_base_r = ray.remote(_pr_prep_base)
     dang_r = ray.remote(_pr_dang)
     renew_r = ray.remote(_pr_renew)
@@ -1367,7 +1439,7 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
         batch_format="pandas").count()
     n = _graph_buckets(n_nodes)
 
-    prep_e = ray.remote(_cc_prep_edges)
+    prep_e = ray.remote(_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
     red_r = ray.remote(_cc_reduce)
     out_tbl_r = ray.remote(_bfs_out_table)
@@ -1518,7 +1590,7 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
                                batch_format="pyarrow").materialize()
     n = _graph_buckets(labels.count())
 
-    prep_e = ray.remote(_cc_prep_edges)
+    prep_e = ray.remote(_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
     red_r = ray.remote(_lpa_reduce)
 
@@ -1572,15 +1644,6 @@ def _driver_sssp(u: np.ndarray, v: np.ndarray, w: np.ndarray,
         dist = new
     m = dist < _BFS_INF
     return ids[m], dist[m]
-
-
-def _sssp_prep_edges(*parts):
-    t = pa.concat_tables(parts)
-    node = t.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-    nbr = t.column("nbr").to_numpy(zero_copy_only=False).astype(np.int64)
-    w = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-    order = np.argsort(node, kind="stable")
-    return (node[order], nbr[order], w[order])
 
 
 def _sssp_offers(eb, lab, n_buckets: int):
@@ -1674,7 +1737,7 @@ def weighted_sssp(edges: rd.Dataset, source: int,
     if e.num_blocks() > 2 * target_blocks:
         e = e.repartition(target_blocks).materialize()
 
-    prep_e = ray.remote(_sssp_prep_edges)
+    prep_e = ray.remote(_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
     red_r = ray.remote(_cc_reduce)
     out_tbl_r = ray.remote(_sssp_out_table)
@@ -2016,52 +2079,6 @@ def minimum_spanning_forest(edges: rd.Dataset,
         "w": np.array([f[2] for f in forest], dtype=np.int64)}))
 
 
-def _tri_participation(u: np.ndarray, v: np.ndarray,
-                       keys: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Per-node triangle participation over a degree-oriented edge
-    list: ``(u, v)`` lexsorted with each u-run's out-neighbors
-    ascending, ``keys`` the SORTED packed edge keys (x·n + y, x < y in
-    compact-index space). For every closed wedge (u; x, y) all THREE
-    nodes get +1 — each triangle is generated exactly once (at its
-    orientation-minimal vertex), so the per-node totals are exact.
-    Returns a dense int64 array of length ``n_nodes`` (node-sized —
-    the same budget as the degree array this tier already holds)."""
-    counts = np.zeros(n_nodes, dtype=np.int64)
-    if not len(u) or not len(keys):
-        return counts
-    _, starts, runs = np.unique(u, return_index=True,
-                                return_counts=True)
-    CHUNK = 1 << 22
-    cl, xl, yl, budget = [], [], [], 0
-
-    def flush():
-        c = np.concatenate(cl)
-        x = np.concatenate(xl)
-        y = np.concatenate(yl)
-        wk = x * n_nodes + y
-        pos = np.searchsorted(keys, wk)
-        pos[pos >= len(keys)] = len(keys) - 1
-        closed = keys[pos] == wk
-        tri_nodes = np.concatenate([c[closed], x[closed], y[closed]])
-        counts[:] += np.bincount(tri_nodes, minlength=n_nodes)
-
-    for st, c in zip(starts, runs):
-        if c < 2:
-            continue
-        nb = v[st:st + c]
-        iu, iv_ = np.triu_indices(c, k=1)
-        cl.append(np.full(len(iu), u[st], dtype=np.int64))
-        xl.append(nb[iu])
-        yl.append(nb[iv_])
-        budget += len(iu)
-        if budget >= CHUNK:
-            flush()
-            cl, xl, yl, budget = [], [], [], 0
-    if cl:
-        flush()
-    return counts
-
-
 def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
                      broadcast_edge_threshold: int = 1 << 25
                      ) -> pd.DataFrame:
@@ -2073,17 +2090,17 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
     reference analogue.
 
     THREE tiers mirroring ``triangle_count``: a driver pass below
-    ``small_threshold`` edges; a broadcast tier (run-based wedge
+    ``small_threshold`` edges; a broadcast tier (sliced wedge
     generation fused with the broadcast sorted-edge-key membership
     test — wedges never materialize or shuffle, node-sized dense
     participation partials per bucket) while the packed key set fits
     ``broadcast_edge_threshold``; beyond that, the fully distributed
     BSP closing exchange with per-corner crediting
-    (``_lcc_tier3_counts`` — edge keys never collect on the driver,
+    (``_tri_close`` — edge keys never collect on the driver,
     only node-BOUNDED sparse partials do). Node-sized driver state is
     INHERENT to this output (one row per node). Output: driver
     DataFrame (node, deg, n_tri int64, lcc float64)."""
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import broadcast_get
 
     edges = edges.materialize()
     n_edges = edges.count()
@@ -2107,56 +2124,14 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
 
     if n_edges <= small_threshold:
         df = edges.to_pandas()
-        a = df["a"].to_numpy(np.int64)
-        b = df["b"].to_numpy(np.int64)
-        ids, inv = np.unique(np.concatenate([a, b]),
-                             return_inverse=True)
-        n = len(ids)
-        ia, ib = inv[:len(a)], inv[len(a):]
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, ia, 1)
-        np.add.at(deg, ib, 1)
-        key = deg * (n + 1) + np.arange(n)
-        a_first = key[ia] < key[ib]
-        u = np.where(a_first, ia, ib)
-        v = np.where(a_first, ib, ia)
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        keys = np.sort(np.where(u < v, u * n + v, v * n + u))
-        tri = _tri_participation(u, v, keys, n)
-        return _finish(ids, deg, tri)
+        ids, deg, u, v, keys = _driver_orient(df["a"].to_numpy(np.int64),
+                                              df["b"].to_numpy(np.int64))
+        return _finish(ids, deg, _tri_participation(u, v, keys, len(ids)))
 
-    # broadcast tier — identical orientation/compaction discipline to
-    # triangle_count's middle tier (see there for the wedge-bound and
-    # key-packing arguments)
-    deg_df = preagg_reduce(
-        edges.map_batches(lambda b: pd.DataFrame(
-            {"node": np.concatenate([b["a"].to_numpy(),
-                                     b["b"].to_numpy()])}),
-            batch_format="pandas"),
-        ["node"], "deg", "count").to_pandas() \
-        .sort_values("node", ignore_index=True)
-    ids_arr = deg_df["node"].to_numpy(np.int64)
-    deg_arr = deg_df["deg"].to_numpy(np.int64)
-    n_nodes = len(deg_df)
-    if n_nodes * n_nodes >= 1 << 63:
-        raise ValueError(
-            f"local_clustering key packing supports < 2^31.5 distinct "
-            f"nodes (got {n_nodes}); shard the graph first")
-    deg_ref = ray.put((ids_arr, deg_arr))
-
-    def orient(b: pd.DataFrame) -> pd.DataFrame:
-        ids, dg = broadcast_get(deg_ref)
-        a, bb = b["a"].to_numpy(), b["b"].to_numpy()
-        ia = np.searchsorted(ids, a)
-        ib = np.searchsorted(ids, bb)
-        da, db = dg[ia], dg[ib]
-        a_first = (da < db) | ((da == db) & (a < bb))
-        return pd.DataFrame({"u": np.where(a_first, ia, ib),
-                             "v": np.where(a_first, ib, ia)})
-
-    directed = edges.map_batches(orient,
-                                 batch_format="pandas").materialize()
+    # broadcast tier — the orientation and key packing of
+    # triangle_count's middle tier (see there for the wedge bound)
+    ids, deg, directed = _orient_edges(edges, "local_clustering")
+    n_nodes = len(ids)
     # beyond the broadcast closing-key budget (8 B/edge on the driver,
     # triangle_count's middle-tier bound) the closing check runs as
     # the fully distributed BSP exchange with per-corner crediting —
@@ -2164,19 +2139,12 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
     # sparse partials do (node-sized final state is inherent to this
     # per-node output)
     if n_edges > broadcast_edge_threshold:
-        tri = _lcc_tier3_counts(directed, n_nodes)
-        return _finish(ids_arr, deg_arr, tri)
-    ek = directed.to_pandas()
-    du, dv = ek["u"].to_numpy(), ek["v"].to_numpy()
-    keys_ref = ray.put(np.sort(np.where(
-        du < dv, du * n_nodes + dv, dv * n_nodes + du)))
+        return _finish(ids, deg, _tri_close(directed, n_nodes, per_node=True))
+    keys_ref = _broadcast_keys(directed, n_nodes)
 
     def bucket_partial(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["u"].to_numpy(np.int64)
-        v = g["v"].to_numpy(np.int64)
-        order = np.lexsort((v, u))
-        tri = _tri_participation(u[order], v[order],
-                                 broadcast_get(keys_ref), n_nodes)
+        u, v = _lexsorted(g)
+        tri = _tri_participation(u, v, broadcast_get(keys_ref), n_nodes)
         nz = np.nonzero(tri)[0]
         return pd.DataFrame({"idx": nz, "t": tri[nz]})
 
@@ -2186,7 +2154,7 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
     if len(parts):
         np.add.at(tri, parts["idx"].to_numpy(np.int64),
                   parts["t"].to_numpy(np.int64))
-    return _finish(ids_arr, deg_arr, tri)
+    return _finish(ids, deg, tri)
 
 
 def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
@@ -2242,107 +2210,3 @@ def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
                                broadcast_get,
                                checkpoint_dir=checkpoint_dir,
                                seeds=seeds_arr)
-
-
-def _wedge_parts(eb, n_nodes: int, n_buckets: int,
-                 with_center: bool):
-    """Shared per-u-bucket wedge generation (run-based sorted-
-    out-neighbor triu pairs, v < w by construction, split by packed
-    key bucket) for BOTH closing kernels: the global count
-    (``_tri_wedges`` — keys only) and the per-node variant
-    (``_lcc_wedges`` — each part also carries the wedge CENTER, which
-    the per-corner crediting needs and which is unrecoverable from
-    the key). Returns refs (see ``_tri_split_edge_keys`` for why
-    refs, not raw returns)."""
-    u, v = eb
-    out_k = [[] for _ in range(n_buckets)]
-    out_c = [[] for _ in range(n_buckets)]
-    if len(u):
-        _, starts, counts = np.unique(u, return_index=True,
-                                      return_counts=True)
-        for st, c in zip(starts, counts):
-            if c < 2:
-                continue
-            nb = v[st:st + c]
-            iu, iv_ = np.triu_indices(c, k=1)
-            wk = nb[iu] * n_nodes + nb[iv_]
-            b = _pr_bucket_of(wk, n_buckets)
-            order = np.argsort(b, kind="stable")
-            cuts = np.searchsorted(b[order], np.arange(n_buckets + 1))
-            for k in range(n_buckets):
-                s, e = cuts[k], cuts[k + 1]
-                if e > s:
-                    out_k[k].append(wk[order[s:e]])
-                    if with_center:
-                        out_c[k].append(np.full(
-                            e - s, u[st], dtype=np.int64))
-    empty = np.array([], dtype=np.int64)
-    if with_center:
-        parts = tuple(ray.put((np.concatenate(k) if k else empty,
-                               np.concatenate(c) if c else empty))
-                      for k, c in zip(out_k, out_c))
-    else:
-        parts = tuple(ray.put(np.concatenate(k) if k else empty)
-                      for k in out_k)
-    return parts
-
-
-def _lcc_wedges(eb, n_nodes: int, n_buckets: int):
-    return _wedge_parts(eb, n_nodes, n_buckets, with_center=True)
-
-
-def _lcc_count(keys_sorted: np.ndarray, n_nodes: int, *wedge_parts):
-    """Closing check for one key-bucket, crediting all THREE corners
-    of each closed wedge. Returns a ray.put ref of sparse
-    (node, count) arrays — per-task compression to ≤ n_nodes entries
-    so the exchange back to the driver is node-bounded, not
-    triangle-bounded."""
-    acc_nodes, acc_cnts = [], []
-    for ref in wedge_parts:
-        wk, ctr = ray.get(ref)
-        if not len(wk) or not len(keys_sorted):
-            continue
-        pos = np.searchsorted(keys_sorted, wk)
-        pos[pos >= len(keys_sorted)] = len(keys_sorted) - 1
-        closed = keys_sorted[pos] == wk
-        if not closed.any():
-            continue
-        wkc = wk[closed]
-        corners = np.concatenate([ctr[closed], wkc // n_nodes,
-                                  wkc % n_nodes])
-        nodes, cnts = np.unique(corners, return_counts=True)
-        acc_nodes.append(nodes)
-        acc_cnts.append(cnts)
-    if not acc_nodes:
-        z = np.array([], dtype=np.int64)
-        return ray.put((z, z))
-    nodes = np.concatenate(acc_nodes)
-    cnts = np.concatenate(acc_cnts)
-    order = np.argsort(nodes, kind="stable")
-    nodes, cnts = nodes[order], cnts[order]
-    uniq, starts = np.unique(nodes, return_index=True)
-    sums = np.add.reduceat(cnts, starts)
-    return ray.put((uniq, sums.astype(np.int64)))
-
-
-def _lcc_tier3_counts(directed: rd.Dataset, n_nodes: int) -> np.ndarray:
-    """Fully distributed per-node triangle participation — the
-    triangle_count tier-3 BSP exchange extended with per-corner
-    crediting: edges split ONCE by u (wedge side) and by packed key
-    (membership side), wedge (key, center) pairs move exactly once,
-    each key-bucket's closing task returns a node-BOUNDED sparse
-    partial, and the driver scatters the one sparse part per bucket
-    into the node-sized dense array this output inherently is."""
-    count_r = ray.remote(_lcc_count)
-    n = shuffle_buckets()
-    edges_k, keys_k = _tri_split(directed, n_nodes, n)
-    wparts = [fanout(_lcc_wedges, n, edges_k[k], n_nodes, n)
-              for k in range(n)]
-    sparse_refs = ray.get([count_r.remote(
-        keys_k[j], n_nodes, *[wparts[k][j] for k in range(n)])
-        for j in range(n)])
-    tri = np.zeros(n_nodes, dtype=np.int64)
-    for nodes, cnts in ray.get(sparse_refs):
-        if len(nodes):
-            np.add.at(tri, nodes, cnts)
-    return tri

@@ -32,14 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
-import subprocess
 import sys
-import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH = os.path.join(ROOT, "perfbench")
+from pinned_run import PERFBENCH, ROOT, run_pinned
+
 CLK = os.sysconf("SC_CLK_TCK")
 
 
@@ -178,58 +175,25 @@ def main() -> int:
     if args.child:
         with open(args.child) as fp:
             child(json.load(fp))
-    sys.path[:0] = [PERFBENCH, ROOT]
-    import prep as P
-    import run as R
-
-    prep_dir, _ = P.prepare(R.CACHE, "fresh_crawl", args.seed)
-    work = tempfile.mkdtemp(prefix="crawl-probe-")
-    ray_tmp = R.ray_temp_dir(work)
-    try:
-        a = {"prep": prep_dir, "work": work, "ray_tmp": ray_tmp,
-             "seed": args.seed, "cpu": R.bench_cpu(),
-             "out": os.path.join(work, "report.json")}
-        with open(os.path.join(work, "args.json"), "w") as fp:
-            json.dump(a, fp)
-        env = dict(os.environ, OMP_NUM_THREADS="1",
-                   TMPDIR=os.path.join(work, "tmp"))
-        os.makedirs(env["TMPDIR"])
-        proc = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--child",
-             os.path.join(work, "args.json")], cwd=ROOT, env=env,
-            start_new_session=True)
-        try:
-            proc.wait(timeout=R.REP_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            pass
-        finally:
-            R.stop_group(proc)
-        if not os.path.exists(a["out"]):
-            print(f"probe repetition failed (exit {proc.returncode})",
-                  file=sys.stderr)
-            return 1
-        with open(a["out"]) as fp:
-            report = json.load(fp)
-        show(report)
-        # setup may start the frontier host actors and nothing else;
-        # run() and the tail may start nothing
-        hosts = report["frontier_hosts"]
-        allowed = {"setup": hosts}
-        problems = [f"{len(p['ray_started'])} ray:: processes started in "
-                    f"{p['phase']} (allowed: {allowed.get(p['phase'], 0)})"
-                    for p in report["phases"]
-                    if len(p["ray_started"]) > allowed.get(p["phase"], 0)]
-        if hosts != 1:
-            problems.append(f"{hosts} frontier hosts for fresh_crawl's "
-                            "shards on one node (want 1)")
-        if not report["catalogs_equal_oracle"]:
-            problems.append("catalogs differ from the oracle")
-        print("check: " + ("; ".join(problems) or "ok"))
-        return 1 if problems else 0
-    finally:
-        shutil.rmtree(work, ignore_errors=True)
-        if ray_tmp != os.path.join(work, "ray"):
-            shutil.rmtree(ray_tmp, ignore_errors=True)
+    report = run_pinned(__file__, "fresh_crawl", args.seed)
+    if report is None:
+        return 1
+    show(report)
+    # setup may start the frontier host actors and nothing else;
+    # run() and the tail may start nothing
+    hosts = report["frontier_hosts"]
+    allowed = {"setup": hosts}
+    problems = [f"{len(p['ray_started'])} ray:: processes started in "
+                f"{p['phase']} (allowed: {allowed.get(p['phase'], 0)})"
+                for p in report["phases"]
+                if len(p["ray_started"]) > allowed.get(p["phase"], 0)]
+    if hosts != 1:
+        problems.append(f"{hosts} frontier hosts for fresh_crawl's "
+                        "shards on one node (want 1)")
+    if not report["catalogs_equal_oracle"]:
+        problems.append("catalogs differ from the oracle")
+    print("check: " + ("; ".join(problems) or "ok"))
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
