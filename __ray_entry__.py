@@ -4674,15 +4674,20 @@ def q_user_similarity(sf_dir: str):
     filtering neighbor step, the behavioral twin of the doc-level
     n-gram Jaccard dedup). Scale shape (`ops/dedup.py::
     set_similarity_top1`): ONE orders⋈lineitem bucketed join →
-    distinct (user, part) preagg → hot/cold item split. Cold items
-    (fan-out < 8192) take the per-item bucket pair emission (volume
-    Σ|users(item)|², now BOUNDED by the threshold × nnz); hot items never self-merge — their co-membership
-    rides as per-user bit signatures added exactly at scoring time,
-    and hot-only pairs come from a signature-reduction popcount scan
-    (the r04 'weak' docstring promise, now implemented + tier-equality
-    tested). One owner-bucket shuffle finishes: max-per-pair, then
-    top-1 (jaccard DESC, other ASC). Jaccard is ONE double division of
-    exact int64s — bit-identical to the oracle's expression."""
+    distinct (user, part) preagg, then one of two tiers. While the
+    (user, part) index fits the broadcast budget and no part reaches
+    8192 users (sf0.01: 59k rows, fan-out ≤ 50), one task builds a
+    CSR index and one wave of owner-range tasks counts co-users
+    against it, slice by slice — no pair row is shuffled. Otherwise
+    the hot/cold item split: cold items take the per-item bucket
+    pair emission (volume Σ|users(item)|², BOUNDED by the threshold
+    × nnz); hot items never self-merge — their co-membership rides as
+    per-user bit signatures added exactly at scoring time, and
+    hot-only pairs come from a signature-reduction popcount scan; one
+    owner-bucket shuffle finishes: max-per-pair, then top-1. Both
+    tiers break ties (jaccard DESC, other ASC) and compute Jaccard as
+    ONE double division of exact int64s — bit-identical to the
+    oracle's expression."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.dedup import set_similarity_top1
     from no_fasel_scrapers_ray.ops.relational import (bucketed_join,

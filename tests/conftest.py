@@ -54,3 +54,14 @@ def set_buckets(monkeypatch):
         for mod in mods:
             monkeypatch.setattr(mod, "shuffle_buckets", lambda: n)
     return pin
+
+
+@pytest.fixture
+def force_distributed(monkeypatch):
+    """Set the package's broadcast budget
+    (``ops.relational.BROADCAST_LIMIT_BYTES``) to 0, so an operator
+    that sizes a broadcast tier against it takes its distributed path
+    (the budget is read on the driver at call time)."""
+    from no_fasel_scrapers_ray.ops import relational
+
+    monkeypatch.setattr(relational, "BROADCAST_LIMIT_BYTES", 0)

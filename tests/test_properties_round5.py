@@ -5,12 +5,15 @@ exact jaccard top-1), dup_spans on both candidate tiers vs a brute
 window scan, and MSF tier equality on random tie-heavy multigraphs.
 Example counts stay small — every example spins Ray Dataset ops."""
 
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import ray.data as rd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from no_fasel_scrapers_ray.ops import relational
 from no_fasel_scrapers_ray.ops.dedup import dup_spans, set_similarity_top1
 from no_fasel_scrapers_ray.ops.graph import minimum_spanning_forest
 
@@ -56,17 +59,22 @@ def _brute_top1(ui: pd.DataFrame) -> pd.DataFrame:
 @RAY_SETTINGS
 @given(ui_tables(), st.sampled_from([1, 2, 1 << 30]))
 def test_set_similarity_exact_for_any_hot_threshold(ui, thr):
-    got = set_similarity_top1(
-        rd.from_pandas(ui).repartition(2), hot_threshold=thr,
-        out_names=("u", "similar_u", "jaccard")).to_pandas()
+    """Each example runs under both tiers: the package's broadcast
+    budget (the broadcast tier wherever nothing is hot) and a zero
+    budget (always the distributed tier)."""
     want = _brute_top1(ui)
-    if want.empty:
-        # empty Dataset → to_pandas loses the schema (documented Ray
-        # gotcha); the contract here is just "no rows"
-        assert len(got) == 0
-        return
-    got = got.sort_values("u", ignore_index=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=True)
+    for budget in (relational.BROADCAST_LIMIT_BYTES, 0):
+        with mock.patch.object(relational, "BROADCAST_LIMIT_BYTES", budget):
+            got = set_similarity_top1(
+                rd.from_pandas(ui).repartition(2), hot_threshold=thr,
+                out_names=("u", "similar_u", "jaccard")).to_pandas()
+        if want.empty:
+            # empty Dataset → to_pandas loses the schema (documented
+            # Ray gotcha); the contract here is just "no rows"
+            assert len(got) == 0
+            continue
+        got = got.sort_values("u", ignore_index=True)
+        pd.testing.assert_frame_equal(got, want, check_dtype=True)
 
 
 def _brute_dup_spans(texts, k):

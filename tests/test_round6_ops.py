@@ -77,14 +77,15 @@ def _run(ui_df: pd.DataFrame, hot_threshold: int) -> pd.DataFrame:
     return out.sort_values("u", ignore_index=True)
 
 
-def test_set_similarity_cold_tier_matches_brute():
+def test_set_similarity_cold_tier_matches_brute(force_distributed):
     ui = _zipf_ui()
-    got = _run(ui, hot_threshold=1 << 30)   # nothing hot: pure cold
+    # nothing hot and no broadcast budget: the distributed pure-cold path
+    got = _run(ui, hot_threshold=1 << 30)
     want = _brute_top1(ui)
     pd.testing.assert_frame_equal(got, want, check_dtype=True)
 
 
-def test_set_similarity_hot_tier_equality_zipf():
+def test_set_similarity_hot_tier_equality_zipf(force_distributed):
     """The forced hot path (viral item + hot-only users + signature
     ties) must be row-identical to the cold tier AND the brute
     reference — for several thresholds, including one that routes

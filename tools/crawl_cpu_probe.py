@@ -35,33 +35,7 @@ import os
 import sys
 import time
 
-from pinned_run import PERFBENCH, ROOT, run_pinned
-
-CLK = os.sysconf("SC_CLK_TCK")
-
-
-def session_procs(sid: int) -> dict[int, tuple[str, float]]:
-    """pid → (title, CPU seconds) for every process of session ``sid``."""
-    out = {}
-    for pid in os.listdir("/proc"):
-        if not pid.isdigit():
-            continue
-        try:
-            with open(f"/proc/{pid}/stat") as fp:
-                stat = fp.read()
-            with open(f"/proc/{pid}/cmdline", "rb") as fp:
-                cmd = fp.read().replace(b"\0", b" ").decode(
-                    errors="replace").strip()
-        except OSError:
-            continue
-        f = stat[stat.rfind(")") + 2:].split()
-        if int(f[3]) != sid:
-            continue
-        words = cmd.split(" ")
-        title = words[0] if cmd.startswith("ray::") else " ".join(
-            os.path.basename(w) for w in words[:2])
-        out[int(pid)] = (title[:60], (int(f[11]) + int(f[12])) / CLK)
-    return out
+from pinned_run import CLK, PERFBENCH, ROOT, run_pinned, session_procs
 
 
 def core_times(cpu: int) -> list[int]:

@@ -9,7 +9,8 @@ process with its own session, pinned to perfbench's core, with
 group is stopped afterwards. The child reads ``args.json`` (``prep``,
 ``work``, ``ray_tmp``, ``seed``, ``cpu``, ``out``), writes its report
 as JSON to ``out`` and exits. Nothing under ``perfbench/`` is changed;
-its modules are only imported.
+its modules are only imported. ``session_procs`` is the probes' scan of
+the child session's processes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,31 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
+CLK = os.sysconf("SC_CLK_TCK")
+
+
+def session_procs(sid: int) -> dict[int, tuple[str, float]]:
+    """pid → (title, CPU seconds) for every process of session ``sid``."""
+    out = {}
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/stat") as fp:
+                stat = fp.read()
+            with open(f"/proc/{pid}/cmdline", "rb") as fp:
+                cmd = fp.read().replace(b"\0", b" ").decode(
+                    errors="replace").strip()
+        except OSError:
+            continue
+        f = stat[stat.rfind(")") + 2:].split()
+        if int(f[3]) != sid:
+            continue
+        words = cmd.split(" ")
+        title = words[0] if cmd.startswith("ray::") else " ".join(
+            os.path.basename(w) for w in words[:2])
+        out[int(pid)] = (title[:60], (int(f[11]) + int(f[12])) / CLK)
+    return out
 
 
 def run_pinned(probe: str, workload: str, seed: int) -> dict | None:

@@ -7,12 +7,16 @@ query_mix inputs, then runs the mix once the way ``perfbench/rep.py``
 does (same ``ray_start``, warm-up query and pinned core, Ray
 ``num_cpus=2``) in a child process with its own session
 (``tools/pinned_run.py``), and prints for each query of
-``prep.QUERY_LIST`` its seconds and the driver's ``VmHWM`` (peak
-resident set) before and after it.
+``prep.QUERY_LIST`` its seconds, the driver's ``VmHWM`` (peak
+resident set) before and after it, and the ``ray::`` processes started
+while it ran (a worker prestarted for a lease backlog, or an actor Ray
+Data starts), from the same session scan as
+``tools/crawl_cpu_probe.py``.
 
 After the report the probe prints a ``check:`` line and exits 1 if any
 query raised the peak by more than ``RISE_LIMIT_MB`` or if any result
-differs from its DuckDB oracle. A query's own driver-side working set
+differs from its DuckDB oracle; the started processes are reported,
+not checked. A query's own driver-side working set
 is what raises the peak: a kernel that materializes an unbounded
 temporary on the driver shows as one large step. Nothing under
 ``perfbench/`` is changed; its modules are only imported.
@@ -26,7 +30,7 @@ import os
 import sys
 import time
 
-from pinned_run import PERFBENCH, ROOT, run_pinned
+from pinned_run import PERFBENCH, ROOT, run_pinned, session_procs
 
 RISE_LIMIT_MB = 64
 
@@ -47,8 +51,9 @@ def child(a: dict) -> None:
     qmap = entry.queries()
     qmap["pricing_summary"](sf_dir).to_pandas()   # rep.py's warm-up
 
-    rows = []
+    rows, sid = [], os.getsid(0)
     for name in P.QUERY_LIST:
+        procs = session_procs(sid)
         before = rep.peak_rss_mb()
         t0 = time.perf_counter()
         error = None
@@ -59,6 +64,9 @@ def child(a: dict) -> None:
             error = repr(e)[:300]
         secs = time.perf_counter() - t0
         after = rep.peak_rss_mb()
+        started = sorted(title for pid, (title, _) in
+                         session_procs(sid).items()
+                         if pid not in procs and title.startswith("ray::"))
         if error is None:
             want = pd.read_parquet(os.path.join(
                 a["prep"], "expected_q", f"{name}.parquet"))
@@ -69,7 +77,8 @@ def child(a: dict) -> None:
                 error = str(e)[:300]
         rows.append({"query": name, "s": round(secs, 3),
                      "hwm_before_mb": round(before, 1),
-                     "hwm_after_mb": round(after, 1), "error": error})
+                     "hwm_after_mb": round(after, 1),
+                     "ray_started": started, "error": error})
     with open(a["out"], "w") as fp:
         json.dump({"seed": a["seed"], "cpu": a["cpu"],
                    "ray_cpus": ray.cluster_resources().get("CPU"),
@@ -91,19 +100,21 @@ def main() -> int:
     print(f"query_mix seed {report['seed']}, pinned core {report['cpu']}, "
           f"Ray CPUs {report['ray_cpus']}")
     print(f"{'query':<24} {'s':>7} {'VmHWM before':>13} {'after':>8} "
-          f"{'rise':>7}  (MB)")
+          f"{'rise':>7}  (MB)  ray:: started")
     problems = []
     for r in report["rows"]:
         r["rise_mb"] = rise = round(r["hwm_after_mb"] - r["hwm_before_mb"], 1)
         print(f"{r['query']:<24} {r['s']:7.2f} {r['hwm_before_mb']:13.1f} "
               f"{r['hwm_after_mb']:8.1f} {rise:7.1f}"
+              f"  {len(r['ray_started'])} {' '.join(r['ray_started'])}"
               + (f"  WRONG: {r['error']}" if r["error"] else ""))
         if rise > RISE_LIMIT_MB:
             problems.append(f"{r['query']} raised the driver peak by "
                             f"{rise} MB (limit {RISE_LIMIT_MB})")
         if r["error"]:
             problems.append(f"{r['query']} differs from its oracle")
-    print(json.dumps({r["query"]: {"s": r["s"], "rise_mb": r["rise_mb"]}
+    print(json.dumps({r["query"]: {"s": r["s"], "rise_mb": r["rise_mb"],
+                                   "ray_started": len(r["ray_started"])}
                       for r in report["rows"]}))
     print("check: " + ("; ".join(problems) or "ok"))
     return 1 if problems else 0
