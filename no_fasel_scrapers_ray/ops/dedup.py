@@ -1900,30 +1900,16 @@ rows)."""
 SIM_SLICE_INSTANCES = 1 << 16
 """Co-user instances gathered per slice of owners: a slice walks the
 items of consecutive owners and repeats each item's user list once per
-owner holding it. Its gather working set is about six int64 arrays of
-this length (row, offset, owner, co-user, count key, position), ~3 MiB
-at 1 << 16. A slice starts at the owner holding instance ``k × bound``,
-so it holds at most the bound plus that owner's own instances, and a
-range of owners has at most ⌈instances / bound⌉ slices. Smaller slices
-only add per-slice numpy calls (~20 each)."""
-
-SIM_SLICE_CELLS = 1 << 19
-"""Dense (owner × user) cells per slice. A slice whose owners × users
-fit is counted by one ``np.bincount`` into a dense block and scored
-whole (about three arrays of this many 8-byte cells, 12 MiB at
-1 << 19); a larger slice is counted by sorting its instances instead.
-Both kernels give the same bits. Slices are cut by instances alone, so
-the dense cells of a range are at most ``SIM_SLICE_CELLS /
-SIM_SLICE_INSTANCES`` (8) per gathered instance plus one block: the
-dense count never turns quadratic in the users. 8 is the measured
-break-even on one core: a dense cell costs ~5-8 ns and a sorted
-instance ~55-65 ns. On the sf0.01 reference tables (1,500 users,
-59,391 rows, 1.82 M instances) every slice is dense and one task
-scores all owners in 0.04-0.12 s at every bound pair from
-(1 << 14, 1 << 17) to (1 << 20, 1 << 23); with every slice sorted it
-takes 0.08-0.18 s. On sf0.1 (14,999 users, 599,351 rows, ~18 M
-instances) the slices are sorted and take 1.0-1.3 s, where dense
-blocks (225 M cells) take 1.1-2.2 s."""
+owner holding it, then counts the instances by sorting them. Its
+working set is about six int64 arrays of this length (row, offset,
+owner, co-user, count key, position), ~3 MiB at 1 << 16, whatever the
+number of users. A slice starts at the owner holding instance
+``k × bound``, so it holds at most the bound plus that owner's own
+instances, and a range of owners has at most ⌈instances / bound⌉
+slices. Smaller slices only add per-slice numpy calls (~20 each). On
+the sf0.01 reference tables (1,500 users, 59,391 rows, 1.82 M
+instances) one task scores all owners in 0.08-0.18 s; on sf0.1
+(14,999 users, 599,351 rows, ~18 M instances) in 1.0-1.3 s."""
 
 
 def _sim_index(n_parts: int, *blocks):
@@ -1968,7 +1954,7 @@ def _sim_index(n_parts: int, *blocks):
     return meta, (uid, n, uptr, uitem, iptr, iuser, wcum)
 
 
-def _sim_slice_top1(index, g0: int, g1: int, dense: bool):
+def _sim_slice_top1(index, g0: int, g1: int):
     """Top-1 co-user of the owners ``[g0, g1)`` (dense ids): gather
     every (owner, co-user) instance, count, score, pick. Returns dense
     ``(owner, other, jaccard)`` for the owners with any co-user."""
@@ -1980,21 +1966,9 @@ def _sim_slice_top1(index, g0: int, g1: int, dense: bool):
     co = iuser[np.arange(int(cnt.sum()))
                + np.repeat(iptr[its] - first, cnt)]
     own = np.repeat(np.repeat(np.arange(g1 - g0), n[g0:g1]), cnt)
-    if dense:
-        # one bincount into a dense (owner × user) block; argmax takes
-        # the FIRST maximum, the smallest id among equal doubles
-        inter = np.bincount(own * nu + co, minlength=(g1 - g0) * nu
-                            ).reshape(g1 - g0, nu)
-        rows = np.arange(g1 - g0)
-        inter[rows, rows + g0] = 0
-        jac = inter / (n[g0:g1, None] + n[None, :] - inter)
-        other = jac.argmax(axis=1)
-        best = jac[rows, other]
-        keep = best > 0
-        return rows[keep] + g0, other[keep], best[keep]
     # sorted instances: one run per (owner, other), owners ascending and
     # others ascending within an owner, so the first maximum of each
-    # owner's run is again the smallest id among equal doubles
+    # owner's run is the smallest id among equal doubles
     key, inter = np.unique(own * nu + co, return_counts=True)
     o, other = key // nu + g0, key % nu
     keep = o != other
@@ -2011,19 +1985,17 @@ def _sim_slice_top1(index, g0: int, g1: int, dense: bool):
 
 
 def _sim_score(index, lo: int, hi: int, slice_instances: int,
-               slice_cells: int, out_names: tuple) -> pa.Table:
+               out_names: tuple) -> pa.Table:
     """One owner-range task of the broadcast tier: the owners
     ``[lo, hi)`` in slices of about ``slice_instances`` gathered
-    instances, each counted dense when it has at most ``slice_cells``
-    (owner × user) cells. The bounds arrive as arguments, so a value
-    set on the driver is the one the task runs with."""
+    instances. The bound arrives as an argument, so a value set on the
+    driver is the one the task runs with."""
     uid, wcum = index[0], index[-1]
     # slice k starts at the owner holding instance k × slice_instances
     starts = np.unique(np.searchsorted(
         wcum[lo + 1:hi + 1], wcum[lo] + np.arange(
             0, wcum[hi] - wcum[lo], slice_instances), side="right")) + lo
-    parts = [_sim_slice_top1(index, int(a), int(b),
-                             (b - a) * len(uid) <= slice_cells)
+    parts = [_sim_slice_top1(index, int(a), int(b))
              for a, b in zip(starts, np.append(starts[1:], hi))]
     o, other, jac = map(np.concatenate, zip(*parts)) if parts else \
         (np.zeros(0, np.int64),) * 3
@@ -2061,7 +2033,7 @@ def _sim_broadcast_tier(ui: rd.Dataset, hot_threshold: int,
     ranges = list(zip(bounds, bounds[1:])) or [(0, 0)]
     return rd.from_arrow_refs(submit_windowed(
         functools.partial(score_r.remote, index_ref, lo, hi,
-                          SIM_SLICE_INSTANCES, SIM_SLICE_CELLS, out_names)
+                          SIM_SLICE_INSTANCES, out_names)
         for lo, hi in ranges))
 
 
@@ -2085,10 +2057,10 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
     One task builds a CSR index (item → users, user → items, set
     sizes) from ``ui``'s blocks and returns it as one object; one
     ``submit_windowed`` wave of owner-range tasks gathers each slice's
-    co-user instances by offset arithmetic and counts them with one
-    ``np.bincount`` into a dense (slice × users) block, or by sorting
-    when the block would pass ``SIM_SLICE_CELLS``. Jaccard is the same
-    double division of exact int64s, and the first maximum is the
+    co-user instances by offset arithmetic (``SIM_SLICE_INSTANCES``
+    per slice) and counts them by sorting, so no step is quadratic in
+    the users. Jaccard is the same double division of exact int64s,
+    and the first maximum of each owner's id-sorted run is the
     smallest id among equal doubles, the same tie-break. The results
     come back through ``rd.from_arrow_refs``; no pair row crosses a
     shuffle (sf0.01: 1.76 M pair rows did, through two sorts).

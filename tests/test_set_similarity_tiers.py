@@ -6,7 +6,8 @@ checked against the O(n²) reference and against the distributed tier
 twins and hot-only users, users without a co-user, an empty input,
 owner ranges cut into many slices, and ties between equal doubles
 from different (intersection, size) pairs. Sets of identical shingle
-bytes in the near-dup collapse are keyed on 128 bits."""
+bytes in the near-dup collapse are keyed on 128 bits, and each doc is
+joined to the representative of its own 128-bit group."""
 
 import numpy as np
 import pandas as pd
@@ -107,27 +108,19 @@ def test_empty_input(shuffles):
     assert shuffles == []
 
 
-@pytest.mark.parametrize("instances,cells", [
-    (1, None), (7, None), (None, 1), (None, 7), (7, 7), (1, 1)])
-def test_many_slices(instances, cells, shuffles, monkeypatch):
-    """Owner ranges cut into many slices (1 or 7 instances each), each
-    counted dense or (at 1 or 7 cells) by sorting."""
-    if instances is not None:
-        monkeypatch.setattr(dedup, "SIM_SLICE_INSTANCES", instances)
-    if cells is not None:
-        monkeypatch.setattr(dedup, "SIM_SLICE_CELLS", cells)
+@pytest.mark.parametrize("instances", [1, 7])
+def test_many_slices(instances, shuffles, monkeypatch):
+    """Owner ranges cut into many slices (1 or 7 instances each)."""
+    monkeypatch.setattr(dedup, "SIM_SLICE_INSTANCES", instances)
     ui = _zipf_ui()
     got = _run(ui)
     assert shuffles == []
     pd.testing.assert_frame_equal(got, _brute_top1(ui), check_dtype=True)
 
 
-@pytest.mark.parametrize("cells", [None, 1])
-def test_ties_between_equal_doubles(cells, shuffles, monkeypatch):
+def test_ties_between_equal_doubles(shuffles, monkeypatch):
     """Equal doubles from different (intersection, size) pairs tie, and
-    the smaller id wins, in both counting kernels and both tiers."""
-    if cells is not None:
-        monkeypatch.setattr(dedup, "SIM_SLICE_CELLS", cells)
+    the smaller id wins, in both tiers."""
     ui = _ties_ui()
     got = _run(ui)
     assert shuffles == []
@@ -176,3 +169,22 @@ def test_set_keys_separate_a_64_bit_collision(monkeypatch):
         "setkey2": key2, "n_sh": np.full(3, 3, np.int64)})
     pairs = dedup._intra_pairs(members, "jaccard", directed=False)
     assert list(zip(pairs["doc_a"], pairs["doc_b"])) == [(0, 2)]
+
+
+def test_join_set_groups_keeps_each_row_with_its_own_rep():
+    """Two groups whose keys share the first half (k1) but not the
+    second (k2) meet in the join on k1; each sig row comes back once,
+    with the rep of its own (k1, k2) group."""
+    sig = pd.DataFrame({"doc_id": [0, 1, 2, 3, 4],
+                        "setkey": [7, 7, 7, 7, 8],
+                        "setkey2": [100, 100, 200, 200, 100],
+                        "n_sh": [3, 3, 5, 5, 3]}, dtype=np.int64)
+    reps = pd.DataFrame({"setkey": [7, 7, 8], "setkey2": [100, 200, 100],
+                         "rep": [0, 2, 4]}, dtype=np.int64)
+    got = dedup._join_set_groups(
+        rd.from_pandas(sig).repartition(2), rd.from_pandas(reps),
+        "setkey", "setkey2").to_pandas().sort_values(
+        "doc_id", ignore_index=True)
+    assert list(got["doc_id"]) == [0, 1, 2, 3, 4]
+    assert list(got["rep"]) == [0, 0, 2, 2, 4]
+    assert list(got["setkey2"]) == [100, 100, 200, 200, 100]
