@@ -13,6 +13,7 @@ here calls ``ray.init()`` / ``ray.shutdown()``.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import nullcontext
 from typing import Any
 
 from functools import partial
@@ -21,7 +22,7 @@ import numpy as np
 import pandas as pd
 
 import no_fasel_scrapers_ray
-from no_fasel_scrapers_ray.ops.util import key_shuffle
+from no_fasel_scrapers_ray.ops.util import key_shuffle, tier_budgets
 
 # Workers must run this package's closures even though the driver
 # ray.init()s before /root/repo is on any worker's import path.
@@ -60,6 +61,12 @@ def _read(sf_dir: str, table: str, columns=None, rows_per_block: int = 512):
     except Exception:
         return rd.read_parquet(path, columns=columns)
     return rd.read_parquet(path, columns=columns, override_num_blocks=nb)
+
+
+def _budgets(tier3: bool):
+    """``*_tier3`` twins: 0-byte budgets put the operator called in the
+    block on its distributed tier (``ops/util.py::plan_tier``)."""
+    return tier_budgets(0, 0) if tier3 else nullcontext()
 
 
 # --------------------------------------------------------------------------
@@ -1350,18 +1357,14 @@ def q_triangle_parts(sf_dir: str, tier3: bool = False):
     ``ops/graph.py::triangle_count`` (degree-oriented compact-forward
     with a two-tier closing check). Oracle: sorted-id 3-way SQL
     self-join — each triangle counted once on both engines.
-    ``tier3=True`` (query ``triangle_parts_tier3``) forces the fully
-    distributed bucketed-closing-join path regardless of size, so the
-    100-TB tier runs against the same oracle in every bench/driver
-    round, not only in forced-threshold unit tests."""
+    ``tier3=True`` (query ``triangle_parts_tier3``) runs the fully
+    distributed closing join against the same oracle (``_budgets``)."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.graph import triangle_count
     edges = _part_cooccurrence_edges(sf_dir)
-    kw = ({"small_threshold": 0, "broadcast_edge_threshold": 0}
-          if tier3 else {})
-    return pd.DataFrame({"n_triangles":
-                         np.array([triangle_count(edges, **kw)],
-                                  dtype=np.int64)})
+    with _budgets(tier3):
+        n = triangle_count(edges)
+    return pd.DataFrame({"n_triangles": np.array([n], dtype=np.int64)})
 
 
 def q_pagerank_cust_supp(sf_dir: str, tier3: bool = False):
@@ -1401,9 +1404,9 @@ def q_pagerank_cust_supp(sf_dir: str, tier3: bool = False):
 
     edges = preagg_reduce(j.map_batches(to_edge, batch_format="pandas"),
                           ["src", "dst"], "one", "min").drop_columns(["one"])
-    kw = ({"small_threshold": 0, "broadcast_nodes": 0} if tier3 else {})
-    return round_columns(pagerank(edges, damping=0.85, iters=5, **kw),
-                         {"rank": 6})
+    with _budgets(tier3):
+        ranks = pagerank(edges, damping=0.85, iters=5)
+    return round_columns(ranks, {"rank": 6})
 
 
 def q_pca_embeddings(sf_dir: str):
@@ -1484,8 +1487,8 @@ def q_dedup_clusters(sf_dir: str, tier3: bool = False):
     pairs = ngram_jaccard_pairs(
         _read(sf_dir, "documents", ["doc_id", "text"]),
         shingle=3, jaccard_threshold=0.5)
-    kw = ({"small_threshold": 0} if tier3 else {})
-    out = connected_components(pairs, "doc_a", "doc_b", **kw).to_pandas()
+    with _budgets(tier3):
+        out = connected_components(pairs, "doc_a", "doc_b").to_pandas()
     if out.empty and "doc_id" not in out.columns:
         # 0-row to_pandas() drops column names (Ray gotcha) — restore
         # the contract schema so the driver's column compare holds
@@ -2111,15 +2114,21 @@ def q_doc_dup_spans(sf_dir: str):
     round-4 missing family per VERDICT r03): maximal token ranges
     whose 6-token windows also appear in at least one OTHER document —
     the duplicated-span finder that a span-removal pass would consume.
-    Three narrow shuffles over window hashes / (doc, off) rows; below
-    the candidate-broadcast cap the document text never shuffles, and
-    above it the op degrades to the distributed candidate tier
-    (ops/dedup.py::dup_spans, candidate cap 50,000,000). Oracle:
+    Three narrow shuffles over window hashes / (doc, off) rows; while
+    the candidate hashes fit the broadcast budget the document text
+    never shuffles, and past it the op degrades to the distributed
+    candidate tier (ops/dedup.py::dup_spans). Oracle:
     UNNEST(range) windows + HAVING count(DISTINCT doc_id) > 1 +
     gaps-and-islands merge."""
     from no_fasel_scrapers_ray.ops.dedup import dup_spans
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return dup_spans(docs, k=6, max_candidates=50_000_000)
+    spans = dup_spans(docs, k=6)
+    if spans.count() == 0:
+        # 0-row to_pandas() drops column names (Ray gotcha) — hand back
+        # the contract schema so the driver's column compare holds
+        return pd.DataFrame({c: pd.Series([], dtype="int64")
+                             for c in spans.schema().names})
+    return spans
 
 
 def q_doc_chunks(sf_dir: str):
@@ -3205,7 +3214,8 @@ def q_lpa_communities(sf_dir: str, tier3: bool = False):
     neighbor labels, ties → smallest) over the sparse quantity-1
     fulfillment graph — the BFS query's graph, so communities are
     non-trivial at every sf (ops/graph.py::label_propagation; driver
-    CSR tier under the cutover, pre-counted mode-offer BSP beyond).
+    CSR tier within the driver budget, pre-counted mode-offer BSP
+    beyond).
     Oracle: the same 3 rounds unrolled as chained CTEs with a
     window-mode per round."""
     import pandas as pd
@@ -3216,8 +3226,8 @@ def q_lpa_communities(sf_dir: str, tier3: bool = False):
             "c": b["c"].to_numpy(np.int64),
             "s": b["s"].to_numpy(np.int64) + OFF}),
         batch_format="pandas")
-    kw = dict(small_threshold=0) if tier3 else {}
-    return label_propagation(edges, "c", "s", rounds=3, **kw)
+    with _budgets(tier3):
+        return label_propagation(edges, "c", "s", rounds=3)
 
 
 def _lpa_oracle_sql(rounds: int = 3) -> str:
@@ -3597,7 +3607,7 @@ def q_bfs_fulfillment(sf_dir: str, tier3: bool = False):
     5 levels at every sf). Suppliers offset by 2^40 (the pagerank
     packing contract). Seeds are a query parameter (node-sized driver
     state, like the tier-2 broadcast-rank contract); the traversal is
-    `ops/graph.py::bfs_hops` — driver CSR under the cutover, the CC
+    `ops/graph.py::bfs_hops` — driver CSR within the driver budget, the CC
     BSP kernel with dist+1 offers beyond. Oracle: DuckDB recursive CTE
     with min-hop aggregation."""
     import pandas as pd
@@ -3613,8 +3623,8 @@ def q_bfs_fulfillment(sf_dir: str, tier3: bool = False):
                  lambda b: b[b["c_nationkey"].to_numpy() == 0]
                  [["c_custkey"]], batch_format="pandas")
              .to_pandas()["c_custkey"].to_numpy(np.int64))
-    kw = dict(small_threshold=0) if tier3 else {}
-    return bfs_hops(edges, "c", "s", seeds, max_hops=4, **kw)
+    with _budgets(tier3):
+        return bfs_hops(edges, "c", "s", seeds, max_hops=4)
 
 
 def q_tfidf_cosine_pairs(sf_dir: str):
@@ -5083,19 +5093,15 @@ def q_ingest_incremental(sf_dir: str):
         shutil.rmtree(state, ignore_errors=True)
 
 
-def q_msf_fulfillment(sf_dir: str, force_distributed: bool = False,
-                      tier3: bool = False):
+def q_msf_fulfillment(sf_dir: str, tier3: bool = False):
     """Minimum spanning forest (§ graph operators — single-linkage
     clustering's backbone) over the bipartite customer–supplier
     fulfillment graph with deterministic integer weights
     w = (c·2654435761 + s·40503) mod 9973 + 1 (pseudo-unique, so the
-    MSF is essentially unique and run-independent). Borůvka with the
-    standing three-tier cutover (`ops/graph.py::minimum_spanning_forest`
-    — driver Kruskal under it, distributed component-min rounds
-    beyond, edge set never leaves the cluster; ``tier3=True`` — query
-    ``msf_tier3`` — forces the fully distributed `_msf_tier3` where
-    the union-find itself leaves the driver: bucketed label dataset +
-    per-round CC over the chosen component graph). Customers offset by
+    MSF is essentially unique and run-independent), through the three
+    size tiers of `ops/graph.py::minimum_spanning_forest`;
+    ``tier3=True`` (query ``msf_tier3``) runs its fully distributed
+    `_msf_tier3` (``_budgets``). Customers offset by
     2^40 into their own node space (the pagerank contract). No SQL
     oracle by design (MSF is not SQL-expressible) — Kruskal-reference
     + tier-equality pinned in tests/test_round5_ops.py and
@@ -5111,10 +5117,8 @@ def q_msf_fulfillment(sf_dir: str, force_distributed: bool = False,
         return pd.DataFrame({"u": c + (1 << 40), "v": s, "w": w})
 
     edges = cs.map_batches(weight, batch_format="pandas")
-    kw = ({"small_threshold": 0, "tier3_threshold": 0}
-          if tier3 else
-          {"small_threshold": (0 if force_distributed else 1 << 18)})
-    return minimum_spanning_forest(edges, **kw)
+    with _budgets(tier3):
+        return minimum_spanning_forest(edges)
 
 
 def q_top_session_paths(sf_dir: str):
@@ -5288,14 +5292,14 @@ def q_rolling_approx_users(sf_dir: str):
         "n_users_approx": out["n_users_approx"].to_numpy(np.int64)})
 
 
-def q_sssp_nations(sf_dir: str, force_bsp: bool = False):
+def q_sssp_nations(sf_dir: str):
     """Weighted single-source shortest paths (§ graph operators — the
     weighted twin of bfs_fulfillment): distances from nation 0 over
     the undirected supplier-nation ↔ customer-nation trade graph with
     deterministic integer weights w = (u+v)%5 + 1
     (`ops/graph.py::weighted_sssp`, Bellman-Ford; driver tier here —
-    25 nodes — with the node-bucket BSP kernel past the standing
-    cutover, tier-equality-tested). Oracle: bounded recursive-CTE
+    25 nodes — with the node-bucket BSP kernel past the driver
+    budget, tier-equality-tested). Oracle: bounded recursive-CTE
     relaxation (d ≤ 130 > the 24·5 worst shortest distance, so no
     shortest path is cut)."""
     import pandas as pd
@@ -5334,8 +5338,7 @@ def q_sssp_nations(sf_dir: str, force_bsp: bool = False):
         return pd.DataFrame({"u": u, "v": v, "w": (u + v) % 5 + 1})
 
     edges = dn.map_batches(weight, batch_format="pandas")
-    out = weighted_sssp(edges, source=0,
-                        small_threshold=(0 if force_bsp else 1 << 18))
+    out = weighted_sssp(edges, source=0)
 
     def render(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -5749,14 +5752,12 @@ def q_local_clustering(sf_dir: str, tier3: bool = False):
     wedge closing with node-sized dense partials
     (ops/graph.py::local_clustering); each triangle credited to all
     three corners exactly once. ``tier3=True`` (query
-    ``local_clustering_tier3``) forces the fully distributed BSP
-    closing exchange with per-corner crediting, so the 100-TB tier
-    runs against the same oracle every round."""
+    ``local_clustering_tier3``) runs the fully distributed closing
+    exchange against the same oracle (``_budgets``)."""
     from no_fasel_scrapers_ray.ops.graph import local_clustering
     edges = _part_cooccurrence_edges(sf_dir)
-    kw = ({"small_threshold": 0, "broadcast_edge_threshold": 0}
-          if tier3 else {})
-    return local_clustering(edges, **kw)
+    with _budgets(tier3):
+        return local_clustering(edges)
 
 
 def _with_rank2(b):

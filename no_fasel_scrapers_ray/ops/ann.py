@@ -201,28 +201,6 @@ def knn_ivf(embeddings: rd.Dataset, query_ids: list[int], k: int = 5,
     return partials.groupby("query_id", sort=True).head(k).reset_index(drop=True)
 
 
-class HyperplaneLSH:
-    """Random-hyperplane signatures for cosine near-dup bucketing.
-    Planes are built lazily from the first batch's dimensionality, once
-    per actor."""
-
-    def __init__(self, n_planes: int = 4, seed: int = 42):
-        self.n_planes = n_planes
-        self.seed = seed
-        self.planes = None
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        emb = _stack(batch["embedding"]).astype(np.float64)
-        if self.planes is None:
-            rng = np.random.RandomState(self.seed)
-            self.planes = rng.randn(emb.shape[1], self.n_planes)
-        bits = (emb @ self.planes) > 0
-        bucket = (bits * (1 << np.arange(bits.shape[1]))).sum(axis=1)
-        return pd.DataFrame({"vec_id": batch["vec_id"],
-                             "bucket": bucket.astype(np.int64),
-                             "embedding": batch["embedding"]})
-
-
 _EMPTY_PAIRS = {"vec_a": pd.Series([], dtype=np.int64),
                 "vec_b": pd.Series([], dtype=np.int64),
                 "cosine": pd.Series([], dtype=np.float64)}

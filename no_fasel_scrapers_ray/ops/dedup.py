@@ -39,7 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .util import cached_instance, key_shuffle
+from .util import cached_instance, check_broadcast, key_shuffle, plan_tier
 
 # MinHash parameters: 64 permutations in 8 bands of 8 rows.
 N_PERM = 64
@@ -1102,8 +1102,14 @@ def _token_windows(texts: "pd.Series", k: int):
             pd.util.hash_array(grams.astype(object)))
 
 
-def dup_spans(docs: rd.Dataset, k: int = 6,
-              max_candidates: int = 50_000_000) -> rd.Dataset:
+def _isin_sorted(keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the ``x`` found in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(x), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, x), len(keys) - 1)] == x
+
+
+def dup_spans(docs: rd.Dataset, k: int = 6) -> rd.Dataset:
     """Substring-level exact dedup (§ LLM training-data prep; the
     suffix-array-style duplicated-span family — e.g. Lee et al. 2022,
     "Deduplicating Training Data Makes Language Models Better"): find
@@ -1119,10 +1125,11 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
     1. candidate pass: per-batch distinct (window-hash, doc) partials
        (16 B/row) → hash-bucket groupby → window hashes seen in ≥ 2
        distinct docs. The candidate set is proportional to the
-       corpus's true duplication mass. Up to ``max_candidates`` it is
-       collected and broadcast once (``ray.put`` sorted uint64 array);
-       ABOVE the cap the op degrades to a fully distributed plan
-       (tier-equality-tested at a forced tiny cap,
+       corpus's true duplication mass. While it fits the broadcast
+       budget (8 B per hash, ``util.plan_tier``) it is collected and
+       broadcast once (``ray.put`` sorted uint64 array); past the
+       budget the op degrades to a fully distributed plan
+       (tier-equality-tested at forced tiny budgets,
        tests/test_round6_ops.py): window (h, doc_id, off) rows — no
        gram strings — semi-join the candidate hashes in h-buckets,
        and surviving offsets meet their doc's text in ONE doc-bucket
@@ -1165,7 +1172,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
                              "off": np.array([], dtype=np.int64),
                              "h": np.array([], dtype=np.uint64)})
 
-    if n_cand <= max_candidates:
+    if plan_tier("dup_spans", broadcast_bytes=8 * n_cand) == "broadcast":
         # ---- broadcast tier: candidate hashes ride once as a sorted
         # uint64 array; only hash-candidate windows ship their gram.
         cands = cand_ds.to_pandas()
@@ -1179,9 +1186,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
             if not len(ch):
                 return _gram_empty()
             di, off, grams, h = _token_windows(b["text"], k)
-            pos = np.searchsorted(ch, h)
-            np.clip(pos, 0, len(ch) - 1, out=pos)
-            hit = ch[pos] == h
+            hit = _isin_sorted(ch, h)
             if not np.any(hit):
                 return _gram_empty()
             return pd.DataFrame({"gram": grams[hit],
@@ -1191,7 +1196,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
         gram_rows = docs.map_batches(probe, batch_format="pandas")
     else:
         # ---- distributed candidate tier (VERDICT r04 #2: above the
-        # broadcast cap the op now degrades to a shuffle plan instead
+        # broadcast budget the op now degrades to a shuffle plan instead
         # of refusing to run). Round A: every window's (h, doc_id,
         # off) — 24 B/row, NO gram strings — semi-joins the candidate
         # hashes inside h-buckets. Round B: surviving offsets shuffle
@@ -1199,7 +1204,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
         # just those windows; gram volume is the duplication mass,
         # exactly as in the broadcast tier. Text of candidate docs
         # ships once (pruned by a broadcast doc-id filter when the
-        # surviving-doc set itself fits the cap).
+        # surviving-doc set itself fits the budget).
         def win_rows(b: pd.DataFrame) -> pd.DataFrame:
             if not len(b):
                 return pd.DataFrame({
@@ -1227,11 +1232,8 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
                 return pd.DataFrame({
                     "doc_id": np.array([], dtype=np.int64),
                     "off": np.array([], dtype=np.int64)})
-            h = w["h"].to_numpy(np.uint64)
-            pos = np.searchsorted(ch, h)
-            np.clip(pos, 0, len(ch) - 1, out=pos)
-            hit = ch[pos] == h
-            return w[hit][["doc_id", "off"]]
+            return w[_isin_sorted(ch, w["h"].to_numpy(np.uint64))][
+                ["doc_id", "off"]]
 
         surv = key_shuffle(
             [docs.map_batches(win_rows, batch_format="pandas"),
@@ -1239,23 +1241,19 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
             semi, ["h"], batch_format="pandas").materialize()
 
         # prune the Round-B text shuffle to docs that still matter,
-        # when that doc-id set is broadcastable under the same cap
+        # when that doc-id set (8 B per doc) fits the broadcast budget
         from .relational import preagg_reduce
         surv_docs = preagg_reduce(surv, ["doc_id"], "__c",
                                   "count").materialize()
-        if surv_docs.count() <= max_candidates:
+        if plan_tier("dup_spans", broadcast_bytes=8 * surv_docs.count()
+                     ) == "broadcast":
             sd = np.sort(surv_docs.to_pandas()["doc_id"].to_numpy(
                 np.int64))
             sd_ref = ray.put(sd)
 
             def keep_docs(b: pd.DataFrame) -> pd.DataFrame:
-                s = broadcast_get(sd_ref)
-                if not len(s):
-                    return b.iloc[:0]
-                d = b["doc_id"].to_numpy(np.int64)
-                pos = np.searchsorted(s, d)
-                np.clip(pos, 0, len(s) - 1, out=pos)
-                return b[s[pos] == d]
+                return b[_isin_sorted(broadcast_get(sd_ref),
+                                      b["doc_id"].to_numpy(np.int64))]
 
             docs_b = docs.map_batches(keep_docs, batch_format="pandas")
         else:
@@ -1296,9 +1294,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
                 np.searchsorted(uids,
                                 sv["doc_id"].to_numpy(np.int64))
                 .astype(np.int64) * span + sv["off"].to_numpy(np.int64))
-            pos = np.searchsorted(sk, wk)
-            np.clip(pos, 0, len(sk) - 1, out=pos)
-            hit = known & (sk[pos] == wk)
+            hit = known & _isin_sorted(sk, wk)
             if not np.any(hit):
                 return _gram_empty()
             return pd.DataFrame({"gram": grams[hit], "doc_id": dids[hit],
@@ -1328,9 +1324,17 @@ def dup_spans(docs: rd.Dataset, k: int = 6,
         return agg[["doc_id", "span_start", "span_end"]].reset_index(
             drop=True)
 
-    return key_shuffle(key_shuffle(gram_rows, verify, ["h"],
-                                   batch_format="pandas"),
-                       islands, ["doc_id"], batch_format="pandas")
+    out = key_shuffle(key_shuffle(gram_rows, verify, ["h"],
+                                  batch_format="pandas"),
+                      islands, ["doc_id"], batch_format="pandas"
+                      ).materialize()
+    if out.count() == 0:
+        # no duplicated span: no group ran, so no block carries the
+        # (doc_id, span_start, span_end) int64 schema — supply it
+        return rd.from_arrow(pa.table({
+            c: pa.array([], pa.int64())
+            for c in ("doc_id", "span_start", "span_end")}))
+    return out
 
 
 def _levenshtein_pairs(a_codes: np.ndarray,
@@ -1894,7 +1898,7 @@ ids, set sizes, user offsets and cumulative instances (each ≤ one per
 row, plus one), the user → item list, item offsets (≤ one per row,
 plus one) and the item → user list. The tier runs only while
 ``SIM_INDEX_INT64S_PER_ROW × 8 × (rows + 1)`` fits the package's
-broadcast budget ``relational.BROADCAST_LIMIT_BYTES`` (512 MiB: ~9.6 M
+broadcast budget ``util.BROADCAST_LIMIT_BYTES`` (512 MiB: ~9.6 M
 rows)."""
 
 SIM_SLICE_INSTANCES = 1 << 16
@@ -2016,11 +2020,11 @@ def _sim_broadcast_tier(ui: rd.Dataset, hot_threshold: int,
 
     import ray
 
-    from . import relational
     from .util import submit_windowed, window_width
 
     nbytes = SIM_INDEX_INT64S_PER_ROW * 8 * (ui.count() + 1)
-    if nbytes > relational.BROADCAST_LIMIT_BYTES:
+    if plan_tier("set_similarity_top1", broadcast_bytes=nbytes
+                 ) != "broadcast":
         return None
     blocks = [r for bundle in ui.iter_internal_ref_bundles()
               for r in bundle.block_refs]
@@ -2050,8 +2054,8 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
 
     Broadcast tier (``_sim_broadcast_tier``), taken when both hold:
     the (user, item) index fits the broadcast budget
-    (``SIM_INDEX_INT64S_PER_ROW × 8`` bytes per row against
-    ``relational.BROADCAST_LIMIT_BYTES``, known from ``ui.count()``)
+    (``SIM_INDEX_INT64S_PER_ROW × 8`` bytes per row, known from
+    ``ui.count()``, through ``util.plan_tier``)
     and no item's exact fan-out reaches ``hot_threshold`` — so the
     work is the cold path's Σ|users(item)|² ≤ ``hot_threshold × nnz``.
     One task builds a CSR index (item → users, user → items, set
@@ -2111,14 +2115,14 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
     Driver/broadcast state is #users-touching-hot-items × (W+2)
     int64s (the signature table) — bounded by total hot-item fan-out,
     NOT by its square — plus every user's set size;
-    ``_check_broadcast_size`` warns when either passes the broadcast
-    budget (routing the sizes through the owner shuffle is open). Hot-tier compute is
-    #hot-users × #signatures × W/8 bytes of popcount matmul, blocked;
-    ``hot_threshold`` trades the two tiers explicitly."""
+    ``check_broadcast`` warns when either passes the broadcast budget
+    (routing the sizes through the owner shuffle is open). Hot-tier
+    compute is #hot-users × #signatures × W/8 bytes of popcount
+    matmul, blocked; ``hot_threshold`` trades the two tiers
+    explicitly."""
     import ray
 
-    from .relational import (_check_broadcast_size, broadcast_get,
-                             detect_hot_keys, preagg_reduce)
+    from .relational import broadcast_get, detect_hot_keys, preagg_reduce
 
     HALF = np.int64(1 << 31)
     BPW = 63                      # bits per int64 word (sum == OR, no
@@ -2130,7 +2134,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
         return out
     sizes = preagg_reduce(ui, ["u"], "n_items", "count").to_pandas()
     sizes = sizes.sort_values("u")
-    _check_broadcast_size(sizes, "set_similarity_top1 user sizes")
+    check_broadcast(sizes, "set_similarity_top1 user sizes")
     uk = ray.put(sizes["u"].to_numpy(np.int64))
     un = ray.put(sizes["n_items"].to_numpy(np.int64))
 
@@ -2145,10 +2149,8 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
         def hot_bits(b: pd.DataFrame) -> pd.DataFrame:
             hs = broadcast_get(hot_ref)
             it = b["item"].to_numpy(np.int64)
-            pos = np.searchsorted(hs, it)
-            np.clip(pos, 0, len(hs) - 1, out=pos)
-            m = hs[pos] == it
-            bit = pos[m]
+            m = _isin_sorted(hs, it)
+            bit = np.searchsorted(hs, it[m])
             return pd.DataFrame({
                 "u": b["u"].to_numpy(np.int64)[m],
                 "word": (bit // BPW).astype(np.int64),
@@ -2162,7 +2164,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
         iu = np.searchsorted(hu, bits["u"].to_numpy(np.int64))
         hm[iu, bits["word"].to_numpy(np.int64)] = \
             bits["val"].to_numpy(np.int64)
-        _check_broadcast_size(hm, "set_similarity_top1 hot signatures")
+        check_broadcast(hm, "set_similarity_top1 hot signatures")
         hu_ref, hm_ref = ray.put(hu), ray.put(hm)
     else:
         hu = np.array([], dtype=np.int64)
@@ -2172,13 +2174,8 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
     # ---- cold stream: per-item bucket pair emission (standing path,
     # now over cold items only)
     def drop_hot(b: pd.DataFrame) -> pd.DataFrame:
-        hs = broadcast_get(hot_ref)
-        if not len(hs):
-            return b
-        it = b["item"].to_numpy(np.int64)
-        pos = np.searchsorted(hs, it)
-        np.clip(pos, 0, len(hs) - 1, out=pos)
-        return b[hs[pos] != it]
+        return b[~_isin_sorted(broadcast_get(hot_ref),
+                               b["item"].to_numpy(np.int64))]
 
     cold = ui.map_batches(drop_hot, batch_format="pandas")
 

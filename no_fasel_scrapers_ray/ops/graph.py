@@ -32,7 +32,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from .util import fanout, key_shuffle, shuffle_buckets
+from .util import (check_broadcast, fanout, key_shuffle, plan_tier,
+                   shuffle_buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +143,26 @@ def _driver_union_find(a: np.ndarray, c: np.ndarray) -> pa.Table:
     return pa.table({"node": ids, "label": roots})
 
 
+def _pull(ds: rd.Dataset, *cols: str) -> list[np.ndarray]:
+    """A driver tier's pull: the int64 columns ``cols`` of ``ds`` (empty
+    for an empty Dataset, whose ``to_pandas()`` has no columns)."""
+    df = ds.to_pandas()
+    return [df[c].to_numpy(np.int64) if len(df) else np.zeros(0, np.int64)
+            for c in cols]
+
+
+def _mirror(col_a: str, col_b: str):
+    """Batch fn: each undirected pair as two (node, nbr) rows."""
+    def mirror(b: pa.Table) -> pa.Table:
+        a = b[col_a].to_numpy(zero_copy_only=False).astype(np.int64)
+        c = b[col_b].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"node": np.concatenate([a, c]),
+                         "nbr": np.concatenate([c, a])})
+    return mirror
+
+
 def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
                          max_iters: int = 50,
-                         small_threshold: int = 1 << 18,
                          checkpoint_dir: str | None = None) -> rd.Dataset:
     """Label every node of the undirected pair graph with the MINIMUM
     node id reachable from it: ``(doc_id, cluster_id)`` — one row per
@@ -157,6 +175,8 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     min-reduce). Labels only ever DECREASE, so the global label sum is
     strictly monotone and stalls exactly at the fixed point — the
     convergence check is one cheap streaming sum, no row-level diff.
+    While the contracted star edges (16 B each) fit the driver budget
+    (``util.plan_tier``), one driver union-find replaces the loop.
     """
 
     def contract(b: pa.Table) -> pa.Table:
@@ -189,23 +209,16 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     # a 300-edge graph at 32 CPUs). One 64Ki-row block per ~64Ki edges.
     n_edge_rows = edges.count()
 
-    # SMALL-GRAPH FAST PATH (the broadcast-join-style size cutover):
-    # per-block contraction already shrank the graph to ≤ 2 star edges
-    # per distinct node, so n_edge_rows ≤ small_threshold bounds the
-    # driver pull at ~4 MB of int64 pairs — finishing with one local
-    # union-find there replaces 2+ all-to-all shuffles per iteration
-    # whose cost is pure task-launch overhead at this size (measured
-    # ~10 s for a <1k-edge graph at 32 CPUs). Graphs above the
-    # threshold take the iterative distributed path below, which never
-    # materializes more than (node, label) pairs per bucket.
-    if n_edge_rows <= small_threshold:
-        star = edges.to_pandas()
-        if star.empty:
-            return rd.from_arrow(pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "cluster_id": pa.array([], pa.int64())}))
-        t = _driver_union_find(star["node"].to_numpy(dtype=np.int64),
-                               star["nbr"].to_numpy(dtype=np.int64))
+    # SMALL-GRAPH FAST PATH: per-block contraction already shrank the
+    # graph to ≤ 2 star edges per distinct node; while they fit the
+    # driver budget, one local union-find replaces 2+ all-to-all
+    # shuffles per iteration whose cost is pure task-launch overhead
+    # at this size. Larger graphs take the iterative distributed path
+    # below, which never materializes more than (node, label) pairs
+    # per bucket.
+    if plan_tier("connected_components",
+                 driver_bytes=16 * n_edge_rows) == "driver":
+        t = _driver_union_find(*_pull(edges, "node", "nbr"))
         return rd.from_arrow(pa.table({"doc_id": t["node"],
                                        "cluster_id": t["label"]}))
 
@@ -408,8 +421,7 @@ def _driver_triangle_count(a: np.ndarray, b: np.ndarray) -> int:
     return _count_closed(u, v, keys, len(ids))
 
 
-def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
-                   broadcast_edge_threshold: int = 1 << 25) -> int:
+def triangle_count(edges: rd.Dataset) -> int:
     """Global triangle count of the undirected graph given as a
     DISTINCT canonical edge list (columns ``a`` < ``b``).
     Degree-oriented compact-forward: every edge is directed low→high
@@ -420,11 +432,13 @@ def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
     pair is an edge. Each triangle is counted exactly once, at its
     minimum-degree vertex.
 
-    Closing check, two tiers: below ``broadcast_edge_threshold``
-    edges the sorted canonical key set (8 B/edge) is broadcast and
-    wedge-generation + membership-count fuse into ONE per-u-bucket
-    pass (wedges never materialize or shuffle; 43 s → 8 s at 1.2M
-    edges / 19M wedges). Beyond, materialized wedge keys go through a
+    Three tiers (``util.plan_tier``): while the edge list (16 B/edge)
+    fits the driver budget, one driver pass. Else, while the sorted
+    canonical key set (8 B/edge) fits the broadcast budget, it is
+    broadcast and wedge-generation + membership-count fuse into ONE
+    per-u-bucket pass (wedges never materialize or shuffle; 43 s →
+    8 s at 1.2M edges / 19M wedges). Beyond, materialized wedge keys
+    go through a
     bucketed closing join — the all-distributed path. Every tier draws
     its wedges from ``_wedge_slices`` in fixed-size slices."""
     from .relational import broadcast_get
@@ -433,17 +447,14 @@ def triangle_count(edges: rd.Dataset, small_threshold: int = 1 << 18,
     n_edges = edges.count()
     if n_edges == 0:
         return 0
-    if n_edges <= small_threshold:
-        # driver compact-forward — same size cutover as CC/pagerank:
-        # a few MB of int64 pairs, shuffling them is pure task-launch
-        # overhead
-        df = edges.to_pandas()
-        return _driver_triangle_count(df["a"].to_numpy(np.int64),
-                                      df["b"].to_numpy(np.int64))
+    tier = plan_tier("triangle_count", driver_bytes=16 * n_edges,
+                     broadcast_bytes=8 * n_edges)
+    if tier == "driver":
+        return _driver_triangle_count(*_pull(edges, "a", "b"))
 
     ids, _deg, directed = _orient_edges(edges, "triangle_count")
     n_nodes = len(ids)
-    if n_edges <= broadcast_edge_threshold:
+    if tier == "broadcast":
         keys_ref = _broadcast_keys(directed, n_nodes)
 
         def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -541,7 +552,7 @@ def _driver_pagerank(src: np.ndarray, dst: np.ndarray, damping: float,
                      iters: int,
                      seeds: np.ndarray | None = None) -> pa.Table:
     """Power iteration over an edge list small enough for the driver
-    (the same size cutover as ``connected_components``). Vectorized:
+    (the driver tier of ``pagerank``). Vectorized:
     per-iteration contribution scatter via ``np.add.at``. With
     ``seeds`` the walk teleports to the seed set (personalized
     PageRank: init = p, update (1−d)·p + d·(contrib + dang·p));
@@ -565,8 +576,25 @@ def _driver_pagerank(src: np.ndarray, dst: np.ndarray, damping: float,
     return pa.table({"node": nodes, "rank": rank})
 
 
+def _node_universe(edges: rd.Dataset) -> rd.Dataset:
+    """The distinct nodes of a (src, dst) edge list, one ``node`` row
+    each (plus a constant ``one``): one bucketed reduce, node-sized,
+    materialized."""
+    from .relational import preagg_reduce
+
+    def nodes_of(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"node": pd.unique(np.concatenate(
+            [b["src"].to_numpy(dtype=np.int64),
+             b["dst"].to_numpy(dtype=np.int64)])),
+            "one": np.int64(1)})
+
+    return preagg_reduce(
+        edges.map_batches(nodes_of, batch_format="pandas"),
+        ["node"], "one", "min").materialize()
+
+
 def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
-                        damping: float, iters: int, broadcast_get,
+                        damping: float, iters: int,
                         checkpoint_dir: str | None = None,
                         seeds: np.ndarray | None = None) -> rd.Dataset:
     """Tier-2 PageRank: node state (ids / deg / rank, ~24 B per node)
@@ -580,7 +608,7 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
     restart vector is node-sized state exactly like rank, so the
     topology is unchanged); without, the uniform expressions are kept
     verbatim for bitwise stability of global pagerank."""
-    from .relational import preagg_reduce
+    from .relational import broadcast_get, preagg_reduce
 
     ids = np.sort(node_ds.to_pandas()["node"].to_numpy(dtype=np.int64))
     n = len(ids)
@@ -998,8 +1026,6 @@ def _tri_close(directed: rd.Dataset, n_nodes: int, per_node: bool):
 
 
 def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
-             small_threshold: int = 1 << 18,
-             broadcast_nodes: int = 1 << 23,
              checkpoint_dir: str | None = None) -> rd.Dataset:
     """Fixed-iteration PageRank over a directed edge list
     ``(src, dst)`` — the crawl-native ranking (which pages matter in a
@@ -1008,13 +1034,12 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     exactly 1; rank of a node with no in-links converges to the
     teleport floor plus its dangling share.
 
-    THREE size tiers, each bounded by what must fit where:
-    1. ``n_edges ≤ small_threshold``: driver power iteration — the
-       whole edge list is a few MB of int64 pairs, shuffling it is
-       pure task-launch overhead (same cutover as
-       ``connected_components``).
-    2. ``n_nodes ≤ broadcast_nodes`` (default 8M ≈ 200 MB of
-       node/deg/rank arrays): EDGES stay distributed and are streamed
+    THREE size tiers (``util.plan_tier``), each bounded by what must
+    fit where:
+    1. the edge list (16 B/edge) fits the driver budget: driver power
+       iteration — shuffling it is pure task-launch overhead.
+    2. the node/deg/rank arrays (24 B/node) fit the broadcast budget:
+       EDGES stay distributed and are streamed
        once per iteration, ranks are broadcast via ``ray.put`` —
        per iteration ONE edge pass (searchsorted src → rank/deg,
        per-batch partial dst sums) + ONE node-sized bucketed
@@ -1031,35 +1056,22 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
        power iteration would re-shuffle the static edge table through
        an all-to-all every iteration, measured 27.7 s vs ~6 s for 5
        iterations over ~600k edges at sf0.1)."""
-    from .relational import broadcast_get, bucketed_join, preagg_reduce
+    from .relational import bucketed_join, preagg_reduce
 
     edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
         return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
                                        "rank": pa.array([], pa.float64())}))
-    if n_edges <= small_threshold:
-        df = edges.to_pandas()
+    if plan_tier("pagerank", driver_bytes=16 * n_edges) == "driver":
         return rd.from_arrow(_driver_pagerank(
-            df["src"].to_numpy(dtype=np.int64),
-            df["dst"].to_numpy(dtype=np.int64), damping, iters))
+            *_pull(edges, "src", "dst"), damping, iters))
 
-    # node universe size decides tier 2 vs 3 — count distinct via one
-    # bucketed reduce (node-sized output)
-    def _nodes_of(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": pd.unique(np.concatenate(
-            [b["src"].to_numpy(dtype=np.int64),
-             b["dst"].to_numpy(dtype=np.int64)])),
-            "one": np.int64(1)})
-
-    node_ds = preagg_reduce(
-        edges.map_batches(_nodes_of, batch_format="pandas"),
-        ["node"], "one", "min").materialize()
-    n_nodes = node_ds.count()
-
-    if n_nodes <= broadcast_nodes:
+    # the node universe decides tier 2 vs 3
+    node_ds = _node_universe(edges)
+    if plan_tier("pagerank", broadcast_bytes=24 * node_ds.count()
+                 ) == "broadcast":
         return _broadcast_pagerank(edges, node_ds, damping, iters,
-                                   broadcast_get,
                                    checkpoint_dir=checkpoint_dir)
 
     # static: out-degree per src, and the distinct node universe.
@@ -1375,13 +1387,13 @@ def _driver_bfs(a: np.ndarray, b: np.ndarray, seeds: np.ndarray,
 
 
 def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
-             seeds: np.ndarray, max_hops: int = 4,
-             small_threshold: int = 1 << 18) -> rd.Dataset:
+             seeds: np.ndarray, max_hops: int = 4) -> rd.Dataset:
     """(node_id, hops) for every node within ``max_hops`` edges of the
     seed set over the undirected pair graph; seeds themselves report
-    hops 0 even when isolated. Two tiers with the standing explicit
-    cutover: ≤ small_threshold edge rows pull to one driver CSR BFS;
-    beyond, the connected_components BSP kernel with dist+1 offers —
+    hops 0 even when isolated. Two tiers (``util.plan_tier``): edge
+    rows (16 B each) that fit the driver budget pull to one driver
+    CSR BFS; beyond, the connected_components BSP kernel with dist+1
+    offers —
     edges hash-split by node ONCE into per-bucket plasma arrays, only
     node-sized (neighbor, offer) arrays move per round, and the loop
     runs ≤ max_hops rounds with the monotone dist-sum stall as the
@@ -1391,22 +1403,13 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
     seeds = np.unique(np.asarray(seeds, dtype=np.int64))
     seed_ref = ray.put(seeds)
 
-    def mirror(b: pa.Table) -> pa.Table:
-        a = b[col_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = b[col_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"node": np.concatenate([a, c]),
-                         "nbr": np.concatenate([c, a])})
-
-    edges = pairs.map_batches(mirror, batch_format="pyarrow").materialize()
+    edges = pairs.map_batches(_mirror(col_a, col_b),
+                              batch_format="pyarrow").materialize()
     n_edge_rows = edges.count()
 
-    if n_edge_rows <= small_threshold:
-        e = edges.to_pandas()
-        ids, dist = _driver_bfs(
-            e["node"].to_numpy(np.int64) if len(e) else
-            np.zeros(0, np.int64),
-            e["nbr"].to_numpy(np.int64) if len(e) else
-            np.zeros(0, np.int64), seeds, max_hops)
+    if plan_tier("bfs_hops", driver_bytes=16 * n_edge_rows) == "driver":
+        ids, dist = _driver_bfs(*_pull(edges, "node", "nbr"), seeds,
+                                max_hops)
         return rd.from_arrow(pa.table({"node_id": ids, "hops": dist}))
 
     target_blocks = int(max(1, min(64, n_edge_rows // 65536 + 1)))
@@ -1546,34 +1549,25 @@ def _lpa_reduce(lab, *count_parts):
 
 
 def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
-                      rounds: int = 5,
-                      small_threshold: int = 1 << 18) -> rd.Dataset:
+                      rounds: int = 5) -> rd.Dataset:
     """(node_id, community) after ``rounds`` synchronous LPA rounds.
-    Standing two-tier cutover: driver CSR under small_threshold edge
-    rows; beyond, the BSP kernel with pre-counted (node, label, count)
-    exchanges — per round the wire carries at most one row per
-    distinct (neighbor, incoming-label) pair per source bucket.
+    Two tiers (``util.plan_tier``): driver CSR while the edge rows
+    (16 B each) fit the driver budget; beyond, the BSP kernel with
+    pre-counted (node, label, count) exchanges — per round the wire
+    carries at most one row per distinct (neighbor, incoming-label)
+    pair per source bucket.
 
     Input contract: ``pairs`` should be DISTINCT edges — a duplicated
     pair acts as a double-weight vote in the mode (both tiers agree on
     that semantics, but it is usually not what callers mean; the
     fulfillment builders dedup upstream)."""
-    def mirror(b: pa.Table) -> pa.Table:
-        a = b[col_a].to_numpy(zero_copy_only=False).astype(np.int64)
-        c = b[col_b].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({"node": np.concatenate([a, c]),
-                         "nbr": np.concatenate([c, a])})
-
-    edges = pairs.map_batches(mirror, batch_format="pyarrow").materialize()
+    edges = pairs.map_batches(_mirror(col_a, col_b),
+                              batch_format="pyarrow").materialize()
     n_edge_rows = edges.count()
-    if n_edge_rows <= small_threshold:
-        e = edges.to_pandas()
-        if e.empty:
-            return rd.from_arrow(pa.table(
-                {"node_id": pa.array([], pa.int64()),
-                 "community": pa.array([], pa.int64())}))
-        ids, com = _driver_lpa(e["node"].to_numpy(np.int64),
-                               e["nbr"].to_numpy(np.int64), rounds)
+    if plan_tier("label_propagation",
+                 driver_bytes=16 * n_edge_rows) == "driver":
+        a, c = _pull(edges, "node", "nbr")
+        ids, com = _driver_lpa(a, c, rounds) if len(a) else (a, a)
         return rd.from_arrow(pa.table({"node_id": ids,
                                        "community": com}))
 
@@ -1616,10 +1610,10 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
 # ---------------------------------------------------------------------------
 # Weighted single-source shortest paths (Bellman-Ford BSP) — the
 # weighted twin of bfs_hops. Same two-tier contract: a small edge set
-# pulls to one vectorized driver relaxation loop; past the cutover the
-# node-bucket BSP kernel runs with dist+w offers (edges hash-split by
-# SOURCE node once, only node-sized (neighbor, offer) minima move per
-# round, monotone dist-sum stall as the early exit).
+# pulls to one vectorized driver relaxation loop; past the driver
+# budget the node-bucket BSP kernel runs with dist+w offers (edges
+# hash-split by SOURCE node once, only node-sized (neighbor, offer)
+# minima move per round, monotone dist-sum stall as the early exit).
 # ---------------------------------------------------------------------------
 
 def _driver_sssp(u: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -1674,8 +1668,7 @@ def _sssp_out_table(lab) -> pa.Table:
 
 
 def weighted_sssp(edges: rd.Dataset, source: int,
-                  max_rounds: int = 4096,
-                  small_threshold: int = 1 << 18) -> rd.Dataset:
+                  max_rounds: int = 4096) -> rd.Dataset:
     """(node_id, dist) shortest weighted distance from ``source`` over
     the DIRECTED edge dataset (columns u, v, w; integer non-negative
     weights — int64-exact, mirrored by the bounded recursive-CTE
@@ -1684,9 +1677,11 @@ def weighted_sssp(edges: rd.Dataset, source: int,
     rounds relax ALL frontier edges in parallel — a priority queue is
     inherently sequential, while round count is bounded by the
     shortest-path hop diameter (small for the clustered graphs this
-    engine sees), each round one bucket-local exchange. SSSP's
-    contract is the UNCONDITIONAL shortest distance — both tiers run
-    to the monotone fixpoint; the BSP tier RAISES if ``max_rounds``
+    engine sees), each round one bucket-local exchange; the (u, v, w)
+    rows (24 B each) pull to one driver loop while they fit the driver
+    budget (``util.plan_tier``). SSSP's contract is the UNCONDITIONAL
+    shortest distance — both tiers run to the monotone fixpoint; the
+    BSP tier RAISES if ``max_rounds``
     (a runaway backstop, not a result parameter) is exhausted before
     the stall, instead of silently reporting under-relaxed distances
     (review-caught)."""
@@ -1702,15 +1697,8 @@ def weighted_sssp(edges: rd.Dataset, source: int,
     e = edges.map_batches(mirror, batch_format="pyarrow").materialize()
     n_edge_rows = e.count()
 
-    if n_edge_rows <= small_threshold:
-        df = e.to_pandas()
-        ids, dist = _driver_sssp(
-            df["node"].to_numpy(np.int64) if len(df) else
-            np.zeros(0, np.int64),
-            df["nbr"].to_numpy(np.int64) if len(df) else
-            np.zeros(0, np.int64),
-            df["w"].to_numpy(np.int64) if len(df) else
-            np.zeros(0, np.int64), int(source))
+    if plan_tier("weighted_sssp", driver_bytes=24 * n_edge_rows) == "driver":
+        ids, dist = _driver_sssp(*_pull(e, "node", "nbr", "w"), int(source))
         return rd.from_arrow(pa.table({"node_id": ids, "dist": dist}))
 
     def init_labels(b: pa.Table) -> pa.Table:
@@ -1727,7 +1715,7 @@ def weighted_sssp(edges: rd.Dataset, source: int,
             "label": np.zeros(1, np.int64)}))).materialize()
 
     # the bfs_hops sizing contract: buckets by node count
-    # (_graph_buckets) and coarse edge blocks, so a just-over-cutover
+    # (_graph_buckets) and coarse edge blocks, so a just-over-budget
     # graph doesn't pay a wide tiny-task exchange per round
     n_nodes = labels.map_batches(
         lambda b: pd.DataFrame({"node": b["node"].unique()}),
@@ -1821,10 +1809,13 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
     """Fully distributed Borůvka (VERDICT r04 #5: the union-find is
     off the driver). Loop state is a bucketed ``(node, comp)`` label
     dataset; per round the chosen per-component minimum edges form a
-    component graph whose connected components — computed by the CC
-    kernel, with its own driver/BSP cutover — become the label update,
-    applied through one bucketed left join (identity for untouched
-    components). The driver holds NO node- or component-sized arrays.
+    component graph whose connected components — computed by
+    ``connected_components``, whose tier the same two budgets decide —
+    become the label update, applied through one bucketed left join
+    (identity for untouched components). The driver holds no
+    node-sized arrays, and component-sized ones only while a round's
+    component graph fits the driver budget (never under
+    ``tier_budgets(0, 0)``, where every round runs the BSP kernel).
 
     Correctness under weight ties: edges compare by the strict total
     order (w, u, v) everywhere (``topk_per_group`` tie_cols), i.e.
@@ -1942,9 +1933,7 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
 
 
 def minimum_spanning_forest(edges: rd.Dataset,
-                            small_threshold: int = 1 << 18,
-                            max_rounds: int = 40,
-                            tier3_threshold: int = 1 << 26) -> rd.Dataset:
+                            max_rounds: int = 40) -> rd.Dataset:
     """(u, v, w) forest edges of the minimum spanning forest over the
     UNDIRECTED weighted edge dataset (integer non-negative weights).
     Deterministic under weight ties via the lexicographic (w, u, v)
@@ -1952,23 +1941,23 @@ def minimum_spanning_forest(edges: rd.Dataset,
     both tiers provably agree (tier-equality + Kruskal-reference
     tests in tests/test_round5_ops.py).
 
-    THREE tiers with explicit cutovers: ≤ small_threshold edge rows
-    pull to one driver Kruskal; beyond, Borůvka rounds — each
-    component picks its lightest outgoing edge, chosen edges union,
-    repeat (≤ log₂ n rounds). The EDGE SET stays distributed
+    THREE tiers (``util.plan_tier``): (u, v, w) rows (24 B each) that
+    fit the driver budget pull to one driver Kruskal; beyond, Borůvka
+    rounds — each component picks its lightest outgoing edge, chosen
+    edges union, repeat (≤ log₂ n rounds). The EDGE SET stays distributed
     throughout: per round each edge batch annotates its endpoints'
     components from the broadcast compacted union-find map,
     intra-component edges are filtered out PERMANENTLY (the edge set
     only shrinks), and the per-component lightest edge reduces through
     `topk_per_group` (≤ 1 row per component per batch moves). On the
-    middle tier driver state is the union-find over FOREST edges —
-    node-bounded, the same convention as the graph tiers' label
-    pulls. Past ``tier3_threshold`` edge rows (``_msf_tier3``,
-    tier-equality-tested at forced thresholds) the union-find leaves
-    the driver entirely: labels live in a bucketed (node, comp)
-    dataset, per-round components come from the CC kernel over the
-    chosen component graph, and the driver holds nothing
-    node-sized."""
+    middle tier driver state is the union-find over FOREST edges,
+    broadcast each round as a (node, root) map of at most one 16 B
+    pair per edge. Past the broadcast budget for that bound
+    (``_msf_tier3``, tier-equality-tested at forced budgets) the
+    union-find leaves the driver entirely: labels live in a bucketed
+    (node, comp) dataset, per-round components come from the CC
+    kernel over the chosen component graph, and the driver holds
+    nothing node-sized."""
     from .relational import topk_per_group
 
     def canon(b: pa.Table) -> pa.Table:
@@ -1986,19 +1975,13 @@ def minimum_spanning_forest(edges: rd.Dataset,
     live = edges.map_batches(canon, batch_format="pyarrow").materialize()
     n_edges = live.count()
 
-    if n_edges <= small_threshold:
-        df = live.to_pandas()
-        if not len(df):
-            return rd.from_arrow(pa.table({
-                "u": pa.array([], pa.int64()),
-                "v": pa.array([], pa.int64()),
-                "w": pa.array([], pa.int64())}))
-        fu, fv, fw = _driver_kruskal(df["u"].to_numpy(np.int64),
-                                     df["v"].to_numpy(np.int64),
-                                     df["w"].to_numpy(np.int64))
+    tier = plan_tier("minimum_spanning_forest", driver_bytes=24 * n_edges,
+                     broadcast_bytes=16 * n_edges)
+    if tier == "driver":
+        fu, fv, fw = _driver_kruskal(*_pull(live, "u", "v", "w"))
         return rd.from_arrow(pa.table({"u": fu, "v": fv, "w": fw}))
 
-    if n_edges > tier3_threshold:
+    if tier == "distributed":
         return _msf_tier3(live, max_rounds)
 
     uf = _UnionFind()
@@ -2079,9 +2062,7 @@ def minimum_spanning_forest(edges: rd.Dataset,
         "w": np.array([f[2] for f in forest], dtype=np.int64)}))
 
 
-def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
-                     broadcast_edge_threshold: int = 1 << 25
-                     ) -> pd.DataFrame:
+def local_clustering(edges: rd.Dataset) -> pd.DataFrame:
     """Per-node triangle count and local clustering coefficient
     ``lcc(v) = 2·T(v) / (deg(v)·(deg(v)−1))`` over a DISTINCT
     canonical edge list (columns ``a`` < ``b``), for every node with
@@ -2089,15 +2070,15 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
     WHERE in the oracle). Engine addition (§ graph operators); no
     reference analogue.
 
-    THREE tiers mirroring ``triangle_count``: a driver pass below
-    ``small_threshold`` edges; a broadcast tier (sliced wedge
-    generation fused with the broadcast sorted-edge-key membership
-    test — wedges never materialize or shuffle, node-sized dense
-    participation partials per bucket) while the packed key set fits
-    ``broadcast_edge_threshold``; beyond that, the fully distributed
-    BSP closing exchange with per-corner crediting
-    (``_tri_close`` — edge keys never collect on the driver,
-    only node-BOUNDED sparse partials do). Node-sized driver state is
+    THREE tiers mirroring ``triangle_count`` and sized like it: a
+    driver pass while the edge list fits the driver budget; a
+    broadcast tier (sliced wedge generation fused with the broadcast
+    sorted-edge-key membership test — wedges never materialize or
+    shuffle, node-sized dense participation partials per bucket)
+    while the packed key set fits the broadcast budget; beyond that,
+    the fully distributed BSP closing exchange with per-corner
+    crediting (``_tri_close`` — edge keys never collect on the
+    driver, only node-BOUNDED sparse partials do). Node-sized driver state is
     INHERENT to this output (one row per node). Output: driver
     DataFrame (node, deg, n_tri int64, lcc float64)."""
     from .relational import broadcast_get
@@ -2122,23 +2103,22 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
                              "n_tri": tri[keep],
                              "lcc": lcc})
 
-    if n_edges <= small_threshold:
-        df = edges.to_pandas()
-        ids, deg, u, v, keys = _driver_orient(df["a"].to_numpy(np.int64),
-                                              df["b"].to_numpy(np.int64))
+    tier = plan_tier("local_clustering", driver_bytes=16 * n_edges,
+                     broadcast_bytes=8 * n_edges)
+    if tier == "driver":
+        ids, deg, u, v, keys = _driver_orient(*_pull(edges, "a", "b"))
         return _finish(ids, deg, _tri_participation(u, v, keys, len(ids)))
 
     # broadcast tier — the orientation and key packing of
     # triangle_count's middle tier (see there for the wedge bound)
     ids, deg, directed = _orient_edges(edges, "local_clustering")
     n_nodes = len(ids)
-    # beyond the broadcast closing-key budget (8 B/edge on the driver,
-    # triangle_count's middle-tier bound) the closing check runs as
-    # the fully distributed BSP exchange with per-corner crediting —
-    # edge keys never collect on the driver, only the node-sized
-    # sparse partials do (node-sized final state is inherent to this
-    # per-node output)
-    if n_edges > broadcast_edge_threshold:
+    # beyond the broadcast budget for the closing keys the closing
+    # check runs as the fully distributed BSP exchange with per-corner
+    # crediting — edge keys never collect on the driver, only the
+    # node-sized sparse partials do (node-sized final state is
+    # inherent to this per-node output)
+    if tier == "distributed":
         return _finish(ids, deg, _tri_close(directed, n_nodes, per_node=True))
     keys_ref = _broadcast_keys(directed, n_nodes)
 
@@ -2159,7 +2139,6 @@ def local_clustering(edges: rd.Dataset, small_threshold: int = 1 << 18,
 
 def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
                           damping: float = 0.85, iters: int = 3,
-                          small_threshold: int = 1 << 18,
                           checkpoint_dir: str | None = None
                           ) -> rd.Dataset:
     """Personalized PageRank: the random walk teleports to the SEED
@@ -2175,13 +2154,15 @@ def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
     restart vector is node-sized state exactly like rank, so
     ``_driver_pagerank`` / ``_broadcast_pagerank`` carry it with a
     branch in the update rule (checkpoint manifests fingerprint the
-    seed set). The tier-3 posture is identical to pagerank's BSP
-    kernel for the same reason; this op keeps the two tiers its bench
-    sizes exercise. Seeds must be graph nodes (raises otherwise — a
-    silent drop would desync the mirrored oracle). Returns
-    (node, rank) unrounded."""
-    from .relational import broadcast_get, preagg_reduce
-
+    seed set); the driver tier is decided by the same rule
+    (``util.plan_tier``). The tier-3 posture is identical to
+    pagerank's BSP kernel for the same reason; this op keeps the two
+    tiers its bench sizes exercise, so node arrays (24 B per node)
+    past the broadcast budget still broadcast, with the package's one
+    over-budget warning (``util.check_broadcast``). Seeds must be
+    graph nodes (raises otherwise — a silent drop would desync the
+    mirrored oracle).
+    Returns (node, rank) unrounded."""
     seeds_arr = np.unique(np.asarray(seeds, dtype=np.int64))
     if not len(seeds_arr):
         raise ValueError("personalized_pagerank: empty seed set")
@@ -2191,22 +2172,14 @@ def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
     if n_edges == 0:
         raise ValueError("personalized_pagerank: empty edge list")
 
-    if n_edges <= small_threshold:
-        df = edges.to_pandas()
+    if plan_tier("personalized_pagerank",
+                 driver_bytes=16 * n_edges) == "driver":
         return rd.from_arrow(_driver_pagerank(
-            df["src"].to_numpy(np.int64),
-            df["dst"].to_numpy(np.int64), damping, iters,
-            seeds=seeds_arr))
+            *_pull(edges, "src", "dst"), damping, iters, seeds=seeds_arr))
 
-    def _nodes_of(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": pd.unique(np.concatenate(
-            [b["src"].to_numpy(np.int64),
-             b["dst"].to_numpy(np.int64)])), "one": np.int64(1)})
-
-    node_ds = preagg_reduce(
-        edges.map_batches(_nodes_of, batch_format="pandas"),
-        ["node"], "one", "min")
+    node_ds = _node_universe(edges)
+    check_broadcast(24 * node_ds.count(),
+                    "personalized_pagerank node arrays")
     return _broadcast_pagerank(edges, node_ds, damping, iters,
-                               broadcast_get,
                                checkpoint_dir=checkpoint_dir,
                                seeds=seeds_arr)

@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .util import key_shuffle, shuffle_buckets
+from .util import check_broadcast, key_shuffle, plan_tier, shuffle_buckets
 
 
 # --------------------------------------------------------------------------
@@ -45,39 +45,19 @@ def broadcast_get(ref):
     return _BROADCAST_CACHE[key]
 
 
-# A broadcast side beyond this is a smell — every worker pays the full
-# copy; route bigger sides through bucketed_join instead.
-BROADCAST_LIMIT_BYTES = 512 * 1024 * 1024
-
-
-def _check_broadcast_size(obj, label: str) -> None:
-    try:
-        nbytes = int(getattr(obj, "memory_usage")(deep=True).sum()) \
-            if isinstance(obj, pd.DataFrame) else int(obj.nbytes)
-    except Exception:
-        return
-    if nbytes > BROADCAST_LIMIT_BYTES:
-        import warnings
-        warnings.warn(
-            f"{label}: broadcast side is {nbytes >> 20} MiB "
-            f"(> {BROADCAST_LIMIT_BYTES >> 20} MiB). Every worker pays a "
-            "full copy — use bucketed_join / a partitioned lookup instead.",
-            stacklevel=3)
-
-
 def broadcast_join(ds: rd.Dataset, small_df: pd.DataFrame, on, how="inner",
                    **_ignored) -> rd.Dataset:
     """Map-side hash join: small side put in the object store ONCE
     (``ray.put``), fetched once per worker (never per batch).
 
     Size contract: the small side must be dimension-scale (it is copied
-    into every worker's heap once) — ``_check_broadcast_size`` warns at
-    512 MiB; beyond that use ``bucketed_join``.
+    into every worker's heap once) — ``check_broadcast`` warns past
+    ``util.BROADCAST_LIMIT_BYTES``; beyond that use ``bucketed_join``.
 
     Generalizes the reference's image-cache lookup (Common.py:223-224) and
     trending id lookups (TrendingScraper.py:28-47).
     """
-    _check_broadcast_size(small_df, "broadcast_join")
+    check_broadcast(small_df, "broadcast_join")
     ref = ray.put(small_df)
 
     def merge(batch: pd.DataFrame) -> pd.DataFrame:
@@ -97,7 +77,7 @@ def _key_set_filter(ds: rd.Dataset, keys: np.ndarray, column: str,
     ``bucketed_join`` with a post-filter.
     """
     keys = np.asarray(keys)
-    _check_broadcast_size(keys, "semi/anti join key set")
+    check_broadcast(keys, "semi/anti join key set")
     ref = ray.put(keys)
 
     def filt(batch: pa.Table) -> pa.Table:
@@ -1629,7 +1609,7 @@ def skew_aware_join(left: rd.Dataset, right: rd.Dataset, on: str,
         # frame from the right side's true Arrow schema instead
         right_hot = pa.schema(
             list(right_fields.items())).empty_table().to_pandas()
-    _check_broadcast_size(right_hot, "skew_aware_join hot side")
+    check_broadcast(right_hot, "skew_aware_join hot side")
     ref = ray.put(right_hot)
     # SAME dtype policy as bucketed_join's per-bucket merge, so the
     # two branches emit union-compatible blocks: inner joins keep
@@ -2258,8 +2238,8 @@ _RANK_MOMENTS = {"n": ("__cnt",), "sx": ("__cnt", "__rx2"),
                  "syy": ("__cnt", "__ry2", "__ry2")}
 
 
-def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
-                  broadcast_cutover: int = 1 << 22) -> pd.DataFrame:
+def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str,
+                  alias: str) -> pd.DataFrame:
     """GLOBAL Spearman rank correlation of two INTEGER columns, exact
     against a SQL oracle that evaluates the same closed form on the
     same integers.
@@ -2280,12 +2260,12 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
 
     Returns a 1-row driver DataFrame {alias: float64}.
 
-    Tiered like ``tfidf_top_terms``: a column whose distinct-value
-    table fits ``broadcast_cutover`` gets its value→rank2 map
-    broadcast (sorted arrays + map-side searchsorted — no pair-table
-    shuffle at all); beyond the cutover the rank map stays a Dataset
-    and stitches via the bucketed join. The bench path (cents columns,
-    ≤ millions distinct) rides the broadcast tier — 6.9 s → ~1 s at
+    Tiered like ``tfidf_top_terms``: a column whose value→rank2 map
+    (16 B per distinct value) fits the broadcast budget
+    (``util.plan_tier``) gets it broadcast (sorted arrays + map-side
+    searchsorted — no pair-table shuffle at all); beyond, the rank
+    map stays a Dataset and stitches via the bucketed join. The bench
+    path (cents columns, ≤ millions distinct) rides the broadcast tier — 6.9 s → ~1 s at
     sf0.1 — while the near-distinct 100-TB case keeps the honest
     all-distributed path."""
     pairs = preagg_reduce(ds, [xcol, ycol], "__cnt", "count").materialize()
@@ -2297,7 +2277,8 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str, alias: str,
                 {c: b[c].to_numpy(np.int64),
                  "__c": b["__cnt"].to_numpy(np.int64)}),
             batch_format="pandas"), [col], "__c", "sum").materialize()
-        if counts.count() <= broadcast_cutover:
+        if plan_tier("spearman_corr", broadcast_bytes=16 * counts.count()
+                     ) == "broadcast":
             cdf = counts.to_pandas().sort_values(col,
                                                  ignore_index=True)
             vals = cdf[col].to_numpy(np.int64)
@@ -2508,8 +2489,7 @@ def benford_digits(ds: rd.Dataset, col: str) -> pd.DataFrame:
 
 
 def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
-                     alias: str,
-                     broadcast_cutover: int = 1 << 22) -> rd.Dataset:
+                     alias: str) -> rd.Dataset:
     """PER-GROUP Spearman rank correlation — the partitioned twin of
     ``spearman_corr`` (which see for the doubled-tied-rank integer
     argument). Everything stays distinct-value sized: per-group
@@ -2521,11 +2501,11 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     form. Output: (key, alias float64), one row per group with ≥ 2
     distinct ranks on each side.
 
-    Tiered like ``spearman_corr``: while the distinct (group, value)
-    table fits ``broadcast_cutover``, the per-group value→rank2 map is
-    broadcast as a per-key arrays dict and attached map-side (no pair
-    shuffle); beyond, the rank table stays a Dataset and stitches via
-    the key-bucketed union merge."""
+    Tiered like ``spearman_corr``: while the per-group value→rank2
+    map (16 B per distinct (group, value)) fits the broadcast budget,
+    it is broadcast as a per-key arrays dict and attached map-side (no
+    pair shuffle); beyond, the rank table stays a Dataset and stitches
+    via the key-bucketed union merge."""
     pairs = preagg_reduce(ds, [key, xcol, ycol], "__cnt",
                           "count").materialize()
 
@@ -2537,7 +2517,8 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
                  "__c": b["__cnt"].to_numpy(np.int64)}),
             batch_format="pandas"), [key, col], "__c", "sum").materialize()
 
-        if counts.count() <= broadcast_cutover:
+        if plan_tier("grouped_spearman",
+                     broadcast_bytes=16 * counts.count()) == "broadcast":
             cdf = counts.to_pandas().sort_values(
                 [key, col], ignore_index=True)
             c = cdf["__c"].to_numpy(np.int64)

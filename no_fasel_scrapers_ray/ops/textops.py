@@ -19,9 +19,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
+from .util import plan_tier
+
 # Tiny deterministic stopword set used by the quality score; chosen from
 # the synthetic documents' vocabulary so ratios are non-trivial.
 STOPWORDS = ("the", "a", "value", "table")
+
+# Worker-heap bytes per broadcast term (a Python dict term → df or set
+# entry): tracemalloc measured 93-128 B per 8-10 char term, CPython 3.11.
+TERM_HEAP_BYTES = 128
+# Driver-budget bytes per distinct BPE word, fixed so the 4 MiB budget
+# keeps the measured 2^17-word cutover (the pulled symbol lists are
+# 585-739 B per word; below the cutover per-merge Ray overhead wins).
+BPE_WORD_BYTES = 32
 
 TOKEN_PATTERN = r"[A-Za-z]+|[0-9]+"
 
@@ -172,20 +182,32 @@ def _df_dataset(docs: rd.Dataset) -> rd.Dataset:
         ["term"], {"df": "df"})
 
 
+def _tf_rows(batch: pd.DataFrame) -> pd.DataFrame:
+    """Per-document term frequencies (doc_id, term, tf) of one batch —
+    exact, because a document never spans batches."""
+    tok = batch[["doc_id", "text"]].copy()
+    tok["term"] = tok["text"].str.split(" ")
+    ex = tok[["doc_id", "term"]].explode("term")
+    tf = (ex.groupby(["doc_id", "term"], as_index=False, sort=False)
+          .size().rename(columns={"size": "tf"}))
+    tf["tf"] = tf["tf"].astype(np.int64)
+    return tf
+
+
 def _tf_dataset(docs: rd.Dataset) -> rd.Dataset:
-    """Per-document term frequencies (doc_id, term, tf) — exact per
-    batch because a document never spans batches; no shuffle."""
+    return docs.map_batches(_tf_rows, batch_format="pandas")
 
-    def tf_partial(batch: pd.DataFrame) -> pd.DataFrame:
-        tok = batch[["doc_id", "text"]].copy()
-        tok["term"] = tok["text"].str.split(" ")
-        ex = tok[["doc_id", "term"]].explode("term")
-        tf = (ex.groupby(["doc_id", "term"], as_index=False, sort=False)
-              .size().rename(columns={"size": "tf"}))
-        tf["tf"] = tf["tf"].astype(np.int64)
-        return tf
 
-    return docs.map_batches(tf_partial, batch_format="pandas")
+def _top_terms(tf: pd.DataFrame, topn: int) -> pd.DataFrame:
+    """Each document's top-``topn`` (doc_id, term, score) rows, ties
+    broken (score DESC, term ASC) — both tfidf_top_terms tiers."""
+    tf = tf.sort_values(["doc_id", "score", "term"],
+                        ascending=[True, False, True], kind="stable")
+    out = tf.groupby("doc_id", sort=False).head(topn)
+    return pd.DataFrame({
+        "doc_id": out["doc_id"].to_numpy(),
+        "term": out["term"].to_numpy(dtype=object),
+        "score": out["score"].to_numpy(dtype=np.int64)})
 
 
 def quality_features_arrow(text) -> dict:
@@ -224,15 +246,16 @@ def quality_keep_mask(text: pd.Series,
     return pd.Series(mask, index=text.index)
 
 
-def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
-                    broadcast_vocab_limit: int = 1 << 22) -> rd.Dataset:
+def tfidf_top_terms(docs: rd.Dataset, topn: int = 3) -> rd.Dataset:
     """Per-document top-``topn`` TF-IDF terms — the keyword-extraction
     stage of a curation pipeline. Document frequencies come from ONE
     bucketed sum over per-batch per-doc-DISTINCT partials (the shuffle
     moves (term, df) partials only, never tokens); scoring then runs in
-    one of two tiers, cut over on the measured vocabulary size:
+    one of two tiers, cut over on the DF map's worker-heap bytes
+    (``TERM_HEAP_BYTES`` per term):
 
-    1. **broadcast** (vocab ≤ ``broadcast_vocab_limit``): DF table
+    1. **broadcast** (the map fits the broadcast budget,
+       ``util.plan_tier``): DF table
        broadcast once (``ray.put``); scoring is purely doc-local — tf
        from a per-batch groupby, per-doc top-n with no further shuffle.
     2. **distributed** (beyond): the per-doc (doc_id, term, tf) stream
@@ -248,76 +271,53 @@ def tfidf_top_terms(docs: rd.Dataset, topn: int = 3,
     term ASC); both tiers produce identical rows."""
     import ray
 
-    from .relational import (_check_broadcast_size, broadcast_get,
-                             bucketed_join)
+    from .relational import broadcast_get, bucketed_join
     from .util import key_shuffle
 
     n_docs = docs.count()
     df_ds = _df_dataset(docs).materialize()
-    n_terms = df_ds.count()
 
-    if n_terms <= broadcast_vocab_limit:
+    if plan_tier("tfidf_top_terms",
+                 broadcast_bytes=TERM_HEAP_BYTES * df_ds.count()
+                 ) == "broadcast":
         df_tbl = df_ds.to_pandas()
-        df_map = dict(zip(df_tbl["term"], df_tbl["df"]))
-        _check_broadcast_size(df_tbl, "tfidf_top_terms DF table")
-        df_ref = ray.put(df_map)
+        df_ref = ray.put(dict(zip(df_tbl["term"], df_tbl["df"])))
 
         def score(batch: pd.DataFrame) -> pd.DataFrame:
-            dfm = broadcast_get(df_ref)
-            tok = batch[["doc_id", "text"]].copy()
-            tok["term"] = tok["text"].str.split(" ")
-            ex = tok[["doc_id", "term"]].explode("term")
-            tf = (ex.groupby(["doc_id", "term"], as_index=False,
-                             sort=False)
-                  .size().rename(columns={"size": "tf"}))
-            dfv = tf["term"].map(dfm).to_numpy(dtype=np.int64)
+            tf = _tf_rows(batch)
+            dfv = tf["term"].map(broadcast_get(df_ref))
             tf["score"] = (tf["tf"].to_numpy(dtype=np.int64)
-                           * n_docs) // dfv
-            tf = tf.sort_values(["doc_id", "score", "term"],
-                                ascending=[True, False, True],
-                                kind="stable")
-            out = tf.groupby("doc_id", sort=False).head(topn)
-            return pd.DataFrame({
-                "doc_id": out["doc_id"].to_numpy(),
-                "term": out["term"].to_numpy(dtype=object),
-                "score": out["score"].to_numpy(dtype=np.int64)})
+                           * n_docs) // dfv.to_numpy(dtype=np.int64)
+            return _top_terms(tf, topn)
 
         return docs.map_batches(score, batch_format="pandas")
 
     joined = bucketed_join(_tf_dataset(docs), df_ds, on="term", how="inner")
 
     def score_rows(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": b["doc_id"].to_numpy(),
             "term": b["term"].to_numpy(dtype=object),
             "score": (b["tf"].to_numpy(dtype=np.int64) * n_docs)
             // b["df"].to_numpy(dtype=np.int64)})
-        return out
-
-    def topn_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "score", "term"],
-                          ascending=[True, False, True], kind="stable")
-        out = g.groupby("doc_id", sort=False).head(topn)
-        return pd.DataFrame({
-            "doc_id": out["doc_id"].to_numpy(),
-            "term": out["term"].to_numpy(dtype=object),
-            "score": out["score"].to_numpy(dtype=np.int64)})
 
     return key_shuffle(joined.map_batches(score_rows, batch_format="pandas"),
-                       topn_bucket, ["doc_id"], batch_format="pandas")
+                       lambda g: _top_terms(g, topn), ["doc_id"],
+                       batch_format="pandas")
 
 
-def rare_term_permille(docs: rd.Dataset, max_df: int = 2,
-                       broadcast_vocab_limit: int = 1 << 22) -> rd.Dataset:
+def rare_term_permille(docs: rd.Dataset, max_df: int = 2) -> rd.Dataset:
     """Per-document OOV/rarity signal: the permille of a doc's tokens
     whose corpus document frequency is ≤ ``max_df`` — the standard
     'too many never-seen words' quality flag. Integer permille so the
-    SQL oracle is bit-exact. Two tiers, cut over on the measured
-    RARE-set size (on a Zipfian vocabulary the DF ≤ max_df set is most
-    of the vocabulary — the hard case):
+    SQL oracle is bit-exact. Two tiers, cut over on the RARE set's
+    worker-heap bytes (``TERM_HEAP_BYTES`` per term; on a Zipfian
+    vocabulary the DF ≤ max_df set is most of the vocabulary — the hard
+    case):
 
-    1. **broadcast** (rare set ≤ ``broadcast_vocab_limit``): rare-term
-       set broadcast once, counting purely doc-local;
+    1. **broadcast** (the set fits the broadcast budget,
+       ``util.plan_tier``): rare-term set broadcast
+       once, counting purely doc-local;
     2. **distributed**: the per-doc (doc_id, term, tf) stream joins the
        rare-term dataset term-bucketed (inner — only rare occurrences
        survive), per-doc hits come from one doc-keyed sum, and a final
@@ -326,12 +326,11 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2,
        no vocabulary-sized driver state."""
     import ray
 
-    from .relational import (_check_broadcast_size, broadcast_get,
-                             bucketed_join, preagg_sum_count)
+    from .relational import (broadcast_get, bucketed_join,
+                             preagg_sum_count)
 
     rare_ds = _df_dataset(docs).filter(
         expr=f"df <= {int(max_df)}").materialize()
-    n_rare = rare_ds.count()
 
     def base(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -339,10 +338,11 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2,
             "n_tokens": (batch["text"].str.count(" ") + 1)
             .astype(np.int64)})
 
-    if n_rare <= broadcast_vocab_limit:
-        rare = (set(rare_ds.to_pandas()["term"]) if n_rare else set())
-        _check_broadcast_size(rare, "rare_term_permille rare-term set")
-        rare_ref = ray.put(rare)
+    if plan_tier("rare_term_permille",
+                 broadcast_bytes=TERM_HEAP_BYTES * rare_ds.count()
+                 ) == "broadcast":
+        rare = rare_ds.to_pandas()
+        rare_ref = ray.put(set(rare["term"]) if len(rare) else set())
 
         def score(batch: pd.DataFrame) -> pd.DataFrame:
             rset = broadcast_get(rare_ref)
@@ -943,8 +943,8 @@ def regex_scrub(docs: rd.Dataset, pattern: str,
 
 
 def train_bpe_merges(docs: rd.Dataset, n_merges: int,
-                     text_col: str = "text", min_count: int = 2,
-                     driver_threshold: int = 1 << 17) -> pd.DataFrame:
+                     text_col: str = "text",
+                     min_count: int = 2) -> pd.DataFrame:
     """Distributed byte-pair-encoding merge training (Sennrich et al.
     2016 — the tokenizer-training stage of an LLM data pipeline).
     Returns the merge table as a driver frame: (rank, left, right,
@@ -967,9 +967,9 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
     asc, right asc). Training stops early when the best pair's
     frequency drops below ``min_count``.
 
-    Two tiers with the standing explicit cutover (the graph-ops
-    contract): a vocab of ≤ ``driver_threshold`` distinct words pulls
-    to the driver and iterates locally on the same vectorized kernels
+    Two tiers (the graph-ops contract): a vocab whose distinct words
+    fit the driver budget at ``BPE_WORD_BYTES`` each (``util.plan_tier``)
+    pulls to the driver and iterates locally on the same vectorized kernels
     (per-iteration Ray execution overhead — ~0.4 s × 2 × n_merges —
     dwarfs the compute for the vocab sizes every tested corpus
     produces); beyond, the iterations run over the vocab DATASET.
@@ -1074,7 +1074,8 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
                 int(pc_df.iloc[0]["freq"]))
 
     merges = []
-    if vocab.count() <= driver_threshold:
+    if plan_tier("train_bpe_merges",
+                 driver_bytes=BPE_WORD_BYTES * vocab.count()) == "driver":
         # driver tier: same kernels, one local frame, no per-iteration
         # Ray execution round-trips
         vdf = vocab.to_pandas()

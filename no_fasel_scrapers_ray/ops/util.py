@@ -1,11 +1,73 @@
-"""Shared sizing helpers for Ray Data stages and raw-task waves, and
-the one key shuffle."""
+"""Shared sizing helpers for Ray Data stages and raw-task waves, the
+one key shuffle and the one plan-tier rule."""
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import ray
+
+# The package's two size budgets, in bytes; ``plan_tier`` compares every
+# size-tier decision in ``ops/`` against them. The driver's is 2^18 rows
+# of two int64 columns, the measured point below which shuffling an edge
+# list is pure task-launch overhead (~10 s for a <1k-edge graph at 32
+# CPUs); a broadcast past 512 MiB is copied into every worker's heap.
+DRIVER_LIMIT_BYTES = 4 << 20
+BROADCAST_LIMIT_BYTES = 512 << 20
+
+
+def plan_tier(op: str, driver_bytes=None, broadcast_bytes=None) -> str:
+    """THE size-tier rule: ``"driver"`` while ``driver_bytes`` (what
+    ``op`` would pull to the driver) fits ``DRIVER_LIMIT_BYTES``, else
+    ``"broadcast"`` while ``broadcast_bytes`` (what it would
+    ``ray.put``) fits ``BROADCAST_LIMIT_BYTES``, else
+    ``"distributed"``; bytes equal to a budget fit. ``None`` means
+    ``op`` lacks that tier, so the next tier up stands in. Callers pass
+    rows × the fixed width of what moves, from counts they already
+    hold, so the rule never executes anything; it runs on the driver
+    at call time. ``op`` names the deciding operator."""
+    if driver_bytes is not None and driver_bytes <= DRIVER_LIMIT_BYTES:
+        return "driver"
+    if broadcast_bytes is not None and \
+            broadcast_bytes <= BROADCAST_LIMIT_BYTES:
+        return "broadcast"
+    return "distributed"
+
+
+@contextmanager
+def tier_budgets(driver: int | None = None, broadcast: int | None = None):
+    """Override the two budgets (bytes; ``None`` keeps one) inside the
+    block. ``tier_budgets(0, 0)`` puts every operator on its
+    distributed tier: the tier-3 twins and the tests force tiers so."""
+    global DRIVER_LIMIT_BYTES, BROADCAST_LIMIT_BYTES
+    saved = DRIVER_LIMIT_BYTES, BROADCAST_LIMIT_BYTES
+    DRIVER_LIMIT_BYTES = saved[0] if driver is None else driver
+    BROADCAST_LIMIT_BYTES = saved[1] if broadcast is None else broadcast
+    try:
+        yield
+    finally:
+        DRIVER_LIMIT_BYTES, BROADCAST_LIMIT_BYTES = saved
+
+
+def check_broadcast(obj, label: str) -> None:
+    """The one over-budget check: warn when a broadcast side (a byte
+    count, an ndarray or a pandas DataFrame; anything else raises)
+    passes ``BROADCAST_LIMIT_BYTES`` — every worker pays a copy."""
+    import numbers
+    import warnings
+
+    import pandas as pd
+
+    nbytes = (int(obj.memory_usage(deep=True).sum())
+              if isinstance(obj, pd.DataFrame) else
+              int(obj if isinstance(obj, numbers.Integral) else obj.nbytes))
+    if nbytes > BROADCAST_LIMIT_BYTES:
+        warnings.warn(
+            f"{label}: broadcast side is {nbytes >> 20} MiB "
+            f"(> {BROADCAST_LIMIT_BYTES >> 20} MiB). Every worker pays a "
+            "full copy — use bucketed_join / a partitioned lookup instead.",
+            stacklevel=3)
 
 
 def stable_bucket(series, n: int):

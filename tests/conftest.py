@@ -57,11 +57,33 @@ def set_buckets(monkeypatch):
 
 
 @pytest.fixture
-def force_distributed(monkeypatch):
-    """Set the package's broadcast budget
-    (``ops.relational.BROADCAST_LIMIT_BYTES``) to 0, so an operator
-    that sizes a broadcast tier against it takes its distributed path
-    (the budget is read on the driver at call time)."""
-    from no_fasel_scrapers_ray.ops import relational
+def force_distributed():
+    """Run the test with both size budgets at 0 bytes
+    (``ops.util.tier_budgets(0, 0)``): every size-tier decision
+    (``ops.util.plan_tier``) takes its operator's distributed tier.
+    Decisions run on the driver at call time, so the override on the
+    driver is enough."""
+    from no_fasel_scrapers_ray.ops.util import tier_budgets
 
-    monkeypatch.setattr(relational, "BROADCAST_LIMIT_BYTES", 0)
+    with tier_budgets(0, 0):
+        yield
+
+
+@pytest.fixture
+def record_tiers(monkeypatch):
+    """The list of ``(op, tier)`` results of every ``ops.util.plan_tier``
+    call made during the test, in every module that imported the
+    rule."""
+    from no_fasel_scrapers_ray.ops import util
+
+    real, seen = util.plan_tier, []
+
+    def record(op, *args, **kw):
+        tier = real(op, *args, **kw)
+        seen.append((op, tier))
+        return tier
+
+    for mod in [m for m in list(sys.modules.values())
+                if getattr(m, "plan_tier", None) is real]:
+        monkeypatch.setattr(mod, "plan_tier", record)
+    return seen

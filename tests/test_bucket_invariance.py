@@ -15,6 +15,7 @@ import pytest
 import ray.data as rd
 
 from no_fasel_scrapers_ray.ops import dedup, graph, relational
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 
 
 @pytest.fixture(params=[1, 2, 64])
@@ -95,7 +96,8 @@ def _chain_pairs() -> pd.DataFrame:
 def test_connected_components(count):
     df = _chain_pairs()
     ds = rd.from_pandas(df).repartition(6)
-    got = graph.connected_components(ds, "a", "b", small_threshold=0)
+    with tier_budgets(driver=0):
+        got = graph.connected_components(ds, "a", "b")
     ref = graph.connected_components(ds, "a", "b")   # driver union-find
     pd.testing.assert_frame_equal(_canon(got.to_pandas()),
                                   _canon(ref.to_pandas()))
@@ -107,9 +109,9 @@ def test_triangle_count(count, tier):
     canon = pd.DataFrame({"a": np.minimum(df["a"], df["b"]),
                           "b": np.maximum(df["a"], df["b"])})
     ds = rd.from_pandas(canon).repartition(4)
-    kw = {"broadcast_edge_threshold": 0} if tier == "bsp" else {}
-    assert graph.triangle_count(ds, small_threshold=0, **kw) == \
-        graph.triangle_count(ds) == 1
+    with tier_budgets(0, 0 if tier == "bsp" else None):
+        got = graph.triangle_count(ds)
+    assert got == graph.triangle_count(ds) == 1
 
 
 def test_graph_kernels(count):
@@ -121,13 +123,14 @@ def test_graph_kernels(count):
     seeds = np.array([0, 100])
     for op, kw in ((graph.bfs_hops, {"seeds": seeds, "max_hops": 3}),
                    (graph.label_propagation, {"rounds": 2})):
-        got = op(ds, "a", "b", small_threshold=0, **kw).to_pandas()
+        with tier_budgets(driver=0):
+            got = op(ds, "a", "b", **kw).to_pandas()
         ref = op(ds, "a", "b", **kw).to_pandas()
         pd.testing.assert_frame_equal(_canon(got), _canon(ref))
     edges = rd.from_pandas(pd.DataFrame(
         {"src": df["a"], "dst": df["b"]})).repartition(3)
-    got = graph.pagerank(edges, small_threshold=0,
-                         broadcast_nodes=0).to_pandas()
+    with tier_budgets(0, 0):
+        got = graph.pagerank(edges).to_pandas()
     ref = graph.pagerank(edges).to_pandas()
     got, ref = (x.sort_values("node", ignore_index=True)
                 for x in (got, ref))

@@ -9,17 +9,19 @@ import pytest
 import ray.data as rd
 
 from no_fasel_scrapers_ray.ops.graph import connected_components
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 from no_fasel_scrapers_ray.ops.relational import (
     bloom_semi_join, global_quantile_cont, global_quantile_disc,
     stratified_hash_sample)
 
 
-def cc_dict(pairs, **kw):
-    # small_threshold=0 forces the ITERATIVE distributed path — these
-    # tests pin cross-block propagation, not the driver fast path
-    kw.setdefault("small_threshold", 0)
+def cc_dict(pairs, driver_budget=0):
+    # a driver budget of 0 bytes forces the ITERATIVE distributed path
+    # — these tests pin cross-block propagation, not the driver fast
+    # path
     ds = rd.from_pandas(pd.DataFrame(pairs, columns=["a", "b"]))
-    out = connected_components(ds, "a", "b", **kw).to_pandas()
+    with tier_budgets(driver=driver_budget):
+        out = connected_components(ds, "a", "b").to_pandas()
     return dict(zip(out["doc_id"], out["cluster_id"]))
 
 
@@ -42,7 +44,8 @@ def test_cc_chain_across_blocks_needs_global_rounds():
     pairs = [(i, i + 1) for i in range(7)]
     ds = rd.from_pandas(pd.DataFrame(pairs, columns=["a", "b"]))
     ds = ds.repartition(len(pairs))   # ~1 edge per block
-    out = connected_components(ds, "a", "b", small_threshold=0).to_pandas()
+    with tier_budgets(driver=0):
+        out = connected_components(ds, "a", "b").to_pandas()
     got = dict(zip(out["doc_id"], out["cluster_id"]))
     assert got == {i: 0 for i in range(8)}
 
@@ -128,13 +131,13 @@ def test_stratified_sample_unlisted_stratum_dropped():
 
 
 def test_cc_fast_path_equals_distributed_path():
-    """The small-graph driver union-find cutover must produce exactly
+    """The small-graph driver union-find tier must produce exactly
     the labels the iterative shuffle path produces."""
     rng = np.random.RandomState(3)
     pairs = [(int(a), int(b))
              for a, b in rng.randint(0, 60, size=(120, 2)) if a != b]
-    fast = cc_dict(pairs, small_threshold=1 << 18)
-    dist = cc_dict(pairs, small_threshold=0)
+    fast = cc_dict(pairs, driver_budget=None)
+    dist = cc_dict(pairs)
     assert fast == dist
 
 
@@ -153,11 +156,10 @@ def test_pagerank_paths_agree_and_handle_dangling():
     ds = rd.from_pandas(edges).repartition(3)
     # the three size tiers: driver power iteration, broadcast-ranks
     # (edges streamed, one shuffle/iter), fully-joined distributed
-    for kw in ({},
-               {"small_threshold": 0},
-               {"small_threshold": 0, "broadcast_nodes": 0}):
-        got = pagerank(ds, 0.85, 5, **kw).to_pandas().sort_values(
-            "node", ignore_index=True)
+    for budgets in ((None, None), (0, None), (0, 0)):
+        with tier_budgets(*budgets):
+            got = pagerank(ds, 0.85, 5).to_pandas().sort_values(
+                "node", ignore_index=True)
         assert got["node"].tolist() == ref["node"].tolist()
         np.testing.assert_allclose(got["rank"], ref["rank"],
                                    rtol=0, atol=1e-12)
@@ -178,13 +180,14 @@ def test_triangle_count_tiers_agree():
     extra = [(3, 10), (10, 11), (20, 21), (21, 22)]   # pendant + path
     edges = pd.DataFrame(k4 + extra, columns=["a", "b"])
     ds = rd.from_pandas(edges).repartition(3)
-    # tier 1: driver compact-forward (default cutover)
+    # tier 1: driver compact-forward (default budgets)
     assert triangle_count(ds) == 4
     # tier 2: distributed, broadcast-membership closing pass
-    assert triangle_count(ds, small_threshold=0) == 4
+    with tier_budgets(driver=0):
+        assert triangle_count(ds) == 4
     # tier 3: distributed, bucketed wedge⋈edge closing join
-    assert triangle_count(ds, small_threshold=0,
-                          broadcast_edge_threshold=0) == 4
+    with tier_budgets(0, 0):
+        assert triangle_count(ds) == 4
 
 
 def test_pagerank_checkpoint_resume(tmp_path):
@@ -198,14 +201,13 @@ def test_pagerank_checkpoint_resume(tmp_path):
     edges = pd.DataFrame({"src": rng.randint(0, 60, 300),
                           "dst": rng.randint(0, 80, 300)}).drop_duplicates()
     ds = rd.from_pandas(edges).repartition(3)
-    for tier_kw, pref in (
-            ({"small_threshold": 0}, "pagerank"),
-            ({"small_threshold": 0, "broadcast_nodes": 0}, "pagerank3")):
-        full = pagerank(ds, 0.85, 3, **tier_kw).to_pandas() \
-            .sort_values("node", ignore_index=True)
+    for budgets, pref in (((0, None), "pagerank"), ((0, 0), "pagerank3")):
+        with tier_budgets(*budgets):
+            full = pagerank(ds, 0.85, 3).to_pandas() \
+                .sort_values("node", ignore_index=True)
         ck = tmp_path / f"ck_{pref}"
-        pagerank(ds, 0.85, 3, **tier_kw,
-                 checkpoint_dir=str(ck)).to_pandas()
+        with tier_budgets(*budgets):
+            pagerank(ds, 0.85, 3, checkpoint_dir=str(ck)).to_pandas()
         names = sorted(n for n in os.listdir(ck) if "_iter_" in n)
         assert len(names) == 3, names
         # simulate a crash after iteration 2: drop checkpoint 3
@@ -213,9 +215,10 @@ def test_pagerank_checkpoint_resume(tmp_path):
             if "_iter_3" in n:
                 p = ck / n
                 shutil.rmtree(p) if p.is_dir() else p.unlink()
-        resumed = pagerank(ds, 0.85, 3, **tier_kw,
-                           checkpoint_dir=str(ck)).to_pandas() \
-            .sort_values("node", ignore_index=True)
+        with tier_budgets(*budgets):
+            resumed = pagerank(ds, 0.85, 3,
+                               checkpoint_dir=str(ck)).to_pandas() \
+                .sort_values("node", ignore_index=True)
         assert resumed["node"].tolist() == full["node"].tolist()
         np.testing.assert_allclose(resumed["rank"], full["rank"],
                                    rtol=0, atol=1e-15)
@@ -230,18 +233,19 @@ def test_cc_checkpoint_resume(tmp_path):
     pairs = [(i, i + 1) for i in range(4)] + [(20, 21), (21, 22)]
     ds = rd.from_pandas(pd.DataFrame(pairs, columns=["a", "b"])) \
         .repartition(len(pairs))
-    full = connected_components(ds, "a", "b",
-                                small_threshold=0).to_pandas()
-    ck = tmp_path / "cc_ck"
-    connected_components(ds, "a", "b", small_threshold=0,
-                         checkpoint_dir=str(ck)).to_pandas()
+    with tier_budgets(driver=0):
+        full = connected_components(ds, "a", "b").to_pandas()
+        ck = tmp_path / "cc_ck"
+        connected_components(ds, "a", "b",
+                             checkpoint_dir=str(ck)).to_pandas()
     names = sorted(n for n in os.listdir(ck) if "_iter_" in n)
     assert names, "no checkpoints written"
     last = names[-1]
     p = ck / last
     shutil.rmtree(p) if p.is_dir() else p.unlink()
-    resumed = connected_components(ds, "a", "b", small_threshold=0,
-                                   checkpoint_dir=str(ck)).to_pandas()
+    with tier_budgets(driver=0):
+        resumed = connected_components(ds, "a", "b",
+                                       checkpoint_dir=str(ck)).to_pandas()
     a = dict(zip(full["doc_id"], full["cluster_id"]))
     b = dict(zip(resumed["doc_id"], resumed["cluster_id"]))
     assert a == b
@@ -266,16 +270,17 @@ def test_cc_checkpoint_resumes_at_another_bucket_count(tmp_path,
     ds = rd.from_pandas(pd.DataFrame({
         "a": order.astype(np.int64), "b": order.astype(np.int64) + 1})) \
         .repartition(40).materialize()
-    full = connected_components(ds, "a", "b", small_threshold=0)
     ck = str(tmp_path / "cc_ck")
-    set_buckets(4)
-    with pytest.raises(RuntimeError, match="did not converge"):
-        connected_components(ds, "a", "b", small_threshold=0,
-                             checkpoint_dir=ck, max_iters=1)
-    assert [m for m in os.listdir(ck) if "_iter_1" in m]
-    set_buckets(2)
-    resumed = connected_components(ds, "a", "b", small_threshold=0,
-                                   checkpoint_dir=ck).to_pandas()
+    with tier_budgets(driver=0):
+        full = connected_components(ds, "a", "b")
+        set_buckets(4)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            connected_components(ds, "a", "b",
+                                 checkpoint_dir=ck, max_iters=1)
+        assert [m for m in os.listdir(ck) if "_iter_1" in m]
+        set_buckets(2)
+        resumed = connected_components(ds, "a", "b",
+                                       checkpoint_dir=ck).to_pandas()
     full = full.to_pandas()
     assert len(resumed) == n
     assert dict(zip(full["doc_id"], full["cluster_id"])) == \
@@ -293,9 +298,10 @@ def test_triangle_count_large_node_ids():
     extra = [(nodes[3], 5), (5, 6)]                   # pendant + wedge
     ds = rd.from_pandas(pd.DataFrame(k4 + extra, columns=["a", "b"]))
     assert triangle_count(ds) == 4
-    assert triangle_count(ds, small_threshold=0) == 4
-    assert triangle_count(ds, small_threshold=0,
-                          broadcast_edge_threshold=0) == 4
+    with tier_budgets(driver=0):
+        assert triangle_count(ds) == 4
+    with tier_budgets(0, 0):
+        assert triangle_count(ds) == 4
 
 
 def test_ckpt_manifest_rejects_foreign_state(tmp_path):
@@ -308,10 +314,10 @@ def test_ckpt_manifest_rejects_foreign_state(tmp_path):
         {"src": rng.randint(0, n, 200),
          "dst": rng.randint(0, n, 200)}).drop_duplicates())
     ck = str(tmp_path / "ck")
-    kw = {"small_threshold": 0, "checkpoint_dir": ck}
-    pagerank(mk(40), 0.85, 2, **kw).to_pandas()
-    with pytest.raises(ValueError, match="different input"):
-        pagerank(mk(70), 0.85, 2, **kw)
+    with tier_budgets(driver=0):
+        pagerank(mk(40), 0.85, 2, checkpoint_dir=ck).to_pandas()
+        with pytest.raises(ValueError, match="different input"):
+            pagerank(mk(70), 0.85, 2, checkpoint_dir=ck)
 
 
 def test_cc_stale_checkpoint_beyond_max_iters_ignored(tmp_path):
@@ -324,11 +330,12 @@ def test_cc_stale_checkpoint_beyond_max_iters_ignored(tmp_path):
     ds = rd.from_pandas(pd.DataFrame(pairs, columns=["a", "b"])) \
         .repartition(len(pairs))
     ck = str(tmp_path / "ck")
-    full = connected_components(ds, "a", "b", small_threshold=0,
-                                checkpoint_dir=ck).to_pandas()
-    n_iters = len([n for n in os.listdir(ck) if "_iter_" in n])
-    again = connected_components(
-        ds, "a", "b", small_threshold=0, checkpoint_dir=ck,
-        max_iters=n_iters).to_pandas()
+    with tier_budgets(driver=0):
+        full = connected_components(ds, "a", "b",
+                                    checkpoint_dir=ck).to_pandas()
+        n_iters = len([n for n in os.listdir(ck) if "_iter_" in n])
+        again = connected_components(
+            ds, "a", "b", checkpoint_dir=ck,
+            max_iters=n_iters).to_pandas()
     assert dict(zip(full["doc_id"], full["cluster_id"])) == \
         dict(zip(again["doc_id"], again["cluster_id"]))

@@ -5,17 +5,17 @@ exact jaccard top-1), dup_spans on both candidate tiers vs a brute
 window scan, and MSF tier equality on random tie-heavy multigraphs.
 Example counts stay small — every example spins Ray Dataset ops."""
 
-from unittest import mock
-
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import ray
 import ray.data as rd
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from no_fasel_scrapers_ray.ops import relational
 from no_fasel_scrapers_ray.ops.dedup import dup_spans, set_similarity_top1
 from no_fasel_scrapers_ray.ops.graph import minimum_spanning_forest
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 
 RAY_SETTINGS = settings(max_examples=6, deadline=None,
                         derandomize=True,
@@ -63,8 +63,8 @@ def test_set_similarity_exact_for_any_hot_threshold(ui, thr):
     budget (the broadcast tier wherever nothing is hot) and a zero
     budget (always the distributed tier)."""
     want = _brute_top1(ui)
-    for budget in (relational.BROADCAST_LIMIT_BYTES, 0):
-        with mock.patch.object(relational, "BROADCAST_LIMIT_BYTES", budget):
+    for budget in (None, 0):
+        with tier_budgets(broadcast=budget):
             got = set_similarity_top1(
                 rd.from_pandas(ui).repartition(2), hot_threshold=thr,
                 out_names=("u", "similar_u", "jaccard")).to_pandas()
@@ -121,14 +121,21 @@ def span_corpora(draw):
 
 
 @RAY_SETTINGS
-@given(span_corpora(), st.sampled_from([0, 10 ** 9]))
-def test_dup_spans_both_tiers_match_brute(texts, cap):
+@given(span_corpora(), st.sampled_from([0, None]))
+@example(["w0 w0 w0 w0", "w0 w0 w1 w0"], 0)     # no duplicated span
+@example(["w0 w0 w0 w0", "w0 w0 w1 w0"], None)
+def test_dup_spans_both_tiers_match_brute(texts, budget):
     ds = rd.from_pandas(pd.DataFrame({
         "doc_id": np.arange(len(texts), dtype=np.int64),
         "text": texts})).repartition(2)
-    out = dup_spans(ds, k=3, max_candidates=cap).to_pandas()
-    got = sorted(map(tuple, out[["doc_id", "span_start",
-                                 "span_end"]].to_numpy()))
+    with tier_budgets(broadcast=budget):
+        out = dup_spans(ds, k=3)
+    # read through Arrow: a 0-row Dataset's to_pandas() has no columns,
+    # but its blocks must still carry the span schema
+    tbl = pa.concat_tables(ray.get(out.to_arrow_refs()),
+                           promote_options="permissive")
+    got = sorted(map(tuple, tbl.select(["doc_id", "span_start",
+                                        "span_end"]).to_pandas().to_numpy()))
     assert got == _brute_dup_spans(texts, 3)
 
 
@@ -149,14 +156,15 @@ def tie_graphs(draw):
 def test_msf_tiers_agree_on_random_tie_graphs(df):
     ds = rd.from_pandas(df).repartition(2)
 
-    def run(**kw):
-        out = minimum_spanning_forest(ds, **kw).to_pandas()
+    def run(budget=None):
+        with tier_budgets(budget, budget):
+            out = minimum_spanning_forest(ds).to_pandas()
         if out.empty:     # self-loop-only graphs → empty forest
             return out
         return out.sort_values(["u", "v", "w"], ignore_index=True)
 
     kruskal = run()
-    t3 = run(small_threshold=0, tier3_threshold=0)
+    t3 = run(0)
     if kruskal.empty:
         assert len(t3) == 0
         return

@@ -6,6 +6,7 @@ import pytest
 import ray.data as rd
 
 from no_fasel_scrapers_ray.ops.dedup import dup_spans
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 
 
 def _docs(texts):
@@ -50,13 +51,15 @@ def test_dup_spans_two_islands_per_doc():
 
 
 def test_dup_spans_candidate_cap_degrades_to_distributed():
-    # above the broadcast cap the op no longer refuses to run — it
-    # takes the distributed candidate tier and must produce the same
-    # spans (full tier-equality suite: tests/test_round6_ops.py)
+    # above the broadcast budget (5 hashes of 8 B) the op no longer
+    # refuses to run — it takes the distributed candidate tier and
+    # must produce the same spans (full tier-equality suite:
+    # tests/test_round6_ops.py)
     shared = " ".join(f"w{i}" for i in range(30))
-    capped = (dup_spans(_docs([shared, shared]), k=4, max_candidates=5)
-              .to_pandas().sort_values(["doc_id", "span_start"],
-                                       ignore_index=True))
+    with tier_budgets(broadcast=8 * 5):
+        capped = (dup_spans(_docs([shared, shared]), k=4)
+                  .to_pandas().sort_values(["doc_id", "span_start"],
+                                           ignore_index=True))
     broad = (dup_spans(_docs([shared, shared]), k=4)
              .to_pandas().sort_values(["doc_id", "span_start"],
                                       ignore_index=True))
@@ -255,10 +258,9 @@ _BFS_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 10), (20, 21)]
 @pytest.mark.parametrize("forced_tier", ["driver", "bsp"])
 def test_bfs_hops_levels_and_cap(forced_tier):
     from no_fasel_scrapers_ray.ops.graph import bfs_hops
-    kw = {} if forced_tier == "driver" else \
-        {"small_threshold": 0}
-    out = bfs_hops(_bfs_edges(_BFS_PAIRS), "a", "b",
-                   np.array([0]), max_hops=3, **kw).to_pandas()
+    with tier_budgets(driver=None if forced_tier == "driver" else 0):
+        out = bfs_hops(_bfs_edges(_BFS_PAIRS), "a", "b",
+                       np.array([0]), max_hops=3).to_pandas()
     got = dict(zip(out["node_id"], out["hops"]))
     # nodes 4,5 are 4 and 5 hops away — beyond the cap; 20/21 unreachable
     assert got == {0: 0, 1: 1, 2: 2, 3: 3, 10: 3}
@@ -267,11 +269,10 @@ def test_bfs_hops_levels_and_cap(forced_tier):
 @pytest.mark.parametrize("forced_tier", ["driver", "bsp"])
 def test_bfs_hops_multi_source_and_isolated_seed(forced_tier):
     from no_fasel_scrapers_ray.ops.graph import bfs_hops
-    kw = {} if forced_tier == "driver" else \
-        {"small_threshold": 0}
     # seed 5 (far end) + seed 99 (not in the graph at all)
-    out = bfs_hops(_bfs_edges(_BFS_PAIRS), "a", "b",
-                   np.array([0, 5, 99]), max_hops=2, **kw).to_pandas()
+    with tier_budgets(driver=None if forced_tier == "driver" else 0):
+        out = bfs_hops(_bfs_edges(_BFS_PAIRS), "a", "b",
+                       np.array([0, 5, 99]), max_hops=2).to_pandas()
     got = dict(zip(out["node_id"], out["hops"]))
     assert got == {0: 0, 5: 0, 99: 0, 1: 1, 4: 1, 2: 2, 3: 2}
 
@@ -443,10 +444,9 @@ def test_lpa_two_clusters_match_reference(forced_tier):
     c1 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
     c2 = [(a, b) for a in range(10, 15) for b in range(a + 1, 15)]
     pairs = c1 + c2 + [(4, 10)]
-    kw = {} if forced_tier == "driver" else \
-        {"small_threshold": 0}
-    out = label_propagation(_bfs_edges(pairs), "a", "b",
-                            rounds=4, **kw).to_pandas()
+    with tier_budgets(driver=None if forced_tier == "driver" else 0):
+        out = label_propagation(_bfs_edges(pairs), "a", "b",
+                                rounds=4).to_pandas()
     got = dict(zip(out["node_id"], out["community"]))
     assert got == _lpa_ref(pairs, 4)
     # the two planted clusters resolve to different communities

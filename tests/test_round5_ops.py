@@ -6,6 +6,7 @@ import pandas as pd
 import ray.data as rd
 
 from no_fasel_scrapers_ray.ops.graph import weighted_sssp
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 from no_fasel_scrapers_ray.ops.relational import (
     consecutive_islands, grouped_weighted_median, keyed_snapshot_diff,
     profile_numeric_columns, trailing_distinct_count)
@@ -91,7 +92,8 @@ def test_weighted_sssp_driver_tier():
 
 def test_weighted_sssp_tier_equality():
     a = weighted_sssp(_sssp_edges(), source=0).to_pandas()
-    b = weighted_sssp(_sssp_edges(), source=0, small_threshold=0).to_pandas()
+    with tier_budgets(driver=0):
+        b = weighted_sssp(_sssp_edges(), source=0).to_pandas()
     a = a.sort_values("node_id", ignore_index=True)
     b = b.sort_values("node_id", ignore_index=True)
     pd.testing.assert_frame_equal(a, b)
@@ -179,7 +181,8 @@ def test_bpe_merges_tier_equality():
         "doc_id": np.arange(len(texts), dtype=np.int64),
         "text": texts})).repartition(2)
     a = train_bpe_merges(docs, n_merges=8)                      # driver
-    b = train_bpe_merges(docs, n_merges=8, driver_threshold=0)  # dataset
+    with tier_budgets(driver=0):
+        b = train_bpe_merges(docs, n_merges=8)                  # dataset
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -281,8 +284,8 @@ def test_msf_tier_equality_unique_weights():
     w = np.array(list(seen.values()), dtype=np.int64)
     df = pd.DataFrame({"u": u, "v": v, "w": w})
     t1 = _msf_out(minimum_spanning_forest(_ds(df, parts=3)))
-    t2 = _msf_out(minimum_spanning_forest(_ds(df, parts=3),
-                                          small_threshold=0))
+    with tier_budgets(driver=0):
+        t2 = _msf_out(minimum_spanning_forest(_ds(df, parts=3)))
     ref = _kruskal_ref(list(zip(u, v, w)))
     assert t1 == ref
     assert t2 == ref
@@ -308,8 +311,8 @@ def test_msf_fulfillment_query_tiers_and_reference():
     import __ray_entry__ as entrymod
     from tests.conftest import SF_SMOKE
     t1 = _msf_out(entrymod.q_msf_fulfillment(SF_SMOKE))
-    t2 = _msf_out(entrymod.q_msf_fulfillment(SF_SMOKE,
-                                             force_distributed=True))
+    with tier_budgets(driver=0):
+        t2 = _msf_out(entrymod.q_msf_fulfillment(SF_SMOKE))
     ed = entrymod._fulfillment_edges(SF_SMOKE).to_pandas()
     c = ed["c"].to_numpy(np.int64)
     s = ed["s"].to_numpy(np.int64)
@@ -330,8 +333,8 @@ def test_weighted_sssp_long_chain_converges():
     out = weighted_sssp(_ds(df, parts=3), source=0).to_pandas()
     got = dict(zip(out["node_id"], out["dist"]))
     assert got[n] == n and len(got) == n + 1
-    out2 = weighted_sssp(_ds(df, parts=3), source=0,
-                         small_threshold=0).to_pandas()
+    with tier_budgets(driver=0):
+        out2 = weighted_sssp(_ds(df, parts=3), source=0).to_pandas()
     got2 = dict(zip(out2["node_id"], out2["dist"]))
     assert got2 == got
 
@@ -340,8 +343,9 @@ def test_weighted_sssp_bsp_backstop_raises():
     import pytest
     df = pd.DataFrame({"u": [0, 1, 2], "v": [1, 2, 3],
                        "w": [1, 1, 1]})
-    with pytest.raises(RuntimeError, match="max_rounds"):
-        weighted_sssp(_ds(df), source=0, small_threshold=0, max_rounds=2)
+    with pytest.raises(RuntimeError, match="max_rounds"), \
+            tier_budgets(driver=0):
+        weighted_sssp(_ds(df), source=0, max_rounds=2)
 
 
 def test_clamped_running_balance_matches_recurrence():
@@ -382,8 +386,9 @@ def test_local_clustering_planted_and_tiers():
     np.testing.assert_allclose(out["lcc"], [0.5, 1.0, 1.0, 1.0])
     assert out["n_tri"].dtype == np.int64 and out["deg"].dtype == np.int64
     # forced broadcast tier must agree exactly with the driver tier
-    forced = local_clustering(_ds(e), small_threshold=0) \
-        .sort_values("node", ignore_index=True)
+    with tier_budgets(driver=0):
+        forced = local_clustering(_ds(e)) \
+            .sort_values("node", ignore_index=True)
     pd.testing.assert_frame_equal(out, forced)
 
 
@@ -433,7 +438,8 @@ def test_spearman_tiers_agree():
     ds = _ds(pd.DataFrame({"x": x % 37, "y": y}), parts=4)
     a = spearman_corr(ds, "x", "y", "rho")["rho"][0]
     # forced bucketed-join tier must produce the identical float
-    b = spearman_corr(ds, "x", "y", "rho", broadcast_cutover=0)["rho"][0]
+    with tier_budgets(broadcast=0):
+        b = spearman_corr(ds, "x", "y", "rho")["rho"][0]
     assert a == b
 
 
@@ -447,9 +453,9 @@ def test_grouped_spearman_tiers_agree_and_planted():
         .sort_values("k", ignore_index=True)
     # group a: monotone increasing → +1; group b: decreasing → -1
     np.testing.assert_allclose(out["rho"], [1.0, -1.0])
-    forced = grouped_spearman(ds, "k", "x", "y", "rho",
-                              broadcast_cutover=0).to_pandas() \
-        .sort_values("k", ignore_index=True)
+    with tier_budgets(broadcast=0):
+        forced = grouped_spearman(ds, "k", "x", "y", "rho").to_pandas() \
+            .sort_values("k", ignore_index=True)
     pd.testing.assert_frame_equal(out, forced)
 
 
@@ -477,8 +483,9 @@ def test_personalized_pagerank_tiers_and_concentration():
     ds = _ds(e, parts=2)
     a = personalized_pagerank(ds, [1], iters=3).to_pandas() \
         .sort_values("node", ignore_index=True)
-    b = personalized_pagerank(ds, [1], iters=3, small_threshold=0) \
-        .to_pandas().sort_values("node", ignore_index=True)
+    with tier_budgets(driver=0):
+        b = personalized_pagerank(ds, [1], iters=3) \
+            .to_pandas().sort_values("node", ignore_index=True)
     pd.testing.assert_frame_equal(a, b)
     r = dict(zip(a["node"], a["rank"]))
     # finite-iteration PPR on a DAG is a traveling wave, so no
@@ -502,9 +509,8 @@ def test_local_clustering_tier3_forced():
                       "b": [2, 3, 4, 3, 4, 4, 5, 7]})
     ds = _ds(e, parts=3)
     drv = local_clustering(ds).sort_values("node", ignore_index=True)
-    t3 = local_clustering(ds, small_threshold=0,
-                          broadcast_edge_threshold=0) \
-        .sort_values("node", ignore_index=True)
+    with tier_budgets(0, 0):
+        t3 = local_clustering(ds).sort_values("node", ignore_index=True)
     pd.testing.assert_frame_equal(drv, t3)
 
 

@@ -8,6 +8,7 @@ import pandas as pd
 import ray.data as rd
 
 from no_fasel_scrapers_ray.ops.dedup import set_similarity_top1
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 
 
 def _ds(df, parts=3):
@@ -156,32 +157,33 @@ def test_dup_spans_tier_equality_forced_cap():
     texts = _span_corpus()
     broad = (dup_spans(_docs_ds(texts), k=4).to_pandas()
              .sort_values(["doc_id", "span_start"], ignore_index=True))
-    for cap in (0, 1, 3):
-        dist = (dup_spans(_docs_ds(texts), k=4, max_candidates=cap)
-                .to_pandas()
-                .sort_values(["doc_id", "span_start"],
-                             ignore_index=True))
+    for cap in (0, 1, 3):     # candidate hashes, 8 B each
+        with tier_budgets(broadcast=8 * cap):
+            dist = (dup_spans(_docs_ds(texts), k=4)
+                    .to_pandas()
+                    .sort_values(["doc_id", "span_start"],
+                                 ignore_index=True))
         pd.testing.assert_frame_equal(dist, broad, check_dtype=True)
     assert len(broad) > 10   # the corpus actually plants duplication
 
 
-def test_dup_spans_distributed_two_islands():
+def test_dup_spans_distributed_two_islands(force_distributed):
     a = " ".join(f"p{i}" for i in range(6))
     b = " ".join(f"q{i}" for i in range(6))
     texts = [a + " gap1 gap2 gap3 " + b,
              a + " zzz1 zzz2 zzz3 " + b]
-    out = (dup_spans(_docs_ds(texts, parts=2), k=4, max_candidates=0)
+    out = (dup_spans(_docs_ds(texts, parts=2), k=4)
            .to_pandas()
            .sort_values(["doc_id", "span_start"], ignore_index=True))
     got = list(out.itertuples(index=False, name=None))
     assert got == [(0, 0, 6), (0, 9, 15), (1, 0, 6), (1, 9, 15)]
 
 
-def test_dup_spans_distributed_intra_doc_repeat_not_counted():
+def test_dup_spans_distributed_intra_doc_repeat_not_counted(
+        force_distributed):
     texts = ["x1 x2 x3 x4 z x1 x2 x3 x4",
              "other words entirely here now"]
-    out = dup_spans(_docs_ds(texts, parts=2), k=4,
-                    max_candidates=0).to_pandas()
+    out = dup_spans(_docs_ds(texts, parts=2), k=4).to_pandas()
     assert len(out) == 0
 
 
@@ -207,17 +209,17 @@ def _edge_graph(seed=3, n=70, m=260, wmax=6):
     return rd.from_pandas(df).repartition(3)
 
 
-def _msf_sorted(ds, **kw):
-    out = minimum_spanning_forest(ds, **kw).to_pandas()
+def _msf_sorted(ds, driver=None, broadcast=None):
+    with tier_budgets(driver, broadcast):
+        out = minimum_spanning_forest(ds).to_pandas()
     return out.sort_values(["u", "v", "w"], ignore_index=True)
 
 
 def test_msf_three_tier_equality_under_ties():
     ds = _edge_graph()
     kruskal = _msf_sorted(ds)                         # driver Kruskal
-    mid = _msf_sorted(ds, small_threshold=0)          # driver-UF Borůvka
-    t3 = _msf_sorted(ds, small_threshold=0,
-                     tier3_threshold=0)               # no driver state
+    mid = _msf_sorted(ds, driver=0)                   # driver-UF Borůvka
+    t3 = _msf_sorted(ds, driver=0, broadcast=0)       # no driver state
     pd.testing.assert_frame_equal(mid, kruskal, check_dtype=True)
     pd.testing.assert_frame_equal(t3, kruskal, check_dtype=True)
     # forest spans every non-isolated node: |forest| = n - #components
@@ -230,7 +232,7 @@ def test_msf_tier3_disconnected_and_self_loops():
                        "v": [2, 3, 1, 8, 8, 9],
                        "w": [4, 1, 9, 2, 2, 5]})
     ds = rd.from_pandas(df).repartition(2)
-    t3 = _msf_sorted(ds, small_threshold=0, tier3_threshold=0)
+    t3 = _msf_sorted(ds, driver=0, broadcast=0)
     got = list(t3.itertuples(index=False, name=None))
     # 1-2(4), 2-3(1), 7-8(2, the (w,u,v)-smallest duplicate);
     # self-loops 1-1 and 9-9 never span

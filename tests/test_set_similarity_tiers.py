@@ -14,7 +14,8 @@ import pandas as pd
 import pytest
 import ray.data as rd
 
-from no_fasel_scrapers_ray.ops import dedup, relational
+from no_fasel_scrapers_ray.ops import dedup
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 from test_round6_ops import _brute_top1, _zipf_ui
 
 NAMES = ("u", "similar_u", "jaccard")
@@ -42,9 +43,8 @@ def _run(ui: pd.DataFrame, hot_threshold: int = 1 << 30) -> pd.DataFrame:
     return out.sort_values("u", ignore_index=True)
 
 
-def _distributed(ui: pd.DataFrame, monkeypatch, **kw) -> pd.DataFrame:
-    with monkeypatch.context() as m:
-        m.setattr(relational, "BROADCAST_LIMIT_BYTES", 0)
+def _distributed(ui: pd.DataFrame, **kw) -> pd.DataFrame:
+    with tier_budgets(broadcast=0):
         return _run(ui, **kw)
 
 
@@ -64,13 +64,12 @@ def _ties_ui() -> pd.DataFrame:
                         columns=["u", "item"]).astype(np.int64)
 
 
-def test_broadcast_tier_matches_brute_and_distributed(shuffles,
-                                                      monkeypatch):
+def test_broadcast_tier_matches_brute_and_distributed(shuffles):
     ui = _zipf_ui()
     got = _run(ui)
     assert shuffles == []
     pd.testing.assert_frame_equal(got, _brute_top1(ui), check_dtype=True)
-    dist = _distributed(ui, monkeypatch)
+    dist = _distributed(ui)
     assert shuffles
     pd.testing.assert_frame_equal(got, dist, check_dtype=True)
     twins = got.set_index("u")
@@ -87,7 +86,7 @@ def test_hot_item_takes_the_distributed_tier(shuffles):
     pd.testing.assert_frame_equal(got, _brute_top1(ui), check_dtype=True)
 
 
-def test_users_without_co_user_have_no_row(shuffles, monkeypatch):
+def test_users_without_co_user_have_no_row(shuffles):
     ui = pd.DataFrame({"u": [1, 1, 2, 2, 3, 4, 5, 5, 6],
                        "item": [1, 2, 2, 3, 3, 100, 101, 102, 103]},
                       dtype=np.int64)
@@ -95,7 +94,7 @@ def test_users_without_co_user_have_no_row(shuffles, monkeypatch):
     assert shuffles == []
     assert list(got["u"]) == [1, 2, 3]
     pd.testing.assert_frame_equal(got, _brute_top1(ui), check_dtype=True)
-    pd.testing.assert_frame_equal(got, _distributed(ui, monkeypatch),
+    pd.testing.assert_frame_equal(got, _distributed(ui),
                                   check_dtype=True)
 
 
@@ -118,7 +117,7 @@ def test_many_slices(instances, shuffles, monkeypatch):
     pd.testing.assert_frame_equal(got, _brute_top1(ui), check_dtype=True)
 
 
-def test_ties_between_equal_doubles(shuffles, monkeypatch):
+def test_ties_between_equal_doubles(shuffles):
     """Equal doubles from different (intersection, size) pairs tie, and
     the smaller id wins, in both tiers."""
     ui = _ties_ui()
@@ -130,7 +129,7 @@ def test_ties_between_equal_doubles(shuffles, monkeypatch):
     assert best.loc[12, "similar_u"] == 45
     assert best.loc[12, "jaccard"] == 1 / 3
     pd.testing.assert_frame_equal(got, _brute_top1(ui), check_dtype=True)
-    pd.testing.assert_frame_equal(got, _distributed(ui, monkeypatch),
+    pd.testing.assert_frame_equal(got, _distributed(ui),
                                   check_dtype=True)
 
 

@@ -11,6 +11,7 @@ import pyarrow.parquet as pq
 
 sys.path.insert(0, "/root/repo")
 import __ray_entry__ as entrymod  # noqa: E402
+from no_fasel_scrapers_ray.ops.util import tier_budgets  # noqa: E402
 
 
 def _write_docs(tmp_path, texts):
@@ -91,8 +92,8 @@ def test_doc_chunks_window_edges(tmp_path):
 
 
 def test_tfidf_tiers_identical(tmp_path):
-    """The distributed term-join tier (broadcast_vocab_limit=0) must
-    emit row-identical top terms to the broadcast tier."""
+    """The distributed term-join tier (broadcast budget 0) must emit
+    row-identical top terms to the broadcast tier."""
     import ray.data as rd
     from no_fasel_scrapers_ray.ops.textops import tfidf_top_terms
     rng = np.random.RandomState(4)
@@ -105,15 +106,17 @@ def test_tfidf_tiers_identical(tmp_path):
     cols = ["doc_id", "term", "score"]
     a = (tfidf_top_terms(docs, topn=3).to_pandas()[cols]
          .sort_values(cols, ignore_index=True))
-    b = (tfidf_top_terms(docs, topn=3,
-                         broadcast_vocab_limit=0).to_pandas()[cols]
-         .sort_values(cols, ignore_index=True))
+    with tier_budgets(broadcast=0):
+        b = (tfidf_top_terms(docs, topn=3).to_pandas()[cols]
+             .sort_values(cols, ignore_index=True))
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_rare_term_tiers_identical(tmp_path):
-    """The distributed rare-term join tier must match the broadcast
-    tier, including zero-hit documents (the left-join fill)."""
+def test_rare_term_tiers_identical(tmp_path, record_tiers):
+    """The distributed rare-term join tier — taken at a broadcast
+    budget of 1 byte, decided from the rare-term count before any pull
+    — must match the broadcast tier, including zero-hit documents (the
+    left-join fill)."""
     import ray.data as rd
     from no_fasel_scrapers_ray.ops.textops import rare_term_permille
     texts = (["common common words here"] * 40           # zero rare hits
@@ -124,9 +127,11 @@ def test_rare_term_tiers_identical(tmp_path):
     cols = ["doc_id", "n_tokens", "rare_permille"]
     a = (rare_term_permille(docs, max_df=2)
          .to_pandas()[cols].sort_values("doc_id", ignore_index=True))
-    b = (rare_term_permille(docs, max_df=2,
-                            broadcast_vocab_limit=0)
-         .to_pandas()[cols].sort_values("doc_id", ignore_index=True))
+    with tier_budgets(broadcast=1):
+        b = (rare_term_permille(docs, max_df=2)
+             .to_pandas()[cols].sort_values("doc_id", ignore_index=True))
+    assert record_tiers == [("rare_term_permille", "broadcast"),
+                            ("rare_term_permille", "distributed")]
     pd.testing.assert_frame_equal(a, b)
     assert (a.loc[a["doc_id"] < 40, "rare_permille"] == 0).all()
     assert (a.loc[a["doc_id"] >= 40, "rare_permille"] > 0).all()

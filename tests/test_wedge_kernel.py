@@ -12,6 +12,7 @@ import pytest
 import ray.data as rd
 
 from no_fasel_scrapers_ray.ops import graph
+from no_fasel_scrapers_ray.ops.util import tier_budgets
 
 
 def _zipf_graph(seed: int, n: int = 150, m: int = 900):
@@ -119,11 +120,14 @@ def test_three_tiers_agree_over_several_slices():
     assert int((out * (out - 1) // 2).sum()) > 3 * graph.WEDGE_SLICE
     total, per = _brute_triangles(a, b)
     ds = rd.from_pandas(pd.DataFrame({"a": a, "b": b})).repartition(4)
-    tiers = [{}, {"small_threshold": 0},
-             {"small_threshold": 0, "broadcast_edge_threshold": 0}]
-    assert [graph.triangle_count(ds, **kw) for kw in tiers] == [total] * 3
-    lcc = [graph.local_clustering(ds, **kw)
-           .sort_values("node", ignore_index=True) for kw in tiers]
+    tiers = [(None, None), (0, None), (0, 0)]   # driver, broadcast, BSP
+    counts, lcc = [], []
+    for budgets in tiers:
+        with tier_budgets(*budgets):
+            counts.append(graph.triangle_count(ds))
+            lcc.append(graph.local_clustering(ds)
+                       .sort_values("node", ignore_index=True))
+    assert counts == [total] * 3
     assert dict(zip(lcc[0]["node"].tolist(),
                     lcc[0]["n_tri"].tolist())) == per
     for other in lcc[1:]:
