@@ -20,6 +20,8 @@ from functools import partial
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import no_fasel_scrapers_ray
 from no_fasel_scrapers_ray.ops.util import key_shuffle, tier_budgets
@@ -29,38 +31,155 @@ from no_fasel_scrapers_ray.ops.util import key_shuffle, tier_budgets
 no_fasel_scrapers_ray.enable_portable_pickling()
 
 
-def _read(sf_dir: str, table: str, columns=None, rows_per_block: int = 512):
-    """read_parquet with data-proportional block sizing.
+def _read(sf_dir: str, table: str, columns=None, rows_per_block: int = 512,
+          *, derive: dict | None = None, where=None):
+    """read_parquet with data-proportional block sizing, and the query's
+    column derivations evaluated inside the read task.
+
+    ``where`` is one boolean ``pyarrow.compute`` Expression over the
+    read columns; rows where it is false or null are dropped. ``derive``
+    maps each output name to an Expression over the read columns (built
+    from the vocabulary below: ``col``, ``int64``, ``rint``, ``cents``,
+    ``epoch_us``, ``floor_div``, ``mod``, ``flag``); when it is given
+    the output holds exactly its columns, in its order. Both run in one
+    ``pyarrow`` ``map_batches`` that Ray fuses into the read, so a
+    derivation costs no pandas round trip and no extra stage. A block
+    whose rows are all dropped keeps the typed schema. The source
+    file's pandas schema metadata, which names the read's columns, is
+    dropped from a projected block.
 
     Ray's default parallelism floor (2×CPUs) splits a 0.6 MB documents
     table into 64 ~9 KB blocks; every downstream all-to-all then pays a
     64×64 shuffle fan-out for kilobytes of data (measured: the same
     tiny-table groupby costs 2.4 s at 64 blocks vs 0.7 s at 8). Blocks
-    here scale with the INPUT: ~32 MB of file bytes per block once the
-    table is big (the 100 TB regime — identical to Ray's own target),
-    with a small-table floor of one block per ``rows_per_block`` rows
-    capped at 2×CPUs. The default floor (512) suits CPU-heavy per-row
-    stages (regex/hashing per doc); shuffle-bound relational queries
-    pass a coarser floor (8192-65536) — their per-row work is
-    vectorized C, so tiny blocks only multiply all-to-all fan-out
-    (measured: 64 blocks of 2.3k orders cost 5.7 s of task scheduling
-    for 0.5 s of compute in nested_rollup's tag stage)."""
-    import math
+    follow ``corpus/storage.py::block_count``: ~32 MB of file bytes per
+    block once the table is big (the 100 TB regime — identical to Ray's
+    own target), with a small-table floor of one block per
+    ``rows_per_block`` rows capped at 2×CPUs. The default floor (512)
+    suits CPU-heavy per-row stages (regex/hashing per doc);
+    shuffle-bound relational queries pass a coarser floor (8192-65536)
+    — their per-row work is vectorized C, so tiny blocks only multiply
+    all-to-all fan-out (measured: 64 blocks of 2.3k orders cost 5.7 s
+    of task scheduling for 0.5 s of compute in nested_rollup's tag
+    stage)."""
     import os
 
-    import ray
+    import pyarrow.parquet as pq
     import ray.data as rd
+
+    from no_fasel_scrapers_ray.corpus.storage import block_count
     path = f"{sf_dir}/{table}.parquet"
-    try:
-        import pyarrow.parquet as pq
-        rows = pq.ParquetFile(path).metadata.num_rows
-        nbytes = os.path.getsize(path)
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        nb = max(math.ceil(nbytes / (32 << 20)),
-                 min(2 * cpus, math.ceil(rows / rows_per_block)), 1)
-    except Exception:
-        return rd.read_parquet(path, columns=columns)
-    return rd.read_parquet(path, columns=columns, override_num_blocks=nb)
+    nb = block_count(pq.ParquetFile(path).metadata.num_rows,
+                     os.path.getsize(path), rows_per_block)
+    ds = rd.read_parquet(path, columns=columns, override_num_blocks=nb)
+    return _derive(ds, derive, where)
+
+
+def _derive(ds, derive: dict | None = None, where=None):
+    """``ds`` with ``where`` and ``derive`` (see ``_read``) applied in
+    one ``pyarrow`` ``map_batches``; for the few reads that push a
+    row-group predicate into ``rd.read_parquet`` and so cannot go
+    through ``_read``."""
+    if derive is None and where is None:
+        return ds
+    import pyarrow.dataset as pads
+
+    def spec(t: pa.Table) -> pa.Table:
+        out = pads.dataset(t).to_table(columns=derive, filter=where,
+                                       use_threads=False)
+        return out if derive is None else out.replace_schema_metadata(None)
+    return ds.map_batches(spec, batch_format="pyarrow")
+
+
+# Column-derivation vocabulary for ``_read(derive=..., where=...)``: each
+# name returns a ``pyarrow.compute`` Expression that Arrow evaluates in
+# the read task. A column argument is a name or an Expression. Money is
+# int64 cents and time int64 µs since the epoch, rounded half to even
+# like ``np.round``; a NaN raises ``ArrowInvalid`` at the int64 cast.
+col = pc.field
+
+
+def _e(x):
+    """A column name as its field; an Expression as is."""
+    return pc.field(x) if isinstance(x, str) else x
+
+
+def int64(x):
+    """``x`` as int64 (a float must already be integral)."""
+    return _e(x).cast(pa.int64())
+
+
+def rint(x):
+    """``x`` rounded half to even, as int64."""
+    return int64(pc.round(_e(x)))
+
+
+def cents(x):
+    """A money amount as int64 cents: ``rint(x * 100)``."""
+    return rint(pc.multiply(_e(x), 100))
+
+
+def epoch_us(x):
+    """A timestamp or date as int64 µs since the epoch."""
+    return int64(_e(x).cast(pa.timestamp("us")))
+
+
+def floor_div(x, unit: int):
+    """``x // unit`` of an int64 ``x`` and a positive ``unit``, floored
+    (Arrow's integer divide truncates toward zero)."""
+    x = _e(x)
+    q = pc.divide(x, unit)
+    return q - int64((x < 0) & (q * unit != x))
+
+
+def mod(x, m: int):
+    """``x % m`` of an int64 ``x`` and a positive ``m``, floored like
+    Python's (Arrow has no modulo kernel)."""
+    return _e(x) - floor_div(x, m) * m
+
+
+def flag(pred):
+    """A boolean Expression as a 0/1 int64."""
+    return int64(pred)
+
+
+# Derivations shared by several queries.
+# lineitem: (o_orderkey, ship_us), ship year, the per-flag statistics
+# input, the discount flag (≥ 5%), and a line's undiscounted share in
+# percent and exact discounted revenue ×10^4: cents × (100 − discount %)
+_SHIP_US = {"o_orderkey": col("l_orderkey"), "ship_us": epoch_us("l_shipdate")}
+_SHIP_YEAR = int64(pc.year(col("l_shipdate")))
+_FLAG_QTY_CENTS = {"l_returnflag": col("l_returnflag"),
+                   "qty": rint("l_quantity"),
+                   "cents": cents("l_extendedprice")}
+_DISCOUNTED = flag(col("l_discount") >= 0.05)
+_KEEP_PCT = pc.subtract(pc.scalar(100), cents("l_discount"))
+_REV_E4 = cents("l_extendedprice") * _KEEP_PCT
+# lineitem as supplier edges (o_orderkey, dst); the supplier node-space
+# offset 2^40 keeps the spaces disjoint for any realistic custkey domain
+# (a 10M offset would merge customers and suppliers past sf~67 — and the
+# mirrored oracle would silently agree)
+_SUPP_DST = {"o_orderkey": col("l_orderkey"),
+             "dst": col("l_suppkey") + (1 << 40)}
+# orders: (o_orderkey, order_us), (o_custkey, cents), the per-customer
+# trend input, the URGENT flag and the priority's leading digit
+_ORDER_US = {"o_orderkey": col("o_orderkey"),
+             "order_us": epoch_us("o_orderdate")}
+_CUST_CENTS = {"o_custkey": col("o_custkey"), "cents": cents("o_totalprice")}
+_CUST_DAY_CENTS = {"o_custkey": col("o_custkey"),
+                   "day": floor_div(epoch_us("o_orderdate"), 86_400_000_000),
+                   "cents": cents("o_totalprice")}
+_URGENT = flag(col("o_orderpriority") == "1-URGENT")
+_PRIORITY_NO = int64(pc.utf8_slice_codeunits(col("o_orderpriority"), 0, 1))
+# [1996-01-01, 1996-04-01): the quarter of the Q10 and Q15 shapes
+_Q1_1996 = (pd.Timestamp("1996-01-01").to_pydatetime(),
+            pd.Timestamp("1996-04-01").to_pydatetime())
+# events as (event_id, user_id, event_type, ts_us)
+_EVENT_US = {"event_id": col("event_id"), "user_id": col("user_id"),
+             "event_type": col("event_type"), "ts_us": epoch_us("ts")}
+# documents as (doc_id, n_tokens): single-space split, as SQL string_split
+_DOC_TOKENS = {"doc_id": col("doc_id"), "n_tokens":
+               int64(pc.count_substring(col("text"), " ")) + 1}
 
 
 def _budgets(tier3: bool):
@@ -118,14 +237,12 @@ def q_semi_join_customers(sf_dir: str):
 def q_anti_join_customers(sf_dir: str):
     """D1-family anti-join (the pre-fetch seen-set probe shape):
     customers with no URGENT order."""
-    import pyarrow.compute as pc
     from no_fasel_scrapers_ray.ops.relational import anti_join
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"],
                  rows_per_block=65536)
     urgent = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536).map_batches(
-        lambda t: t.filter(pc.equal(t["o_orderpriority"], "1-URGENT")),
-        batch_format="pyarrow")
+                   rows_per_block=65536,
+                   where=col("o_orderpriority") == "1-URGENT")
     okeys = urgent.unique("o_custkey")
     return anti_join(cust, np.asarray(okeys), "c_custkey")
 
@@ -141,20 +258,18 @@ def q_merge_new_wins(sf_dir: str):
 
 
 def _merge_query(sf_dir: str, old_wins: bool):
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from no_fasel_scrapers_ray.ops.relational import merge_with_precedence
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                   rows_per_block=65536)
 
-    def tag(label, keep_mod, mod):
-        def _f(t: pa.Table) -> pa.Table:
-            t = t.filter(pc.equal(pc.bit_wise_and(t["o_orderkey"], mod), keep_mod))
-            return t.append_column("src", pa.array([label] * len(t)))
-        return _f
+    def tagged(label, mask):
+        return _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
+                     rows_per_block=65536,
+                     derive={"o_orderkey": col("o_orderkey"),
+                             "o_totalprice": col("o_totalprice"),
+                             "src": pc.scalar(label)},
+                     where=pc.bit_wise_and(col("o_orderkey"), mask) == 0)
 
-    old = orders.map_batches(tag("old", 0, 1), batch_format="pyarrow")  # even keys
-    new = orders.map_batches(tag("new", 0, 3), batch_format="pyarrow")  # keys % 4 == 0
+    old = tagged("old", 1)  # even keys
+    new = tagged("new", 3)  # keys % 4 == 0
     return merge_with_precedence(new, old, "o_orderkey", old_wins=old_wins)
 
 
@@ -181,23 +296,13 @@ def q_nested_rollup(sf_dir: str):
 
 def q_union_index(sf_dir: str):
     """A6-family union-all indexer with field defaulting."""
-    import pyarrow as pa
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    def indexed(table, kind, key_col, name_col):
+        return _read(sf_dir, table, [key_col, name_col],
+                     derive={"key": col(key_col), "name": col(name_col),
+                             "kind": pc.scalar(kind)})
 
-    def project(kind, key_col, name_col):
-        def _p(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "key": t[key_col],
-                "name": t[name_col],
-                "kind": pa.array([kind] * len(t)),
-            })
-        return _p
-
-    return cust.map_batches(project("customer", "c_custkey", "c_name"),
-                            batch_format="pyarrow").union(
-        supp.map_batches(project("supplier", "s_suppkey", "s_name"),
-                         batch_format="pyarrow"))
+    return indexed("customer", "customer", "c_custkey", "c_name").union(
+        indexed("supplier", "supplier", "s_suppkey", "s_name"))
 
 
 def q_top10_customers(sf_dir: str):
@@ -228,14 +333,11 @@ def q_top10_customers(sf_dir: str):
 
 def q_events_hourly(sf_dir: str):
     """Tumbling-window aggregate over the events stream table."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from no_fasel_scrapers_ray.ops.relational import preagg_sum_count, round_columns
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536)
-    ev = ev.map_batches(
-        lambda t: t.append_column("hour", pc.floor_temporal(t["ts"], unit="hour")),
-        batch_format="pyarrow").drop_columns(["ts"])
+               rows_per_block=65536,
+               derive={"event_type": col("event_type"), "value": col("value"),
+                       "hour": pc.floor_temporal(col("ts"), unit="hour")})
     out = preagg_sum_count(ev, ["event_type", "hour"], {"value": "total_value"},
                            count_alias="n_events")
     return round_columns(out, {"total_value": 2})
@@ -248,17 +350,10 @@ def q_events_hourly_dense(sf_dir: str):
     reduce; the hour axis is time-bounded (span/3600s rows, ~3.4k
     here, <100k even for years of data), so the dense reindex runs on
     the driver over the AGGREGATE, never the events."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import preagg_reduce
-    ev = _read(sf_dir, "events", ["ts"], rows_per_block=65536)
-
-    def hours(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "hour_id": (b["ts"].astype("datetime64[us]").astype("int64")
-                        // 3_600_000_000).to_numpy()})
-
-    counts = preagg_reduce(ev.map_batches(hours, batch_format="pandas"),
-                           ["hour_id"], "n_events", "count").to_pandas()
+    ev = _read(sf_dir, "events", ["ts"], rows_per_block=65536,
+               derive={"hour_id": floor_div(epoch_us("ts"), 3_600_000_000)})
+    counts = preagg_reduce(ev, ["hour_id"], "n_events", "count").to_pandas()
     full = pd.DataFrame({"hour_id": np.arange(counts["hour_id"].min(),
                                               counts["hour_id"].max() + 1,
                                               dtype=np.int64)})
@@ -279,7 +374,6 @@ def q_distinct_suppliers(sf_dir: str):
     """A3-family count-distinct per key: per-batch distinct pairs →
     bucket shuffle on the key → per-bucket distinct + count (the
     high-cardinality-safe groupby shape, see ops.relational)."""
-    import pyarrow as pa
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"],
                rows_per_block=65536)
 
@@ -407,15 +501,12 @@ def q_sample_orders(sf_dir: str):
 def q_intersect_users(sf_dir: str):
     """Set op (§2.9): users who both purchased and clicked — SQL
     INTERSECT as a distinct-key co-location shuffle."""
-    import pyarrow.compute as pc
     from no_fasel_scrapers_ray.ops.relational import intersect_keys
-    ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=8192)
 
     def typed(kind):
-        return ev.map_batches(
-            lambda t, k=kind: t.filter(pc.equal(t["event_type"], k))
-            .select(["user_id"]), batch_format="pyarrow")
+        return _read(sf_dir, "events", ["user_id", "event_type"],
+                     rows_per_block=8192, derive={"user_id": col("user_id")},
+                     where=col("event_type") == kind)
 
     return intersect_keys(typed("purchase"), typed("click"), "user_id")
 
@@ -424,15 +515,11 @@ def q_except_customers(sf_dir: str):
     """Set op (§2.9): customer keys with no URGENT order — SQL EXCEPT
     over distinct keys (the seen-set complement shape, cf. J6; the
     bucketed-shuffle counterpart of the broadcast anti_join)."""
-    import pyarrow as pa
     from no_fasel_scrapers_ray.ops.relational import except_keys
-    import pyarrow.compute as pc
     cust = _read(sf_dir, "customer", ["c_custkey"], rows_per_block=8192)
     okeys = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                  rows_per_block=8192).map_batches(
-        lambda t: pa.table({"c_custkey": t.filter(
-            pc.equal(t["o_orderpriority"], "1-URGENT"))["o_custkey"]}),
-        batch_format="pyarrow")
+                  rows_per_block=8192, derive={"c_custkey": col("o_custkey")},
+                  where=col("o_orderpriority") == "1-URGENT")
     return except_keys(cust, okeys, "c_custkey")
 
 
@@ -451,24 +538,14 @@ def _purchase_events(sf_dir: str, with_cents: bool):
     window queries. ts as epoch µs int64; value as integer CENTS (×100
     of a 2-decimal value is integral, so rounding never hits the
     pandas-half-to-even vs SQL-half-away .5 boundary)."""
-    import pandas as pd
     cols = ["event_id", "ts", "user_id", "event_type"] + (
         ["value"] if with_cents else [])
-    ev = _read(sf_dir, "events", cols, rows_per_block=8192)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["event_type"] == "purchase"]
-        out = {
-            "user_id": b["user_id"].to_numpy(),
-            "event_id": b["event_id"].to_numpy(),
-            "ts_us": b["ts"].astype("datetime64[us]")
-                     .astype("int64").to_numpy(),
-        }
-        if with_cents:
-            out["cents"] = (b["value"] * 100).round().astype("int64")                 .to_numpy()
-        return pd.DataFrame(out)
-
-    return ev.map_batches(prep, batch_format="pandas")
+    derive = {"user_id": col("user_id"), "event_id": col("event_id"),
+              "ts_us": epoch_us("ts")}
+    if with_cents:
+        derive["cents"] = cents("value")
+    return _read(sf_dir, "events", cols, rows_per_block=8192, derive=derive,
+                 where=col("event_type") == "purchase")
 
 
 def q_running_user_spend(sf_dir: str):
@@ -498,16 +575,10 @@ def q_cust_order_stats(sf_dir: str):
     """Fused multi-aggregate (§ aggregates, LMFAO shape): per customer,
     COUNT + SUM + MIN + MAX of order cents in ONE scan and ONE shuffle
     — n aggregates share the pass instead of costing n."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
-    cents = orders.map_batches(
-        lambda b: pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(),
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")}),
-        batch_format="pandas")
-    return grouped_multi_agg(cents, ["o_custkey"], {
+                   rows_per_block=65536, derive=_CUST_CENTS)
+    return grouped_multi_agg(orders, ["o_custkey"], {
         "n_orders": ("cents", "count"),
         "sum_cents": ("cents", "sum"),
         "min_cents": ("cents", "min"),
@@ -520,16 +591,10 @@ def q_median_cents_cont(sf_dir: str):
     quantile_cont(0.5) order value in integer cents — the two
     bracketing order statistics and the `lo + (hi-lo)*frac`
     interpolation match DuckDB's bit-exactly."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_quantile_cont
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=8192)
-    cents = orders.map_batches(
-        lambda b: pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(),
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")}),
-        batch_format="pandas")
-    return grouped_quantile_cont(cents, ["o_custkey"], "cents",
+                   rows_per_block=8192, derive=_CUST_CENTS)
+    return grouped_quantile_cont(orders, ["o_custkey"], "cents",
                                  q=0.5, alias="median_cents")
 
 
@@ -563,19 +628,13 @@ def q_favorite_event_type(sf_dir: str):
     """Grouped MODE (§ aggregates): each user's most frequent event
     type (ties → lexicographically first) — partial counts then an
     arg-max topk_per_group, deterministic ROW_NUMBER oracle."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         preagg_sum_count, topk_per_group)
     ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536)
-
-    def ones(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"user_id": b["user_id"].to_numpy(),
-                             "event_type": b["event_type"].to_numpy(),
-                             "one": np.ones(len(b), dtype=np.int64)})
-
-    counts = preagg_sum_count(ev.map_batches(ones, batch_format="pandas"),
-                              ["user_id", "event_type"], {"one": "n"})
+               rows_per_block=65536,
+               derive={"user_id": col("user_id"),
+                       "event_type": col("event_type"), "one": pc.scalar(1)})
+    counts = preagg_sum_count(ev, ["user_id", "event_type"], {"one": "n"})
     return topk_per_group(counts, ["user_id"], "n", k=1,
                           ascending=False, tie_cols=["event_type"])
 
@@ -610,19 +669,14 @@ def q_order_value_pctiles(sf_dir: str):
     statistics of each order's value within its customer, computed in
     ONE bucket shuffle (`windowed_rank_stats`). Ranks over integer
     cents; the two ratios are exact IEEE doubles on both engines."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import windowed_rank_stats
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderkey", "o_totalprice"],
-                   rows_per_block=65536)
-    cents = orders.map_batches(
-        lambda b: pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(),
-            "o_orderkey": b["o_orderkey"].to_numpy(),
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")
-                     .to_numpy()}),
-        batch_format="pandas")
-    return windowed_rank_stats(cents, ["o_custkey"], "cents",
+                   rows_per_block=65536,
+                   derive={"o_custkey": col("o_custkey"),
+                           "o_orderkey": col("o_orderkey"),
+                           "cents": cents("o_totalprice")})
+    return windowed_rank_stats(orders, ["o_custkey"], "cents",
                                pct_alias="pct_rank",
                                cume_alias="cume_dist")
 
@@ -699,17 +753,12 @@ def q_cust_order_counts(sf_dir: str):
     """LEFT OUTER join (§ joins): every customer with their order
     count, 0 for customers with no orders — the big-big bucketed join
     in 'left' mode, COALESCE keeping the count int64 on both engines."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_sum_count)
-    orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=65536)
-
-    def ones(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"c_custkey": b["o_custkey"].to_numpy(),
-                             "one": np.ones(len(b), dtype=np.int64)})
-
-    counts = preagg_sum_count(orders.map_batches(ones, batch_format="pandas"),
-                              ["c_custkey"], {"one": "n_orders"})
+    orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=65536,
+                   derive={"c_custkey": col("o_custkey"),
+                           "one": pc.scalar(1)})
+    counts = preagg_sum_count(orders, ["c_custkey"], {"one": "n_orders"})
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"],
                  rows_per_block=65536)
     joined = bucketed_join(cust, counts, on="c_custkey", how="left")
@@ -737,7 +786,6 @@ def q_unpivot_order_flags(sf_dir: str):
     """Unpivot / melt (§ reshapes): each order's (status, priority)
     pair melted into attribute/value rows — the wide→long flat_map
     family, 2 output rows per input row, no shuffle at all."""
-    import pyarrow as pa
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderstatus", "o_orderpriority"],
                    rows_per_block=65536)
@@ -829,7 +877,6 @@ def q_media_thumbnails(sf_dir: str):
     recomputes from the same dim derivation — the bytes plumbing is
     exercised for real, the math is checked exactly (IEEE double ops
     in the same order on both engines)."""
-    import pyarrow as pa
     from no_fasel_scrapers_ray.stages.media import resize_images, synth_image
 
     docs = _read(sf_dir, "documents", ["doc_id"])
@@ -866,7 +913,6 @@ def q_media_frame_sample(sf_dir: str):
     video containers (frame count from doc_id) through the
     FrameSampler actor pool; the oracle recomputes the sampled-frame
     count and total sampled bytes from the same derivation."""
-    import pyarrow as pa
     from no_fasel_scrapers_ray.stages.media import sample_frames, synth_video
 
     docs = _read(sf_dir, "documents", ["doc_id"])
@@ -903,7 +949,6 @@ def q_media_audio_features(sf_dir: str):
     the floored-integer RMS. Rows-only check (the blake2b-seeded
     sample synthesis has no SQL form); byte-level parsing and the
     container contract are pinned in tests/test_media_stages.py."""
-    import pyarrow as pa
     from no_fasel_scrapers_ray.stages.media import (
         extract_audio_features, synth_audio)
 
@@ -937,22 +982,15 @@ def q_first_event_per_user_day(sf_dir: str):
     """ARG-MIN per composite group (§ windows): each user's FIRST event
     of each day — topk_per_group ascending k=1 over (user, day), the
     keep-earliest-record dedup shape. Oracle: ROW_NUMBER() = 1."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import topk_per_group
+    day = 86_400_000_000
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts_us = b["ts"].astype("datetime64[us]").astype("int64")
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "day_us": (ts_us - ts_us % 86_400_000_000).to_numpy(),
-            "ts_us": ts_us.to_numpy(),
-            "event_id": b["event_id"].to_numpy(),
-        })
-
-    return topk_per_group(ev.map_batches(prep, batch_format="pandas"),
-                          ["user_id", "day_us"], "ts_us", k=1,
+               rows_per_block=65536,
+               derive={"user_id": col("user_id"),
+                       "day_us": floor_div(epoch_us("ts"), day) * day,
+                       "ts_us": epoch_us("ts"),
+                       "event_id": col("event_id")})
+    return topk_per_group(ev, ["user_id", "day_us"], "ts_us", k=1,
                           ascending=True, tie_cols=["event_id"])
 
 
@@ -974,22 +1012,11 @@ def q_corr_qty_price(sf_dir: str):
     never lands on a .5 boundary (whole DOLLARS do — and pandas
     rounds half-to-even while DuckDB rounds half-away, which skewed
     the sums)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_corr
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "qty": b["l_quantity"].round().astype("int64").to_numpy(),
-            "cents": (b["l_extendedprice"] * 100)
-                     .round().astype("int64").to_numpy(),
-        })
-
-    return grouped_corr(li.map_batches(prep, batch_format="pandas"),
-                        ["l_returnflag"], "qty", "cents",
+               rows_per_block=65536, derive=_FLAG_QTY_CENTS)
+    return grouped_corr(li, ["l_returnflag"], "qty", "cents",
                         alias="corr_qty_price")
 
 
@@ -998,24 +1025,17 @@ def q_asof_clicks(sf_dir: str):
     the user's most recent prior-or-same-instant click. Oracle: DuckDB
     native ASOF JOIN. Time carried as epoch microseconds (int64) so both
     engines compare integers, not timestamp encodings."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import asof_join
-    ev = _read(sf_dir, "events",
-               ["event_id", "ts", "user_id", "event_type", "value"],
-               rows_per_block=8192)
 
     def side(event_type: str, rename: dict):
-        def prep(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == event_type]
-            out = {"user_id": b["user_id"].to_numpy(),
-                   "ts_us": b["ts"].astype("datetime64[us]")
-                            .astype("int64").to_numpy()}
-            for src, dst in rename.items():
-                out[dst] = b[src].to_numpy()
-            return pd.DataFrame(out)
-        return ev.map_batches(prep, batch_format="pandas")
+        return _read(sf_dir, "events",
+                     ["event_id", "ts", "user_id", "event_type", "value"],
+                     rows_per_block=8192,
+                     derive={"user_id": col("user_id"),
+                             "ts_us": epoch_us("ts"),
+                             **{dst: col(src) for src, dst in rename.items()}},
+                     where=col("event_type") == event_type)
 
-    import pyarrow as pa
     i64, f64 = pa.int64(), pa.float64()
     return asof_join(
         side("purchase", {"event_id": "event_id", "value": "amount"}),
@@ -1035,25 +1055,18 @@ def q_asof_clicks_forward(sf_dir: str):
     −r ≤ −l' is exactly 'first right with r ≥ l' (ties inclusive,
     unchanged). Oracle: DuckDB ASOF JOIN with the reversed
     inequality."""
-    import pandas as pd
-    import pyarrow as pa
     from no_fasel_scrapers_ray.ops.relational import asof_join
-    ev = _read(sf_dir, "events",
-               ["event_id", "ts", "user_id", "event_type"],
-               rows_per_block=8192)
 
     def side(event_type: str, rename: dict):
-        def prep(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == event_type]
-            ts = b["ts"].astype("datetime64[us]") \
-                        .astype("int64").to_numpy()
-            out = {"user_id": b["user_id"].to_numpy(),
-                   "ts_neg": -ts}
-            for src, dst in rename.items():
-                out[dst] = (ts if src == "__ts" else
-                            b[src].to_numpy())
-            return pd.DataFrame(out)
-        return ev.map_batches(prep, batch_format="pandas")
+        return _read(sf_dir, "events",
+                     ["event_id", "ts", "user_id", "event_type"],
+                     rows_per_block=8192,
+                     derive={"user_id": col("user_id"),
+                             "ts_neg": pc.negate(epoch_us("ts")),
+                             **{dst: epoch_us("ts") if src == "__ts"
+                                else col(src)
+                                for src, dst in rename.items()}},
+                     where=col("event_type") == event_type)
 
     i64 = pa.int64()
     j = asof_join(
@@ -1075,24 +1088,18 @@ def q_funnel_click_purchase(sf_dir: str):
     a vectorized gap filter, then the partial-agg count. Tie-robust:
     equal-timestamp clicks share the ts the filter reads. Oracle:
     DuckDB ASOF JOIN + the same gap predicate."""
-    import pandas as pd
-    import pyarrow as pa
     from no_fasel_scrapers_ray.ops.relational import (
         asof_join, preagg_sum_count)
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"],
-               rows_per_block=8192)
 
     def side(event_type: str, extra: dict):
-        def prep(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == event_type]
-            ts_us = b["ts"].astype("datetime64[us]").astype("int64")
-            out = {"user_id": b["user_id"].to_numpy(),
-                   "ts_us": ts_us.to_numpy()}
-            for dst in extra:
-                out[dst] = ts_us.to_numpy() if extra[dst] == "ts_us" \
-                    else b[extra[dst]].to_numpy()
-            return pd.DataFrame(out)
-        return ev.map_batches(prep, batch_format="pandas")
+        return _read(sf_dir, "events",
+                     ["event_id", "ts", "user_id", "event_type"],
+                     rows_per_block=8192,
+                     derive={"user_id": col("user_id"),
+                             "ts_us": epoch_us("ts"),
+                             **{dst: epoch_us("ts") if src == "ts_us"
+                                else col(src) for dst, src in extra.items()}},
+                     where=col("event_type") == event_type)
 
     i64 = pa.int64()
     joined = asof_join(
@@ -1117,23 +1124,17 @@ def q_range_join_clicks(sf_dir: str):
     the same user's clicks within the following hour — LEFT inequality
     join + GROUP BY in one windowed-count pass. Oracle: DuckDB
     inequality join (IEJoin)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import range_count_join
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"],
-               rows_per_block=8192)
 
     def side(event_type: str, with_id: bool):
-        def prep(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == event_type]
-            out = {"user_id": b["user_id"].to_numpy(),
-                   "ts_us": b["ts"].astype("datetime64[us]")
-                            .astype("int64").to_numpy()}
-            if with_id:
-                out["event_id"] = b["event_id"].to_numpy()
-            return pd.DataFrame(out)
-        return ev.map_batches(prep, batch_format="pandas")
+        derive = {"user_id": col("user_id"), "ts_us": epoch_us("ts")}
+        if with_id:
+            derive["event_id"] = col("event_id")
+        return _read(sf_dir, "events",
+                     ["event_id", "ts", "user_id", "event_type"],
+                     rows_per_block=8192, derive=derive,
+                     where=col("event_type") == event_type)
 
-    import pyarrow as pa
     i64 = pa.int64()
     return range_count_join(side("signup", True), side("click", False),
                             by="user_id", on="ts_us",
@@ -1163,20 +1164,14 @@ def q_order_price_histogram(sf_dir: str):
     """Fixed-width histogram (§ aggregates): order counts per $500
     price bucket — a pure per-batch bucket map + partial-agg count,
     the profile/EDA operator at any scale."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
     orders = _read(sf_dir, "orders", ["o_totalprice"],
-                   rows_per_block=65536)
-
-    def bucketize(b: pd.DataFrame) -> pd.DataFrame:
-        cents = (b["o_totalprice"] * 100).round().astype("int64")
-        return pd.DataFrame({
-            "bucket_lo_cents": (cents // 5_000_000) * 5_000_000,
-            "one": np.ones(len(b), dtype=np.int64)})
-
-    return preagg_sum_count(
-        orders.map_batches(bucketize, batch_format="pandas"),
-        ["bucket_lo_cents"], {"one": "n_orders"})
+                   rows_per_block=65536,
+                   derive={"bucket_lo_cents":
+                           floor_div(cents("o_totalprice"), 5_000_000)
+                           * 5_000_000,
+                           "one": pc.scalar(1)})
+    return preagg_sum_count(orders, ["bucket_lo_cents"], {"one": "n_orders"})
 
 
 def q_doc_quality(sf_dir: str):
@@ -1216,21 +1211,16 @@ def q_overlap_click_purchase(sf_dir: str):
     whose windows intersect — binned replication + one composite-key
     shuffle, exactly-once via the first-shared-bin rule. Oracle:
     DuckDB IEJoin on the same overlap predicate."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import interval_join
-    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
-                                  "event_type"], rows_per_block=65536)
 
     def side(tp: str, width_us: int):
-        def prep(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == tp]
-            ts = b["ts"].astype("datetime64[us]").astype("int64")
-            return pd.DataFrame({
-                "user_id": b["user_id"].to_numpy(),
-                "eid": b["event_id"].to_numpy(),
-                "s": ts.to_numpy(),
-                "e": (ts + width_us).to_numpy()})
-        return ev.map_batches(prep, batch_format="pandas")
+        return _read(sf_dir, "events",
+                     ["event_id", "ts", "user_id", "event_type"],
+                     rows_per_block=65536,
+                     derive={"user_id": col("user_id"),
+                             "eid": col("event_id"), "s": epoch_us("ts"),
+                             "e": epoch_us("ts") + width_us},
+                     where=col("event_type") == tp)
 
     return interval_join(side("click", 7_200_000_000),
                          side("purchase", 1_800_000_000),
@@ -1246,25 +1236,17 @@ def q_cohort_retention(sf_dir: str):
     existing bucketed shapes — distinct (user, week) partial-agg,
     per-user min-reduce for the cohort, one user-key join, one count
     reduce — all-integer week arithmetic so the hash is exact."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_reduce)
     WEEK_US = 604_800_000_000
-    ev = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        wk = (b["ts"].astype("datetime64[us]").astype("int64")
-              // WEEK_US)
-        return pd.DataFrame({"user_id": b["user_id"].to_numpy(),
-                             "wk": wk.to_numpy()})
-
-    weeks = ev.map_batches(prep, batch_format="pandas")
+    weeks = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=65536,
+                  derive={"user_id": col("user_id"),
+                          "wk": floor_div(epoch_us("ts"), WEEK_US),
+                          "one": pc.scalar(1)})
     # distinct (user, week) once; reuse for BOTH the cohort min and
     # the activity side of the join
-    active = preagg_reduce(
-        weeks.map_batches(lambda b: b.assign(one=np.int64(1)),
-                          batch_format="pandas"),
-        ["user_id", "wk"], "one", "min").drop_columns(["one"])
+    active = preagg_reduce(weeks, ["user_id", "wk"], "one",
+                           "min").drop_columns(["one"])
     cohort = preagg_reduce(
         active.map_batches(
             lambda b: pd.DataFrame({"user_id": b["user_id"],
@@ -1304,7 +1286,6 @@ def _part_cooccurrence_edges(sf_dir: str):
     ``a·2^31|b`` per edge bucket. Replaced the pandas
     merge-and-groupby build: 3.7 s → ~1.3 s at sf0.1 for identical
     output."""
-    import pyarrow as pa
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
                rows_per_block=65536)
     HALF = np.int64(1 << 31)
@@ -1383,19 +1364,8 @@ def q_pagerank_cust_supp(sf_dir: str, tier3: bool = False):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"],
-               rows_per_block=65536)
-
-    def li_prep(b: pd.DataFrame) -> pd.DataFrame:
-        # supplier node-space offset: 2^40 keeps the spaces disjoint
-        # for any realistic custkey domain (a 10M offset would merge
-        # customers and suppliers past sf~67 — and the mirrored oracle
-        # would silently agree)
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "dst": b["l_suppkey"].to_numpy() + (1 << 40)})
-
-    j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
-                      orders, on="o_orderkey", how="inner")
+               rows_per_block=65536, derive=_SUPP_DST)
+    j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def to_edge(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"src": b["o_custkey"].to_numpy(),
@@ -1502,16 +1472,13 @@ def q_bloom_semi_join_lineitem(sf_dir: str):
     items belonging to URGENT orders. The broadcast is a fixed-size
     bit array (not the key set), and only the Bloom survivors — not
     the whole lineitem table — reach the exact verify shuffle."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from no_fasel_scrapers_ray.ops.relational import bloom_semi_join
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"],
                rows_per_block=65536)
     ukeys = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"],
-                  rows_per_block=65536).map_batches(
-        lambda t: pa.table({"l_orderkey": t.filter(
-            pc.equal(t["o_orderpriority"], "1-URGENT"))["o_orderkey"]}),
-        batch_format="pyarrow")
+                  rows_per_block=65536,
+                  derive={"l_orderkey": col("o_orderkey")},
+                  where=col("o_orderpriority") == "1-URGENT")
     return bloom_semi_join(li, ukeys, "l_orderkey")
 
 
@@ -1537,17 +1504,12 @@ def q_user_activity_full(sf_dir: str):
     one side only get COALESCEd zeros, int64 on both engines."""
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_sum_count)
-    ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536)
-
     def counted(kind: str, alias: str):
-        def ones(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == kind]
-            return pd.DataFrame({
-                "user_id": b["user_id"].to_numpy(),
-                "one": np.ones(len(b), dtype=np.int64)})
-        return preagg_sum_count(ev.map_batches(ones, batch_format="pandas"),
-                                ["user_id"], {"one": alias})
+        ev = _read(sf_dir, "events", ["user_id", "event_type"],
+                   rows_per_block=65536,
+                   derive={"user_id": col("user_id"), "one": pc.scalar(1)},
+                   where=col("event_type") == kind)
+        return preagg_sum_count(ev, ["user_id"], {"one": alias})
 
     joined = bucketed_join(counted("click", "n_clicks"),
                            counted("purchase", "n_purchases"),
@@ -1567,21 +1529,21 @@ def q_events_hopping(sf_dir: str):
     windows via a pure per-batch flat-map (2 output rows per event, no
     driver state), then the partial-agg groupby. Values as integer
     cents so the sums are bit-exact."""
-    import pyarrow as pa
     from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
     HOP_US = 1_800_000_000  # 30 min
 
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536)
+               rows_per_block=65536,
+               derive={"event_type": col("event_type"),
+                       "w1": floor_div(epoch_us("ts"), HOP_US) * HOP_US,
+                       "cents": cents("value")})
 
     def windows(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        cents = (b["value"] * 100).round().astype("int64").to_numpy()
-        w1 = t - t % HOP_US
+        w1 = b["w1"].to_numpy()
         return pd.DataFrame({
             "event_type": np.concatenate([b["event_type"].to_numpy()] * 2),
             "win_start_us": np.concatenate([w1, w1 - HOP_US]),
-            "cents": np.concatenate([cents, cents]),
+            "cents": np.concatenate([b["cents"].to_numpy()] * 2),
         })
 
     win = ev.map_batches(windows, batch_format="pandas")
@@ -1612,12 +1574,9 @@ def q_price_quartiles(sf_dir: str):
     interpolation `lo + (hi-lo)*frac` is bit-identical to DuckDB's."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import global_quantile_cont
-    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536)
-    cents = orders.map_batches(
-        lambda b: pd.DataFrame(
-            {"cents": (b["o_totalprice"] * 100).round().astype("int64")}),
-        batch_format="pandas")
-    q25, q50, q75 = global_quantile_cont(cents, "cents", [0.25, 0.5, 0.75])
+    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536,
+                   derive={"cents": cents("o_totalprice")})
+    q25, q50, q75 = global_quantile_cont(orders, "cents", [0.25, 0.5, 0.75])
     return pd.DataFrame({"q25": [q25], "q50": [q50], "q75": [q75]})
 
 
@@ -1647,7 +1606,9 @@ def q_local_supplier_revenue(sf_dir: str):
         & (pads.field("o_orderdate") < pd.Timestamp("1997-01-01").date()))
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice",
-                "l_discount"], rows_per_block=65536)
+                "l_discount"], rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"),
+                       "l_suppkey": col("l_suppkey"), "rev": _REV_E4})
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas() \
@@ -1669,16 +1630,7 @@ def q_local_supplier_revenue(sf_dir: str):
         supp["s_nationkey"].to_numpy(np.int64),
         np.array(sorted(asia), dtype=np.int64), names))
 
-    def li_prep(b: pd.DataFrame) -> pd.DataFrame:
-        ep = (b["l_extendedprice"] * 100).round().astype("int64")
-        dp = (b["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "l_suppkey": b["l_suppkey"].to_numpy(),
-            "rev": (ep * (100 - dp)).to_numpy()})
-
-    j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
-                      orders, on="o_orderkey", how="inner")
+    j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def nation_match(b: pd.DataFrame) -> pd.DataFrame:
         ck, cn, sk, sn, asia_keys, _ = broadcast_get(dims_ref)
@@ -1709,32 +1661,20 @@ def q_events_nation_spend(sf_dir: str):
     On this data the hot set is small-or-empty (mild skew) — the hot
     path itself is pinned with a zipf corpus in
     tests/test_window_aggs.py. Exact integer cents."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         preagg_sum_count, skew_aware_join)
     ev = _read(sf_dir, "events", ["user_id", "value"],
-               rows_per_block=65536)
-
-    def prep_ev(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "cents": (b["value"] * 100).round().astype("int64").to_numpy(),
-            "one": np.ones(len(b), dtype=np.int64)})
-
+               rows_per_block=65536,
+               derive={"user_id": col("user_id"), "cents": cents("value"),
+                       "one": pc.scalar(1)})
+    # explicit widen (the oracle CASTs to BIGINT): the join used to widen
+    # int32 accidentally via its float null-padding round trip; the r4
+    # precision fix preserves true input dtypes
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"],
-                 rows_per_block=65536)
-
-    def prep_c(b: pd.DataFrame) -> pd.DataFrame:
-        # explicit widen (the oracle CASTs to BIGINT): the join used to
-        # widen int32 accidentally via its float null-padding round
-        # trip; the r4 precision fix preserves true input dtypes
-        return pd.DataFrame({
-            "user_id": b["c_custkey"].to_numpy(),
-            "c_nationkey": b["c_nationkey"].to_numpy(np.int64)})
-
-    j = skew_aware_join(ev.map_batches(prep_ev, batch_format="pandas"),
-                        cust.map_batches(prep_c, batch_format="pandas"),
-                        on="user_id")
+                 rows_per_block=65536,
+                 derive={"user_id": col("c_custkey"),
+                         "c_nationkey": int64("c_nationkey")})
+    j = skew_aware_join(ev, cust, on="user_id")
     return preagg_sum_count(j, ["c_nationkey"],
                             {"one": "n_events", "cents": "total_cents"})
 
@@ -1826,12 +1766,9 @@ def q_approx_price_quartiles(sf_dir: str):
     tests/test_sketch.py."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.sketch import approx_quantiles
-    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536)
-    cents = orders.map_batches(
-        lambda b: pd.DataFrame(
-            {"cents": (b["o_totalprice"] * 100).round().astype("int64")}),
-        batch_format="pandas")
-    q25, q50, q75 = approx_quantiles(cents, "cents", [0.25, 0.5, 0.75])
+    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536,
+                   derive={"cents": cents("o_totalprice")})
+    q25, q50, q75 = approx_quantiles(orders, "cents", [0.25, 0.5, 0.75])
     return pd.DataFrame({"q25": [q25], "q50": [q50], "q75": [q75]})
 
 
@@ -1872,17 +1809,15 @@ def q_large_volume_orders(sf_dir: str):
     row. The per-order SUM is a distributed bucketed reduce; the
     survivors (rare by construction) broadcast-join back to the
     streaming orders scan — the Q18 plan DuckDB itself picks."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_join, preagg_reduce, round_columns)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"],
-               rows_per_block=65536)
+               rows_per_block=65536,
+               derive={"l_orderkey": col("l_orderkey"),
+                       "sum_qty": col("l_quantity")})
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"],
                    rows_per_block=65536)
-    li = li.map_batches(
-        lambda b: b.rename(columns={"l_quantity": "sum_qty"}),
-        batch_format="pandas")
     per_order = preagg_reduce(li, ["l_orderkey"], "sum_qty", "sum") \
         .map_batches(lambda b: b[b["sum_qty"].to_numpy() > 180.0],
                      batch_format="pandas")
@@ -1898,33 +1833,18 @@ def q_priority_late_orders(sf_dir: str):
     be a key-set semi-join: lineitem reduces to max(l_shipdate) per
     order (bucketed partial agg), big-big bucketed join to orders, then
     the inequality filter and a tiny count rollup."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_reduce)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"],
-               rows_per_block=65536)
-
-    def us(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "ship_us": b["l_shipdate"].astype("datetime64[us]")
-                       .astype("int64").to_numpy()})
-
-    max_ship = preagg_reduce(li.map_batches(us, batch_format="pandas"),
-                             ["o_orderkey"], "ship_us", "max")
+               rows_per_block=65536, derive=_SHIP_US)
+    max_ship = preagg_reduce(li, ["o_orderkey"], "ship_us", "max")
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"],
-                   rows_per_block=65536)
-
-    def ord_us(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderkey": b["o_orderkey"].to_numpy(),
-            "o_orderpriority": b["o_orderpriority"].to_numpy(),
-            "order_us": b["o_orderdate"].astype("datetime64[us]")
-                        .astype("int64").to_numpy()})
-
-    joined = bucketed_join(orders.map_batches(ord_us, batch_format="pandas"),
-                           max_ship, on="o_orderkey", how="inner")
+                   rows_per_block=65536,
+                   derive={"o_orderkey": col("o_orderkey"),
+                           "o_orderpriority": col("o_orderpriority"),
+                           "order_us": epoch_us("o_orderdate")})
+    joined = bucketed_join(orders, max_ship, on="o_orderkey", how="inner")
     late = joined.map_batches(
         lambda b: b[b["ship_us"].to_numpy() > b["order_us"].to_numpy()],
         batch_format="pandas")
@@ -1938,17 +1858,11 @@ def q_price_moments(sf_dir: str):
     once in float64, bit-identical to the oracle's mirrored
     expression."""
     from no_fasel_scrapers_ray.ops.relational import grouped_moments
-    import pandas as pd
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"],
-               rows_per_block=65536)
-
-    def as_int(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "qty": b["l_quantity"].round().astype("int64").to_numpy()})
-
-    return grouped_moments(li.map_batches(as_int, batch_format="pandas"),
-                           ["l_returnflag"], "qty",
+               rows_per_block=65536,
+               derive={"l_returnflag": col("l_returnflag"),
+                       "qty": rint("l_quantity")})
+    return grouped_moments(li, ["l_returnflag"], "qty",
                            skew_alias="qty_skew", kurt_alias="qty_kurt")
 
 
@@ -1974,15 +1888,14 @@ def q_promo_revenue_ratio(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_extendedprice", "l_discount"],
-               rows_per_block=65536)
+               rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"),
+                       "cents": cents("l_extendedprice"), "keep": _KEEP_PCT})
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         bm = broadcast_get(bm_ref)
-        pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
         return pd.DataFrame({
-            "cents": (b["l_extendedprice"] * 100).round().astype("int64")
-            .to_numpy(),
-            "keep": 100 - pct,
+            "cents": b["cents"].to_numpy(), "keep": b["keep"].to_numpy(),
             "promo": bm[b["l_partkey"].to_numpy()].astype(np.int64)})
 
     s = exact_sums(li.map_batches(prep, batch_format="pandas"), [],
@@ -2003,17 +1916,11 @@ def q_weighted_avg_discount(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_extendedprice", "l_discount"],
-               rows_per_block=65536)
-
-    def ints(b: pd.DataFrame) -> pd.DataFrame:
-        cents = (b["l_extendedprice"] * 100).round().astype("int64")
-        pct = (b["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "wd": (cents * pct).to_numpy(), "w": cents.to_numpy()})
-
-    sums = preagg_sum_count(li.map_batches(ints, batch_format="pandas"),
-                            ["l_returnflag"],
+               rows_per_block=65536,
+               derive={"l_returnflag": col("l_returnflag"),
+                       "wd": cents("l_extendedprice") * cents("l_discount"),
+                       "w": cents("l_extendedprice")})
+    sums = preagg_sum_count(li, ["l_returnflag"],
                             {"wd": "sum_wd", "w": "sum_w"})
 
     def ratio(b: pd.DataFrame) -> pd.DataFrame:
@@ -2037,24 +1944,16 @@ def q_user_spend_zscore(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_sum_count)
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "value"],
-               rows_per_block=65536)
+    def ev(**derive):
+        return _read(sf_dir, "events", ["event_id", "user_id", "value"],
+                     rows_per_block=65536,
+                     derive={"user_id": col("user_id"), **derive})
 
-    def cents(b: pd.DataFrame) -> pd.DataFrame:
-        x = (b["value"] * 100).round().astype("int64")
-        return pd.DataFrame({"event_id": b["event_id"].to_numpy(),
-                             "user_id": b["user_id"].to_numpy(),
-                             "x": x.to_numpy(), "x2": (x * x).to_numpy()})
-
-    evc = ev.map_batches(cents, batch_format="pandas")
     moments = preagg_sum_count(
-        evc.map_batches(lambda b: b[["user_id", "x", "x2"]],
-                        batch_format="pandas"),
+        ev(x=cents("value"), x2=cents("value") * cents("value")),
         ["user_id"], {"x": "s", "x2": "ssq"}, count_alias="n")
-    joined = bucketed_join(
-        evc.map_batches(lambda b: b[["event_id", "user_id", "x"]],
-                        batch_format="pandas"),
-        moments, on="user_id", how="inner")
+    joined = bucketed_join(ev(event_id=col("event_id"), x=cents("value")),
+                           moments, on="user_id", how="inner")
 
     def z(b: pd.DataFrame) -> pd.DataFrame:
         n = b["n"].to_numpy(np.int64)
@@ -2080,20 +1979,16 @@ def q_orders_above_p99(sf_dir: str):
     streaming scan — the 'compute a corpus statistic, filter by it'
     shape every data-curation pipeline runs. Prices compared in exact
     cents so the discrete quantile is bit-unambiguous."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         global_quantile_disc, round_columns)
-    orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
-    cents = orders.map_batches(
-        lambda b: pd.DataFrame(
-            {"cents": (b["o_totalprice"] * 100).round().astype("int64")}),
-        batch_format="pandas")
-    p99 = float(global_quantile_disc(cents, "cents", 0.99))
-    out = orders.map_batches(
-        lambda b: b[(b["o_totalprice"] * 100).round().to_numpy() > p99],
-        batch_format="pandas")
+    price = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536,
+                  derive={"cents": cents("o_totalprice")})
+    # an int: Arrow 16 compares an int64 column with a float literal in
+    # float32, exact only below 2^24
+    p99 = int(global_quantile_disc(price, "cents", 0.99))
+    out = _read(sf_dir, "orders",
+                ["o_orderkey", "o_custkey", "o_totalprice"],
+                rows_per_block=65536, where=cents("o_totalprice") > p99)
     return round_columns(out, {"o_totalprice": 2})
 
 
@@ -2189,14 +2084,17 @@ def q_small_qty_revenue(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536)
+               rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"),
+                       "qty": rint("l_quantity"),
+                       "cents": cents("l_extendedprice")})
 
     def part_sums(b: pd.DataFrame) -> pd.DataFrame:
         ks = broadcast_get(keys_ref)
         pk = b["l_partkey"].to_numpy(np.int64)
         pos = np.searchsorted(ks, pk)
         hit = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == pk)
-        qty = b["l_quantity"].round().astype("int64").to_numpy()[hit]
+        qty = b["qty"].to_numpy()[hit]
         g = pd.DataFrame({"l_partkey": pk[hit], "sum_qty": qty,
                           "cnt": np.ones(hit.sum(), dtype=np.int64)})
         return g.groupby("l_partkey", as_index=False).sum()
@@ -2214,11 +2112,9 @@ def q_small_qty_revenue(sf_dir: str):
         pos = np.searchsorted(ks, pk)
         hit = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == pk)
         pos = np.minimum(pos, len(ks) - 1)
-        qty = b["l_quantity"].round().astype("int64").to_numpy()
+        qty = b["qty"].to_numpy()
         small = hit & (5 * qty * cnts[pos] < sums[pos])
-        cents = (b["l_extendedprice"] * 100).round().astype("int64") \
-            .to_numpy()[small]
-        return pd.DataFrame({"c": cents})
+        return pd.DataFrame({"c": b["cents"].to_numpy()[small]})
 
     total = exact_sums(li.map_batches(small_cents, batch_format="pandas"),
                        [], {"c": ("c",)})["c"][0]
@@ -2239,21 +2135,13 @@ def q_late_sole_supplier(sf_dir: str):
         bucketed_join, preagg_reduce)
     LATE_US = 45 * 86400 * 1_000_000
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"],
-                   rows_per_block=65536).map_batches(
-        lambda b: pd.DataFrame({
-            "o_orderkey": b["o_orderkey"].to_numpy(),
-            "order_us": b["o_orderdate"].astype("datetime64[us]")
-                        .astype("int64").to_numpy()}),
-        batch_format="pandas")
+                   rows_per_block=65536, derive=_ORDER_US)
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate"],
-               rows_per_block=65536).map_batches(
-        lambda b: pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "l_suppkey": b["l_suppkey"].to_numpy(),
-            "ship_us": b["l_shipdate"].astype("datetime64[us]")
-                       .astype("int64").to_numpy()}),
-        batch_format="pandas")
+               rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"),
+                       "l_suppkey": col("l_suppkey"),
+                       "ship_us": epoch_us("l_shipdate")})
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def per_order(g: pd.DataFrame) -> pd.DataFrame:
@@ -2282,21 +2170,13 @@ def q_stock_value_parts(sf_dir: str):
     never row-sized); the filter then prunes the aggregate stream
     against the broadcast scalars. All compares in exact integer cents
     (``value·n·10 > 11·total`` ⇔ value > 1.1·avg, no division)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (exact_sums,
                                                       preagg_sum_count)
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"],
-               rows_per_block=65536)
-
-    def cents(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_partkey": b["l_partkey"].to_numpy(),
-            "v": (b["l_extendedprice"] * 100).round().astype("int64")
-            .to_numpy()})
-
-    per_part = preagg_sum_count(li.map_batches(cents,
-                                               batch_format="pandas"),
-                                ["l_partkey"], {"v": "value_cents"}) \
+               rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"),
+                       "v": cents("l_extendedprice")})
+    per_part = preagg_sum_count(li, ["l_partkey"], {"v": "value_cents"}) \
         .materialize()
     s = exact_sums(per_part, [], {"s": ("value_cents",), "n": ()}).iloc[0]
     total, n_parts = s["s"], s["n"]
@@ -2347,19 +2227,10 @@ def q_pack_token_windows(sf_dir: str):
     driver, broadcast base offsets; driver state is one int per range).
     Token counts are zero-copy Arrow (count_substring), single-space
     split to mirror SQL's string_split exactly."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from no_fasel_scrapers_ray.ops.relational import ordered_prefix_sum
     W = 256
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def counts(batch: pa.Table) -> pa.Table:
-        n = pc.count_substring(batch.column("text"), " ").to_numpy(
-            zero_copy_only=False).astype(np.int64) + 1
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_tokens": pa.array(n)})
-
-    toks = docs.map_batches(counts, batch_format="pyarrow")
+    toks = _read(sf_dir, "documents", ["doc_id", "text"],
+                 derive=_DOC_TOKENS)
     offs = ordered_prefix_sum(toks, "doc_id", "n_tokens", "start_tok")
 
     def windows(b: "pd.DataFrame") -> "pd.DataFrame":
@@ -2380,26 +2251,17 @@ def _fulfillment_edges(sf_dir: str, qty_eq: int | None = None):
     ``qty_eq`` keeps only lines with that rounded quantity (the BFS
     query's sparse subgraph) — filtered per batch BEFORE the join, so
     the shuffle moves only the ~2% of lines that survive."""
-    import pyarrow as pa
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import bucketed_join
     HALF = np.int64(1 << 31)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li_cols = ["l_orderkey", "l_suppkey"] + (
         ["l_quantity"] if qty_eq is not None else [])
-
-    def li_batch(b: "pd.DataFrame") -> "pd.DataFrame":
-        if qty_eq is not None:
-            q = np.round(b["l_quantity"].to_numpy(np.float64))
-            b = b[q.astype(np.int64) == qty_eq]
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "l_suppkey": b["l_suppkey"].to_numpy()})
-
-    li = _read(sf_dir, "lineitem", li_cols,
-               rows_per_block=65536).map_batches(
-        li_batch, batch_format="pandas")
+    li = _read(sf_dir, "lineitem", li_cols, rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"),
+                       "l_suppkey": col("l_suppkey")},
+               where=None if qty_eq is None
+               else rint("l_quantity") == qty_eq)
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def pack(b: pd.DataFrame) -> pa.Table:
@@ -2473,18 +2335,9 @@ def q_weighted_sample_docs(sf_dir: str):
     global max weight is a scalar from the token pass's own partials;
     the filter is then one streaming map — the weighted twin of
     `hash_sample`."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     import pandas as pd
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def counts(batch: pa.Table) -> pa.Table:
-        n = pc.count_substring(batch.column("text"), " ").to_numpy(
-            zero_copy_only=False).astype(np.int64) + 1
-        return pa.table({"doc_id": batch.column("doc_id"),
-                         "n_tokens": pa.array(n)})
-
-    toks = docs.map_batches(counts, batch_format="pyarrow").materialize()
+    toks = _read(sf_dir, "documents", ["doc_id", "text"],
+                 derive=_DOC_TOKENS).materialize()
     partials = toks.map_batches(
         lambda b: pd.DataFrame({"m": [int(b["n_tokens"].max())]}),
         batch_format="pandas").to_pandas()
@@ -2540,7 +2393,6 @@ def q_top_suppliers_per_nation(sf_dir: str):
     nation comes from a broadcast dim lookup map-side, then
     `topk_per_group` prunes the shuffle to ≤ k partial rows per
     (nation, batch). ROW_NUMBER oracle with suppkey tie-break."""
-    import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, preagg_sum_count, topk_per_group)
@@ -2552,17 +2404,10 @@ def q_top_suppliers_per_nation(sf_dir: str):
     nat_ref = ray.put((supp["s_suppkey"].to_numpy(np.int64),
                        supp["s_nationkey"].to_numpy()))
     li = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice"],
-               rows_per_block=65536)
-
-    def cents(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "s_suppkey": b["l_suppkey"].to_numpy(),
-            "v": (b["l_extendedprice"] * 100).round().astype("int64")
-            .to_numpy()})
-
-    rev = preagg_sum_count(li.map_batches(cents,
-                                          batch_format="pandas"),
-                           ["s_suppkey"], {"v": "revenue_cents"})
+               rows_per_block=65536,
+               derive={"s_suppkey": col("l_suppkey"),
+                       "v": cents("l_extendedprice")})
+    rev = preagg_sum_count(li, ["s_suppkey"], {"v": "revenue_cents"})
 
     def add_nation(b: pd.DataFrame) -> pd.DataFrame:
         ks, nk = broadcast_get(nat_ref)
@@ -2634,17 +2479,12 @@ def q_idle_rich_customers(sf_dir: str):
     partials (``cents·n > total``, no division); the anti side is the
     broadcast-key-set anti-join — swap for `bloom_semi_join`'s
     bit-array when the key set outgrows a broadcast."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import anti_join, exact_sums
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"],
-                 rows_per_block=65536).map_batches(
-        lambda b: pd.DataFrame({
-            "c_custkey": b["c_custkey"].to_numpy(),
-            "cents": (b["c_acctbal"] * 100).round().astype("int64")
-            .to_numpy()}),
-        batch_format="pandas").map_batches(
-        lambda b: b[b["cents"].to_numpy() > 0],
-        batch_format="pandas").materialize()
+                 rows_per_block=65536,
+                 derive={"c_custkey": col("c_custkey"),
+                         "cents": cents("c_acctbal")},
+                 where=cents("c_acctbal") > 0).materialize()
     s = exact_sums(cust, [], {"s": ("cents",), "n": ()}).iloc[0]
     total, n = s["s"], s["n"]
     rich = cust.map_batches(
@@ -2652,10 +2492,9 @@ def q_idle_rich_customers(sf_dir: str):
         batch_format="pandas")
     urgent = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536).map_batches(
-        lambda b: b[b["o_orderpriority"].to_numpy() == "1-URGENT"]
-        [["o_custkey"]],
-        batch_format="pandas").to_pandas()
+                   rows_per_block=65536,
+                   derive={"o_custkey": col("o_custkey")},
+                   where=col("o_orderpriority") == "1-URGENT").to_pandas()
     return anti_join(rich, np.unique(urgent["o_custkey"].to_numpy()),
                      "c_custkey")
 
@@ -2671,17 +2510,12 @@ def q_winsorized_user_spend(sf_dir: str):
         bucketed_join, grouped_quantile_disc)
     ev = _read(sf_dir, "events", ["event_id", "user_id", "value",
                                   "event_type"],
-               rows_per_block=65536).map_batches(
-        lambda b: pd.DataFrame({
-            "event_id": b["event_id"].to_numpy(),
-            "user_id": b["user_id"].to_numpy(),
-            "cents": (b["value"] * 100).round().astype("int64")
-            .to_numpy()})
-        [b["event_type"].to_numpy() == "purchase"],
-        batch_format="pandas").materialize()
-    p90 = grouped_quantile_disc(ev.map_batches(
-        lambda b: b[["user_id", "cents"]], batch_format="pandas"),
-        ["user_id"], "cents", 0.9, "p90")
+               rows_per_block=65536,
+               derive={"event_id": col("event_id"),
+                       "user_id": col("user_id"), "cents": cents("value")},
+               where=col("event_type") == "purchase").materialize()
+    p90 = grouped_quantile_disc(ev.select_columns(["user_id", "cents"]),
+                                ["user_id"], "cents", 0.9, "p90")
     joined = bucketed_join(ev, p90, on="user_id", how="inner")
     return joined.map_batches(
         lambda b: pd.DataFrame({
@@ -2716,12 +2550,10 @@ def q_doc_decontaminate_neardup(sf_dir: str):
     the prefix-filter guarantee holds per pair, but pair emission is
     CROSS-ONLY (|eval|×|train| within a shared-prefix group, never the
     self-join triangle, and train-train pairs never exist as keys)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.dedup import ngram_jaccard_cross
-    docs = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        lambda b: b.assign(
-            side=(b["doc_id"].to_numpy() % 10 != 0).astype(np.int64)),
-        batch_format="pandas")
+    docs = _read(sf_dir, "documents", ["doc_id", "text"],
+                 derive={"doc_id": col("doc_id"), "text": col("text"),
+                         "side": flag(mod("doc_id", 10) != 0)})
     return ngram_jaccard_cross(docs, "side", shingle=3,
                                jaccard_threshold=0.5)
 
@@ -2733,15 +2565,11 @@ def q_orders_page(sf_dir: str):
     bracket the page's value range, only that bracket is collected and
     ordered locally. Prices in exact cents so the bracket bounds are
     unambiguous; orderkey tie-break makes the page deterministic."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import global_order_page
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                   rows_per_block=65536).map_batches(
-        lambda b: pd.DataFrame({
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")
-            .to_numpy(),
-            "o_orderkey": b["o_orderkey"].to_numpy()}),
-        batch_format="pandas")
+                   rows_per_block=65536,
+                   derive={"cents": cents("o_totalprice"),
+                           "o_orderkey": col("o_orderkey")})
     return global_order_page(orders, "cents", "o_orderkey",
                              offset=100, limit=20)
 
@@ -2945,32 +2773,15 @@ def q_shipping_priority(sf_dir: str):
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderdate"],
         filter=pads.field("o_orderdate") < cut.to_pydatetime())
-    orders = semi_join(orders, building, "o_custkey")
-
-    def ord_proj(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderkey": b["o_orderkey"].to_numpy(),
-            "order_us": b["o_orderdate"].astype("datetime64[us]")
-                        .astype("int64").to_numpy()})
-
+    orders = _derive(semi_join(orders, building, "o_custkey"), _ORDER_US)
     li = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_shipdate"],
         filter=pads.field("l_shipdate") > cut.to_pydatetime())
-
-    def rev_units(b: pd.DataFrame) -> pd.DataFrame:
-        cents = (b["l_extendedprice"] * 100).round().astype("int64") \
-            .to_numpy()
-        pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
-        return pd.DataFrame({"o_orderkey": b["l_orderkey"].to_numpy(),
-                             "v": cents * (100 - pct)})
-
-    rev = preagg_sum_count(li.map_batches(rev_units, batch_format="pandas"),
-                           ["o_orderkey"], {"v": "revenue_units"})
-    joined = bucketed_join(
-        rev, orders.map_batches(ord_proj, batch_format="pandas"),
-        on="o_orderkey", how="inner")
+    li = _derive(li, {"o_orderkey": col("l_orderkey"), "v": _REV_E4})
+    rev = preagg_sum_count(li, ["o_orderkey"], {"v": "revenue_units"})
+    joined = bucketed_join(rev, orders, on="o_orderkey", how="inner")
 
     def block_topk(b: pd.DataFrame) -> pd.DataFrame:
         return b.sort_values(["revenue_units", "o_orderkey"],
@@ -3002,16 +2813,10 @@ def q_revenue_delta(sf_dir: str):
         & (pads.field("l_shipdate")
            < pd.Timestamp("1997-01-01").to_pydatetime()))
 
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        cents = (b["l_extendedprice"] * 100).round().astype("int64") \
-            .to_numpy()
-        pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
-        qty = b["l_quantity"].round().astype("int64").to_numpy()
-        mask = (pct >= 5) & (pct <= 7) & (qty < 24)
-        return pd.DataFrame({"cents": cents[mask], "pct": pct[mask]})
-
-    units = exact_sums(li.map_batches(prep, batch_format="pandas"), [],
-                       {"v": ("cents", "pct")})["v"][0]
+    pct = cents("l_discount")
+    li = _derive(li, {"cents": cents("l_extendedprice"), "pct": pct},
+                 where=(pct >= 5) & (pct <= 7) & (rint("l_quantity") < 24))
+    units = exact_sums(li, [], {"v": ("cents", "pct")})["v"][0]
     return pd.DataFrame({"revenue_delta": [float(units) / 10000.0]})
 
 
@@ -3028,20 +2833,17 @@ def q_funnel_conversion(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
     SENT = np.iinfo(np.int64).max
+    def first_us(kind):
+        return pc.if_else(col("event_type") == kind, epoch_us("ts"),
+                          pc.scalar(SENT))
+
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"],
-               rows_per_block=65536)
-
-    def steps(b: pd.DataFrame) -> pd.DataFrame:
-        us = b["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        et = b["event_type"].to_numpy()
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "v_us": np.where(et == "view", us, SENT),
-            "c_us": np.where(et == "click", us, SENT),
-            "p_us": np.where(et == "purchase", us, SENT)})
-
+               rows_per_block=65536,
+               derive={"user_id": col("user_id"), "v_us": first_us("view"),
+                       "c_us": first_us("click"),
+                       "p_us": first_us("purchase")})
     firsts = grouped_multi_agg(
-        ev.map_batches(steps, batch_format="pandas"), ["user_id"],
+        ev, ["user_id"],
         {"v": ("v_us", "min"), "c": ("c_us", "min"),
          "p": ("p_us", "min")})
 
@@ -3173,16 +2975,11 @@ def q_ewma_user_spend(sf_dir: str):
     import pandas as pd
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"],
-               rows_per_block=65536)
-
-    def proj(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["event_type"] == "purchase"]
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "event_id": b["event_id"].to_numpy(),
-            "ts_us": b["ts"].astype("datetime64[us]")
-                     .astype("int64").to_numpy(),
-            "value": b["value"].to_numpy()})
+               rows_per_block=65536,
+               derive={"user_id": col("user_id"),
+                       "event_id": col("event_id"), "ts_us": epoch_us("ts"),
+                       "value": col("value")},
+               where=col("event_type") == "purchase")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -3204,8 +3001,7 @@ def q_ewma_user_spend(sf_dir: str):
         return pd.DataFrame({"user_id": s["user_id"].to_numpy(),
                              "ewma_spend": s["u"].to_numpy() / 1e6})
 
-    return key_shuffle(ev.map_batches(proj, batch_format="pandas"),
-                       per_bucket, ["user_id"], batch_format="pandas")
+    return key_shuffle(ev, per_bucket, ["user_id"], batch_format="pandas")
 
 
 def q_lpa_communities(sf_dir: str, tier3: bool = False):
@@ -3346,16 +3142,12 @@ def q_corpus_mix_sample(sf_dir: str, budget: int = 3_000):
     admitted docs. ONE source-bucket shuffle + per-group sort/cumsum
     (the running_total contract: a source's docs meet in one group).
     Oracle: window SUM over the same hash order."""
-    import pandas as pd
-    docs = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"])
-    MIX = np.uint64(2654435761)
-    M32 = np.uint64(0xFFFFFFFF)
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["h"] = ((b["doc_id"].to_numpy(np.int64).astype(np.uint64)
-                   * MIX) & M32).astype(np.int64)
-        return b
+    # low 32 bits of doc_id × 2654435761: int64 multiply wraps like uint64
+    docs = _read(sf_dir, "documents", ["doc_id", "source", "n_chars"],
+                 derive={"doc_id": col("doc_id"), "source": col("source"),
+                         "n_chars": col("n_chars"),
+                         "h": pc.bit_wise_and(col("doc_id") * 2654435761,
+                                              0xFFFFFFFF)})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["source", "h", "doc_id"], kind="stable")
@@ -3364,8 +3156,7 @@ def q_corpus_mix_sample(sf_dir: str, budget: int = 3_000):
         out["cum_chars"] = cum[cum <= budget]
         return out[["doc_id", "source", "cum_chars"]]
 
-    return key_shuffle(docs.map_batches(tag, batch_format="pandas"),
-                       per_bucket, ["source"], batch_format="pandas")
+    return key_shuffle(docs, per_bucket, ["source"], batch_format="pandas")
 
 
 def q_twa_user_value(sf_dir: str):
@@ -3463,16 +3254,11 @@ def q_robust_zscore(sf_dir: str):
     float expression."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import preagg_reduce
-    ev = _read(sf_dir, "events", ["event_id", "event_type", "value"],
-               rows_per_block=65536)
-
-    def cents(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_id": b["event_id"].to_numpy(),
-            "event_type": b["event_type"].to_numpy(),
-            "cents": (b["value"] * 100).round().astype("int64")})
-
-    v = ev.map_batches(cents, batch_format="pandas")
+    v = _read(sf_dir, "events", ["event_id", "event_type", "value"],
+              rows_per_block=65536,
+              derive={"event_id": col("event_id"),
+                      "event_type": col("event_type"),
+                      "cents": cents("value")})
     hist = preagg_reduce(v, ["event_type", "cents"],
                          "n", "count").to_pandas()
     stats = {}
@@ -3547,17 +3333,12 @@ def q_overlap_duration(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         bucketed_join, preagg_reduce)
     W = 1_800_000_000   # 30 min in µs
-    ev = _read(sf_dir, "events", ["ts", "user_id", "event_type"],
-               rows_per_block=8192)
-
     def side(event_type: str, tag: str):
-        def prep(b: pd.DataFrame) -> pd.DataFrame:
-            b = b[b["event_type"] == event_type]
-            return pd.DataFrame({
-                "user_id": b["user_id"].to_numpy(),
-                f"{tag}_us": b["ts"].astype("datetime64[us]")
-                             .astype("int64").to_numpy()})
-        return ev.map_batches(prep, batch_format="pandas")
+        return _read(sf_dir, "events", ["ts", "user_id", "event_type"],
+                     rows_per_block=8192,
+                     derive={"user_id": col("user_id"),
+                             f"{tag}_us": epoch_us("ts")},
+                     where=col("event_type") == event_type)
 
     j = bucketed_join(side("click", "c"), side("purchase", "p"),
                       on="user_id")
@@ -3618,10 +3399,9 @@ def q_bfs_fulfillment(sf_dir: str, tier3: bool = False):
             "c": b["c"].to_numpy(np.int64),
             "s": b["s"].to_numpy(np.int64) + OFF}),
         batch_format="pandas")
-    seeds = (_read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-             .map_batches(
-                 lambda b: b[b["c_nationkey"].to_numpy() == 0]
-                 [["c_custkey"]], batch_format="pandas")
+    seeds = (_read(sf_dir, "customer", ["c_custkey", "c_nationkey"],
+                   derive={"c_custkey": col("c_custkey")},
+                   where=col("c_nationkey") == 0)
              .to_pandas()["c_custkey"].to_numpy(np.int64))
     with _budgets(tier3):
         return bfs_hops(edges, "c", "s", seeds, max_hops=4)
@@ -3672,7 +3452,10 @@ def q_nation_trade_volume(sf_dir: str):
                    rows_per_block=65536)
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate",
-                "l_extendedprice", "l_discount"], rows_per_block=65536)
+                "l_extendedprice", "l_discount"], rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"),
+                       "l_suppkey": col("l_suppkey"), "l_year": _SHIP_YEAR,
+                       "rev": _REV_E4})
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]) \
         .to_pandas().sort_values("c_custkey", ignore_index=True)
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]) \
@@ -3687,17 +3470,7 @@ def q_nation_trade_volume(sf_dir: str):
         nat["n_nationkey"].to_numpy(np.int64),
         nat["n_name"].to_numpy(object)))
 
-    def li_prep(b: pd.DataFrame) -> pd.DataFrame:
-        ep = (b["l_extendedprice"] * 100).round().astype("int64")
-        dp = (b["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "l_suppkey": b["l_suppkey"].to_numpy(),
-            "l_year": b["l_shipdate"].dt.year.astype("int64").to_numpy(),
-            "rev": (ep * (100 - dp)).to_numpy()})
-
-    j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
-                      orders, on="o_orderkey", how="inner")
+    j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def pair_tag(b: pd.DataFrame) -> pd.DataFrame:
         ck, cn, sk, sn, nk, nn = broadcast_get(dims_ref)
@@ -3730,27 +3503,25 @@ def q_brand_year_profit(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_shipdate", "l_quantity",
-                "l_extendedprice", "l_discount"], rows_per_block=65536)
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand",
-                                  "p_retailprice"]).to_pandas() \
+                "l_extendedprice", "l_discount"], rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"), "l_year": _SHIP_YEAR,
+                       "qty": rint("l_quantity"), "rev": _REV_E4})
+    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_retailprice"],
+                 derive={"p_partkey": col("p_partkey"),
+                         "p_brand": col("p_brand"),
+                         "retail": cents("p_retailprice")}).to_pandas() \
         .sort_values("p_partkey", ignore_index=True)
-    part_ref = ray.put((
-        part["p_partkey"].to_numpy(np.int64),
-        part["p_brand"].to_numpy(object),
-        (part["p_retailprice"] * 100).round()
-        .astype("int64").to_numpy()))
+    part_ref = ray.put((part["p_partkey"].to_numpy(np.int64),
+                        part["p_brand"].to_numpy(object),
+                        part["retail"].to_numpy()))
 
     def profit(b: pd.DataFrame) -> pd.DataFrame:
         pk, brand, retail = broadcast_get(part_ref)
         idx = np.searchsorted(pk, b["l_partkey"].to_numpy())
-        ep = (b["l_extendedprice"] * 100).round().astype("int64")
-        dp = (b["l_discount"] * 100).round().astype("int64")
-        qty = b["l_quantity"].round().astype("int64").to_numpy()
-        profit_e4 = (ep * (100 - dp)).to_numpy() - retail[idx] * qty * 100
+        qty = b["qty"].to_numpy()
         return pd.DataFrame({
-            "p_brand": brand[idx],
-            "l_year": b["l_shipdate"].dt.year.astype("int64").to_numpy(),
-            "profit": profit_e4})
+            "p_brand": brand[idx], "l_year": b["l_year"].to_numpy(),
+            "profit": b["rev"].to_numpy() - retail[idx] * qty * 100})
 
     return preagg_sum_count(
         li.map_batches(profit, batch_format="pandas"),
@@ -3764,22 +3535,12 @@ def q_price_qty_regression(sf_dir: str):
     grouped_corr decomposition with the slope/intercept closed form).
     Bit-exact: the oracle evaluates the identical float expression
     over the identical exact sums."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_regression
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "qty": b["l_quantity"].round().astype("int64").to_numpy(),
-            "cents": (b["l_extendedprice"] * 100)
-                     .round().astype("int64").to_numpy()})
-
+               rows_per_block=65536, derive=_FLAG_QTY_CENTS)
     return grouped_regression(
-        li.map_batches(prep, batch_format="pandas"),
-        ["l_returnflag"], "qty", "cents",
+        li, ["l_returnflag"], "qty", "cents",
         slope_alias="slope", icept_alias="icept")
 
 
@@ -3791,21 +3552,14 @@ def q_pareto_parts(sf_dir: str):
     skylines), so only frontier candidates ever move; the fact table
     never shuffles. Oracle: NOT EXISTS dominance, duplicates of a
     frontier point all kept."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import skyline_2d
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_retailprice", "p_size"],
-                 rows_per_block=8192)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "p_partkey": b["p_partkey"].to_numpy(),
-            "price_cents": (b["p_retailprice"] * 100)
-                           .round().astype("int64").to_numpy(),
-            "p_size": b["p_size"].to_numpy()})  # keeps source int32
-
-    return skyline_2d(part.map_batches(prep, batch_format="pandas"),
-                      min_col="price_cents", max_col="p_size")
+                 rows_per_block=8192,
+                 derive={"p_partkey": col("p_partkey"),
+                         "price_cents": cents("p_retailprice"),
+                         "p_size": col("p_size")})  # keeps source int32
+    return skyline_2d(part, min_col="price_cents", max_col="p_size")
 
 
 BM25_QUERY_TERMS = ("join", "sort", "window", "vector")
@@ -3870,7 +3624,10 @@ def q_cheapest_supplier_per_part(sf_dir: str):
                         nat["n_name"].to_numpy(object)))
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_extendedprice"],
-               rows_per_block=65536)
+               rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"),
+                       "l_suppkey": col("l_suppkey"),
+                       "cents": cents("l_extendedprice")})
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         w = broadcast_get(dims_ref)[0]
@@ -3882,9 +3639,7 @@ def q_cheapest_supplier_per_part(sf_dir: str):
             keep = (pos < len(w)) & \
                 (w[np.minimum(pos, len(w) - 1)] == pk)
         return pd.DataFrame({
-            "p_partkey": pk[keep],
-            "min_cents": (b["l_extendedprice"] * 100).round()
-            .astype("int64").to_numpy()[keep],
+            "p_partkey": pk[keep], "min_cents": b["cents"].to_numpy()[keep],
             "s_suppkey": b["l_suppkey"].to_numpy()[keep]})
 
     best = topk_per_group(li.map_batches(prep, batch_format="pandas"),
@@ -3920,10 +3675,15 @@ def q_nation_market_share(sf_dir: str):
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"],
-                   rows_per_block=65536)
+                   rows_per_block=65536,
+                   derive={"o_orderkey": col("o_orderkey"),
+                           "o_custkey": col("o_custkey"),
+                           "o_year": int64(pc.year(col("o_orderdate")))})
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice",
-                "l_discount"], rows_per_block=65536)
+                "l_discount"], rows_per_block=65536,
+               derive={"l_orderkey": col("l_orderkey"),
+                       "l_suppkey": col("l_suppkey"), "rev": _REV_E4})
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]) \
         .to_pandas().sort_values("c_custkey", ignore_index=True)
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]) \
@@ -3948,15 +3708,12 @@ def q_nation_market_share(sf_dir: str):
         keep = rn[np.searchsorted(nk, c_nat)] == Q8_CUST_REGION
         return pd.DataFrame({
             "o_orderkey": b["o_orderkey"].to_numpy()[keep],
-            "o_year": b["o_orderdate"].dt.year.astype("int64")
-            .to_numpy()[keep]})
+            "o_year": b["o_year"].to_numpy()[keep]})
 
     def li_prep(b: pd.DataFrame) -> pd.DataFrame:
         _, _, sk, sn, nk, nn, _ = broadcast_get(dims_ref)
         s_nat = sn[np.searchsorted(sk, b["l_suppkey"].to_numpy(np.int64))]
-        ep = (b["l_extendedprice"] * 100).round().astype("int64")
-        dp = (b["l_discount"] * 100).round().astype("int64")
-        rev = (ep * (100 - dp)).to_numpy()
+        rev = b["rev"].to_numpy()
         hit = nn[np.searchsorted(nk, s_nat)] == Q8_SUPP_NATION
         return pd.DataFrame({
             "o_orderkey": b["l_orderkey"].to_numpy(),
@@ -3991,13 +3748,18 @@ def q_returned_item_revenue(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, bucketed_join, preagg_sum_count, topk_per_group)
 
-    lo, hi = np.datetime64("1996-01-01"), np.datetime64("1996-04-01")
+    d = col("o_orderdate")
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"],
-                   rows_per_block=65536)
+                   rows_per_block=65536,
+                   derive={"o_orderkey": col("o_orderkey"),
+                           "o_custkey": col("o_custkey")},
+                   where=(d >= _Q1_1996[0]) & (d < _Q1_1996[1]))
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_returnflag", "l_extendedprice",
-                "l_discount"], rows_per_block=65536)
+                "l_discount"], rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"), "rev": _REV_E4},
+               where=col("l_returnflag") == "R")
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_name", "c_acctbal", "c_nationkey"]) \
         .to_pandas().sort_values("c_custkey", ignore_index=True)
@@ -4010,24 +3772,7 @@ def q_returned_item_revenue(sf_dir: str):
                         nat["n_nationkey"].to_numpy(np.int64),
                         nat["n_name"].to_numpy(object)))
 
-    def o_prep(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["o_orderdate"].to_numpy()
-        keep = (d >= lo) & (d < hi)
-        return pd.DataFrame({
-            "o_orderkey": b["o_orderkey"].to_numpy()[keep],
-            "o_custkey": b["o_custkey"].to_numpy()[keep]})
-
-    def li_prep(b: pd.DataFrame) -> pd.DataFrame:
-        keep = (b["l_returnflag"] == "R").to_numpy()
-        ep = (b["l_extendedprice"] * 100).round().astype("int64")
-        dp = (b["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy()[keep],
-            "rev": (ep * (100 - dp)).to_numpy()[keep]})
-
-    j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
-                      orders.map_batches(o_prep, batch_format="pandas"),
-                      on="o_orderkey", how="inner")
+    j = bucketed_join(li, orders, on="o_orderkey", how="inner")
     agg = preagg_sum_count(j, ["o_custkey"], {"rev": "revenue_e4"})
     top = topk_per_group(
         agg.map_batches(lambda b: b.assign(__one=np.int64(0)),
@@ -4060,26 +3805,18 @@ def q_top_revenue_supplier(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, preagg_sum_count)
-    lo, hi = np.datetime64("1996-01-01"), np.datetime64("1996-04-01")
+    d = col("l_shipdate")
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_shipdate", "l_extendedprice",
-                "l_discount"], rows_per_block=65536)
+                "l_discount"], rows_per_block=65536,
+               derive={"s_suppkey": col("l_suppkey"), "rev": _REV_E4},
+               where=(d >= _Q1_1996[0]) & (d < _Q1_1996[1]))
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]) \
         .to_pandas().sort_values("s_suppkey", ignore_index=True)
     supp_ref = ray.put((supp["s_suppkey"].to_numpy(np.int64),
                         supp["s_name"].to_numpy(object)))
 
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["l_shipdate"].to_numpy()
-        keep = (d >= lo) & (d < hi)
-        ep = (b["l_extendedprice"] * 100).round().astype("int64")
-        dp = (b["l_discount"] * 100).round().astype("int64")
-        return pd.DataFrame({
-            "s_suppkey": b["l_suppkey"].to_numpy()[keep],
-            "rev": (ep * (100 - dp)).to_numpy()[keep]})
-
-    agg = preagg_sum_count(li.map_batches(prep, batch_format="pandas"),
-                           ["s_suppkey"], {"rev": "total_revenue_e4"})
+    agg = preagg_sum_count(li, ["s_suppkey"], {"rev": "total_revenue_e4"})
     best = int(agg.max("total_revenue_e4"))
 
     def pick(b: pd.DataFrame) -> pd.DataFrame:
@@ -4119,7 +3856,10 @@ def q_dominant_part_suppliers(sf_dir: str):
                         supp["s_name"].to_numpy(object)))
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_quantity"],
-               rows_per_block=65536)
+               rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"),
+                       "l_suppkey": col("l_suppkey"),
+                       "qty": rint("l_quantity")})
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         w = broadcast_get(dims_ref)[0]
@@ -4133,8 +3873,7 @@ def q_dominant_part_suppliers(sf_dir: str):
         return pd.DataFrame({
             "l_partkey": pk[keep],
             "l_suppkey": b["l_suppkey"].to_numpy()[keep],
-            "qty": b["l_quantity"].round().astype("int64")
-            .to_numpy()[keep]})
+            "qty": b["qty"].to_numpy()[keep]})
 
     ps = preagg_sum_count(li.map_batches(prep, batch_format="pandas"),
                           ["l_partkey", "l_suppkey"], {"qty": "qty"})
@@ -4165,7 +3904,6 @@ def q_event_transitions(sf_dir: str):
     windowed-lag kernel (ONE user-bucket shuffle), then a tiny
     (types × types) count aggregate. Deterministic under ts ties via
     the event_id tie-break."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         preagg_reduce, windowed_lead)
     ev = _read(sf_dir, "events",
@@ -4227,17 +3965,10 @@ def q_theil_customer_spend(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (exact_sums,
                                                       preagg_reduce)
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "u": b["o_custkey"].to_numpy(np.int64),
-            "x": np.round(b["o_totalprice"].to_numpy(np.float64)
-                          * 100).astype(np.int64)})
-
-    spend = preagg_reduce(orders.map_batches(prep,
-                                             batch_format="pandas"),
-                          ["u"], "x", "sum")
+                   rows_per_block=65536,
+                   derive={"u": col("o_custkey"),
+                           "x": cents("o_totalprice")})
+    spend = preagg_reduce(orders, ["u"], "x", "sum")
 
     def micro_ln(b: pd.DataFrame) -> pd.DataFrame:
         x = b["x"].to_numpy(np.int64)
@@ -4268,19 +3999,11 @@ def q_monthly_revenue_growth(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         preagg_sum_count, windowed_lag)
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_year": b["o_orderdate"].dt.year.astype("int64").to_numpy(),
-            "o_month": b["o_orderdate"].dt.month.astype("int64")
-            .to_numpy(),
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")
-            .to_numpy()})
-
-    agg = preagg_sum_count(orders.map_batches(prep,
-                                              batch_format="pandas"),
-                           ["o_year", "o_month"], {"cents": "cents"})
+                   rows_per_block=65536,
+                   derive={"o_year": int64(pc.year(col("o_orderdate"))),
+                           "o_month": int64(pc.month(col("o_orderdate"))),
+                           "cents": cents("o_totalprice")})
+    agg = preagg_sum_count(orders, ["o_year", "o_month"], {"cents": "cents"})
     mkey = agg.map_batches(
         lambda b: b.assign(
             __m=b["o_year"].to_numpy() * 12 + b["o_month"].to_numpy(),
@@ -4511,16 +4234,16 @@ def q_special_deal_revenue(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice",
-                "l_discount"], rows_per_block=65536)
+                "l_discount"], rows_per_block=65536,
+               derive={"l_partkey": col("l_partkey"),
+                       "qty": rint("l_quantity"),
+                       "cents": cents("l_extendedprice"), "keep": _KEEP_PCT})
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         ms, qlo, qhi = broadcast_get(dims_ref)
         pk = b["l_partkey"].to_numpy(np.int64)
-        qty = b["l_quantity"].round().astype("int64").to_numpy()
-        pct = (b["l_discount"] * 100).round().astype("int64").to_numpy()
-        out = {"cents": (b["l_extendedprice"] * 100).round()
-               .astype("int64").to_numpy(),
-               "keep": 100 - pct}
+        qty = b["qty"].to_numpy()
+        out = {"cents": b["cents"].to_numpy(), "keep": b["keep"].to_numpy()}
         for i, (name, *_rest) in enumerate(Q19_BRANCHES):
             out[name] = (ms[i][pk] & (qty >= qlo[i])
                          & (qty <= qhi[i])).astype(np.int64)
@@ -4560,18 +4283,9 @@ def q_debounce_events(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import windowed_lag
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
-                                  "ts"], rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_id": b["event_id"].to_numpy(np.int64),
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "event_type": b["event_type"].to_numpy(),
-            "ts_us": b["ts"].to_numpy().astype("datetime64[us]")
-            .astype(np.int64)})
-
-    lag = windowed_lag(ev.map_batches(prep, batch_format="pandas"),
-                       ["user_id", "event_type"], "ts_us", "ts_us",
+                                  "ts"], rows_per_block=65536,
+               derive=_EVENT_US)
+    lag = windowed_lag(ev, ["user_id", "event_type"], "ts_us", "ts_us",
                        "prev_us", tie_cols=["event_id"],
                        default=-(1 << 62))
 
@@ -4705,11 +4419,9 @@ def q_user_similarity(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
-               rows_per_block=65536).map_batches(
-        lambda b: pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(np.int64),
-            "item": b["l_partkey"].to_numpy(np.int64)}),
-        batch_format="pandas")
+               rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"),
+                       "item": col("l_partkey")})
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
     ui = preagg_reduce(
         j.map_batches(lambda b: pd.DataFrame({
@@ -4732,29 +4444,16 @@ def q_snapshot_diff_orders(sf_dir: str):
     keyed_snapshot_diff` — one key-bucket shuffle per side, per-bucket
     outer merge, integer-cents exact. Oracle: FULL OUTER JOIN with the
     same COALESCE(-1) sentinels."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import keyed_snapshot_diff
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                   rows_per_block=65536)
+    def snapshot(where, bump=0):
+        return _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
+                     rows_per_block=65536, where=where,
+                     derive={"o_orderkey": col("o_orderkey"),
+                             "cents": cents("o_totalprice") + bump})
 
-    def old_side(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["o_orderkey"].to_numpy(np.int64)
-        m = k % 10 != 0
-        c = np.round(b["o_totalprice"].to_numpy(np.float64)[m]
-                     * 100).astype(np.int64)
-        return pd.DataFrame({"o_orderkey": k[m], "cents": c})
-
-    def new_side(b: pd.DataFrame) -> pd.DataFrame:
-        k = b["o_orderkey"].to_numpy(np.int64)
-        m = k % 7 != 3
-        k2 = k[m]
-        c = np.round(b["o_totalprice"].to_numpy(np.float64)[m]
-                     * 100).astype(np.int64)
-        c = c + np.where(k2 % 5 == 0, np.int64(500), np.int64(0))
-        return pd.DataFrame({"o_orderkey": k2, "cents": c})
-
-    old = orders.map_batches(old_side, batch_format="pandas")
-    new = orders.map_batches(new_side, batch_format="pandas")
+    old = snapshot(mod("o_orderkey", 10) != 0)
+    new = snapshot(mod("o_orderkey", 7) != 3,
+                   flag(mod("o_orderkey", 5) == 0) * 500)
     return keyed_snapshot_diff(old, new, "o_orderkey", ["cents"])
 
 
@@ -4782,18 +4481,11 @@ def q_activity_islands(sf_dir: str):
     consecutive_islands` — distinct-pair preagg, one user-bucket
     shuffle, shifted-array run detection; no Python per-user loop).
     Oracle: the classic day − row_number() island grouping."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import consecutive_islands
-    ev = _read(sf_dir, "events", ["user_id", "ts"],
-               rows_per_block=65536)
     DAY_US = 86400 * 1000000
-
-    def days(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({"user_id": b["user_id"].to_numpy(np.int64),
-                             "day": ts // DAY_US})
-
-    d = ev.map_batches(days, batch_format="pandas")
+    d = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=65536,
+              derive={"user_id": col("user_id"),
+                      "day": floor_div(epoch_us("ts"), DAY_US)})
     isl = consecutive_islands(d, "user_id", "day")
     return isl.map_batches(
         lambda b: b.rename(columns={"longest": "longest_streak",
@@ -4808,22 +4500,11 @@ def q_weighted_median_price(sf_dir: str):
     (`ops/relational.py::grouped_weighted_median` — value-domain
     histogram preagg, state bounded by price quantization). Oracle:
     cumulative-weight window scan with the same lower-median rule."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         grouped_weighted_median)
-    li = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_extendedprice", "l_quantity"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "cents": np.round(b["l_extendedprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64),
-            "qty": np.round(b["l_quantity"].to_numpy(np.float64))
-            .astype(np.int64)})
-
-    v = li.map_batches(prep, batch_format="pandas")
+    v = _read(sf_dir, "lineitem",
+              ["l_returnflag", "l_extendedprice", "l_quantity"],
+              rows_per_block=65536, derive=_FLAG_QTY_CENTS)
     out = grouped_weighted_median(v, ["l_returnflag"], "cents", "qty")
     return out.map_batches(
         lambda b: b.rename(columns={"cents": "median_cents"}),
@@ -4840,16 +4521,10 @@ def q_rolling_distinct_users(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         trailing_distinct_count)
-    ev = _read(sf_dir, "events", ["ts", "user_id"],
-               rows_per_block=65536)
     HOUR_US = 3600 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({"hr_us": (ts // HOUR_US) * HOUR_US,
-                             "user_id": b["user_id"].to_numpy(np.int64)})
-
-    v = ev.map_batches(prep, batch_format="pandas")
+    v = _read(sf_dir, "events", ["ts", "user_id"], rows_per_block=65536,
+              derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
+                      "user_id": col("user_id")})
     out = trailing_distinct_count(v, "hr_us", "user_id", width=3,
                                   step=HOUR_US, out_col="n_users")
 
@@ -4865,15 +4540,10 @@ def _event_user_counts(sf_dir: str, et: str, alias: str):
     """Per-user count of events of one type — the count-reduction both
     bag-semantics set ops share (bag INTERSECT/EXCEPT reduce to
     per-key counts; one helper so the two queries can't drift)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import preagg_reduce
-    ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536)
-    s = ev.map_batches(
-        lambda b, et=et: pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(np.int64)[
-                b["event_type"].to_numpy() == et]}),
-        batch_format="pandas")
+    s = _read(sf_dir, "events", ["user_id", "event_type"],
+              rows_per_block=65536, derive={"user_id": col("user_id")},
+              where=col("event_type") == et)
     return preagg_reduce(s, ["user_id"], alias, "count")
 
 
@@ -4937,19 +4607,10 @@ def q_scd2_user_events(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import windowed_lead
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
-                                  "ts"], rows_per_block=65536)
+                                  "ts"], rows_per_block=65536,
+               derive=_EVENT_US)
     SENTINEL_US = int(pd.Timestamp("2100-01-01").value // 1000)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_id": b["event_id"].to_numpy(np.int64),
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "event_type": b["event_type"].to_numpy(),
-            "ts_us": b["ts"].to_numpy().astype("datetime64[us]")
-            .astype(np.int64)})
-
-    led = windowed_lead(ev.map_batches(prep, batch_format="pandas"),
-                        ["user_id"], "ts_us", "ts_us", "valid_to_us",
+    led = windowed_lead(ev, ["user_id"], "ts_us", "ts_us", "valid_to_us",
                         tie_cols=["event_id"], default=SENTINEL_US)
 
     def render(b: pd.DataFrame) -> pd.DataFrame:
@@ -5019,18 +4680,11 @@ def q_grouping_sets_orders(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
     orders = _read(sf_dir, "orders",
                    ["o_orderpriority", "o_orderstatus", "o_totalprice"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "pr": b["o_orderpriority"].to_numpy(),
-            "st": b["o_orderstatus"].to_numpy(),
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
-
-    pairs = preagg_sum_count(orders.map_batches(prep,
-                                                batch_format="pandas"),
-                             ["pr", "st"], {"cents": "total_cents"},
+                   rows_per_block=65536,
+                   derive={"pr": col("o_orderpriority"),
+                           "st": col("o_orderstatus"),
+                           "cents": cents("o_totalprice")})
+    pairs = preagg_sum_count(orders, ["pr", "st"], {"cents": "total_cents"},
                              count_alias="n_orders").to_pandas()
     by_pr = pairs.groupby("pr", as_index=False).agg(
         n_orders=("n_orders", "sum"), total_cents=("total_cents", "sum"))
@@ -5134,16 +4788,9 @@ def q_top_session_paths(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import preagg_reduce
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
-                                  "ts"], rows_per_block=65536)
+                                  "ts"], rows_per_block=65536,
+               derive=_EVENT_US)
     GAP_US = 30 * 60 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "event_id": b["event_id"].to_numpy(np.int64),
-            "user_id": b["user_id"].to_numpy(np.int64),
-            "event_type": b["event_type"].to_numpy(),
-            "ts_us": b["ts"].to_numpy().astype("datetime64[us]")
-            .astype(np.int64)})
 
     def paths(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts_us", "event_id"],
@@ -5165,8 +4812,7 @@ def q_top_session_paths(sf_dir: str):
         return pd.DataFrame({"path": vc.index.to_numpy(object),
                              "n": vc.to_numpy(np.int64)})
 
-    partials = key_shuffle(ev.map_batches(prep, batch_format="pandas"),
-                           paths, ["user_id"], batch_format="pandas")
+    partials = key_shuffle(ev, paths, ["user_id"], batch_format="pandas")
     counts = preagg_reduce(partials, ["path"], "n", "sum")
 
     def block_top(b: pd.DataFrame) -> pd.DataFrame:
@@ -5193,21 +4839,14 @@ def q_interpolate_hourly(sf_dir: str):
     fixed float expression mirrored in SQL → bit-exact."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
-    ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536)
     HOUR_US = 3600 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        m = b["event_type"].to_numpy() == "purchase"
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(
-            np.int64)[m]
-        cents = np.round(b["value"].to_numpy(np.float64)[m]
-                         * 100).astype(np.int64)
-        return pd.DataFrame({"hr_us": (ts // HOUR_US) * HOUR_US,
-                             "cents": cents})
-
+    ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
+               rows_per_block=65536,
+               derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
+                       "cents": cents("value")},
+               where=col("event_type") == "purchase")
     hourly = grouped_multi_agg(
-        ev.map_batches(prep, batch_format="pandas"), ["hr_us"],
+        ev, ["hr_us"],
         {"sum_cents": ("cents", "sum"), "n": ("cents", "count")}
     ).to_pandas().sort_values("hr_us", ignore_index=True)
     hrs = hourly["hr_us"].to_numpy(np.int64)
@@ -5239,26 +4878,18 @@ def q_stock_balance_clamped(sf_dir: str):
     (`ops/relational.py::clamped_running_balance` — one part-bucket
     shuffle, vectorized cumsum/cummin, no Python recurrence). Oracle:
     the same identity as nested window SUM/MIN."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         clamped_running_balance)
-    li = _read(sf_dir, "lineitem",
-               ["l_partkey", "l_orderkey", "l_linenumber", "l_quantity",
-                "l_returnflag", "l_shipdate"], rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        q = np.round(b["l_quantity"].to_numpy(np.float64)).astype(
-            np.int64)
-        sign = np.where(b["l_returnflag"].to_numpy() == "R", -1, 1)
-        return pd.DataFrame({
-            "l_partkey": b["l_partkey"].to_numpy(np.int64),
-            "ship_us": b["l_shipdate"].to_numpy()
-            .astype("datetime64[us]").astype(np.int64),
-            "l_orderkey": b["l_orderkey"].to_numpy(np.int64),
-            "l_linenumber": b["l_linenumber"].to_numpy(np.int64),
-            "delta": q * sign})
-
-    v = li.map_batches(prep, batch_format="pandas")
+    sign = pc.if_else(col("l_returnflag") == "R", pc.scalar(-1),
+                      pc.scalar(1))
+    v = _read(sf_dir, "lineitem",
+              ["l_partkey", "l_orderkey", "l_linenumber", "l_quantity",
+               "l_returnflag", "l_shipdate"], rows_per_block=65536,
+              derive={"l_partkey": col("l_partkey"),
+                      "ship_us": epoch_us("l_shipdate"),
+                      "l_orderkey": col("l_orderkey"),
+                      "l_linenumber": int64("l_linenumber"),
+                      "delta": rint("l_quantity") * sign})
     return clamped_running_balance(
         v, "l_partkey", ["ship_us", "l_orderkey", "l_linenumber"],
         "delta")
@@ -5275,16 +4906,10 @@ def q_rolling_approx_users(sf_dir: str):
     ±5% envelope vs the exact twin pinned in tests/test_sketch.py."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.sketch import rolling_approx_distinct
-    ev = _read(sf_dir, "events", ["ts", "user_id"],
-               rows_per_block=65536)
     HOUR_US = 3600 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        return pd.DataFrame({"hr_us": (ts // HOUR_US) * HOUR_US,
-                             "user_id": b["user_id"].to_numpy(np.int64)})
-
-    v = ev.map_batches(prep, batch_format="pandas")
+    v = _read(sf_dir, "events", ["ts", "user_id"], rows_per_block=65536,
+              derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
+                      "user_id": col("user_id")})
     out = rolling_approx_distinct(v, "hr_us", "user_id", width=3,
                                   step=HOUR_US, out_col="n_users_approx")
     return pd.DataFrame({
@@ -5363,19 +4988,13 @@ def q_rfm_segments(sf_dir: str):
                                                       grouped_multi_agg)
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
-                   rows_per_block=65536)
+                   rows_per_block=65536,
+                   derive={"o_custkey": col("o_custkey"),
+                           "od_us": epoch_us("o_orderdate"),
+                           "cents": cents("o_totalprice")})
     DAY_US = 86400 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(np.int64),
-            "od_us": b["o_orderdate"].to_numpy()
-            .astype("datetime64[us]").astype(np.int64),
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")
-            .to_numpy()})
-
     prof = grouped_multi_agg(
-        orders.map_batches(prep, batch_format="pandas"), ["o_custkey"],
+        orders, ["o_custkey"],
         {"last_us": ("od_us", "max"), "freq": ("od_us", "count"),
          "mon_cents": ("cents", "sum")}).materialize()
     gmax = int(prof.max("last_us"))
@@ -5434,15 +5053,13 @@ def q_gini_nation_spend(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int64))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   rows_per_block=65536, derive=_CUST_CENTS)
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
         nat = broadcast_get(cn)[np.searchsorted(broadcast_get(ck), c)]
-        return pd.DataFrame({
-            "nation": nat, "cust": c,
-            "cents": (b["o_totalprice"] * 100).round().astype("int64")
-            .to_numpy()})
+        return pd.DataFrame({"nation": nat, "cust": c,
+                             "cents": b["cents"].to_numpy()})
 
     spend = grouped_multi_agg(
         orders.map_batches(tag, batch_format="pandas"),
@@ -5485,21 +5102,14 @@ def q_acf_daily_revenue(sf_dir: str):
     standard definition for regularly-reported metrics."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
-    ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536)
     DAY_US = 86400 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        m = b["event_type"].to_numpy() == "purchase"
-        ts = b["ts"].to_numpy().astype("datetime64[us]").astype(
-            np.int64)[m]
-        cents = np.round(b["value"].to_numpy(np.float64)[m]
-                         * 100).astype(np.int64)
-        return pd.DataFrame({"day_us": (ts // DAY_US) * DAY_US,
-                             "cents": cents})
-
+    ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
+               rows_per_block=65536,
+               derive={"day_us": floor_div(epoch_us("ts"), DAY_US) * DAY_US,
+                       "cents": cents("value")},
+               where=col("event_type") == "purchase")
     daily = grouped_multi_agg(
-        ev.map_batches(prep, batch_format="pandas"), ["day_us"],
+        ev, ["day_us"],
         {"cents": ("cents", "sum")}).to_pandas()
     daily = daily.sort_values("day_us", ignore_index=True)
     x = daily["cents"].to_numpy(np.int64)
@@ -5532,20 +5142,12 @@ def q_spearman_qty_price(sf_dir: str):
     near-distinct price domain), two bucketed joins over the PAIR
     table, exact integer moment sums combined in big-int space, ONE
     mirrored float closed form (ops/relational.py::spearman_corr)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import spearman_corr
     li = _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "q": np.round(b["l_quantity"].to_numpy(np.float64))
-            .astype(np.int64),
-            "c": np.round(b["l_extendedprice"].to_numpy(np.float64)
-                          * 100).astype(np.int64)})
-
-    return spearman_corr(li.map_batches(prep, batch_format="pandas"),
-                         "q", "c", "spearman")
+               rows_per_block=65536,
+               derive={"q": rint("l_quantity"),
+                       "c": cents("l_extendedprice")})
+    return spearman_corr(li, "q", "c", "spearman")
 
 
 def q_pct_rank_nation_spend(sf_dir: str):
@@ -5556,7 +5158,6 @@ def q_pct_rank_nation_spend(sf_dir: str):
     a hot nation costs its distinct spend values, never its customer
     count — then one key-bucketed merge stitches scores back
     (ops/relational.py::percent_rank_in_group)."""
-    import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, percent_rank_in_group, preagg_reduce)
@@ -5566,18 +5167,10 @@ def q_pct_rank_nation_spend(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "c_custkey": b["o_custkey"].to_numpy(np.int64),
-            "spend_cents": np.round(
-                b["o_totalprice"].to_numpy(np.float64) * 100)
-            .astype(np.int64)})
-
-    spend = preagg_reduce(
-        orders.map_batches(prep, batch_format="pandas"),
-        ["c_custkey"], "spend_cents", "sum")
+                   rows_per_block=65536,
+                   derive={"c_custkey": col("o_custkey"),
+                           "spend_cents": cents("o_totalprice")})
+    spend = preagg_reduce(orders, ["c_custkey"], "spend_cents", "sum")
 
     def add_nation(b: pd.DataFrame) -> pd.DataFrame:
         c = b["c_custkey"].to_numpy(np.int64)
@@ -5613,25 +5206,12 @@ def q_theil_sen_cust_trend(sf_dir: str):
     O(k²) shape: one key-bucket shuffle, vectorized triu pairs per
     group, loud failure past the group-size bound
     (ops/relational.py::theil_sen_grouped)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import theil_sen_grouped
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
-                   rows_per_block=65536)
-    DAY_US = 86400 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["o_orderdate"].to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(np.int64),
-            "day": ts // DAY_US,
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
-
-    return theil_sen_grouped(
-        orders.map_batches(prep, batch_format="pandas"),
-        "o_custkey", "day", "cents", "trend_slope", min_points=6)
+                   rows_per_block=65536, derive=_CUST_DAY_CENTS)
+    return theil_sen_grouped(orders, "o_custkey", "day", "cents",
+                             "trend_slope", min_points=6)
 
 
 def q_benford_totalprice(sf_dir: str):
@@ -5640,19 +5220,11 @@ def q_benford_totalprice(sf_dir: str):
     per digit 1-9, Benford expectation, per-digit χ² contribution.
     Vectorized integer digit extraction per batch, 9-int partials,
     mirrored float expectation (ops/relational.py::benford_digits)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import benford_digits
     orders = _read(sf_dir, "orders", ["o_totalprice"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"cents": np.round(
-            b["o_totalprice"].to_numpy(np.float64) * 100)
-            .astype(np.int64)})
-
-    return benford_digits(orders.map_batches(prep,
-                                             batch_format="pandas"),
-                          "cents")
+                   rows_per_block=65536,
+                   derive={"cents": cents("o_totalprice")})
+    return benford_digits(orders, "cents")
 
 
 def q_ztest_urgent_nation(sf_dir: str):
@@ -5672,16 +5244,16 @@ def q_ztest_urgent_nation(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536)
+                   rows_per_block=65536,
+                   derive={"o_custkey": col("o_custkey"),
+                           "one": pc.scalar(1), "urgent": _URGENT})
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
         return pd.DataFrame({
             "c_nationkey": broadcast_get(cn)[
                 np.searchsorted(broadcast_get(ck), c)],
-            "one": np.ones(len(b), dtype=np.int64),
-            "urgent": (b["o_orderpriority"].to_numpy()
-                       == "1-URGENT").astype(np.int64)})
+            "one": b["one"].to_numpy(), "urgent": b["urgent"].to_numpy()})
 
     a = grouped_multi_agg(
         orders.map_batches(prep, batch_format="pandas"),
@@ -5713,18 +5285,11 @@ def q_cusum_daily_revenue(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["o_orderdate"].to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "day_us": ts,
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
-
+                   rows_per_block=65536,
+                   derive={"day_us": epoch_us("o_orderdate"),
+                           "cents": cents("o_totalprice")})
     daily = grouped_multi_agg(
-        orders.map_batches(prep, batch_format="pandas"), ["day_us"],
+        orders, ["day_us"],
         {"r": ("cents", "sum")}).to_pandas()
     daily = daily.sort_values("day_us", ignore_index=True)
     r = daily["r"].to_numpy(np.int64)
@@ -5775,22 +5340,14 @@ def _discount_rank_stats(sf_dir: str) -> tuple[float, float, float,
     share, doubled tied ranks via the range-partitioned scan, then
     exact rank sums (`ops/relational.py::exact_sums`). Returns exact
     (Σ cnt_a·rank2, Σ t³−t, n_A, n) as floats."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         exact_sums, grouped_multi_agg, ordered_prefix_sum)
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "v": np.round(b["l_extendedprice"].to_numpy(np.float64)
-                          * 100).astype(np.int64),
-            "f": (b["l_discount"].to_numpy(np.float64) >= 0.05)
-            .astype(np.int64),
-            "one": np.ones(len(b), dtype=np.int64)})
-
+               rows_per_block=65536,
+               derive={"v": cents("l_extendedprice"), "f": _DISCOUNTED,
+                       "one": pc.scalar(1)})
     counts = grouped_multi_agg(
-        li.map_batches(prep, batch_format="pandas"), ["v"],
+        li, ["v"],
         {"cnt": ("one", "sum"), "cnt_a": ("f", "sum")})
     ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
     s = exact_sums(ranked.map_batches(_with_rank2, batch_format="pandas"),
@@ -5843,15 +5400,14 @@ def q_mad_nation_price(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   rows_per_block=65536, derive=_CUST_CENTS)
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
         return pd.DataFrame({
             "c_nationkey": broadcast_get(cn)[
                 np.searchsorted(broadcast_get(ck), c)],
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
+            "cents": b["cents"].to_numpy()})
 
     tagged = orders.map_batches(prep,
                                 batch_format="pandas").materialize()
@@ -5895,18 +5451,11 @@ def q_ks_urgent_price(sf_dir: str):
         grouped_multi_agg, ordered_prefix_sum)
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "v": np.round(b["o_totalprice"].to_numpy(np.float64)
-                          * 100).astype(np.int64),
-            "f": (b["o_orderpriority"].to_numpy(dtype=object)
-                  == "1-URGENT").astype(np.int64),
-            "one": np.ones(len(b), dtype=np.int64)})
-
+                   rows_per_block=65536,
+                   derive={"v": cents("o_totalprice"), "f": _URGENT,
+                           "one": pc.scalar(1)})
     counts = grouped_multi_agg(
-        orders.map_batches(prep, batch_format="pandas"), ["v"],
+        orders, ["v"],
         {"cnt": ("one", "sum"), "ca": ("f", "sum")}).materialize()
     n = int(counts.sum("cnt") or 0)
     n1 = int(counts.sum("ca") or 0)
@@ -5945,24 +5494,15 @@ def q_kruskal_wallis_price(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
         exact_sums, grouped_multi_agg, ordered_prefix_sum)
+    K = 5
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536)
-    K = 5
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        g = np.fromiter((int(x[0]) for x in
-                         b["o_orderpriority"].to_numpy(dtype=object)),
-                        count=len(b), dtype=np.int64)
-        out = {"v": np.round(b["o_totalprice"].to_numpy(np.float64)
-                             * 100).astype(np.int64),
-               "one": np.ones(len(b), dtype=np.int64)}
-        for j in range(1, K + 1):
-            out[f"g{j}"] = (g == j).astype(np.int64)
-        return pd.DataFrame(out)
-
+                   rows_per_block=65536,
+                   derive={"v": cents("o_totalprice"), "one": pc.scalar(1),
+                           **{f"g{j}": flag(_PRIORITY_NO == j)
+                              for j in range(1, K + 1)}})
     counts = grouped_multi_agg(
-        orders.map_batches(prep, batch_format="pandas"), ["v"],
+        orders, ["v"],
         dict({"cnt": ("one", "sum")},
              **{f"c{j}": (f"g{j}", "sum") for j in range(1, K + 1)}))
     ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
@@ -6105,20 +5645,10 @@ def q_brown_forsythe_price(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, exact_sums, grouped_quantile_cont)
-    orders = _read(sf_dir, "orders",
-                   ["o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        g = np.fromiter((int(x[0]) for x in
-                         b["o_orderpriority"].to_numpy(dtype=object)),
-                        count=len(b), dtype=np.int64)
-        return pd.DataFrame({
-            "g": g,
-            "v": np.round(b["o_totalprice"].to_numpy(np.float64)
-                          * 100).astype(np.int64)})
-
-    gv = orders.map_batches(prep, batch_format="pandas").materialize()
+    gv = _read(sf_dir, "orders", ["o_totalprice", "o_orderpriority"],
+               rows_per_block=65536,
+               derive={"g": _PRIORITY_NO,
+                       "v": cents("o_totalprice")}).materialize()
     med = grouped_quantile_cont(gv, ["g"], "v", 0.5,
                                 "med").to_pandas().sort_values("g")
     gk = ray.put(med["g"].to_numpy(np.int64))
@@ -6261,15 +5791,14 @@ def q_anova_nation_spend(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   rows_per_block=65536, derive=_CUST_CENTS)
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
         return pd.DataFrame({
             "c_nationkey": broadcast_get(cn)[
                 np.searchsorted(broadcast_get(ck), c)],
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
+            "cents": b["cents"].to_numpy()})
 
     a = exact_sums(orders.map_batches(prep, batch_format="pandas"),
                    ["c_nationkey"], {"n": (), "sx": ("cents",),
@@ -6296,23 +5825,14 @@ def q_spearman_by_returnflag(sf_dir: str):
     the distinct (group, value) count table, two key-bucketed stitch
     merges, exact per-group big-int moment sums, ONE mirrored float
     closed form (ops/relational.py::grouped_spearman)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_spearman
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_returnflag": b["l_returnflag"].to_numpy(),
-            "q": np.round(b["l_quantity"].to_numpy(np.float64))
-            .astype(np.int64),
-            "c": np.round(b["l_extendedprice"].to_numpy(np.float64)
-                          * 100).astype(np.int64)})
-
-    return grouped_spearman(
-        li.map_batches(prep, batch_format="pandas"),
-        "l_returnflag", "q", "c", "spearman")
+               rows_per_block=65536,
+               derive={"l_returnflag": col("l_returnflag"),
+                       "q": rint("l_quantity"),
+                       "c": cents("l_extendedprice")})
+    return grouped_spearman(li, "l_returnflag", "q", "c", "spearman")
 
 
 def q_kendall_cust_trend(sf_dir: str):
@@ -6321,25 +5841,12 @@ def q_kendall_cust_trend(sf_dir: str):
     family next to Theil–Sen's slope): exact concordant/discordant/tie
     pair counts per customer with ≥ 6 orders, ONE mirrored float
     (ops/relational.py::kendall_tau_grouped)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import kendall_tau_grouped
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
-                   rows_per_block=65536)
-    DAY_US = 86400 * 1000000
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["o_orderdate"].to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
-        return pd.DataFrame({
-            "o_custkey": b["o_custkey"].to_numpy(np.int64),
-            "day": ts // DAY_US,
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
-
-    return kendall_tau_grouped(
-        orders.map_batches(prep, batch_format="pandas"),
-        "o_custkey", "day", "cents", "tau_b", min_points=6)
+                   rows_per_block=65536, derive=_CUST_DAY_CENTS)
+    return kendall_tau_grouped(orders, "o_custkey", "day", "cents",
+                               "tau_b", min_points=6)
 
 
 def q_psi_order_value_drift(sf_dir: str):
@@ -6351,27 +5858,19 @@ def q_psi_order_value_drift(sf_dir: str):
     mirrored float Σ (p−q)·ln(p/q). Bins with support in only one
     window would make PSI infinite; the fixed-bin width is chosen so
     both windows populate every bin (asserted)."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
-    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
-                   rows_per_block=65536)
     BIN = 3_000_000          # cents
     NBINS = 10
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["o_orderdate"].to_numpy().astype("datetime64[us]")
-        yr = ts.astype("datetime64[Y]").astype(np.int64) + 1970
-        m = (yr == 1996) | (yr == 1997)
-        cents = np.round(b["o_totalprice"].to_numpy(np.float64)[m]
-                         * 100).astype(np.int64)
-        binv = np.minimum(cents // BIN, NBINS - 1)
-        return pd.DataFrame({
-            "bin": binv,
-            "ref": (yr[m] == 1996).astype(np.int64),
-            "cur": (yr[m] == 1997).astype(np.int64)})
-
+    yr = pc.year(col("o_orderdate"))
+    orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
+                   rows_per_block=65536,
+                   derive={"bin": pc.min_element_wise(
+                               floor_div(cents("o_totalprice"), BIN),
+                               pc.scalar(NBINS - 1)),
+                           "ref": flag(yr == 1996), "cur": flag(yr == 1997)},
+                   where=(yr == 1996) | (yr == 1997))
     a = grouped_multi_agg(
-        orders.map_batches(prep, batch_format="pandas"), ["bin"],
+        orders, ["bin"],
         {"n_ref": ("ref", "sum"), "n_cur": ("cur", "sum")}
     ).to_pandas().sort_values("bin", ignore_index=True)
     if (a["n_ref"].to_numpy() == 0).any() or \
@@ -6398,16 +5897,10 @@ def q_welch_ttest_discount(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import exact_sums
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
-               rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "side": (b["l_discount"].to_numpy(np.float64) >= 0.05)
-            .astype(np.int64),
-            "cents": np.round(b["l_extendedprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64)})
-
-    a = exact_sums(li.map_batches(prep, batch_format="pandas"), ["side"],
+               rows_per_block=65536,
+               derive={"side": _DISCOUNTED,
+                       "cents": cents("l_extendedprice")})
+    a = exact_sums(li, ["side"],
                    {"n": (), "sx": ("cents",), "sxx": ("cents", "cents")})
     n0, n1 = (float(v) for v in a["n"])
     sx0, sx1 = (float(v) for v in a["sx"])
@@ -6446,15 +5939,8 @@ def q_ppr_top_customers(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"],
-               rows_per_block=65536)
-
-    def li_prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderkey": b["l_orderkey"].to_numpy(),
-            "dst": b["l_suppkey"].to_numpy() + (1 << 40)})
-
-    j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
-                      orders, on="o_orderkey", how="inner")
+               rows_per_block=65536, derive=_SUPP_DST)
+    j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def to_edge(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"src": b["o_custkey"].to_numpy(),
@@ -6502,23 +5988,16 @@ def q_lift_table_urgent(sf_dir: str):
     One bucketed per-customer agg → the range-partitioned global NTILE
     (`ops/relational.py::global_ntile` — no global sort) → a 10-row
     mirrored float frame."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (global_ntile,
                                                       grouped_multi_agg)
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536)
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "c": b["o_custkey"].to_numpy(np.int64),
-            "cents": np.round(b["o_totalprice"].to_numpy(np.float64)
-                              * 100).astype(np.int64),
-            "urgent": (b["o_orderpriority"].to_numpy()
-                       == "1-URGENT").astype(np.int64)})
-
+                   rows_per_block=65536,
+                   derive={"c": col("o_custkey"),
+                           "cents": cents("o_totalprice"),
+                           "urgent": _URGENT})
     cust = grouped_multi_agg(
-        orders.map_batches(prep, batch_format="pandas"), ["c"],
+        orders, ["c"],
         {"spend": ("cents", "sum"), "pos": ("urgent", "max")})
 
     def neg_spend(b: pd.DataFrame) -> pd.DataFrame:
@@ -6555,31 +6034,19 @@ def _ship_delay_day_counts(sf_dir: str,
     from no_fasel_scrapers_ray.ops.relational import (bucketed_join,
                                                       grouped_multi_agg)
     cols = ["l_orderkey", "l_shipdate", "l_returnflag"]
+    derive = {**_SHIP_US, "e": flag(col("l_returnflag") == "R")}
     if with_group:
         cols.append("l_discount")
+        derive["grp"] = _DISCOUNTED
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"],
-                   rows_per_block=65536)
-    li = _read(sf_dir, "lineitem", cols, rows_per_block=65536)
-
-    def li_prep(b: pd.DataFrame) -> pd.DataFrame:
-        out = {
-            "o_orderkey": b["l_orderkey"].to_numpy(np.int64),
-            "ship_us": b["l_shipdate"].to_numpy()
-            .astype("datetime64[us]").astype(np.int64),
-            "e": (b["l_returnflag"].to_numpy() == "R")
-            .astype(np.int64)}
-        if with_group:
-            out["grp"] = (b["l_discount"].to_numpy(np.float64)
-                          >= 0.05).astype(np.int64)
-        return pd.DataFrame(out)
-
-    j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
-                      orders, on="o_orderkey", how="inner")
+                   rows_per_block=65536, derive=_ORDER_US)
+    li = _read(sf_dir, "lineitem", cols, rows_per_block=65536,
+               derive=derive)
+    j = bucketed_join(li, orders, on="o_orderkey", how="inner")
     DAY_US = 86400 * 1000000
 
     def delay(b: pd.DataFrame) -> pd.DataFrame:
-        od = b["o_orderdate"].to_numpy().astype(
-            "datetime64[us]").astype(np.int64)
+        od = b["order_us"].to_numpy(np.int64)
         e = b["e"].to_numpy(np.int64)
         out = {"t": (b["ship_us"].to_numpy(np.int64) - od) // DAY_US,
                "d": e, "one": np.ones(len(b), dtype=np.int64)}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import uuid
 from urllib.parse import quote, unquote
@@ -205,6 +206,18 @@ def _read_slices(slices: list, columns) -> pa.Table:
 ROWS_PER_BLOCK = 1 << 15
 
 
+def block_count(rows: int, nbytes: int, rows_per_block: int) -> int:
+    """Blocks for a parquet read of ``rows`` rows in ``nbytes`` file
+    bytes: one per 32 MiB of file once the input is big (Ray's own
+    target), with a small-input floor of one block per
+    ``rows_per_block`` rows capped at 2 × the cluster's CPUs."""
+    from ..ops.util import cluster_cpus
+
+    return max(math.ceil(nbytes / (32 << 20)),
+               min(2 * cluster_cpus(), math.ceil(rows / rows_per_block)),
+               1)
+
+
 def read_parquet_sized(path: str, columns=None) -> BlockRefs:
     """Parquet file/dir → ``BlockRefs`` whose block count follows the
     data.
@@ -263,8 +276,6 @@ def read_parquet_sized(path: str, columns=None) -> BlockRefs:
     for an encoding ratio in remote tasks — all before a row is read,
     and the cost of each wave is fixed while the data here is a few MB.
     """
-    import math
-
     import ray
 
     from ..ops.util import submit_windowed
@@ -278,11 +289,9 @@ def read_parquet_sized(path: str, columns=None) -> BlockRefs:
     if not files:
         raise FileNotFoundError(f"no parquet files under {path}")
     counts = [pq.ParquetFile(f).metadata.num_rows for f in files]
-    nbytes = sum(os.path.getsize(f) for f in files)
     rows = sum(counts)
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    nb = max(math.ceil(nbytes / (32 << 20)),
-             min(2 * cpus, math.ceil(rows / ROWS_PER_BLOCK)), 1)
+    nb = block_count(rows, sum(os.path.getsize(f) for f in files),
+                     ROWS_PER_BLOCK)
 
     # block k holds rows [k*rows//nb, (k+1)*rows//nb) of the file-order
     # concatenation; a block with no rows reads an empty slice of the

@@ -17,6 +17,17 @@ DRIVER_LIMIT_BYTES = 4 << 20
 BROADCAST_LIMIT_BYTES = 512 << 20
 
 
+def cluster_cpus() -> int:
+    """The cluster's CPU count as Ray reports it: the one read behind
+    the shuffle bucket count, pool sizes, the warm-up width and read
+    block counts. Raises when Ray reports no CPU, since every count
+    derived from it would be meaningless."""
+    cpus = int(ray.cluster_resources().get("CPU", 0))
+    if cpus < 1:
+        raise RuntimeError("Ray reports no CPU in the cluster")
+    return cpus
+
+
 def plan_tier(op: str, driver_bytes=None, broadcast_bytes=None) -> str:
     """THE size-tier rule: ``"driver"`` while ``driver_bytes`` (what
     ``op`` would pull to the driver) fits ``DRIVER_LIMIT_BYTES``, else
@@ -89,8 +100,7 @@ def shuffle_buckets() -> int:
     2-CPU session). A power of two keeps the integer-key hash a mask
     of the low bits. Results never depend on the count: every bucket
     holds whole keys (``tests/test_bucket_invariance.py``)."""
-    cpus = float(ray.cluster_resources().get("CPU", 1))
-    n = 1
+    cpus, n = cluster_cpus(), 1
     while n < 2 * cpus:
         n *= 2
     return n
@@ -181,11 +191,7 @@ def pool_size(requested: int) -> int:
     (a pool holding all CPUs starves the read/write stages and the
     pipeline deadlocks — observed with concurrency=4 on a 4-CPU local
     cluster). Leaves ≥2 CPUs for task-based stages."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(1, min(requested, cpus - 2))
+    return max(1, min(requested, cluster_cpus() - 2))
 
 
 # Ray's resource view (the GCS's) trails the raylets by about one
@@ -281,11 +287,7 @@ def warm_workers(n: int | None = None, mb: int = 32) -> int:
     so it must stay bounded — size it to the typical per-task numpy
     temporary, not the whole heap. Call AFTER ray.init, before timed
     work."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    n = n or cpus
+    n = n or cluster_cpus()
     ray.get([_touch_pages.remote(mb) for _ in range(n)])
     # a finished wave as far as submit_windowed is concerned: Ray's view
     # still counts these n slots as taken for a moment
