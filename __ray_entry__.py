@@ -152,7 +152,7 @@ _SHIP_YEAR = int64(pc.year(col("l_shipdate")))
 _FLAG_QTY_CENTS = {"l_returnflag": col("l_returnflag"),
                    "qty": rint("l_quantity"),
                    "cents": cents("l_extendedprice")}
-_DISCOUNTED = flag(col("l_discount") >= 0.05)
+_DISCOUNTED = flag(cents("l_discount") >= 5)
 _KEEP_PCT = pc.subtract(pc.scalar(100), cents("l_discount"))
 _REV_E4 = cents("l_extendedprice") * _KEEP_PCT
 # lineitem as supplier edges (o_orderkey, dst); the supplier node-space
@@ -194,14 +194,15 @@ def _budgets(tier3: bool):
 
 def q_pricing_summary(sf_dir: str):
     """A1/A7-family partial-aggregate groupby over the big table."""
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count, round_columns
+    from no_fasel_scrapers_ray.ops.relational import aggregate, round_columns
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
                rows_per_block=65536)
-    out = preagg_sum_count(
+    out = aggregate(
         li, ["l_returnflag", "l_linestatus"],
-        {"l_quantity": "sum_qty", "l_extendedprice": "sum_base_price"},
-        count_alias="count_order")
+        {"sum_qty": ("sum", "l_quantity"),
+         "sum_base_price": ("sum", "l_extendedprice"),
+         "count_order": ("count", None)})
     return round_columns(out, {"sum_qty": 2, "sum_base_price": 2})
 
 
@@ -209,7 +210,7 @@ def q_region_rollup(sf_dir: str):
     """J1-family broadcast (map-side) join chain: orders ⋈ customer ⋈
     nation ⋈ region, then a pre-aggregated rollup."""
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_join, preagg_sum_count, round_columns)
+        aggregate, broadcast_join, round_columns)
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
                    rows_per_block=65536)
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
@@ -219,8 +220,9 @@ def q_region_rollup(sf_dir: str):
                .merge(region, left_on="n_regionkey", right_on="r_regionkey"))
     dim = dim[["c_custkey", "n_name", "r_name"]].rename(columns={"c_custkey": "o_custkey"})
     joined = broadcast_join(orders, dim, on="o_custkey")
-    out = preagg_sum_count(joined, ["r_name", "n_name"],
-                           {"o_totalprice": "total_price"}, count_alias="order_count")
+    out = aggregate(joined, ["r_name", "n_name"],
+                    {"total_price": ("sum", "o_totalprice"),
+                     "order_count": ("count", None)})
     return round_columns(out, {"total_price": 2})
 
 
@@ -277,20 +279,21 @@ def q_nested_rollup(sf_dir: str):
     """A1/A2-family two-level nesting aggregate via a bucketed big-big
     join: lineitem→order item counts, then order→customer rollup."""
     from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_sum_count, round_columns)
+        aggregate, bucketed_join, round_columns)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"],
-               rows_per_block=65536)
-    per_order = preagg_sum_count(li, ["l_orderkey"], {"l_quantity": "order_qty"},
-                                 count_alias="n_items")
-    per_order = per_order.map_batches(
-        lambda df: df.rename(columns={"l_orderkey": "o_orderkey"}),
-        batch_format="pandas")
+               rows_per_block=65536,
+               derive={"o_orderkey": col("l_orderkey"),
+                       "l_quantity": col("l_quantity")})
+    per_order = aggregate(li, ["o_orderkey"],
+                          {"order_qty": ("sum", "l_quantity"),
+                           "n_items": ("count", None)})
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     joined = bucketed_join(orders, per_order, on="o_orderkey")
-    out = preagg_sum_count(joined, ["o_custkey"],
-                           {"n_items": "n_items", "order_qty": "total_qty"},
-                           count_alias="n_orders")
+    out = aggregate(joined, ["o_custkey"],
+                    {"n_items": ("sum", "n_items"),
+                     "total_qty": ("sum", "order_qty"),
+                     "n_orders": ("count", None)})
     return round_columns(out, {"total_qty": 2})
 
 
@@ -312,11 +315,12 @@ def q_top10_customers(sf_dir: str):
     top-10 row is necessarily in its block's top-10, so the result is
     identical while the all-to-all never sees the full key set."""
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_join, preagg_sum_count, round_columns)
+        aggregate, broadcast_join, round_columns)
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
                    rows_per_block=65536)
-    per_cust = preagg_sum_count(orders, ["o_custkey"], {"o_totalprice": "spend"},
-                                count_alias="n_orders")
+    per_cust = aggregate(orders, ["o_custkey"],
+                         {"spend": ("sum", "o_totalprice"),
+                          "n_orders": ("count", None)})
     per_cust = round_columns(per_cust, {"spend": 2})
 
     def block_topk(b: pd.DataFrame) -> pd.DataFrame:
@@ -333,13 +337,14 @@ def q_top10_customers(sf_dir: str):
 
 def q_events_hourly(sf_dir: str):
     """Tumbling-window aggregate over the events stream table."""
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count, round_columns
+    from no_fasel_scrapers_ray.ops.relational import aggregate, round_columns
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
                rows_per_block=65536,
                derive={"event_type": col("event_type"), "value": col("value"),
                        "hour": pc.floor_temporal(col("ts"), unit="hour")})
-    out = preagg_sum_count(ev, ["event_type", "hour"], {"value": "total_value"},
-                           count_alias="n_events")
+    out = aggregate(ev, ["event_type", "hour"],
+                    {"total_value": ("sum", "value"),
+                     "n_events": ("count", None)})
     return round_columns(out, {"total_value": 2})
 
 
@@ -350,10 +355,11 @@ def q_events_hourly_dense(sf_dir: str):
     reduce; the hour axis is time-bounded (span/3600s rows, ~3.4k
     here, <100k even for years of data), so the dense reindex runs on
     the driver over the AGGREGATE, never the events."""
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     ev = _read(sf_dir, "events", ["ts"], rows_per_block=65536,
                derive={"hour_id": floor_div(epoch_us("ts"), 3_600_000_000)})
-    counts = preagg_reduce(ev, ["hour_id"], "n_events", "count").to_pandas()
+    counts = aggregate(ev, ["hour_id"],
+                       {"n_events": ("count", None)}).to_pandas()
     full = pd.DataFrame({"hour_id": np.arange(counts["hour_id"].min(),
                                               counts["hour_id"].max() + 1,
                                               dtype=np.int64)})
@@ -575,15 +581,13 @@ def q_cust_order_stats(sf_dir: str):
     """Fused multi-aggregate (§ aggregates, LMFAO shape): per customer,
     COUNT + SUM + MIN + MAX of order cents in ONE scan and ONE shuffle
     — n aggregates share the pass instead of costing n."""
-    from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
                    rows_per_block=65536, derive=_CUST_CENTS)
-    return grouped_multi_agg(orders, ["o_custkey"], {
-        "n_orders": ("cents", "count"),
-        "sum_cents": ("cents", "sum"),
-        "min_cents": ("cents", "min"),
-        "max_cents": ("cents", "max"),
-    })
+    return aggregate(orders, ["o_custkey"], {"n_orders": ("count", None),
+                                             "sum_cents": ("sum", "cents"),
+                                             "min_cents": ("min", "cents"),
+                                             "max_cents": ("max", "cents")})
 
 
 def q_median_cents_cont(sf_dir: str):
@@ -628,13 +632,10 @@ def q_favorite_event_type(sf_dir: str):
     """Grouped MODE (§ aggregates): each user's most frequent event
     type (ties → lexicographically first) — partial counts then an
     arg-max topk_per_group, deterministic ROW_NUMBER oracle."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        preagg_sum_count, topk_per_group)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, topk_per_group
     ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536,
-               derive={"user_id": col("user_id"),
-                       "event_type": col("event_type"), "one": pc.scalar(1)})
-    counts = preagg_sum_count(ev, ["user_id", "event_type"], {"one": "n"})
+               rows_per_block=65536)
+    counts = aggregate(ev, ["user_id", "event_type"], {"n": ("count", None)})
     return topk_per_group(counts, ["user_id"], "n", k=1,
                           ascending=False, tie_cols=["event_type"])
 
@@ -704,7 +705,7 @@ def q_props_value_by_type(sf_dir: str):
     same shape as the media featurizers. Oracle uses the identical
     extraction via regexp_extract."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     ev = _read(sf_dir, "events", ["event_type", "props"],
                rows_per_block=65536)
 
@@ -714,20 +715,23 @@ def q_props_value_by_type(sf_dir: str):
         return pd.DataFrame({"event_type": b["event_type"].to_numpy(),
                              "k": k.to_numpy()})
 
-    return preagg_sum_count(ev.map_batches(extract, batch_format="pandas"),
-                            ["event_type"], {"k": "total_k"},
-                            count_alias="n_events")
+    return aggregate(ev.map_batches(extract, batch_format="pandas"),
+                     ["event_type"], {"total_k": ("sum", "k"),
+                                      "n_events": ("count", None)})
 
 
 def q_pivot_event_counts(sf_dir: str):
     """Pivot / filtered aggregate (§ aggregates): per-user event counts
     by type as wide columns — COUNT(*) FILTER (WHERE type = v)."""
-    from no_fasel_scrapers_ray.ops.relational import pivot_counts
+    from no_fasel_scrapers_ray.ops.relational import aggregate
+    kinds = ["click", "view", "purchase"]
     ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536)
-    return pivot_counts(ev, ["user_id"], "event_type",
-                        values=["click", "view", "purchase"],
-                        aliases=["n_click", "n_view", "n_purchase"])
+               rows_per_block=65536,
+               derive={"user_id": col("user_id"),
+                       **{f"n_{k}": flag(col("event_type") == k)
+                          for k in kinds}})
+    return aggregate(ev, ["user_id"],
+                     {f"n_{k}": ("sum", f"n_{k}") for k in kinds})
 
 
 def q_rollup_order_counts(sf_dir: str):
@@ -753,12 +757,10 @@ def q_cust_order_counts(sf_dir: str):
     """LEFT OUTER join (§ joins): every customer with their order
     count, 0 for customers with no orders — the big-big bucketed join
     in 'left' mode, COALESCE keeping the count int64 on both engines."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=65536,
-                   derive={"c_custkey": col("o_custkey"),
-                           "one": pc.scalar(1)})
-    counts = preagg_sum_count(orders, ["c_custkey"], {"one": "n_orders"})
+                   derive={"c_custkey": col("o_custkey")})
+    counts = aggregate(orders, ["c_custkey"], {"n_orders": ("count", None)})
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"],
                  rows_per_block=65536)
     joined = bucketed_join(cust, counts, on="c_custkey", how="left")
@@ -1088,8 +1090,7 @@ def q_funnel_click_purchase(sf_dir: str):
     a vectorized gap filter, then the partial-agg count. Tie-robust:
     equal-timestamp clicks share the ts the filter reads. Oracle:
     DuckDB ASOF JOIN + the same gap predicate."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        asof_join, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, asof_join
 
     def side(event_type: str, extra: dict):
         return _read(sf_dir, "events",
@@ -1111,12 +1112,10 @@ def q_funnel_click_purchase(sf_dir: str):
 
     def within_hour(b: pd.DataFrame) -> pd.DataFrame:
         b = b[b["ts_us"] - b["click_ts_us"] <= 3_600_000_000]
-        return pd.DataFrame({
-            "user_id": b["user_id"].to_numpy(),
-            "one": np.ones(len(b), dtype=np.int64)})
+        return pd.DataFrame({"user_id": b["user_id"].to_numpy()})
 
     hits = joined.map_batches(within_hour, batch_format="pandas")
-    return preagg_sum_count(hits, ["user_id"], {"one": "n_converted"})
+    return aggregate(hits, ["user_id"], {"n_converted": ("count", None)})
 
 
 def q_range_join_clicks(sf_dir: str):
@@ -1164,14 +1163,14 @@ def q_order_price_histogram(sf_dir: str):
     """Fixed-width histogram (§ aggregates): order counts per $500
     price bucket — a pure per-batch bucket map + partial-agg count,
     the profile/EDA operator at any scale."""
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_totalprice"],
                    rows_per_block=65536,
                    derive={"bucket_lo_cents":
                            floor_div(cents("o_totalprice"), 5_000_000)
-                           * 5_000_000,
-                           "one": pc.scalar(1)})
-    return preagg_sum_count(orders, ["bucket_lo_cents"], {"one": "n_orders"})
+                           * 5_000_000})
+    return aggregate(orders, ["bucket_lo_cents"],
+                     {"n_orders": ("count", None)})
 
 
 def q_doc_quality(sf_dir: str):
@@ -1236,23 +1235,15 @@ def q_cohort_retention(sf_dir: str):
     existing bucketed shapes — distinct (user, week) partial-agg,
     per-user min-reduce for the cohort, one user-key join, one count
     reduce — all-integer week arithmetic so the hash is exact."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     WEEK_US = 604_800_000_000
     weeks = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=65536,
                   derive={"user_id": col("user_id"),
-                          "wk": floor_div(epoch_us("ts"), WEEK_US),
-                          "one": pc.scalar(1)})
+                          "wk": floor_div(epoch_us("ts"), WEEK_US)})
     # distinct (user, week) once; reuse for BOTH the cohort min and
     # the activity side of the join
-    active = preagg_reduce(weeks, ["user_id", "wk"], "one",
-                           "min").drop_columns(["one"])
-    cohort = preagg_reduce(
-        active.map_batches(
-            lambda b: pd.DataFrame({"user_id": b["user_id"],
-                                    "cohort_wk": b["wk"]}),
-            batch_format="pandas"),
-        ["user_id"], "cohort_wk", "min")
+    active = aggregate(weeks, ["user_id", "wk"], {})
+    cohort = aggregate(active, ["user_id"], {"cohort_wk": ("min", "wk")})
     j = bucketed_join(active, cohort, on="user_id", how="inner")
 
     def offs(b: pd.DataFrame) -> pd.DataFrame:
@@ -1260,8 +1251,9 @@ def q_cohort_retention(sf_dir: str):
             "cohort_wk": b["cohort_wk"].to_numpy(),
             "week_offset": (b["wk"] - b["cohort_wk"]).to_numpy()})
 
-    return preagg_reduce(j.map_batches(offs, batch_format="pandas"),
-                         ["cohort_wk", "week_offset"], "n_users", "count")
+    return aggregate(j.map_batches(offs, batch_format="pandas"),
+                     ["cohort_wk", "week_offset"],
+                     {"n_users": ("count", None)})
 
 
 # k for the fulfillment-graph k-core: validated against peeling
@@ -1360,7 +1352,7 @@ def q_pagerank_cust_supp(sf_dir: str, tier3: bool = False):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.graph import pagerank
     from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_reduce, round_columns)
+        aggregate, bucketed_join, round_columns)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"],
@@ -1369,11 +1361,10 @@ def q_pagerank_cust_supp(sf_dir: str, tier3: bool = False):
 
     def to_edge(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"src": b["o_custkey"].to_numpy(),
-                             "dst": b["dst"].to_numpy(),
-                             "one": np.ones(len(b), dtype=np.int64)})
+                             "dst": b["dst"].to_numpy()})
 
-    edges = preagg_reduce(j.map_batches(to_edge, batch_format="pandas"),
-                          ["src", "dst"], "one", "min").drop_columns(["one"])
+    edges = aggregate(j.map_batches(to_edge, batch_format="pandas"),
+                      ["src", "dst"], {})
     with _budgets(tier3):
         ranks = pagerank(edges, damping=0.85, iters=5)
     return round_columns(ranks, {"rank": 6})
@@ -1502,14 +1493,13 @@ def q_user_activity_full(sf_dir: str):
     """FULL OUTER join (§ joins): per-user click counts vs purchase
     counts — the big-big bucketed join in 'outer' mode; users seen on
     one side only get COALESCEd zeros, int64 on both engines."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     def counted(kind: str, alias: str):
         ev = _read(sf_dir, "events", ["user_id", "event_type"],
                    rows_per_block=65536,
-                   derive={"user_id": col("user_id"), "one": pc.scalar(1)},
+                   derive={"user_id": col("user_id")},
                    where=col("event_type") == kind)
-        return preagg_sum_count(ev, ["user_id"], {"one": alias})
+        return aggregate(ev, ["user_id"], {alias: ("count", None)})
 
     joined = bucketed_join(counted("click", "n_clicks"),
                            counted("purchase", "n_purchases"),
@@ -1529,7 +1519,7 @@ def q_events_hopping(sf_dir: str):
     windows via a pure per-batch flat-map (2 output rows per event, no
     driver state), then the partial-agg groupby. Values as integer
     cents so the sums are bit-exact."""
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     HOP_US = 1_800_000_000  # 30 min
 
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
@@ -1547,9 +1537,9 @@ def q_events_hopping(sf_dir: str):
         })
 
     win = ev.map_batches(windows, batch_format="pandas")
-    return preagg_sum_count(win, ["event_type", "win_start_us"],
-                            {"cents": "total_cents"},
-                            count_alias="n_events")
+    return aggregate(win, ["event_type", "win_start_us"],
+                     {"total_cents": ("sum", "cents"),
+                      "n_events": ("count", None)})
 
 
 def q_stratified_sample_events(sf_dir: str):
@@ -1596,7 +1586,7 @@ def q_local_supplier_revenue(sf_dir: str):
     import ray
     import ray.data as rd
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, bucketed_join, preagg_sum_count)
+        aggregate, broadcast_get, bucketed_join)
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -1640,9 +1630,9 @@ def q_local_supplier_revenue(sf_dir: str):
         return pd.DataFrame({"n_nationkey": c_nat[keep],
                              "rev": b["rev"].to_numpy()[keep]})
 
-    agg = preagg_sum_count(
+    agg = aggregate(
         j.map_batches(nation_match, batch_format="pandas"),
-        ["n_nationkey"], {"rev": "revenue_e4"})
+        ["n_nationkey"], {"revenue_e4": ("sum", "rev")})
 
     # names attached on the aggregate (≤ |nation| rows), not per lineitem
     def name_it(b: pd.DataFrame) -> pd.DataFrame:
@@ -1661,12 +1651,10 @@ def q_events_nation_spend(sf_dir: str):
     On this data the hot set is small-or-empty (mild skew) — the hot
     path itself is pinned with a zipf corpus in
     tests/test_window_aggs.py. Exact integer cents."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        preagg_sum_count, skew_aware_join)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, skew_aware_join
     ev = _read(sf_dir, "events", ["user_id", "value"],
                rows_per_block=65536,
-               derive={"user_id": col("user_id"), "cents": cents("value"),
-                       "one": pc.scalar(1)})
+               derive={"user_id": col("user_id"), "cents": cents("value")})
     # explicit widen (the oracle CASTs to BIGINT): the join used to widen
     # int32 accidentally via its float null-padding round trip; the r4
     # precision fix preserves true input dtypes
@@ -1675,8 +1663,9 @@ def q_events_nation_spend(sf_dir: str):
                  derive={"user_id": col("c_custkey"),
                          "c_nationkey": int64("c_nationkey")})
     j = skew_aware_join(ev, cust, on="user_id")
-    return preagg_sum_count(j, ["c_nationkey"],
-                            {"one": "n_events", "cents": "total_cents"})
+    return aggregate(j, ["c_nationkey"],
+                     {"n_events": ("count", None),
+                      "total_cents": ("sum", "cents")})
 
 
 def q_doc_repetition(sf_dir: str):
@@ -1788,11 +1777,11 @@ def q_cust_order_distribution(sf_dir: str):
     anti-join key count for the k=0 row; the customer table itself
     never joins row-wise, only its key set is probed."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=65536)
     cust = _read(sf_dir, "customer", ["c_custkey"], rows_per_block=65536)
-    per_cust = preagg_reduce(orders, ["o_custkey"], "n_orders", "count")
-    hist = preagg_reduce(per_cust, ["n_orders"], "n_custs", "count") \
+    per_cust = aggregate(orders, ["o_custkey"], {"n_orders": ("count", None)})
+    hist = aggregate(per_cust, ["n_orders"], {"n_custs": ("count", None)}) \
         .to_pandas()
     n_cust_total = cust.count()
     n_with_orders = int(hist["n_custs"].sum())
@@ -1810,15 +1799,14 @@ def q_large_volume_orders(sf_dir: str):
     survivors (rare by construction) broadcast-join back to the
     streaming orders scan — the Q18 plan DuckDB itself picks."""
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_join, preagg_reduce, round_columns)
+        aggregate, broadcast_join, round_columns)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"],
-               rows_per_block=65536,
-               derive={"l_orderkey": col("l_orderkey"),
-                       "sum_qty": col("l_quantity")})
+               rows_per_block=65536)
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"],
                    rows_per_block=65536)
-    per_order = preagg_reduce(li, ["l_orderkey"], "sum_qty", "sum") \
+    per_order = aggregate(li, ["l_orderkey"],
+                          {"sum_qty": ("sum", "l_quantity")}) \
         .map_batches(lambda b: b[b["sum_qty"].to_numpy() > 180.0],
                      batch_format="pandas")
     big = per_order.to_pandas().rename(columns={"l_orderkey": "o_orderkey"})
@@ -1833,11 +1821,10 @@ def q_priority_late_orders(sf_dir: str):
     be a key-set semi-join: lineitem reduces to max(l_shipdate) per
     order (bucketed partial agg), big-big bucketed join to orders, then
     the inequality filter and a tiny count rollup."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"],
                rows_per_block=65536, derive=_SHIP_US)
-    max_ship = preagg_reduce(li, ["o_orderkey"], "ship_us", "max")
+    max_ship = aggregate(li, ["o_orderkey"], {"ship_us": ("max", "ship_us")})
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"],
                    rows_per_block=65536,
@@ -1848,7 +1835,7 @@ def q_priority_late_orders(sf_dir: str):
     late = joined.map_batches(
         lambda b: b[b["ship_us"].to_numpy() > b["order_us"].to_numpy()],
         batch_format="pandas")
-    return preagg_reduce(late, ["o_orderpriority"], "n_orders", "count")
+    return aggregate(late, ["o_orderpriority"], {"n_orders": ("count", None)})
 
 
 def q_price_moments(sf_dir: str):
@@ -1913,15 +1900,15 @@ def q_weighted_avg_discount(sf_dir: str):
     single float64 division is mirrored in the oracle so bits match —
     the 'weighted mean without a second pass' shape."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_extendedprice", "l_discount"],
                rows_per_block=65536,
                derive={"l_returnflag": col("l_returnflag"),
                        "wd": cents("l_extendedprice") * cents("l_discount"),
                        "w": cents("l_extendedprice")})
-    sums = preagg_sum_count(li, ["l_returnflag"],
-                            {"wd": "sum_wd", "w": "sum_w"})
+    sums = aggregate(li, ["l_returnflag"],
+                     {"sum_wd": ("sum", "wd"), "sum_w": ("sum", "w")})
 
     def ratio(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1942,16 +1929,17 @@ def q_user_spend_zscore(sf_dir: str):
     cents; n·ssq must fit int64). Zero-variance users are excluded on
     both sides."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     def ev(**derive):
         return _read(sf_dir, "events", ["event_id", "user_id", "value"],
                      rows_per_block=65536,
                      derive={"user_id": col("user_id"), **derive})
 
-    moments = preagg_sum_count(
+    moments = aggregate(
         ev(x=cents("value"), x2=cents("value") * cents("value")),
-        ["user_id"], {"x": "s", "x2": "ssq"}, count_alias="n")
+        ["user_id"], {"s": ("sum", "x"),
+                      "ssq": ("sum", "x2"),
+                      "n": ("count", None)})
     joined = bucketed_join(ev(event_id=col("event_id"), x=cents("value")),
                            moments, on="user_id", how="inner")
 
@@ -2131,8 +2119,7 @@ def q_late_sole_supplier(sf_dir: str):
     oracle keeps DuckDB's literal EXISTS/NOT-EXISTS form so the two
     formulations check each other."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     LATE_US = 45 * 86400 * 1_000_000
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"],
                    rows_per_block=65536, derive=_ORDER_US)
@@ -2157,7 +2144,7 @@ def q_late_sole_supplier(sf_dir: str):
 
     charged = key_shuffle(j, per_order, ["o_orderkey"],
                           batch_format="pandas")
-    return preagg_reduce(charged, ["s_suppkey"], "numwait", "count")
+    return aggregate(charged, ["s_suppkey"], {"numwait": ("count", None)})
 
 
 def q_stock_value_parts(sf_dir: str):
@@ -2170,13 +2157,12 @@ def q_stock_value_parts(sf_dir: str):
     never row-sized); the filter then prunes the aggregate stream
     against the broadcast scalars. All compares in exact integer cents
     (``value·n·10 > 11·total`` ⇔ value > 1.1·avg, no division)."""
-    from no_fasel_scrapers_ray.ops.relational import (exact_sums,
-                                                      preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, exact_sums
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"],
                rows_per_block=65536,
                derive={"l_partkey": col("l_partkey"),
                        "v": cents("l_extendedprice")})
-    per_part = preagg_sum_count(li, ["l_partkey"], {"v": "value_cents"}) \
+    per_part = aggregate(li, ["l_partkey"], {"value_cents": ("sum", "v")}) \
         .materialize()
     s = exact_sums(per_part, [], {"s": ("value_cents",), "n": ()}).iloc[0]
     total, n_parts = s["s"], s["n"]
@@ -2363,11 +2349,10 @@ def q_user_event_entropy(sf_dir: str):
     and rounded to 6 dp on both engines (the pagerank float contract —
     ln is correctly rounded on both, residue is ~1e-16)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     ev = _read(sf_dir, "events", ["user_id", "event_type"],
                rows_per_block=65536)
-    counts = preagg_reduce(ev, ["user_id", "event_type"], "n_i",
-                           "count")
+    counts = aggregate(ev, ["user_id", "event_type"], {"n_i": ("count", None)})
 
     def entropy(g: pd.DataFrame) -> pd.DataFrame:
         n_i = g["n_i"].to_numpy(np.int64).astype(np.float64)
@@ -2395,7 +2380,7 @@ def q_top_suppliers_per_nation(sf_dir: str):
     (nation, batch). ROW_NUMBER oracle with suppkey tie-break."""
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, preagg_sum_count, topk_per_group)
+        aggregate, broadcast_get, topk_per_group)
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
                  rows_per_block=65536).to_pandas() \
         .sort_values("s_suppkey", ignore_index=True)
@@ -2407,7 +2392,7 @@ def q_top_suppliers_per_nation(sf_dir: str):
                rows_per_block=65536,
                derive={"s_suppkey": col("l_suppkey"),
                        "v": cents("l_extendedprice")})
-    rev = preagg_sum_count(li, ["s_suppkey"], {"v": "revenue_cents"})
+    rev = aggregate(li, ["s_suppkey"], {"revenue_cents": ("sum", "v")})
 
     def add_nation(b: pd.DataFrame) -> pd.DataFrame:
         ks, nk = broadcast_get(nat_ref)
@@ -2585,11 +2570,11 @@ def q_cms_part_counts(sf_dir: str):
     deterministic but intentionally NOT SQL-equal (overestimates by
     design → no oracle entry)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     from no_fasel_scrapers_ray.ops.sketch import cms_query, cms_sketch
     li = _read(sf_dir, "lineitem", ["l_partkey"], rows_per_block=65536)
     m = cms_sketch(li, "l_partkey", depth=4, width=4096)
-    exact = preagg_reduce(li, ["l_partkey"], "n", "count").to_pandas() \
+    exact = aggregate(li, ["l_partkey"], {"n": ("count", None)}).to_pandas() \
         .sort_values(["n", "l_partkey"], ascending=[False, True],
                      ignore_index=True).head(20)
     keys = exact["l_partkey"].to_numpy(np.int64)
@@ -2761,7 +2746,7 @@ def q_shipping_priority(sf_dir: str):
     import pyarrow.dataset as pads
     import ray.data as rd
     from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_sum_count, semi_join)
+        aggregate, bucketed_join, semi_join)
     cut = pd.Timestamp("1998-06-01")
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]) \
@@ -2780,7 +2765,7 @@ def q_shipping_priority(sf_dir: str):
                  "l_shipdate"],
         filter=pads.field("l_shipdate") > cut.to_pydatetime())
     li = _derive(li, {"o_orderkey": col("l_orderkey"), "v": _REV_E4})
-    rev = preagg_sum_count(li, ["o_orderkey"], {"v": "revenue_units"})
+    rev = aggregate(li, ["o_orderkey"], {"revenue_units": ("sum", "v")})
     joined = bucketed_join(rev, orders, on="o_orderkey", how="inner")
 
     def block_topk(b: pd.DataFrame) -> pd.DataFrame:
@@ -2826,12 +2811,12 @@ def q_funnel_conversion(sf_dir: str):
     view, and of those, how many first PURCHASED strictly after that
     first click. Per-batch partials collapse each user's events to
     first-seen timestamps per step (sentinel INT64_MAX for absent
-    steps), grouped_multi_agg min-combines them through one bucket
+    steps), ``aggregate`` min-combines them through one bucket
     shuffle — shuffle volume is users × batches, independent of events
     per user — and the three funnel counts reduce from per-block
     partial sums combined driver-side (constant rows cross the wire)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     SENT = np.iinfo(np.int64).max
     def first_us(kind):
         return pc.if_else(col("event_type") == kind, epoch_us("ts"),
@@ -2842,10 +2827,9 @@ def q_funnel_conversion(sf_dir: str):
                derive={"user_id": col("user_id"), "v_us": first_us("view"),
                        "c_us": first_us("click"),
                        "p_us": first_us("purchase")})
-    firsts = grouped_multi_agg(
+    firsts = aggregate(
         ev, ["user_id"],
-        {"v": ("v_us", "min"), "c": ("c_us", "min"),
-         "p": ("p_us", "min")})
+        {"v": ("min", "v_us"), "c": ("min", "c_us"), "p": ("min", "p_us")})
 
     def counts(b: pd.DataFrame) -> pd.DataFrame:
         v = b["v"].to_numpy()
@@ -2874,11 +2858,11 @@ def q_copurchase_pairs(sf_dir: str):
     C-level self-merge (pandas hash join, no Python per-order loop)
     forms each order's pairs exactly once; pair skew is bounded by
     (max lines per order)² regardless of corpus size. Pair counts
-    reduce through preagg_reduce (pair-cardinality-safe bucketed
+    reduce through ``aggregate`` (pair-cardinality-safe bucketed
     combine) and the global top-25 runs on per-block top-25 survivors
     under the deterministic (count desc, p1, p2) total order."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
                rows_per_block=65536)
 
@@ -2890,7 +2874,7 @@ def q_copurchase_pairs(sf_dir: str):
                              "p2": m["l_partkey_b"].to_numpy()})
 
     pair_ds = key_shuffle(li, pairs, ["l_orderkey"], batch_format="pandas")
-    counts = preagg_reduce(pair_ds, ["p1", "p2"], "n_orders", "count")
+    counts = aggregate(pair_ds, ["p1", "p2"], {"n_orders": ("count", None)})
 
     def block_topk(b: pd.DataFrame) -> pd.DataFrame:
         return b.sort_values(["n_orders", "p1", "p2"],
@@ -2914,8 +2898,7 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
     table before any shuffle. Oracle: the direct triple self-join
     GROUP BY HAVING."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
                rows_per_block=65536).materialize()
 
@@ -2926,9 +2909,9 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
         return pd.DataFrame({"p1": m["l_partkey_a"].to_numpy(),
                              "p2": m["l_partkey_b"].to_numpy()})
 
-    pair_counts = preagg_reduce(
+    pair_counts = aggregate(
         key_shuffle(li, pairs, ["l_orderkey"], batch_format="pandas"),
-        ["p1", "p2"], "n", "count")
+        ["p1", "p2"], {"n": ("count", None)})
     freq = pair_counts.map_batches(
         lambda b: b[b["n"] >= minsup][["p1", "p2"]],
         batch_format="pandas").to_pandas()   # Apriori driver state
@@ -2953,9 +2936,9 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
                           "k": m["l_partkey_k"].to_numpy()})
         return t.merge(c, on=["i", "j", "k"], how="inner")
 
-    sup = preagg_reduce(
+    sup = aggregate(
         key_shuffle(li, triples, ["l_orderkey"], batch_format="pandas"),
-        ["i", "j", "k"], "support", "count")
+        ["i", "j", "k"], {"support": ("count", None)})
     return sup.map_batches(
         lambda b: b[b["support"] >= minsup],
         batch_format="pandas")
@@ -3070,7 +3053,7 @@ def q_nation_top_parts(sf_dir: str):
     sketch path cannot certify exactness here — `lang_top_tokens` is
     the grouped-heavy-hitter query on data with true heavy hitters."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     sup = _read(sf_dir, "supplier",
                 ["s_suppkey", "s_nationkey"]).to_pandas()
     sup = sup.sort_values("s_suppkey")
@@ -3087,8 +3070,8 @@ def q_nation_top_parts(sf_dir: str):
         return pd.DataFrame({"nation": n[pos],
                              "l_partkey": b["l_partkey"].to_numpy()})
 
-    counts = preagg_reduce(li.map_batches(tag, batch_format="pandas"),
-                           ["nation", "l_partkey"], "n_lines", "count")
+    counts = aggregate(li.map_batches(tag, batch_format="pandas"),
+                       ["nation", "l_partkey"], {"n_lines": ("count", None)})
 
     def block_topk(b: pd.DataFrame) -> pd.DataFrame:
         b = b.sort_values(["nation", "n_lines", "l_partkey"],
@@ -3253,14 +3236,14 @@ def q_robust_zscore(sf_dir: str):
     one scoring pass. Oracle: DuckDB quantile_disc trio + the mirrored
     float expression."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     v = _read(sf_dir, "events", ["event_id", "event_type", "value"],
               rows_per_block=65536,
               derive={"event_id": col("event_id"),
                       "event_type": col("event_type"),
                       "cents": cents("value")})
-    hist = preagg_reduce(v, ["event_type", "cents"],
-                         "n", "count").to_pandas()
+    hist = aggregate(v, ["event_type", "cents"],
+                     {"n": ("count", None)}).to_pandas()
     stats = {}
     for et, g in hist.groupby("event_type"):
         g = g.sort_values("cents")
@@ -3330,8 +3313,7 @@ def q_overlap_duration(sf_dir: str):
     user-bucketed join, vectorized LEAST/GREATEST minus, exact int64
     µs sum. Oracle: DuckDB inequality join + SUM."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        bucketed_join, preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     W = 1_800_000_000   # 30 min in µs
     def side(event_type: str, tag: str):
         return _read(sf_dir, "events", ["ts", "user_id", "event_type"],
@@ -3351,8 +3333,8 @@ def q_overlap_duration(sf_dir: str):
         return pd.DataFrame({"user_id": b["user_id"].to_numpy()[keep],
                              "overlap_us": ov[keep]})
 
-    return preagg_reduce(j.map_batches(overlap, batch_format="pandas"),
-                         ["user_id"], "overlap_us", "sum")
+    return aggregate(j.map_batches(overlap, batch_format="pandas"),
+                     ["user_id"], {"overlap_us": ("sum", "overlap_us")})
 
 
 def q_knn_mutual(sf_dir: str):
@@ -3446,7 +3428,7 @@ def q_nation_trade_volume(sf_dir: str):
     import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, bucketed_join, preagg_sum_count)
+        aggregate, broadcast_get, bucketed_join)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
@@ -3483,9 +3465,10 @@ def q_nation_trade_volume(sf_dir: str):
             "l_year": b["l_year"].to_numpy()[keep],
             "rev": b["rev"].to_numpy()[keep]})
 
-    return preagg_sum_count(
+    return aggregate(
         j.map_batches(pair_tag, batch_format="pandas"),
-        ["supp_nation", "cust_nation", "l_year"], {"rev": "revenue_e4"})
+        ["supp_nation", "cust_nation", "l_year"],
+        {"revenue_e4": ("sum", "rev")})
 
 
 def q_brand_year_profit(sf_dir: str):
@@ -3498,8 +3481,7 @@ def q_brand_year_profit(sf_dir: str):
     broadcast-join-then-partial-agg posture."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_shipdate", "l_quantity",
@@ -3523,9 +3505,9 @@ def q_brand_year_profit(sf_dir: str):
             "p_brand": brand[idx], "l_year": b["l_year"].to_numpy(),
             "profit": b["rev"].to_numpy() - retail[idx] * qty * 100})
 
-    return preagg_sum_count(
+    return aggregate(
         li.map_batches(profit, batch_format="pandas"),
-        ["p_brand", "l_year"], {"profit": "profit_e4"})
+        ["p_brand", "l_year"], {"profit_e4": ("sum", "profit")})
 
 
 def q_price_qty_regression(sf_dir: str):
@@ -3671,7 +3653,7 @@ def q_nation_market_share(sf_dir: str):
     import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, bucketed_join, preagg_sum_count)
+        aggregate, broadcast_get, bucketed_join)
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"],
@@ -3722,8 +3704,8 @@ def q_nation_market_share(sf_dir: str):
     j = bucketed_join(li.map_batches(li_prep, batch_format="pandas"),
                       orders.map_batches(o_prep, batch_format="pandas"),
                       on="o_orderkey", how="inner")
-    agg = preagg_sum_count(j, ["o_year"],
-                           {"rev": "den", "nat_rev": "num"})
+    agg = aggregate(j, ["o_year"],
+                    {"den": ("sum", "rev"), "num": ("sum", "nat_rev")})
 
     def share(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -3746,7 +3728,7 @@ def q_returned_item_revenue(sf_dir: str):
     import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, bucketed_join, preagg_sum_count, topk_per_group)
+        aggregate, broadcast_get, bucketed_join, topk_per_group)
 
     d = col("o_orderdate")
     orders = _read(sf_dir, "orders",
@@ -3773,7 +3755,7 @@ def q_returned_item_revenue(sf_dir: str):
                         nat["n_name"].to_numpy(object)))
 
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
-    agg = preagg_sum_count(j, ["o_custkey"], {"rev": "revenue_e4"})
+    agg = aggregate(j, ["o_custkey"], {"revenue_e4": ("sum", "rev")})
     top = topk_per_group(
         agg.map_batches(lambda b: b.assign(__one=np.int64(0)),
                         batch_format="pandas"),
@@ -3803,8 +3785,7 @@ def q_top_revenue_supplier(sf_dir: str):
     ties all surface, exactly like the SQL HAVING = (SELECT MAX...)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     d = col("l_shipdate")
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_shipdate", "l_extendedprice",
@@ -3816,7 +3797,7 @@ def q_top_revenue_supplier(sf_dir: str):
     supp_ref = ray.put((supp["s_suppkey"].to_numpy(np.int64),
                         supp["s_name"].to_numpy(object)))
 
-    agg = preagg_sum_count(li, ["s_suppkey"], {"rev": "total_revenue_e4"})
+    agg = aggregate(li, ["s_suppkey"], {"total_revenue_e4": ("sum", "rev")})
     best = int(agg.max("total_revenue_e4"))
 
     def pick(b: pd.DataFrame) -> pd.DataFrame:
@@ -3844,8 +3825,7 @@ def q_dominant_part_suppliers(sf_dir: str):
     re-shuffled. Supplier names attach from a broadcast dim."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, preagg_sum_count)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
 
     part = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
     want = np.sort(part.loc[part["p_type"] == "LARGE", "p_partkey"]
@@ -3875,8 +3855,8 @@ def q_dominant_part_suppliers(sf_dir: str):
             "l_suppkey": b["l_suppkey"].to_numpy()[keep],
             "qty": b["qty"].to_numpy()[keep]})
 
-    ps = preagg_sum_count(li.map_batches(prep, batch_format="pandas"),
-                          ["l_partkey", "l_suppkey"], {"qty": "qty"})
+    ps = aggregate(li.map_batches(prep, batch_format="pandas"),
+                   ["l_partkey", "l_suppkey"], {"qty": ("sum", "qty")})
 
     def dominant(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby("l_partkey")["qty"]
@@ -3904,8 +3884,7 @@ def q_event_transitions(sf_dir: str):
     windowed-lag kernel (ONE user-bucket shuffle), then a tiny
     (types × types) count aggregate. Deterministic under ts ties via
     the event_id tie-break."""
-    from no_fasel_scrapers_ray.ops.relational import (
-        preagg_reduce, windowed_lead)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, windowed_lead
     ev = _read(sf_dir, "events",
                ["user_id", "ts", "event_id", "event_type"],
                rows_per_block=65536)
@@ -3916,8 +3895,8 @@ def q_event_transitions(sf_dir: str):
         b = b[b["next_type"].notna()]
         return b[["event_type", "next_type"]]
 
-    return preagg_reduce(led.map_batches(steps, batch_format="pandas"),
-                         ["event_type", "next_type"], "n", "count")
+    return aggregate(led.map_batches(steps, batch_format="pandas"),
+                     ["event_type", "next_type"], {"n": ("count", None)})
 
 
 def q_transition_entropy(sf_dir: str):
@@ -3928,8 +3907,7 @@ def q_transition_entropy(sf_dir: str):
     H = −Σ p·ln p over the ≤ |types|² support in ONE mirrored float
     expression (round-6 ln contract; sum order reassociates)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        preagg_reduce, windowed_lead)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, windowed_lead
     ev = _read(sf_dir, "events",
                ["user_id", "ts", "event_id", "event_type"],
                rows_per_block=65536)
@@ -3940,9 +3918,9 @@ def q_transition_entropy(sf_dir: str):
         b = b[b["next_type"].notna()]
         return b[["event_type", "next_type"]]
 
-    a = preagg_reduce(led.map_batches(steps, batch_format="pandas"),
-                      ["event_type", "next_type"], "n",
-                      "count").to_pandas()
+    a = aggregate(led.map_batches(steps, batch_format="pandas"),
+                  ["event_type", "next_type"],
+                  {"n": ("count", None)}).to_pandas()
     n = a["n"].to_numpy(np.int64).astype(np.float64)
     tot = float(int(a["n"].sum()))
     p_ = n / tot
@@ -3962,13 +3940,12 @@ def q_theil_customer_spend(sf_dir: str):
     discipline — ln rounded to 6, scaled 1e6; ``exact_sums``); the
     final expression is ONE mirrored float chain (round-6)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (exact_sums,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, exact_sums
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
                    rows_per_block=65536,
                    derive={"u": col("o_custkey"),
                            "x": cents("o_totalprice")})
-    spend = preagg_reduce(orders, ["u"], "x", "sum")
+    spend = aggregate(orders, ["u"], {"x": ("sum", "x")})
 
     def micro_ln(b: pd.DataFrame) -> pd.DataFrame:
         x = b["x"].to_numpy(np.int64)
@@ -3996,14 +3973,13 @@ def q_monthly_revenue_growth(sf_dir: str):
     window-over-fact. Growth is the one-mirrored-float-expression
     contract (prev cents / cents in IEEE double)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (
-        preagg_sum_count, windowed_lag)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, windowed_lag
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
                    rows_per_block=65536,
                    derive={"o_year": int64(pc.year(col("o_orderdate"))),
                            "o_month": int64(pc.month(col("o_orderdate"))),
                            "cents": cents("o_totalprice")})
-    agg = preagg_sum_count(orders, ["o_year", "o_month"], {"cents": "cents"})
+    agg = aggregate(orders, ["o_year", "o_month"], {"cents": ("sum", "cents")})
     mkey = agg.map_batches(
         lambda b: b.assign(
             __m=b["o_year"].to_numpy() * 12 + b["o_month"].to_numpy(),
@@ -4412,23 +4388,18 @@ def q_user_similarity(sf_dir: str):
     tiers break ties (jaccard DESC, other ASC) and compute Jaccard as
     ONE double division of exact int64s — bit-identical to the
     oracle's expression."""
-    import pandas as pd
     from no_fasel_scrapers_ray.ops.dedup import set_similarity_top1
-    from no_fasel_scrapers_ray.ops.relational import (bucketed_join,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536)
+                   rows_per_block=65536,
+                   derive={"o_orderkey": col("o_orderkey"),
+                           "u": col("o_custkey")})
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
                rows_per_block=65536,
                derive={"o_orderkey": col("l_orderkey"),
                        "item": col("l_partkey")})
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
-    ui = preagg_reduce(
-        j.map_batches(lambda b: pd.DataFrame({
-            "u": b["o_custkey"].to_numpy(np.int64),
-            "item": b["item"].to_numpy(np.int64)}),
-            batch_format="pandas"),
-        ["u", "item"], "__n", "count")
+    ui = aggregate(j, ["u", "item"], {})
     return set_similarity_top1(
         ui, hot_threshold=8192,
         out_names=("o_custkey", "similar_cust", "jaccard"))
@@ -4540,11 +4511,11 @@ def _event_user_counts(sf_dir: str, et: str, alias: str):
     """Per-user count of events of one type — the count-reduction both
     bag-semantics set ops share (bag INTERSECT/EXCEPT reduce to
     per-key counts; one helper so the two queries can't drift)."""
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     s = _read(sf_dir, "events", ["user_id", "event_type"],
               rows_per_block=65536, derive={"user_id": col("user_id")},
               where=col("event_type") == et)
-    return preagg_reduce(s, ["user_id"], alias, "count")
+    return aggregate(s, ["user_id"], {alias: ("count", None)})
 
 
 def q_intersect_all_users(sf_dir: str):
@@ -4637,8 +4608,7 @@ def q_nation_priority_kl(sf_dir: str):
     like pagerank. Oracle mirrors the same p·ln(p/q) expression."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -4653,8 +4623,8 @@ def q_nation_priority_kl(sf_dir: str):
         return pd.DataFrame({"nation": nat,
                              "pr": b["o_orderpriority"].to_numpy()})
 
-    counts = preagg_reduce(orders.map_batches(tag, batch_format="pandas"),
-                           ["nation", "pr"], "n", "count").to_pandas()
+    counts = aggregate(orders.map_batches(tag, batch_format="pandas"),
+                       ["nation", "pr"], {"n": ("count", None)}).to_pandas()
     tn = counts.groupby("nation")["n"].transform("sum").to_numpy(
         np.float64)
     gn = counts.groupby("pr")["n"].transform("sum").to_numpy(np.float64)
@@ -4677,15 +4647,16 @@ def q_grouping_sets_orders(sf_dir: str):
     partial-reuse trick LMFAO-style batched aggregation exploits.
     'ALL' sentinels mirror the oracle's COALESCE."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_sum_count
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders",
                    ["o_orderpriority", "o_orderstatus", "o_totalprice"],
                    rows_per_block=65536,
                    derive={"pr": col("o_orderpriority"),
                            "st": col("o_orderstatus"),
                            "cents": cents("o_totalprice")})
-    pairs = preagg_sum_count(orders, ["pr", "st"], {"cents": "total_cents"},
-                             count_alias="n_orders").to_pandas()
+    pairs = aggregate(orders, ["pr", "st"],
+                      {"total_cents": ("sum", "cents"),
+                       "n_orders": ("count", None)}).to_pandas()
     by_pr = pairs.groupby("pr", as_index=False).agg(
         n_orders=("n_orders", "sum"), total_cents=("total_cents", "sum"))
     by_pr["st"] = "ALL"
@@ -4786,7 +4757,7 @@ def q_top_session_paths(sf_dir: str):
     tiny global sort (the top_terms shape). Oracle: window
     sessionization + ordered string_agg."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
                                   "ts"], rows_per_block=65536,
                derive=_EVENT_US)
@@ -4813,7 +4784,7 @@ def q_top_session_paths(sf_dir: str):
                              "n": vc.to_numpy(np.int64)})
 
     partials = key_shuffle(ev, paths, ["user_id"], batch_format="pandas")
-    counts = preagg_reduce(partials, ["path"], "n", "sum")
+    counts = aggregate(partials, ["path"], {"n": ("sum", "n")})
 
     def block_top(b: pd.DataFrame) -> pd.DataFrame:
         return b.sort_values(["n", "path"],
@@ -4838,16 +4809,16 @@ def q_interpolate_hourly(sf_dir: str):
     — the sketch-merge convention). Means and interpolation use ONE
     fixed float expression mirrored in SQL → bit-exact."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     HOUR_US = 3600 * 1000000
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
                rows_per_block=65536,
                derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
                        "cents": cents("value")},
                where=col("event_type") == "purchase")
-    hourly = grouped_multi_agg(
+    hourly = aggregate(
         ev, ["hr_us"],
-        {"sum_cents": ("cents", "sum"), "n": ("cents", "count")}
+        {"sum_cents": ("sum", "cents"), "n": ("count", None)}
     ).to_pandas().sort_values("hr_us", ignore_index=True)
     hrs = hourly["hr_us"].to_numpy(np.int64)
     v = (hourly["sum_cents"].to_numpy(np.int64).astype(np.float64)
@@ -4930,8 +4901,7 @@ def q_sssp_nations(sf_dir: str):
     import pandas as pd
     import ray
     from no_fasel_scrapers_ray.ops.graph import weighted_sssp
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     cs = _fulfillment_edges(sf_dir)
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
@@ -4954,8 +4924,8 @@ def q_sssp_nations(sf_dir: str):
         return pd.DataFrame({"u": np.concatenate([u, v]),
                              "v": np.concatenate([v, u])})
 
-    dn = preagg_reduce(cs.map_batches(to_nations, batch_format="pandas"),
-                       ["u", "v"], "__n", "count")
+    dn = aggregate(cs.map_batches(to_nations, batch_format="pandas"),
+                   ["u", "v"], {})
 
     def weight(b: pd.DataFrame) -> pd.DataFrame:
         u = b["u"].to_numpy(np.int64)
@@ -4984,8 +4954,7 @@ def q_rfm_segments(sf_dir: str):
     every tie so both engines assign identical tiles at boundaries.
     Integer days/cents throughout → hash-exact."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (global_ntile,
-                                                      grouped_multi_agg)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, global_ntile
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
                    rows_per_block=65536,
@@ -4993,10 +4962,11 @@ def q_rfm_segments(sf_dir: str):
                            "od_us": epoch_us("o_orderdate"),
                            "cents": cents("o_totalprice")})
     DAY_US = 86400 * 1000000
-    prof = grouped_multi_agg(
+    prof = aggregate(
         orders, ["o_custkey"],
-        {"last_us": ("od_us", "max"), "freq": ("od_us", "count"),
-         "mon_cents": ("cents", "sum")}).materialize()
+        {"last_us": ("max", "od_us"),
+         "freq": ("count", None),
+         "mon_cents": ("sum", "cents")}).materialize()
     gmax = int(prof.max("last_us"))
 
     def add_rec(b: pd.DataFrame) -> pd.DataFrame:
@@ -5044,9 +5014,7 @@ def q_gini_nation_spend(sf_dir: str):
     gate)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      grouped_multi_agg,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -5061,13 +5029,10 @@ def q_gini_nation_spend(sf_dir: str):
         return pd.DataFrame({"nation": nat, "cust": c,
                              "cents": b["cents"].to_numpy()})
 
-    spend = grouped_multi_agg(
+    spend = aggregate(
         orders.map_batches(tag, batch_format="pandas"),
-        ["nation", "cust"], {"cents": ("cents", "sum")})
-    vals = preagg_reduce(
-        spend.map_batches(
-            lambda b: b[["nation", "cents"]], batch_format="pandas"),
-        ["nation", "cents"], "k", "count")
+        ["nation", "cust"], {"cents": ("sum", "cents")})
+    vals = aggregate(spend, ["nation", "cents"], {"k": ("count", None)})
 
     def gini(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("cents", ignore_index=True)
@@ -5101,16 +5066,16 @@ def q_acf_daily_revenue(sf_dir: str):
     series-index form (rows ordered by day, lag = index offset), the
     standard definition for regularly-reported metrics."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     DAY_US = 86400 * 1000000
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
                rows_per_block=65536,
                derive={"day_us": floor_div(epoch_us("ts"), DAY_US) * DAY_US,
                        "cents": cents("value")},
                where=col("event_type") == "purchase")
-    daily = grouped_multi_agg(
+    daily = aggregate(
         ev, ["day_us"],
-        {"cents": ("cents", "sum")}).to_pandas()
+        {"cents": ("sum", "cents")}).to_pandas()
     daily = daily.sort_values("day_us", ignore_index=True)
     x = daily["cents"].to_numpy(np.int64)
     n = len(x)
@@ -5160,7 +5125,7 @@ def q_pct_rank_nation_spend(sf_dir: str):
     (ops/relational.py::percent_rank_in_group)."""
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
-        broadcast_get, percent_rank_in_group, preagg_reduce)
+        aggregate, broadcast_get, percent_rank_in_group)
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -5170,7 +5135,8 @@ def q_pct_rank_nation_spend(sf_dir: str):
                    rows_per_block=65536,
                    derive={"c_custkey": col("o_custkey"),
                            "spend_cents": cents("o_totalprice")})
-    spend = preagg_reduce(orders, ["c_custkey"], "spend_cents", "sum")
+    spend = aggregate(orders, ["c_custkey"],
+                      {"spend_cents": ("sum", "spend_cents")})
 
     def add_nation(b: pd.DataFrame) -> pd.DataFrame:
         c = b["c_custkey"].to_numpy(np.int64)
@@ -5236,8 +5202,7 @@ def q_ztest_urgent_nation(sf_dir: str):
     nation frame (exact integer counts in, float out)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      grouped_multi_agg)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -5246,19 +5211,19 @@ def q_ztest_urgent_nation(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
                    rows_per_block=65536,
                    derive={"o_custkey": col("o_custkey"),
-                           "one": pc.scalar(1), "urgent": _URGENT})
+                           "urgent": _URGENT})
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
         return pd.DataFrame({
             "c_nationkey": broadcast_get(cn)[
                 np.searchsorted(broadcast_get(ck), c)],
-            "one": b["one"].to_numpy(), "urgent": b["urgent"].to_numpy()})
+            "urgent": b["urgent"].to_numpy()})
 
-    a = grouped_multi_agg(
+    a = aggregate(
         orders.map_batches(prep, batch_format="pandas"),
-        ["c_nationkey"], {"n_orders": ("one", "sum"),
-                          "n_urgent": ("urgent", "sum")}).to_pandas()
+        ["c_nationkey"], {"n_orders": ("count", None),
+                          "n_urgent": ("sum", "urgent")}).to_pandas()
     N = float(int(a["n_orders"].sum()))
     X = float(int(a["n_urgent"].sum()))
     n = a["n_orders"].to_numpy(np.int64).astype(np.float64)
@@ -5283,14 +5248,14 @@ def q_cusum_daily_revenue(sf_dir: str):
     reduce is distributed; the scan runs on the driver over the
     dim-bounded day series (days = range/1d)."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
                    rows_per_block=65536,
                    derive={"day_us": epoch_us("o_orderdate"),
                            "cents": cents("o_totalprice")})
-    daily = grouped_multi_agg(
+    daily = aggregate(
         orders, ["day_us"],
-        {"r": ("cents", "sum")}).to_pandas()
+        {"r": ("sum", "cents")}).to_pandas()
     daily = daily.sort_values("day_us", ignore_index=True)
     r = daily["r"].to_numpy(np.int64)
     nf = float(len(r))
@@ -5341,14 +5306,12 @@ def _discount_rank_stats(sf_dir: str) -> tuple[float, float, float,
     exact rank sums (`ops/relational.py::exact_sums`). Returns exact
     (Σ cnt_a·rank2, Σ t³−t, n_A, n) as floats."""
     from no_fasel_scrapers_ray.ops.relational import (
-        exact_sums, grouped_multi_agg, ordered_prefix_sum)
+        aggregate, exact_sums, ordered_prefix_sum)
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
                rows_per_block=65536,
-               derive={"v": cents("l_extendedprice"), "f": _DISCOUNTED,
-                       "one": pc.scalar(1)})
-    counts = grouped_multi_agg(
-        li, ["v"],
-        {"cnt": ("one", "sum"), "cnt_a": ("f", "sum")})
+               derive={"v": cents("l_extendedprice"), "f": _DISCOUNTED})
+    counts = aggregate(li, ["v"],
+                       {"cnt": ("count", None), "cnt_a": ("sum", "f")})
     ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
     s = exact_sums(ranked.map_batches(_with_rank2, batch_format="pandas"),
                    [], {"s2ra": ("cnt_a", "r2"), "t3": ("cnt",) * 3,
@@ -5439,7 +5402,7 @@ def q_ks_urgent_price(sf_dir: str):
     """Kolmogorov–Smirnov two-sample statistic (§ statistical
     aggregates — the distribution-shift screen next to PSI/KL):
     D = sup|F_urgent − F_other| over order totalprice cents. Fully
-    distributed EXACT shape: distinct-cents counts (grouped_multi_agg)
+    distributed EXACT shape: distinct-cents counts (``aggregate``)
     → the range-partitioned ordered scan (`ordered_prefix_sum`, the
     Mann–Whitney machinery) attaches cumulative counts → per-block
     integer max of |s1·n0 − s0·n1| → driver max over block partials
@@ -5448,15 +5411,14 @@ def q_ks_urgent_price(sf_dir: str):
     oracle's mirrored window-cumsum expression."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
-        grouped_multi_agg, ordered_prefix_sum)
+        aggregate, ordered_prefix_sum)
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
                    rows_per_block=65536,
-                   derive={"v": cents("o_totalprice"), "f": _URGENT,
-                           "one": pc.scalar(1)})
-    counts = grouped_multi_agg(
+                   derive={"v": cents("o_totalprice"), "f": _URGENT})
+    counts = aggregate(
         orders, ["v"],
-        {"cnt": ("one", "sum"), "ca": ("f", "sum")}).materialize()
+        {"cnt": ("count", None), "ca": ("sum", "f")}).materialize()
     n = int(counts.sum("cnt") or 0)
     n1 = int(counts.sum("ca") or 0)
     n0 = n - n1
@@ -5493,18 +5455,18 @@ def q_kruskal_wallis_price(sf_dir: str):
     (round-6: the five-term group sum reassociates)."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import (
-        exact_sums, grouped_multi_agg, ordered_prefix_sum)
+        aggregate, exact_sums, ordered_prefix_sum)
     K = 5
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
                    rows_per_block=65536,
-                   derive={"v": cents("o_totalprice"), "one": pc.scalar(1),
+                   derive={"v": cents("o_totalprice"),
                            **{f"g{j}": flag(_PRIORITY_NO == j)
                               for j in range(1, K + 1)}})
-    counts = grouped_multi_agg(
+    counts = aggregate(
         orders, ["v"],
-        dict({"cnt": ("one", "sum")},
-             **{f"c{j}": (f"g{j}", "sum") for j in range(1, K + 1)}))
+        {"cnt": ("count", None),
+         **{f"c{j}": ("sum", f"g{j}") for j in range(1, K + 1)}})
     ranked = ordered_prefix_sum(counts, "v", "cnt", "__cum")
     terms = {"t3": ("cnt",) * 3, "n": ("cnt",)}
     for j in range(1, K + 1):
@@ -5537,8 +5499,7 @@ def q_cramers_v_nation_priority(sf_dir: str):
     reassociates)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -5554,9 +5515,9 @@ def q_cramers_v_nation_priority(sf_dir: str):
                 np.searchsorted(broadcast_get(ck), c)],
             "o_orderpriority": b["o_orderpriority"].to_numpy()})
 
-    a = preagg_reduce(orders.map_batches(prep, batch_format="pandas"),
-                      ["c_nationkey", "o_orderpriority"], "n",
-                      "count").to_pandas()
+    a = aggregate(orders.map_batches(prep, batch_format="pandas"),
+                  ["c_nationkey", "o_orderpriority"],
+                  {"n": ("count", None)}).to_pandas()
     rn = a.groupby("c_nationkey")["n"].transform("sum")         .to_numpy(np.int64).astype(np.float64)
     cnn = a.groupby("o_orderpriority")["n"].transform("sum")         .to_numpy(np.int64).astype(np.float64)
     tot = float(int(a["n"].sum()))
@@ -5582,8 +5543,7 @@ def q_jsd_region_priority(sf_dir: str):
     contract; zero-count terms dropped on BOTH engines)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     region = _read(sf_dir, "region",
                    ["r_regionkey", "r_name"]).to_pandas()
     nation = _read(sf_dir, "nation",
@@ -5610,8 +5570,9 @@ def q_jsd_region_priority(sf_dir: str):
             "o_orderpriority":
                 b["o_orderpriority"].to_numpy()[keep]})
 
-    a = preagg_reduce(orders.map_batches(prep, batch_format="pandas"),
-                      ["reg", "o_orderpriority"], "n", "count").to_pandas()
+    a = aggregate(orders.map_batches(prep, batch_format="pandas"),
+                  ["reg", "o_orderpriority"],
+                  {"n": ("count", None)}).to_pandas()
     piv = a.pivot_table(index="o_orderpriority", columns="reg",
                         values="n", aggfunc="sum",
                         fill_value=0)
@@ -5688,8 +5649,7 @@ def q_chisq_nation_priority(sf_dir: str):
     both engines (observed-support convention)."""
     import pandas as pd
     import ray
-    from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
-                                                      preagg_reduce)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_nationkey"]).to_pandas()
     cust = cust.sort_values("c_custkey")
@@ -5705,9 +5665,9 @@ def q_chisq_nation_priority(sf_dir: str):
                 np.searchsorted(broadcast_get(ck), c)],
             "o_orderpriority": b["o_orderpriority"].to_numpy()})
 
-    a = preagg_reduce(orders.map_batches(prep, batch_format="pandas"),
-                      ["c_nationkey", "o_orderpriority"], "n",
-                      "count").to_pandas()
+    a = aggregate(orders.map_batches(prep, batch_format="pandas"),
+                  ["c_nationkey", "o_orderpriority"],
+                  {"n": ("count", None)}).to_pandas()
     rn = a.groupby("c_nationkey")["n"].transform("sum") \
         .to_numpy(np.int64).astype(np.float64)
     cnn = a.groupby("o_orderpriority")["n"].transform("sum") \
@@ -5728,12 +5688,12 @@ def q_mutual_info_priority_status(sf_dir: str):
     counts over the ≤ 15-cell support, ONE mirrored float expression
     Σ p(x,y)·ln(p(x,y)/(p(x)p(y))) in nats."""
     import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import preagg_reduce
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders",
                    ["o_orderpriority", "o_orderstatus"],
                    rows_per_block=65536)
-    a = preagg_reduce(orders, ["o_orderpriority", "o_orderstatus"],
-                      "n", "count").to_pandas()
+    a = aggregate(orders, ["o_orderpriority", "o_orderstatus"],
+                  {"n": ("count", None)}).to_pandas()
     npp = a.groupby("o_orderpriority")["n"].transform("sum") \
         .to_numpy(np.int64).astype(np.float64)
     ns = a.groupby("o_orderstatus")["n"].transform("sum") \
@@ -5858,7 +5818,7 @@ def q_psi_order_value_drift(sf_dir: str):
     mirrored float Σ (p−q)·ln(p/q). Bins with support in only one
     window would make PSI infinite; the fixed-bin width is chosen so
     both windows populate every bin (asserted)."""
-    from no_fasel_scrapers_ray.ops.relational import grouped_multi_agg
+    from no_fasel_scrapers_ray.ops.relational import aggregate
     BIN = 3_000_000          # cents
     NBINS = 10
     yr = pc.year(col("o_orderdate"))
@@ -5869,9 +5829,9 @@ def q_psi_order_value_drift(sf_dir: str):
                                pc.scalar(NBINS - 1)),
                            "ref": flag(yr == 1996), "cur": flag(yr == 1997)},
                    where=(yr == 1996) | (yr == 1997))
-    a = grouped_multi_agg(
+    a = aggregate(
         orders, ["bin"],
-        {"n_ref": ("ref", "sum"), "n_cur": ("cur", "sum")}
+        {"n_ref": ("sum", "ref"), "n_cur": ("sum", "cur")}
     ).to_pandas().sort_values("bin", ignore_index=True)
     if (a["n_ref"].to_numpy() == 0).any() or \
             (a["n_cur"].to_numpy() == 0).any():
@@ -5933,9 +5893,8 @@ def q_ppr_top_customers(sf_dir: str):
     (ops/graph.py::personalized_pagerank)."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.graph import personalized_pagerank
-    from no_fasel_scrapers_ray.ops.relational import (bucketed_join,
-                                                      preagg_reduce,
-                                                      round_columns)
+    from no_fasel_scrapers_ray.ops.relational import (
+        aggregate, bucketed_join, round_columns)
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
                    rows_per_block=65536)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"],
@@ -5944,19 +5903,12 @@ def q_ppr_top_customers(sf_dir: str):
 
     def to_edge(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"src": b["o_custkey"].to_numpy(),
-                             "dst": b["dst"].to_numpy(),
-                             "one": np.ones(len(b), dtype=np.int64)})
+                             "dst": b["dst"].to_numpy()})
 
-    edges = preagg_reduce(
-        j.map_batches(to_edge, batch_format="pandas"),
-        ["src", "dst"], "one", "min").drop_columns(["one"]) \
-        .materialize()
-    srcs = preagg_reduce(
-        edges.map_batches(lambda b: pd.DataFrame(
-            {"node": b["src"], "one": np.int64(1)}),
-            batch_format="pandas"),
-        ["node"], "one", "min").to_pandas()
-    seeds = np.sort(srcs["node"].to_numpy(np.int64))[:5].tolist()
+    edges = aggregate(j.map_batches(to_edge, batch_format="pandas"),
+                      ["src", "dst"], {}).materialize()
+    srcs = aggregate(edges, ["src"], {}).to_pandas()
+    seeds = np.sort(srcs["src"].to_numpy(np.int64))[:5].tolist()
     return round_columns(
         personalized_pagerank(edges, seeds, damping=0.85, iters=3),
         {"rank": 9})
@@ -5988,17 +5940,16 @@ def q_lift_table_urgent(sf_dir: str):
     One bucketed per-customer agg → the range-partitioned global NTILE
     (`ops/relational.py::global_ntile` — no global sort) → a 10-row
     mirrored float frame."""
-    from no_fasel_scrapers_ray.ops.relational import (global_ntile,
-                                                      grouped_multi_agg)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, global_ntile
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_totalprice", "o_orderpriority"],
                    rows_per_block=65536,
                    derive={"c": col("o_custkey"),
                            "cents": cents("o_totalprice"),
                            "urgent": _URGENT})
-    cust = grouped_multi_agg(
+    cust = aggregate(
         orders, ["c"],
-        {"spend": ("cents", "sum"), "pos": ("urgent", "max")})
+        {"spend": ("sum", "cents"), "pos": ("max", "urgent")})
 
     def neg_spend(b: pd.DataFrame) -> pd.DataFrame:
         # descending deciles via ascending ntile on the negated spend
@@ -6009,9 +5960,9 @@ def q_lift_table_urgent(sf_dir: str):
     tiled = global_ntile(cust.map_batches(neg_spend,
                                           batch_format="pandas"),
                          "neg", ["c"], 10, "decile")
-    agg = grouped_multi_agg(
+    agg = aggregate(
         tiled, ["decile"],
-        {"n_cust": ("pos", "count"), "n_pos": ("pos", "sum")}
+        {"n_cust": ("count", None), "n_pos": ("sum", "pos")}
     ).to_pandas().sort_values("decile", ignore_index=True)
     n_tot = float(int(agg["n_cust"].sum()))
     pos_tot = float(int(agg["n_pos"].sum()))
@@ -6030,9 +5981,7 @@ def _ship_delay_day_counts(sf_dir: str,
     bucketed orders⋈lineitem join, with 'returned' as the event (and,
     when ``with_group``, the l_discount ≥ 0.05 group flag), reduced
     to the day-domain-bounded per-day count frame sorted by day."""
-    import pandas as pd
-    from no_fasel_scrapers_ray.ops.relational import (bucketed_join,
-                                                      grouped_multi_agg)
+    from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     cols = ["l_orderkey", "l_shipdate", "l_returnflag"]
     derive = {**_SHIP_US, "e": flag(col("l_returnflag") == "R")}
     if with_group:
@@ -6044,23 +5993,14 @@ def _ship_delay_day_counts(sf_dir: str,
                derive=derive)
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
     DAY_US = 86400 * 1000000
-
-    def delay(b: pd.DataFrame) -> pd.DataFrame:
-        od = b["order_us"].to_numpy(np.int64)
-        e = b["e"].to_numpy(np.int64)
-        out = {"t": (b["ship_us"].to_numpy(np.int64) - od) // DAY_US,
-               "d": e, "one": np.ones(len(b), dtype=np.int64)}
-        if with_group:
-            g = b["grp"].to_numpy(np.int64)
-            out["d1"], out["l1"] = e * g, g
-        return pd.DataFrame(out)
-
-    specs = {"d": ("d", "sum"), "n_all": ("one", "sum")}
+    delay = {"t": floor_div(col("ship_us") - col("order_us"), DAY_US),
+             "e": col("e")}
+    specs = {"d": ("sum", "e"), "n_all": ("count", None)}
     if with_group:
-        specs.update({"d1": ("d1", "sum"), "l1": ("l1", "sum")})
-    return grouped_multi_agg(
-        j.map_batches(delay, batch_format="pandas"), ["t"], specs
-    ).to_pandas().sort_values("t", ignore_index=True)
+        delay.update(grp=col("grp"), eg=col("e") * col("grp"))
+        specs.update(d1=("sum", "eg"), l1=("sum", "grp"))
+    return aggregate(_derive(j, delay), ["t"], specs).to_pandas() \
+        .sort_values("t", ignore_index=True)
 
 
 def q_km_return_survival(sf_dir: str):

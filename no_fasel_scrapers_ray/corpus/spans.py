@@ -150,10 +150,3 @@ def pages_from_arrow(spans_col, n_rows: int):
     return [PageView.from_columns(kinds, texts, mrefs,
                                   offsets[i], offsets[i + 1])
             for i in range(n_rows)]
-
-
-def span_rows_to_pages(batch) -> list[tuple[str, "PageView"]]:
-    """Arrow batch of corpus rows → [(doc_id, PageView)]."""
-    doc_ids = batch["doc_id"].to_pylist()
-    pages = pages_from_arrow(batch["spans"], len(doc_ids))
-    return list(zip(doc_ids, pages))

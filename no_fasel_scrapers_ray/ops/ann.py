@@ -315,9 +315,9 @@ def cosine_near_dup(embeddings: rd.Dataset, threshold: float = 0.95,
         verify, batch_format="pandas")
     # dedup the pair union across repeats (cosine identical per pair) —
     # bucketed partial-agg, not the sort-based Aggregate (see
-    # relational.preagg_reduce)
-    from .relational import preagg_reduce
-    return preagg_reduce(allp, ["vec_a", "vec_b"], "cosine", "max")
+    # relational.aggregate)
+    from .relational import aggregate
+    return aggregate(allp, ["vec_a", "vec_b"], {"cosine": ("max", "cosine")})
 
 
 @ray.remote
@@ -730,7 +730,7 @@ def knn_graph_mutual(embeddings: rd.Dataset, k: int = 5,
     mutual filter."""
     import ray
 
-    from .relational import preagg_reduce
+    from .relational import aggregate
 
     def norm_pack(b: pd.DataFrame) -> pd.DataFrame:
         if not len(b):   # empty block guard (see commit 9be3d72)
@@ -768,8 +768,8 @@ def knn_graph_mutual(embeddings: rd.Dataset, k: int = 5,
     # (cosine is symmetric, so both rows carry the same value and
     # min/count reduce under one preagg pass)
     pairs = topk.map_batches(canonical, batch_format="pandas")
-    counted = preagg_reduce(pairs, ["vec_a", "vec_b", "cosine"],
-                            "n_dir", "count")
+    counted = aggregate(pairs, ["vec_a", "vec_b", "cosine"],
+                        {"n_dir": ("count", None)})
     return counted.map_batches(
         lambda b: b[b["n_dir"] == 2][["vec_a", "vec_b", "cosine"]],
         batch_format="pandas")

@@ -133,34 +133,25 @@ def _batch_token_hashes(texts, shingle: int, counts: bool = False):
 
 def exact_dedup_key(docs: rd.Dataset, key_expr: str = "full") -> rd.Dataset:
     """Exact dedup groups: md5(text) (or a 20-char-prefix key) →
-    representative = min(doc_id), group size.
-
-    Two-stage bucketed hash aggregate (the scale-safe groupby shape
-    from ops.relational): per-batch partials (one row per hash per
-    batch), then one key shuffle with the final combine per bucket
-    — Ray's sort-based aggregate on this max-cardinality key measured
-    221 s at sf0.1 for the same answer. md5 itself must stay md5: the
-    hex digest IS the output column the DuckDB oracle compares.
-    ``key_expr``: 'full' | 'prefix20'.
+    representative = min(doc_id), group size, through the one grouped
+    ``aggregate`` — Ray's sort-based aggregate on this max-cardinality
+    key measured 221 s at sf0.1 for the same answer. md5 itself must
+    stay md5: the hex digest IS the output column the DuckDB oracle
+    compares. ``key_expr``: 'full' | 'prefix20'.
     """
-    import pyarrow as pa
+    from .relational import aggregate
 
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        basis = (batch["text"].str.slice(0, 20) if key_expr == "prefix20"
-                 else batch["text"])
-        keys = basis.map(lambda t: hashlib.md5(t.encode()).hexdigest())
-        g = (pd.DataFrame({"content_hash": keys, "doc_id": batch["doc_id"]})
-             .groupby("content_hash", as_index=False)
-             .agg(rep_doc_id=("doc_id", "min"), n_docs=("doc_id", "size")))
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def hashed(batch: pa.Table) -> pa.Table:
+        cut = 20 if key_expr == "prefix20" else None
+        digests = [hashlib.md5(t[:cut].encode()).hexdigest()
+                   for t in batch["text"].to_pylist()]
+        return pa.table({"content_hash": pa.array(digests, pa.string()),
+                         "doc_id": batch["doc_id"]})
 
-    def final(g: pd.DataFrame) -> pa.Table:
-        r = (g.groupby("content_hash", as_index=False)
-             .agg(rep_doc_id=("rep_doc_id", "min"), n_docs=("n_docs", "sum")))
-        return pa.Table.from_pandas(r, preserve_index=False)
-
-    return key_shuffle(docs.map_batches(partial, batch_format="pandas"),
-                       final, ["content_hash"], batch_format="pandas")
+    return aggregate(docs.map_batches(hashed, batch_format="pyarrow"),
+                     ["content_hash"],
+                     {"rep_doc_id": ("min", "doc_id"),
+                      "n_docs": ("count", None)})
 
 
 class MinHasher:
@@ -461,7 +452,7 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
     tested on a replicated corpus (tests/test_round6_ops.py)."""
     import pyarrow as pa
 
-    from .relational import bucketed_join, preagg_reduce
+    from .relational import aggregate, bucketed_join
 
     def tokenset_batch(batch: pd.DataFrame) -> pd.DataFrame:
         return cached_instance(("tokenset", shingle),
@@ -475,9 +466,9 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
         return pd.DataFrame({"tk": vals,
                              "gsz": cnts.astype(np.int64)})
 
-    tc = preagg_reduce(
+    tc = aggregate(
         docs.map_batches(text_counts, batch_format="pandas"),
-        ["tk"], "gsz", "sum").materialize()
+        ["tk"], {"gsz": ("sum", "gsz")}).materialize()
     collapse = int(tc.max("gsz") or 0) >= dup_group_cutover
 
     if collapse:
@@ -492,13 +483,7 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
 
         sig = docs.map_batches(sig_batch,
                                batch_format="pandas").materialize()
-        reps = preagg_reduce(
-            sig.map_batches(lambda b: pd.DataFrame({
-                "gkey": b["gkey"].to_numpy(np.int64),
-                "gkey2": b["gkey2"].to_numpy(np.int64),
-                "rep": b["doc_id"].to_numpy(np.int64)}),
-                batch_format="pandas"),
-            ["gkey", "gkey2"], "rep", "min")
+        reps = aggregate(sig, ["gkey", "gkey2"], {"rep": ("min", "doc_id")})
         members = _join_set_groups(sig, reps, "gkey", "gkey2")
         rep_rows = members.map_batches(
             lambda b: b[b["doc_id"].to_numpy(np.int64)
@@ -552,7 +537,7 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
 
     pref = rdocs.map_batches(prefix_batch, batch_format="pandas")
     pairs = _emit_cross_pairs_bucketed(pref, ["shingle"])
-    uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
+    uniq = aggregate(pairs, ["doc_a", "doc_b"], {"n_shared": ("count", None)})
     rep_pairs = _jaccard_verify(uniq, ["n_shared"], rdocs,
                                 tokenset_batch, jaccard_threshold)
     if not collapse:
@@ -608,7 +593,7 @@ def _exact_set_collapse(docs, tokenset_batch, dup_group_cutover: int):
     and ``members`` maps (setkey, setkey2, doc_id, rep, n_sh) for
     output expansion; otherwise ``(False, docs, None)``. Sets group on
     their 128-bit ``_set_keys``."""
-    from .relational import bucketed_join, preagg_reduce
+    from .relational import aggregate, bucketed_join
 
     def sig_batch(batch: pd.DataFrame) -> pd.DataFrame:
         d = tokenset_batch(batch)
@@ -633,22 +618,16 @@ def _exact_set_collapse(docs, tokenset_batch, dup_group_cutover: int):
         return pd.DataFrame({"tk": vals,
                              "gsz": cnts.astype(np.int64)})
 
-    tc = preagg_reduce(
+    tc = aggregate(
         docs.map_batches(text_counts, batch_format="pandas"),
-        ["tk"], "gsz", "sum").materialize()
+        ["tk"], {"gsz": ("sum", "gsz")}).materialize()
     max_group = int(tc.max("gsz") or 0)
     if max_group < dup_group_cutover:
         return False, docs, None
 
     sig = docs.map_batches(sig_batch,
                            batch_format="pandas").materialize()
-    reps = preagg_reduce(
-        sig.map_batches(lambda b: pd.DataFrame({
-            "setkey": b["setkey"].to_numpy(np.int64),
-            "setkey2": b["setkey2"].to_numpy(np.int64),
-            "rep": b["doc_id"].to_numpy(np.int64)}),
-            batch_format="pandas"),
-        ["setkey", "setkey2"], "rep", "min")
+    reps = aggregate(sig, ["setkey", "setkey2"], {"rep": ("min", "doc_id")})
     members = _join_set_groups(sig, reps, "setkey", "setkey2")
     rep_rows = members.map_batches(
         lambda b: b[b["doc_id"].to_numpy(np.int64)
@@ -816,7 +795,7 @@ def ngram_jaccard_pairs(docs: rd.Dataset, shingle: int = 3,
     pinned in tests/test_round6_ops.py."""
     import ray
 
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import aggregate, broadcast_get
 
     def tokenset_batch(batch: pd.DataFrame) -> pd.DataFrame:
         return cached_instance(("tokenset", shingle),
@@ -863,7 +842,7 @@ def ngram_jaccard_pairs(docs: rd.Dataset, shingle: int = 3,
 
     pref = rdocs.map_batches(prefix_batch, batch_format="pandas")
     pairs = _emit_dup_pairs_bucketed(pref, ["shingle"])
-    uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
+    uniq = aggregate(pairs, ["doc_a", "doc_b"], {"n_shared": ("count", None)})
     rep_pairs = _jaccard_verify(uniq, ["n_shared"], rdocs,
                                 tokenset_batch, jaccard_threshold)
     if not collapse:
@@ -900,8 +879,8 @@ def minhash_lsh_pairs(docs: rd.Dataset, shingle: int = 3,
     bands = docs.map_batches(minhash_batch, batch_format="pandas")
     pairs = _emit_dup_pairs_bucketed(bands, ["band_id", "band_hash"])
 
-    from .relational import preagg_reduce
-    uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_bands", "count")
+    from .relational import aggregate
+    uniq = aggregate(pairs, ["doc_a", "doc_b"], {"n_bands": ("count", None)})
     return _jaccard_verify(uniq, ["n_bands"], docs, tokenset_batch,
                            jaccard_threshold)
 
@@ -1242,9 +1221,8 @@ def dup_spans(docs: rd.Dataset, k: int = 6) -> rd.Dataset:
 
         # prune the Round-B text shuffle to docs that still matter,
         # when that doc-id set (8 B per doc) fits the broadcast budget
-        from .relational import preagg_reduce
-        surv_docs = preagg_reduce(surv, ["doc_id"], "__c",
-                                  "count").materialize()
+        from .relational import aggregate
+        surv_docs = aggregate(surv, ["doc_id"], {}).materialize()
         if plan_tier("dup_spans", broadcast_bytes=8 * surv_docs.count()
                      ) == "broadcast":
             sd = np.sort(surv_docs.to_pandas()["doc_id"].to_numpy(
@@ -1541,7 +1519,7 @@ def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
     prefix rows and pair keys, never documents."""
     import ray
 
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import aggregate, broadcast_get
 
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         sets = [s for s in _batch_token_hashes(batch["text"], 1)
@@ -1554,9 +1532,9 @@ def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
                              "df_n": cnts.astype(np.int64)})
 
     n_docs = docs.count()
-    df_tbl = preagg_reduce(
+    df_tbl = aggregate(
         docs.map_batches(df_partial, batch_format="pandas"),
-        ["term"], "df_n", "sum").to_pandas()
+        ["term"], {"df_n": ("sum", "df_n")}).to_pandas()
     dfv = df_tbl["df_n"].to_numpy(np.float64)
     scaled = np.log(float(n_docs) / dfv) * 1000.0
     idf = (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)) \
@@ -1676,7 +1654,7 @@ def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
 
     pref = docs.map_batches(prefix_batch, batch_format="pandas")
     pairs = _emit_dup_pairs_bucketed(pref, ["term"])
-    uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
+    uniq = aggregate(pairs, ["doc_a", "doc_b"], {"n_shared": ("count", None)})
     doc_vecs = docs.map_batches(vec_batch, batch_format="pandas")
     base = ["doc_a", "doc_b", "n_shared"]
     with_a = _attach_sets(uniq, base, doc_vecs, "doc_a")
@@ -1787,7 +1765,7 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
     both directions — identical nonempty sets contain each other)."""
     import ray
 
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import aggregate, broadcast_get
 
     def tokenset_batch(batch: pd.DataFrame) -> pd.DataFrame:
         return cached_instance(("tokenset", shingle),
@@ -1837,7 +1815,7 @@ def ngram_containment_pairs(docs: rd.Dataset, shingle: int = 3,
 
     rows = rdocs.map_batches(emit_batch, batch_format="pandas")
     pairs = _emit_directed_pairs_bucketed(rows)
-    uniq = preagg_reduce(pairs, ["doc_a", "doc_b"], "n_shared", "count")
+    uniq = aggregate(pairs, ["doc_a", "doc_b"], {"n_shared": ("count", None)})
     base = ["doc_a", "doc_b", "n_shared"]
     doc_sets = rdocs.map_batches(tokenset_batch, batch_format="pandas")
     with_a = _attach_sets(uniq, base, doc_sets, "doc_a")
@@ -2122,7 +2100,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
     explicitly."""
     import ray
 
-    from .relational import broadcast_get, detect_hot_keys, preagg_reduce
+    from .relational import aggregate, broadcast_get, detect_hot_keys
 
     HALF = np.int64(1 << 31)
     BPW = 63                      # bits per int64 word (sum == OR, no
@@ -2132,7 +2110,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
     out = _sim_broadcast_tier(ui, hot_threshold, out_names)
     if out is not None:
         return out
-    sizes = preagg_reduce(ui, ["u"], "n_items", "count").to_pandas()
+    sizes = aggregate(ui, ["u"], {"n_items": ("count", None)}).to_pandas()
     sizes = sizes.sort_values("u")
     check_broadcast(sizes, "set_similarity_top1 user sizes")
     uk = ray.put(sizes["u"].to_numpy(np.int64))
@@ -2156,9 +2134,9 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
                 "word": (bit // BPW).astype(np.int64),
                 "val": np.int64(1) << (bit % BPW).astype(np.int64)})
 
-        bits = preagg_reduce(ui.map_batches(hot_bits,
-                                            batch_format="pandas"),
-                             ["u", "word"], "val", "sum").to_pandas()
+        bits = aggregate(ui.map_batches(hot_bits,
+                                        batch_format="pandas"),
+                         ["u", "word"], {"val": ("sum", "val")}).to_pandas()
         hu = np.unique(bits["u"].to_numpy(np.int64))
         hm = np.zeros((len(hu), W), dtype=np.int64)
         iu = np.searchsorted(hu, bits["u"].to_numpy(np.int64))

@@ -480,17 +480,17 @@ def _orient_edges(edges: rd.Dataset, op: str):
     ids (searchsorted into the sorted distinct nodes) make the packed
     keys x·n + y exact for any id domain up to ~3e9 DISTINCT nodes;
     raw ids ≥ 2^32 would collide. Returns ``(ids, deg, directed)``."""
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import aggregate, broadcast_get
 
     # degree lookup is node-sized (one int64 per distinct node) — the
     # broadcast-small-side pattern; swap for two bucketed deg joins
     # (the pagerank tier-3 shape) when nodes outgrow a broadcast
-    deg_df = preagg_reduce(
+    deg_df = aggregate(
         edges.map_batches(lambda b: pd.DataFrame(
             {"node": np.concatenate([b["a"].to_numpy(),
                                      b["b"].to_numpy()])}),
             batch_format="pandas"),
-        ["node"], "deg", "count").to_pandas() \
+        ["node"], {"deg": ("count", None)}).to_pandas() \
         .sort_values("node", ignore_index=True)
     ids = deg_df["node"].to_numpy(np.int64)
     deg = deg_df["deg"].to_numpy(np.int64)
@@ -578,19 +578,16 @@ def _driver_pagerank(src: np.ndarray, dst: np.ndarray, damping: float,
 
 def _node_universe(edges: rd.Dataset) -> rd.Dataset:
     """The distinct nodes of a (src, dst) edge list, one ``node`` row
-    each (plus a constant ``one``): one bucketed reduce, node-sized,
-    materialized."""
-    from .relational import preagg_reduce
+    each: one bucketed reduce, node-sized, materialized."""
+    from .relational import aggregate
 
     def nodes_of(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"node": pd.unique(np.concatenate(
             [b["src"].to_numpy(dtype=np.int64),
-             b["dst"].to_numpy(dtype=np.int64)])),
-            "one": np.int64(1)})
+             b["dst"].to_numpy(dtype=np.int64)]))})
 
-    return preagg_reduce(
-        edges.map_batches(nodes_of, batch_format="pandas"),
-        ["node"], "one", "min").materialize()
+    return aggregate(edges.map_batches(nodes_of, batch_format="pandas"),
+                     ["node"], {}).materialize()
 
 
 def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
@@ -608,7 +605,7 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
     restart vector is node-sized state exactly like rank, so the
     topology is unchanged); without, the uniform expressions are kept
     verbatim for bitwise stability of global pagerank."""
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import aggregate, broadcast_get
 
     ids = np.sort(node_ds.to_pandas()["node"].to_numpy(dtype=np.int64))
     n = len(ids)
@@ -616,12 +613,9 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
 
     # out-degree per src, aligned to ids — built distributed, pulled
     # once (node-sized by definition of this tier)
-    deg_df = preagg_reduce(
-        edges.map_batches(lambda b: pd.DataFrame({"node": b["src"]}),
-                          batch_format="pandas"),
-        ["node"], "deg", "count").to_pandas()
+    deg_df = aggregate(edges, ["src"], {"deg": ("count", None)}).to_pandas()
     deg = np.zeros(n, dtype=np.int64)
-    deg[np.searchsorted(ids, deg_df["node"].to_numpy(dtype=np.int64))] = \
+    deg[np.searchsorted(ids, deg_df["src"].to_numpy(dtype=np.int64))] = \
         deg_df["deg"].to_numpy(dtype=np.int64)
 
     ids_ref = ray.put(ids)
@@ -657,9 +651,9 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
                 .groupby("node", as_index=False)["contrib"].sum()
             return g
 
-        agg = preagg_reduce(
+        agg = aggregate(
             edges.map_batches(contrib_batch, batch_format="pandas"),
-            ["node"], "contrib", "sum").to_pandas()
+            ["node"], {"contrib": ("sum", "contrib")}).to_pandas()
         contrib = np.zeros(n)
         contrib[np.searchsorted(
             ids, agg["node"].to_numpy(dtype=np.int64))] = \
@@ -1056,7 +1050,7 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
        power iteration would re-shuffle the static edge table through
        an all-to-all every iteration, measured 27.7 s vs ~6 s for 5
        iterations over ~600k edges at sf0.1)."""
-    from .relational import bucketed_join, preagg_reduce
+    from .relational import aggregate, bucketed_join
 
     edges = edges.materialize()
     n_edges = edges.count()
@@ -1079,13 +1073,10 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     # a lazy input then re-executes its whole lineage once for the
     # probe and again for the join (measured 138 s -> 8 s for 5
     # iterations over ~600k edges at sf0.1). Both are node-sized.
-    deg = preagg_reduce(
-        edges.map_batches(lambda b: pd.DataFrame({"node": b["src"]}),
-                          batch_format="pandas"),
-        ["node"], "deg", "count").materialize()
+    deg = aggregate(edges, ["src"], {"deg": ("count", None)})
+    deg = deg.rename_columns({"src": "node"}).materialize()
 
-    base = bucketed_join(node_ds.drop_columns(["one"]).materialize(),
-                         deg, on="node", how="left")
+    base = bucketed_join(node_ds, deg, on="node", how="left")
 
     def init(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1171,7 +1162,7 @@ def kcore_nodes(edges: rd.Dataset, k: int, rounds: int) -> rd.Dataset:
     # statement inside the worker-executed function would re-import the
     # package in the worker process, which fails under portable
     # pickling when the driver's cwd is not on the worker's path
-    from .relational import broadcast_get, preagg_reduce
+    from .relational import aggregate, broadcast_get
 
     def degrees(es: rd.Dataset) -> rd.Dataset:
         both = es.map_batches(
@@ -1179,7 +1170,7 @@ def kcore_nodes(edges: rd.Dataset, k: int, rounds: int) -> rd.Dataset:
                 "node": np.concatenate([b["a"].to_numpy(np.int64),
                                         b["b"].to_numpy(np.int64)])}),
             batch_format="pandas")
-        return preagg_reduce(both, ["node"], "deg", "count")
+        return aggregate(both, ["node"], {"deg": ("count", None)})
 
     cur = edges.materialize()
     deg = degrees(cur).materialize()
@@ -1242,7 +1233,7 @@ def deterministic_walks(adjs: list[rd.Dataset],
     The argmin depends only on (node, step) — NOT on which walks sit
     there — so each distinct adjacency dataset is reduced ONCE, in one
     fused multi-min bucket pass producing that direction's best-next
-    table for EVERY step that uses it (`grouped_multi_agg`). The walk
+    table for EVERY step that uses it (`aggregate`). The walk
     chain is then per hop one node-keyed bucketed join of walk state
     against a node-sized best table: the adjacency is never
     re-shuffled per hop (the v1 shape re-shuffled it every hop —
@@ -1251,7 +1242,7 @@ def deterministic_walks(adjs: list[rd.Dataset],
     oracle's chained joins. ``starts=None`` walks from EVERY source
     node of ``adjs[0]`` — hop 1 then needs no join at all: the fused
     best-next table IS the initial walk state."""
-    from .relational import bucketed_join, grouped_multi_agg
+    from .relational import aggregate, bucketed_join
 
     # one fused reduce per DISTINCT adjacency: (src, pk_h…) minima
     steps_of = {}
@@ -1272,9 +1263,9 @@ def deterministic_walks(adjs: list[rd.Dataset],
                 cols[f"pk{st}"] = hsh * _WALK_BASE + dst
             return pd.DataFrame(cols)
 
-        reduced = grouped_multi_agg(
+        reduced = aggregate(
             adj.map_batches(pack, batch_format="pandas"), ["src"],
-            {f"pk{st}": (f"pk{st}", "min") for st in steps}).materialize()
+            {f"pk{st}": ("min", f"pk{st}") for st in steps}).materialize()
         for st in steps:
             best[st] = reduced.map_batches(
                 lambda b, st=st: pd.DataFrame({
@@ -1824,20 +1815,16 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
     With a strict total order a component-min edge set can contain no
     cycle except two components choosing the SAME edge, which the
     distinct-row reduce collapses."""
-    from .relational import bucketed_join, preagg_reduce, topk_per_group
+    from .relational import aggregate, bucketed_join, topk_per_group
 
     def init_labels(b: pd.DataFrame) -> pd.DataFrame:
         n = np.unique(np.concatenate([b["u"].to_numpy(np.int64),
                                       b["v"].to_numpy(np.int64)]))
         return pd.DataFrame({"node": n, "comp": n})
 
-    labels = preagg_reduce(
+    labels = aggregate(
         live.map_batches(init_labels, batch_format="pandas"),
-        ["node"], "comp", "min")
-    labels = labels.map_batches(
-        lambda b: pa.table({"node": b["node"].to_numpy(np.int64),
-                            "comp": b["comp"].to_numpy(np.int64)}),
-        batch_format="pandas").materialize()
+        ["node"], {"comp": ("min", "comp")}).materialize()
     labels = labels.repartition(
         max(2, labels.count() // 262144)).materialize()
 
@@ -1886,8 +1873,7 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
                                 tie_cols=["u", "v"])
         # distinct edge rows (a 2-cycle is both components choosing
         # the same edge → identical (u,v,w,cu,cv) rows collapse)
-        chd = preagg_reduce(chosen, ["u", "v", "w", "cu", "cv"],
-                            "__c", "count").materialize()
+        chd = aggregate(chosen, ["u", "v", "w", "cu", "cv"], {}).materialize()
         forest_parts.append(chd.map_batches(
             lambda b: b[["u", "v", "w"]], batch_format="pandas"))
 

@@ -1,13 +1,13 @@
 """Relational operators: broadcast joins, semi/anti joins, keyed merges
-with precedence, partial-aggregate groupbys, unions, two-level nesting
-aggregates, windowed/sessionized event aggregates.
+with precedence, the one grouped aggregate (``aggregate``), unions,
+two-level nesting aggregates, windowed/sessionized event aggregates.
 
 Design rules (100 TB posture):
 - the BIG side always streams through ``map_batches``; only genuinely
   small sides (dimension tables, key sets) are broadcast via ``ray.put``
   and fetched once per actor in ``__init__`` (never re-shipped per batch);
-- groupbys are pre-aggregated inside ``map_batches`` (one partial row per
-  key per batch) so the all-to-all shuffle moves partials, not rows;
+- groupbys are pre-aggregated per batch (one partial row per key per
+  batch) so the all-to-all shuffle moves partials, not rows;
 - float aggregates are rounded at the end so results are
   bit-comparable with the DuckDB oracle regardless of summation order.
 
@@ -507,106 +507,65 @@ def merge_with_precedence(new: rd.Dataset, old: rd.Dataset, key: str,
 
 
 # --------------------------------------------------------------------------
-# Partial-aggregate groupby (pre-combine inside map_batches, then a small
-# groupby over partials — the scale-safe shape of A1/A2/A7)
+# The one grouped aggregate: Arrow partials per batch, one key shuffle,
+# one Arrow combine per bucket (the scale-safe shape of A1/A2/A7, and
+# LMFAO's batch of aggregates over one scan)
 # --------------------------------------------------------------------------
 
-def preagg_sum_count(ds: rd.Dataset, keys: list[str], sums: dict[str, str],
-                     count_alias: str | None = None,
-                     batch_size: int = 65536) -> rd.Dataset:
-    """groupby(keys) with SUM/COUNT as a two-stage bucketed hash
-    aggregate: per-batch pandas partials (one row per key per batch),
-    then one key shuffle with the final combine per bucket.
-
-    Why not ``Dataset.groupby(keys).aggregate(...)`` on the partials:
-    Ray's sort-based Aggregate degrades badly at high key cardinality
-    downstream of a map stage (measured 221 s for a 147k-key SUM at
-    sf0.1 that this shape does in ~2 s). Blocks handed to the shuffle
-    are Arrow (pandas blocks send the shuffle down a slower path).
-
-    ``sums`` maps input column → output alias.
-    """
-    sum_cols = list(sums)
-    out_cols = list(sums.values()) + (
-        [count_alias] if count_alias is not None else [])
-
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        agg = {c: "sum" for c in sum_cols}
-        g = batch.groupby(keys, as_index=False, sort=False).agg(agg)
-        g = g.rename(columns=sums)
-        if count_alias is not None:
-            cnt = batch.groupby(keys, as_index=False, sort=False).size()
-            g[count_alias] = cnt["size"].to_numpy()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def final(g: pd.DataFrame) -> pa.Table:
-        r = g.groupby(keys, as_index=False, sort=False)[out_cols].sum()
-        return pa.Table.from_pandas(r, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=batch_size)
-    return key_shuffle(partials, final, keys, batch_format="pandas")
+# Rows per partial: Ray bundles smaller blocks up to it, so a shuffle
+# output split into many small blocks still gets one partial task, as
+# the pandas partials it replaced did (their batch_size). Without it a
+# 2-block join output fed two partial tasks and woke a second, cold
+# worker at Ray num_cpus=2 (query_mix's nested_rollup 1.6 -> 2.0 s on
+# one pinned core, tools/query_rss_probe.py).
+_PARTIAL_ROWS = 65536
 
 
-def grouped_multi_agg(ds: rd.Dataset, keys: list[str],
-                      specs: dict[str, tuple[str, str]],
-                      batch_size: int = 65536) -> rd.Dataset:
-    """MANY aggregates per group in ONE pass (the batched-aggregate
-    fusion shape, cf. LMFAO VLDB'20): ``specs`` maps output alias →
-    (input column, fn) with fn ∈ sum|min|max|count. Per-batch named-agg
-    partials (one row per key per batch), one bucket shuffle, final
-    combine per bucket (count partials re-combine by SUM). Every
-    aggregate shares the same scan and the same shuffle — n aggregates
-    cost one pass, not n."""
-    combine_fn = {alias: ("sum" if fn == "count" else fn)
-                  for alias, (_, fn) in specs.items()}
-
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        named = {alias: pd.NamedAgg(column=col,
-                                    aggfunc=("size" if fn == "count"
-                                             else fn))
-                 for alias, (col, fn) in specs.items()}
-        g = batch.groupby(keys, as_index=False, sort=False).agg(**named)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def final(g: pd.DataFrame) -> pa.Table:
-        named = {alias: pd.NamedAgg(column=alias, aggfunc=fn)
-                 for alias, fn in combine_fn.items()}
-        r = g.groupby(keys, as_index=False, sort=False).agg(**named)
-        return pa.Table.from_pandas(r, preserve_index=False)
-
-    return key_shuffle(ds.map_batches(partial, batch_format="pandas",
-                                      batch_size=batch_size),
-                       final, keys, batch_format="pandas")
+def _group_agg(t: pa.Table, keys: list[str], aggs: dict) -> pa.Table:
+    """One Arrow ``group_by`` of ``t``: columns ``keys + list(aggs)``.
+    An integer or bool sum comes out int64 (Arrow sums bool and
+    unsigned to uint64)."""
+    specs = [(([], "count_all") if fn == "count" and col is None
+              else (col, fn)) for fn, col in aggs.values()]
+    r = t.group_by(keys, use_threads=False).aggregate(specs)
+    r = r.rename_columns(list(keys) + list(aggs))
+    for i, (alias, (fn, _)) in enumerate(aggs.items(), start=len(keys)):
+        typ = r.schema.field(i).type
+        if fn == "sum" and (pa.types.is_integer(typ)
+                            or pa.types.is_boolean(typ)):
+            r = r.set_column(i, alias, r.column(i).cast(pa.int64()))
+    return r
 
 
-def preagg_reduce(ds: rd.Dataset, keys: list[str], col: str,
-                  how: str) -> rd.Dataset:
-    """groupby(keys).agg(how(col)) as a two-stage bucketed hash
-    aggregate (per-batch partials → bucket shuffle → per-bucket final).
-    ``how``: 'min' | 'max' | 'sum' | 'count' ('count' counts rows per
-    key; the final combine sums partial counts). Use instead of
-    ``Dataset.groupby(...).aggregate(...)`` whenever key cardinality is
-    O(rows) — the near-dup pair dedup hit 17 CPU-minutes in Ray's
-    sort-based Aggregate on ~2M distinct pair keys; this shape does the
-    same reduce in seconds."""
+def aggregate(ds: rd.Dataset, keys: list[str],
+              aggs: dict[str, tuple[str, str | None]]) -> rd.Dataset:
+    """``SELECT keys, fn(col) AS alias, ... GROUP BY keys`` as a
+    two-stage hash aggregate. ``aggs`` maps each output alias to
+    ``(fn, col)`` with fn ∈ sum|count|min|max; ``("count", None)``
+    counts rows, ``("count", col)`` counts col's non-null values; an
+    empty ``aggs`` gives the distinct keys.
 
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        if how == "count":
-            g = batch.groupby(keys, as_index=False).size().rename(
-                columns={"size": col})
-        else:
-            g = batch.groupby(keys, as_index=False).agg({col: how})
-        return pa.Table.from_pandas(g, preserve_index=False)
+    Each batch of up to ``_PARTIAL_ROWS`` rows gets one Arrow
+    ``group_by`` partial (one row per key per batch), ``key_shuffle``
+    co-locates a key's partials, and one Arrow ``group_by`` per bucket
+    combines them (counts by sum, every other fn by itself), so the
+    shuffle moves partials, never rows, and every aggregate shares one
+    scan. Ray's sort-based ``groupby().aggregate``
+    is not used: at O(rows) key cardinality downstream of a map it
+    measured 221 s for a 147k-key SUM at sf0.1 that this shape does in
+    ~2 s.
 
-    combine = "sum" if how == "count" else how
-
-    def final(g: pd.DataFrame) -> pa.Table:
-        r = g.groupby(keys, as_index=False).agg({col: combine})
-        return pa.Table.from_pandas(r, preserve_index=False)
-
-    return key_shuffle(ds.map_batches(partial, batch_format="pandas"),
-                       final, keys, batch_format="pandas")
+    SQL semantics throughout: a null key is its own group; a sum over
+    only nulls is null; integer and bool sums and counts are int64; a
+    float sum is Arrow's uncompensated sum, so a sum that must be
+    exact is summed over integers (``cents`` in the query read)."""
+    combine = {a: ("sum" if fn == "count" else fn, a)
+               for a, (fn, _) in aggs.items()}
+    partials = ds.map_batches(lambda t: _group_agg(t, keys, aggs),
+                              batch_format="pyarrow",
+                              batch_size=_PARTIAL_ROWS)
+    return key_shuffle(partials, lambda g: _group_agg(g, keys, combine),
+                       keys, batch_format="pyarrow")
 
 
 def topk_per_group(ds: rd.Dataset, keys: list[str], order_col: str, k: int,
@@ -740,36 +699,6 @@ def windowed_lag(ds: rd.Dataset, keys: list[str], order_col: str,
         return pa.Table.from_pandas(g, preserve_index=False)
 
     return key_shuffle(ds, lag, keys, batch_format="pandas")
-
-
-def pivot_counts(ds: rd.Dataset, keys: list[str], pivot_col: str,
-                 values: list[str], aliases: list[str] | None = None,
-                 batch_size: int = 65536) -> rd.Dataset:
-    """Pivot a categorical column into per-key count columns:
-    ``COUNT(*) FILTER (WHERE pivot_col = v)`` for each ``v`` in
-    ``values``. Fully decomposable — per-batch one-hot partial counts
-    (one row per key per batch), then one key shuffle
-    with a final sum per key — so the shuffle moves partials, never
-    rows, no matter the table size. ``values`` must be the closed
-    category list (unlisted values are ignored, as FILTER does)."""
-    out_cols = aliases or [f"n_{v}" for v in values]
-
-    def partial(batch: pd.DataFrame) -> pa.Table:
-        onehot = pd.DataFrame(
-            {a: (batch[pivot_col] == v).to_numpy(dtype=np.int64)
-             for v, a in zip(values, out_cols)})
-        for k in keys:
-            onehot[k] = batch[k].to_numpy()
-        g = onehot.groupby(keys, as_index=False, sort=False)[out_cols].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def final(g: pd.DataFrame) -> pa.Table:
-        r = g.groupby(keys, as_index=False, sort=False)[out_cols].sum()
-        return pa.Table.from_pandas(r, preserve_index=False)
-
-    return key_shuffle(ds.map_batches(partial, batch_format="pandas",
-                                      batch_size=batch_size),
-                       final, keys, batch_format="pandas")
 
 
 def rollup_counts(ds: rd.Dataset, coarse: str, fine: str,
@@ -1504,8 +1433,8 @@ def grouped_count_distinct(ds: rd.Dataset, keys: list[str], col: str,
     aggregate: per-batch (keys, col) dedup shrinks the shuffle to
     distinct pairs, the bucket shuffle co-locates each key group, and
     the per-bucket final dedups across batches then counts. Same
-    rationale as ``preagg_sum_count`` — never feed O(rows)-cardinality
-    keys to Ray's sort-based Aggregate."""
+    rationale as ``aggregate`` — never feed O(rows)-cardinality keys to
+    Ray's sort-based Aggregate."""
 
     def partial(batch: pd.DataFrame) -> pa.Table:
         # SQL semantics: COUNT(DISTINCT col) excludes NULL — pandas
@@ -2047,16 +1976,16 @@ def profile_numeric_columns(ds: rd.Dataset, cols: list[str]) -> pd.DataFrame:
         return pd.concat(frames, ignore_index=True)
 
     melted = ds.map_batches(melt, batch_format="pandas").materialize()
-    stats = grouped_multi_agg(
+    stats = aggregate(
         melted, ["col_name"],
-        {"n_rows": ("v", "count"), "n_null": ("isnull", "sum"),
-         "min_val": ("v", "min"), "max_val": ("v", "max")}).to_pandas()
+        {"n_rows": ("count", None), "n_null": ("sum", "isnull"),
+         "min_val": ("min", "v"), "max_val": ("max", "v")}).to_pandas()
     nn = melted.map_batches(
         lambda b: b[b["isnull"].to_numpy() == 0][["col_name", "v"]],
         batch_format="pandas")
-    dpairs = preagg_reduce(nn, ["col_name", "v"], "__n", "count")
-    ndist = preagg_reduce(dpairs, ["col_name"], "n_distinct",
-                          "count").to_pandas()
+    dpairs = aggregate(nn, ["col_name", "v"], {})
+    ndist = aggregate(dpairs, ["col_name"],
+                      {"n_distinct": ("count", None)}).to_pandas()
     out = stats.merge(ndist, on="col_name", how="left")
     out["n_distinct"] = out["n_distinct"].fillna(0).astype(np.int64)
     out["n_rows"] = out["n_rows"].astype(np.int64)
@@ -2076,7 +2005,7 @@ def consecutive_islands(ds: rd.Dataset, key: str, seq_col: str) -> rd.Dataset:
     sequence; runs are found with shifted-array compares (no Python
     per-key loop) — the same shifted-column trick as doc_repetition's
     gram build."""
-    distinct = preagg_reduce(ds, [key, seq_col], "__n", "count")
+    distinct = aggregate(ds, [key, seq_col], {})
     def runs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, seq_col], ignore_index=True)
         k = g[key].to_numpy(np.int64)
@@ -2111,7 +2040,7 @@ def grouped_weighted_median(ds: rd.Dataset, keys: list[str], val_col: str,
     quantization (the robust_zscore / median_cents discipline), never
     by row count; the cumulative scan runs per key inside its bucket.
     Values and weights must be integer (cents / rounded units)."""
-    hist = preagg_reduce(ds, keys + [val_col], weight_col, "sum")
+    hist = aggregate(ds, keys + [val_col], {weight_col: ("sum", weight_col)})
     def med(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(keys + [val_col], ignore_index=True)
         grp = g.groupby(keys, sort=False)
@@ -2140,9 +2069,8 @@ def trailing_distinct_count(ds: rd.Dataset, bucket_col: str,
     Buckets absent from the input emit no row (present-bucket filter
     broadcast as a sorted array; bucket cardinality = time range /
     step, small by nature)."""
-    pairs = preagg_reduce(ds, [bucket_col, entity_col], "__n",
-                          "count").materialize()
-    present = preagg_reduce(pairs, [bucket_col], "__n", "count").to_pandas()
+    pairs = aggregate(ds, [bucket_col, entity_col], {}).materialize()
+    present = aggregate(pairs, [bucket_col], {}).to_pandas()
     pset = np.sort(present[bucket_col].to_numpy(np.int64))
     pref = ray.put(pset)
 
@@ -2160,9 +2088,8 @@ def trailing_distinct_count(ds: rd.Dataset, bucket_col: str,
         return pd.DataFrame({bucket_col: t, entity_col: e})
 
     expanded = pairs.map_batches(expand, batch_format="pandas")
-    dpairs = preagg_reduce(expanded, [bucket_col, entity_col], "__n",
-                           "count")
-    return preagg_reduce(dpairs, [bucket_col], out_col, "count")
+    dpairs = aggregate(expanded, [bucket_col, entity_col], {})
+    return aggregate(dpairs, [bucket_col], {out_col: ("count", None)})
 
 
 def clamped_running_balance(ds: rd.Dataset, key: str,
@@ -2268,15 +2195,13 @@ def spearman_corr(ds: rd.Dataset, xcol: str, ycol: str,
     path (cents columns, ≤ millions distinct) rides the broadcast tier — 6.9 s → ~1 s at
     sf0.1 — while the near-distinct 100-TB case keeps the honest
     all-distributed path."""
-    pairs = preagg_reduce(ds, [xcol, ycol], "__cnt", "count").materialize()
+    pairs = aggregate(ds, [xcol, ycol],
+                      {"__cnt": ("count", None)}).materialize()
 
     rank_refs: dict[str, object] = {}
     for col, ralias in ((xcol, "__rx2"), (ycol, "__ry2")):
-        counts = preagg_reduce(pairs.map_batches(
-            lambda b, c=col: pd.DataFrame(
-                {c: b[c].to_numpy(np.int64),
-                 "__c": b["__cnt"].to_numpy(np.int64)}),
-            batch_format="pandas"), [col], "__c", "sum").materialize()
+        counts = aggregate(pairs, [col],
+                           {"__c": ("sum", "__cnt")}).materialize()
         if plan_tier("spearman_corr", broadcast_bytes=16 * counts.count()
                      ) == "broadcast":
             cdf = counts.to_pandas().sort_values(col,
@@ -2335,7 +2260,7 @@ def percent_rank_in_group(ds: rd.Dataset, key: str, val_col: str,
     # the input feeds BOTH the counts branch and the stitch union —
     # pin it so the caller's upstream lineage runs once, not twice
     ds = ds.materialize()
-    counts = preagg_reduce(ds, [key, val_col], "__cnt", "count")
+    counts = aggregate(ds, [key, val_col], {"__cnt": ("count", None)})
 
     def per_key(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, val_col], kind="stable",
@@ -2397,8 +2322,8 @@ def fd_violations(ds: rd.Dataset, lhs: str, rhs: str,
     result is empty. Two bucketed pre-aggregated reduces (distinct
     pairs, then pair counts per lhs); the fact table streams once and
     only distinct pairs shuffle. Output: (lhs, alias int64)."""
-    pairs = preagg_reduce(ds, [lhs, rhs], "__cnt", "count")
-    per_lhs = preagg_reduce(pairs, [lhs], alias, "count")
+    pairs = aggregate(ds, [lhs, rhs], {})
+    per_lhs = aggregate(pairs, [lhs], {alias: ("count", None)})
     return per_lhs.map_batches(
         lambda b: b[b[alias].to_numpy() > 1],
         batch_format="pandas")
@@ -2506,16 +2431,13 @@ def grouped_spearman(ds: rd.Dataset, key: str, xcol: str, ycol: str,
     it is broadcast as a per-key arrays dict and attached map-side (no
     pair shuffle); beyond, the rank table stays a Dataset and stitches
     via the key-bucketed union merge."""
-    pairs = preagg_reduce(ds, [key, xcol, ycol], "__cnt",
-                          "count").materialize()
+    pairs = aggregate(ds, [key, xcol, ycol],
+                      {"__cnt": ("count", None)}).materialize()
 
     def _attach_rank(pairs: rd.Dataset, col: str,
                      ralias: str) -> rd.Dataset:
-        counts = preagg_reduce(pairs.map_batches(
-            lambda b, c=col: pd.DataFrame(
-                {key: b[key], c: b[c].to_numpy(np.int64),
-                 "__c": b["__cnt"].to_numpy(np.int64)}),
-            batch_format="pandas"), [key, col], "__c", "sum").materialize()
+        counts = aggregate(pairs, [key, col],
+                           {"__c": ("sum", "__cnt")}).materialize()
 
         if plan_tier("grouped_spearman",
                      broadcast_bytes=16 * counts.count()) == "broadcast":

@@ -262,7 +262,7 @@ def heavy_hitter_terms(docs: rd.Dataset, topn: int = 20,
     # driver-side import, captured by value in the closures below — a
     # relative import INSIDE a worker closure re-triggers the package
     # import on the worker, which has no /root/repo on sys.path
-    from .relational import broadcast_get, preagg_sum_count
+    from .relational import aggregate, broadcast_get
 
     def mg_partial(batch: pd.DataFrame) -> pd.DataFrame:
         vc = batch["text"].str.split(" ").explode().value_counts()
@@ -282,9 +282,9 @@ def heavy_hitter_terms(docs: rd.Dataset, topn: int = 20,
         return pd.DataFrame({"term": vc.index.to_numpy(dtype=object),
                              "n": vc.to_numpy(dtype=np.int64)})
 
-    exact = preagg_sum_count(
+    exact = aggregate(
         docs.map_batches(recount, batch_format="pandas"),
-        ["term"], {"n": "n"})
+        ["term"], {"n": ("sum", "n")})
     return exact.sort(["n", "term"], descending=[True, False]).limit(topn)
 
 
@@ -563,7 +563,7 @@ def grouped_heavy_hitters(ds: rd.Dataset, group_col: str,
     exact two-stage count there). Ties (count DESC, item ASC)."""
     import ray
 
-    from .relational import broadcast_get, preagg_sum_count
+    from .relational import aggregate, broadcast_get
 
     def mg_partial(batch: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -601,9 +601,10 @@ def grouped_heavy_hitters(ds: rd.Dataset, group_col: str,
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    exact = preagg_sum_count(
+    exact = aggregate(
         ds.map_batches(recount, batch_format="pandas"),
-        [group_col, item_col], {"n": "n"}).to_pandas()   # ≤ groups × k rows
+        [group_col, item_col],
+        {"n": ("sum", "n")}).to_pandas()   # ≤ groups × k rows
     exact = exact.sort_values([group_col, "n", item_col],
                               ascending=[True, False, True],
                               kind="stable")

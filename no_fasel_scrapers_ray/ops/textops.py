@@ -28,10 +28,6 @@ STOPWORDS = ("the", "a", "value", "table")
 # Worker-heap bytes per broadcast term (a Python dict term → df or set
 # entry): tracemalloc measured 93-128 B per 8-10 char term, CPython 3.11.
 TERM_HEAP_BYTES = 128
-# Driver-budget bytes per distinct BPE word, fixed so the 4 MiB budget
-# keeps the measured 2^17-word cutover (the pulled symbol lists are
-# 585-739 B per word; below the cutover per-merge Ray overhead wins).
-BPE_WORD_BYTES = 32
 
 TOKEN_PATTERN = r"[A-Za-z]+|[0-9]+"
 
@@ -167,7 +163,7 @@ def _df_dataset(docs: rd.Dataset) -> rd.Dataset:
     tfidf_top_terms and rare_term_permille so the tokenization/dedup
     rules can't drift. Stays distributed — callers choose whether to
     broadcast it (small vocab) or join against it (the scale tier)."""
-    from .relational import preagg_sum_count
+    from .relational import aggregate
 
     def df_partial(batch: pd.DataFrame) -> pd.DataFrame:
         tok = batch[["doc_id", "text"]].copy()
@@ -177,9 +173,9 @@ def _df_dataset(docs: rd.Dataset) -> rd.Dataset:
         return pd.DataFrame({"term": vc.index.to_numpy(dtype=object),
                              "df": vc.to_numpy(dtype=np.int64)})
 
-    return preagg_sum_count(
+    return aggregate(
         docs.map_batches(df_partial, batch_format="pandas"),
-        ["term"], {"df": "df"})
+        ["term"], {"df": ("sum", "df")})
 
 
 def _tf_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -326,8 +322,7 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2) -> rd.Dataset:
        no vocabulary-sized driver state."""
     import ray
 
-    from .relational import (broadcast_get, bucketed_join,
-                             preagg_sum_count)
+    from .relational import aggregate, broadcast_get, bucketed_join
 
     rare_ds = _df_dataset(docs).filter(
         expr=f"df <= {int(max_df)}").materialize()
@@ -362,12 +357,8 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2) -> rd.Dataset:
     rare_tf = bucketed_join(_tf_dataset(docs),
                             rare_ds.drop_columns(["df"]), on="term",
                             how="inner")
-    hits_ds = preagg_sum_count(
-        rare_tf.map_batches(
-            lambda b: pd.DataFrame({"doc_id": b["doc_id"],
-                                    "hits": b["tf"]}),
-            batch_format="pandas"),
-        ["doc_id"], {"hits": "hits"}).materialize()
+    hits_ds = aggregate(rare_tf, ["doc_id"],
+                        {"hits": ("sum", "tf")}).materialize()
     joined = bucketed_join(docs.map_batches(base, batch_format="pandas"),
                            hits_ds, on="doc_id", how="left")
 
@@ -607,7 +598,7 @@ def _unigram_counts(docs: rd.Dataset) -> rd.Dataset:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from .relational import preagg_sum_count
+    from .relational import aggregate
 
     def partial(batch: pa.Table) -> pa.Table:
         col = batch["text"]
@@ -618,9 +609,9 @@ def _unigram_counts(docs: rd.Dataset) -> rd.Dataset:
         return pa.table({"term": vc.field("values"),
                          "c": pc.cast(vc.field("counts"), pa.int64())})
 
-    return preagg_sum_count(
+    return aggregate(
         docs.map_batches(partial, batch_format="pyarrow"),
-        ["term"], {"c": "c"})
+        ["term"], {"c": ("sum", "c")})
 
 
 def _bigram_partial(batch) -> pd.DataFrame:
@@ -672,10 +663,10 @@ def _bigram_partial(batch) -> pd.DataFrame:
 def _bigram_counts(docs: rd.Dataset) -> rd.Dataset:
     """Corpus bigram counts (w1, w2, c_xy) — per-batch shifted-column
     partials, one (w1,w2)-bucket shuffle."""
-    from .relational import preagg_sum_count
-    return preagg_sum_count(
+    from .relational import aggregate
+    return aggregate(
         docs.map_batches(_bigram_partial, batch_format="pyarrow"),
-        ["w1", "w2"], {"c_xy": "c_xy"})
+        ["w1", "w2"], {"c_xy": ("sum", "c_xy")})
 
 
 def bigram_pmi(docs: rd.Dataset, min_count: int = 1) -> rd.Dataset:
@@ -827,7 +818,7 @@ def doc_perplexity(docs: rd.Dataset) -> rd.Dataset:
     reduction is order-independent and bit-exact vs the oracle\'s
     mirrored expression. Docs with < 2 tokens have no bigrams and
     drop out (the oracle\'s inner join does the same)."""
-    from .relational import bucketed_join, preagg_sum_count
+    from .relational import aggregate, bucketed_join
 
     def uni_partial(batch) -> pd.DataFrame:
         # pyarrow batch (r5, VERDICT r04 #7): the text column feeds
@@ -876,13 +867,13 @@ def doc_perplexity(docs: rd.Dataset) -> rd.Dataset:
                              "w1": uniq[:, 2],
                              "k": k.astype(np.int64)})
 
-    uni = preagg_sum_count(
+    uni = aggregate(
         docs.map_batches(uni_partial, batch_format="pyarrow"),
-        ["w1"], {"c_x": "c_x"}).materialize()
+        ["w1"], {"c_x": ("sum", "c_x")}).materialize()
     vocab = float(uni.count())
-    bg = preagg_sum_count(
+    bg = aggregate(
         docs.map_batches(bg_partial, batch_format="pyarrow"),
-        ["bkey"], {"c_xy": "c_xy"})
+        ["bkey"], {"c_xy": ("sum", "c_xy")})
 
     dbg = docs.map_batches(doc_bigrams, batch_format="pyarrow")
     j1 = bucketed_join(dbg, bg, on="bkey", how="inner")
@@ -898,9 +889,9 @@ def doc_perplexity(docs: rd.Dataset) -> rd.Dataset:
         return pd.DataFrame({"doc_id": b["doc_id"].to_numpy(np.int64),
                              "s": micro * k, "n": k})
 
-    sums = preagg_sum_count(
+    sums = aggregate(
         j2.map_batches(micro_nll, batch_format="pandas"),
-        ["doc_id"], {"s": "s", "n": "n"})
+        ["doc_id"], {"s": ("sum", "s"), "n": ("sum", "n")})
 
     def final(b: pd.DataFrame) -> pd.DataFrame:
         s = b["s"].to_numpy(np.float64)
@@ -967,15 +958,16 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
     asc, right asc). Training stops early when the best pair's
     frequency drops below ``min_count``.
 
-    Two tiers (the graph-ops contract): a vocab whose distinct words
-    fit the driver budget at ``BPE_WORD_BYTES`` each (``util.plan_tier``)
-    pulls to the driver and iterates locally on the same vectorized kernels
+    Two tiers (the graph-ops contract): a vocab whose materialized
+    bytes (``size_bytes()``, the symbol lists included) fit the driver
+    budget (``util.plan_tier``) pulls to the driver and iterates
+    locally on the same vectorized kernels
     (per-iteration Ray execution overhead — ~0.4 s × 2 × n_merges —
     dwarfs the compute for the vocab sizes every tested corpus
     produces); beyond, the iterations run over the vocab DATASET.
     Tier equality is pinned in tests/test_round5_ops.py alongside
     exact merge-table equality vs a single-process reference."""
-    from .relational import preagg_reduce
+    from .relational import aggregate
 
     def word_counts(b: pd.DataFrame) -> pd.DataFrame:
         toks = b[text_col].str.split()
@@ -988,9 +980,9 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
         return pd.DataFrame({"word": g.index.to_numpy(object),
                              "count": g.to_numpy(np.int64)})
 
-    vocab_wc = preagg_reduce(docs.map_batches(word_counts,
-                                              batch_format="pandas"),
-                             ["word"], "count", "sum")
+    vocab_wc = aggregate(docs.map_batches(word_counts,
+                                          batch_format="pandas"),
+                         ["word"], {"count": ("sum", "count")})
 
     def init_syms(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1075,7 +1067,7 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
 
     merges = []
     if plan_tier("train_bpe_merges",
-                 driver_bytes=BPE_WORD_BYTES * vocab.count()) == "driver":
+                 driver_bytes=vocab.size_bytes()) == "driver":
         # driver tier: same kernels, one local frame, no per-iteration
         # Ray execution round-trips
         vdf = vocab.to_pandas()
@@ -1088,9 +1080,9 @@ def train_bpe_merges(docs: rd.Dataset, n_merges: int,
             vdf = apply_merge(vdf, x, y, x + y)
     else:
         for rank in range(1, n_merges + 1):
-            pc_ds = preagg_reduce(
+            pc_ds = aggregate(
                 vocab.map_batches(count_pairs, batch_format="pandas"),
-                ["left", "right"], "freq", "sum")
+                ["left", "right"], {"freq": ("sum", "freq")})
             survivors = pc_ds.map_batches(
                 lambda b: b.sort_values(["freq", "left", "right"],
                                         ascending=[False, True, True]

@@ -38,17 +38,6 @@ def _facts(n: int = 400) -> pd.DataFrame:
         "w": rng.integers(0, 100, n).astype(np.int64)})
 
 
-def test_preagg_sum_count(count):
-    df = _facts()
-    got = relational.preagg_sum_count(
-        rd.from_pandas(df).repartition(5), ["s", "k"], {"w": "sw"},
-        count_alias="n").to_pandas()
-    ref = (df.groupby(["s", "k"], as_index=False)
-           .agg(sw=("w", "sum"), n=("w", "size")))
-    pd.testing.assert_frame_equal(_canon(got), _canon(ref),
-                                  check_dtype=False)
-
-
 @pytest.mark.parametrize("key", ["k", "s"])
 def test_bucketed_join(count, key):
     df = _facts()

@@ -1,8 +1,9 @@
 """``__ray_entry__.py``'s column-derivation vocabulary and the
 ``derive=``/``where=`` spec of its ``_read``: each helper against the
 numpy spelling the query closures used before, on adversarial values;
-the spec's output shape through a real Ray read; and a guard that keeps
-the money and time conversion rule inside the vocabulary."""
+the spec's output shape through a real Ray read; a guard that keeps
+the money and time conversion rule inside the vocabulary; and one that
+keeps float literals out of the specs."""
 
 import ast
 import math
@@ -245,3 +246,74 @@ def test_conversions_only_in_the_vocabulary():
         f"{f}: {h}" for f, h in sorted(stray.items()))
     stale = sorted(set(ALLOWED) - set(hits))
     assert not stale, f"allowlisted without a conversion: {stale}"
+
+
+def spec_float_literals(source: str) -> list[str]:
+    """Float literals inside a ``where=``/``derive=`` spec (or
+    ``_derive``'s spec arguments), following names bound at module
+    level or in the calling function. pyarrow 16 compares an int64
+    Expression with a float literal within float32's exact range, so
+    a value past ±2^24 raises ``ArrowInvalid``."""
+    tree = ast.parse(source)
+
+    def bindings(body) -> dict[str, list]:
+        out: dict[str, list] = {}
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    t = t.value if isinstance(t, ast.Subscript) else t
+                    if isinstance(t, ast.Name):
+                        out.setdefault(t.id, []).append(node.value)
+        return out
+
+    def nodes(node):
+        # an ``int(...)`` is an integer whatever its arguments hold
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "int":
+            return
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from nodes(child)
+
+    module = bindings([s for s in tree.body
+                       if not isinstance(s, ast.FunctionDef)])
+    hits = []
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        scope = {**module, **bindings(fn.body)}
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            todo = [kw.value for kw in call.keywords
+                    if kw.arg in ("where", "derive")]
+            if getattr(call.func, "id", None) == "_derive":
+                todo += call.args[1:]
+            seen: set[str] = set()
+            while todo:
+                for n in nodes(todo.pop()):
+                    if isinstance(n, ast.Constant) and \
+                            isinstance(n.value, float):
+                        hits.append(f"{fn.name}:{call.lineno}: {n.value}")
+                    elif isinstance(n, ast.Name) and n.id in scope and \
+                            n.id not in seen:
+                        seen.add(n.id)
+                        todo += scope[n.id]
+    return hits
+
+
+def test_spec_literals_are_integers():
+    with open(os.path.join(ROOT, "__ray_entry__.py"), encoding="utf-8") as fp:
+        hits = spec_float_literals(fp.read())
+    assert not hits, "float literal in a read spec:\n" + "\n".join(hits)
+
+
+def test_spec_float_guard_sees_names_and_inline_literals():
+    src = ("_F = flag(col('d') >= 0.05)\n"
+           "def q(sf):\n"
+           "    d = {'f': _F}\n"
+           "    a = _read(sf, 't', derive=d)\n"
+           "    b = _read(sf, 't', where=cents('p') > 3.5)\n"
+           "    p = int(quantile(b, 0.99))\n"
+           "    return _derive(a, {'k': col('k') * 2}, where=col('c') > p)\n")
+    assert spec_float_literals(src) == ["q:4: 0.05", "q:5: 3.5"]

@@ -1,6 +1,6 @@
 """Boundary-case unit tests for the window / aggregate operators added
 in round 2 (running_total, windowed_lag, grouped_quantile_disc,
-pivot_counts, rollup_counts, grouped_corr, top_terms). The sf-level
+rollup_counts, grouped_corr, top_terms). The sf-level
 DuckDB comparison in test_queries_vs_duckdb.py checks these on real
 tables; here we pin the EDGE semantics on tiny crafted inputs —
 tie-breaks, leading-NULL fills, the quantile element rule at the
@@ -15,7 +15,6 @@ import ray.data as rd
 from no_fasel_scrapers_ray.ops.relational import (
     grouped_corr,
     grouped_quantile_disc,
-    pivot_counts,
     rollup_counts,
     running_total,
     windowed_lag,
@@ -78,15 +77,6 @@ def test_quantile_disc_element_rule_not_pandas_interpolation():
     out2 = grouped_quantile_disc(_ds(df2, 2), ["k"], "v", q=0.5,
                                  alias="med").to_pandas()
     assert out2["med"].tolist() == [2.0]
-
-
-def test_pivot_counts_ignores_unlisted_values():
-    df = pd.DataFrame({"k": [1, 1, 2, 2, 2],
-                       "t": ["a", "b", "a", "zzz", "a"]})
-    out = (pivot_counts(_ds(df, 2), ["k"], "t", values=["a", "b"])
-           .to_pandas().sort_values("k", ignore_index=True))
-    assert out["n_a"].tolist() == [1, 2]
-    assert out["n_b"].tolist() == [1, 0]
 
 
 def test_rollup_counts_levels_and_grand_total():
