@@ -12,6 +12,7 @@ here calls ``ray.init()`` / ``ray.shutdown()``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from contextlib import nullcontext
 from typing import Any
@@ -22,73 +23,48 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+from ray import cloudpickle
 
 import no_fasel_scrapers_ray
-from no_fasel_scrapers_ray.ops.util import key_shuffle, tier_budgets
+from no_fasel_scrapers_ray.corpus.storage import (apply_spec,
+                                                 read_parquet_sized)
+from no_fasel_scrapers_ray.ops.util import (key_shuffle, per_key, sort_rows,
+                                            tier_budgets)
 
-# Workers must run this package's closures even though the driver
-# ray.init()s before /root/repo is on any worker's import path.
+# Workers must run this package's closures, and this module's top-level
+# functions handed to tasks by name, even though the driver ray.init()s
+# before the checkout is on any worker's import path.
 no_fasel_scrapers_ray.enable_portable_pickling()
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 
-def _read(sf_dir: str, table: str, columns=None, rows_per_block: int = 512,
-          *, derive: dict | None = None, where=None):
-    """read_parquet with data-proportional block sizing, and the query's
-    column derivations evaluated inside the read task.
+def _read(sf_dir: str, table: str, columns=None, *,
+          derive: dict | None = None, where=None):
+    """``sf_dir``'s ``table`` through ``corpus/storage.py::
+    read_parquet_sized``: a ``BlockRefs`` with the data-sized block
+    count, the query's column derivations evaluated inside the read
+    tasks.
 
     ``where`` is one boolean ``pyarrow.compute`` Expression over the
-    read columns; rows where it is false or null are dropped. ``derive``
-    maps each output name to an Expression over the read columns (built
-    from the vocabulary below: ``col``, ``int64``, ``rint``, ``cents``,
-    ``epoch_us``, ``floor_div``, ``mod``, ``flag``); when it is given
-    the output holds exactly its columns, in its order. Both run in one
-    ``pyarrow`` ``map_batches`` that Ray fuses into the read, so a
-    derivation costs no pandas round trip and no extra stage. A block
-    whose rows are all dropped keeps the typed schema. The source
-    file's pandas schema metadata, which names the read's columns, is
-    dropped from a projected block.
-
-    Ray's default parallelism floor (2×CPUs) splits a 0.6 MB documents
-    table into 64 ~9 KB blocks; every downstream all-to-all then pays a
-    64×64 shuffle fan-out for kilobytes of data (measured: the same
-    tiny-table groupby costs 2.4 s at 64 blocks vs 0.7 s at 8). Blocks
-    follow ``corpus/storage.py::block_count``: ~32 MB of file bytes per
-    block once the table is big (the 100 TB regime — identical to Ray's
-    own target), with a small-table floor of one block per
-    ``rows_per_block`` rows capped at 2×CPUs. The default floor (512)
-    suits CPU-heavy per-row stages (regex/hashing per doc);
-    shuffle-bound relational queries pass a coarser floor (8192-65536)
-    — their per-row work is vectorized C, so tiny blocks only multiply
-    all-to-all fan-out (measured: 64 blocks of 2.3k orders cost 5.7 s
-    of task scheduling for 0.5 s of compute in nested_rollup's tag
-    stage)."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from no_fasel_scrapers_ray.corpus.storage import block_count
-    path = f"{sf_dir}/{table}.parquet"
-    nb = block_count(pq.ParquetFile(path).metadata.num_rows,
-                     os.path.getsize(path), rows_per_block)
-    ds = rd.read_parquet(path, columns=columns, override_num_blocks=nb)
-    return _derive(ds, derive, where)
+    read columns; rows where it is false or null are dropped, so they
+    never reach the object store. ``derive`` maps each output name to an
+    Expression over the read columns (built from the vocabulary below:
+    ``col``, ``int64``, ``rint``, ``cents``, ``epoch_us``,
+    ``floor_div``, ``mod``, ``flag``); when it is given the output holds
+    exactly its columns, in its order, without the source file's pandas
+    schema metadata. A derivation costs no pandas round trip and no
+    extra task. A block whose rows are all dropped keeps the typed
+    schema."""
+    return read_parquet_sized(f"{sf_dir}/{table}.parquet", columns,
+                              derive=derive, where=where)
 
 
 def _derive(ds, derive: dict | None = None, where=None):
     """``ds`` with ``where`` and ``derive`` (see ``_read``) applied in
-    one ``pyarrow`` ``map_batches``; for the few reads that push a
-    row-group predicate into ``rd.read_parquet`` and so cannot go
-    through ``_read``."""
-    if derive is None and where is None:
-        return ds
-    import pyarrow.dataset as pads
-
-    def spec(t: pa.Table) -> pa.Table:
-        out = pads.dataset(t).to_table(columns=derive, filter=where,
-                                       use_threads=False)
-        return out if derive is None else out.replace_schema_metadata(None)
-    return ds.map_batches(spec, batch_format="pyarrow")
+    one ``pyarrow`` ``map_batches``, for a spec over an operator's
+    output rather than a read."""
+    return ds.map_batches(partial(apply_spec, derive=derive, where=where),
+                          batch_format="pyarrow")
 
 
 # Column-derivation vocabulary for ``_read(derive=..., where=...)``: each
@@ -195,9 +171,8 @@ def _budgets(tier3: bool):
 def q_pricing_summary(sf_dir: str):
     """A1/A7-family partial-aggregate groupby over the big table."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, round_columns
-    li = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus",
+                                    "l_quantity", "l_extendedprice"])
     out = aggregate(
         li, ["l_returnflag", "l_linestatus"],
         {"sum_qty": ("sum", "l_quantity"),
@@ -211,8 +186,7 @@ def q_region_rollup(sf_dir: str):
     nation ⋈ region, then a pre-aggregated rollup."""
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, broadcast_join, round_columns)
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).to_pandas()
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
     region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
@@ -229,24 +203,20 @@ def q_region_rollup(sf_dir: str):
 def q_semi_join_customers(sf_dir: str):
     """J4/J6-family semi-join: customers having at least one order."""
     from no_fasel_scrapers_ray.ops.relational import semi_join
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"],
-                 rows_per_block=65536)
-    okeys = _read(sf_dir, "orders", ["o_custkey"],
-                  rows_per_block=65536).unique("o_custkey")
-    return semi_join(cust, np.asarray(okeys), "c_custkey")
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
+    okeys = _read(sf_dir, "orders", ["o_custkey"]).to_pandas()["o_custkey"]
+    return semi_join(cust, okeys.unique(), "c_custkey")
 
 
 def q_anti_join_customers(sf_dir: str):
     """D1-family anti-join (the pre-fetch seen-set probe shape):
     customers with no URGENT order."""
     from no_fasel_scrapers_ray.ops.relational import anti_join
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"],
-                 rows_per_block=65536)
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     urgent = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536,
                    where=col("o_orderpriority") == "1-URGENT")
-    okeys = urgent.unique("o_custkey")
-    return anti_join(cust, np.asarray(okeys), "c_custkey")
+    okeys = urgent.to_pandas()["o_custkey"].unique()
+    return anti_join(cust, okeys, "c_custkey")
 
 
 def q_merge_old_wins(sf_dir: str):
@@ -264,7 +234,6 @@ def _merge_query(sf_dir: str, old_wins: bool):
 
     def tagged(label, mask):
         return _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                     rows_per_block=65536,
                      derive={"o_orderkey": col("o_orderkey"),
                              "o_totalprice": col("o_totalprice"),
                              "src": pc.scalar(label)},
@@ -281,14 +250,12 @@ def q_nested_rollup(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, bucketed_join, round_columns)
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"],
-               rows_per_block=65536,
                derive={"o_orderkey": col("l_orderkey"),
                        "l_quantity": col("l_quantity")})
     per_order = aggregate(li, ["o_orderkey"],
                           {"order_qty": ("sum", "l_quantity"),
                            "n_items": ("count", None)})
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     joined = bucketed_join(orders, per_order, on="o_orderkey")
     out = aggregate(joined, ["o_custkey"],
                     {"n_items": ("sum", "n_items"),
@@ -316,8 +283,7 @@ def q_top10_customers(sf_dir: str):
     identical while the all-to-all never sees the full key set."""
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, broadcast_join, round_columns)
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     per_cust = aggregate(orders, ["o_custkey"],
                          {"spend": ("sum", "o_totalprice"),
                           "n_orders": ("count", None)})
@@ -328,8 +294,7 @@ def q_top10_customers(sf_dir: str):
                              ascending=[False, True]).head(10)
 
     survivors = per_cust.map_batches(block_topk, batch_format="pandas")
-    top = survivors.sort(["spend", "o_custkey"],
-                         descending=[True, False]).limit(10)
+    top = sort_rows(survivors, ["spend", "o_custkey"], [True, False], 10)
     names = _read(sf_dir, "customer", ["c_custkey", "c_name"]).to_pandas()
     names = names.rename(columns={"c_custkey": "o_custkey"})
     return broadcast_join(top, names, on="o_custkey", concurrency=2)
@@ -339,7 +304,6 @@ def q_events_hourly(sf_dir: str):
     """Tumbling-window aggregate over the events stream table."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, round_columns
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536,
                derive={"event_type": col("event_type"), "value": col("value"),
                        "hour": pc.floor_temporal(col("ts"), unit="hour")})
     out = aggregate(ev, ["event_type", "hour"],
@@ -356,7 +320,7 @@ def q_events_hourly_dense(sf_dir: str):
     here, <100k even for years of data), so the dense reindex runs on
     the driver over the AGGREGATE, never the events."""
     from no_fasel_scrapers_ray.ops.relational import aggregate
-    ev = _read(sf_dir, "events", ["ts"], rows_per_block=65536,
+    ev = _read(sf_dir, "events", ["ts"],
                derive={"hour_id": floor_div(epoch_us("ts"), 3_600_000_000)})
     counts = aggregate(ev, ["hour_id"],
                        {"n_events": ("count", None)}).to_pandas()
@@ -369,10 +333,9 @@ def q_events_hourly_dense(sf_dir: str):
 
 
 def q_sessionize(sf_dir: str):
-    """Session windows (30-min gap) per user — groupby.map_groups."""
+    """Session windows (30-min gap) per user — one key exchange."""
     from no_fasel_scrapers_ray.ops.relational import sessionize_events
-    ev = _read(sf_dir, "events", ["user_id", "ts"],
-               rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["user_id", "ts"])
     return sessionize_events(ev, gap_minutes=30)
 
 
@@ -380,8 +343,7 @@ def q_distinct_suppliers(sf_dir: str):
     """A3-family count-distinct per key: per-batch distinct pairs →
     bucket shuffle on the key → per-bucket distinct + count (the
     high-cardinality-safe groupby shape, see ops.relational)."""
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
     def partial(batch: pd.DataFrame) -> pa.Table:
         d = batch.drop_duplicates(["l_partkey", "l_suppkey"])
@@ -488,8 +450,7 @@ def q_top3_orders_per_cust(sf_dir: str):
     shuffle to k rows/key/batch; oracle is ROW_NUMBER() windowing."""
     from no_fasel_scrapers_ray.ops.relational import topk_per_group
     orders = _read(sf_dir, "orders",
-                   ["o_custkey", "o_orderkey", "o_totalprice"],
-                   rows_per_block=8192)
+                   ["o_custkey", "o_orderkey", "o_totalprice"])
     return topk_per_group(orders, ["o_custkey"], "o_totalprice", k=3,
                           tie_cols=["o_orderkey"])
 
@@ -499,8 +460,7 @@ def q_sample_orders(sf_dir: str):
     engine and the oracle running the SAME multiplicative-hash filter
     so the picked rows are identical (no RNG)."""
     from no_fasel_scrapers_ray.ops.relational import hash_sample
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                   rows_per_block=8192)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     return hash_sample(orders, "o_orderkey", rate=0.05)
 
 
@@ -511,7 +471,7 @@ def q_intersect_users(sf_dir: str):
 
     def typed(kind):
         return _read(sf_dir, "events", ["user_id", "event_type"],
-                     rows_per_block=8192, derive={"user_id": col("user_id")},
+                     derive={"user_id": col("user_id")},
                      where=col("event_type") == kind)
 
     return intersect_keys(typed("purchase"), typed("click"), "user_id")
@@ -522,9 +482,9 @@ def q_except_customers(sf_dir: str):
     over distinct keys (the seen-set complement shape, cf. J6; the
     bucketed-shuffle counterpart of the broadcast anti_join)."""
     from no_fasel_scrapers_ray.ops.relational import except_keys
-    cust = _read(sf_dir, "customer", ["c_custkey"], rows_per_block=8192)
+    cust = _read(sf_dir, "customer", ["c_custkey"])
     okeys = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                  rows_per_block=8192, derive={"c_custkey": col("o_custkey")},
+                  derive={"c_custkey": col("o_custkey")},
                   where=col("o_orderpriority") == "1-URGENT")
     return except_keys(cust, okeys, "c_custkey")
 
@@ -533,8 +493,7 @@ def q_distinct_parts_per_supplier(sf_dir: str):
     """COUNT(DISTINCT) GROUP BY over the big table: distinct parts per
     supplier via the two-stage dedup-then-count bucket aggregate."""
     from no_fasel_scrapers_ray.ops.relational import grouped_count_distinct
-    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"])
     return grouped_count_distinct(li, ["l_suppkey"], "l_partkey",
                                   alias="n_parts")
 
@@ -550,7 +509,7 @@ def _purchase_events(sf_dir: str, with_cents: bool):
               "ts_us": epoch_us("ts")}
     if with_cents:
         derive["cents"] = cents("value")
-    return _read(sf_dir, "events", cols, rows_per_block=8192, derive=derive,
+    return _read(sf_dir, "events", cols, derive=derive,
                  where=col("event_type") == "purchase")
 
 
@@ -571,8 +530,7 @@ def q_median_order_value(sf_dir: str):
     median order value, the DuckDB quantile_disc rule — an actual
     element, so both engines return identical float bits."""
     from no_fasel_scrapers_ray.ops.relational import grouped_quantile_disc
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=8192)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     return grouped_quantile_disc(orders, ["o_custkey"], "o_totalprice",
                                  q=0.5, alias="median_price")
 
@@ -583,7 +541,7 @@ def q_cust_order_stats(sf_dir: str):
     — n aggregates share the pass instead of costing n."""
     from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536, derive=_CUST_CENTS)
+                   derive=_CUST_CENTS)
     return aggregate(orders, ["o_custkey"], {"n_orders": ("count", None),
                                              "sum_cents": ("sum", "cents"),
                                              "min_cents": ("min", "cents"),
@@ -597,7 +555,7 @@ def q_median_cents_cont(sf_dir: str):
     interpolation match DuckDB's bit-exactly."""
     from no_fasel_scrapers_ray.ops.relational import grouped_quantile_cont
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=8192, derive=_CUST_CENTS)
+                   derive=_CUST_CENTS)
     return grouped_quantile_cont(orders, ["o_custkey"], "cents",
                                  q=0.5, alias="median_cents")
 
@@ -633,8 +591,7 @@ def q_favorite_event_type(sf_dir: str):
     type (ties → lexicographically first) — partial counts then an
     arg-max topk_per_group, deterministic ROW_NUMBER oracle."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, topk_per_group
-    ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["user_id", "event_type"])
     counts = aggregate(ev, ["user_id", "event_type"], {"n": ("count", None)})
     return topk_per_group(counts, ["user_id"], "n", k=1,
                           ascending=False, tie_cols=["event_type"])
@@ -673,7 +630,6 @@ def q_order_value_pctiles(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import windowed_rank_stats
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderkey", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"o_custkey": col("o_custkey"),
                            "o_orderkey": col("o_orderkey"),
                            "cents": cents("o_totalprice")})
@@ -706,8 +662,7 @@ def q_props_value_by_type(sf_dir: str):
     extraction via regexp_extract."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
-    ev = _read(sf_dir, "events", ["event_type", "props"],
-               rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["event_type", "props"])
 
     def extract(b: pd.DataFrame) -> pd.DataFrame:
         k = (b["props"].str.extract(r'"k": (\d+)', expand=False)
@@ -726,7 +681,6 @@ def q_pivot_event_counts(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate
     kinds = ["click", "view", "purchase"]
     ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536,
                derive={"user_id": col("user_id"),
                        **{f"n_{k}": flag(col("event_type") == k)
                           for k in kinds}})
@@ -739,8 +693,7 @@ def q_rollup_order_counts(sf_dir: str):
     (status, priority), (status) and the grand total, NULL-filled like
     SQL ROLLUP, without a second scan for the coarse levels."""
     from no_fasel_scrapers_ray.ops.relational import rollup_counts
-    orders = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"])
     return rollup_counts(orders, "o_orderstatus", "o_orderpriority",
                          alias="n_orders")
 
@@ -758,11 +711,10 @@ def q_cust_order_counts(sf_dir: str):
     count, 0 for customers with no orders — the big-big bucketed join
     in 'left' mode, COALESCE keeping the count int64 on both engines."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
-    orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=65536,
+    orders = _read(sf_dir, "orders", ["o_custkey"],
                    derive={"c_custkey": col("o_custkey")})
     counts = aggregate(orders, ["c_custkey"], {"n_orders": ("count", None)})
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"],
-                 rows_per_block=65536)
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     joined = bucketed_join(cust, counts, on="c_custkey", how="left")
 
     def fill(b: pd.DataFrame) -> pd.DataFrame:
@@ -777,8 +729,7 @@ def q_nation_customer_list(sf_dir: str):
     concatenated in key order — the catalog-file shape (ordered
     per-group rendering) as a relational operator."""
     from no_fasel_scrapers_ray.ops.relational import grouped_string_agg
-    cust = _read(sf_dir, "customer", ["c_nationkey", "c_name"],
-                 rows_per_block=65536)
+    cust = _read(sf_dir, "customer", ["c_nationkey", "c_name"])
     return grouped_string_agg(cust, ["c_nationkey"], "c_name",
                               alias="names", sep="|",
                               order_cols=["c_name"])
@@ -789,8 +740,7 @@ def q_unpivot_order_flags(sf_dir: str):
     pair melted into attribute/value rows — the wide→long flat_map
     family, 2 output rows per input row, no shuffle at all."""
     orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_orderstatus", "o_orderpriority"],
-                   rows_per_block=65536)
+                   ["o_orderkey", "o_orderstatus", "o_orderpriority"])
 
     def melt(t: pa.Table) -> pa.Table:
         n = len(t)
@@ -813,8 +763,7 @@ def q_approx_parts_per_supplier(sf_dir: str):
     in tests/test_sketch.py."""
     from no_fasel_scrapers_ray.ops.sketch import (
         grouped_approx_count_distinct)
-    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"])
     return grouped_approx_count_distinct(li, ["l_suppkey"], "l_partkey",
                                          alias="n_parts_approx", p=10)
 
@@ -826,7 +775,7 @@ def q_global_median_price(sf_dir: str):
     all-to-all sort — bit-identical to quantile_disc because an actual
     element is returned."""
     from no_fasel_scrapers_ray.ops.relational import global_quantile_disc
-    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_totalprice"])
     med = global_quantile_disc(orders, "o_totalprice", q=0.5)
     return pd.DataFrame({"median_price": [med]})
 
@@ -839,7 +788,7 @@ def q_approx_distinct_users(sf_dir: str):
     (approximate by design); tests/test_sketch.py pins the 3-sigma
     error envelope against exact cardinalities."""
     from no_fasel_scrapers_ray.ops.sketch import approx_count_distinct
-    ev = _read(sf_dir, "events", ["user_id"], rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["user_id"])
     est = approx_count_distinct(ev, "user_id")
     return pd.DataFrame({"n_users_approx": [float(est)]})
 
@@ -850,8 +799,7 @@ def q_rank_orders_per_cust(sf_dir: str):
     prices share a rank) so no tie column is needed."""
     from no_fasel_scrapers_ray.ops.relational import windowed_rank
     orders = _read(sf_dir, "orders",
-                   ["o_custkey", "o_orderkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   ["o_custkey", "o_orderkey", "o_totalprice"])
     return windowed_rank(orders, ["o_custkey"], "o_totalprice",
                          alias="price_rank", method="dense",
                          ascending=False)
@@ -864,8 +812,7 @@ def q_ntile_order_quartiles(sf_dir: str):
     tile at boundaries."""
     from no_fasel_scrapers_ray.ops.relational import grouped_ntile
     orders = _read(sf_dir, "orders",
-                   ["o_custkey", "o_orderkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   ["o_custkey", "o_orderkey", "o_totalprice"])
     return grouped_ntile(orders, ["o_custkey"], "o_totalprice",
                          n_tiles=4, alias="quartile",
                          tie_cols=["o_orderkey"])
@@ -987,7 +934,6 @@ def q_first_event_per_user_day(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import topk_per_group
     day = 86_400_000_000
     ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"],
-               rows_per_block=65536,
                derive={"user_id": col("user_id"),
                        "day_us": floor_div(epoch_us("ts"), day) * day,
                        "ts_us": epoch_us("ts"),
@@ -1000,8 +946,7 @@ def q_cube_order_counts(sf_dir: str):
     """CUBE grouping sets (§ aggregates): ROLLUP plus the
     priority-only marginal, NULL-filled like SQL CUBE."""
     from no_fasel_scrapers_ray.ops.relational import cube_counts
-    orders = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderstatus", "o_orderpriority"])
     return cube_counts(orders, "o_orderstatus", "o_orderpriority",
                        alias="n_orders")
 
@@ -1017,7 +962,7 @@ def q_corr_qty_price(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import grouped_corr
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536, derive=_FLAG_QTY_CENTS)
+               derive=_FLAG_QTY_CENTS)
     return grouped_corr(li, ["l_returnflag"], "qty", "cents",
                         alias="corr_qty_price")
 
@@ -1032,7 +977,6 @@ def q_asof_clicks(sf_dir: str):
     def side(event_type: str, rename: dict):
         return _read(sf_dir, "events",
                      ["event_id", "ts", "user_id", "event_type", "value"],
-                     rows_per_block=8192,
                      derive={"user_id": col("user_id"),
                              "ts_us": epoch_us("ts"),
                              **{dst: col(src) for src, dst in rename.items()}},
@@ -1062,7 +1006,6 @@ def q_asof_clicks_forward(sf_dir: str):
     def side(event_type: str, rename: dict):
         return _read(sf_dir, "events",
                      ["event_id", "ts", "user_id", "event_type"],
-                     rows_per_block=8192,
                      derive={"user_id": col("user_id"),
                              "ts_neg": pc.negate(epoch_us("ts")),
                              **{dst: epoch_us("ts") if src == "__ts"
@@ -1095,7 +1038,6 @@ def q_funnel_click_purchase(sf_dir: str):
     def side(event_type: str, extra: dict):
         return _read(sf_dir, "events",
                      ["event_id", "ts", "user_id", "event_type"],
-                     rows_per_block=8192,
                      derive={"user_id": col("user_id"),
                              "ts_us": epoch_us("ts"),
                              **{dst: epoch_us("ts") if src == "ts_us"
@@ -1131,7 +1073,7 @@ def q_range_join_clicks(sf_dir: str):
             derive["event_id"] = col("event_id")
         return _read(sf_dir, "events",
                      ["event_id", "ts", "user_id", "event_type"],
-                     rows_per_block=8192, derive=derive,
+                     derive=derive,
                      where=col("event_type") == event_type)
 
     i64 = pa.int64()
@@ -1165,7 +1107,6 @@ def q_order_price_histogram(sf_dir: str):
     the profile/EDA operator at any scale."""
     from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_totalprice"],
-                   rows_per_block=65536,
                    derive={"bucket_lo_cents":
                            floor_div(cents("o_totalprice"), 5_000_000)
                            * 5_000_000})
@@ -1215,7 +1156,6 @@ def q_overlap_click_purchase(sf_dir: str):
     def side(tp: str, width_us: int):
         return _read(sf_dir, "events",
                      ["event_id", "ts", "user_id", "event_type"],
-                     rows_per_block=65536,
                      derive={"user_id": col("user_id"),
                              "eid": col("event_id"), "s": epoch_us("ts"),
                              "e": epoch_us("ts") + width_us},
@@ -1237,7 +1177,7 @@ def q_cohort_retention(sf_dir: str):
     reduce — all-integer week arithmetic so the hash is exact."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     WEEK_US = 604_800_000_000
-    weeks = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=65536,
+    weeks = _read(sf_dir, "events", ["user_id", "ts"],
                   derive={"user_id": col("user_id"),
                           "wk": floor_div(epoch_us("ts"), WEEK_US)})
     # distinct (user, week) once; reuse for BOTH the cohort min and
@@ -1278,8 +1218,7 @@ def _part_cooccurrence_edges(sf_dir: str):
     ``a·2^31|b`` per edge bucket. Replaced the pandas
     merge-and-groupby build: 3.7 s → ~1.3 s at sf0.1 for identical
     output."""
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     HALF = np.int64(1 << 31)
 
     def tag(b: pa.Table) -> pa.Table:
@@ -1353,10 +1292,9 @@ def q_pagerank_cust_supp(sf_dir: str, tier3: bool = False):
     from no_fasel_scrapers_ray.ops.graph import pagerank
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, bucketed_join, round_columns)
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"],
-               rows_per_block=65536, derive=_SUPP_DST)
+               derive=_SUPP_DST)
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def to_edge(b: pd.DataFrame) -> pd.DataFrame:
@@ -1464,10 +1402,8 @@ def q_bloom_semi_join_lineitem(sf_dir: str):
     bit array (not the key set), and only the Bloom survivors — not
     the whole lineitem table — reach the exact verify shuffle."""
     from no_fasel_scrapers_ray.ops.relational import bloom_semi_join
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
     ukeys = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"],
-                  rows_per_block=65536,
                   derive={"l_orderkey": col("o_orderkey")},
                   where=col("o_orderpriority") == "1-URGENT")
     return bloom_semi_join(li, ukeys, "l_orderkey")
@@ -1475,18 +1411,15 @@ def q_bloom_semi_join_lineitem(sf_dir: str):
 
 def q_urgent_orders_pruned(sf_dir: str):
     """Predicate pushdown AT THE READ (§ sources): the priority filter
-    is handed to read_parquet as an Arrow dataset expression, so
-    non-matching row groups are dropped by the scanner before any
-    block enters the object store — the prune-at-the-read contract
-    for 100-TB inputs (column pruning via `columns=` everywhere else
-    in this file)."""
-    import pyarrow.dataset as pads
-    import ray.data as rd
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_totalprice"],
-        filter=pads.field("o_orderpriority") == "1-URGENT")
-    return ds
+    runs inside the read task as an Arrow expression, so non-matching
+    rows are dropped before any block enters the object store — the
+    prune-at-the-read contract for 100-TB inputs (column pruning via
+    `columns=` everywhere else in this file)."""
+    return _read(sf_dir, "orders",
+                 ["o_orderkey", "o_totalprice", "o_orderpriority"],
+                 derive={"o_orderkey": col("o_orderkey"),
+                         "o_totalprice": col("o_totalprice")},
+                 where=col("o_orderpriority") == "1-URGENT")
 
 
 def q_user_activity_full(sf_dir: str):
@@ -1496,7 +1429,6 @@ def q_user_activity_full(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     def counted(kind: str, alias: str):
         ev = _read(sf_dir, "events", ["user_id", "event_type"],
-                   rows_per_block=65536,
                    derive={"user_id": col("user_id")},
                    where=col("event_type") == kind)
         return aggregate(ev, ["user_id"], {alias: ("count", None)})
@@ -1523,7 +1455,6 @@ def q_events_hopping(sf_dir: str):
     HOP_US = 1_800_000_000  # 30 min
 
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536,
                derive={"event_type": col("event_type"),
                        "w1": floor_div(epoch_us("ts"), HOP_US) * HOP_US,
                        "cents": cents("value")})
@@ -1548,8 +1479,7 @@ def q_stratified_sample_events(sf_dir: str):
     the rare purchases) — the same multiplicative-hash pick runs in
     the SQL oracle, so the chosen rows are identical."""
     from no_fasel_scrapers_ray.ops.relational import stratified_hash_sample
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type"],
-               rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type"])
     return stratified_hash_sample(
         ev, "event_id", "event_type",
         rates={"click": 0.05, "view": 0.02, "purchase": 0.5,
@@ -1564,7 +1494,7 @@ def q_price_quartiles(sf_dir: str):
     interpolation `lo + (hi-lo)*frac` is bit-identical to DuckDB's."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import global_quantile_cont
-    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536,
+    orders = _read(sf_dir, "orders", ["o_totalprice"],
                    derive={"cents": cents("o_totalprice")})
     q25, q50, q75 = global_quantile_cont(orders, "cents", [0.25, 0.5, 0.75])
     return pd.DataFrame({"q25": [q25], "q50": [q50], "q75": [q75]})
@@ -1582,21 +1512,21 @@ def q_local_supplier_revenue(sf_dir: str):
     no float ROUND on 4-decimal products (banker's vs half-away
     rounding differs exactly at .5)."""
     import pandas as pd
-    import pyarrow.dataset as pads
     import ray
-    import ray.data as rd
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, broadcast_get, bucketed_join)
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey"],
-        filter=(pads.field("o_orderdate")
-                >= pd.Timestamp("1996-01-01").date())
-        & (pads.field("o_orderdate") < pd.Timestamp("1997-01-01").date()))
+    orders = _read(sf_dir, "orders",
+                   ["o_orderkey", "o_custkey", "o_orderdate"],
+                   derive={"o_orderkey": col("o_orderkey"),
+                           "o_custkey": col("o_custkey")},
+                   where=(col("o_orderdate")
+                          >= pd.Timestamp("1996-01-01").date())
+                   & (col("o_orderdate")
+                      < pd.Timestamp("1997-01-01").date()))
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice",
-                "l_discount"], rows_per_block=65536,
+                "l_discount"],
                derive={"o_orderkey": col("l_orderkey"),
                        "l_suppkey": col("l_suppkey"), "rev": _REV_E4})
 
@@ -1653,13 +1583,11 @@ def q_events_nation_spend(sf_dir: str):
     tests/test_window_aggs.py. Exact integer cents."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, skew_aware_join
     ev = _read(sf_dir, "events", ["user_id", "value"],
-               rows_per_block=65536,
                derive={"user_id": col("user_id"), "cents": cents("value")})
     # explicit widen (the oracle CASTs to BIGINT): the join used to widen
     # int32 accidentally via its float null-padding round trip; the r4
     # precision fix preserves true input dtypes
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"],
-                 rows_per_block=65536,
                  derive={"user_id": col("c_custkey"),
                          "c_nationkey": int64("c_nationkey")})
     j = skew_aware_join(ev, cust, on="user_id")
@@ -1755,7 +1683,7 @@ def q_approx_price_quartiles(sf_dir: str):
     tests/test_sketch.py."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.sketch import approx_quantiles
-    orders = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536,
+    orders = _read(sf_dir, "orders", ["o_totalprice"],
                    derive={"cents": cents("o_totalprice")})
     q25, q50, q75 = approx_quantiles(orders, "cents", [0.25, 0.5, 0.75])
     return pd.DataFrame({"q25": [q25], "q50": [q50], "q75": [q75]})
@@ -1778,8 +1706,8 @@ def q_cust_order_distribution(sf_dir: str):
     never joins row-wise, only its key set is probed."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
-    orders = _read(sf_dir, "orders", ["o_custkey"], rows_per_block=65536)
-    cust = _read(sf_dir, "customer", ["c_custkey"], rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey"])
+    cust = _read(sf_dir, "customer", ["c_custkey"])
     per_cust = aggregate(orders, ["o_custkey"], {"n_orders": ("count", None)})
     hist = aggregate(per_cust, ["n_orders"], {"n_custs": ("count", None)}) \
         .to_pandas()
@@ -1800,11 +1728,9 @@ def q_large_volume_orders(sf_dir: str):
     streaming orders scan — the Q18 plan DuckDB itself picks."""
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, broadcast_join, round_columns)
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
     orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   ["o_orderkey", "o_custkey", "o_totalprice"])
     per_order = aggregate(li, ["l_orderkey"],
                           {"sum_qty": ("sum", "l_quantity")}) \
         .map_batches(lambda b: b[b["sum_qty"].to_numpy() > 180.0],
@@ -1823,11 +1749,10 @@ def q_priority_late_orders(sf_dir: str):
     the inequality filter and a tiny count rollup."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"],
-               rows_per_block=65536, derive=_SHIP_US)
+               derive=_SHIP_US)
     max_ship = aggregate(li, ["o_orderkey"], {"ship_us": ("max", "ship_us")})
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_orderdate", "o_orderpriority"],
-                   rows_per_block=65536,
                    derive={"o_orderkey": col("o_orderkey"),
                            "o_orderpriority": col("o_orderpriority"),
                            "order_us": epoch_us("o_orderdate")})
@@ -1846,7 +1771,6 @@ def q_price_moments(sf_dir: str):
     expression."""
     from no_fasel_scrapers_ray.ops.relational import grouped_moments
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"],
-               rows_per_block=65536,
                derive={"l_returnflag": col("l_returnflag"),
                        "qty": rint("l_quantity")})
     return grouped_moments(li, ["l_returnflag"], "qty",
@@ -1866,8 +1790,7 @@ def q_promo_revenue_ratio(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
                                                       exact_sums)
-    parts = _read(sf_dir, "part", ["p_partkey", "p_type"],
-                  rows_per_block=65536).to_pandas()
+    parts = _read(sf_dir, "part", ["p_partkey", "p_type"]).to_pandas()
     bitmap = np.zeros(int(parts["p_partkey"].max()) + 1, dtype=bool)
     bitmap[parts.loc[parts["p_type"] == "ECONOMY", "p_partkey"]
            .to_numpy()] = True
@@ -1875,7 +1798,6 @@ def q_promo_revenue_ratio(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_extendedprice", "l_discount"],
-               rows_per_block=65536,
                derive={"l_partkey": col("l_partkey"),
                        "cents": cents("l_extendedprice"), "keep": _KEEP_PCT})
 
@@ -1903,7 +1825,6 @@ def q_weighted_avg_discount(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_extendedprice", "l_discount"],
-               rows_per_block=65536,
                derive={"l_returnflag": col("l_returnflag"),
                        "wd": cents("l_extendedprice") * cents("l_discount"),
                        "w": cents("l_extendedprice")})
@@ -1932,7 +1853,6 @@ def q_user_spend_zscore(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     def ev(**derive):
         return _read(sf_dir, "events", ["event_id", "user_id", "value"],
-                     rows_per_block=65536,
                      derive={"user_id": col("user_id"), **derive})
 
     moments = aggregate(
@@ -1969,14 +1889,14 @@ def q_orders_above_p99(sf_dir: str):
     cents so the discrete quantile is bit-unambiguous."""
     from no_fasel_scrapers_ray.ops.relational import (
         global_quantile_disc, round_columns)
-    price = _read(sf_dir, "orders", ["o_totalprice"], rows_per_block=65536,
+    price = _read(sf_dir, "orders", ["o_totalprice"],
                   derive={"cents": cents("o_totalprice")})
     # an int: Arrow 16 compares an int64 column with a float literal in
     # float32, exact only below 2^24
     p99 = int(global_quantile_disc(price, "cents", 0.99))
     out = _read(sf_dir, "orders",
                 ["o_orderkey", "o_custkey", "o_totalprice"],
-                rows_per_block=65536, where=cents("o_totalprice") > p99)
+                where=cents("o_totalprice") > p99)
     return round_columns(out, {"o_totalprice": 2})
 
 
@@ -2064,15 +1984,13 @@ def q_small_qty_revenue(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
                                                       exact_sums)
-    parts = _read(sf_dir, "part", ["p_partkey", "p_brand"],
-                  rows_per_block=65536).to_pandas()
+    parts = _read(sf_dir, "part", ["p_partkey", "p_brand"]).to_pandas()
     brand_keys = np.sort(parts.loc[parts["p_brand"] == "Brand#1",
                                    "p_partkey"].to_numpy(np.int64))
     keys_ref = ray.put(brand_keys)
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536,
                derive={"l_partkey": col("l_partkey"),
                        "qty": rint("l_quantity"),
                        "cents": cents("l_extendedprice")})
@@ -2122,10 +2040,9 @@ def q_late_sole_supplier(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     LATE_US = 45 * 86400 * 1_000_000
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"],
-                   rows_per_block=65536, derive=_ORDER_US)
+                   derive=_ORDER_US)
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate"],
-               rows_per_block=65536,
                derive={"o_orderkey": col("l_orderkey"),
                        "l_suppkey": col("l_suppkey"),
                        "ship_us": epoch_us("l_shipdate")})
@@ -2159,7 +2076,6 @@ def q_stock_value_parts(sf_dir: str):
     (``value·n·10 > 11·total`` ⇔ value > 1.1·avg, no division)."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, exact_sums
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"],
-               rows_per_block=65536,
                derive={"l_partkey": col("l_partkey"),
                        "v": cents("l_extendedprice")})
     per_part = aggregate(li, ["l_partkey"], {"value_cents": ("sum", "v")}) \
@@ -2239,11 +2155,10 @@ def _fulfillment_edges(sf_dir: str, qty_eq: int | None = None):
     the shuffle moves only the ~2% of lines that survive."""
     from no_fasel_scrapers_ray.ops.relational import bucketed_join
     HALF = np.int64(1 << 31)
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     li_cols = ["l_orderkey", "l_suppkey"] + (
         ["l_quantity"] if qty_eq is not None else [])
-    li = _read(sf_dir, "lineitem", li_cols, rows_per_block=65536,
+    li = _read(sf_dir, "lineitem", li_cols,
                derive={"o_orderkey": col("l_orderkey"),
                        "l_suppkey": col("l_suppkey")},
                where=None if qty_eq is None
@@ -2350,8 +2265,7 @@ def q_user_event_entropy(sf_dir: str):
     ln is correctly rounded on both, residue is ~1e-16)."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
-    ev = _read(sf_dir, "events", ["user_id", "event_type"],
-               rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["user_id", "event_type"])
     counts = aggregate(ev, ["user_id", "event_type"], {"n_i": ("count", None)})
 
     def entropy(g: pd.DataFrame) -> pd.DataFrame:
@@ -2381,15 +2295,13 @@ def q_top_suppliers_per_nation(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, broadcast_get, topk_per_group)
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"],
-                 rows_per_block=65536).to_pandas() \
-        .sort_values("s_suppkey", ignore_index=True)
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]) \
+        .to_pandas().sort_values("s_suppkey", ignore_index=True)
     # Keep s_nationkey in its source dtype (int32 in the parquet
     # schema) so the output column round-trips dtype-exactly.
     nat_ref = ray.put((supp["s_suppkey"].to_numpy(np.int64),
                        supp["s_nationkey"].to_numpy()))
     li = _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice"],
-               rows_per_block=65536,
                derive={"s_suppkey": col("l_suppkey"),
                        "v": cents("l_extendedprice")})
     rev = aggregate(li, ["s_suppkey"], {"revenue_cents": ("sum", "v")})
@@ -2466,7 +2378,6 @@ def q_idle_rich_customers(sf_dir: str):
     bit-array when the key set outgrows a broadcast."""
     from no_fasel_scrapers_ray.ops.relational import anti_join, exact_sums
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"],
-                 rows_per_block=65536,
                  derive={"c_custkey": col("c_custkey"),
                          "cents": cents("c_acctbal")},
                  where=cents("c_acctbal") > 0).materialize()
@@ -2477,7 +2388,6 @@ def q_idle_rich_customers(sf_dir: str):
         batch_format="pandas")
     urgent = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536,
                    derive={"o_custkey": col("o_custkey")},
                    where=col("o_orderpriority") == "1-URGENT").to_pandas()
     return anti_join(rich, np.unique(urgent["o_custkey"].to_numpy()),
@@ -2495,7 +2405,6 @@ def q_winsorized_user_spend(sf_dir: str):
         bucketed_join, grouped_quantile_disc)
     ev = _read(sf_dir, "events", ["event_id", "user_id", "value",
                                   "event_type"],
-               rows_per_block=65536,
                derive={"event_id": col("event_id"),
                        "user_id": col("user_id"), "cents": cents("value")},
                where=col("event_type") == "purchase").materialize()
@@ -2520,8 +2429,7 @@ def q_approx_type_value_quantiles(sf_dir: str):
     100× hot group pinned in tests/test_sketch.py — approximate by
     design, so no SQL oracle."""
     from no_fasel_scrapers_ray.ops.sketch import grouped_approx_quantiles
-    ev = _read(sf_dir, "events", ["event_type", "value"],
-               rows_per_block=65536)
+    ev = _read(sf_dir, "events", ["event_type", "value"])
     return grouped_approx_quantiles(ev, ["event_type"], "value",
                                     [0.5, 0.95], k=128)
 
@@ -2552,7 +2460,6 @@ def q_orders_page(sf_dir: str):
     unambiguous; orderkey tie-break makes the page deterministic."""
     from no_fasel_scrapers_ray.ops.relational import global_order_page
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"cents": cents("o_totalprice"),
                            "o_orderkey": col("o_orderkey")})
     return global_order_page(orders, "cents", "o_orderkey",
@@ -2572,7 +2479,7 @@ def q_cms_part_counts(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
     from no_fasel_scrapers_ray.ops.sketch import cms_query, cms_sketch
-    li = _read(sf_dir, "lineitem", ["l_partkey"], rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_partkey"])
     m = cms_sketch(li, "l_partkey", depth=4, width=4096)
     exact = aggregate(li, ["l_partkey"], {"n": ("count", None)}).to_pandas() \
         .sort_values(["n", "l_partkey"], ascending=[False, True],
@@ -2736,15 +2643,13 @@ def q_shipping_priority(sf_dir: str):
     segment customers, orders placed before the cut date, revenue from
     lineitems shipped after it. The customer dimension collapses to a
     broadcast custkey array probed map-side (semi_join); orders and
-    lineitem are BOTH date-pruned at the read (row-group predicate
-    pushdown — neither fact table's out-of-window rows leave storage);
+    lineitem are BOTH date-pruned in the read task (neither fact
+    table's out-of-window rows reach the object store);
     lineitem pre-aggregates to exact integer revenue units per
     orderkey (cents × (100−disc_pct)) before the ONE bucketed orderkey
     shuffle; the global top-10 runs on per-block top-10 survivors (a
     block's top-10 under the same total order is a superset filter)."""
     import pandas as pd
-    import pyarrow.dataset as pads
-    import ray.data as rd
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, bucketed_join, semi_join)
     cut = pd.Timestamp("1998-06-01")
@@ -2754,17 +2659,15 @@ def q_shipping_priority(sf_dir: str):
     building = cust.loc[cust["c_mktsegment"] == "BUILDING",
                         "c_custkey"].to_numpy()
 
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=pads.field("o_orderdate") < cut.to_pydatetime())
+    orders = _read(sf_dir, "orders",
+                   ["o_orderkey", "o_custkey", "o_orderdate"],
+                   where=col("o_orderdate") < cut.to_pydatetime())
     orders = _derive(semi_join(orders, building, "o_custkey"), _ORDER_US)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"],
-        filter=pads.field("l_shipdate") > cut.to_pydatetime())
-    li = _derive(li, {"o_orderkey": col("l_orderkey"), "v": _REV_E4})
+    li = _read(sf_dir, "lineitem",
+               ["l_orderkey", "l_extendedprice", "l_discount",
+                "l_shipdate"],
+               derive={"o_orderkey": col("l_orderkey"), "v": _REV_E4},
+               where=col("l_shipdate") > cut.to_pydatetime())
     rev = aggregate(li, ["o_orderkey"], {"revenue_units": ("sum", "v")})
     joined = bucketed_join(rev, orders, on="o_orderkey", how="inner")
 
@@ -2773,8 +2676,8 @@ def q_shipping_priority(sf_dir: str):
                              ascending=[False, True]).head(10)
 
     survivors = joined.map_batches(block_topk, batch_format="pandas")
-    return survivors.sort(["revenue_units", "o_orderkey"],
-                          descending=[True, False]).limit(10)
+    return sort_rows(survivors, ["revenue_units", "o_orderkey"],
+                     [True, False], 10)
 
 
 def q_revenue_delta(sf_dir: str):
@@ -2786,21 +2689,17 @@ def q_revenue_delta(sf_dir: str):
     an exact sum (``exact_sums``), with ONE mirrored float division at
     the end."""
     import pandas as pd
-    import pyarrow.dataset as pads
-    import ray.data as rd
     from no_fasel_scrapers_ray.ops.relational import exact_sums
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount", "l_quantity",
-                 "l_shipdate"],
-        filter=(pads.field("l_shipdate")
-                >= pd.Timestamp("1996-01-01").to_pydatetime())
-        & (pads.field("l_shipdate")
-           < pd.Timestamp("1997-01-01").to_pydatetime()))
-
     pct = cents("l_discount")
-    li = _derive(li, {"cents": cents("l_extendedprice"), "pct": pct},
-                 where=(pct >= 5) & (pct <= 7) & (rint("l_quantity") < 24))
+    li = _read(sf_dir, "lineitem",
+               ["l_extendedprice", "l_discount", "l_quantity",
+                "l_shipdate"],
+               derive={"cents": cents("l_extendedprice"), "pct": pct},
+               where=(col("l_shipdate")
+                      >= pd.Timestamp("1996-01-01").to_pydatetime())
+               & (col("l_shipdate")
+                  < pd.Timestamp("1997-01-01").to_pydatetime())
+               & (pct >= 5) & (pct <= 7) & (rint("l_quantity") < 24))
     units = exact_sums(li, [], {"v": ("cents", "pct")})["v"][0]
     return pd.DataFrame({"revenue_delta": [float(units) / 10000.0]})
 
@@ -2823,7 +2722,6 @@ def q_funnel_conversion(sf_dir: str):
                           pc.scalar(SENT))
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"],
-               rows_per_block=65536,
                derive={"user_id": col("user_id"), "v_us": first_us("view"),
                        "c_us": first_us("click"),
                        "p_us": first_us("purchase")})
@@ -2863,8 +2761,7 @@ def q_copurchase_pairs(sf_dir: str):
     under the deterministic (count desc, p1, p2) total order."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         items = g[["l_orderkey", "l_partkey"]].drop_duplicates()
@@ -2881,8 +2778,8 @@ def q_copurchase_pairs(sf_dir: str):
                              ascending=[False, True, True]).head(25)
 
     survivors = counts.map_batches(block_topk, batch_format="pandas")
-    return survivors.sort(["n_orders", "p1", "p2"],
-                          descending=[True, False, False]).limit(25)
+    return sort_rows(survivors, ["n_orders", "p1", "p2"],
+                     [True, False, False], 25)
 
 
 def q_frequent_triples(sf_dir: str, minsup: int = 2):
@@ -2899,8 +2796,7 @@ def q_frequent_triples(sf_dir: str, minsup: int = 2):
     GROUP BY HAVING."""
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate, broadcast_get
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
-               rows_per_block=65536).materialize()
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).materialize()
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         items = g[["l_orderkey", "l_partkey"]].drop_duplicates()
@@ -2958,7 +2854,6 @@ def q_ewma_user_spend(sf_dir: str):
     import pandas as pd
     ev = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"],
-               rows_per_block=65536,
                derive={"user_id": col("user_id"),
                        "event_id": col("event_id"), "ts_us": epoch_us("ts"),
                        "value": col("value")},
@@ -3061,8 +2956,7 @@ def q_nation_top_parts(sf_dir: str):
     sn = sup["s_nationkey"].to_numpy()
     import ray
     dim_ref = ray.put((sk, sn))
-    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_suppkey", "l_partkey"])
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         k, n = ray.get(dim_ref)
@@ -3238,7 +3132,6 @@ def q_robust_zscore(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
     v = _read(sf_dir, "events", ["event_id", "event_type", "value"],
-              rows_per_block=65536,
               derive={"event_id": col("event_id"),
                       "event_type": col("event_type"),
                       "cents": cents("value")})
@@ -3317,7 +3210,6 @@ def q_overlap_duration(sf_dir: str):
     W = 1_800_000_000   # 30 min in µs
     def side(event_type: str, tag: str):
         return _read(sf_dir, "events", ["ts", "user_id", "event_type"],
-                     rows_per_block=8192,
                      derive={"user_id": col("user_id"),
                              f"{tag}_us": epoch_us("ts")},
                      where=col("event_type") == event_type)
@@ -3430,11 +3322,10 @@ def q_nation_trade_volume(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, broadcast_get, bucketed_join)
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate",
-                "l_extendedprice", "l_discount"], rows_per_block=65536,
+                "l_extendedprice", "l_discount"],
                derive={"o_orderkey": col("l_orderkey"),
                        "l_suppkey": col("l_suppkey"), "l_year": _SHIP_YEAR,
                        "rev": _REV_E4})
@@ -3485,7 +3376,7 @@ def q_brand_year_profit(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_shipdate", "l_quantity",
-                "l_extendedprice", "l_discount"], rows_per_block=65536,
+                "l_extendedprice", "l_discount"],
                derive={"l_partkey": col("l_partkey"), "l_year": _SHIP_YEAR,
                        "qty": rint("l_quantity"), "rev": _REV_E4})
     part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_retailprice"],
@@ -3520,7 +3411,7 @@ def q_price_qty_regression(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import grouped_regression
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536, derive=_FLAG_QTY_CENTS)
+               derive=_FLAG_QTY_CENTS)
     return grouped_regression(
         li, ["l_returnflag"], "qty", "cents",
         slope_alias="slope", icept_alias="icept")
@@ -3537,7 +3428,6 @@ def q_pareto_parts(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import skyline_2d
     part = _read(sf_dir, "part",
                  ["p_partkey", "p_retailprice", "p_size"],
-                 rows_per_block=8192,
                  derive={"p_partkey": col("p_partkey"),
                          "price_cents": cents("p_retailprice"),
                          "p_size": col("p_size")})  # keeps source int32
@@ -3567,8 +3457,7 @@ def q_similar_part_names(sf_dir: str):
     — ONE groupby shuffle on the blocking key, length-difference prune,
     then a P-pair-vectorized DP (every DP cell is one numpy op over all
     surviving pairs). Oracle: DuckDB's native levenshtein()."""
-    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_name"],
-                 rows_per_block=8192)
+    part = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_name"])
     from no_fasel_scrapers_ray.ops.dedup import blocked_levenshtein_pairs
     return blocked_levenshtein_pairs(part, block_col="p_brand",
                                      text_col="p_name",
@@ -3606,7 +3495,6 @@ def q_cheapest_supplier_per_part(sf_dir: str):
                         nat["n_name"].to_numpy(object)))
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_extendedprice"],
-               rows_per_block=65536,
                derive={"l_partkey": col("l_partkey"),
                        "l_suppkey": col("l_suppkey"),
                        "cents": cents("l_extendedprice")})
@@ -3657,13 +3545,12 @@ def q_nation_market_share(sf_dir: str):
 
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"],
-                   rows_per_block=65536,
                    derive={"o_orderkey": col("o_orderkey"),
                            "o_custkey": col("o_custkey"),
                            "o_year": int64(pc.year(col("o_orderdate")))})
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice",
-                "l_discount"], rows_per_block=65536,
+                "l_discount"],
                derive={"l_orderkey": col("l_orderkey"),
                        "l_suppkey": col("l_suppkey"), "rev": _REV_E4})
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]) \
@@ -3733,13 +3620,12 @@ def q_returned_item_revenue(sf_dir: str):
     d = col("o_orderdate")
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate"],
-                   rows_per_block=65536,
                    derive={"o_orderkey": col("o_orderkey"),
                            "o_custkey": col("o_custkey")},
                    where=(d >= _Q1_1996[0]) & (d < _Q1_1996[1]))
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_returnflag", "l_extendedprice",
-                "l_discount"], rows_per_block=65536,
+                "l_discount"],
                derive={"o_orderkey": col("l_orderkey"), "rev": _REV_E4},
                where=col("l_returnflag") == "R")
     cust = _read(sf_dir, "customer",
@@ -3789,7 +3675,7 @@ def q_top_revenue_supplier(sf_dir: str):
     d = col("l_shipdate")
     li = _read(sf_dir, "lineitem",
                ["l_suppkey", "l_shipdate", "l_extendedprice",
-                "l_discount"], rows_per_block=65536,
+                "l_discount"],
                derive={"s_suppkey": col("l_suppkey"), "rev": _REV_E4},
                where=(d >= _Q1_1996[0]) & (d < _Q1_1996[1]))
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]) \
@@ -3836,7 +3722,6 @@ def q_dominant_part_suppliers(sf_dir: str):
                         supp["s_name"].to_numpy(object)))
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_suppkey", "l_quantity"],
-               rows_per_block=65536,
                derive={"l_partkey": col("l_partkey"),
                        "l_suppkey": col("l_suppkey"),
                        "qty": rint("l_quantity")})
@@ -3886,8 +3771,7 @@ def q_event_transitions(sf_dir: str):
     the event_id tie-break."""
     from no_fasel_scrapers_ray.ops.relational import aggregate, windowed_lead
     ev = _read(sf_dir, "events",
-               ["user_id", "ts", "event_id", "event_type"],
-               rows_per_block=65536)
+               ["user_id", "ts", "event_id", "event_type"])
     led = windowed_lead(ev, ["user_id"], "ts", "event_type",
                         "next_type", tie_cols=["event_id"])
 
@@ -3909,8 +3793,7 @@ def q_transition_entropy(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate, windowed_lead
     ev = _read(sf_dir, "events",
-               ["user_id", "ts", "event_id", "event_type"],
-               rows_per_block=65536)
+               ["user_id", "ts", "event_id", "event_type"])
     led = windowed_lead(ev, ["user_id"], "ts", "event_type",
                         "next_type", tie_cols=["event_id"])
 
@@ -3942,7 +3825,6 @@ def q_theil_customer_spend(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate, exact_sums
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"u": col("o_custkey"),
                            "x": cents("o_totalprice")})
     spend = aggregate(orders, ["u"], {"x": ("sum", "x")})
@@ -3975,7 +3857,6 @@ def q_monthly_revenue_growth(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate, windowed_lag
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"o_year": int64(pc.year(col("o_orderdate"))),
                            "o_month": int64(pc.month(col("o_orderdate"))),
                            "cents": cents("o_totalprice")})
@@ -4131,8 +4012,7 @@ def q_parts_supplier_counts(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, grouped_count_distinct)
     parts = _read(sf_dir, "part",
-                  ["p_partkey", "p_brand", "p_size", "p_type"],
-                  rows_per_block=65536).to_pandas()
+                  ["p_partkey", "p_brand", "p_size", "p_type"]).to_pandas()
     keep = ((parts["p_type"] != "PROMO")
             & parts["p_size"].isin(Q16_SIZES)).to_numpy()
     npart = int(parts["p_partkey"].max()) + 1
@@ -4146,14 +4026,12 @@ def q_parts_supplier_counts(sf_dir: str):
     size_arr[parts["p_partkey"].to_numpy()] = \
         parts["p_size"].to_numpy(np.int32)
 
-    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"],
-                 rows_per_block=65536).to_pandas()
+    supp = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"]).to_pandas()
     excl = np.sort(supp.loc[supp["s_acctbal"] < 0, "s_suppkey"]
                    .to_numpy(np.int64))
     dims_ref = ray.put((keep_arr, brand_arr, size_arr, brands, excl))
 
-    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"],
-               rows_per_block=65536)
+    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
 
     def project(b: pd.DataFrame) -> pd.DataFrame:
         ka, ba, sa, labels, ex = broadcast_get(dims_ref)
@@ -4196,8 +4074,8 @@ def q_special_deal_revenue(sf_dir: str):
     import ray
     from no_fasel_scrapers_ray.ops.relational import (broadcast_get,
                                                       exact_sums)
-    parts = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"],
-                  rows_per_block=65536).to_pandas()
+    parts = _read(sf_dir, "part",
+                  ["p_partkey", "p_brand", "p_size"]).to_pandas()
     npart = int(parts["p_partkey"].max()) + 1
     masks = np.zeros((len(Q19_BRANCHES), npart), dtype=bool)
     for i, (_, brand, slo, shi, _, _) in enumerate(Q19_BRANCHES):
@@ -4210,7 +4088,7 @@ def q_special_deal_revenue(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_partkey", "l_quantity", "l_extendedprice",
-                "l_discount"], rows_per_block=65536,
+                "l_discount"],
                derive={"l_partkey": col("l_partkey"),
                        "qty": rint("l_quantity"),
                        "cents": cents("l_extendedprice"), "keep": _KEEP_PCT})
@@ -4259,7 +4137,7 @@ def q_debounce_events(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import windowed_lag
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
-                                  "ts"], rows_per_block=65536,
+                                  "ts"],
                derive=_EVENT_US)
     lag = windowed_lag(ev, ["user_id", "event_type"], "ts_us", "ts_us",
                        "prev_us", tie_cols=["event_id"],
@@ -4287,8 +4165,7 @@ def q_sample_k_per_nation(sf_dir: str):
     import hashlib
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import topk_per_group
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"],
-                 rows_per_block=65536)
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
 
     def add_h(b: pd.DataFrame) -> pd.DataFrame:
         keys = b["c_custkey"].to_numpy(np.int64)
@@ -4318,8 +4195,7 @@ def q_impute_acctbal(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, grouped_quantile_cont)
     cust = _read(sf_dir, "customer",
-                 ["c_custkey", "c_nationkey", "c_acctbal"],
-                 rows_per_block=65536)
+                 ["c_custkey", "c_nationkey", "c_acctbal"])
     med = grouped_quantile_cont(cust, ["c_nationkey"], "c_acctbal",
                                 0.5, "med").to_pandas()
     med = med.sort_values("c_nationkey")
@@ -4391,11 +4267,9 @@ def q_user_similarity(sf_dir: str):
     from no_fasel_scrapers_ray.ops.dedup import set_similarity_top1
     from no_fasel_scrapers_ray.ops.relational import aggregate, bucketed_join
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536,
                    derive={"o_orderkey": col("o_orderkey"),
                            "u": col("o_custkey")})
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"],
-               rows_per_block=65536,
                derive={"o_orderkey": col("l_orderkey"),
                        "item": col("l_partkey")})
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
@@ -4418,7 +4292,7 @@ def q_snapshot_diff_orders(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import keyed_snapshot_diff
     def snapshot(where, bump=0):
         return _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"],
-                     rows_per_block=65536, where=where,
+                     where=where,
                      derive={"o_orderkey": col("o_orderkey"),
                              "cents": cents("o_totalprice") + bump})
 
@@ -4439,8 +4313,7 @@ def q_profile_orders(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         profile_numeric_columns)
     orders = _read(sf_dir, "orders",
-                   ["o_orderkey", "o_custkey", "o_totalprice"],
-                   rows_per_block=65536)
+                   ["o_orderkey", "o_custkey", "o_totalprice"])
     return profile_numeric_columns(
         orders, ["o_custkey", "o_orderkey", "o_totalprice"])
 
@@ -4454,7 +4327,7 @@ def q_activity_islands(sf_dir: str):
     Oracle: the classic day − row_number() island grouping."""
     from no_fasel_scrapers_ray.ops.relational import consecutive_islands
     DAY_US = 86400 * 1000000
-    d = _read(sf_dir, "events", ["user_id", "ts"], rows_per_block=65536,
+    d = _read(sf_dir, "events", ["user_id", "ts"],
               derive={"user_id": col("user_id"),
                       "day": floor_div(epoch_us("ts"), DAY_US)})
     isl = consecutive_islands(d, "user_id", "day")
@@ -4475,7 +4348,7 @@ def q_weighted_median_price(sf_dir: str):
         grouped_weighted_median)
     v = _read(sf_dir, "lineitem",
               ["l_returnflag", "l_extendedprice", "l_quantity"],
-              rows_per_block=65536, derive=_FLAG_QTY_CENTS)
+              derive=_FLAG_QTY_CENTS)
     out = grouped_weighted_median(v, ["l_returnflag"], "cents", "qty")
     return out.map_batches(
         lambda b: b.rename(columns={"cents": "median_cents"}),
@@ -4493,7 +4366,7 @@ def q_rolling_distinct_users(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         trailing_distinct_count)
     HOUR_US = 3600 * 1000000
-    v = _read(sf_dir, "events", ["ts", "user_id"], rows_per_block=65536,
+    v = _read(sf_dir, "events", ["ts", "user_id"],
               derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
                       "user_id": col("user_id")})
     out = trailing_distinct_count(v, "hr_us", "user_id", width=3,
@@ -4513,7 +4386,7 @@ def _event_user_counts(sf_dir: str, et: str, alias: str):
     per-key counts; one helper so the two queries can't drift)."""
     from no_fasel_scrapers_ray.ops.relational import aggregate
     s = _read(sf_dir, "events", ["user_id", "event_type"],
-              rows_per_block=65536, derive={"user_id": col("user_id")},
+              derive={"user_id": col("user_id")},
               where=col("event_type") == et)
     return aggregate(s, ["user_id"], {alias: ("count", None)})
 
@@ -4578,7 +4451,7 @@ def q_scd2_user_events(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import windowed_lead
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
-                                  "ts"], rows_per_block=65536,
+                                  "ts"],
                derive=_EVENT_US)
     SENTINEL_US = int(pd.Timestamp("2100-01-01").value // 1000)
     led = windowed_lead(ev, ["user_id"], "ts_us", "ts_us", "valid_to_us",
@@ -4614,8 +4487,7 @@ def q_nation_priority_kl(sf_dir: str):
     cust = cust.sort_values("c_custkey")
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int64))
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -4650,7 +4522,6 @@ def q_grouping_sets_orders(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders",
                    ["o_orderpriority", "o_orderstatus", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"pr": col("o_orderpriority"),
                            "st": col("o_orderstatus"),
                            "cents": cents("o_totalprice")})
@@ -4702,8 +4573,8 @@ def q_ingest_incremental(sf_dir: str):
     c = b - (b - a) // 2
 
     def sl(lo_id, hi_id):
-        return docs.filter(
-            expr=f"doc_id >= {lo_id} and doc_id < {hi_id}")
+        return _derive(docs, where=(col("doc_id") >= lo_id)
+                       & (col("doc_id") < hi_id))
 
     batches = [("b1", sl(lo, b)),          # ids [lo, b)
                ("b2", sl(a, b)),           # full replay slice
@@ -4759,7 +4630,7 @@ def q_top_session_paths(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
     ev = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
-                                  "ts"], rows_per_block=65536,
+                                  "ts"],
                derive=_EVENT_US)
     GAP_US = 30 * 60 * 1000000
 
@@ -4791,7 +4662,7 @@ def q_top_session_paths(sf_dir: str):
                              ascending=[False, True]).head(10)
 
     surv = counts.map_batches(block_top, batch_format="pandas")
-    top = surv.sort(["n", "path"], descending=[True, False]).limit(10)
+    top = sort_rows(surv, ["n", "path"], [True, False], 10)
     return top.map_batches(
         lambda b: pd.DataFrame({"path": b["path"].to_numpy(object),
                                 "n_sessions": b["n"].to_numpy(np.int64)}),
@@ -4812,7 +4683,6 @@ def q_interpolate_hourly(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate
     HOUR_US = 3600 * 1000000
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536,
                derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
                        "cents": cents("value")},
                where=col("event_type") == "purchase")
@@ -4855,7 +4725,7 @@ def q_stock_balance_clamped(sf_dir: str):
                       pc.scalar(1))
     v = _read(sf_dir, "lineitem",
               ["l_partkey", "l_orderkey", "l_linenumber", "l_quantity",
-               "l_returnflag", "l_shipdate"], rows_per_block=65536,
+               "l_returnflag", "l_shipdate"],
               derive={"l_partkey": col("l_partkey"),
                       "ship_us": epoch_us("l_shipdate"),
                       "l_orderkey": col("l_orderkey"),
@@ -4878,7 +4748,7 @@ def q_rolling_approx_users(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.sketch import rolling_approx_distinct
     HOUR_US = 3600 * 1000000
-    v = _read(sf_dir, "events", ["ts", "user_id"], rows_per_block=65536,
+    v = _read(sf_dir, "events", ["ts", "user_id"],
               derive={"hr_us": floor_div(epoch_us("ts"), HOUR_US) * HOUR_US,
                       "user_id": col("user_id")})
     out = rolling_approx_distinct(v, "hr_us", "user_id", width=3,
@@ -4957,7 +4827,6 @@ def q_rfm_segments(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate, global_ntile
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"o_custkey": col("o_custkey"),
                            "od_us": epoch_us("o_orderdate"),
                            "cents": cents("o_totalprice")})
@@ -5021,7 +4890,7 @@ def q_gini_nation_spend(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int64))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536, derive=_CUST_CENTS)
+                   derive=_CUST_CENTS)
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -5049,8 +4918,8 @@ def q_gini_nation_spend(sf_dir: str):
                                     dtype=np.int32),
             "gini": np.array([val], dtype=np.float64)})
 
-    return vals.groupby("nation").map_groups(gini,
-                                             batch_format="pandas")
+    return key_shuffle(vals, per_key(gini, ["nation"]), ["nation"],
+                       batch_format="pandas")
 
 
 def q_acf_daily_revenue(sf_dir: str):
@@ -5069,7 +4938,6 @@ def q_acf_daily_revenue(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate
     DAY_US = 86400 * 1000000
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"],
-               rows_per_block=65536,
                derive={"day_us": floor_div(epoch_us("ts"), DAY_US) * DAY_US,
                        "cents": cents("value")},
                where=col("event_type") == "purchase")
@@ -5109,7 +4977,6 @@ def q_spearman_qty_price(sf_dir: str):
     mirrored float closed form (ops/relational.py::spearman_corr)."""
     from no_fasel_scrapers_ray.ops.relational import spearman_corr
     li = _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"],
-               rows_per_block=65536,
                derive={"q": rint("l_quantity"),
                        "c": cents("l_extendedprice")})
     return spearman_corr(li, "q", "c", "spearman")
@@ -5132,7 +4999,6 @@ def q_pct_rank_nation_spend(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"c_custkey": col("o_custkey"),
                            "spend_cents": cents("o_totalprice")})
     spend = aggregate(orders, ["c_custkey"],
@@ -5158,8 +5024,7 @@ def q_fd_cust_priority(sf_dir: str):
     distinct reduces; the fact table streams once
     (ops/relational.py::fd_violations)."""
     from no_fasel_scrapers_ray.ops.relational import fd_violations
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
     return fd_violations(orders, "o_custkey", "o_orderpriority",
                          "n_priorities")
 
@@ -5175,7 +5040,7 @@ def q_theil_sen_cust_trend(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import theil_sen_grouped
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
-                   rows_per_block=65536, derive=_CUST_DAY_CENTS)
+                   derive=_CUST_DAY_CENTS)
     return theil_sen_grouped(orders, "o_custkey", "day", "cents",
                              "trend_slope", min_points=6)
 
@@ -5188,7 +5053,6 @@ def q_benford_totalprice(sf_dir: str):
     mirrored float expectation (ops/relational.py::benford_digits)."""
     from no_fasel_scrapers_ray.ops.relational import benford_digits
     orders = _read(sf_dir, "orders", ["o_totalprice"],
-                   rows_per_block=65536,
                    derive={"cents": cents("o_totalprice")})
     return benford_digits(orders, "cents")
 
@@ -5209,7 +5073,6 @@ def q_ztest_urgent_nation(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536,
                    derive={"o_custkey": col("o_custkey"),
                            "urgent": _URGENT})
 
@@ -5250,7 +5113,6 @@ def q_cusum_daily_revenue(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"day_us": epoch_us("o_orderdate"),
                            "cents": cents("o_totalprice")})
     daily = aggregate(
@@ -5308,7 +5170,6 @@ def _discount_rank_stats(sf_dir: str) -> tuple[float, float, float,
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, exact_sums, ordered_prefix_sum)
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
-               rows_per_block=65536,
                derive={"v": cents("l_extendedprice"), "f": _DISCOUNTED})
     counts = aggregate(li, ["v"],
                        {"cnt": ("count", None), "cnt_a": ("sum", "f")})
@@ -5363,7 +5224,7 @@ def q_mad_nation_price(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536, derive=_CUST_CENTS)
+                   derive=_CUST_CENTS)
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -5414,7 +5275,6 @@ def q_ks_urgent_price(sf_dir: str):
         aggregate, ordered_prefix_sum)
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536,
                    derive={"v": cents("o_totalprice"), "f": _URGENT})
     counts = aggregate(
         orders, ["v"],
@@ -5459,7 +5319,6 @@ def q_kruskal_wallis_price(sf_dir: str):
     K = 5
     orders = _read(sf_dir, "orders",
                    ["o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536,
                    derive={"v": cents("o_totalprice"),
                            **{f"g{j}": flag(_PRIORITY_NO == j)
                               for j in range(1, K + 1)}})
@@ -5505,8 +5364,7 @@ def q_cramers_v_nation_priority(sf_dir: str):
     cust = cust.sort_values("c_custkey")
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -5558,8 +5416,7 @@ def q_jsd_region_priority(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cr = ray.put(np.array([nk[int(x)] for x in cust["c_nationkey"]],
                           dtype=object))
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -5607,7 +5464,6 @@ def q_brown_forsythe_price(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import (
         broadcast_get, exact_sums, grouped_quantile_cont)
     gv = _read(sf_dir, "orders", ["o_totalprice", "o_orderpriority"],
-               rows_per_block=65536,
                derive={"g": _PRIORITY_NO,
                        "v": cents("o_totalprice")}).materialize()
     med = grouped_quantile_cont(gv, ["g"], "v", 0.5,
@@ -5655,8 +5511,7 @@ def q_chisq_nation_priority(sf_dir: str):
     cust = cust.sort_values("c_custkey")
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -5690,8 +5545,7 @@ def q_mutual_info_priority_status(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import aggregate
     orders = _read(sf_dir, "orders",
-                   ["o_orderpriority", "o_orderstatus"],
-                   rows_per_block=65536)
+                   ["o_orderpriority", "o_orderstatus"])
     a = aggregate(orders, ["o_orderpriority", "o_orderstatus"],
                   {"n": ("count", None)}).to_pandas()
     npp = a.groupby("o_orderpriority")["n"].transform("sum") \
@@ -5751,7 +5605,7 @@ def q_anova_nation_spend(sf_dir: str):
     ck = ray.put(cust["c_custkey"].to_numpy(np.int64))
     cn = ray.put(cust["c_nationkey"].to_numpy(np.int32))
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"],
-                   rows_per_block=65536, derive=_CUST_CENTS)
+                   derive=_CUST_CENTS)
 
     def prep(b: pd.DataFrame) -> pd.DataFrame:
         c = b["o_custkey"].to_numpy(np.int64)
@@ -5788,7 +5642,6 @@ def q_spearman_by_returnflag(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import grouped_spearman
     li = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_quantity", "l_extendedprice"],
-               rows_per_block=65536,
                derive={"l_returnflag": col("l_returnflag"),
                        "q": rint("l_quantity"),
                        "c": cents("l_extendedprice")})
@@ -5804,7 +5657,7 @@ def q_kendall_cust_trend(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import kendall_tau_grouped
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderdate", "o_totalprice"],
-                   rows_per_block=65536, derive=_CUST_DAY_CENTS)
+                   derive=_CUST_DAY_CENTS)
     return kendall_tau_grouped(orders, "o_custkey", "day", "cents",
                                "tau_b", min_points=6)
 
@@ -5823,7 +5676,6 @@ def q_psi_order_value_drift(sf_dir: str):
     NBINS = 10
     yr = pc.year(col("o_orderdate"))
     orders = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"],
-                   rows_per_block=65536,
                    derive={"bin": pc.min_element_wise(
                                floor_div(cents("o_totalprice"), BIN),
                                pc.scalar(NBINS - 1)),
@@ -5857,7 +5709,6 @@ def q_welch_ttest_discount(sf_dir: str):
     import pandas as pd
     from no_fasel_scrapers_ray.ops.relational import exact_sums
     li = _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount"],
-               rows_per_block=65536,
                derive={"side": _DISCOUNTED,
                        "cents": cents("l_extendedprice")})
     a = exact_sums(li, ["side"],
@@ -5895,10 +5746,9 @@ def q_ppr_top_customers(sf_dir: str):
     from no_fasel_scrapers_ray.ops.graph import personalized_pagerank
     from no_fasel_scrapers_ray.ops.relational import (
         aggregate, bucketed_join, round_columns)
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"],
-                   rows_per_block=65536)
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey"],
-               rows_per_block=65536, derive=_SUPP_DST)
+               derive=_SUPP_DST)
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
 
     def to_edge(b: pd.DataFrame) -> pd.DataFrame:
@@ -5943,7 +5793,6 @@ def q_lift_table_urgent(sf_dir: str):
     from no_fasel_scrapers_ray.ops.relational import aggregate, global_ntile
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_totalprice", "o_orderpriority"],
-                   rows_per_block=65536,
                    derive={"c": col("o_custkey"),
                            "cents": cents("o_totalprice"),
                            "urgent": _URGENT})
@@ -5988,8 +5837,8 @@ def _ship_delay_day_counts(sf_dir: str,
         cols.append("l_discount")
         derive["grp"] = _DISCOUNTED
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"],
-                   rows_per_block=65536, derive=_ORDER_US)
-    li = _read(sf_dir, "lineitem", cols, rows_per_block=65536,
+                   derive=_ORDER_US)
+    li = _read(sf_dir, "lineitem", cols,
                derive=derive)
     j = bucketed_join(li, orders, on="o_orderkey", how="inner")
     DAY_US = 86400 * 1000000

@@ -2,10 +2,12 @@
 
 A brand-new engine (not a port) with the query and data-processing
 capabilities of ``N0-0NE-Dev/no-fasel-scrapers``: a URL-frontier + fetch
-scheduler over a Lance/Parquet table of interleaved text+media documents,
-expressed as ``ray.data.Dataset`` pipelines (``map_batches`` over zero-copy
-Arrow batches, actor pools for stateful stages, ``groupby``/``union`` for
-the wide steps).
+scheduler over a Lance/Parquet table of interleaved text+media documents.
+Queries and the crawl-to-catalog tail run on Arrow blocks held as object
+refs (``corpus/storage.py::BlockRefs``): raw-task waves per block and one
+key exchange (``ops/util.py::key_shuffle``) for the wide steps, with no
+Ray Data execution; the stateful media stages and the ingest pipeline
+stay ``ray.data.Dataset`` actor pools and pipelines.
 
 Layout:
   corpus/     span schema, Lance-or-Parquet storage, synthetic-web generator
@@ -15,8 +17,8 @@ Layout:
               politeness, priority heap), checkpointing
   stages/     fetch (actor pool) and extract (stateless) map_batches stages,
               per-site adapters
-  ops/        generic Ray Data operators (joins, aggregation, dedup, ANN,
-              text analysis) used by the driver correctness gate
+  ops/        generic operators over block refs (joins, aggregation, dedup,
+              ANN, text analysis) used by the driver correctness gate
   pipelines/  crawl round loop, catalog assembly, postprocess, indexer,
               trending
   oracle/     single-threaded reimplementation of the reference scraper

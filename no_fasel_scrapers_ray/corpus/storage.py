@@ -23,12 +23,14 @@ import functools
 import itertools
 import math
 import os
+import types
 import uuid
 from urllib.parse import quote, unquote
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from ..functions.hashing import stable_hash64_array
 from ..functions.urls import canonicalize_url
@@ -157,17 +159,25 @@ def read_corpus(path: str, columns=None):
 
 
 class BlockRefs:
-    """Arrow table blocks held as Ray object refs, in order: what
-    ``read_parquet_sized``, ``assemble_records`` and the catalog sink
-    pass between them in place of a ``ray.data.Dataset``.
+    """Arrow table blocks held as Ray object refs, in order: what a
+    query and the crawl-to-catalog tail pass between operators in place
+    of a ``ray.data.Dataset``. ``read_parquet_sized`` makes one, and
+    every ``ops/`` operator and ``ops/util.py::key_shuffle`` return one.
 
     Every block is already computed when a handle is made, so no Ray
     Data executor, plan or singleton actor is involved (a Dataset over
     the same refs starts Ray Data's stats actor when it is built and
-    its autoscaling-requester actor on ``to_arrow_refs()``, and
-    ``ray.data.from_arrow_refs`` runs a metadata task per ref).
-    A caller that needs Dataset operators builds one itself:
-    ``ray.data.from_arrow_refs(h.to_arrow_refs())``.
+    its autoscaling-requester actor on ``to_arrow_refs()``, and each
+    Dataset execution costs 0.11-0.17 s against ~0.01 s for a raw-task
+    wave). Every method is eager: one raw task per block through
+    ``ops/util.py::submit_windowed`` (``map_batches``,
+    ``select_columns``, ``sum``/``min``/``max``), or a driver read of
+    the blocks' metadata (``count``, ``schema``, ``size_bytes``).
+    Batches convert to and from ``pandas``/``pyarrow``/numpy exactly as
+    Ray Data converts them. The surface is the Dataset subset the
+    operators use, with Dataset semantics, so an operator takes either.
+    A caller that needs any other Dataset operator builds a Dataset
+    itself: ``ray.data.from_arrow_refs(h.to_arrow_refs())``.
 
     ``catalogs``, when set, is the sorted list of distinct ``catalog``
     values the blocks can hold (``assemble_records`` fills it from its
@@ -184,21 +194,177 @@ class BlockRefs:
         """The blocks are already computed: returns the handle itself."""
         return self
 
-    def count(self) -> int:
+    def num_blocks(self) -> int:
+        return len(self._refs)
+
+    def _tables(self) -> list:
         import ray
-        return sum(t.num_rows for t in ray.get(self._refs))
+        return ray.get(self._refs)
+
+    def count(self) -> int:
+        return sum(t.num_rows for t in self._tables())
+
+    def size_bytes(self) -> int:
+        return sum(t.nbytes for t in self._tables())
+
+    def schema(self):
+        """The blocks' Arrow schemas unified, as Dataset's: a null-typed
+        column (an empty pandas output block) takes its type from the
+        other blocks. ``None`` without blocks."""
+        if not self._refs:
+            return None
+        schemas = [t.schema for t in self._tables()]
+        try:
+            return pa.unify_schemas(schemas, promote_options="default")
+        except (pa.ArrowInvalid, pa.ArrowTypeError):
+            return schemas[0]
 
     def to_pandas(self):
+        import pandas as pd
+        if not self._refs:
+            return pd.DataFrame()
+        return as_batch(concat_blocks(self._tables()), "pandas")
+
+    def union(self, *others) -> "BlockRefs":
+        """Blocks of ``self`` then of each other handle or Dataset."""
+        return BlockRefs(self._refs + [r for o in others
+                                       for r in o.to_arrow_refs()])
+
+    def map_batches(self, fn, *, batch_format: str = "default",
+                    batch_size: int | None = None) -> "BlockRefs":
+        """``fn`` over every block, one task per block: the block as one
+        batch in ``batch_format`` (``"default"``/``"numpy"``,
+        ``"pandas"``, ``"pyarrow"`` or ``None`` for the Arrow block),
+        or as ``batch_size``-row slices of it, one output block per
+        batch. As in Ray Data, an empty block gets no call and yields
+        no block, except that when every block is empty ``fn`` runs
+        once over the first if it has columns, so the result keeps one
+        typed block."""
         import ray
-        return pa.concat_tables(ray.get(self._refs)).to_pandas()
+
+        from ..ops.util import fanout, submit_windowed
+
+        tables = self._tables()
+        rows = [t.num_rows for t in tables]
+        keep = [(r, n) for r, n in zip(self._refs, rows) if n] or \
+            [(r, 0) for r, t in zip(self._refs, tables[:1]) if t.num_columns]
+        fn_ref = ray.put(fn)
+        step = batch_size or max(rows, default=1) or 1
+        parts = submit_windowed(
+            functools.partial(fanout, _map_block, max(1, -(-n // step)),
+                              fn_ref, batch_format, step, r)
+            for r, n in keep)
+        return BlockRefs([r for p in parts for r in p])
+
+    def select_columns(self, cols) -> "BlockRefs":
+        cols = [cols] if isinstance(cols, str) else list(cols)
+        return self.map_batches(lambda t: t.select(cols),
+                                batch_format="pyarrow")
+
+    def _reduce(self, op: str, on):
+        """``op`` (sum|min|max) of column(s) ``on`` over the non-null
+        values of every block, as Dataset's aggregates: a scalar for one
+        column name, a dict for a list, ``None`` where no value."""
+        import ray
+
+        from ..ops.util import submit_windowed
+
+        cols = [on] if isinstance(on, str) else list(on)
+        parts = ray.get(submit_windowed(
+            functools.partial(_reduce_task.remote, op, cols, r)
+            for r in self._refs))
+        fold = {"sum": sum, "min": min, "max": max}[op]
+        out = {}
+        for i, c in enumerate(cols):
+            vals = [p[i] for p in parts if p[i] is not None]
+            out[c] = fold(vals) if vals else None
+        return out[on] if isinstance(on, str) else out
+
+    def sum(self, on):
+        return self._reduce("sum", on)
+
+    def min(self, on):
+        return self._reduce("min", on)
+
+    def max(self, on):
+        return self._reduce("max", on)
 
 
-def _read_slices(slices: list, columns) -> pa.Table:
-    """One block of ``read_parquet_sized``: the (file, offset, length)
-    row slices of consecutive files, concatenated in order."""
-    return pa.concat_tables([
-        pq.read_table(f, columns=columns).slice(lo, n)
-        for f, lo, n in slices])
+def one_block(table) -> BlockRefs:
+    """A driver-side Arrow table or pandas frame as a one-block
+    handle."""
+    return BlockRefs([ray.put(as_block(table))])
+
+
+def as_batch(t: pa.Table, batch_format):
+    """An Arrow block as a batch in ``batch_format``, converted as Ray
+    Data converts it (``"default"`` is numpy)."""
+    from ray.data.block import BlockAccessor
+    fmt = "numpy" if batch_format == "default" else batch_format
+    return BlockAccessor.for_block(t).to_batch_format(fmt)
+
+
+def as_block(batch) -> pa.Table:
+    """A function's output batch (pandas, Arrow or a dict of arrays) as
+    an Arrow block, converted as Ray Data converts it."""
+    from ray.data.block import BlockAccessor
+    return BlockAccessor.for_block(
+        BlockAccessor.batch_to_block(batch)).to_arrow()
+
+
+def concat_blocks(tables: list) -> pa.Table:
+    """Blocks concatenated in order; a column missing from a block is
+    null there, and a null-typed column takes its type from the others."""
+    if len(tables) == 1:
+        return tables[0]
+    return pa.concat_tables(tables, promote_options="default")
+
+
+def _map_block(fn, batch_format, step: int, t: pa.Table) -> list:
+    """``fn`` over each ``step``-row slice of one block (the whole empty
+    block when it has no rows): one Arrow output block per slice."""
+    outs = []
+    for lo in range(0, max(t.num_rows, 1), step):
+        out = fn(as_batch(t.slice(lo, step), batch_format))
+        outs.append(concat_blocks([as_block(b) for b in (
+            out if isinstance(out, types.GeneratorType) else [out])]))
+    return outs
+
+
+def _reduce_block(op: str, cols: list, t: pa.Table) -> list:
+    fn = {"sum": pc.sum, "min": pc.min, "max": pc.max}[op]
+    return [fn(t[c]).as_py() if t.num_rows else None for c in cols]
+
+
+_reduce_task = ray.remote(_reduce_block)
+
+
+def apply_spec(t: pa.Table, derive: dict | None, where) -> pa.Table:
+    """``where`` and ``derive`` (``pyarrow.compute`` Expressions; see
+    ``read_parquet_sized``) evaluated over one block."""
+    if derive is None and where is None:
+        return t
+    import pyarrow.dataset as pads
+    out = pads.dataset(t).to_table(columns=derive, filter=where,
+                                   use_threads=False)
+    return out if derive is None else out.replace_schema_metadata(None)
+
+
+def _read_run(units: list, columns, derive, where, cuts: list) -> list:
+    """One read task of ``read_parquet_sized``: the (file, row groups)
+    units read once, in order, cut at the run-relative row offsets
+    ``cuts`` into ``len(cuts) - 1`` pieces, each with the spec
+    applied."""
+    t = pa.concat_tables([
+        pq.ParquetFile(f).read_row_groups(rgs, columns=columns)
+        if rgs else pq.read_table(f, columns=columns).slice(0, 0)
+        for f, rgs in units])
+    return [apply_spec(t.slice(a, b - a), derive, where)
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _concat_pieces(*pieces) -> pa.Table:
+    return pa.concat_tables(pieces)
 
 
 # Row floor of one block: a block is split off only once it carries at
@@ -206,21 +372,68 @@ def _read_slices(slices: list, columns) -> pa.Table:
 ROWS_PER_BLOCK = 1 << 15
 
 
-def block_count(rows: int, nbytes: int, rows_per_block: int) -> int:
+def block_count(rows: int, nbytes: int) -> int:
     """Blocks for a parquet read of ``rows`` rows in ``nbytes`` file
     bytes: one per 32 MiB of file once the input is big (Ray's own
     target), with a small-input floor of one block per
-    ``rows_per_block`` rows capped at 2 × the cluster's CPUs."""
+    ``ROWS_PER_BLOCK`` rows capped at 2 × the cluster's CPUs, and never
+    more blocks than rows."""
     from ..ops.util import cluster_cpus
 
-    return max(math.ceil(nbytes / (32 << 20)),
-               min(2 * cluster_cpus(), math.ceil(rows / rows_per_block)),
-               1)
+    return max(min(max(math.ceil(nbytes / (32 << 20)),
+                       min(2 * cluster_cpus(),
+                           math.ceil(rows / ROWS_PER_BLOCK))), rows), 1)
 
 
-def read_parquet_sized(path: str, columns=None) -> BlockRefs:
+def _row_groups(files: list) -> list:
+    """(file, row group, rows) of every row group, in file order."""
+    return [(f, i, md.row_group(i).num_rows) for f in files
+            for md in [pq.ParquetFile(f).metadata]
+            for i in range(md.num_row_groups)]
+
+
+def _read_plan(rgs: list, nb: int):
+    """Read tasks and block assembly of ``read_parquet_sized`` over the
+    ``_row_groups`` ``rgs``.
+
+    Blocks are the ``nb`` row-balanced cuts of the file-order rows:
+    block k holds rows ``[k*rows//nb, (k+1)*rows//nb)``. Each inner cut
+    is snapped to the nearest row-group boundary to make the task runs,
+    so every row group belongs to one run and is read once; a run is
+    cut at the block bounds inside it into pieces. Returns the runs as
+    ``(units, cuts)`` and, per block, the ``(run, piece)`` list it
+    concatenates."""
+    starts = list(itertools.accumulate((n for _, _, n in rgs), initial=0))
+    rows = starts[-1]
+    bounds = [k * rows // nb for k in range(nb + 1)]
+    edges = sorted({0, rows} | {min(starts, key=lambda s: (abs(s - b), s))
+                                for b in bounds[1:-1]})
+    runs, pieces = [], []     # pieces: (block, run, piece) in row order
+    for a, b in zip(edges, edges[1:]):
+        units: dict = {}
+        for (f, i, _n), s in zip(rgs, starts):
+            if a <= s < b:
+                units.setdefault(f, []).append(i)
+        cuts = [a] + [x for x in bounds[1:-1] if a < x < b] + [b]
+        for j, lo in enumerate(cuts[:-1]):
+            pieces.append((max(k for k in range(nb) if bounds[k] <= lo),
+                           len(runs), j))
+        runs.append((list(units.items()), [x - a for x in cuts]))
+    blocks = [[(r, j) for k2, r, j in pieces if k2 == k] for k in range(nb)]
+    return runs, blocks
+
+
+def read_parquet_sized(path: str, columns=None, *, derive: dict | None = None,
+                       where=None) -> BlockRefs:
     """Parquet file/dir → ``BlockRefs`` whose block count follows the
-    data.
+    data, with a spec evaluated in the read tasks.
+
+    ``where`` is one boolean ``pyarrow.compute`` Expression over the
+    read columns; rows where it is false or null are dropped. ``derive``
+    maps each output name to an Expression over the read columns; when
+    it is given a block holds exactly its columns, in its order, without
+    the source file's pandas schema metadata. A block whose rows are all
+    dropped keeps the typed schema.
 
     A crawl run's records/ dir holds one small fragment per crawl block
     (41 files on the fresh_crawl benchmark, hundreds at the 2.4M-page
@@ -260,25 +473,28 @@ def read_parquet_sized(path: str, columns=None) -> BlockRefs:
     rows at any CPU count (200k rows at 8 CPUs: 7 blocks, where the
     earlier 2,048-row floor gave 16), and neither benchmarked shape
     falls in that range (fresh_crawl is below it, bench.py at the 2×CPU
-    cap), so the constant is not shown to be a good choice there.
+    cap), so the constant is not shown to be a good choice there. It is
+    also the one floor of every query read (sf0.01 lineitem, 60k rows,
+    reads as 2 blocks).
 
     The files, in sorted path order, are cut into that many contiguous
-    runs of about equal row counts; each block is one plain Ray task
-    reading its run. The read tasks go out through
-    ``ops/util.py::submit_windowed``, no more in flight than the free
-    CPU slots, and the call returns once every block is read. Row order
-    is file order. Hive partition columns (the crawl's ``round=R`` dirs)
-    are not added. ``rd.read_parquet`` was not used: past 24 files it
-    launches a remote metadata-fetch task wave (Ray's
-    PARALLELIZE_META_FETCH_THRESHOLD), past 16 paths on a non-local
-    filesystem a file-size-fetch wave
+    blocks of about equal row counts (``_read_plan``). No byte is read
+    twice: each read task reads whole row groups once and splits them
+    into its blocks with ``ops/util.py::fanout`` (one 600k-row row
+    group reads as one task with up to 2×CPUs outputs); a block that
+    straddles two tasks' runs is one more small concatenating task. The
+    tasks go out through ``ops/util.py::submit_windowed``, no more in
+    flight than the free CPU slots, and the call returns once every
+    block is read. Row order is file order. Hive partition columns (the
+    crawl's ``round=R`` dirs) are not added. ``rd.read_parquet`` was not
+    used: past 24 files it launches a remote metadata-fetch task wave
+    (Ray's PARALLELIZE_META_FETCH_THRESHOLD), past 16 paths on a
+    non-local filesystem a file-size-fetch wave
     (FILE_SIZE_FETCH_PARALLELIZATION_THRESHOLD), and it samples files
     for an encoding ratio in remote tasks — all before a row is read,
     and the cost of each wave is fixed while the data here is a few MB.
     """
-    import ray
-
-    from ..ops.util import submit_windowed
+    from ..ops.util import fanout, submit_windowed
 
     if os.path.isdir(path):
         files = sorted(os.path.join(base, n)
@@ -288,23 +504,27 @@ def read_parquet_sized(path: str, columns=None) -> BlockRefs:
         files = [path]
     if not files:
         raise FileNotFoundError(f"no parquet files under {path}")
-    counts = [pq.ParquetFile(f).metadata.num_rows for f in files]
-    rows = sum(counts)
-    nb = block_count(rows, sum(os.path.getsize(f) for f in files),
-                     ROWS_PER_BLOCK)
+    rgs = _row_groups(files)
+    rows = sum(n for _, _, n in rgs)
+    if not rows:
+        # one typed empty block
+        runs, blocks = [([(files[0], [])], [0, 0])], [[(0, 0)]]
+    else:
+        runs, blocks = _read_plan(
+            rgs, block_count(rows, sum(os.path.getsize(f) for f in files)))
+    parts = submit_windowed(
+        functools.partial(fanout, _read_run, len(cuts) - 1, units,
+                          columns, derive, where, cuts)
+        for units, cuts in runs)
+    joined = iter(submit_windowed(
+        functools.partial(_concat_task.remote,
+                          *[parts[r][j] for r, j in b])
+        for b in blocks if len(b) > 1))
+    return BlockRefs([parts[b[0][0]][b[0][1]] if len(b) == 1
+                      else next(joined) for b in blocks])
 
-    # block k holds rows [k*rows//nb, (k+1)*rows//nb) of the file-order
-    # concatenation; a block with no rows reads an empty slice of the
-    # first file so it still carries the schema
-    starts = list(itertools.accumulate(counts, initial=0))
-    bounds = [k * rows // nb for k in range(nb + 1)]
-    groups = [[(f, max(a, s) - s, min(b, s + n) - max(a, s))
-               for f, s, n in zip(files, starts, counts)
-               if s < b and s + n > a] or [(files[0], 0, 0)]
-              for a, b in zip(bounds, bounds[1:])]
-    read_r = ray.remote(_read_slices)
-    return BlockRefs(submit_windowed(
-        functools.partial(read_r.remote, g, columns) for g in groups))
+
+_concat_task = ray.remote(_concat_pieces)
 
 
 def read_corpus_table(path: str) -> pa.Table:
@@ -321,66 +541,3 @@ def read_corpus_table(path: str) -> pa.Table:
                 "host", pa.array([host] * t.num_rows, pa.string()))
         tables.append(t)
     return pa.concat_tables(tables)
-
-
-def write_partitioned_resumable(ds, root: str, part_col: str,
-                                rows_per_file: int = 1 << 20) -> "pa.Table":
-    """Resumable partitioned parquet sink: one directory per distinct
-    ``part_col`` value, each finalized by an atomic ``_SUCCESS`` marker
-    written AFTER its data files. A re-run after a crash skips every
-    partition whose marker exists and rewrites only unfinished ones —
-    the 'failed 100-TB job resumes, not restarts' output contract
-    (SURVEY §7: resumable output; same discipline as the crawl's
-    per-round checkpoints and the graph operators' iteration
-    checkpoints).
-
-    One partition-bucket shuffle, then each partition writes from its
-    own worker task (the parallel per-catalog writer shape) with
-    deterministic file names, so a partial rewrite converges to the
-    same layout. Returns a (partition, rows, skipped) summary table —
-    row counts of SKIPPED partitions are read from their footers, not
-    recomputed."""
-    import pandas as pd
-
-    os.makedirs(root, exist_ok=True)
-
-    def write_group(g: "pd.DataFrame") -> "pd.DataFrame":
-        val = str(g[part_col].iloc[0])
-        pdir = os.path.join(root, f"{part_col}={val}")
-        marker = os.path.join(pdir, "_SUCCESS")
-        if os.path.exists(marker):
-            n = 0
-            for name in sorted(os.listdir(pdir)):
-                if name.endswith(".parquet"):
-                    n += pq.ParquetFile(
-                        os.path.join(pdir, name)).metadata.num_rows
-            return pd.DataFrame({"partition": [val], "rows": [n],
-                                 "skipped": [True]})
-        os.makedirs(pdir, exist_ok=True)
-        # Unfinished partition: a prior crashed run may have left MORE
-        # part files than this run will write (fewer rows, larger
-        # rows_per_file) — stale leftovers would get blessed by the
-        # marker below and silently duplicate rows for readers. Clear
-        # the directory before rewriting.
-        for name in os.listdir(pdir):
-            if name.endswith(".parquet"):
-                os.remove(os.path.join(pdir, name))
-        # hive layout: the partition value lives in the dir name only
-        # (keeping the column in the files too makes readers' inferred
-        # dictionary type clash with the stored string type)
-        t = pa.Table.from_pandas(g.drop(columns=[part_col]),
-                                 preserve_index=False)
-        for i, lo in enumerate(range(0, len(t), rows_per_file)):
-            pq.write_table(t.slice(lo, rows_per_file),
-                           os.path.join(pdir, f"part-{i:05d}.parquet"))
-        def write_marker(tmp: str) -> None:
-            with open(tmp, "w") as fp:
-                fp.write(str(len(t)))
-        atomic_write(marker, write_marker)
-        return pd.DataFrame({"partition": [val], "rows": [len(t)],
-                             "skipped": [False]})
-
-    out = (ds.groupby(part_col)
-           .map_groups(write_group, batch_format="pandas").to_pandas()
-           .sort_values("partition", ignore_index=True))
-    return pa.Table.from_pandas(out, preserve_index=False)

@@ -1,4 +1,5 @@
-"""Generic Ray-Data operators.
+"""Generic operators over ``corpus/storage.py::BlockRefs`` (a Ray Data
+``Dataset`` input works too; the result is block refs).
 
 These are the engine's reusable data-processing primitives — the same
 operator families the crawl pipelines use (broadcast joins, semi/anti

@@ -19,7 +19,13 @@ import pandas as pd
 import ray
 import ray.data as rd
 
-from .util import cached_instance
+import functools
+
+import pyarrow as pa
+
+from ..corpus.storage import BlockRefs, as_batch, as_block
+from .util import (cached_instance, key_shuffle, per_key,
+                   submit_windowed)
 
 
 def _stack(batch_col) -> np.ndarray:
@@ -311,8 +317,8 @@ def cosine_near_dup(embeddings: rd.Dataset, threshold: float = 0.95,
         return pd.concat(frames, ignore_index=True)
 
     bucketed = embeddings.map_batches(lsh_all, batch_format="pandas")
-    allp = bucketed.groupby(["rep", "bucket"]).map_groups(
-        verify, batch_format="pandas")
+    allp = key_shuffle(bucketed, per_key(verify, ["rep", "bucket"]),
+                       ["rep", "bucket"], batch_format="pandas")
     # dedup the pair union across repeats (cosine identical per pair) —
     # bucketed partial-agg, not the sort-based Aggregate (see
     # relational.aggregate)
@@ -321,11 +327,12 @@ def cosine_near_dup(embeddings: rd.Dataset, threshold: float = 0.95,
 
 
 @ray.remote
-def _block_pairs(blk_a: pd.DataFrame, blk_b: pd.DataFrame, same: bool,
+def _block_pairs(blk_a: pa.Table, blk_b: pa.Table, same: bool,
                  threshold: float) -> pd.DataFrame:
-    """All qualifying pairs between two pre-normalized blocks (one
+    """All qualifying pairs between two pre-normalized Arrow blocks (one
     matmul). Blocks arrive as object-store refs resolved by Ray —
     peer-to-peer on a real cluster, never through the driver."""
+    blk_a, blk_b = as_batch(blk_a, "pandas"), as_batch(blk_b, "pandas")
     ids_a, emb_a = blk_a["vec_id"].to_numpy(), _stack(blk_a["nemb"])
     if same:
         ids_b, emb_b = ids_a, emb_a
@@ -370,7 +377,7 @@ def cosine_near_dup_exact(embeddings: rd.Dataset,
 
     packed = embeddings.map_batches(
         norm_pack, batch_format="pandas", batch_size=block_rows)
-    blocks = packed.to_pandas_refs()   # refs only; no driver fetch
+    blocks = packed.to_arrow_refs()   # refs only; no driver fetch
     futs = []
     for i in range(len(blocks)):
         for j in range(i, len(blocks)):
@@ -674,6 +681,13 @@ def knn_pq(embeddings: rd.Dataset, query_ids: list[int], k: int = 5,
 # the trending first-match title join, TrendingScraper.py:92-110).
 # --------------------------------------------------------------------------
 
+def _arrow_block_topk(a: pa.Table, b: pa.Table, same: bool,
+                      k: int) -> pa.Table:
+    """``_block_topk`` over two Arrow blocks, as an Arrow block."""
+    return as_block(_block_topk(as_batch(a, "pandas"), as_batch(b, "pandas"),
+                                same, k))
+
+
 def _block_topk(blk_a: pd.DataFrame, blk_b: pd.DataFrame, same: bool,
                 k: int) -> pd.DataFrame:
     """Per-row partial top-k between two normalized blocks (one
@@ -742,20 +756,18 @@ def knn_graph_mutual(embeddings: rd.Dataset, k: int = 5,
 
     packed = embeddings.map_batches(
         norm_pack, batch_format="pandas", batch_size=block_rows)
-    blocks = packed.to_pandas_refs()   # refs only; no driver fetch
-    topk_r = ray.remote(_block_topk)
-    parts = [topk_r.remote(blocks[i], blocks[j], i == j, k)
-             for i in range(len(blocks))
-             for j in range(i, len(blocks))]
-    partials = rd.from_pandas_refs(parts)
+    blocks = packed.to_arrow_refs()   # refs only; no driver fetch
+    topk_r = ray.remote(_arrow_block_topk)
+    partials = BlockRefs(submit_windowed(
+        functools.partial(topk_r.remote, blocks[i], blocks[j], i == j, k)
+        for i in range(len(blocks)) for j in range(i, len(blocks))))
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["cosine", "nbr_id"],
                           ascending=[False, True], kind="stable")
         return g.groupby("vec_id", sort=False).head(k)
 
-    topk = partials.groupby("vec_id").map_groups(
-        combine, batch_format="pandas")
+    topk = key_shuffle(partials, combine, ["vec_id"], batch_format="pandas")
 
     def canonical(b: pd.DataFrame) -> pd.DataFrame:
         a = b["vec_id"].to_numpy(np.int64)
@@ -846,6 +858,6 @@ def semantic_prune(embeddings: rd.Dataset, n_clusters: int = 8,
             "cluster_id": g["cluster_id"].to_numpy(),
             "kept": kept})
 
-    return (embeddings.map_batches(assign, batch_format="pandas")
-            .groupby("cluster_id")
-            .map_groups(prune, batch_format="pandas"))
+    return key_shuffle(embeddings.map_batches(assign, batch_format="pandas"),
+                       per_key(prune, ["cluster_id"]), ["cluster_id"],
+                       batch_format="pandas")

@@ -39,7 +39,9 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .util import cached_instance, check_broadcast, key_shuffle, plan_tier
+from ..corpus.storage import BlockRefs, as_batch, one_block
+from .util import (cached_instance, check_broadcast, key_shuffle, per_key,
+                   plan_tier, rebalance)
 
 # MinHash parameters: 64 permutations in 8 bands of 8 rows.
 N_PERM = 64
@@ -504,9 +506,9 @@ def ngram_jaccard_cross(docs: rd.Dataset, side_col: str,
                 side_col: pa.array(
                     np.asarray(b[side_col], np.int64))})
 
-        rdocs = rdocs.map_batches(
-            _norm_docs, batch_format="pandas").repartition(
-            max(4, rdocs.count() // 65536)).materialize()
+        rdocs = rebalance(
+            rdocs.map_batches(_norm_docs, batch_format="pandas"),
+            max(4, rdocs.count() // 65536))
     else:
         rdocs = docs
         members = None
@@ -639,9 +641,8 @@ def _exact_set_collapse(docs, tokenset_batch, dup_group_cutover: int):
             "doc_id": pa.array(np.asarray(b["doc_id"], np.int64)),
             "text": pa.array(b["text"].to_numpy(dtype=object),
                              type=pa.string())}),
-        batch_format="pandas").repartition(
-        max(4, rdocs.count() // 65536)).materialize()
-    return True, rdocs, members
+        batch_format="pandas")
+    return True, rebalance(rdocs, max(4, rdocs.count() // 65536)), members
 
 
 def _intra_pairs(g: pd.DataFrame, score_col: str,
@@ -718,12 +719,12 @@ def _member_expand(rep_pairs, members, score_col: str, directed: bool,
                 m_col: b["doc_id"].to_numpy(np.int64)})
         return _m
 
-    rep_pairs = rep_pairs.map_batches(
-        _norm_pairs, batch_format="pandas").repartition(4).materialize()
-    mem_a = members.map_batches(_mem_side("doc_a", "m_a", a_side),
-                                batch_format="pandas").repartition(8)
-    mem_b = members.map_batches(_mem_side("doc_b", "m_b", b_side),
-                                batch_format="pandas").repartition(8)
+    rep_pairs = rebalance(
+        rep_pairs.map_batches(_norm_pairs, batch_format="pandas"), 4)
+    mem_a = rebalance(members.map_batches(
+        _mem_side("doc_a", "m_a", a_side), batch_format="pandas"), 8)
+    mem_b = rebalance(members.map_batches(
+        _mem_side("doc_b", "m_b", b_side), batch_format="pandas"), 8)
     e1 = bucketed_join(rep_pairs, mem_a, on="doc_a")
     e2 = bucketed_join(e1, mem_b, on="doc_b")
 
@@ -1045,8 +1046,8 @@ def simhash_candidates(docs: rd.Dataset, max_hamming: int = 8,
 
     # first-match emission inside verify makes the pair stream globally
     # unique already — no cross-table pair-dedup shuffle needed
-    return sigs.groupby(["table_id", "block"]).map_groups(
-        verify, batch_format="pandas")
+    return key_shuffle(sigs, per_key(verify, ["table_id", "block"]),
+                       ["table_id", "block"], batch_format="pandas")
 
 
 def _token_windows(texts: "pd.Series", k: int):
@@ -1292,7 +1293,8 @@ def dup_spans(docs: rd.Dataset, k: int = 6) -> rd.Dataset:
         g = g.sort_values(["doc_id", "off"], ignore_index=True)
         did = g["doc_id"].to_numpy()
         off = g["off"].to_numpy()
-        new = np.r_[True, (did[1:] != did[:-1]) | (off[1:] != off[:-1] + 1)]
+        new = np.r_[True, (did[1:] != did[:-1])
+                    | (off[1:] != off[:-1] + 1)][:len(did)]
         grp = np.cumsum(new) - 1
         d = pd.DataFrame({"doc_id": did, "off": off, "grp": grp})
         agg = d.groupby("grp").agg(doc_id=("doc_id", "first"),
@@ -1309,7 +1311,7 @@ def dup_spans(docs: rd.Dataset, k: int = 6) -> rd.Dataset:
     if out.count() == 0:
         # no duplicated span: no group ran, so no block carries the
         # (doc_id, span_start, span_end) int64 schema — supply it
-        return rd.from_arrow(pa.table({
+        return one_block(pa.table({
             c: pa.array([], pa.int64())
             for c in ("doc_id", "span_start", "span_end")}))
     return out
@@ -1438,11 +1440,19 @@ def blocked_levenshtein_pairs(ds, block_col: str, text_col: str,
                              "key_b": np.concatenate(out_b),
                              "dist": np.concatenate(out_d)})
 
-    return ds.groupby(block_col).map_groups(pairs, batch_format="pandas")
+    return key_shuffle(ds, per_key(pairs, [block_col]), [block_col],
+                       batch_format="pandas")
 
 
 def _stack_rows(col) -> np.ndarray:
     return np.stack(list(col))
+
+
+def _arrow_cos_block_pairs(a: pa.Table, b: pa.Table, same: bool,
+                           threshold: float) -> pd.DataFrame:
+    """``_int_cos_block_pairs_impl`` over two Arrow blocks."""
+    return _int_cos_block_pairs_impl(as_batch(a, "pandas"),
+                                     as_batch(b, "pandas"), same, threshold)
 
 
 def _int_cos_block_pairs_impl(blk_a: pd.DataFrame, blk_b: pd.DataFrame,
@@ -1590,19 +1600,19 @@ def tfidf_cosine_pairs(docs: rd.Dataset, threshold: float = 0.9,
 
         packed = docs.map_batches(dense_batch, batch_format="pandas",
                                   batch_size=block_rows)
-        blocks = packed.to_pandas_refs()   # refs only; no driver fetch
-        blk_task = ray.remote(_int_cos_block_pairs_impl)
+        blocks = packed.to_arrow_refs()   # refs only; no driver fetch
+        blk_task = ray.remote(_arrow_cos_block_pairs)
         futs = [blk_task.remote(blocks[i], blocks[j], i == j, threshold)
                 for i in range(len(blocks))
                 for j in range(i, len(blocks))]
         parts = [p for p in ray.get(futs) if len(p)]
         if not parts:
-            return rd.from_pandas(_int_cos_block_pairs_impl(
+            return one_block(_int_cos_block_pairs_impl(
                 pd.DataFrame({"doc_id": [], "wvec": []}),
                 pd.DataFrame({"doc_id": [], "wvec": []}),
                 False, threshold))
         out = pd.concat(parts, ignore_index=True)
-        return rd.from_pandas(
+        return one_block(
             out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True))
 
     # ---- sparse tier: weight-mass prefix filtering -----------------------
@@ -2004,16 +2014,14 @@ def _sim_broadcast_tier(ui: rd.Dataset, hot_threshold: int,
     if plan_tier("set_similarity_top1", broadcast_bytes=nbytes
                  ) != "broadcast":
         return None
-    blocks = [r for bundle in ui.iter_internal_ref_bundles()
-              for r in bundle.block_refs]
     meta_ref, index_ref = ray.remote(_sim_index).options(
-        num_returns=2).remote(window_width(), *blocks)
+        num_returns=2).remote(window_width(), *ui.to_arrow_refs())
     max_fan, bounds = ray.get(meta_ref)
     if max_fan >= max(1, hot_threshold):
         return None
     score_r = ray.remote(_sim_score)
     ranges = list(zip(bounds, bounds[1:])) or [(0, 0)]
-    return rd.from_arrow_refs(submit_windowed(
+    return BlockRefs(submit_windowed(
         functools.partial(score_r.remote, index_ref, lo, hi,
                           SIM_SLICE_INSTANCES, out_names)
         for lo, hi in ranges))
@@ -2044,7 +2052,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
     the users. Jaccard is the same double division of exact int64s,
     and the first maximum of each owner's id-sorted run is the
     smallest id among equal doubles, the same tie-break. The results
-    come back through ``rd.from_arrow_refs``; no pair row crosses a
+    come back as a ``BlockRefs``; no pair row crosses a
     shuffle (sf0.01: 1.76 M pair rows did, through two sorts).
 
     Distributed tier, for inputs over the budget or with a hot item —
@@ -2247,7 +2255,7 @@ def set_similarity_top1(ui: rd.Dataset, hot_threshold: int = 8192,
             return pd.DataFrame({"pk": ou * HALF + best_o,
                                  "jac": best_j})
 
-        hot_ds = rd.from_pandas(owners).map_batches(
+        hot_ds = one_block(owners).map_batches(
             hot_scan, batch_format="pandas", batch_size=4096)
         streams.append(hot_ds)
 

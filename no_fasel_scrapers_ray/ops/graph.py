@@ -22,6 +22,7 @@ would otherwise re-run every prior iteration per pass).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -32,8 +33,9 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..corpus.storage import BlockRefs, one_block, read_parquet_sized
 from .util import (check_broadcast, fanout, key_shuffle, plan_tier,
-                   shuffle_buckets)
+                   rebalance, shuffle_buckets, sort_rows, submit_windowed)
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +108,25 @@ def _ckpt_write_table(d: str, pref: str, i: int, table: pa.Table) -> None:
     os.replace(tmp, os.path.join(d, f"{pref}_iter_{i}.parquet"))
 
 
-def _ckpt_write_ds(d: str, pref: str, i: int, ds: rd.Dataset) -> None:
+def _write_part(path: str, t: pa.Table) -> int:
+    import pyarrow.parquet as pq
+    pq.write_table(t, path)
+    return t.num_rows
+
+
+def _ckpt_write_ds(d: str, pref: str, i: int, ds) -> None:
     """Distributed multi-fragment checkpoint (tier-3 datasets) —
-    workers write fragments to a tmp dir, one atomic rename commits."""
+    one task per block writes a fragment to a tmp dir, one atomic
+    rename commits."""
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f"{pref}_iter_{i}.tmp")
     shutil.rmtree(tmp, ignore_errors=True)
-    ds.write_parquet(tmp)
+    os.makedirs(tmp)
+    write_r = ray.remote(_write_part)
+    ray.get(submit_windowed(
+        functools.partial(write_r.remote,
+                          os.path.join(tmp, f"part-{k:05d}.parquet"), r)
+        for k, r in enumerate(ds.to_arrow_refs())))
     final = os.path.join(d, f"{pref}_iter_{i}")
     shutil.rmtree(final, ignore_errors=True)
     os.rename(tmp, final)
@@ -219,12 +233,12 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
     if plan_tier("connected_components",
                  driver_bytes=16 * n_edge_rows) == "driver":
         t = _driver_union_find(*_pull(edges, "node", "nbr"))
-        return rd.from_arrow(pa.table({"doc_id": t["node"],
+        return one_block(pa.table({"doc_id": t["node"],
                                        "cluster_id": t["label"]}))
 
     target_blocks = int(max(1, min(64, n_edge_rows // 65536 + 1)))
     if edges.num_blocks() > 2 * target_blocks:
-        edges = edges.repartition(target_blocks).materialize()
+        edges = rebalance(edges, target_blocks)
 
     def init_labels(b: pd.DataFrame) -> pd.DataFrame:
         d = b[["node"]].drop_duplicates().copy()
@@ -235,7 +249,7 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
                                batch_format="pandas").materialize()
     n_nodes = labels.count()
     if n_nodes == 0:
-        return rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
+        return one_block(pa.table({"doc_id": pa.array([], pa.int64()),
                                        "cluster_id": pa.array([], pa.int64())}))
     n = _graph_buckets(n_nodes)
 
@@ -270,7 +284,7 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
         # resume: labels are the ONLY loop state; the monotone label
         # sum doubles as the convergence cursor, so it restores from
         # the checkpoint itself
-        state = rd.read_parquet(ck_path).materialize()
+        state = read_parquet_sized(ck_path).materialize()
         lab_k = [prep_l.remote(*f)
                  for f in _split_blocks(state, ["node", "label"], n)]
         prev_sum = int(state.sum("label"))
@@ -291,7 +305,7 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
         cur_sum = int(sum(ray.get([o[1] for o in outs])))
         if checkpoint_dir:
             _ckpt_write_ds(checkpoint_dir, "cc", _it + 1,
-                           rd.from_arrow_refs(
+                           BlockRefs(
                                [lbl_tbl_r.remote(l) for l in lab_k]))
         if cur_sum == prev_sum:
             converged = True
@@ -305,7 +319,7 @@ def connected_components(pairs: rd.Dataset, col_a: str, col_b: str,
             "iterations (cross-block diameter exceeds max_iters); "
             "raise max_iters")
 
-    return rd.from_arrow_refs([out_tbl_r.remote(l) for l in lab_k])
+    return BlockRefs([out_tbl_r.remote(l) for l in lab_k])
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +681,7 @@ def _broadcast_pagerank(edges: rd.Dataset, node_ds: rd.Dataset,
             _ckpt_write_table(checkpoint_dir, "pagerank", _it + 1,
                               pa.table({"node": ids, "rank": rank}))
 
-    return rd.from_arrow(pa.table({"node": ids, "rank": rank}))
+    return one_block(pa.table({"node": ids, "rank": rank}))
 
 
 # ---------------------------------------------------------------------------
@@ -1055,10 +1069,10 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     edges = edges.materialize()
     n_edges = edges.count()
     if n_edges == 0:
-        return rd.from_arrow(pa.table({"node": pa.array([], pa.int64()),
+        return one_block(pa.table({"node": pa.array([], pa.int64()),
                                        "rank": pa.array([], pa.float64())}))
     if plan_tier("pagerank", driver_bytes=16 * n_edges) == "driver":
-        return rd.from_arrow(_driver_pagerank(
+        return one_block(_driver_pagerank(
             *_pull(edges, "src", "dst"), damping, iters))
 
     # the node universe decides tier 2 vs 3
@@ -1074,7 +1088,10 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
     # probe and again for the join (measured 138 s -> 8 s for 5
     # iterations over ~600k edges at sf0.1). Both are node-sized.
     deg = aggregate(edges, ["src"], {"deg": ("count", None)})
-    deg = deg.rename_columns({"src": "node"}).materialize()
+    deg = deg.map_batches(
+        lambda t: t.rename_columns(["node" if c == "src" else c
+                                    for c in t.column_names]),
+        batch_format="pyarrow")
 
     base = bucketed_join(node_ds, deg, on="node", how="left")
 
@@ -1107,7 +1124,7 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
                for frags in _split_blocks(edges, ["src", "dst"], n)]
 
     if ck_path and start_iter > 0:
-        state = rd.read_parquet(ck_path).materialize()
+        state = read_parquet_sized(ck_path).materialize()
         pairs = [prep_base_r.options(num_returns=2).remote(*frags)
                  for frags in _split_blocks(
                      state, ["node", "deg", "rank"], n)]
@@ -1130,13 +1147,13 @@ def pagerank(edges: rd.Dataset, damping: float = 0.85, iters: int = 5,
                                  *[cparts[k][j] for k in range(n)])
                   for j in range(n)]
         if checkpoint_dir:
-            state_ds = rd.from_arrow_refs(
+            state_ds = BlockRefs(
                 [state_tbl_r.remote(base_k[j], rank_k[j])
                  for j in range(n)])
             _ckpt_write_ds(checkpoint_dir, "pagerank3", _it + 1,
                            state_ds)
 
-    return rd.from_arrow_refs([out_tbl_r.remote(base_k[j], rank_k[j])
+    return BlockRefs([out_tbl_r.remote(base_k[j], rank_k[j])
                                for j in range(n)])
 
 
@@ -1200,7 +1217,7 @@ def kcore_nodes(edges: rd.Dataset, k: int, rounds: int) -> rd.Dataset:
                               batch_format="pandas").materialize()
         if cur.count() == 0:
             import pyarrow as _pa
-            return rd.from_arrow(_pa.table({
+            return one_block(_pa.table({
                 "node": _pa.array([], type=_pa.int64()),
                 "deg": _pa.array([], type=_pa.int64())}))
         deg = degrees(cur).materialize()
@@ -1401,11 +1418,11 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
     if plan_tier("bfs_hops", driver_bytes=16 * n_edge_rows) == "driver":
         ids, dist = _driver_bfs(*_pull(edges, "node", "nbr"), seeds,
                                 max_hops)
-        return rd.from_arrow(pa.table({"node_id": ids, "hops": dist}))
+        return one_block(pa.table({"node_id": ids, "hops": dist}))
 
     target_blocks = int(max(1, min(64, n_edge_rows // 65536 + 1)))
     if edges.num_blocks() > 2 * target_blocks:
-        edges = edges.repartition(target_blocks).materialize()
+        edges = rebalance(edges, target_blocks)
 
     def init_labels(b: pa.Table) -> pa.Table:
         # broadcast_get captured from driver scope — a relative import
@@ -1422,12 +1439,10 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
             "label": np.where(is_seed, np.int64(0), _BFS_INF)})
 
     # all-Arrow blocks: _pr_split_block takes pa.Table refs verbatim
-    labels = edges.map_batches(init_labels,
-                               batch_format="pyarrow").union(
-        rd.from_arrow(pa.table({
-            "node": seeds,
-            "label": np.zeros(len(seeds), np.int64)})))
-    labels = labels.materialize()
+    labels = one_block(pa.table({
+        "node": seeds,
+        "label": np.zeros(len(seeds), np.int64)})).union(
+            edges.map_batches(init_labels, batch_format="pyarrow"))
     n_nodes = edges.map_batches(
         lambda b: pd.DataFrame({"node": b["node"].unique()}),
         batch_format="pandas").count()
@@ -1458,7 +1473,7 @@ def bfs_hops(pairs: rd.Dataset, col_a: str, col_b: str,
             break
         prev_sum = cur_sum
 
-    return rd.from_arrow_refs(
+    return BlockRefs(
         [out_tbl_r.remote(l, max_hops) for l in lab_k])
 
 
@@ -1559,12 +1574,12 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
                  driver_bytes=16 * n_edge_rows) == "driver":
         a, c = _pull(edges, "node", "nbr")
         ids, com = _driver_lpa(a, c, rounds) if len(a) else (a, a)
-        return rd.from_arrow(pa.table({"node_id": ids,
+        return one_block(pa.table({"node_id": ids,
                                        "community": com}))
 
     target_blocks = int(max(1, min(64, n_edge_rows // 65536 + 1)))
     if edges.num_blocks() > 2 * target_blocks:
-        edges = edges.repartition(target_blocks).materialize()
+        edges = rebalance(edges, target_blocks)
 
     def init_labels(b: pa.Table) -> pa.Table:
         n = np.unique(b["node"].to_numpy(zero_copy_only=False)
@@ -1595,7 +1610,7 @@ def label_propagation(pairs: rd.Dataset, col_a: str, col_b: str,
 
     out_r = ray.remote(lambda lab: pa.table(
         {"node_id": lab[0], "community": lab[1]}))
-    return rd.from_arrow_refs([out_r.remote(l) for l in lab_k])
+    return BlockRefs([out_r.remote(l) for l in lab_k])
 
 
 # ---------------------------------------------------------------------------
@@ -1690,7 +1705,7 @@ def weighted_sssp(edges: rd.Dataset, source: int,
 
     if plan_tier("weighted_sssp", driver_bytes=24 * n_edge_rows) == "driver":
         ids, dist = _driver_sssp(*_pull(e, "node", "nbr", "w"), int(source))
-        return rd.from_arrow(pa.table({"node_id": ids, "dist": dist}))
+        return one_block(pa.table({"node_id": ids, "dist": dist}))
 
     def init_labels(b: pa.Table) -> pa.Table:
         n = np.unique(np.concatenate([
@@ -1700,10 +1715,10 @@ def weighted_sssp(edges: rd.Dataset, source: int,
             "node": n,
             "label": np.where(n == source, np.int64(0), _BFS_INF)})
 
-    labels = e.map_batches(init_labels, batch_format="pyarrow").union(
-        rd.from_arrow(pa.table({
-            "node": np.array([source], np.int64),
-            "label": np.zeros(1, np.int64)}))).materialize()
+    labels = one_block(pa.table({
+        "node": np.array([source], np.int64),
+        "label": np.zeros(1, np.int64)})).union(
+            e.map_batches(init_labels, batch_format="pyarrow"))
 
     # the bfs_hops sizing contract: buckets by node count
     # (_graph_buckets) and coarse edge blocks, so a just-over-budget
@@ -1714,7 +1729,7 @@ def weighted_sssp(edges: rd.Dataset, source: int,
     n = _graph_buckets(n_nodes)
     target_blocks = int(max(1, min(64, n_edge_rows // 65536 + 1)))
     if e.num_blocks() > 2 * target_blocks:
-        e = e.repartition(target_blocks).materialize()
+        e = rebalance(e, target_blocks)
 
     prep_e = ray.remote(_prep_edges)
     prep_l = ray.remote(_cc_prep_labels)
@@ -1744,7 +1759,7 @@ def weighted_sssp(edges: rd.Dataset, source: int,
             f"{max_rounds}; the hop diameter exceeds the backstop — "
             "raise max_rounds (distances would be silently wrong)")
 
-    return rd.from_arrow_refs([out_tbl_r.remote(l) for l in lab_k])
+    return BlockRefs([out_tbl_r.remote(l) for l in lab_k])
 
 
 # ---------------------------------------------------------------------------
@@ -1825,8 +1840,7 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
     labels = aggregate(
         live.map_batches(init_labels, batch_format="pandas"),
         ["node"], {"comp": ("min", "comp")}).materialize()
-    labels = labels.repartition(
-        max(2, labels.count() // 262144)).materialize()
+    labels = rebalance(labels, max(2, labels.count() // 262144))
 
     forest_parts: list[rd.Dataset] = []
     converged = False
@@ -1855,7 +1869,7 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
         if n_live == 0:
             converged = True
             break
-        e = e.repartition(max(2, n_live // 262144)).materialize()
+        e = rebalance(e, max(2, n_live // 262144))
 
         def emit(b: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
@@ -1897,8 +1911,7 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
 
         labels = joined.map_batches(
             update, batch_format="pandas").materialize()
-        labels = labels.repartition(
-            max(2, labels.count() // 262144)).materialize()
+        labels = rebalance(labels, max(2, labels.count() // 262144))
         live = e.map_batches(
             lambda b: pa.table({c: np.asarray(b[c]).astype(np.int64)
                                 for c in ("u", "v", "w")}),
@@ -1908,14 +1921,14 @@ def _msf_tier3(live: rd.Dataset, max_rounds: int) -> rd.Dataset:
             f"_msf_tier3 did not converge in {max_rounds} Borůvka "
             "rounds; raise max_rounds")
     if not forest_parts:
-        return rd.from_arrow(pa.table({
+        return one_block(pa.table({
             "u": pa.array([], pa.int64()),
             "v": pa.array([], pa.int64()),
             "w": pa.array([], pa.int64())}))
     f = forest_parts[0]
     if len(forest_parts) > 1:
         f = f.union(*forest_parts[1:])
-    return f.sort(["u", "v", "w"])
+    return sort_rows(f, ["u", "v", "w"])
 
 
 def minimum_spanning_forest(edges: rd.Dataset,
@@ -1965,7 +1978,7 @@ def minimum_spanning_forest(edges: rd.Dataset,
                      broadcast_bytes=16 * n_edges)
     if tier == "driver":
         fu, fv, fw = _driver_kruskal(*_pull(live, "u", "v", "w"))
-        return rd.from_arrow(pa.table({"u": fu, "v": fv, "w": fw}))
+        return one_block(pa.table({"u": fu, "v": fv, "w": fw}))
 
     if tier == "distributed":
         return _msf_tier3(live, max_rounds)
@@ -2042,7 +2055,7 @@ def minimum_spanning_forest(edges: rd.Dataset,
             lambda b: b[["u", "v", "w"]], batch_format="pandas")
 
     forest.sort()
-    return rd.from_arrow(pa.table({
+    return one_block(pa.table({
         "u": np.array([f[0] for f in forest], dtype=np.int64),
         "v": np.array([f[1] for f in forest], dtype=np.int64),
         "w": np.array([f[2] for f in forest], dtype=np.int64)}))
@@ -2160,7 +2173,7 @@ def personalized_pagerank(edges: rd.Dataset, seeds: "list[int]",
 
     if plan_tier("personalized_pagerank",
                  driver_bytes=16 * n_edges) == "driver":
-        return rd.from_arrow(_driver_pagerank(
+        return one_block(_driver_pagerank(
             *_pull(edges, "src", "dst"), damping, iters, seeds=seeds_arr))
 
     node_ds = _node_universe(edges)

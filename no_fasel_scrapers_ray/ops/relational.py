@@ -24,7 +24,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from .util import check_broadcast, key_shuffle, plan_tier, shuffle_buckets
+from ..corpus.storage import BlockRefs, one_block
+from .util import (check_broadcast, key_shuffle, plan_tier, rebalance,
+                   shuffle_buckets, sort_rows)
 
 
 # --------------------------------------------------------------------------
@@ -142,9 +144,9 @@ def bloom_semi_join(big: rd.Dataset, keys_ds: rd.Dataset, column: str,
         return pd.DataFrame({"bloom": [arr.tobytes()]})
 
     bloom = np.zeros(words, dtype=np.uint64)
-    for row in keys_ds.map_batches(partial_bloom,
-                                   batch_format="pyarrow").take_all():
-        bloom |= np.frombuffer(row["bloom"], dtype=np.uint64)
+    parts = keys_ds.map_batches(partial_bloom, batch_format="pyarrow")
+    for part in parts.to_pandas().get("bloom", []):
+        bloom |= np.frombuffer(part, dtype=np.uint64)
     ref = ray.put(bloom)
 
     def probe(t: pa.Table) -> pa.Table:
@@ -165,8 +167,8 @@ def bloom_semi_join(big: rd.Dataset, keys_ds: rd.Dataset, column: str,
 
 # --------------------------------------------------------------------------
 # Partitioned (bucketed) hash join — both sides large: hash-partition on
-# the key into B buckets, join matching buckets inside map_groups. The
-# explicit big-big join pattern; salt hot keys by raising B.
+# the key into B buckets, join matching buckets in one combine task each.
+# The explicit big-big join pattern; salt hot keys by raising B.
 # --------------------------------------------------------------------------
 
 def _resolve_fields(ds: rd.Dataset) -> dict:
@@ -731,7 +733,7 @@ def rollup_counts(ds: rd.Dataset, coarse: str, fine: str,
     # totals typed from the INPUT columns (a hardcoded string type
     # broke union schema unification for non-string grouping columns)
     ftypes = _resolve_fields(ds)
-    grand = rd.from_arrow(pa.table({
+    grand = one_block(pa.table({
         coarse: pa.array([None], type=ftypes.get(coarse, pa.string())),
         fine: pa.array([None], type=ftypes.get(fine, pa.string())),
         alias: pa.array([total], type=pa.int64())}))
@@ -1226,10 +1228,8 @@ def _select_order_stats(ds: rd.Dataset, col: str, ranks_fn,
                                         per_batch_cap).astype(np.int64)]
         return pd.DataFrame({col: picked})
 
-    samp = np.concatenate(
-        [b[col].to_numpy() for b in
-         ds.map_batches(sample_batch, batch_format="pandas")
-         .iter_batches(batch_format="pandas")] or [np.array([])])
+    samp = ds.map_batches(sample_batch, batch_format="pandas").to_pandas()
+    samp = samp[col].to_numpy() if col in samp else np.array([])
     if len(samp) > sample_target:   # even stride, never a prefix
         samp = samp[np.linspace(0, len(samp) - 1,
                                 sample_target).astype(np.int64)]
@@ -1263,12 +1263,8 @@ def _select_order_stats(ds: rd.Dataset, col: str, ranks_fn,
         keep = np.isin(r, hit_rids)
         return pd.DataFrame({col: batch[col][keep], "__rid": r[keep]})
 
-    collected = [b for b in
-                 ds.map_batches(in_ranges, batch_format="pandas")
-                 .iter_batches(batch_format="pandas")]
-    if collected:
-        allv = pd.concat(collected, ignore_index=True)
-    else:
+    allv = ds.map_batches(in_ranges, batch_format="pandas").to_pandas()
+    if col not in allv:
         allv = pd.DataFrame({col: [], "__rid": []})
     out = {}
     for target, (rid, local_rank) in plan.items():
@@ -1466,24 +1462,30 @@ def round_columns(ds: rd.Dataset, decimals: dict[str, int]) -> rd.Dataset:
 # --------------------------------------------------------------------------
 
 def sessionize_events(events: rd.Dataset, gap_minutes: int = 30) -> rd.Dataset:
-    """Per-user session count with a fixed inactivity gap.
-
-    Partition by user, sort within the group by ts, count gaps > gap —
-    the groupby(key).map_groups window pattern. Ordering assumption:
-    all rows of one user land in one group (Ray groupby guarantees it).
-    """
+    """Per-user session count with a fixed inactivity gap: one
+    ``key_shuffle`` on the user, then one vectorized pass per bucket
+    (rows sorted by (user, ts); a session starts at a user's first row
+    and after every gap > ``gap_minutes``)."""
     gap_us = gap_minutes * 60 * 1_000_000
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        ts = np.sort(g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64))
-        n_sessions = 1 + int((np.diff(ts) > gap_us).sum()) if len(ts) else 0
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        ts = g["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
+        uid = g["user_id"].to_numpy()
+        order = np.lexsort((ts, uid))
+        uid, ts = uid[order], ts[order]
+        first = np.r_[True, uid[1:] != uid[:-1]] if len(uid) else \
+            np.zeros(0, bool)
+        new_session = first | np.r_[False, np.diff(ts) > gap_us][:len(uid)]
+        starts = np.flatnonzero(first)
         return pd.DataFrame({
-            "user_id": [g["user_id"].iloc[0]],
-            "n_events": [len(g)],
-            "n_sessions": [n_sessions],
+            "user_id": uid[starts],
+            "n_events": np.diff(np.r_[starts, len(uid)]).astype(np.int64),
+            "n_sessions": np.add.reduceat(new_session.astype(np.int64),
+                                          starts) if len(starts)
+            else np.zeros(0, np.int64),
         })
 
-    return events.groupby("user_id").map_groups(per_user, batch_format="pandas")
+    return key_shuffle(events, per_bucket, ["user_id"], batch_format="pandas")
 
 
 def detect_hot_keys(ds: rd.Dataset, on: str, hot_threshold: int,
@@ -1559,7 +1561,7 @@ def skew_aware_join(left: rd.Dataset, right: rd.Dataset, on: str,
         merge_hot, batch_format="pandas")
     cold = bucketed_join(anti_join(left, hot, on),
                          anti_join(right, hot, on), on=on, how=how)
-    return hot_part.union(cold)
+    return cold.union(hot_part)
 
 
 def interval_join(left: rd.Dataset, right: rd.Dataset, by: str,
@@ -1884,7 +1886,7 @@ def skyline_2d(ds: rd.Dataset, min_col: str, max_col: str) -> rd.Dataset:
 
     cand = ds.map_batches(local, batch_format="pandas")
     # candidates are frontier-bounded → a single block is safe
-    return cand.repartition(1).map_batches(final, batch_format="pandas")
+    return rebalance(cand, 1).map_batches(final, batch_format="pandas")
 
 
 def keyed_snapshot_diff(old: rd.Dataset, new: rd.Dataset, key: str,

@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .util import key_shuffle
+from .util import key_shuffle, sort_rows
 
 
 def _clz_rho(w: np.ndarray, width: int) -> np.ndarray:
@@ -213,7 +213,8 @@ def approx_count_distinct(ds: rd.Dataset, col: str, p: int = 14) -> float:
         regs = hll_registers(batch[col].to_numpy(), p=p)
         return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
 
-    parts = ds.map_batches(partial, batch_format="pandas").take_all()
+    parts = ds.map_batches(partial, batch_format="pandas").to_pandas() \
+        .to_dict("records")
     merged = np.zeros(1 << p, dtype=np.uint8)
     for row in parts:
         np.maximum(merged, np.frombuffer(row["regs"], dtype=np.uint8),
@@ -285,7 +286,7 @@ def heavy_hitter_terms(docs: rd.Dataset, topn: int = 20,
     exact = aggregate(
         docs.map_batches(recount, batch_format="pandas"),
         ["term"], {"n": ("sum", "n")})
-    return exact.sort(["n", "term"], descending=[True, False]).limit(topn)
+    return sort_rows(exact, ["n", "term"], [True, False], topn)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +526,8 @@ def hll_set_ops(ds: rd.Dataset, col: str, label_col: str,
         return pa.table({"side": pa.array(rows, pa.string()),
                          "regs": pa.array(regs, pa.binary())})
 
-    parts = ds.map_batches(partial, batch_format="pandas").take_all()
+    parts = ds.map_batches(partial, batch_format="pandas").to_pandas() \
+        .to_dict("records")
     m = 1 << p
     acc = {"a": np.zeros(m, dtype=np.uint8),
            "b": np.zeros(m, dtype=np.uint8)}

@@ -19,7 +19,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from .util import plan_tier
+from ..corpus.storage import BlockRefs, one_block
+from .util import plan_tier, sort_rows
 
 # Tiny deterministic stopword set used by the quality score; chosen from
 # the synthetic documents' vocabulary so ratios are non-trivial.
@@ -153,7 +154,7 @@ def top_terms(docs: rd.Dataset, k: int = 50) -> rd.Dataset:
 
     survivors = key_shuffle(docs.map_batches(partial, batch_format="pandas"),
                             local_topk, ["term"], batch_format="pandas")
-    return survivors.sort(["n", "term"], descending=[True, False]).limit(k)
+    return sort_rows(survivors, ["n", "term"], [True, False], k)
 
 
 def _df_dataset(docs: rd.Dataset) -> rd.Dataset:
@@ -324,8 +325,9 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2) -> rd.Dataset:
 
     from .relational import aggregate, broadcast_get, bucketed_join
 
-    rare_ds = _df_dataset(docs).filter(
-        expr=f"df <= {int(max_df)}").materialize()
+    rare_ds = _df_dataset(docs).map_batches(
+        lambda t: t.filter(pc.field("df") <= int(max_df)),
+        batch_format="pyarrow")
 
     def base(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -355,7 +357,9 @@ def rare_term_permille(docs: rd.Dataset, max_df: int = 2) -> rd.Dataset:
         return docs.map_batches(score, batch_format="pandas")
 
     rare_tf = bucketed_join(_tf_dataset(docs),
-                            rare_ds.drop_columns(["df"]), on="term",
+                            rare_ds.map_batches(
+                                lambda t: t.drop_columns(["df"]),
+                                batch_format="pyarrow"), on="term",
                             how="inner")
     hits_ds = aggregate(rare_tf, ["doc_id"],
                         {"hits": ("sum", "tf")}).materialize()
@@ -547,7 +551,7 @@ def bm25_term_scores(docs: rd.Dataset, terms: tuple[str, ...],
           .to_pandas().sum())
     n_docs = float(st["__n"]) if "__n" in st else 0.0
     if n_docs == 0:   # empty corpus: typed empty, not 0/0
-        return rd.from_pandas(pd.DataFrame({
+        return one_block(pd.DataFrame({
             "doc_id": pd.Series([], dtype=np.int64),
             "term": pd.Series([], dtype=object),
             "bm25": pd.Series([], dtype=np.float64)}))
@@ -692,7 +696,7 @@ def bigram_pmi(docs: rd.Dataset, min_count: int = 1) -> rd.Dataset:
     # (Dataset.sum returns None on empty input — empty corpus guard)
     n_tokens = int(uni.sum("c") or 0)
     if n_tokens == 0:
-        return rd.from_pandas(pd.DataFrame({
+        return one_block(pd.DataFrame({
             "w1": pd.Series([], dtype=object),
             "w2": pd.Series([], dtype=object),
             "c_xy": pd.Series([], dtype=np.int64),
@@ -700,7 +704,9 @@ def bigram_pmi(docs: rd.Dataset, min_count: int = 1) -> rd.Dataset:
     bgm = bg.materialize()
     m_bigrams = int(bgm.sum("c_xy") or 0)
     if min_count > 1:
-        bgm = bgm.filter(expr=f"c_xy >= {int(min_count)}")
+        bgm = bgm.map_batches(
+            lambda t: t.filter(pc.field("c_xy") >= int(min_count)),
+            batch_format="pyarrow")
 
     j1 = bucketed_join(
         bgm, uni.map_batches(
@@ -739,8 +745,7 @@ def zipf_slope(docs: rd.Dataset, topn: int = 1000) -> pd.DataFrame:
     → round-6 contract, with the identical closed-form expression
     mirrored in the oracle."""
     uni = _unigram_counts(docs)
-    top = (uni.sort(["c", "term"], descending=[True, False])
-           .limit(topn).to_pandas())
+    top = sort_rows(uni, ["c", "term"], [True, False], topn).to_pandas()
     if len(top) < 2:   # a slope needs two points — empty/1-term
         # corpus (an empty Dataset's to_pandas also loses columns)
         return pd.DataFrame({"slope": [0.0], "icept": [0.0]})

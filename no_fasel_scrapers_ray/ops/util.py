@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import ray
+
+from ..corpus.storage import BlockRefs, as_batch, as_block, concat_blocks
 
 # The package's two size budgets, in bytes; ``plan_tier`` compares every
 # size-tier decision in ``ops/`` against them. The driver's is 2^18 rows
@@ -92,7 +95,7 @@ def shuffle_buckets() -> int:
     ≥ 2 × the cluster's CPUs (64 at 32 CPUs, 8 at 4, 4 at 2).
 
     Why derived, not a per-operator option: each bucket is one
-    ``map_groups`` task, so the count sets a shuffle's parallelism and
+    combine task, so the count sets a shuffle's parallelism and
     its fixed task cost, and the right value is a property of the
     cluster, not of the operator. Two buckets per CPU keep every CPU
     busy when bucket sizes are uneven; more buckets only add tasks (a
@@ -139,35 +142,122 @@ def bucket_of(batch, keys, n: int):
     return (h % np.uint64(n)).astype(np.int64)
 
 
-def key_shuffle(ds, fn, keys, **map_groups_kw):
-    """THE key shuffle: co-locate every row of one key in one group and
-    run ``fn`` over each group (``map_groups_kw`` go to ``map_groups``).
-    ``ds`` may be a list of datasets (join sides), tagged side by side
-    and unioned. Each block is tagged with ``bucket_of(keys)`` at the
-    count ``shuffle_buckets()``, in its own format and fused into the
-    upstream map; the group pass is Ray Data's sort-based
-    ``groupby("__bucket").map_groups``. A group holds whole keys — one
-    bucket, many keys — and ``fn`` sees it without the tag column."""
-    import pandas as pd
+def _split(keys, n: int, t):
+    """The split kernel of ``key_shuffle``: one Arrow block's rows as
+    ``n`` bucket parts (block order kept inside a bucket), then the
+    per-bucket row counts."""
+    import numpy as np
     import pyarrow as pa
 
+    b = bucket_of(t, keys, n)
+    counts = np.bincount(b, minlength=n)
+    if n > 1:
+        t = t.take(pa.array(np.argsort(b, kind="stable")))
+    offs = np.concatenate([[0], np.cumsum(counts)])
+    return [t.slice(offs[i], counts[i]) for i in range(n)] + [counts]
+
+
+def _combine(fn, batch_format, *parts):
+    """One bucket of ``key_shuffle``: its parts concatenated, as one
+    batch in ``batch_format``, through ``fn``, as an Arrow block."""
+    return as_block(fn(as_batch(concat_blocks(list(parts)), batch_format)))
+
+
+_combine_task = ray.remote(_combine)
+
+
+def key_shuffle(ds, fn, keys, batch_format: str = "default"):
+    """THE key shuffle: co-locate every row of one key in one bucket and
+    run ``fn`` over each bucket's rows as one batch in ``batch_format``
+    (as ``map_batches``). ``ds`` is anything with ``to_arrow_refs()``
+    (a ``BlockRefs`` or a Dataset), or a list of them (join sides).
+    Returns a ``BlockRefs`` with one block per bucket that got rows.
+
+    One raw exchange of two ``submit_windowed`` waves, no Ray Data
+    execution: the split wave runs one ``fanout`` task per input block,
+    which buckets the block by ``bucket_of(keys)`` at the count
+    ``shuffle_buckets()`` and returns the parts plus a per-bucket row
+    count; the driver reads the counts, and the combine wave runs one
+    task per non-empty bucket over its parts, in input block order.
+    A bucket's batch carries every side's columns (a side with no row
+    there lends a typed empty part). When every bucket is empty, ``fn``
+    runs once over bucket 0's typed empty input, so the result has a
+    typed block (none when the input blocks have no columns either). A
+    bucket holds whole keys, many keys to a bucket."""
+    import numpy as np
+
     n = shuffle_buckets()
+    sides = [s.to_arrow_refs() for s in (ds if isinstance(ds, list) else [ds])]
+    split = [submit_windowed(partial(fanout, _split, n + 1, keys, n, r)
+                             for r in refs) for refs in sides]
+    counts = [[np.asarray(c) for c in ray.get([p[n] for p in parts])]
+              for parts in split]
+    total = sum((c for side in counts for c in side), np.zeros(n, np.int64))
+    buckets = [b for b in range(n) if total[b]] or [0]
 
-    def tag(batch):
-        b = bucket_of(batch, keys, n)
-        if isinstance(batch, pd.DataFrame):
-            return batch.assign(__bucket=b)
-        return batch.append_column("__bucket", pa.array(b, pa.int64()))
+    def bucket_parts(b: int) -> list:
+        out = []
+        for parts, cs in zip(split, counts):
+            full = [p[b] for p, c in zip(parts, cs) if c[b]]
+            out.extend(full or parts[:1] and [parts[0][b]])
+        return out
 
-    def untagged(g):
-        if isinstance(g, pd.DataFrame):
-            return fn(g.drop(columns="__bucket"))
-        return fn(g.drop_columns("__bucket"))
+    if not any(sides) or not total.any() and not any(
+            t.num_columns for t in ray.get([refs[0] for refs in sides
+                                            if refs])):
+        return BlockRefs([])
+    fn_ref = ray.put(fn)
+    return BlockRefs(submit_windowed(
+        partial(_combine_task.remote, fn_ref, batch_format, *bucket_parts(b))
+        for b in buckets))
 
-    sides = [s.map_batches(tag, batch_format=None)
-             for s in (ds if isinstance(ds, list) else [ds])]
-    tagged = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0]
-    return tagged.groupby("__bucket").map_groups(untagged, **map_groups_kw)
+
+def sort_rows(ds, by, descending=False, limit: int | None = None):
+    """``ds``'s rows sorted by the ``by`` columns (``descending`` one
+    flag or one per column, as ``Dataset.sort``), then the first
+    ``limit``, as a one-block ``BlockRefs``. The sort runs on the
+    driver in Arrow: for per-block survivor sets and results a query
+    returns whole anyway."""
+    from ..corpus.storage import one_block
+
+    tables = ray.get(ds.to_arrow_refs())
+    if not tables:
+        return BlockRefs([])
+    by = [by] if isinstance(by, str) else list(by)
+    desc = descending if isinstance(descending, list) else \
+        [descending] * len(by)
+    t = concat_blocks(tables).sort_by(
+        [(c, "descending" if d else "ascending") for c, d in zip(by, desc)])
+    return one_block(t if limit is None else t.slice(0, limit))
+
+
+def _recut(n: int, *tables) -> list:
+    import pyarrow as pa
+    t = pa.concat_tables(tables, promote_options="default")
+    return [t.slice(k * t.num_rows // n, (k + 1) * t.num_rows // n
+                    - k * t.num_rows // n) for k in range(n)]
+
+
+def rebalance(ds, n: int):
+    """``ds``'s rows, in order, as ``n`` row-balanced blocks: one task
+    re-cuts them (the ``repartition`` of a ``BlockRefs``)."""
+    return BlockRefs(fanout(_recut, n, n, *ds.to_arrow_refs()))
+
+
+def per_key(fn, keys):
+    """A pandas ``key_shuffle`` bucket function that runs ``fn`` over
+    each ``keys`` group of the bucket (null keys group, index reset)
+    and concatenates the outputs; over an empty bucket it runs ``fn``
+    once, so the output stays typed."""
+    import pandas as pd
+
+    def run(g):
+        if not len(g):
+            return fn(g)
+        return pd.concat([fn(sub.reset_index(drop=True)) for _, sub in
+                          g.groupby(keys, sort=False, dropna=False)],
+                         ignore_index=True)
+    return run
 
 
 # Per-worker-process instance cache for task-based stateful stages.

@@ -43,6 +43,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..corpus.storage import atomic_write
+from ..ops.util import key_shuffle, per_key
 
 
 class MicroBatchIngest:
@@ -142,10 +143,9 @@ class MicroBatchIngest:
                                  "new": [int(len(g))]})
 
         arrived = ds.count()
-        stats = (ds.map_batches(fingerprint, batch_format="pandas")
-                 .groupby("__part")
-                 .map_groups(dedup_partition, batch_format="pandas")
-                 .to_pandas())
+        stats = key_shuffle(ds.map_batches(fingerprint, batch_format="pandas"),
+                            per_key(dedup_partition, ["__part"]), ["__part"],
+                            batch_format="pandas").to_pandas()
         new = int(stats["new"].sum()) if len(stats) else 0
         rec = {"arrived": int(arrived), "new": new,
                "dupes": int(arrived) - new}

@@ -4,8 +4,9 @@ image-index rebuild (A8), md5 file hashes (A7/S8).
 
 The reference mutates the written JSON files in place
 (Postprocessing.py:23-96). Catalogs are record-scale (≪ corpus), so the
-transform runs as a Ray Dataset over the flattened entries — vectorized
-per batch — and is re-materialized into dicts for the JSON sinks.
+transform runs as one raw task over the flattened entries (a one-block
+``BlockRefs``) — vectorized per batch — and is re-materialized into
+dicts for the JSON sinks.
 FILE_NAMES order and the index-range-based drop rules are replicated
 exactly.
 """
@@ -15,8 +16,8 @@ from __future__ import annotations
 import json
 
 import pandas as pd
-import ray.data as rd
 
+from ..corpus.storage import one_block
 from ..functions.connectors import mock_tmdb_id
 from ..functions.text import clean_genres
 
@@ -69,7 +70,7 @@ def postprocess_catalogs(catalogs: dict[str, dict],
             batch["payload"] = fixed
             return batch
 
-        ds = rd.from_pandas(pd.DataFrame(entries))
+        ds = one_block(pd.DataFrame(entries))
         fixed = ds.map_batches(fix_batch, batch_format="pandas").to_pandas()
         rec_map = {row["key"]: json.loads(row["payload"])
                    for _, row in fixed.iterrows()}

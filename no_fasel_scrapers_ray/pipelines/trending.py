@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 import ray
-import ray.data as rd
 
+from ..corpus.storage import one_block
 from ..corpus.spans import PageView
 from ..functions.text import (
     content_id_from_text, normalize_title, remove_arabic_chars, remove_year)
@@ -80,7 +80,7 @@ def run_trending(corpus_table: pa.Table, catalogs: dict[str, dict]):
         "idx": pa.array(range(len(trending_links)), type=pa.int64()),
     })
     if probe_t.num_rows:
-        probes = (rd.from_arrow(probe_t)
+        probes = (one_block(probe_t)
                   .map_batches(extract_titles, batch_format="pyarrow")
                   .to_pandas().sort_values("idx"))
     else:

@@ -166,8 +166,12 @@ class AudioFeaturizer:
         })
 
 
-def _pool_stage(ds: rd.Dataset, cls, batch_size: int,
+def _pool_stage(ds, cls, batch_size: int,
                 concurrency: int, **ctor) -> rd.Dataset:
+    """``cls`` as an actor pool over ``ds``: stateful stages stay Ray
+    Data pools, so a ``BlockRefs`` input becomes a Dataset here."""
+    if not isinstance(ds, rd.Dataset):
+        ds = rd.from_arrow_refs(ds.to_arrow_refs())
     return ds.map_batches(
         cls, fn_constructor_kwargs=ctor, batch_format="pyarrow",
         batch_size=batch_size, concurrency=pool_size(concurrency),

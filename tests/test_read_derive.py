@@ -132,7 +132,7 @@ def test_derive_output_is_its_columns_in_order(sf_dir):
     for b in blocks:
         assert b.schema.equals(want)          # int32 kept, pandas meta gone
         assert b.schema.metadata is None
-    # blocks arrive in completion order
+    # compare rows sorted by key
     got = pa.concat_tables(blocks).to_pandas().sort_values("k")
     us = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
     np.testing.assert_array_equal(got["cents"],
@@ -152,11 +152,15 @@ def test_where_filters_rows_and_keeps_read_columns(sf_dir):
         df.loc[df["flag"] == "R", "k"].tolist()
 
 
-def test_where_that_empties_a_block_keeps_the_typed_schema(sf_dir):
+def test_where_that_empties_a_block_keeps_the_typed_schema(sf_dir,
+                                                           monkeypatch):
+    from no_fasel_scrapers_ray.corpus import storage
     path, _ = sf_dir
+    # a 512-row floor reads the 3,000-row table as several blocks
+    monkeypatch.setattr(storage, "ROWS_PER_BLOCK", 512)
     derive = {"k": M.col("k"), "cents": M.cents("price")}
     want = pa.schema([("k", pa.int64()), ("cents", pa.int64())])
-    # rows ≥ 2,000 survive: the first block(s) of 512-row reads go empty
+    # rows ≥ 2,000 survive: the first block(s) go empty
     some = _blocks(M._read(path, "t", ["k", "price"], derive=derive,
                            where=M.col("k") >= 2000))
     assert len(some) > 1 and any(b.num_rows == 0 for b in some)
@@ -169,18 +173,18 @@ def test_where_that_empties_a_block_keeps_the_typed_schema(sf_dir):
                           for b in blocks)
 
 
-def test_block_count_follows_the_shared_rule(sf_dir):
+def test_block_count_follows_the_shared_rule(sf_dir, monkeypatch):
+    from no_fasel_scrapers_ray.corpus import storage
     path, _ = sf_dir
     f = os.path.join(path, "t.parquet")
     rows, nbytes = pq.ParquetFile(f).metadata.num_rows, os.path.getsize(f)
     cpus = int(ray.cluster_resources()["CPU"])
-    for rpb in (512, 8192):
+    for floor in (storage.ROWS_PER_BLOCK, 512):
+        monkeypatch.setattr(storage, "ROWS_PER_BLOCK", floor)
         want = max(math.ceil(nbytes / (32 << 20)),
-                   min(2 * cpus, math.ceil(rows / rpb)), 1)
-        assert len(_blocks(M._read(path, "t", ["k"],
-                                   rows_per_block=rpb))) == want
-        derived = M._read(path, "t", ["k"], rows_per_block=rpb,
-                          derive={"k": M.col("k")})
+                   min(2 * cpus, math.ceil(rows / floor)), 1)
+        assert len(_blocks(M._read(path, "t", ["k"]))) == want
+        derived = M._read(path, "t", ["k"], derive={"k": M.col("k")})
         assert len(_blocks(derived)) == want
 
 

@@ -13,12 +13,13 @@ import math
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
 
 from no_fasel_scrapers_ray.corpus.storage import (
-    ROWS_PER_BLOCK, read_parquet_sized)
+    ROWS_PER_BLOCK, _read_plan, _row_groups, read_parquet_sized)
 
 N_ROUNDS = 3
 FILES_PER_ROUND = 10
@@ -86,3 +87,60 @@ def test_single_file(run_dir):
     f = _files(run_dir)[0]
     got = pa.concat_tables(ray.get(read_parquet_sized(f).to_arrow_refs()))
     assert got.equals(pq.read_table(f))
+
+
+def test_derive_and_where_run_in_the_read(run_dir):
+    files = _files(run_dir)
+    want = pa.concat_tables([pq.read_table(f) for f in files]).to_pandas()
+    want = want[want["payload"].str.len() >= 7]
+    ds = read_parquet_sized(
+        run_dir, ["key", "payload"],
+        derive={"key": pc.field("key"),
+                "n": pc.utf8_length(pc.field("payload")).cast(pa.int64())},
+        where=pc.utf8_length(pc.field("payload")) >= 7)
+    blocks = ray.get(ds.to_arrow_refs())
+    want_schema = pa.schema([("key", pa.string()), ("n", pa.int64())])
+    assert all(b.schema.equals(want_schema) and b.schema.metadata is None
+               for b in blocks)
+    got = pa.concat_tables(blocks)
+    assert got["key"].to_pylist() == want["key"].tolist()   # file order
+    assert got["n"].to_pylist() == want["payload"].str.len().tolist()
+
+
+def test_where_alone_keeps_the_read_columns(run_dir):
+    ds = read_parquet_sized(run_dir, ["catalog", "key"],
+                            where=pc.field("catalog") == "c1")
+    got = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    assert got.column_names == ["catalog", "key"]
+    assert set(got["catalog"].to_pylist()) == {"c1"}
+    assert got.num_rows == sum(
+        pq.ParquetFile(f).metadata.num_rows for f in _files(run_dir)
+        if "round=0001" in f)
+
+
+def test_one_row_group_splits_into_blocks_read_once(tmp_path):
+    cpus = int(ray.cluster_resources()["CPU"])
+    n = min(4, 2 * cpus) * ROWS_PER_BLOCK
+    f = str(tmp_path / "one.parquet")
+    pq.write_table(pa.table({"i": pa.array(range(n), pa.int64())}), f,
+                   row_group_size=n)
+    assert pq.ParquetFile(f).metadata.num_row_groups == 1
+    runs, blocks = _read_plan(_row_groups([f]), 4)
+    assert len(runs) == 1 and len(runs[0][1]) == 5   # one task, 4 pieces
+    assert blocks == [[(0, j)] for j in range(4)]
+    refs = read_parquet_sized(f).to_arrow_refs()
+    tables = ray.get(refs)
+    assert len(tables) == min(4, 2 * cpus)
+    assert [t.num_rows for t in tables] == [n // len(tables)] * len(tables)
+    assert pa.concat_tables(tables)["i"].to_pylist() == list(range(n))
+
+
+def test_blocks_straddling_files_read_each_row_group_once(run_dir):
+    files = _files(run_dir)
+    runs, blocks = _read_plan(_row_groups(files), 3)
+    units = [(f, g) for rgs, _ in runs for f, gs in rgs for g in gs]
+    assert len(units) == len(set(units))      # no row group read twice
+    assert sorted(units) == sorted(
+        (f, g) for f in files
+        for g in range(pq.ParquetFile(f).metadata.num_row_groups))
+    assert len(blocks) == 3 and all(blocks)

@@ -147,69 +147,6 @@ def test_walks_reject_ids_beyond_packing_range():
         walks_df([adj], [0])
 
 
-# ---------------------------------------------------------------------------
-# write_partitioned_resumable
-# ---------------------------------------------------------------------------
-
-
-def test_partitioned_sink_resumes_skipping_finished(tmp_path):
-    import os
-    import pyarrow.parquet as pq
-
-    from no_fasel_scrapers_ray.corpus.storage import (
-        write_partitioned_resumable)
-    df = pd.DataFrame({"cat": ["a"] * 5 + ["b"] * 3 + ["c"] * 2,
-                       "x": np.arange(10, dtype=np.int64)})
-    root = str(tmp_path / "out")
-    ds = rd.from_pandas(df).repartition(4)
-    s1 = write_partitioned_resumable(ds, root, "cat").to_pandas()
-    assert s1["skipped"].tolist() == [False, False, False]
-    assert dict(zip(s1["partition"], s1["rows"])) == {"a": 5, "b": 3,
-                                                      "c": 2}
-    # simulate a crash that lost partition b's marker (unfinished)
-    os.remove(os.path.join(root, "cat=b", "_SUCCESS"))
-    files_a = {f: os.path.getmtime(os.path.join(root, "cat=a", f))
-               for f in os.listdir(os.path.join(root, "cat=a"))}
-    s2 = write_partitioned_resumable(rd.from_pandas(df), root,
-                                     "cat").to_pandas()
-    assert dict(zip(s2["partition"], s2["skipped"])) == {
-        "a": True, "b": False, "c": True}
-    assert dict(zip(s2["partition"], s2["rows"])) == {"a": 5, "b": 3,
-                                                      "c": 2}
-    # finished partitions were NOT rewritten
-    for f, mt in files_a.items():
-        assert os.path.getmtime(os.path.join(root, "cat=a", f)) == mt
-    # the resumed output reads back complete and equal
-    got = pq.read_table(root).to_pandas()
-    assert sorted(got["x"].tolist()) == list(range(10))
-
-
-def test_partitioned_sink_clears_stale_files_on_rewrite(tmp_path):
-    """ADVICE r03: an unfinished partition left over from a crashed run
-    with MORE part files than the re-run writes must not leak stale
-    files under the new _SUCCESS marker."""
-    import os
-    import pyarrow.parquet as pq
-
-    from no_fasel_scrapers_ray.corpus.storage import (
-        write_partitioned_resumable)
-    root = str(tmp_path / "out")
-    big = pd.DataFrame({"cat": ["a"] * 6,
-                        "x": np.arange(6, dtype=np.int64)})
-    # crashed run: 3 files written (rows_per_file=2), no marker
-    write_partitioned_resumable(rd.from_pandas(big), root, "cat",
-                                rows_per_file=2)
-    os.remove(os.path.join(root, "cat=a", "_SUCCESS"))
-    # re-run with fewer rows and one file — stale part-0000{1,2} must go
-    small = pd.DataFrame({"cat": ["a"] * 2,
-                          "x": np.array([100, 101], dtype=np.int64)})
-    s = write_partitioned_resumable(rd.from_pandas(small), root,
-                                    "cat").to_pandas()
-    assert s["rows"].tolist() == [2]
-    got = pq.read_table(root).to_pandas()
-    assert sorted(got["x"].tolist()) == [100, 101]
-
-
 def test_order_page_caps_tie_mass():
     from no_fasel_scrapers_ray.ops.relational import global_order_page
     df = pd.DataFrame({"cents": np.zeros(500, dtype=np.int64),
